@@ -24,7 +24,7 @@ def row(label, rep):
             cells.append(f"{model.model}: error ({model.error})")
             continue
         dim = model.dim_p if model.dim_p is not None else "?"
-        verdict = "ok" if model.verified else "FAIL"
+        verdict = {"verified": "ok", "failed": "FAIL"}.get(model.verdict, model.verdict)
         cells.append(
             f"{model.model}: g_C={model.genus} diag={model.fixed.delta_dot_d}"
             f" dim={dim} [{verdict}]"

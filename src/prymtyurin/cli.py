@@ -7,7 +7,9 @@ Subcommands:
   verify-identity            just the quadratic identity and exponent
 
 Exit codes: 0 when the keyed model's combinatorial hypotheses all verify,
-2 when a hypothesis fails (the report is still printed), 1 on validation
+2 when they do not: a hypothesis failed or the nesting search ran out of
+budget (the report is still printed, with the verdict "failed" or
+"undecided"), 1 on validation
 errors (malformed file, bad arguments, infeasible scenario).  The keyed
 model is the merged-class model whenever it was evaluated, otherwise the
 single model requested.

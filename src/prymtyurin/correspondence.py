@@ -28,7 +28,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 
 from .perms import all_subsets
 
@@ -240,7 +239,3 @@ def exponent_from_identity(ident: QuadraticIdentity) -> ExponentResult:
 def subset_identity_template(n: int) -> tuple[int, int, int]:
     """The expected coefficients for the subset correspondence, for cross-checks."""
     return (n - 1, -(n - 2), (n - 1) * (n - 2) // 2)
-
-
-def expected_subset_size(n: int) -> int:
-    return comb(n + 2, 2)

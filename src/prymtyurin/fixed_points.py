@@ -14,16 +14,23 @@ p_1, ..., p_n of n distinct fixed points with
     p_1, ..., p_i  in  D(p_i)   and   mult(p_i in D(p_i)) = 1   for each i.
 
 Since images stay inside the fiber of the base point, such a chain lives in a
-single special fiber; the search backtracks over orderings fiber by fiber and
-returns the first chain in class order, which makes certificates
-deterministic.  Certificates carry enough raw data to be re-verified by
-check_certificate, which recomputes every multiplicity from scratch.
+single special fiber.  The correspondence is symmetric, so "p in D(q)" holds
+exactly when "q in D(p)" does, and a chain is any ordering of an n-clique in
+the graph of fixed classes of self multiplicity 1 joined when each lies in
+the image of the other.  The search walks cliques in increasing order, fiber
+by fiber, and returns the lexicographically first chain, which makes
+certificates deterministic.  On failure it reports, in closed form, how many
+orderings a backtracking search would have tried.  It visits at most
+NESTING_CLIQUE_BUDGET cliques and reports the search undecided beyond that.
+Certificates carry enough raw data to be re-verified by check_certificate,
+which recomputes every multiplicity from scratch.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from math import factorial
 
 from .correspondence import FiberCorrespondence, Matrix
 from .induced_curve import FiberClass, SpecialFiber
@@ -198,17 +205,51 @@ class NestingCertificate:
 
 @dataclass(frozen=True)
 class NestingFailure:
+    """No chain exists: the search was exhaustive.
+
+    orderings_tried counts what a backtracking search over orderings would
+    have tried: one attempt per candidate outside the partial chain, at every
+    ordering of every clique shorter than the chain.
+    """
+
     reason: str
     fibers_searched: int
     orderings_tried: int
 
 
+@dataclass(frozen=True)
+class NestingUndecided:
+    """The search ran out of its budget before deciding either way."""
+
+    reason: str
+    fibers_searched: int
+    cliques_visited: int
+
+
+# cliques visited per nesting search, summed over its fibers.  The subset
+# family visits 3^10 = 59,049 per failing fiber at n = 8 and 9, and
+# 3^15 = 14,348,907 at n = 10 and 11, which this budget refuses.
+NESTING_CLIQUE_BUDGET = 1_000_000
+
+
 def nesting_search(report: FixedPointReport, bidegree: int):
     """Find the lexicographically first nesting chain of length delta/2.
 
-    Returns a NestingCertificate, or a NestingFailure when the hypotheses on
-    the fixed-point count already fail or no ordering works on any fiber.
-    An empty chain (no fixed points at all) certifies trivially.
+    The correspondence is symmetric and its class action does not depend on
+    the representative, so |q| * action[q][p] = |p| * action[p][q] for class
+    sizes |p|, |q|: "p in D(q)" holds exactly when "q in D(p)" does.  A chain
+    is therefore any ordering of an n-clique of the graph joining two
+    candidates (fixed classes of self multiplicity 1) when each lies in the
+    image of the other.  The search walks the cliques of each fiber as
+    increasing index sets and stops at the first n-clique; the lexicographically
+    first ordering of any n-clique is that clique, listed in increasing order.
+
+    Returns a NestingCertificate; a NestingFailure when the hypotheses on the
+    fixed-point count already fail or no fiber has an n-clique; or a
+    NestingUndecided once NESTING_CLIQUE_BUDGET cliques have been visited.
+    On failure orderings_tried is sum over cliques S with |S| < n of
+    |S|! * (c - |S|), over the searched fibers with c candidates each.  An
+    empty chain (no fixed points at all) certifies trivially.
     """
     if not report.is_even:
         return NestingFailure(
@@ -228,41 +269,73 @@ def nesting_search(report: FixedPointReport, bidegree: int):
 
     tried = 0
     searched = 0
+    visited = 0
     for fi, act in enumerate(report.actions):
         # chain members must share a fiber: every D(p_i) lies in the fiber of p_i
         candidates = [q for q in act.fixed_class_indices() if act.self_multiplicity(q) == 1]
-        if len(candidates) < n:
+        c = len(candidates)
+        if c < n:
             continue
         searched += 1
-        chain: list[int] = []
-
-        def extend() -> bool:
-            nonlocal tried
-            if len(chain) == n:
-                return True
-            for q in candidates:
-                if q in chain:
+        adjacent = []
+        for i, q in enumerate(candidates):
+            bits = 0
+            for j, p in enumerate(candidates):
+                if j == i:
                     continue
-                tried += 1
-                row = act.action[q]
-                if all(row[p] >= 1 for p in chain):
-                    chain.append(q)
-                    if extend():
-                        return True
-                    chain.pop()
-            return False
+                if (act.action[q][p] >= 1) != (act.action[p][q] >= 1):
+                    raise ValueError(
+                        f"class action of fiber {fi} is not symmetric:"
+                        f" action[{q}][{p}] = {act.action[q][p]},"
+                        f" action[{p}][{q}] = {act.action[p][q]}"
+                    )
+                if act.action[q][p] >= 1:
+                    bits |= 1 << j
+            adjacent.append(bits)
+        # what a search over orderings tries at each ordering of a k-clique
+        weight = [factorial(k) * (c - k) for k in range(n)]
 
-        if extend():
-            memberships = tuple(
-                tuple(act.action[qi][qj] for qj in chain[: i + 1])
-                for i, qi in enumerate(chain)
-            )
-            return NestingCertificate(
-                fiber_index=fi,
-                chain=tuple(chain),
-                chain_members=tuple(act.fiber.classes[q].members for q in chain),
-                memberships=memberships,
-            )
+        # depth-first over cliques in increasing order: chain is the current
+        # clique, open_[k] the candidates not yet tried that extend chain[:k]
+        chain: list[int] = []
+        open_: list[int] = []
+        allowed = (1 << c) - 1
+        while True:
+            if visited == NESTING_CLIQUE_BUDGET:
+                return NestingUndecided(
+                    reason=(
+                        f"the search for a chain of {n} fixed points ran out of its"
+                        f" budget of {NESTING_CLIQUE_BUDGET} cliques"
+                    ),
+                    fibers_searched=searched,
+                    cliques_visited=visited,
+                )
+            visited += 1
+            tried += weight[len(chain)]
+            open_.append(allowed)
+            while open_ and not open_[-1]:
+                open_.pop()
+                if chain:
+                    chain.pop()
+            if not open_:
+                break
+            allowed = open_[-1]
+            low = allowed & -allowed
+            open_[-1] = allowed ^ low
+            v = low.bit_length() - 1
+            chain.append(v)
+            if len(chain) == n:
+                found = tuple(candidates[i] for i in chain)
+                return NestingCertificate(
+                    fiber_index=fi,
+                    chain=found,
+                    chain_members=tuple(act.fiber.classes[q].members for q in found),
+                    memberships=tuple(
+                        tuple(act.action[qi][qj] for qj in found[: i + 1])
+                        for i, qi in enumerate(found)
+                    ),
+                )
+            allowed &= adjacent[v]
     return NestingFailure(
         reason=f"no ordering of {n} fixed points nests on any special fiber",
         fibers_searched=searched,

@@ -38,6 +38,7 @@ from .covering import (
 from .fixed_points import (
     FixedPointReport,
     NestingCertificate,
+    NestingUndecided,
     check_certificate,
     class_action,
     fixed_point_scan,
@@ -65,6 +66,9 @@ from .perms import Permutation, is_transitive, transposition
 from .scenario import BOTH, GRID, SUBSET, Scenario, scenario_to_dict
 
 UNCHECKED = "unchecked"
+VERIFIED = "verified"
+FAILED = "failed"
+UNDECIDED = "undecided"
 SYNTHESIZED = "synthesized"
 EXPLICIT = "explicit"
 
@@ -114,12 +118,6 @@ class Hypotheses:
     primitivity: str = UNCHECKED
     smoothness: str = UNCHECKED
 
-    @property
-    def combinatorial_ok(self) -> bool:
-        return all(
-            (self.quadratic_ok, self.fixed_even, self.n_le_d, self.nesting_ok, self.irreducible)
-        )
-
 
 @dataclasses.dataclass(frozen=True)
 class ModelReport:
@@ -127,7 +125,9 @@ class ModelReport:
 
     error is set when the model's own arithmetic is inconsistent (genus
     validation, negative dimension); fields computed before the failure are
-    kept for diagnosis, the rest stay None.
+    kept for diagnosis, the rest stay None.  undecided is set when the
+    nesting search ran out of budget and every other check held, so the
+    model is neither verified nor refuted.
     """
 
     model: str
@@ -146,6 +146,13 @@ class ModelReport:
     epsilon_deg: int | None = None
     hypotheses: Hypotheses | None = None
     verified: bool = False
+    undecided: bool = False
+
+    @property
+    def verdict(self) -> str:
+        if self.verified:
+            return VERIFIED
+        return UNDECIDED if self.undecided else FAILED
 
 
 @dataclasses.dataclass(frozen=True)
@@ -335,9 +342,13 @@ def _finish_model(
         except DimensionError as exc:
             error = f"{scenario.kind} scenario, {partial.model} model: {exc}"
 
-    verified = (
+    # everything but the nesting condition, which may be left undecided
+    rest_ok = (
         error is None
-        and hyp.combinatorial_ok
+        and hyp.quadratic_ok
+        and hyp.fixed_even
+        and hyp.n_le_d
+        and hyp.irreducible
         and integral is True
         and partial.simple_fibers_fixed_free is not False
     )
@@ -350,7 +361,8 @@ def _finish_model(
         dim_integral=integral,
         epsilon_deg=eps,
         hypotheses=hyp,
-        verified=verified,
+        verified=rest_ok and hyp.nesting_ok,
+        undecided=rest_ok and isinstance(nesting, NestingUndecided),
     )
 
 
@@ -553,6 +565,13 @@ def nesting_to_dict(nesting) -> dict | None:
             "chain_members": [[list(m) for m in ms] for ms in nesting.chain_members],
             "multiplicities": [list(row) for row in nesting.memberships],
         }
+    if isinstance(nesting, NestingUndecided):
+        return {
+            "certified": False,
+            "reason": nesting.reason,
+            "fibers_searched": nesting.fibers_searched,
+            "cliques_visited": nesting.cliques_visited,
+        }
     return {
         "certified": False,
         "reason": nesting.reason,
@@ -622,10 +641,7 @@ def report_to_dict(report: PrymReport) -> dict:
         },
         "models": {rep.model: model_to_dict(rep) for rep in report.models},
         "notes": list(report.notes),
-        "verdict": {
-            rep.model: "verified" if rep.verified else "failed"
-            for rep in report.models
-        },
+        "verdict": {rep.model: rep.verdict for rep in report.models},
     }
 
 
@@ -711,6 +727,8 @@ def render_table(report: PrymReport) -> str:
                 lines.append(
                     _row("nesting", f"certified in fiber {nest.fiber_index}, chain [{chain}] ({checked})")
                 )
+        elif isinstance(nest, NestingUndecided):
+            lines.append(_row("nesting", f"undecided: {nest.reason}"))
         elif nest is not None:
             lines.append(_row("nesting", f"failed: {nest.reason}"))
         if rep.dim_p is not None:
@@ -720,11 +738,12 @@ def render_table(report: PrymReport) -> str:
             lines.append(_row("epsilon degree", rep.epsilon_deg))
         hyp = rep.hypotheses
         if hyp is not None:
+            nesting = UNDECIDED if isinstance(nest, NestingUndecided) else _yesno(hyp.nesting_ok)
             lines.append(
                 _row(
                     "hypotheses",
                     f"quadratic {_yesno(hyp.quadratic_ok)} | fixed even {_yesno(hyp.fixed_even)}"
-                    f" | n<=d {_yesno(hyp.n_le_d)} | nesting {_yesno(hyp.nesting_ok)}"
+                    f" | n<=d {_yesno(hyp.n_le_d)} | nesting {nesting}"
                     f" | irreducible {_yesno(hyp.irreducible)}"
                     f" | primitivity {hyp.primitivity} | smoothness {hyp.smoothness}",
                 )
@@ -733,6 +752,11 @@ def render_table(report: PrymReport) -> str:
             verdict = (
                 "combinatorial hypotheses verified; analytic hypotheses"
                 " (primitivity, smoothness) assumed, not checked"
+            )
+        elif rep.undecided:
+            verdict = (
+                "undecided: the nesting search ran out of budget; every other"
+                " combinatorial check holds"
             )
         else:
             verdict = "combinatorial hypotheses NOT verified"

@@ -110,6 +110,11 @@ class Scenario:
                 ) from exc
             if self.monodromy is not None:
                 for pos, images in enumerate(self.monodromy):
+                    if not all(_is_int(x) for x in images):
+                        raise InvalidScenario(
+                            f"monodromy[{pos}]: sheet labels must be integers,"
+                            f" got {list(images)!r}"
+                        )
                     try:
                         perm = Permutation(images=tuple(images))
                     except ValueError as exc:
@@ -127,11 +132,16 @@ class Scenario:
         return self.parameter + 2
 
 
+def _is_int(value) -> bool:
+    # JSON true/false decode to bool, which Python counts as an int
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _check_profile(profile, degree, field):
     if not profile:
         raise InvalidScenario(f"{field}: profile is empty")
     for part in profile:
-        if not isinstance(part, int) or part < 1:
+        if not _is_int(part) or part < 1:
             raise InvalidScenario(f"{field}: parts must be positive integers")
     if sum(profile) != degree:
         raise InvalidScenario(
@@ -206,7 +216,7 @@ def parse_scenario(data) -> Scenario:
         raise InvalidScenario(f"unknown keys for kind {kind!r}: {', '.join(unknown)}")
 
     genus = data.get("upstairs_genus")
-    if not isinstance(genus, int) or isinstance(genus, bool):
+    if not _is_int(genus):
         raise InvalidScenario("upstairs_genus must be an integer")
     model = data.get("model", BOTH)
     if model not in MODEL_CHOICES:
@@ -223,7 +233,7 @@ def parse_scenario(data) -> Scenario:
         )
 
     n = data.get("n")
-    if not isinstance(n, int) or isinstance(n, bool):
+    if not _is_int(n):
         raise InvalidScenario("n must be an integer")
     fibers = data.get("special_fibers")
     if fibers is not None:

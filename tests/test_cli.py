@@ -5,11 +5,16 @@ asserted in-process; one smoke test exercises the installed console script.
 """
 
 import json
+import os
 import subprocess
 import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import prymtyurin
+from prymtyurin import fixed_points
 from prymtyurin.cli import (
     EXIT_HYPOTHESIS,
     EXIT_VALIDATION,
@@ -58,6 +63,17 @@ def test_run_model_override(tmp_path, capsys):
     assert set(payload["models"]) == {"paper", "monodromy"}
 
 
+def test_run_subset_n8_both_models(tmp_path, capsys):
+    path = write_scenario(
+        tmp_path, "s.json", {"kind": "subset", "n": 8, "upstairs_genus": 3, "model": "both"}
+    )
+    start = time.monotonic()
+    assert main(["run", path, "--format", "json"]) == EXIT_VERIFIED
+    assert time.monotonic() - start < 5.0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["verdict"] == {"paper": "verified", "monodromy": "failed"}
+
+
 # --- run: hypothesis failures exit 2 but still report ------------------------
 
 
@@ -84,6 +100,14 @@ def test_run_too_many_fixed_points(tmp_path, capsys):
     assert merged["delta_dot_d"] == 4
     assert merged["hypotheses"]["n_le_d"] is False
     assert payload["verdict"]["paper"] == "failed"
+
+
+def test_run_undecided_nesting_exits_two(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(fixed_points, "NESTING_CLIQUE_BUDGET", 100)
+    path = write_scenario(tmp_path, "s.json", {"kind": "subset", "n": 6, "upstairs_genus": 3})
+    assert main(["run", path, "--model", "monodromy", "--format", "json"]) == EXIT_HYPOTHESIS
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["verdict"] == {"monodromy": "undecided"}
 
 
 # --- run: validation failures exit 1 -----------------------------------------
@@ -119,6 +143,23 @@ def test_run_infeasible_budget(tmp_path, capsys):
     path = write_scenario(tmp_path, "s.json", data)
     assert main(["run", path]) == EXIT_VALIDATION
     assert "special_fibers vs upstairs_genus" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "data, field",
+    [
+        ({"n": 3, "upstairs_genus": 2, "monodromy": [[2, 1, 3, 4, 5.0]]}, "monodromy[0]"),
+        ({"n": 3, "upstairs_genus": 2, "monodromy": [[2, True, 3, 4, 5]]}, "monodromy[0]"),
+        ({"n": 2, "upstairs_genus": 1, "special_fibers": [[2, True, True]]}, "special_fibers[0]"),
+    ],
+)
+def test_run_rejects_non_integer_labels_and_parts(tmp_path, capsys, data, field):
+    path = write_scenario(tmp_path, "s.json", {"kind": "subset", **data})
+    assert main(["run", path]) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert field in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
 
 
 def test_run_missing_file(tmp_path, capsys):
@@ -294,10 +335,14 @@ def test_verbose_echoes_scenario(tmp_path, capsys, monkeypatch):
 
 
 def test_console_script_smoke():
+    # the child imports the same package as this test, installed or not
+    source = str(Path(prymtyurin.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (source, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "prymtyurin.cli", "builtin", "pn-case", "--n", "3", "--gx", "2"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == EXIT_VERIFIED, proc.stderr
     assert "verified" in proc.stdout

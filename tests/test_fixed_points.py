@@ -1,11 +1,17 @@
 import dataclasses
+from math import comb, factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from prymtyurin import fixed_points
 from prymtyurin.correspondence import build_grid_matrix, build_subset_matrix
 from prymtyurin.fixed_points import (
+    ClassAction,
     NestingCertificate,
     NestingFailure,
+    NestingUndecided,
     check_certificate,
     class_action,
     fixed_point_scan,
@@ -19,11 +25,14 @@ from prymtyurin.induced_curve import (
     ORBIT,
     FiberClass,
     SpecialFiber,
+    blocks_from_parts,
     grid_row_merge_fiber,
     merged_fiber,
     orbit_fiber,
     with_model,
 )
+from prymtyurin.report import grid_fiber_layout
+from prymtyurin.scenario import default_subset_fibers
 
 THREE_BLOCKS = ((1, 2), (3, 4), (5,))
 PAIR_BLOCKS_6 = ((1, 2), (3, 4), (5, 6))
@@ -221,3 +230,185 @@ def test_check_certificate_rejects_cert_against_wrong_fiber():
     # against the orbit fiber the same class index holds different members
     orbit = orbit_fiber(2, ((1, 2), (3, 4)))
     assert not check_certificate(mcert, orbit, "subset", 2)
+
+
+# --- the clique search against the backtracking search over orderings -------
+
+
+def reference_nesting_search(report, bidegree):
+    """The backtracking search over orderings that the clique search replaced,
+    kept as the reference: it tries every candidate outside the partial chain
+    at every node and counts each try."""
+    if not report.is_even:
+        return NestingFailure(
+            reason=f"fixed-point count {report.delta_dot_d} is odd",
+            fibers_searched=0,
+            orderings_tried=0,
+        )
+    n = report.half
+    if n > bidegree:
+        return NestingFailure(
+            reason=f"chain length {n} exceeds the bidegree {bidegree}",
+            fibers_searched=0,
+            orderings_tried=0,
+        )
+    if n == 0:
+        return NestingCertificate(fiber_index=-1, chain=(), chain_members=(), memberships=())
+
+    tried = 0
+    searched = 0
+    for fi, act in enumerate(report.actions):
+        candidates = [q for q in act.fixed_class_indices() if act.self_multiplicity(q) == 1]
+        if len(candidates) < n:
+            continue
+        searched += 1
+        chain: list[int] = []
+
+        def extend() -> bool:
+            nonlocal tried
+            if len(chain) == n:
+                return True
+            for q in candidates:
+                if q in chain:
+                    continue
+                tried += 1
+                row = act.action[q]
+                if all(row[p] >= 1 for p in chain):
+                    chain.append(q)
+                    if extend():
+                        return True
+                    chain.pop()
+            return False
+
+        if extend():
+            memberships = tuple(
+                tuple(act.action[qi][qj] for qj in chain[: i + 1])
+                for i, qi in enumerate(chain)
+            )
+            return NestingCertificate(
+                fiber_index=fi,
+                chain=tuple(chain),
+                chain_members=tuple(act.fiber.classes[q].members for q in chain),
+                memberships=memberships,
+            )
+    return NestingFailure(
+        reason=f"no ordering of {n} fixed points nests on any special fiber",
+        fibers_searched=searched,
+        orderings_tried=tried,
+    )
+
+
+def _partitions(total, largest=None):
+    largest = total if largest is None else largest
+    if total == 0:
+        yield ()
+        return
+    for part in range(min(total, largest), 0, -1):
+        for rest in _partitions(total - part, part):
+            yield (part,) + rest
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_clique_search_matches_reference_on_subset_fibers(n):
+    bidegree = comb(n, 2)
+    for parts in _partitions(n + 2):
+        if max(parts) == 1:
+            continue
+        blocks = blocks_from_parts(parts, n + 2)
+        for model in (MERGED, ORBIT):
+            act = special_fiber_action("subset", n, blocks, model)
+            for actions in ([act], [act, act]):
+                report = fixed_point_scan(actions)
+                assert nesting_search(report, bidegree) == reference_nesting_search(
+                    report, bidegree
+                ), (parts, model, len(actions))
+
+
+def test_clique_search_matches_reference_on_grid_layout():
+    corr = build_grid_matrix(3)
+    for model in (MERGED, ORBIT):
+        fibers = tuple(with_model(f, model) for f in grid_fiber_layout(3))
+        actions = [class_action(corr, f, grid_point_rank(3)) for f in fibers]
+        for chosen in (actions, actions[:1], actions[2:]):
+            report = fixed_point_scan(chosen)
+            for bidegree in (corr.bidegree, 1):
+                assert nesting_search(report, bidegree) == reference_nesting_search(
+                    report, bidegree
+                )
+
+
+@st.composite
+def symmetric_class_actions(draw):
+    """A class action on at most 8 classes whose relation "q lies in D(p)"
+    is symmetric, with arbitrary positive multiplicities."""
+    size = draw(st.integers(1, 8))
+    rows = [[0] * size for _ in range(size)]
+    for i in range(size):
+        rows[i][i] = draw(st.sampled_from((0, 1, 1, 1, 2)))
+        for j in range(i + 1, size):
+            if draw(st.booleans()):
+                rows[i][j] = draw(st.integers(1, 3))
+                rows[j][i] = draw(st.integers(1, 3))
+    fiber = SpecialFiber(
+        model=MERGED,
+        classes=tuple(FiberClass(members=((k + 1,),)) for k in range(size)),
+    )
+    return ClassAction(
+        fiber=fiber, action=tuple(tuple(r) for r in rows), bidegree=max(map(sum, rows))
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    actions=st.lists(symmetric_class_actions(), min_size=1, max_size=3),
+    bidegree=st.integers(0, 8),
+)
+def test_clique_search_matches_reference_on_random_actions(actions, bidegree):
+    report = fixed_point_scan(actions)
+    assert nesting_search(report, bidegree) == reference_nesting_search(report, bidegree)
+
+
+def _default_monodromy_report(n):
+    blocks = blocks_from_parts(default_subset_fibers(n)[0], n + 2)
+    act = special_fiber_action("subset", n, blocks, ORBIT)
+    return fixed_point_scan([act, act])
+
+
+def test_orderings_tried_closed_forms():
+    # the orbit fiber of a (2,...,2) profile: 2m fixed classes, each adjacent
+    # to all but its partner, so a k-clique picks k of the m pairs and one
+    # class of each; the fiber has 3^m cliques and none longer than m
+    for n, pairs in ((6, 6), (7, 6), (8, 10), (9, 10)):
+        failure = nesting_search(_default_monodromy_report(n), comb(n, 2))
+        assert isinstance(failure, NestingFailure)
+        assert failure.fibers_searched == 2
+        per_fiber = sum(
+            comb(pairs, k) * 2**k * factorial(k) * (2 * pairs - k) for k in range(pairs + 1)
+        )
+        assert failure.orderings_tried == 2 * per_fiber
+    assert nesting_search(_default_monodromy_report(6), 15).orderings_tried == 987_648
+    assert nesting_search(_default_monodromy_report(8), 28).orderings_tried == 128_655_846_080
+
+
+def test_nesting_budget_leaves_search_undecided(monkeypatch):
+    report = _default_monodromy_report(6)  # 3^6 = 729 cliques per fiber
+    monkeypatch.setattr(fixed_points, "NESTING_CLIQUE_BUDGET", 2 * 729)
+    failure = nesting_search(report, 15)
+    assert isinstance(failure, NestingFailure)
+    assert failure.orderings_tried == 987_648
+
+    monkeypatch.setattr(fixed_points, "NESTING_CLIQUE_BUDGET", 2 * 729 - 1)
+    undecided = nesting_search(report, 15)
+    assert isinstance(undecided, NestingUndecided)
+    assert undecided.fibers_searched == 2
+    assert undecided.cliques_visited == 2 * 729 - 1
+    assert "budget" in undecided.reason
+
+
+def test_nesting_search_rejects_asymmetric_action():
+    fiber = SpecialFiber(
+        model=MERGED, classes=tuple(FiberClass(members=((k,),)) for k in (1, 2))
+    )
+    act = ClassAction(fiber=fiber, action=((1, 1), (0, 1)), bidegree=2)
+    with pytest.raises(ValueError, match="not symmetric"):
+        nesting_search(fixed_point_scan([act, act]), bidegree=2)

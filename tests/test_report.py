@@ -3,7 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from prymtyurin.fixed_points import NestingCertificate, NestingFailure
+from prymtyurin import fixed_points
+from prymtyurin.fixed_points import (
+    NestingCertificate,
+    NestingFailure,
+    NestingUndecided,
+    check_certificate,
+)
 from prymtyurin.induced_curve import MERGED, ORBIT
 from prymtyurin.report import (
     DimensionError,
@@ -258,3 +264,46 @@ def test_render_table_mentions_verdict_split():
     assert "primitivity unchecked" in text
     text = render_table(assemble(subset_scenario(2, 0)))
     assert "error" in text
+
+
+def test_subset_n8_both_models_decided():
+    rep = assemble(subset_scenario(8, 3))
+    assert rep.keyed_verdict
+    merged = rep.model_report(MERGED)
+    assert merged.verdict == "verified"
+    cert = merged.nesting
+    assert isinstance(cert, NestingCertificate) and cert.length > 0
+    assert check_certificate(cert, merged.fibers[cert.fiber_index], "subset", 8)
+    orbit = rep.model_report(ORBIT)
+    assert orbit.verdict == "failed"
+    assert isinstance(orbit.nesting, NestingFailure)
+    assert orbit.nesting.orderings_tried == 128_655_846_080
+
+
+def test_exhausted_nesting_budget_is_undecided(monkeypatch):
+    monkeypatch.setattr(fixed_points, "NESTING_CLIQUE_BUDGET", 100)
+    rep = assemble(subset_scenario(6, 3))
+    merged = rep.model_report(MERGED)
+    assert merged.verdict == "verified"
+    orbit = rep.model_report(ORBIT)
+    assert isinstance(orbit.nesting, NestingUndecided)
+    assert not orbit.verified and orbit.undecided
+    data = report_to_dict(rep)
+    assert data["verdict"] == {"paper": "verified", "monodromy": "undecided"}
+    assert data["models"]["monodromy"]["nesting"]["cliques_visited"] == 100
+    assert "orderings_tried" not in data["models"]["monodromy"]["nesting"]
+    orbit_table = render_table(rep).split("== model: monodromy ==")[1]
+    assert "nesting               undecided: " in orbit_table
+    assert "| nesting undecided |" in orbit_table
+    assert "verdict               undecided: " in orbit_table
+    assert "NOT verified" not in orbit_table
+
+
+def test_undecided_nesting_does_not_hide_a_failed_hypothesis(monkeypatch):
+    monkeypatch.setattr(fixed_points, "NESTING_CLIQUE_BUDGET", 100)
+    # a single transposition does not act transitively on 6-subsets
+    rep = assemble(subset_scenario(6, 3, model="monodromy", monodromy=[[2, 1, 3, 4, 5, 6, 7, 8]]))
+    orbit = rep.model_report(ORBIT)
+    assert isinstance(orbit.nesting, NestingUndecided)
+    assert not rep.irreducible
+    assert orbit.verdict == "failed"

@@ -82,6 +82,19 @@ def test_monodromy_validation():
         subset_scenario(2, 1, monodromy=[[2, 1, 3]])
 
 
+@pytest.mark.parametrize(
+    "extra, field",
+    [
+        ({"monodromy": [[2, 1, 3, 4, 5.0]]}, "monodromy\\[0\\]"),
+        ({"monodromy": [[2, 1, 3, 4, 5], [2, True, 3, 4, 5]]}, "monodromy\\[1\\]"),
+        ({"special_fibers": [[2, 2, 1], [2, True, True]]}, "special_fibers\\[1\\]"),
+    ],
+)
+def test_parse_rejects_non_integer_labels_and_parts(extra, field):
+    with pytest.raises(InvalidScenario, match=field):
+        parse_scenario({"kind": "subset", "n": 3, "upstairs_genus": 2, **extra})
+
+
 def test_parse_strict_keys():
     good = {"kind": "subset", "n": 2, "upstairs_genus": 1}
     assert parse_scenario(good).parameter == 2
