@@ -14,26 +14,18 @@ Usage:
 
 import argparse
 
-from prymtyurin.correspondence import (
-    ExponentExtractionError,
-    build_grid_matrix,
-    build_subset_matrix,
-    discover_identity,
-    exponent_from_identity,
-)
-from prymtyurin.report import rational_json
+from prymtyurin.correspondence import build_grid_matrix, build_subset_matrix, identity_and_exponent
+from prymtyurin.report import correspondence_to_dict
 
 
 def describe(corr):
-    ident = discover_identity(corr)
+    summary = correspondence_to_dict(corr.size, corr.bidegree, *identity_and_exponent(corr))
+    ident, q = summary["identity"], summary["exponent"]
     if ident is None:
         return "-", "-", "-", "-", "no quadratic identity"
-    a, b, c = (rational_json(x) for x in ident.coefficients())
-    try:
-        res = exponent_from_identity(ident)
-        return a, b, c, res.q, "ok"
-    except ExponentExtractionError as exc:
-        return a, b, c, "-", str(exc)
+    if q is None:
+        return ident["a"], ident["b"], ident["c"], "-", summary["exponent_derivation"]
+    return ident["a"], ident["b"], ident["c"], q, "ok"
 
 
 def main() -> int:

@@ -24,23 +24,17 @@ import dataclasses
 import os
 import sys
 
-from .correspondence import (
-    ExponentExtractionError,
-    build_grid_matrix,
-    build_subset_matrix,
-    discover_identity,
-    exponent_from_identity,
-)
+from .correspondence import build_grid_matrix, build_subset_matrix, identity_and_exponent
 from .report import (
     PrymReport,
     assemble,
     canonical_json,
+    correspondence_to_dict,
     rational_json,
     render_table,
     report_to_json,
 )
 from .scenario import (
-    BOTH,
     GRID,
     MODEL_CHOICES,
     SUBSET,
@@ -152,34 +146,10 @@ def cmd_verify_identity(args) -> int:
         corr = build_grid_matrix(args.m)
         params = {"kind": GRID, "m": args.m}
 
-    ident = discover_identity(corr)
-    q = None
-    if ident is None:
-        note = "no quadratic identity exists for this correspondence"
-    else:
-        try:
-            res = exponent_from_identity(ident)
-            q, note = res.q, res.derivation
-        except ExponentExtractionError as exc:
-            note = str(exc)
-
+    ident, q, note = identity_and_exponent(corr)
     if args.format == "json":
         out = dict(params)
-        out.update(
-            size=corr.size,
-            bidegree=corr.bidegree,
-            identity=None
-            if ident is None
-            else {
-                "form": "D^2 = a*I + b*D + c*U",
-                "a": rational_json(ident.a),
-                "b": rational_json(ident.b),
-                "c": rational_json(ident.c),
-            },
-            identity_verified=ident is not None,
-            exponent=q,
-            exponent_derivation=note,
-        )
+        out.update(correspondence_to_dict(corr.size, corr.bidegree, ident, q, note))
         if args.dump_matrix:
             out["matrix"] = [list(row) for row in corr.matrix]
         print(canonical_json(out))

@@ -9,6 +9,10 @@ generic point of the base line:
 - the grid correspondence: points are the cells of an m x m grid in row-major
   order, and two cells are related when they share a row or a column.
 
+Each correspondence carries its point descriptors in matrix order, so the
+rest of the package looks a point's row up by its descriptor and never
+recomputes a rank.
+
 A correspondence D may satisfy a quadratic identity
 
     D^2 = a*I + b*D + c*U
@@ -18,7 +22,7 @@ term acts as zero because the base of the pencil is a rational curve, so the
 identity becomes gamma^2 - b*gamma - a = 0 for the induced endomorphism, and
 when it factors as (1 - gamma)(gamma + q - 1) = 0 the integer q >= 2 is the
 exponent candidate.  Matching coefficients: q = 2 - b, which requires
-a = q - 1.
+a = q - 1.  identity_and_exponent is the one place that runs both steps.
 
 All arithmetic is integer or Fraction; nothing here ever touches a float.
 """
@@ -28,6 +32,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .perms import all_subsets
 
@@ -43,18 +48,22 @@ class FiberCorrespondence:
     """A symmetric correspondence on a generic fiber, stored densely.
 
     matrix[i][j] counts how often point j appears in the image divisor of
-    point i.  Symmetry, zero diagonal and constant row sums (the bidegree)
-    are validated at construction.
+    point i, and points[i] is the descriptor of point i (a subset tuple or a
+    grid cell).  Symmetry, zero diagonal, constant row sums (the bidegree)
+    and one distinct descriptor per row are validated at construction.
     """
 
     kind: str
     parameter: int
     matrix: Matrix
+    points: tuple
 
     def __post_init__(self):
         n = len(self.matrix)
         if any(len(row) != n for row in self.matrix):
             raise ValueError("matrix is not square")
+        if len(self.points) != n or len(set(self.points)) != n:
+            raise ValueError(f"need {n} distinct point descriptors, got {len(self.points)}")
         sums = {sum(row) for row in self.matrix}
         if len(sums) != 1:
             raise ValueError(f"row sums are not constant: {sorted(sums)}")
@@ -74,6 +83,11 @@ class FiberCorrespondence:
     @property
     def bidegree(self) -> int:
         return sum(self.matrix[0])
+
+    @cached_property
+    def index(self) -> dict:
+        """Row index of each point descriptor."""
+        return {p: i for i, p in enumerate(self.points)}
 
 
 @dataclass(frozen=True)
@@ -102,13 +116,13 @@ def build_subset_matrix(n: int) -> FiberCorrespondence:
     """
     if n < 2:
         raise ValueError(f"subset correspondence needs n >= 2, got {n}")
-    pts = all_subsets(n + 2, n)
+    pts = tuple(all_subsets(n + 2, n))
     sets = [frozenset(s) for s in pts]
     size = len(pts)
     rows = []
     for i in range(size):
         rows.append(tuple(1 if len(sets[i] & sets[j]) == n - 2 else 0 for j in range(size)))
-    return FiberCorrespondence(kind="subset", parameter=n, matrix=tuple(rows))
+    return FiberCorrespondence(kind="subset", parameter=n, matrix=tuple(rows), points=pts)
 
 
 def grid_points(m: int) -> list[tuple[int, int]]:
@@ -120,12 +134,11 @@ def build_grid_matrix(m: int) -> FiberCorrespondence:
     """The grid correspondence for m >= 2: same row or same column, bidegree 2(m-1)."""
     if m < 2:
         raise ValueError(f"grid correspondence needs m >= 2, got {m}")
-    pts = grid_points(m)
-    size = len(pts)
+    pts = tuple(grid_points(m))
     rows = []
     for p in pts:
         rows.append(tuple(1 if q != p and (q[0] == p[0] or q[1] == p[1]) else 0 for q in pts))
-    return FiberCorrespondence(kind="grid", parameter=m, matrix=tuple(rows))
+    return FiberCorrespondence(kind="grid", parameter=m, matrix=tuple(rows), points=pts)
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -234,6 +247,20 @@ def exponent_from_identity(ident: QuadraticIdentity) -> ExponentResult:
             f"(1 - gamma)(gamma + {q - 1}) = 0, so the exponent is q = {q}"
         ),
     )
+
+
+def identity_and_exponent(corr) -> tuple[QuadraticIdentity | None, int | None, str]:
+    """The discovered identity, the exponent q (None when the identity does
+    not factor as the criterion needs) and a note saying how q was derived
+    or why it was not."""
+    ident = discover_identity(corr)
+    if ident is None:
+        return None, None, "no quadratic identity exists for this correspondence"
+    try:
+        res = exponent_from_identity(ident)
+    except ExponentExtractionError as exc:
+        return ident, None, str(exc)
+    return ident, res.q, res.derivation
 
 
 def subset_identity_template(n: int) -> tuple[int, int, int]:

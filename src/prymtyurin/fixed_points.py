@@ -2,9 +2,11 @@
 
 On a special fiber the points of the induced curve are classes of generic
 fiber points (see induced_curve).  The correspondence descends to classes by
-picking a representative, listing its image points and projecting them to
-classes.  That projection must not depend on the representative; the
-constructor checks every representative and refuses the fiber otherwise.
+picking a representative, reading its row through the correspondence's own
+point descriptors and projecting the image points to classes.  That
+projection must not depend on the representative; the constructor checks
+every representative and refuses the fiber otherwise, as it refuses a member
+that is not a point of the correspondence.
 
 A class Q is a fixed point when Q appears in its own image D(Q); the
 multiplicity of the appearance is the local intersection number with the
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 from math import factorial
 
 from .correspondence import FiberCorrespondence, Matrix
-from .induced_curve import FiberClass, SpecialFiber
+from .induced_curve import SpecialFiber
 
 
 @dataclass(frozen=True)
@@ -55,20 +57,26 @@ class ClassAction:
         return tuple(q for q in range(len(self.action)) if self.action[q][q] > 0)
 
 
-def class_action(corr: FiberCorrespondence, fiber: SpecialFiber, point_rank) -> ClassAction:
+def class_action(corr: FiberCorrespondence, fiber: SpecialFiber) -> ClassAction:
     """Descend a generic-fiber correspondence to the classes of a special fiber.
 
-    point_rank maps a member descriptor (subset tuple or grid cell) to its row
-    index in corr.matrix.  Every representative of every class is checked to
-    produce the same class multiset; a discrepancy means the identification
-    is not compatible with the correspondence and raises ValueError.
+    Class members are looked up among corr.points; a member that is not a
+    point of the correspondence raises ValueError.  Every representative of
+    every class is checked to produce the same class multiset; a discrepancy
+    means the identification is not compatible with the correspondence and
+    raises ValueError.
     """
-    which: dict[tuple[int, ...], int] = {}
+    class_of = [-1] * corr.size
     for ci, cls in enumerate(fiber.classes):
         for member in cls.members:
-            if member in which:
+            row = corr.index.get(member)
+            if row is None:
+                raise ValueError(
+                    f"member {member} is not a point of the {corr.kind} correspondence"
+                )
+            if class_of[row] >= 0:
                 raise ValueError(f"member {member} appears in two classes")
-            which[member] = ci
+            class_of[row] = ci
     covered = sum(len(c.members) for c in fiber.classes)
     if covered != corr.size:
         raise ValueError(f"classes cover {covered} points, matrix has {corr.size}")
@@ -76,69 +84,25 @@ def class_action(corr: FiberCorrespondence, fiber: SpecialFiber, point_rank) -> 
     n_classes = len(fiber.classes)
     rows = []
     for ci, cls in enumerate(fiber.classes):
-        projected: Counter | None = None
+        projected = None
         for member in cls.members:
-            row = corr.matrix[point_rank(member)]
-            counts: Counter = Counter()
-            for descriptor, cj in which.items():
-                mult = row[point_rank(descriptor)]
+            counts = [0] * n_classes
+            for j, mult in enumerate(corr.matrix[corr.index[member]]):
                 if mult:
-                    counts[cj] += mult
+                    counts[class_of[j]] += mult
             if projected is None:
                 projected = counts
             elif projected != counts:
                 raise ValueError(
                     f"class action depends on the representative in class {ci}: "
-                    f"{dict(projected)} vs {dict(counts)} at {member}"
+                    f"{projected} vs {counts} at {member}"
                 )
-        rows.append(tuple(projected.get(cj, 0) for cj in range(n_classes)))
+        rows.append(tuple(projected))
     act = ClassAction(fiber=fiber, action=tuple(rows), bidegree=corr.bidegree)
     for ci, row in enumerate(act.action):
         if sum(row) != corr.bidegree:
             raise ValueError(f"row {ci} of the class action sums to {sum(row)}, not {corr.bidegree}")
     return act
-
-
-def subset_point_rank(n: int):
-    from .perms import subset_rank
-
-    return lambda member: subset_rank(member, n + 2)
-
-
-def grid_point_rank(m: int):
-    return lambda cell: (cell[0] - 1) * m + (cell[1] - 1)
-
-
-def special_fiber_action(kind: str, parameter: int, identification, model: str) -> ClassAction:
-    """One-call construction of the class action on a special fiber.
-
-    kind "subset": identification is the block partition of the sheet labels.
-    kind "grid": identification is {"rows": partition} for a fiber gluing
-    rows, or {"pairing_shift": s} for a fiber gluing the two grid directions
-    through the shift matching; for the grid both models share one partition.
-    """
-    from .correspondence import build_grid_matrix, build_subset_matrix
-    from .induced_curve import (
-        grid_pairing_fiber,
-        grid_row_merge_fiber,
-        subset_fiber,
-        with_model,
-    )
-
-    if kind == "subset":
-        corr = build_subset_matrix(parameter)
-        fiber = subset_fiber(parameter, identification, model)
-        return class_action(corr, fiber, subset_point_rank(parameter))
-    if kind == "grid":
-        corr = build_grid_matrix(parameter)
-        if "rows" in identification:
-            fiber = grid_row_merge_fiber(parameter, identification["rows"])
-        elif "pairing_shift" in identification:
-            fiber = grid_pairing_fiber(parameter, identification["pairing_shift"])
-        else:
-            raise ValueError(f"grid identification needs 'rows' or 'pairing_shift': {identification!r}")
-        return class_action(corr, with_model(fiber, model), grid_point_rank(parameter))
-    raise ValueError(f"unknown correspondence kind {kind!r}")
 
 
 @dataclass(frozen=True)

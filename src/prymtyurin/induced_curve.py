@@ -1,4 +1,4 @@
-"""The curve induced on n-subsets of a covering's fibers, and its special fibers.
+"""Special fibers of the induced curve in both fiber models, and its irreducibility.
 
 A degree n+2 covering f of the line induces a covering h of degree
 comb(n+2, 2) whose generic fiber consists of the n-subsets of the fiber of f.
@@ -16,18 +16,20 @@ class may split into several orbits), so genus and fixed-point counts are
 computed per model and reported side by side, never mixed.
 
 For the grid construction (degree 9 over the line, fibers a 3x3 grid of
-two-point divisors) the local monodromies are involutions whose cycles match
-the divisor coincidence pattern exactly, so the two models agree fiber by
-fiber and the same classes serve both.
+two-point divisors) each special fiber is built as the orbits of its local
+monodromy, and those orbits are exactly the divisor coincidence classes, so
+the two models agree fiber by fiber and the same classes serve both.
+
+The genus of the induced curve follows from these fibers by Riemann-Hurwitz;
+report assembles it.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from math import comb
 
-from .covering import riemann_hurwitz_genus
+from .correspondence import grid_points
 from .perms import Permutation, all_subsets, cycles, induced_subset_action, is_transitive
 
 MERGED = "paper"
@@ -125,19 +127,21 @@ def partition_monodromy(blocks, degree: int) -> Permutation:
     return Permutation.from_cycles(degree, tuple(b for b in blocks if len(b) > 1))
 
 
+def _orbit_classes(perm: Permutation, points) -> tuple[FiberClass, ...]:
+    """The cycles of a permutation of point positions, as classes of the
+    points, ordered by their smallest member."""
+    classes = [FiberClass(members=tuple(sorted(points[r - 1] for r in cyc)))
+               for cyc in cycles(perm)]
+    classes.sort(key=lambda c: c.members[0])
+    return tuple(classes)
+
+
 def orbit_fiber(n: int, blocks, degree: int | None = None) -> SpecialFiber:
     """Orbit-model special fiber: points are cycles of the induced local
     monodromy on n-subsets, ordered by their colex-smallest member."""
     degree = n + 2 if degree is None else degree
-    monodromy = partition_monodromy(blocks, degree)
-    induced = induced_subset_action(monodromy, n)
-    subsets = all_subsets(degree, n)
-    classes = []
-    for cyc in cycles(induced):
-        members = tuple(sorted(subsets[r - 1] for r in cyc))
-        classes.append(FiberClass(members=members, block_multiset=None))
-    classes.sort(key=lambda c: c.members[0])
-    return SpecialFiber(model=ORBIT, classes=tuple(classes))
+    induced = induced_subset_action(partition_monodromy(blocks, degree), n)
+    return SpecialFiber(model=ORBIT, classes=_orbit_classes(induced, all_subsets(degree, n)))
 
 
 def subset_fiber(n: int, blocks, model: str) -> SpecialFiber:
@@ -148,116 +152,45 @@ def subset_fiber(n: int, blocks, model: str) -> SpecialFiber:
     raise ValueError(f"unknown fiber model {model!r}")
 
 
-def induced_degree(n: int) -> int:
-    return comb(n + 2, 2)
-
-
-def simple_fiber_w(n: int) -> int:
-    """w-contribution of the induced fiber over a simple branch point.
-
-    One transposition of sheets glues the n-subsets in C(n, n-1) = n pairs,
-    identically in both models.
-    """
-    return n
-
-
-def induced_w(n: int, simple_extra: int, special_blocks, model: str) -> int:
-    """Total ramification of the induced covering."""
-    w = simple_extra * simple_fiber_w(n)
-    for blocks in special_blocks:
-        w += subset_fiber(n, blocks, model).w_contribution
-    return w
-
-
-def curve_genus(n: int, upstairs_genus: int, special_parts, model: str) -> int:
-    """Genus of the induced curve from Riemann-Hurwitz, per model.
-
-    special_parts lists the ramification profiles of the base covering's
-    special fibers; the remaining branch points needed to reach the given
-    genus upstairs are simple.  Raises GenusValidationError when the model's
-    ramification count is inconsistent with an actual curve.
-    """
-    from .covering import CoveringData, simple_budget
-
-    cov = CoveringData(degree=n + 2, base_genus=0, special_fibers=tuple(tuple(p) for p in special_parts))
-    extra = simple_budget(cov, upstairs_genus)
-    blocks = [blocks_from_parts(p, n + 2) for p in cov.special_fibers]
-    w = induced_w(n, extra, blocks, model)
-    return riemann_hurwitz_genus(induced_degree(n), 0, w)
-
-
 # --- grid fibers ------------------------------------------------------------
 
 
-def grid_cells(m: int) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(1, m + 1) for j in range(1, m + 1)]
-
-
-def grid_row_merge_fiber(m: int, row_blocks) -> SpecialFiber:
-    """Grid special fiber where rows are glued by the given partition
-    (columns stay distinct): cell (i, j) is identified with (i', j) when i, i'
-    share a block.  This is simultaneously the merged classes and the orbits
-    of the local monodromy acting on rows."""
-    row_blocks = _validate_blocks(row_blocks, m)
-    row_of = {x: bi for bi, b in enumerate(row_blocks) for x in b}
-    grouped: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for i, j in grid_cells(m):
-        grouped.setdefault((row_of[i], j), []).append((i, j))
-    classes = [FiberClass(members=tuple(ms)) for ms in grouped.values()]
-    classes.sort(key=lambda c: c.members[0])
-    return SpecialFiber(model=MERGED, classes=tuple(classes))
-
-
-def grid_pairing_fiber(m: int, shift: int = 0) -> SpecialFiber:
-    """Grid special fiber where the two sides of the grid coincide through
-    the matching i -> i + shift (mod m): cell (i, j) is glued with
-    (j - shift, i + shift).  Cells on the matched diagonal are unramified.
-
-    The gluing is its own inverse, so again merged classes and monodromy
-    orbits are the same partition, for every shift.
-    """
-    if m < 1:
-        raise ValueError("grid size must be positive")
-    tau = lambda i: (i - 1 + shift) % m + 1
-    tau_inv = lambda i: (i - 1 - shift) % m + 1
-    seen: set[tuple[int, int]] = set()
-    classes = []
-    for cell in grid_cells(m):
-        if cell in seen:
-            continue
-        partner = (tau_inv(cell[1]), tau(cell[0]))
-        members = tuple(sorted({cell, partner}))
-        seen.update(members)
-        classes.append(FiberClass(members=members))
-    classes.sort(key=lambda c: c.members[0])
-    return SpecialFiber(model=MERGED, classes=tuple(classes))
-
-
-def grid_cell_rank(m: int, cell: tuple[int, int]) -> int:
-    """1-based row-major rank of a grid cell, matching grid_cells order."""
-    i, j = cell
-    return (i - 1) * m + j
+def _point_permutation(points, move) -> Permutation:
+    """The permutation of 1-based point positions induced by a map on points."""
+    rank = {p: r for r, p in enumerate(points, start=1)}
+    return Permutation(images=tuple(rank[move(p)] for p in points))
 
 
 def grid_row_monodromy(m: int, row_blocks) -> Permutation:
     """Local monodromy of a row-merge fiber as a permutation of the cells:
     the row coordinate moves by the block cycles, columns stay put."""
     sigma = partition_monodromy(row_blocks, m)
-    images = [0] * (m * m)
-    for i, j in grid_cells(m):
-        images[grid_cell_rank(m, (i, j)) - 1] = grid_cell_rank(m, (sigma(i), j))
-    return Permutation(images=tuple(images))
+    return _point_permutation(grid_points(m), lambda cell: (sigma(cell[0]), cell[1]))
 
 
 def grid_pairing_monodromy(m: int, shift: int = 0) -> Permutation:
-    """Local monodromy of a pairing fiber: the involution whose orbits are
-    exactly the classes of grid_pairing_fiber(m, shift)."""
+    """Local monodromy of a pairing fiber: the two sides of the grid coincide
+    through the matching i -> i + shift (mod m), so cell (i, j) goes to
+    (j - shift, i + shift).  It is an involution; cells on the matched
+    diagonal are fixed."""
     tau = lambda i: (i - 1 + shift) % m + 1
     tau_inv = lambda i: (i - 1 - shift) % m + 1
-    images = [0] * (m * m)
-    for i, j in grid_cells(m):
-        images[grid_cell_rank(m, (i, j)) - 1] = grid_cell_rank(m, (tau_inv(j), tau(i)))
-    return Permutation(images=tuple(images))
+    return _point_permutation(grid_points(m), lambda cell: (tau_inv(cell[1]), tau(cell[0])))
+
+
+def grid_row_merge_fiber(m: int, row_blocks) -> SpecialFiber:
+    """Grid special fiber where rows are glued by the given partition
+    (columns stay distinct): the orbits of grid_row_monodromy, so cell (i, j)
+    is identified with (i', j) when i, i' share a block."""
+    classes = _orbit_classes(grid_row_monodromy(m, row_blocks), grid_points(m))
+    return SpecialFiber(model=MERGED, classes=classes)
+
+
+def grid_pairing_fiber(m: int, shift: int = 0) -> SpecialFiber:
+    """Grid special fiber where the two sides of the grid coincide: the
+    orbits of grid_pairing_monodromy, each a glued pair or a diagonal cell."""
+    classes = _orbit_classes(grid_pairing_monodromy(m, shift), grid_points(m))
+    return SpecialFiber(model=MERGED, classes=classes)
 
 
 def with_model(fiber: SpecialFiber, model: str) -> SpecialFiber:

@@ -4,7 +4,8 @@ Runs a scenario through the whole pipeline -- covering bookkeeping, induced
 curve genus, quadratic identity and exponent, fixed classes, nesting
 certificate, dimension and auxiliary line-bundle degree -- under one or both
 fiber models, and packages everything into a report that serializes to
-canonical JSON or an aligned text table.
+canonical JSON or an aligned text table.  Both families run through the same
+per-model pipeline; each supplies only its fiber layout.
 
 All arithmetic is exact.  The dimension is a Fraction; a non-integral value
 is reported as an inconsistency diagnostic, never rounded.  Verdicts only
@@ -19,13 +20,11 @@ import json
 from fractions import Fraction
 
 from .correspondence import (
-    ExponentExtractionError,
     FiberCorrespondence,
     QuadraticIdentity,
     build_grid_matrix,
     build_subset_matrix,
-    discover_identity,
-    exponent_from_identity,
+    identity_and_exponent,
 )
 from .covering import (
     CoveringData,
@@ -42,9 +41,7 @@ from .fixed_points import (
     check_certificate,
     class_action,
     fixed_point_scan,
-    grid_point_rank,
     nesting_search,
-    subset_point_rank,
 )
 from .induced_curve import (
     MERGED,
@@ -55,8 +52,6 @@ from .induced_curve import (
     grid_pairing_monodromy,
     grid_row_merge_fiber,
     grid_row_monodromy,
-    induced_degree,
-    induced_w,
     irreducibility_check,
     partition_monodromy,
     subset_fiber,
@@ -161,7 +156,6 @@ class PrymReport:
     size: int
     bidegree: int
     identity: QuadraticIdentity | None
-    identity_verified: bool
     q: int | None
     exponent_note: str
     irreducible: bool
@@ -195,32 +189,17 @@ def assemble(scenario: Scenario) -> PrymReport:
         corr = build_subset_matrix(scenario.parameter)
     else:
         corr = build_grid_matrix(scenario.parameter)
-
-    ident = discover_identity(corr)
-    q = None
-    if ident is None:
-        note = "no quadratic identity exists for this correspondence"
-    else:
-        try:
-            res = exponent_from_identity(ident)
-            q, note = res.q, res.derivation
-        except ExponentExtractionError as exc:
-            note = str(exc)
-
+    ident, q, note = identity_and_exponent(corr)
     irreducible, basis = _irreducibility(scenario)
-
-    build = _subset_model if scenario.kind == SUBSET else _grid_model
     models = tuple(
-        build(scenario, corr, model, q, irreducible)
+        _model(scenario, corr, model, q, irreducible)
         for model in models_for(scenario.model)
     )
-
     report = PrymReport(
         scenario=scenario,
         size=corr.size,
         bidegree=corr.bidegree,
         identity=ident,
-        identity_verified=ident is not None,
         q=q,
         exponent_note=note,
         irreducible=irreducible,
@@ -232,9 +211,8 @@ def assemble(scenario: Scenario) -> PrymReport:
 
 
 def _subset_covering(scenario: Scenario) -> CoveringData:
-    degree = scenario.parameter + 2
     bare = CoveringData(
-        degree=degree,
+        degree=scenario.parameter + 2,
         base_genus=0,
         special_fibers=scenario.special_fibers,
         simple_extra=0,
@@ -244,22 +222,39 @@ def _subset_covering(scenario: Scenario) -> CoveringData:
     return dataclasses.replace(bare, simple_extra=extra)
 
 
-def _grid_covering(scenario: Scenario) -> CoveringData:
-    # the hyperelliptic double covering: one simple branch point per pairing fiber
-    return CoveringData(
-        degree=2,
-        base_genus=0,
-        special_fibers=(),
-        simple_extra=2 * scenario.upstairs_genus + 2,
-    )
-
-
-def grid_fiber_layout(genus: int) -> tuple[SpecialFiber, ...]:
+def grid_fiber_layout(genus: int, model: str = MERGED) -> tuple[SpecialFiber, ...]:
     """The grid scenario's special fibers over the base line: two row-merge
-    fibers, then 2*genus + 2 pairing fibers cycling the diagonal shift."""
-    rows = grid_row_merge_fiber(3, GRID_ROW_BLOCKS)
-    pairings = tuple(grid_pairing_fiber(3, k % 3) for k in range(2 * genus + 2))
-    return (rows, rows) + pairings
+    fibers, then 2*genus + 2 pairing fibers cycling the diagonal shift.  The
+    four distinct fibers are built once and repeated."""
+    rows = with_model(grid_row_merge_fiber(3, GRID_ROW_BLOCKS), model)
+    pairings = tuple(with_model(grid_pairing_fiber(3, s), model) for s in (0, 1, 2))
+    return (rows, rows) + tuple(pairings[k % 3] for k in range(2 * genus + 2))
+
+
+# A layout is (input covering, declared special fibers, a representative
+# fiber over an undeclared simple branch point or None, the number of such
+# points, and the prefix of a genus error message).
+
+
+def _subset_layout(scenario: Scenario, model: str):
+    n = scenario.parameter
+    degree = n + 2
+    cov = _subset_covering(scenario)
+    fibers = tuple(
+        subset_fiber(n, blocks_from_parts(p, degree), model)
+        for p in scenario.special_fibers
+    )
+    simple = subset_fiber(n, blocks_from_parts((2,) + (1,) * n, degree), model)
+    prefix = f"subset scenario n={n}, source genus {scenario.upstairs_genus}"
+    return cov, fibers, simple, cov.simple_extra, prefix
+
+
+def _grid_layout(scenario: Scenario, model: str):
+    g = scenario.upstairs_genus
+    # the hyperelliptic double covering: one simple branch point per pairing
+    # fiber; the layout declares every ramified fiber of the induced covering
+    cov = CoveringData(degree=2, base_genus=0, special_fibers=(), simple_extra=2 * g + 2)
+    return cov, grid_fiber_layout(g, model), None, 0, f"grid scenario, genus {g}"
 
 
 def _irreducibility(scenario: Scenario) -> tuple[bool, str]:
@@ -272,75 +267,70 @@ def _irreducibility(scenario: Scenario) -> tuple[bool, str]:
     if scenario.monodromy is not None:
         gens = tuple(Permutation(images=g) for g in scenario.monodromy)
         return irreducibility_check(gens, n), EXPLICIT
-    # representative choice: the declared special-fiber monodromies plus the
-    # derived number of simple branch points as adjacent transpositions
+    # representative choice: the declared special-fiber monodromies plus one
+    # adjacent transposition per simple branch point; they repeat after
+    # degree - 1, so only the distinct ones are kept
     cov = _subset_covering(scenario)
     gens = [
         partition_monodromy(blocks_from_parts(p, degree), degree)
         for p in scenario.special_fibers
     ]
-    for k in range(cov.simple_extra):
-        i = 1 + k % (degree - 1)
+    for i in range(1, 1 + min(cov.simple_extra, degree - 1)):
         gens.append(transposition(degree, i, i + 1))
     return irreducibility_check(tuple(gens), n), SYNTHESIZED
 
 
-def _finish_model(
+def _model(
     scenario: Scenario,
-    partial: ModelReport,
+    corr: FiberCorrespondence,
+    model: str,
     q: int | None,
-    bidegree: int,
     irreducible: bool,
-    genus_error: str | None,
 ) -> ModelReport:
-    """Shared tail of the per-model pipeline, from fixed points onward."""
-    scan = partial.fixed
-    even = scan.is_even
-    half = scan.half
-    n_le_d = bool(even and half <= bidegree)
+    """Everything one fiber model says, from the family's fiber layout on."""
+    layout = _subset_layout if scenario.kind == SUBSET else _grid_layout
+    cov, fibers, simple, simple_count, prefix = layout(scenario, model)
+    scan = fixed_point_scan(class_action(corr, f) for f in fibers)
+    w_induced = sum(f.w_contribution for f in fibers)
+    simple_free = None
+    if simple is not None:
+        w_induced += simple_count * simple.w_contribution
+        # the fixed-point count only scans declared special fibers, so check
+        # on a representative that a simple branch point has no fixed class
+        simple_free = class_action(corr, simple).fixed_class_indices() == ()
 
+    genus = error = None
+    try:
+        genus = riemann_hurwitz_genus(corr.size, 0, w_induced)
+    except GenusValidationError as exc:
+        error = f"{prefix}, {model} model: {exc}"
+
+    bidegree = corr.bidegree
+    even = scan.is_even
     nesting = nesting_search(scan, bidegree)
     certified = isinstance(nesting, NestingCertificate)
-    checked = False
-    if certified:
-        if nesting.length == 0:
-            checked = True
-        else:
-            checked = check_certificate(
-                nesting,
-                partial.fibers[nesting.fiber_index],
-                scenario.kind,
-                scenario.parameter,
-            )
-
+    checked = certified and (
+        nesting.length == 0
+        or check_certificate(
+            nesting, fibers[nesting.fiber_index], scenario.kind, scenario.parameter
+        )
+    )
     hyp = Hypotheses(
         quadratic_ok=q is not None,
         fixed_even=even,
-        n_le_d=n_le_d,
-        nesting_ok=certified and checked,
+        n_le_d=bool(even and scan.half <= bidegree),
+        nesting_ok=checked,
         irreducible=irreducible,
     )
 
-    if genus_error is not None:
-        return dataclasses.replace(
-            partial,
-            error=genus_error,
-            nesting=nesting,
-            certificate_checked=checked,
-            hypotheses=hyp,
-            verified=False,
-        )
-
-    genus = partial.genus
-    error = None
     dim = integral = eps = None
-    if q is not None and even:
+    if error is None and q is not None and even:
         eps = epsilon_degree(genus, scan.delta_dot_d)
         try:
             dim = prym_dimension(genus, bidegree, scan.delta_dot_d, q)
             integral = dim.denominator == 1
         except DimensionError as exc:
-            error = f"{scenario.kind} scenario, {partial.model} model: {exc}"
+            error = f"{scenario.kind} scenario, {model} model: {exc}"
 
     # everything but the nesting condition, which may be left undecided
     rest_ok = (
@@ -350,11 +340,18 @@ def _finish_model(
         and hyp.n_le_d
         and hyp.irreducible
         and integral is True
-        and partial.simple_fibers_fixed_free is not False
+        and simple_free is not False
     )
-    return dataclasses.replace(
-        partial,
+    return ModelReport(
+        model=model,
+        covering=cov,
+        induced_deg=corr.size,
+        fibers=fibers,
+        total_ramification=w_induced,
+        fixed=scan,
+        simple_fibers_fixed_free=simple_free,
         error=error,
+        genus=genus,
         nesting=nesting,
         certificate_checked=checked,
         dim_p=dim,
@@ -364,88 +361,6 @@ def _finish_model(
         verified=rest_ok and hyp.nesting_ok,
         undecided=rest_ok and isinstance(nesting, NestingUndecided),
     )
-
-
-def _subset_model(
-    scenario: Scenario,
-    corr: FiberCorrespondence,
-    model: str,
-    q: int | None,
-    irreducible: bool,
-) -> ModelReport:
-    n = scenario.parameter
-    degree = n + 2
-    cov = _subset_covering(scenario)
-    blocks = [blocks_from_parts(p, degree) for p in scenario.special_fibers]
-    fibers = tuple(subset_fiber(n, b, model) for b in blocks)
-    w_induced = induced_w(n, cov.simple_extra, blocks, model)
-
-    rank = subset_point_rank(n)
-    actions = tuple(class_action(corr, f, rank) for f in fibers)
-    scan = fixed_point_scan(actions)
-
-    # the fixed-point count only scans declared special fibers, so check on a
-    # representative that a simple branch point contributes no fixed class
-    simple_blocks = blocks_from_parts((2,) + (1,) * n, degree)
-    simple_action = class_action(corr, subset_fiber(n, simple_blocks, model), rank)
-    simple_free = simple_action.fixed_class_indices() == ()
-
-    genus = genus_error = None
-    try:
-        genus = riemann_hurwitz_genus(induced_degree(n), 0, w_induced)
-    except GenusValidationError as exc:
-        genus_error = (
-            f"subset scenario n={n}, source genus {scenario.upstairs_genus},"
-            f" {model} model: {exc}"
-        )
-
-    partial = ModelReport(
-        model=model,
-        covering=cov,
-        induced_deg=induced_degree(n),
-        fibers=fibers,
-        total_ramification=w_induced,
-        fixed=scan,
-        simple_fibers_fixed_free=simple_free,
-        genus=genus,
-    )
-    return _finish_model(scenario, partial, q, corr.bidegree, irreducible, genus_error)
-
-
-def _grid_model(
-    scenario: Scenario,
-    corr: FiberCorrespondence,
-    model: str,
-    q: int | None,
-    irreducible: bool,
-) -> ModelReport:
-    g = scenario.upstairs_genus
-    cov = _grid_covering(scenario)
-    fibers = tuple(with_model(f, model) for f in grid_fiber_layout(g))
-    w_induced = sum(f.w_contribution for f in fibers)
-
-    rank = grid_point_rank(3)
-    actions = tuple(class_action(corr, f, rank) for f in fibers)
-    scan = fixed_point_scan(actions)
-
-    genus = genus_error = None
-    try:
-        genus = riemann_hurwitz_genus(9, 0, w_induced)
-    except GenusValidationError as exc:
-        genus_error = f"grid scenario, genus {g}, {model} model: {exc}"
-
-    partial = ModelReport(
-        model=model,
-        covering=cov,
-        induced_deg=9,
-        fibers=fibers,
-        total_ramification=w_induced,
-        fixed=scan,
-        # the layout declares every ramified fiber, so there is nothing to spot-check
-        simple_fibers_fixed_free=None,
-        genus=genus,
-    )
-    return _finish_model(scenario, partial, q, corr.bidegree, irreducible, genus_error)
 
 
 # --- notes -------------------------------------------------------------------
@@ -616,25 +531,37 @@ def model_to_dict(rep: ModelReport) -> dict:
     return out
 
 
+def correspondence_to_dict(
+    size: int, bidegree: int, ident: QuadraticIdentity | None, q: int | None, note: str
+) -> dict:
+    """The correspondence summary: size, bidegree, identity and exponent.
+
+    A discovered identity has always been verified entrywise, so
+    identity_verified says whether one was found.
+    """
+    return {
+        "size": size,
+        "bidegree": bidegree,
+        "identity": None
+        if ident is None
+        else {
+            "form": "D^2 = a*I + b*D + c*U",
+            "a": rational_json(ident.a),
+            "b": rational_json(ident.b),
+            "c": rational_json(ident.c),
+        },
+        "identity_verified": ident is not None,
+        "exponent": q,
+        "exponent_derivation": note,
+    }
+
+
 def report_to_dict(report: PrymReport) -> dict:
-    ident = report.identity
     return {
         "scenario": scenario_to_dict(report.scenario),
-        "correspondence": {
-            "size": report.size,
-            "bidegree": report.bidegree,
-            "identity": None
-            if ident is None
-            else {
-                "form": "D^2 = a*I + b*D + c*U",
-                "a": rational_json(ident.a),
-                "b": rational_json(ident.b),
-                "c": rational_json(ident.c),
-            },
-            "identity_verified": report.identity_verified,
-            "exponent": report.q,
-            "exponent_derivation": report.exponent_note,
-        },
+        "correspondence": correspondence_to_dict(
+            report.size, report.bidegree, report.identity, report.q, report.exponent_note
+        ),
         "irreducibility": {
             "transitive": report.irreducible,
             "basis": report.irreducibility_basis,
@@ -678,8 +605,7 @@ def render_table(report: PrymReport) -> str:
         lines.append(_row("identity", "none found"))
     else:
         a, b, c = (rational_json(x) for x in report.identity.coefficients())
-        verified = "verified entrywise" if report.identity_verified else "NOT verified"
-        lines.append(_row("identity", f"D^2 = ({a})*I + ({b})*D + ({c})*U   [{verified}]"))
+        lines.append(_row("identity", f"D^2 = ({a})*I + ({b})*D + ({c})*U   [verified entrywise]"))
     lines.append(_row("exponent q", report.q if report.q is not None else "none"))
     lines.append(
         _row(

@@ -137,12 +137,15 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _check_parts(profile, field):
+    if not all(_is_int(part) and part >= 1 for part in profile):
+        raise InvalidScenario(f"{field}: parts must be positive integers")
+
+
 def _check_profile(profile, degree, field):
     if not profile:
         raise InvalidScenario(f"{field}: profile is empty")
-    for part in profile:
-        if not _is_int(part) or part < 1:
-            raise InvalidScenario(f"{field}: parts must be positive integers")
+    _check_parts(profile, field)
     if sum(profile) != degree:
         raise InvalidScenario(
             f"{field}: parts sum to {sum(profile)}, covering degree is {degree}"
@@ -170,7 +173,9 @@ def subset_scenario(
         special_fibers = default_subset_fibers(n)
     degree = n + 2
     fibers = []
-    for profile in special_fibers:
+    for pos, profile in enumerate(special_fibers):
+        # parts are sorted and summed before Scenario validates them
+        _check_parts(profile, f"special_fibers[{pos}]")
         parts = tuple(sorted(profile, reverse=True))
         short = degree - sum(parts)
         if short > 0:  # pad with unramified sheets
@@ -219,10 +224,6 @@ def parse_scenario(data) -> Scenario:
     if not _is_int(genus):
         raise InvalidScenario("upstairs_genus must be an integer")
     model = data.get("model", BOTH)
-    if model not in MODEL_CHOICES:
-        raise InvalidScenario(
-            f"model must be one of {MODEL_CHOICES}, got {model!r}"
-        )
 
     if kind == GRID:
         side = data.get("m", GRID_SIZE)

@@ -31,7 +31,6 @@ from prymtyurin.fixed_points import (
     NestingCertificate,
     check_certificate,
     class_action,
-    subset_point_rank,
 )
 from prymtyurin.induced_curve import MERGED, ORBIT, merged_fiber
 from prymtyurin.perms import (
@@ -232,11 +231,10 @@ def test_criterion_5_property_suites():
         # partition of the ground set, subset sizes 2..5
         for n in range(2, 6):
             corr = build_subset_matrix(n)
-            rank = subset_point_rank(n)
             seen = 0
             for blocks in set_partitions(n + 2):
                 fiber = merged_fiber(n, blocks)
-                act = class_action(corr, fiber, rank)
+                act = class_action(corr, fiber)
                 assert all(sum(row) == corr.bidegree for row in act.action)
                 seen += 1
             assert seen == BELL[n + 2]

@@ -151,6 +151,9 @@ def test_run_infeasible_budget(tmp_path, capsys):
         ({"n": 3, "upstairs_genus": 2, "monodromy": [[2, 1, 3, 4, 5.0]]}, "monodromy[0]"),
         ({"n": 3, "upstairs_genus": 2, "monodromy": [[2, True, 3, 4, 5]]}, "monodromy[0]"),
         ({"n": 2, "upstairs_genus": 1, "special_fibers": [[2, True, True]]}, "special_fibers[0]"),
+        ({"n": 2, "upstairs_genus": 1, "special_fibers": [[2, "a"]]}, "special_fibers[0]"),
+        ({"n": 2, "upstairs_genus": 1, "special_fibers": [[2, None]]}, "special_fibers[0]"),
+        ({"n": 2, "upstairs_genus": 1, "special_fibers": [[2, [1]]]}, "special_fibers[0]"),
     ],
 )
 def test_run_rejects_non_integer_labels_and_parts(tmp_path, capsys, data, field):

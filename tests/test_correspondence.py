@@ -11,6 +11,7 @@ from prymtyurin.correspondence import (
     build_subset_matrix,
     discover_identity,
     exponent_from_identity,
+    identity_and_exponent,
     mat_mul,
     subset_identity_template,
     verify_identity,
@@ -24,6 +25,7 @@ def test_subset_matrix_n2_is_the_complement_involution():
     assert corr.bidegree == 1
     # the unique neighbor of each pair is its complement in {1..4}
     pairs = all_subsets(4, 2)
+    assert corr.points == tuple(pairs)
     for i, s in enumerate(pairs):
         comp = tuple(sorted(set(range(1, 5)) - set(s)))
         j = subset_rank(comp, 4)
@@ -48,6 +50,8 @@ def test_grid_matrix_small():
     assert corr.bidegree == 4
     # P_11 is related to P_12, P_13 (row) and P_21, P_31 (column); row-major ranks
     assert [j for j in range(9) if corr.matrix[0][j]] == [1, 2, 3, 6]
+    assert corr.points[:4] == ((1, 1), (1, 2), (1, 3), (2, 1))
+    assert corr.index[(3, 3)] == 8
     corr2 = build_grid_matrix(2)
     assert corr2.bidegree == 2
 
@@ -58,9 +62,15 @@ def test_build_validation():
     with pytest.raises(ValueError):
         build_grid_matrix(1)
     with pytest.raises(ValueError):
-        FiberCorrespondence(kind="x", parameter=0, matrix=((0, 1), (0, 0)))  # not symmetric
+        # not symmetric
+        FiberCorrespondence(kind="x", parameter=0, matrix=((0, 1), (0, 0)), points=(0, 1))
     with pytest.raises(ValueError):
-        FiberCorrespondence(kind="x", parameter=0, matrix=((1, 1), (1, 1)))  # diagonal
+        # nonzero diagonal
+        FiberCorrespondence(kind="x", parameter=0, matrix=((1, 1), (1, 1)), points=(0, 1))
+    with pytest.raises(ValueError, match="distinct point descriptors"):
+        FiberCorrespondence(kind="x", parameter=0, matrix=((0, 1), (1, 0)), points=(0,))
+    with pytest.raises(ValueError, match="distinct point descriptors"):
+        FiberCorrespondence(kind="x", parameter=0, matrix=((0, 1), (1, 0)), points=(0, 0))
 
 
 def test_mat_mul_exact():
@@ -114,20 +124,22 @@ def test_discover_identity_none_when_impossible():
     six_cycle = tuple(
         tuple(1 if (i - j) % 6 in (1, 5) else 0 for j in range(6)) for i in range(6)
     )
-    corr = FiberCorrespondence(kind="x", parameter=0, matrix=six_cycle)
+    corr = FiberCorrespondence(kind="x", parameter=0, matrix=six_cycle, points=tuple(range(6)))
     assert discover_identity(corr) is None
     # the complete graph on 3 vertices does satisfy one
-    k3 = FiberCorrespondence(kind="x", parameter=0, matrix=((0, 1, 1), (1, 0, 1), (1, 1, 0)))
+    k3 = FiberCorrespondence(
+        kind="x", parameter=0, matrix=((0, 1, 1), (1, 0, 1), (1, 1, 0)), points=tuple(range(3))
+    )
     assert discover_identity(k3) == QuadraticIdentity(Fraction(2), Fraction(1), Fraction(0))
     broken = ((0, 1, 0, 0), (1, 0, 1, 0), (0, 1, 0, 1), (0, 0, 1, 0))
     with pytest.raises(ValueError):
         # row sums differ, rejected at construction
-        FiberCorrespondence(kind="x", parameter=0, matrix=broken)
+        FiberCorrespondence(kind="x", parameter=0, matrix=broken, points=tuple(range(4)))
 
 
 def test_discover_identity_underdetermined_canonicalization():
     # D = permutation-free degenerate case: the 2x2 "swap" matrix is D with D^2 = I
-    swap = FiberCorrespondence(kind="x", parameter=0, matrix=((0, 1), (1, 0)))
+    swap = FiberCorrespondence(kind="x", parameter=0, matrix=((0, 1), (1, 0)), points=(0, 1))
     ident = discover_identity(swap)
     # equations: diagonal a + c = 1, off-diagonal b + c = 0; c is free -> 0
     assert ident == QuadraticIdentity(Fraction(1), Fraction(0), Fraction(0))
@@ -164,3 +176,21 @@ def test_identity_template_full_range():
         assert corr.bidegree == n * (n - 1) // 2
         ident = discover_identity(corr)
         assert ident.coefficients() == subset_identity_template(n)
+
+
+def test_identity_and_exponent():
+    ident, q, note = identity_and_exponent(build_subset_matrix(4))
+    assert ident == QuadraticIdentity(Fraction(3), Fraction(-2), Fraction(3))
+    assert q == 4
+    assert note == exponent_from_identity(ident).derivation
+    # the 4x4 grid has an identity, but a != q - 1
+    ident, q, note = identity_and_exponent(build_grid_matrix(4))
+    assert ident is not None and q is None
+    assert note.startswith("criterion hypothesis fails")
+    six_cycle = tuple(
+        tuple(1 if (i - j) % 6 in (1, 5) else 0 for j in range(6)) for i in range(6)
+    )
+    corr = FiberCorrespondence(kind="x", parameter=0, matrix=six_cycle, points=tuple(range(6)))
+    assert identity_and_exponent(corr) == (
+        None, None, "no quadratic identity exists for this correspondence"
+    )

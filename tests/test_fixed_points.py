@@ -15,10 +15,7 @@ from prymtyurin.fixed_points import (
     check_certificate,
     class_action,
     fixed_point_scan,
-    grid_point_rank,
     nesting_search,
-    special_fiber_action,
-    subset_point_rank,
 )
 from prymtyurin.induced_curve import (
     MERGED,
@@ -26,10 +23,11 @@ from prymtyurin.induced_curve import (
     FiberClass,
     SpecialFiber,
     blocks_from_parts,
+    grid_pairing_fiber,
     grid_row_merge_fiber,
     merged_fiber,
     orbit_fiber,
-    with_model,
+    subset_fiber,
 )
 from prymtyurin.report import grid_fiber_layout
 from prymtyurin.scenario import default_subset_fibers
@@ -39,7 +37,7 @@ PAIR_BLOCKS_6 = ((1, 2), (3, 4), (5, 6))
 
 
 def test_class_action_merged_n3():
-    act = special_fiber_action("subset", 3, THREE_BLOCKS, MERGED)
+    act = class_action(build_subset_matrix(3), subset_fiber(3, THREE_BLOCKS, MERGED))
     # classes in order of first member: {123,124}, {125}, {134,234},
     # {135,145,235,245}, {345}
     assert [c.members[0] for c in act.fiber.classes] == [
@@ -52,7 +50,7 @@ def test_class_action_merged_n3():
 
 
 def test_class_action_merged_n4_pattern():
-    act = special_fiber_action("subset", 4, PAIR_BLOCKS_6, MERGED)
+    act = class_action(build_subset_matrix(4), subset_fiber(4, PAIR_BLOCKS_6, MERGED))
     assert act.fixed_class_indices() == (1, 3, 4)
     # frozen from brute force: self multiplicity 1, cross multiplicities 2
     assert act.action[1] == (0, 1, 0, 2, 2, 1)
@@ -61,24 +59,24 @@ def test_class_action_merged_n4_pattern():
 
 
 def test_class_action_orbit_models():
-    act2 = special_fiber_action("subset", 2, ((1, 2), (3, 4)), ORBIT)
+    act2 = class_action(build_subset_matrix(2), subset_fiber(2, ((1, 2), (3, 4)), ORBIT))
     assert len(act2.fixed_class_indices()) == 2
-    act3 = special_fiber_action("subset", 3, THREE_BLOCKS, ORBIT)
+    act3 = class_action(build_subset_matrix(3), subset_fiber(3, THREE_BLOCKS, ORBIT))
     assert len(act3.fixed_class_indices()) == 2
-    act4 = special_fiber_action("subset", 4, PAIR_BLOCKS_6, ORBIT)
+    act4 = class_action(build_subset_matrix(4), subset_fiber(4, PAIR_BLOCKS_6, ORBIT))
     assert len(act4.fixed_class_indices()) == 6
     for act in (act2, act3, act4):
         assert all(act.self_multiplicity(q) == 1 for q in act.fixed_class_indices())
 
 
 def test_class_action_grid_fibers():
-    branch = special_fiber_action("grid", 3, {"rows": ((1, 2), (3,))}, MERGED)
+    branch = class_action(build_grid_matrix(3), grid_row_merge_fiber(3, ((1, 2), (3,))))
     assert branch.fixed_class_indices() == (0, 1, 2)
     assert branch.action[0] == (1, 1, 1, 1, 0, 0)
     assert branch.action[1] == (1, 1, 1, 0, 1, 0)
     assert branch.action[2] == (1, 1, 1, 0, 0, 1)
     for shift in (0, 1, 2):
-        pairing = special_fiber_action("grid", 3, {"pairing_shift": shift}, MERGED)
+        pairing = class_action(build_grid_matrix(3), grid_pairing_fiber(3, shift))
         assert pairing.fixed_class_indices() == ()
         assert all(sum(row) == 4 for row in pairing.action)
 
@@ -94,18 +92,30 @@ def test_class_action_rejects_representative_dependence():
         ),
     )
     with pytest.raises(ValueError, match="depends on the representative"):
-        class_action(corr, bad, grid_point_rank(2))
+        class_action(corr, bad)
+
+
+def test_class_action_rejects_off_grid_member():
+    # (0, 4) has the row-major rank of (1, 1) but is not a cell of the grid
+    fiber = grid_row_merge_fiber(3, ((1, 2), (3,)))
+    classes = tuple(
+        FiberClass(members=tuple(sorted((0, 4) if m == (1, 1) else m for m in c.members)))
+        for c in fiber.classes
+    )
+    with pytest.raises(ValueError, match=r"member \(0, 4\) is not a point"):
+        class_action(build_grid_matrix(3), SpecialFiber(model=MERGED, classes=classes))
 
 
 def test_class_action_rejects_partial_cover():
     corr = build_subset_matrix(2)
     partial = SpecialFiber(model=MERGED, classes=(FiberClass(members=((1, 2),)),))
     with pytest.raises(ValueError, match="cover"):
-        class_action(corr, partial, subset_point_rank(2))
+        class_action(corr, partial)
 
 
 def test_fixed_point_scan_and_delta():
-    fibers = [special_fiber_action("subset", 3, THREE_BLOCKS, MERGED) for _ in range(2)]
+    act = class_action(build_subset_matrix(3), subset_fiber(3, THREE_BLOCKS, MERGED))
+    fibers = [act, act]
     report = fixed_point_scan(fibers)
     assert report.delta_dot_d == 2
     assert report.is_even and report.half == 1
@@ -113,7 +123,8 @@ def test_fixed_point_scan_and_delta():
 
 
 def test_nesting_chain_length_one():
-    fibers = [special_fiber_action("subset", 3, THREE_BLOCKS, MERGED) for _ in range(2)]
+    act = class_action(build_subset_matrix(3), subset_fiber(3, THREE_BLOCKS, MERGED))
+    fibers = [act, act]
     report = fixed_point_scan(fibers)
     cert = nesting_search(report, bidegree=3)
     assert isinstance(cert, NestingCertificate)
@@ -123,7 +134,8 @@ def test_nesting_chain_length_one():
 
 
 def test_nesting_chain_n4():
-    fibers = [special_fiber_action("subset", 4, PAIR_BLOCKS_6, MERGED) for _ in range(2)]
+    act = class_action(build_subset_matrix(4), subset_fiber(4, PAIR_BLOCKS_6, MERGED))
+    fibers = [act, act]
     report = fixed_point_scan(fibers)
     assert report.delta_dot_d == 6
     cert = nesting_search(report, bidegree=6)
@@ -133,8 +145,8 @@ def test_nesting_chain_n4():
 
 
 def test_nesting_chain_grid():
-    branch = special_fiber_action("grid", 3, {"rows": ((1, 2), (3,))}, MERGED)
-    pairing = special_fiber_action("grid", 3, {"pairing_shift": 0}, MERGED)
+    branch = class_action(build_grid_matrix(3), grid_row_merge_fiber(3, ((1, 2), (3,))))
+    pairing = class_action(build_grid_matrix(3), grid_pairing_fiber(3, 0))
     report = fixed_point_scan([branch, pairing, branch])
     assert report.delta_dot_d == 6
     cert = nesting_search(report, bidegree=4)
@@ -146,7 +158,8 @@ def test_nesting_chain_grid():
 
 
 def test_nesting_failure_odd_count():
-    fibers = [special_fiber_action("subset", 3, THREE_BLOCKS, MERGED)]
+    act = class_action(build_subset_matrix(3), subset_fiber(3, THREE_BLOCKS, MERGED))
+    fibers = [act]
     report = fixed_point_scan(fibers)
     assert report.delta_dot_d == 1
     failure = nesting_search(report, bidegree=3)
@@ -155,7 +168,8 @@ def test_nesting_failure_odd_count():
 
 
 def test_nesting_failure_exceeds_bidegree():
-    fibers = [special_fiber_action("subset", 2, ((1, 2), (3, 4)), ORBIT) for _ in range(2)]
+    act = class_action(build_subset_matrix(2), subset_fiber(2, ((1, 2), (3, 4)), ORBIT))
+    fibers = [act, act]
     report = fixed_point_scan(fibers)
     assert report.delta_dot_d == 4
     failure = nesting_search(report, bidegree=1)
@@ -166,7 +180,8 @@ def test_nesting_failure_exceeds_bidegree():
 def test_nesting_failure_no_ordering():
     # orbit model at n=3: two fixed orbits per fiber, but neither contains
     # the other in its image, so no chain of length 2 exists anywhere
-    fibers = [special_fiber_action("subset", 3, THREE_BLOCKS, ORBIT) for _ in range(2)]
+    act = class_action(build_subset_matrix(3), subset_fiber(3, THREE_BLOCKS, ORBIT))
+    fibers = [act, act]
     report = fixed_point_scan(fibers)
     assert report.delta_dot_d == 4
     failure = nesting_search(report, bidegree=3)
@@ -176,7 +191,7 @@ def test_nesting_failure_no_ordering():
 
 
 def test_empty_chain_certificate():
-    pairing = special_fiber_action("grid", 3, {"pairing_shift": 1}, MERGED)
+    pairing = class_action(build_grid_matrix(3), grid_pairing_fiber(3, 1))
     report = fixed_point_scan([pairing])
     cert = nesting_search(report, bidegree=4)
     assert isinstance(cert, NestingCertificate)
@@ -186,12 +201,12 @@ def test_empty_chain_certificate():
 
 def test_check_certificate_accepts_genuine():
     fiber = merged_fiber(4, PAIR_BLOCKS_6)
-    act = special_fiber_action("subset", 4, PAIR_BLOCKS_6, MERGED)
+    act = class_action(build_subset_matrix(4), subset_fiber(4, PAIR_BLOCKS_6, MERGED))
     cert = nesting_search(fixed_point_scan([act, act]), bidegree=6)
     assert isinstance(cert, NestingCertificate)
     assert check_certificate(cert, fiber, "subset", 4)
     gfiber = grid_row_merge_fiber(3, ((1, 2), (3,)))
-    gact = special_fiber_action("grid", 3, {"rows": ((1, 2), (3,))}, MERGED)
+    gact = class_action(build_grid_matrix(3), grid_row_merge_fiber(3, ((1, 2), (3,))))
     gcert = nesting_search(fixed_point_scan([gact, gact]), bidegree=4)
     assert isinstance(gcert, NestingCertificate)
     assert check_certificate(gcert, gfiber, "grid", 3)
@@ -199,7 +214,7 @@ def test_check_certificate_accepts_genuine():
 
 def test_check_certificate_rejects_tampering():
     fiber = merged_fiber(4, PAIR_BLOCKS_6)
-    act = special_fiber_action("subset", 4, PAIR_BLOCKS_6, MERGED)
+    act = class_action(build_subset_matrix(4), subset_fiber(4, PAIR_BLOCKS_6, MERGED))
     cert = nesting_search(fixed_point_scan([act, act]), bidegree=6)
     assert isinstance(cert, NestingCertificate)
 
@@ -222,7 +237,7 @@ def test_check_certificate_rejects_tampering():
 
 def test_check_certificate_rejects_cert_against_wrong_fiber():
     merged = merged_fiber(2, ((1, 2), (3, 4)))
-    mact = special_fiber_action("subset", 2, ((1, 2), (3, 4)), MERGED)
+    mact = class_action(build_subset_matrix(2), subset_fiber(2, ((1, 2), (3, 4)), MERGED))
     mcert = nesting_search(fixed_point_scan([mact, mact]), bidegree=1)
     assert isinstance(mcert, NestingCertificate)
     assert mcert.chain == (1,)
@@ -316,7 +331,7 @@ def test_clique_search_matches_reference_on_subset_fibers(n):
             continue
         blocks = blocks_from_parts(parts, n + 2)
         for model in (MERGED, ORBIT):
-            act = special_fiber_action("subset", n, blocks, model)
+            act = class_action(build_subset_matrix(n), subset_fiber(n, blocks, model))
             for actions in ([act], [act, act]):
                 report = fixed_point_scan(actions)
                 assert nesting_search(report, bidegree) == reference_nesting_search(
@@ -327,8 +342,8 @@ def test_clique_search_matches_reference_on_subset_fibers(n):
 def test_clique_search_matches_reference_on_grid_layout():
     corr = build_grid_matrix(3)
     for model in (MERGED, ORBIT):
-        fibers = tuple(with_model(f, model) for f in grid_fiber_layout(3))
-        actions = [class_action(corr, f, grid_point_rank(3)) for f in fibers]
+        fibers = grid_fiber_layout(3, model)
+        actions = [class_action(corr, f) for f in fibers]
         for chosen in (actions, actions[:1], actions[2:]):
             report = fixed_point_scan(chosen)
             for bidegree in (corr.bidegree, 1):
@@ -370,7 +385,7 @@ def test_clique_search_matches_reference_on_random_actions(actions, bidegree):
 
 def _default_monodromy_report(n):
     blocks = blocks_from_parts(default_subset_fibers(n)[0], n + 2)
-    act = special_fiber_action("subset", n, blocks, ORBIT)
+    act = class_action(build_subset_matrix(n), subset_fiber(n, blocks, ORBIT))
     return fixed_point_scan([act, act])
 
 

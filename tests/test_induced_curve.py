@@ -1,26 +1,23 @@
 import pytest
 
-from prymtyurin.covering import GenusValidationError
+from prymtyurin.correspondence import grid_points
 from prymtyurin.induced_curve import (
     MERGED,
     ORBIT,
     blocks_from_parts,
-    curve_genus,
-    grid_cells,
     grid_pairing_fiber,
     grid_pairing_monodromy,
     grid_row_merge_fiber,
     grid_row_monodromy,
-    induced_degree,
-    induced_w,
     irreducibility_check,
     merged_fiber,
     orbit_fiber,
     partition_monodromy,
-    simple_fiber_w,
     subset_fiber,
 )
 from prymtyurin.perms import Permutation, cycle_type, is_transitive, orbits, transposition
+from prymtyurin.report import assemble
+from prymtyurin.scenario import subset_scenario
 
 TWO_BLOCKS = ((1, 2), (3, 4))
 THREE_BLOCKS = ((1, 2), (3, 4), (5,))
@@ -86,7 +83,7 @@ def test_single_transposition_models_agree():
         merged = merged_fiber(n, blocks)
         orbit = orbit_fiber(n, blocks)
         assert merged.class_sizes() == orbit.class_sizes()
-        assert merged.w_contribution == simple_fiber_w(n) == n
+        assert merged.w_contribution == n
 
 
 def test_orbits_refine_merged_classes():
@@ -100,25 +97,32 @@ def test_orbits_refine_merged_classes():
         assert merged.w_contribution >= orbit.w_contribution
 
 
+def induced(n, gx, special_parts, model):
+    """The report of one fiber model for a subset scenario."""
+    return assemble(subset_scenario(n, gx, special_parts, model=model)).models[0]
+
+
 def test_curve_genus_merged_model_families():
     for gx in range(0, 11):
-        assert curve_genus(2, gx, ((2, 2), (2, 2)), MERGED) == 2 * gx
-        assert curve_genus(3, gx, ((2, 2, 1), (2, 2, 1)), MERGED) == 3 * gx + 2
-        assert curve_genus(4, gx, ((2, 2, 2), (2, 2, 2)), MERGED) == 4 * gx + 3
+        assert induced(2, gx, ((2, 2), (2, 2)), MERGED).genus == 2 * gx
+        assert induced(3, gx, ((2, 2, 1), (2, 2, 1)), MERGED).genus == 3 * gx + 2
+        assert induced(4, gx, ((2, 2, 2), (2, 2, 2)), MERGED).genus == 4 * gx + 3
 
 
 def test_curve_genus_orbit_model_families():
     for gx in range(1, 11):
-        assert curve_genus(2, gx, ((2, 2), (2, 2)), ORBIT) == 2 * gx - 1
-        assert curve_genus(3, gx, ((2, 2, 1), (2, 2, 1)), ORBIT) == 3 * gx + 1
-        assert curve_genus(4, gx, ((2, 2, 2), (2, 2, 2)), ORBIT) == 4 * gx
+        assert induced(2, gx, ((2, 2), (2, 2)), ORBIT).genus == 2 * gx - 1
+        assert induced(3, gx, ((2, 2, 1), (2, 2, 1)), ORBIT).genus == 3 * gx + 1
+        assert induced(4, gx, ((2, 2, 2), (2, 2, 2)), ORBIT).genus == 4 * gx
 
 
 def test_curve_genus_orbit_model_can_be_impossible():
     # at gx = 0 the orbit model of the n=2 scenario undercounts ramification
     # so badly the genus would be negative; that is a hard error, not a fixup
-    with pytest.raises(GenusValidationError):
-        curve_genus(2, 0, ((2, 2), (2, 2)), ORBIT)
+    rep = induced(2, 0, ((2, 2), (2, 2)), ORBIT)
+    assert rep.genus is None
+    assert "negative genus" in rep.error
+    assert not rep.verified
 
 
 def test_curve_genus_all_simple():
@@ -126,15 +130,15 @@ def test_curve_genus_all_simple():
     for n in (2, 3, 4, 5):
         for gx in (0, 1, 3):
             want = n * gx + n * (n - 1) // 2
-            assert curve_genus(n, gx, (), MERGED) == want
-            assert curve_genus(n, gx, (), ORBIT) == want
+            assert induced(n, gx, (), MERGED).genus == want
+            assert induced(n, gx, (), ORBIT).genus == want
 
 
 def test_induced_w_matches_genus_arithmetic():
-    blocks = [blocks_from_parts((2, 2, 1), 5)] * 2
-    w = induced_w(3, 6, blocks, MERGED)
-    assert w == 3 * 6 + 5 + 5 == 28
-    assert induced_degree(3) == 10
+    rep = induced(3, 1, ((2, 2, 1), (2, 2, 1)), MERGED)
+    assert rep.covering.simple_extra == 6
+    assert rep.total_ramification == 3 * 6 + 5 + 5 == 28
+    assert rep.induced_deg == 10
 
 
 def test_grid_row_merge_fiber():
@@ -156,7 +160,7 @@ def test_grid_pairing_fiber_all_shifts():
 
 
 def test_grid_monodromies_match_fiber_classes():
-    cells = grid_cells(3)
+    cells = grid_points(3)
 
     def orbit_classes(perm):
         membered = [

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from prymtyurin.correspondence import build_subset_matrix
 from prymtyurin.covering import GenusValidationError, riemann_hurwitz_genus
-from prymtyurin.fixed_points import class_action, subset_point_rank
+from prymtyurin.fixed_points import class_action
 from prymtyurin.induced_curve import merged_fiber
 from prymtyurin.perms import (
     Permutation,
@@ -189,7 +189,7 @@ def test_class_action_never_depends_on_representative(case):
     n, blocks = case
     corr = build_subset_matrix(n)
     fiber = merged_fiber(n, blocks)
-    act = class_action(corr, fiber, subset_point_rank(n))
+    act = class_action(corr, fiber)
     for row in act.action:
         assert sum(row) == corr.bidegree
     assert sum(cls.size for cls in fiber.classes) == corr.size

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from prymtyurin import fixed_points
+from prymtyurin import report as report_module
 from prymtyurin.fixed_points import (
     NestingCertificate,
     NestingFailure,
@@ -85,6 +86,9 @@ def test_grid_layout_counts():
     fibers = grid_fiber_layout(4)
     assert len(fibers) == 2 + 10
     assert all(f.w_contribution == 3 for f in fibers)
+    # one row-merge fiber and three pairing fibers, each built once
+    assert len({id(f) for f in fibers}) == 4
+    assert fibers[2] is fibers[5] is fibers[11]
 
 
 def test_subset_families_per_model():
@@ -190,6 +194,28 @@ def test_explicit_monodromy_controls_irreducibility():
     assert rep.irreducible
     assert rep.model_report(MERGED).verified
     assert not any("synthesized" in n for n in rep.notes)
+
+
+def test_synthesized_generators_are_distinct(monkeypatch):
+    seen = []
+    original = report_module.irreducibility_check
+
+    def record(gens, k):
+        seen.append(gens)
+        return original(gens, k)
+
+    monkeypatch.setattr(report_module, "irreducibility_check", record)
+    # 2,004 simple branch points, but only 4 distinct adjacent transpositions
+    scenario = subset_scenario(3, 1000)
+    rep = assemble(scenario)
+    assert rep.irreducible and rep.irreducibility_basis == "synthesized"
+    (gens,) = seen
+    assert len(gens) == len(scenario.special_fibers) + 4
+    assert len(set(gens[2:])) == 4
+    # fewer simple branch points than sheets - 1 keep one transposition each
+    seen.clear()
+    assemble(subset_scenario(3, 0, special_fibers=[[3, 2], [3, 2]]))
+    assert len(seen[0]) == 2 + 2
 
 
 def test_keyed_verdict_follows_model_choice():

@@ -88,6 +88,10 @@ def test_monodromy_validation():
         ({"monodromy": [[2, 1, 3, 4, 5.0]]}, "monodromy\\[0\\]"),
         ({"monodromy": [[2, 1, 3, 4, 5], [2, True, 3, 4, 5]]}, "monodromy\\[1\\]"),
         ({"special_fibers": [[2, 2, 1], [2, True, True]]}, "special_fibers\\[1\\]"),
+        # parts that cannot even be compared are named, not sorted
+        ({"special_fibers": [[2, "a"]]}, "special_fibers\\[0\\]: parts must be"),
+        ({"special_fibers": [[2, None]]}, "special_fibers\\[0\\]: parts must be"),
+        ({"special_fibers": [[2, [1]]]}, "special_fibers\\[0\\]: parts must be"),
     ],
 )
 def test_parse_rejects_non_integer_labels_and_parts(extra, field):
@@ -114,6 +118,10 @@ def test_parse_strict_keys():
         parse_scenario({"kind": "subset", "n": 3, "upstairs_genus": 1.5})
     with pytest.raises(InvalidScenario, match="m must be 3"):
         parse_scenario({"kind": "grid", "upstairs_genus": 3, "m": 4})
+    with pytest.raises(InvalidScenario, match="model must be one of"):
+        parse_scenario({**good, "model": "merged"})
+    with pytest.raises(InvalidScenario, match="model must be one of"):
+        parse_scenario({"kind": "grid", "upstairs_genus": 3, "model": "merged"})
 
 
 def test_parse_round_trip():

@@ -1,0 +1,44 @@
+"""Smoke tests of the sweep scripts, run the way a user runs them."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import prymtyurin
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def run_script(name, *args):
+    # the child imports the same package as this test, installed or not
+    source = str(Path(prymtyurin.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (source, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / name), *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
+def test_identity_sweep_script():
+    lines = run_script("identity_sweep.py", "--max-n", "4", "--max-m", "3")
+    rows = {line[:14].strip(): line[14:].split(None, 6) for line in lines[2:]}
+    assert list(rows) == ["subset n=2", "subset n=3", "subset n=4", "grid m=2", "grid m=3"]
+    # points, bidegree, a, b, c, q, note
+    assert rows["subset n=4"] == ["15", "6", "3", "-2", "3", "4", "ok"]
+    assert rows["grid m=3"] == ["9", "4", "2", "-1", "2", "3", "ok"]
+    assert rows["grid m=2"][5:] == ["-", "criterion hypothesis fails: need a = q - 1 = 3, got a = 0"]
+
+
+def test_family_sweep_script():
+    lines = [line for line in run_script("family_sweep.py", "--min-genus", "2", "--max-genus", "2") if line]
+    assert len(lines) == 4
+    assert lines[0].startswith("subset n=2 gx=2")
+    assert "paper: g_C=4 diag=2 dim=2 [ok]" in lines[0]
+    assert "monodromy: g_C=3 diag=4 dim=2 [FAIL]" in lines[0]
+    assert lines[3].startswith("grid 3x3 g=2")
+    assert lines[3].count("g_C=4 diag=6 dim=1 [ok]") == 2
