@@ -132,8 +132,6 @@ def cmd_verify_identity(args) -> int:
             raise InvalidScenario("--kind subset requires --n")
         if args.m is not None:
             raise InvalidScenario("--m only applies to --kind grid")
-        if args.n < 2:
-            raise InvalidScenario(f"subset size must be >= 2, got {args.n}")
         corr = build_subset_matrix(args.n)
         params = {"kind": SUBSET, "n": args.n}
     else:
@@ -141,8 +139,6 @@ def cmd_verify_identity(args) -> int:
             raise InvalidScenario("--kind grid requires --m")
         if args.n is not None:
             raise InvalidScenario("--n only applies to --kind subset")
-        if args.m < 2:
-            raise InvalidScenario(f"grid side must be >= 2, got {args.m}")
         corr = build_grid_matrix(args.m)
         params = {"kind": GRID, "m": args.m}
 

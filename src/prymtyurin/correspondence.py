@@ -11,7 +11,8 @@ generic point of the base line:
 
 Each correspondence carries its point descriptors in matrix order, so the
 rest of the package looks a point's row up by its descriptor and never
-recomputes a rank.
+recomputes a rank.  It also carries its square D^2, computed once on first
+use and shared by identity discovery and verification.
 
 A correspondence D may satisfy a quadratic identity
 
@@ -30,6 +31,7 @@ All arithmetic is integer or Fraction; nothing here ever touches a float.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -88,6 +90,11 @@ class FiberCorrespondence:
     def index(self) -> dict:
         """Row index of each point descriptor."""
         return {p: i for i, p in enumerate(self.points)}
+
+    @cached_property
+    def square(self) -> Matrix:
+        """D^2, computed once and shared by identity discovery and verification."""
+        return mat_mul(self.matrix, self.matrix)
 
 
 @dataclass(frozen=True)
@@ -149,29 +156,26 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
 
 
-def _as_matrix(corr) -> Matrix:
-    return corr.matrix if isinstance(corr, FiberCorrespondence) else corr
-
-
-def verify_identity(corr, a, b, c):
+def verify_identity(corr: FiberCorrespondence, a, b, c):
     """Check D^2 = a*I + b*D + c*U entrywise, exactly.
 
-    Accepts a FiberCorrespondence or a raw square matrix.  Returns
-    (True, None) on success, else (False, (i, j, got, want)) for the first
-    differing entry in row-major order.
+    The comparison runs in integers: a, b and c are scaled by the lcm of
+    their denominators, and so is each entry of D^2.  Returns (True, None)
+    on success, else (False, (i, j, got, want)) for the first differing
+    entry in row-major order, with want the exact Fraction.
     """
-    mat = _as_matrix(corr)
     a, b, c = Fraction(a), Fraction(b), Fraction(c)
-    d2 = mat_mul(mat, mat)
-    for i in range(len(mat)):
-        for j in range(len(mat)):
-            want = (a if i == j else 0) + b * mat[i][j] + c
-            if d2[i][j] != want:
-                return False, (i, j, d2[i][j], want)
+    scale = math.lcm(a.denominator, b.denominator, c.denominator)
+    sa, sb, sc = (int(x * scale) for x in (a, b, c))
+    for i, (row, sq) in enumerate(zip(corr.matrix, corr.square)):
+        for j, (x, got) in enumerate(zip(row, sq)):
+            want = sb * x + sc + (sa if i == j else 0)
+            if got * scale != want:
+                return False, (i, j, got, Fraction(want, scale))
     return True, None
 
 
-def discover_identity(corr) -> QuadraticIdentity | None:
+def discover_identity(corr: FiberCorrespondence) -> QuadraticIdentity | None:
     """Solve for rational (a, b, c) with D^2 = a*I + b*D + c*U, if possible.
 
     Exact linear algebra only: each entry contributes the equation
@@ -179,19 +183,14 @@ def discover_identity(corr) -> QuadraticIdentity | None:
     by Gaussian elimination over Fraction and the candidate is re-verified
     entrywise.  When the system is underdetermined the unknowns are
     eliminated in the order b, a, c with free ones set to zero, preferring to
-    attribute weight to the D term; the identity matrix therefore yields
-    D^2 = D, not D^2 = I.  Returns None when no identity exists.
+    attribute weight to the D term.  Returns None when no identity exists.
     """
-    mat = _as_matrix(corr)
-    size = len(mat)
-    d2 = mat_mul(mat, mat)
     rows: dict[tuple[int, int], int] = {}
-    for i in range(size):
-        for j in range(size):
-            key = (1 if i == j else 0, mat[i][j])
-            if key in rows and rows[key] != d2[i][j]:
+    for i, (row, sq) in enumerate(zip(corr.matrix, corr.square)):
+        for j, (x, got) in enumerate(zip(row, sq)):
+            key = (1 if i == j else 0, x)
+            if rows.setdefault(key, got) != got:
                 return None
-            rows[key] = d2[i][j]
     # columns in elimination order: b, a, c
     system = [[Fraction(k[1]), Fraction(k[0]), Fraction(1), Fraction(rhs)] for k, rhs in rows.items()]
 
@@ -216,7 +215,7 @@ def discover_identity(corr) -> QuadraticIdentity | None:
     by_col = {col: system[row_idx][3] for row_idx, col in enumerate(pivots)}
     zero = Fraction(0)
     ident = QuadraticIdentity(a=by_col.get(1, zero), b=by_col.get(0, zero), c=by_col.get(2, zero))
-    ok, _ = verify_identity(mat, *ident.coefficients())
+    ok, _ = verify_identity(corr, *ident.coefficients())
     return ident if ok else None
 
 

@@ -31,7 +31,6 @@ from .covering import (
     GenusValidationError,
     ramification_degree,
     riemann_hurwitz_genus,
-    simple_budget,
     upstairs_genus,
 )
 from .fixed_points import (
@@ -210,18 +209,6 @@ def assemble(scenario: Scenario) -> PrymReport:
     return dataclasses.replace(report, notes=_notes(report))
 
 
-def _subset_covering(scenario: Scenario) -> CoveringData:
-    bare = CoveringData(
-        degree=scenario.parameter + 2,
-        base_genus=0,
-        special_fibers=scenario.special_fibers,
-        simple_extra=0,
-    )
-    # feasibility was already validated when the scenario was built
-    extra = simple_budget(bare, scenario.upstairs_genus)
-    return dataclasses.replace(bare, simple_extra=extra)
-
-
 def grid_fiber_layout(genus: int, model: str = MERGED) -> tuple[SpecialFiber, ...]:
     """The grid scenario's special fibers over the base line: two row-merge
     fibers, then 2*genus + 2 pairing fibers cycling the diagonal shift.  The
@@ -231,30 +218,28 @@ def grid_fiber_layout(genus: int, model: str = MERGED) -> tuple[SpecialFiber, ..
     return (rows, rows) + tuple(pairings[k % 3] for k in range(2 * genus + 2))
 
 
-# A layout is (input covering, declared special fibers, a representative
-# fiber over an undeclared simple branch point or None, the number of such
-# points, and the prefix of a genus error message).
+# A layout is (declared special fibers, a representative fiber over one of
+# the input covering's simple branch points or None when the layout declares
+# them all, and the prefix of a genus error message).
 
 
 def _subset_layout(scenario: Scenario, model: str):
     n = scenario.parameter
     degree = n + 2
-    cov = _subset_covering(scenario)
     fibers = tuple(
         subset_fiber(n, blocks_from_parts(p, degree), model)
         for p in scenario.special_fibers
     )
     simple = subset_fiber(n, blocks_from_parts((2,) + (1,) * n, degree), model)
     prefix = f"subset scenario n={n}, source genus {scenario.upstairs_genus}"
-    return cov, fibers, simple, cov.simple_extra, prefix
+    return fibers, simple, prefix
 
 
 def _grid_layout(scenario: Scenario, model: str):
     g = scenario.upstairs_genus
-    # the hyperelliptic double covering: one simple branch point per pairing
-    # fiber; the layout declares every ramified fiber of the induced covering
-    cov = CoveringData(degree=2, base_genus=0, special_fibers=(), simple_extra=2 * g + 2)
-    return cov, grid_fiber_layout(g, model), None, 0, f"grid scenario, genus {g}"
+    # one pairing fiber per simple branch point of the double covering: the
+    # layout declares every ramified fiber of the induced covering
+    return grid_fiber_layout(g, model), None, f"grid scenario, genus {g}"
 
 
 def _irreducibility(scenario: Scenario) -> tuple[bool, str]:
@@ -270,12 +255,11 @@ def _irreducibility(scenario: Scenario) -> tuple[bool, str]:
     # representative choice: the declared special-fiber monodromies plus one
     # adjacent transposition per simple branch point; they repeat after
     # degree - 1, so only the distinct ones are kept
-    cov = _subset_covering(scenario)
     gens = [
         partition_monodromy(blocks_from_parts(p, degree), degree)
         for p in scenario.special_fibers
     ]
-    for i in range(1, 1 + min(cov.simple_extra, degree - 1)):
+    for i in range(1, 1 + min(scenario.covering.simple_extra, degree - 1)):
         gens.append(transposition(degree, i, i + 1))
     return irreducibility_check(tuple(gens), n), SYNTHESIZED
 
@@ -289,12 +273,12 @@ def _model(
 ) -> ModelReport:
     """Everything one fiber model says, from the family's fiber layout on."""
     layout = _subset_layout if scenario.kind == SUBSET else _grid_layout
-    cov, fibers, simple, simple_count, prefix = layout(scenario, model)
+    fibers, simple, prefix = layout(scenario, model)
     scan = fixed_point_scan(class_action(corr, f) for f in fibers)
     w_induced = sum(f.w_contribution for f in fibers)
     simple_free = None
     if simple is not None:
-        w_induced += simple_count * simple.w_contribution
+        w_induced += scenario.covering.simple_extra * simple.w_contribution
         # the fixed-point count only scans declared special fibers, so check
         # on a representative that a simple branch point has no fixed class
         simple_free = class_action(corr, simple).fixed_class_indices() == ()
@@ -344,7 +328,7 @@ def _model(
     )
     return ModelReport(
         model=model,
-        covering=cov,
+        covering=scenario.covering,
         induced_deg=corr.size,
         fibers=fibers,
         total_ramification=w_induced,

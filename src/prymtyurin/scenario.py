@@ -3,7 +3,8 @@
 A scenario pins down everything needed to assemble a verification report:
 the family (subset exchange on a small covering, or the 3x3 grid built
 from a hyperelliptic curve), the genus of the source curve, the special
-fiber profiles, and which fiber model(s) to evaluate.
+fiber profiles, and which fiber model(s) to evaluate.  It carries the input
+covering these data determine, built once.
 
 Scenarios are plain data.  They are parsed strictly: unknown keys and
 out-of-range values are rejected up front with the offending field named,
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+from functools import cached_property
 
 from .covering import CoveringData, GenusValidationError, simple_budget
 from .induced_curve import MODELS
@@ -97,13 +99,7 @@ class Scenario:
             for pos, profile in enumerate(self.special_fibers):
                 _check_profile(profile, degree, f"special_fibers[{pos}]")
             try:
-                cov = CoveringData(
-                    degree=degree,
-                    base_genus=0,
-                    special_fibers=self.special_fibers,
-                    simple_extra=0,
-                )
-                simple_budget(cov, self.upstairs_genus)
+                self.covering
             except (GenusValidationError, ValueError) as exc:
                 raise InvalidScenario(
                     f"special_fibers vs upstairs_genus: {exc}"
@@ -125,11 +121,21 @@ class Scenario:
                             f" does not match covering degree {degree}"
                         )
 
-    @property
-    def covering_degree(self) -> int:
+    @cached_property
+    def covering(self) -> CoveringData:
+        """The input covering of the base line, built once.
+
+        subset: degree n + 2 with the declared special fibers and as many
+        simple branch points as the source genus needs; grid: the
+        hyperelliptic double covering, one simple branch point per pairing
+        fiber.
+        """
         if self.kind == GRID:
-            return 2  # the hyperelliptic double covering
-        return self.parameter + 2
+            return CoveringData(degree=2, base_genus=0, simple_extra=2 * self.upstairs_genus + 2)
+        bare = CoveringData(
+            degree=self.parameter + 2, base_genus=0, special_fibers=self.special_fibers
+        )
+        return dataclasses.replace(bare, simple_extra=simple_budget(bare, self.upstairs_genus))
 
 
 def _is_int(value) -> bool:
@@ -290,6 +296,7 @@ def load_scenario(path) -> Scenario:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
+            # nesting deeper than the interpreter's recursion limit
             raise InvalidScenario(f"not valid JSON: {exc}") from exc
     return parse_scenario(data)

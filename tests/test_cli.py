@@ -120,6 +120,17 @@ def test_run_malformed_json(tmp_path, capsys):
     assert "invalid scenario" in capsys.readouterr().err
 
 
+def test_run_deeply_nested_json(tmp_path):
+    # deeper than the recursion limit of the JSON decoder; run in a child so
+    # a traceback would show on its stderr
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    proc = _run_child(["run", str(path)])
+    assert proc.returncode == EXIT_VALIDATION
+    assert "invalid scenario" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_run_unknown_kind(tmp_path, capsys):
     path = write_scenario(tmp_path, "s.json", {"kind": "torus", "upstairs_genus": 1})
     assert main(["run", path]) == EXIT_VALIDATION
@@ -291,18 +302,19 @@ def test_verify_identity_dump_matrix(capsys):
     assert all(matrix[i][i] == 0 for i in range(9))
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["verify-identity", "--kind", "subset", "--m", "3"],  # missing --n, stray --m
-        ["verify-identity", "--kind", "grid", "--n", "2"],  # missing --m, stray --n
-        ["verify-identity", "--kind", "subset", "--n", "1"],  # size too small
-        ["verify-identity", "--kind", "grid", "--m", "1"],  # side too small
-    ],
-)
+# argv -> what stderr must name; the matrix builders name the size bounds
+MIXUP_MESSAGES = {
+    ("verify-identity", "--kind", "subset", "--m", "3"): "requires --n",  # stray --m
+    ("verify-identity", "--kind", "grid", "--n", "2"): "requires --m",  # stray --n
+    ("verify-identity", "--kind", "subset", "--n", "1"): "n >= 2",  # size too small
+    ("verify-identity", "--kind", "grid", "--m", "1"): "m >= 2",  # side too small
+}
+
+
+@pytest.mark.parametrize("argv", [list(argv) for argv in MIXUP_MESSAGES])
 def test_verify_identity_argument_mixups(argv, capsys):
     assert main(argv) == EXIT_VALIDATION
-    assert capsys.readouterr().err
+    assert MIXUP_MESSAGES[tuple(argv)] in capsys.readouterr().err
 
 
 # --- argparse plumbing --------------------------------------------------------
@@ -337,15 +349,19 @@ def test_verbose_echoes_scenario(tmp_path, capsys, monkeypatch):
 # --- installed console script -------------------------------------------------
 
 
-def test_console_script_smoke():
+def _run_child(argv):
     # the child imports the same package as this test, installed or not
     source = str(Path(prymtyurin.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (source, os.environ.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-m", "prymtyurin.cli", "builtin", "pn-case", "--n", "3", "--gx", "2"],
+    return subprocess.run(
+        [sys.executable, "-m", "prymtyurin.cli", *argv],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def test_console_script_smoke():
+    proc = _run_child(["builtin", "pn-case", "--n", "3", "--gx", "2"])
     assert proc.returncode == EXIT_VERIFIED, proc.stderr
     assert "verified" in proc.stdout

@@ -3,6 +3,7 @@ from math import comb
 
 import pytest
 
+from prymtyurin import correspondence
 from prymtyurin.correspondence import (
     ExponentExtractionError,
     FiberCorrespondence,
@@ -89,10 +90,12 @@ def test_discover_identity_subset_small():
 
 
 def test_discover_identity_grid():
-    for m, want in [(2, (0, -2, 2)), (3, (2, -1, 2)), (4, (4, 0, 2))]:
+    # the m x m grid is the rook's graph, strongly regular with k = 2(m-1),
+    # lambda = m-2, mu = 2, so D^2 = (k-mu)I + (lambda-mu)D + mu*U
+    for m in range(2, 9):
         ident = discover_identity(build_grid_matrix(m))
         assert ident is not None
-        assert ident.coefficients() == want
+        assert ident.coefficients() == (2 * m - 4, m - 4, 2)
 
 
 def test_identity_row_sum_consistency():
@@ -116,6 +119,29 @@ def test_verify_identity_failure_witness():
     assert got != want
     # first differing entry in row-major order: D^2[0][0] = 3, claim is 2 - 0 + 2 = 4
     assert (i, j) == (0, 0)
+    # fractional coefficients are compared exactly and reported as a Fraction
+    ok, witness = verify_identity(corr, 2, -1, Fraction(3, 2))
+    assert not ok
+    assert witness == (0, 0, 3, Fraction(7, 2))
+    assert isinstance(witness[3], Fraction)
+
+
+def test_square_is_computed_once(monkeypatch):
+    calls = []
+    real = correspondence.mat_mul
+
+    def counting(a, b):
+        calls.append(len(a))
+        return real(a, b)
+
+    monkeypatch.setattr(correspondence, "mat_mul", counting)
+    corr = build_subset_matrix(4)
+    ident, q, _ = identity_and_exponent(corr)
+    ok, witness = verify_identity(corr, *ident.coefficients())
+    assert ok, witness
+    assert q == 4
+    assert calls == [corr.size]
+    assert corr.square == real(corr.matrix, corr.matrix)
 
 
 def test_discover_identity_none_when_impossible():
@@ -143,9 +169,6 @@ def test_discover_identity_underdetermined_canonicalization():
     ident = discover_identity(swap)
     # equations: diagonal a + c = 1, off-diagonal b + c = 0; c is free -> 0
     assert ident == QuadraticIdentity(Fraction(1), Fraction(0), Fraction(0))
-    # the identity matrix (raw, not a valid correspondence) resolves to D^2 = D
-    eye = tuple(tuple(1 if i == j else 0 for j in range(3)) for i in range(3))
-    assert discover_identity(eye) == QuadraticIdentity(Fraction(0), Fraction(1), Fraction(0))
 
 
 def test_exponent_extraction():

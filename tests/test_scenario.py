@@ -2,6 +2,8 @@ import json
 
 import pytest
 
+from prymtyurin.covering import CoveringData
+from prymtyurin.report import assemble
 from prymtyurin.scenario import (
     BOTH,
     GRID,
@@ -30,7 +32,7 @@ def test_subset_scenario_defaults():
     assert s.kind == SUBSET
     assert s.model == BOTH
     assert s.special_fibers == ((2, 2, 1), (2, 2, 1))
-    assert s.covering_degree == 5
+    assert s.covering.degree == 5
 
 
 def test_subset_scenario_pads_and_sorts_profiles():
@@ -42,7 +44,21 @@ def test_grid_scenario():
     s = grid_scenario(4)
     assert s.kind == GRID
     assert s.parameter == 3
-    assert s.covering_degree == 2
+    assert s.covering.degree == 2
+
+
+def test_scenario_covering():
+    # subset n = 3, gx = 2: w = 2*2 - 2 + 2*5 = 12 is needed, the two (2,2,1)
+    # fibers give 4, so 8 simple branch points are left
+    s = subset_scenario(3, 2)
+    assert s.covering == CoveringData(5, 0, ((2, 2, 1), (2, 2, 1)), simple_extra=8)
+    # grid g = 5: one simple branch point per pairing fiber, 2g + 2 of them
+    g = grid_scenario(5)
+    assert g.covering == CoveringData(2, 0, simple_extra=12)
+    for scenario in (s, g):
+        report = assemble(scenario)
+        assert len(report.models) == 2
+        assert all(rep.covering is scenario.covering for rep in report.models)
 
 
 def test_grid_rejects_low_genus_and_extras():
