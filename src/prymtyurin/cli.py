@@ -30,7 +30,7 @@ from .report import (
     assemble,
     canonical_json,
     correspondence_to_dict,
-    rational_json,
+    identity_rows,
     render_table,
     report_to_json,
 )
@@ -156,12 +156,7 @@ def cmd_verify_identity(args) -> int:
         print(f"{'correspondence':<22}{label}")
         print(f"{'fiber size':<22}{corr.size}")
         print(f"{'bidegree':<22}{corr.bidegree}")
-        if ident is None:
-            print(f"{'identity':<22}none found")
-        else:
-            a, b, c = (rational_json(x) for x in ident.coefficients())
-            print(f"{'identity':<22}D^2 = ({a})*I + ({b})*D + ({c})*U   [verified entrywise]")
-        print(f"{'exponent q':<22}{q if q is not None else 'none'}")
+        print("\n".join(identity_rows(ident, q)))
         print(f"{'derivation':<22}{note}")
         if args.dump_matrix:
             print("matrix:")

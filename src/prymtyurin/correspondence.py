@@ -178,43 +178,32 @@ def verify_identity(corr: FiberCorrespondence, a, b, c):
 def discover_identity(corr: FiberCorrespondence) -> QuadraticIdentity | None:
     """Solve for rational (a, b, c) with D^2 = a*I + b*D + c*U, if possible.
 
-    Exact linear algebra only: each entry contributes the equation
-    a*[i == j] + b*D[i][j] + c = D^2[i][j]; the deduplicated system is solved
-    by Gaussian elimination over Fraction and the candidate is re-verified
-    entrywise.  When the system is underdetermined the unknowns are
-    eliminated in the order b, a, c with free ones set to zero, preferring to
-    attribute weight to the D term.  Returns None when no identity exists.
+    The diagonal of D is zero, so the entries give the equations
+    a + c = D^2[i][i] and b*x + c = D^2[i][j] for each value x off the
+    diagonal; equal left-hand sides must have equal right-hand sides.  Two
+    off-diagonal values fix b and c (the two smallest are used).  With one
+    value the system is underdetermined, and the free unknown is set to
+    zero, preferring to attribute weight to the D term: b = y/x and c = 0
+    for a nonzero value x, b = 0 and c = y for the value 0.  Then
+    a = D^2[i][i] - c, and the candidate is re-verified entrywise.  Returns
+    None when no identity exists.
     """
-    rows: dict[tuple[int, int], int] = {}
+    equations: dict[tuple[bool, int], int] = {}
     for i, (row, sq) in enumerate(zip(corr.matrix, corr.square)):
         for j, (x, got) in enumerate(zip(row, sq)):
-            key = (1 if i == j else 0, x)
-            if rows.setdefault(key, got) != got:
+            if equations.setdefault((i == j, x), got) != got:
                 return None
-    # columns in elimination order: b, a, c
-    system = [[Fraction(k[1]), Fraction(k[0]), Fraction(1), Fraction(rhs)] for k, rhs in rows.items()]
-
-    # Gaussian elimination to reduced row echelon form, three unknowns
-    pivots: list[int] = []
-    r = 0
-    for col in range(3):
-        pivot = next((k for k in range(r, len(system)) if system[k][col] != 0), None)
-        if pivot is None:
-            continue
-        system[r], system[pivot] = system[pivot], system[r]
-        system[r] = [x / system[r][col] for x in system[r]]
-        for k in range(len(system)):
-            if k != r and system[k][col] != 0:
-                factor = system[k][col]
-                system[k] = [x - factor * y for x, y in zip(system[k], system[r])]
-        pivots.append(col)
-        r += 1
-    if any(all(x == 0 for x in row[:3]) and row[3] != 0 for row in system):
-        return None
-
-    by_col = {col: system[row_idx][3] for row_idx, col in enumerate(pivots)}
-    zero = Fraction(0)
-    ident = QuadraticIdentity(a=by_col.get(1, zero), b=by_col.get(0, zero), c=by_col.get(2, zero))
+    diagonal = equations.pop((True, 0))
+    off = sorted((x, y) for (_, x), y in equations.items())
+    if len(off) >= 2:
+        (x1, y1), (x2, y2) = off[:2]
+        b = Fraction(y2 - y1, x2 - x1)
+        c = y1 - b * x1
+    elif off and off[0][0] != 0:
+        b, c = Fraction(off[0][1], off[0][0]), Fraction(0)
+    else:  # D is zero off the diagonal too, or has a single point
+        b, c = Fraction(0), Fraction(off[0][1] if off else 0)
+    ident = QuadraticIdentity(a=diagonal - c, b=b, c=c)
     ok, _ = verify_identity(corr, *ident.coefficients())
     return ident if ok else None
 
@@ -261,7 +250,3 @@ def identity_and_exponent(corr) -> tuple[QuadraticIdentity | None, int | None, s
         return ident, None, str(exc)
     return ident, res.q, res.derivation
 
-
-def subset_identity_template(n: int) -> tuple[int, int, int]:
-    """The expected coefficients for the subset correspondence, for cross-checks."""
-    return (n - 1, -(n - 2), (n - 1) * (n - 2) // 2)

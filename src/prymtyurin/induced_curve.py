@@ -20,6 +20,11 @@ two-point divisors) each special fiber is built as the orbits of its local
 monodromy, and those orbits are exactly the divisor coincidence classes, so
 the two models agree fiber by fiber and the same classes serve both.
 
+Every local monodromy here, induced on subsets or acting on grid cells, is a
+permutation of the positions of a point list (perms.point_permutation), and
+every orbit-built fiber is the cycles of one such permutation (perms.orbits),
+read back as classes of points.
+
 The genus of the induced curve follows from these fibers by Riemann-Hurwitz;
 report assembles it.
 """
@@ -30,7 +35,14 @@ from dataclasses import dataclass
 from math import comb
 
 from .correspondence import grid_points
-from .perms import Permutation, all_subsets, cycles, induced_subset_action, is_transitive
+from .perms import (
+    Permutation,
+    all_subsets,
+    induced_subset_action,
+    is_transitive,
+    orbits,
+    point_permutation,
+)
 
 MERGED = "paper"
 ORBIT = "monodromy"
@@ -93,14 +105,14 @@ def _validate_blocks(blocks, degree: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(sorted(b)) for b in blocks)
 
 
-def merged_fiber(n: int, blocks, degree: int | None = None) -> SpecialFiber:
+def merged_fiber(n: int, blocks) -> SpecialFiber:
     """Merged-model special fiber for the subset construction.
 
     Two n-subsets land on the same point of the induced curve exactly when
     they hit the same identification blocks with the same multiplicities.
     Classes are ordered by their colex-smallest member.
     """
-    degree = n + 2 if degree is None else degree
+    degree = n + 2
     blocks = _validate_blocks(blocks, degree)
     block_of = {x: i for i, b in enumerate(blocks) for x in b}
     grouped: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
@@ -130,16 +142,16 @@ def partition_monodromy(blocks, degree: int) -> Permutation:
 def _orbit_classes(perm: Permutation, points) -> tuple[FiberClass, ...]:
     """The cycles of a permutation of point positions, as classes of the
     points, ordered by their smallest member."""
-    classes = [FiberClass(members=tuple(sorted(points[r - 1] for r in cyc)))
-               for cyc in cycles(perm)]
+    classes = [FiberClass(members=tuple(sorted(points[r - 1] for r in orbit)))
+               for orbit in orbits((perm,))]
     classes.sort(key=lambda c: c.members[0])
     return tuple(classes)
 
 
-def orbit_fiber(n: int, blocks, degree: int | None = None) -> SpecialFiber:
+def orbit_fiber(n: int, blocks) -> SpecialFiber:
     """Orbit-model special fiber: points are cycles of the induced local
     monodromy on n-subsets, ordered by their colex-smallest member."""
-    degree = n + 2 if degree is None else degree
+    degree = n + 2
     induced = induced_subset_action(partition_monodromy(blocks, degree), n)
     return SpecialFiber(model=ORBIT, classes=_orbit_classes(induced, all_subsets(degree, n)))
 
@@ -155,17 +167,11 @@ def subset_fiber(n: int, blocks, model: str) -> SpecialFiber:
 # --- grid fibers ------------------------------------------------------------
 
 
-def _point_permutation(points, move) -> Permutation:
-    """The permutation of 1-based point positions induced by a map on points."""
-    rank = {p: r for r, p in enumerate(points, start=1)}
-    return Permutation(images=tuple(rank[move(p)] for p in points))
-
-
 def grid_row_monodromy(m: int, row_blocks) -> Permutation:
     """Local monodromy of a row-merge fiber as a permutation of the cells:
     the row coordinate moves by the block cycles, columns stay put."""
     sigma = partition_monodromy(row_blocks, m)
-    return _point_permutation(grid_points(m), lambda cell: (sigma(cell[0]), cell[1]))
+    return point_permutation(grid_points(m), lambda cell: (sigma(cell[0]), cell[1]))
 
 
 def grid_pairing_monodromy(m: int, shift: int = 0) -> Permutation:
@@ -175,7 +181,7 @@ def grid_pairing_monodromy(m: int, shift: int = 0) -> Permutation:
     diagonal are fixed."""
     tau = lambda i: (i - 1 + shift) % m + 1
     tau_inv = lambda i: (i - 1 - shift) % m + 1
-    return _point_permutation(grid_points(m), lambda cell: (tau_inv(cell[1]), tau(cell[0])))
+    return point_permutation(grid_points(m), lambda cell: (tau_inv(cell[1]), tau(cell[0])))
 
 
 def grid_row_merge_fiber(m: int, row_blocks) -> SpecialFiber:

@@ -5,8 +5,13 @@ Conventions used across the package:
 - sheet labels are 1-based in every public interface
 - a permutation is stored in one-line notation: ``images[x-1]`` is the
   image of the label ``x``
-- k-subsets of ``{1..d}`` are written as sorted tuples and ordered
-  colexicographically; ranks are 0-based
+- k-subsets of ``{1..d}`` are written as sorted tuples and listed in colex
+  order, which is lexicographic order on the reversed tuples
+- a map on a list of points acts as the permutation of their 1-based
+  positions (``point_permutation``); the induced action on k-subsets and the
+  grid monodromies are built this way
+- the cycles of a permutation p are the orbits of the group it generates, so
+  ``orbits`` is the one orbit walk
 
 Everything here is plain integer arithmetic, no floating point anywhere.
 """
@@ -15,7 +20,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import comb
 
 
 @dataclass(frozen=True)
@@ -94,34 +98,16 @@ def compose(a: Permutation, b: Permutation) -> Permutation:
     return Permutation(tuple(a.images[y - 1] for y in b.images))
 
 
-def cycles(p: Permutation) -> tuple[tuple[int, ...], ...]:
-    """Disjoint cycles of p including fixed points, each starting at its
-    smallest label, listed in order of smallest label."""
-    seen: set[int] = set()
-    out = []
-    for start in range(1, p.degree + 1):
-        if start in seen:
-            continue
-        cyc = [start]
-        seen.add(start)
-        x = p(start)
-        while x != start:
-            cyc.append(x)
-            seen.add(x)
-            x = p(x)
-        out.append(tuple(cyc))
-    return tuple(out)
-
-
 def cycle_type(p: Permutation) -> tuple[int, ...]:
-    """Cycle lengths of p in weakly decreasing order; parts sum to the degree.
+    """Cycle lengths of p (the orbits of <p>) in weakly decreasing order;
+    parts sum to the degree.
 
     >>> cycle_type(Permutation.from_cycles(4, ((1, 2), (3, 4))))
     (2, 2)
     >>> cycle_type(Permutation.identity(6))
     (1, 1, 1, 1, 1, 1)
     """
-    return tuple(sorted((len(c) for c in cycles(p)), reverse=True))
+    return tuple(sorted((len(o) for o in orbits((p,))), reverse=True))
 
 
 def transposition(degree: int, i: int, j: int) -> Permutation:
@@ -130,53 +116,34 @@ def transposition(degree: int, i: int, j: int) -> Permutation:
     return Permutation.from_cycles(degree, ((i, j),))
 
 
-# --- colexicographic k-subsets ---------------------------------------------
-#
-# For a sorted subset s_1 < s_2 < ... < s_k of {1..d} the colex rank is
-#   sum over positions i of comb(s_i - 1, i)
-# which enumerates subsets ordered by their largest element, then the next
-# largest, and so on.  The rank never depends on d, but d bounds the range.
-
-
-def subset_rank(subset: tuple[int, ...], universe: int) -> int:
-    """0-based colex rank of a sorted k-subset of {1..universe}.
-
-    >>> [subset_rank(s, 4) for s in ((1, 2), (1, 3), (2, 3), (1, 4), (2, 4), (3, 4))]
-    [0, 1, 2, 3, 4, 5]
-    """
-    prev = 0
-    for i, x in enumerate(subset, start=1):
-        if not prev < x <= universe:
-            raise ValueError(f"not a sorted subset of 1..{universe}: {subset!r}")
-        prev = x
-    return sum(comb(x - 1, i) for i, x in enumerate(subset, start=1))
-
-
-def subset_unrank(rank: int, universe: int, k: int) -> tuple[int, ...]:
-    """Inverse of subset_rank: the k-subset of {1..universe} with the given rank."""
-    if not 0 <= rank < comb(universe, k):
-        raise ValueError(f"rank {rank} outside 0..{comb(universe, k) - 1}")
-    out = []
-    r = rank
-    for i in range(k, 0, -1):
-        # largest c with comb(c, i) <= r; the element is c + 1
-        c = i - 1
-        while comb(c + 1, i) <= r:
-            c += 1
-        out.append(c + 1)
-        r -= comb(c, i)
-    return tuple(reversed(out))
+# --- k-subsets ----------------------------------------------------------------
 
 
 def all_subsets(universe: int, k: int) -> list[tuple[int, ...]]:
-    """All k-subsets of {1..universe} in colex order."""
-    subs = [tuple(s) for s in itertools.combinations(range(1, universe + 1), k)]
-    subs.sort(key=lambda s: subset_rank(s, universe))
-    return subs
+    """All k-subsets of {1..universe} in colex order: ordered by their largest
+    element, then the next largest, and so on.
+
+    >>> all_subsets(4, 2)
+    [(1, 2), (1, 3), (2, 3), (1, 4), (2, 4), (3, 4)]
+    """
+    return sorted(itertools.combinations(range(1, universe + 1), k), key=lambda s: s[::-1])
+
+
+def point_permutation(points, move) -> Permutation:
+    """The permutation of 1-based positions in ``points`` induced by a map
+    that permutes the points: position r goes to the position of
+    ``move(points[r - 1])``.
+
+    >>> point_permutation("abc", {"a": "b", "b": "a", "c": "c"}.get).images
+    (2, 1, 3)
+    """
+    position = {p: r for r, p in enumerate(points, start=1)}
+    return Permutation(tuple(position[move(p)] for p in points))
 
 
 def induced_subset_action(p: Permutation, k: int) -> Permutation:
-    """The permutation induced by p on the colex-ranked k-subsets of its domain.
+    """The permutation induced by p on the k-subsets of its domain, listed
+    in colex order.
 
     This is a group homomorphism: the induced action of a composition is the
     composition of the induced actions, and the identity induces the identity.
@@ -186,11 +153,7 @@ def induced_subset_action(p: Permutation, k: int) -> Permutation:
     """
     if not 0 <= k <= p.degree:
         raise ValueError(f"subset size {k} outside 0..{p.degree}")
-    d = p.degree
-    images = [0] * comb(d, k)
-    for s in itertools.combinations(range(1, d + 1), k):
-        images[subset_rank(s, d)] = subset_rank(p.apply_to_set(s), d) + 1
-    return Permutation(tuple(images))
+    return point_permutation(all_subsets(p.degree, k), p.apply_to_set)
 
 
 def orbits(generators: tuple[Permutation, ...], degree: int | None = None) -> tuple[tuple[int, ...], ...]:

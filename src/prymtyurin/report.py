@@ -575,6 +575,16 @@ def _yesno(flag: bool) -> str:
     return "yes" if flag else "no"
 
 
+def identity_rows(ident: QuadraticIdentity | None, q: int | None) -> list[str]:
+    """The table rows for a discovered identity and its exponent."""
+    if ident is None:
+        found = "none found"
+    else:
+        a, b, c = (rational_json(x) for x in ident.coefficients())
+        found = f"D^2 = ({a})*I + ({b})*D + ({c})*U   [verified entrywise]"
+    return [_row("identity", found), _row("exponent q", q if q is not None else "none")]
+
+
 def render_table(report: PrymReport) -> str:
     scen = report.scenario
     lines = ["== correspondence =="]
@@ -585,12 +595,7 @@ def render_table(report: PrymReport) -> str:
     lines.append(_row("scenario", kind))
     lines.append(_row("fiber size", report.size))
     lines.append(_row("bidegree d", report.bidegree))
-    if report.identity is None:
-        lines.append(_row("identity", "none found"))
-    else:
-        a, b, c = (rational_json(x) for x in report.identity.coefficients())
-        lines.append(_row("identity", f"D^2 = ({a})*I + ({b})*D + ({c})*U   [verified entrywise]"))
-    lines.append(_row("exponent q", report.q if report.q is not None else "none"))
+    lines.extend(identity_rows(report.identity, report.q))
     lines.append(
         _row(
             "irreducible",

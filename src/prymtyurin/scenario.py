@@ -233,7 +233,7 @@ def parse_scenario(data) -> Scenario:
 
     if kind == GRID:
         side = data.get("m", GRID_SIZE)
-        if side != GRID_SIZE:
+        if not _is_int(side) or side != GRID_SIZE:
             raise InvalidScenario(f"m must be {GRID_SIZE}, got {side!r}")
         return Scenario(
             kind=GRID, upstairs_genus=genus, parameter=GRID_SIZE, model=model

@@ -11,6 +11,7 @@ import dataclasses
 import time
 from fractions import Fraction
 from itertools import permutations as raw_permutations
+from math import comb
 
 import pytest
 
@@ -38,8 +39,6 @@ from prymtyurin.perms import (
     all_subsets,
     compose,
     induced_subset_action,
-    subset_rank,
-    subset_unrank,
 )
 from prymtyurin.report import UNCHECKED, assemble
 from prymtyurin.scenario import grid_scenario, subset_scenario
@@ -255,12 +254,18 @@ def test_criterion_5_property_suites():
                     for k, cache in caches.items():
                         assert compose(cache[a.images], cache[b.images]) == cache[ab]
 
-        # (c) rank/unrank round-trip, exhaustive for universes up to 16
+        # (c) colex listing, exhaustive for universes up to 16: all_subsets
+        # lists comb(universe, k) sorted k-subsets, and the i-th has colex
+        # rank i by the closed form sum of comb(s_j - 1, j), j from 1
         for universe in range(1, 17):
             for k in range(0, universe + 1):
-                for i, subset in enumerate(all_subsets(universe, k)):
-                    assert subset_rank(subset, universe) == i
-                    assert subset_unrank(i, universe, k) == subset
+                ground = set(range(1, universe + 1))
+                listing = all_subsets(universe, k)
+                assert len(listing) == comb(universe, k)
+                for i, subset in enumerate(listing):
+                    assert len(subset) == k and set(subset) <= ground
+                    assert subset == tuple(sorted(set(subset)))
+                    assert sum(comb(x - 1, j) for j, x in enumerate(subset, start=1)) == i
 
         # (d) row-sum/bidegree invariants on every built matrix
         matrices = [build_subset_matrix(n) for n in range(2, 13)]

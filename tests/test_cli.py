@@ -165,6 +165,7 @@ def test_run_infeasible_budget(tmp_path, capsys):
         ({"n": 2, "upstairs_genus": 1, "special_fibers": [[2, "a"]]}, "special_fibers[0]"),
         ({"n": 2, "upstairs_genus": 1, "special_fibers": [[2, None]]}, "special_fibers[0]"),
         ({"n": 2, "upstairs_genus": 1, "special_fibers": [[2, [1]]]}, "special_fibers[0]"),
+        ({"kind": "grid", "upstairs_genus": 3, "m": 3.0}, "m must be 3, got 3.0"),
     ],
 )
 def test_run_rejects_non_integer_labels_and_parts(tmp_path, capsys, data, field):

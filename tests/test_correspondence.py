@@ -2,6 +2,8 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from prymtyurin import correspondence
 from prymtyurin.correspondence import (
@@ -14,10 +16,9 @@ from prymtyurin.correspondence import (
     exponent_from_identity,
     identity_and_exponent,
     mat_mul,
-    subset_identity_template,
     verify_identity,
 )
-from prymtyurin.perms import all_subsets, subset_rank
+from prymtyurin.perms import all_subsets
 
 
 def test_subset_matrix_n2_is_the_complement_involution():
@@ -29,7 +30,7 @@ def test_subset_matrix_n2_is_the_complement_involution():
     assert corr.points == tuple(pairs)
     for i, s in enumerate(pairs):
         comp = tuple(sorted(set(range(1, 5)) - set(s)))
-        j = subset_rank(comp, 4)
+        j = corr.index[comp]
         assert corr.matrix[i][j] == 1
         assert sum(corr.matrix[i]) == 1
 
@@ -39,9 +40,9 @@ def test_subset_matrix_n3_examples():
     assert corr.size == 10
     assert corr.bidegree == 3
     # frozen: the image of {1,3,5} is {2,4,5} + {1,2,4} + {2,3,4}
-    i = subset_rank((1, 3, 5), 5)
+    i = corr.index[(1, 3, 5)]
     neighbors = {j for j in range(10) if corr.matrix[i][j] == 1}
-    want = {subset_rank(s, 5) for s in ((2, 4, 5), (1, 2, 4), (2, 3, 4))}
+    want = {corr.index[s] for s in ((2, 4, 5), (1, 2, 4), (2, 3, 4))}
     assert neighbors == want
 
 
@@ -193,12 +194,14 @@ def test_exponent_extraction_failures():
 
 
 def test_identity_template_full_range():
+    # the subset correspondence is the Kneser graph K(n+2, 2) on the
+    # 2-element complements: D^2 = (n-1)*I - (n-2)*D + C(n-1, 2)*U
     for n in range(2, 13):
         corr = build_subset_matrix(n)
         assert corr.size == comb(n + 2, 2)
         assert corr.bidegree == n * (n - 1) // 2
         ident = discover_identity(corr)
-        assert ident.coefficients() == subset_identity_template(n)
+        assert ident.coefficients() == (n - 1, -(n - 2), comb(n - 1, 2))
 
 
 def test_identity_and_exponent():
@@ -217,3 +220,65 @@ def test_identity_and_exponent():
     assert identity_and_exponent(corr) == (
         None, None, "no quadratic identity exists for this correspondence"
     )
+
+
+def reference_discover_identity(corr):
+    """General solver for the identity discover_identity finds in closed
+    form: the deduplicated equations a*[i == j] + b*D[i][j] + c = D^2[i][j],
+    solved by Gaussian elimination over Fraction in the unknown order b, a, c
+    with free unknowns set to zero, then re-verified entrywise."""
+    rows = {}
+    for i, (row, sq) in enumerate(zip(corr.matrix, corr.square)):
+        for j, (x, got) in enumerate(zip(row, sq)):
+            key = (1 if i == j else 0, x)
+            if rows.setdefault(key, got) != got:
+                return None
+    system = [[Fraction(k[1]), Fraction(k[0]), Fraction(1), Fraction(rhs)] for k, rhs in rows.items()]
+    pivots = []
+    r = 0
+    for col in range(3):
+        pivot = next((k for k in range(r, len(system)) if system[k][col] != 0), None)
+        if pivot is None:
+            continue
+        system[r], system[pivot] = system[pivot], system[r]
+        system[r] = [x / system[r][col] for x in system[r]]
+        for k in range(len(system)):
+            if k != r and system[k][col] != 0:
+                factor = system[k][col]
+                system[k] = [x - factor * y for x, y in zip(system[k], system[r])]
+        pivots.append(col)
+        r += 1
+    if any(all(x == 0 for x in row[:3]) and row[3] != 0 for row in system):
+        return None
+    by_col = {col: system[row_idx][3] for row_idx, col in enumerate(pivots)}
+    zero = Fraction(0)
+    ident = QuadraticIdentity(a=by_col.get(1, zero), b=by_col.get(0, zero), c=by_col.get(2, zero))
+    ok, _ = verify_identity(corr, *ident.coefficients())
+    return ident if ok else None
+
+
+@st.composite
+def regular_correspondences(draw):
+    # a sum of relabeled symmetric circulants: symmetric, zero diagonal and
+    # constant row sums, so every shape FiberCorrespondence accepts can occur
+    size = draw(st.integers(1, 7))
+    matrix = [[0] * size for _ in range(size)]
+    for _ in range(draw(st.integers(1, 2))):
+        half = draw(st.lists(st.integers(0, 3), min_size=size // 2, max_size=size // 2))
+        weight = [0] + [half[min(d, size - d) - 1] for d in range(1, size)]
+        label = draw(st.permutations(range(size)))
+        for i in range(size):
+            for j in range(size):
+                matrix[label[i]][label[j]] += weight[(i - j) % size]
+    return FiberCorrespondence(
+        kind="x", parameter=0, matrix=tuple(map(tuple, matrix)), points=tuple(range(size))
+    )
+
+
+@given(regular_correspondences())
+def test_discover_identity_matches_elimination(corr):
+    want = reference_discover_identity(corr)
+    got = discover_identity(corr)
+    assert got == want
+    if got is not None:
+        assert all(type(x) is Fraction for x in got.coefficients())

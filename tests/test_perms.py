@@ -8,12 +8,10 @@ from prymtyurin.perms import (
     all_subsets,
     compose,
     cycle_type,
-    cycles,
     induced_subset_action,
     is_transitive,
     orbits,
-    subset_rank,
-    subset_unrank,
+    point_permutation,
     transposition,
 )
 
@@ -52,7 +50,6 @@ def test_inverse_and_identity():
 
 def test_cycles_and_cycle_type():
     p = Permutation.from_cycles(4, ((1, 2), (3, 4)))
-    assert cycles(p) == ((1, 2), (3, 4))
     assert cycle_type(p) == (2, 2)
     assert cycle_type(Permutation.identity(6)) == (1, 1, 1, 1, 1, 1)
     assert cycle_type(Permutation.from_cycles(5, ((1, 3, 5),))) == (3, 1, 1)
@@ -70,26 +67,20 @@ def test_from_cycles_rejects_overlap():
 def test_colex_rank_of_pairs():
     # frozen: colex order of 2-subsets of {1..4}
     order = [(1, 2), (1, 3), (2, 3), (1, 4), (2, 4), (3, 4)]
-    for r, s in enumerate(order):
-        assert subset_rank(s, 4) == r
-        assert subset_unrank(r, 4, 2) == s
     assert all_subsets(4, 2) == order
 
 
-def test_rank_unrank_round_trip_small():
-    for universe in range(0, 13):
-        for k in range(0, universe + 1):
-            for s in itertools.combinations(range(1, universe + 1), k):
-                assert subset_unrank(subset_rank(s, universe), universe, k) == s
-
-
-def test_rank_rejects_bad_subsets():
+def test_point_permutation():
+    # the points are listed out of order on purpose: positions follow the list
+    points = ["c", "a", "d", "b"]
+    swap_ab = {"a": "b", "b": "a", "c": "c", "d": "d"}
+    assert point_permutation(points, swap_ab.__getitem__).images == (1, 4, 3, 2)
+    shift = {"a": "b", "b": "c", "c": "d", "d": "a"}
+    assert point_permutation(points, shift.__getitem__).images == (3, 4, 2, 1)
+    assert point_permutation((), shift.__getitem__) == Permutation.identity(0)
     with pytest.raises(ValueError):
-        subset_rank((2, 1), 4)
-    with pytest.raises(ValueError):
-        subset_rank((1, 5), 4)
-    with pytest.raises(ValueError):
-        subset_unrank(6, 4, 2)
+        # a map that is not a bijection of the points
+        point_permutation(points, lambda p: "a")
 
 
 def test_induced_action_of_transposition():
@@ -97,8 +88,9 @@ def test_induced_action_of_transposition():
     ind = induced_subset_action(p, 2)
     assert cycle_type(ind) == (2, 2, 1, 1)
     # {1,3} <-> {2,3} and {1,4} <-> {2,4}; {1,2} and {3,4} fixed
-    assert ind(subset_rank((1, 3), 4) + 1) == subset_rank((2, 3), 4) + 1
-    assert ind(subset_rank((1, 2), 4) + 1) == subset_rank((1, 2), 4) + 1
+    position = {s: r for r, s in enumerate(all_subsets(4, 2), start=1)}
+    assert ind(position[(1, 3)]) == position[(2, 3)]
+    assert ind(position[(1, 2)]) == position[(1, 2)]
 
 
 def test_induced_action_is_homomorphism_s4_pairs():

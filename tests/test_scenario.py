@@ -134,6 +134,8 @@ def test_parse_strict_keys():
         parse_scenario({"kind": "subset", "n": 3, "upstairs_genus": 1.5})
     with pytest.raises(InvalidScenario, match="m must be 3"):
         parse_scenario({"kind": "grid", "upstairs_genus": 3, "m": 4})
+    with pytest.raises(InvalidScenario, match="m must be 3, got 3.0"):
+        parse_scenario({"kind": "grid", "upstairs_genus": 3, "m": 3.0})
     with pytest.raises(InvalidScenario, match="model must be one of"):
         parse_scenario({**good, "model": "merged"})
     with pytest.raises(InvalidScenario, match="model must be one of"):
