@@ -33,6 +33,7 @@ from .report import (
     identity_rows,
     render_table,
     report_to_json,
+    table_row,
 )
 from .scenario import (
     GRID,
@@ -153,11 +154,14 @@ def cmd_verify_identity(args) -> int:
         label = f"{params['kind']} " + (
             f"n = {args.n}" if args.kind == SUBSET else f"m = {args.m}"
         )
-        print(f"{'correspondence':<22}{label}")
-        print(f"{'fiber size':<22}{corr.size}")
-        print(f"{'bidegree':<22}{corr.bidegree}")
-        print("\n".join(identity_rows(ident, q)))
-        print(f"{'derivation':<22}{note}")
+        rows = [
+            table_row("correspondence", label),
+            table_row("fiber size", corr.size),
+            table_row("bidegree", corr.bidegree),
+            *identity_rows(ident, q),
+            table_row("derivation", note),
+        ]
+        print("\n".join(rows))
         if args.dump_matrix:
             print("matrix:")
             for row in corr.matrix:

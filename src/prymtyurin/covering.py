@@ -24,13 +24,21 @@ class GenusValidationError(ValueError):
 
 
 def normalize_profile(parts) -> tuple[int, ...]:
-    """Sort a ramification profile into weakly decreasing order and validate it."""
-    prof = tuple(sorted((int(p) for p in parts), reverse=True))
-    if not prof or any(p < 1 for p in prof):
-        raise ValueError(f"profile parts must be positive integers: {parts!r}")
-    if prof[0] < 2:
-        raise ValueError(f"an unbranched profile {parts!r} must be omitted, not listed")
-    return prof
+    """Validate a ramification profile and sort it into weakly decreasing order.
+
+    This is the one check of a profile's parts: it must be non-empty, every
+    part a positive int (bool, float and str parts are refused, never
+    coerced), and some part at least 2.
+    """
+    prof = tuple(parts)
+    if not prof:
+        raise ValueError("profile is empty")
+    # JSON true/false decode to bool, which Python counts as an int
+    if not all(isinstance(p, int) and not isinstance(p, bool) and p >= 1 for p in prof):
+        raise ValueError("parts must be positive integers")
+    if max(prof) == 1:
+        raise ValueError("profile is unramified (all parts 1)")
+    return tuple(sorted(prof, reverse=True))
 
 
 def profile_contribution(parts) -> int:

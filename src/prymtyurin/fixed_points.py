@@ -43,12 +43,12 @@ class ClassAction:
     """The correspondence on one special fiber, as a matrix over classes.
 
     action[q][r] is the multiplicity of class r in the image of class q.
-    Every row sums to the bidegree: images have constant total degree.
+    Every row sums to the correspondence's bidegree: images have constant
+    total degree.
     """
 
     fiber: SpecialFiber
     action: Matrix
-    bidegree: int
 
     def self_multiplicity(self, q: int) -> int:
         return self.action[q][q]
@@ -98,11 +98,10 @@ def class_action(corr: FiberCorrespondence, fiber: SpecialFiber) -> ClassAction:
                     f"{projected} vs {counts} at {member}"
                 )
         rows.append(tuple(projected))
-    act = ClassAction(fiber=fiber, action=tuple(rows), bidegree=corr.bidegree)
-    for ci, row in enumerate(act.action):
+    for ci, row in enumerate(rows):
         if sum(row) != corr.bidegree:
             raise ValueError(f"row {ci} of the class action sums to {sum(row)}, not {corr.bidegree}")
-    return act
+    return ClassAction(fiber=fiber, action=tuple(rows))
 
 
 @dataclass(frozen=True)

@@ -68,9 +68,12 @@ class FiberClass:
 
 @dataclass(frozen=True)
 class SpecialFiber:
-    """A special fiber of the induced covering under one model."""
+    """A special fiber of the induced covering: its classes of points.
 
-    model: str
+    A fiber does not record which model built it; the ModelReport holding it
+    does.  The grid fibers are the same objects under both models.
+    """
+
     classes: tuple[FiberClass, ...]
 
     @property
@@ -124,7 +127,7 @@ def merged_fiber(n: int, blocks) -> SpecialFiber:
         for key, members in grouped.items()
     ]
     classes.sort(key=lambda c: c.members[0])
-    return SpecialFiber(model=MERGED, classes=tuple(classes))
+    return SpecialFiber(classes=tuple(classes))
 
 
 def partition_monodromy(blocks, degree: int) -> Permutation:
@@ -153,7 +156,7 @@ def orbit_fiber(n: int, blocks) -> SpecialFiber:
     monodromy on n-subsets, ordered by their colex-smallest member."""
     degree = n + 2
     induced = induced_subset_action(partition_monodromy(blocks, degree), n)
-    return SpecialFiber(model=ORBIT, classes=_orbit_classes(induced, all_subsets(degree, n)))
+    return SpecialFiber(classes=_orbit_classes(induced, all_subsets(degree, n)))
 
 
 def subset_fiber(n: int, blocks, model: str) -> SpecialFiber:
@@ -188,22 +191,13 @@ def grid_row_merge_fiber(m: int, row_blocks) -> SpecialFiber:
     """Grid special fiber where rows are glued by the given partition
     (columns stay distinct): the orbits of grid_row_monodromy, so cell (i, j)
     is identified with (i', j) when i, i' share a block."""
-    classes = _orbit_classes(grid_row_monodromy(m, row_blocks), grid_points(m))
-    return SpecialFiber(model=MERGED, classes=classes)
+    return SpecialFiber(classes=_orbit_classes(grid_row_monodromy(m, row_blocks), grid_points(m)))
 
 
 def grid_pairing_fiber(m: int, shift: int = 0) -> SpecialFiber:
     """Grid special fiber where the two sides of the grid coincide: the
     orbits of grid_pairing_monodromy, each a glued pair or a diagonal cell."""
-    classes = _orbit_classes(grid_pairing_monodromy(m, shift), grid_points(m))
-    return SpecialFiber(model=MERGED, classes=classes)
-
-
-def with_model(fiber: SpecialFiber, model: str) -> SpecialFiber:
-    """Retag a fiber whose classes are shared between the two models."""
-    if model not in MODELS:
-        raise ValueError(f"unknown fiber model {model!r}")
-    return SpecialFiber(model=model, classes=fiber.classes)
+    return SpecialFiber(classes=_orbit_classes(grid_pairing_monodromy(m, shift), grid_points(m)))
 
 
 # --- irreducibility proxy ---------------------------------------------------

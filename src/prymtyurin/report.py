@@ -36,6 +36,7 @@ from .covering import (
 from .fixed_points import (
     FixedPointReport,
     NestingCertificate,
+    NestingFailure,
     NestingUndecided,
     check_certificate,
     class_action,
@@ -54,7 +55,6 @@ from .induced_curve import (
     irreducibility_check,
     partition_monodromy,
     subset_fiber,
-    with_model,
 )
 from .perms import Permutation, is_transitive, transposition
 from .scenario import BOTH, GRID, SUBSET, Scenario, scenario_to_dict
@@ -119,7 +119,7 @@ class ModelReport:
 
     error is set when the model's own arithmetic is inconsistent (genus
     validation, negative dimension); fields computed before the failure are
-    kept for diagnosis, the rest stay None.  undecided is set when the
+    kept for diagnosis, the rest are None.  undecided is set when the
     nesting search ran out of budget and every other check held, so the
     model is neither verified nor refuted.
     """
@@ -131,16 +131,20 @@ class ModelReport:
     total_ramification: int
     fixed: FixedPointReport
     simple_fibers_fixed_free: bool | None
-    error: str | None = None
-    genus: int | None = None
-    nesting: object | None = None
-    certificate_checked: bool = False
-    dim_p: Fraction | None = None
-    dim_integral: bool | None = None
-    epsilon_deg: int | None = None
-    hypotheses: Hypotheses | None = None
-    verified: bool = False
-    undecided: bool = False
+    error: str | None
+    genus: int | None
+    nesting: NestingCertificate | NestingFailure | NestingUndecided
+    dim_p: Fraction | None
+    dim_integral: bool | None
+    epsilon_deg: int | None
+    hypotheses: Hypotheses
+    verified: bool
+    undecided: bool
+
+    @property
+    def certificate_checked(self) -> bool:
+        """A nesting certificate was found and re-checked independently."""
+        return self.hypotheses.nesting_ok
 
     @property
     def verdict(self) -> str:
@@ -209,12 +213,13 @@ def assemble(scenario: Scenario) -> PrymReport:
     return dataclasses.replace(report, notes=_notes(report))
 
 
-def grid_fiber_layout(genus: int, model: str = MERGED) -> tuple[SpecialFiber, ...]:
-    """The grid scenario's special fibers over the base line: two row-merge
-    fibers, then 2*genus + 2 pairing fibers cycling the diagonal shift.  The
-    four distinct fibers are built once and repeated."""
-    rows = with_model(grid_row_merge_fiber(3, GRID_ROW_BLOCKS), model)
-    pairings = tuple(with_model(grid_pairing_fiber(3, s), model) for s in (0, 1, 2))
+def grid_fiber_layout(genus: int) -> tuple[SpecialFiber, ...]:
+    """The grid scenario's special fibers over the base line, the same under
+    both models: two row-merge fibers, then 2*genus + 2 pairing fibers
+    cycling the diagonal shift.  The four distinct fibers are built once and
+    repeated."""
+    rows = grid_row_merge_fiber(3, GRID_ROW_BLOCKS)
+    pairings = tuple(grid_pairing_fiber(3, s) for s in (0, 1, 2))
     return (rows, rows) + tuple(pairings[k % 3] for k in range(2 * genus + 2))
 
 
@@ -239,7 +244,7 @@ def _grid_layout(scenario: Scenario, model: str):
     g = scenario.upstairs_genus
     # one pairing fiber per simple branch point of the double covering: the
     # layout declares every ramified fiber of the induced covering
-    return grid_fiber_layout(g, model), None, f"grid scenario, genus {g}"
+    return grid_fiber_layout(g), None, f"grid scenario, genus {g}"
 
 
 def _irreducibility(scenario: Scenario) -> tuple[bool, str]:
@@ -337,7 +342,6 @@ def _model(
         error=error,
         genus=genus,
         nesting=nesting,
-        certificate_checked=checked,
         dim_p=dim,
         dim_integral=integral,
         epsilon_deg=eps,
@@ -404,9 +408,7 @@ def _notes(report: PrymReport) -> tuple[str, ...]:
         rep = report.model_report(MERGED)
         if rep is not None and rep.genus is not None and rep.error is None:
             alt = rep.genus + 2
-            alt_dim = Fraction(
-                2 * (alt - report.bidegree) + rep.fixed.delta_dot_d, 2 * report.q
-            )
+            alt_dim = prym_dimension(alt, report.bidegree, rep.fixed.delta_dot_d, report.q)
             notes.append(
                 f"genus cross-check (merged model): the declared fiber data force"
                 f" genus {rep.genus} with dim P = {rep.dim_p}; the nearby value"
@@ -438,7 +440,6 @@ def covering_to_dict(cov: CoveringData) -> dict:
 
 def fiber_to_dict(fiber: SpecialFiber) -> dict:
     return {
-        "model": fiber.model,
         "w": fiber.w_contribution,
         "classes": [
             {
@@ -453,9 +454,7 @@ def fiber_to_dict(fiber: SpecialFiber) -> dict:
     }
 
 
-def nesting_to_dict(nesting) -> dict | None:
-    if nesting is None:
-        return None
+def nesting_to_dict(nesting) -> dict:
     if isinstance(nesting, NestingCertificate):
         return {
             "certified": True,
@@ -488,7 +487,8 @@ def model_to_dict(rep: ModelReport) -> dict:
             "ramification": rep.total_ramification,
             "genus": rep.genus,
         },
-        "special_fibers": [fiber_to_dict(f) for f in rep.fibers],
+        # the fiber does not know its model; its model report does
+        "special_fibers": [{"model": rep.model, **fiber_to_dict(f)} for f in rep.fibers],
         "fixed_points": [
             {
                 "fiber": fc.fiber_index,
@@ -505,9 +505,7 @@ def model_to_dict(rep: ModelReport) -> dict:
         "dim_p": None if rep.dim_p is None else rational_json(rep.dim_p),
         "dim_p_integral": rep.dim_integral,
         "epsilon_degree": rep.epsilon_deg,
-        "hypotheses": None
-        if rep.hypotheses is None
-        else dataclasses.asdict(rep.hypotheses),
+        "hypotheses": dataclasses.asdict(rep.hypotheses),
         "combinatorial_verified": rep.verified,
     }
     if rep.error is not None:
@@ -567,7 +565,8 @@ def report_to_json(report: PrymReport) -> str:
 # --- text rendering ----------------------------------------------------------
 
 
-def _row(label: str, value) -> str:
+def table_row(label: str, value) -> str:
+    """One row of a text table: the label padded to the one column width."""
     return f"{label:<22}{value}"
 
 
@@ -582,7 +581,7 @@ def identity_rows(ident: QuadraticIdentity | None, q: int | None) -> list[str]:
     else:
         a, b, c = (rational_json(x) for x in ident.coefficients())
         found = f"D^2 = ({a})*I + ({b})*D + ({c})*U   [verified entrywise]"
-    return [_row("identity", found), _row("exponent q", q if q is not None else "none")]
+    return [table_row("identity", found), table_row("exponent q", q if q is not None else "none")]
 
 
 def render_table(report: PrymReport) -> str:
@@ -592,12 +591,12 @@ def render_table(report: PrymReport) -> str:
         kind = f"subset exchange, n = {scen.parameter}, source genus {scen.upstairs_genus}"
     else:
         kind = f"3x3 grid over a genus {scen.upstairs_genus} hyperelliptic curve"
-    lines.append(_row("scenario", kind))
-    lines.append(_row("fiber size", report.size))
-    lines.append(_row("bidegree d", report.bidegree))
+    lines.append(table_row("scenario", kind))
+    lines.append(table_row("fiber size", report.size))
+    lines.append(table_row("bidegree d", report.bidegree))
     lines.extend(identity_rows(report.identity, report.q))
     lines.append(
-        _row(
+        table_row(
             "irreducible",
             f"{_yesno(report.irreducible)} ({report.irreducibility_basis} generators)",
         )
@@ -607,26 +606,26 @@ def render_table(report: PrymReport) -> str:
         lines.append("")
         lines.append(f"== model: {rep.model} ==")
         if rep.error is not None:
-            lines.append(_row("error", rep.error))
+            lines.append(table_row("error", rep.error))
         cov = rep.covering
         fiber_desc = ", ".join("(" + ",".join(map(str, p)) + ")" for p in cov.special_fibers)
         lines.append(
-            _row(
+            table_row(
                 "input covering",
                 f"degree {cov.degree} over genus {cov.base_genus},"
                 f" special fibers [{fiber_desc}], {cov.simple_extra} simple points",
             )
         )
         lines.append(
-            _row(
+            table_row(
                 "induced covering",
                 f"degree {rep.induced_deg}, ramification w = {rep.total_ramification}",
             )
         )
-        lines.append(_row("curve genus", rep.genus if rep.genus is not None else "-"))
+        lines.append(table_row("curve genus", rep.genus if rep.genus is not None else "-"))
         half = rep.fixed.half
         lines.append(
-            _row(
+            table_row(
                 "fixed points",
                 f"Delta.D = {rep.fixed.delta_dot_d}"
                 + (f" (half = {half})" if half is not None else " (odd!)"),
@@ -635,34 +634,32 @@ def render_table(report: PrymReport) -> str:
         nest = rep.nesting
         if isinstance(nest, NestingCertificate):
             if nest.length == 0:
-                lines.append(_row("nesting", "trivial (no fixed points required)"))
+                lines.append(table_row("nesting", "trivial (no fixed points required)"))
             else:
                 chain = ", ".join(str(i) for i in nest.chain)
                 checked = "re-checked" if rep.certificate_checked else "NOT re-checked"
-                lines.append(
-                    _row("nesting", f"certified in fiber {nest.fiber_index}, chain [{chain}] ({checked})")
-                )
+                certified = f"certified in fiber {nest.fiber_index}, chain [{chain}] ({checked})"
+                lines.append(table_row("nesting", certified))
         elif isinstance(nest, NestingUndecided):
-            lines.append(_row("nesting", f"undecided: {nest.reason}"))
-        elif nest is not None:
-            lines.append(_row("nesting", f"failed: {nest.reason}"))
+            lines.append(table_row("nesting", f"undecided: {nest.reason}"))
+        else:
+            lines.append(table_row("nesting", f"failed: {nest.reason}"))
         if rep.dim_p is not None:
             integral = "integral" if rep.dim_integral else "NOT AN INTEGER"
-            lines.append(_row("dim P", f"{rational_json(rep.dim_p)}   [{integral}]"))
+            lines.append(table_row("dim P", f"{rational_json(rep.dim_p)}   [{integral}]"))
         if rep.epsilon_deg is not None:
-            lines.append(_row("epsilon degree", rep.epsilon_deg))
+            lines.append(table_row("epsilon degree", rep.epsilon_deg))
         hyp = rep.hypotheses
-        if hyp is not None:
-            nesting = UNDECIDED if isinstance(nest, NestingUndecided) else _yesno(hyp.nesting_ok)
-            lines.append(
-                _row(
-                    "hypotheses",
-                    f"quadratic {_yesno(hyp.quadratic_ok)} | fixed even {_yesno(hyp.fixed_even)}"
-                    f" | n<=d {_yesno(hyp.n_le_d)} | nesting {nesting}"
-                    f" | irreducible {_yesno(hyp.irreducible)}"
-                    f" | primitivity {hyp.primitivity} | smoothness {hyp.smoothness}",
-                )
+        nesting = UNDECIDED if isinstance(nest, NestingUndecided) else _yesno(hyp.nesting_ok)
+        lines.append(
+            table_row(
+                "hypotheses",
+                f"quadratic {_yesno(hyp.quadratic_ok)} | fixed even {_yesno(hyp.fixed_even)}"
+                f" | n<=d {_yesno(hyp.n_le_d)} | nesting {nesting}"
+                f" | irreducible {_yesno(hyp.irreducible)}"
+                f" | primitivity {hyp.primitivity} | smoothness {hyp.smoothness}",
             )
+        )
         if rep.verified:
             verdict = (
                 "combinatorial hypotheses verified; analytic hypotheses"
@@ -675,7 +672,7 @@ def render_table(report: PrymReport) -> str:
             )
         else:
             verdict = "combinatorial hypotheses NOT verified"
-        lines.append(_row("verdict", verdict))
+        lines.append(table_row("verdict", verdict))
 
     if report.notes:
         lines.append("")

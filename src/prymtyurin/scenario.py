@@ -6,10 +6,14 @@ from a hyperelliptic curve), the genus of the source curve, the special
 fiber profiles, and which fiber model(s) to evaluate.  It carries the input
 covering these data determine, built once.
 
-Scenarios are plain data.  They are parsed strictly: unknown keys and
-out-of-range values are rejected up front with the offending field named,
-so a malformed input file never turns into a confusing arithmetic error
-halfway through a report.
+Scenarios are plain data, and the constructor is the one place raw input
+becomes a scenario: each special-fiber profile goes through
+covering.normalize_profile, the one check of a profile's parts, then is
+checked against the covering degree and padded with unramified sheets, and
+monodromy generators become tuples.  Files are parsed strictly on top of
+that: unknown keys and out-of-range values are rejected up front with the
+offending field named, so a malformed input file never turns into a
+confusing arithmetic error halfway through a report.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import dataclasses
 import json
 from functools import cached_property
 
-from .covering import CoveringData, GenusValidationError, simple_budget
+from .covering import CoveringData, GenusValidationError, normalize_profile, simple_budget
 from .induced_curve import MODELS
 from .perms import Permutation
 
@@ -45,7 +49,8 @@ class Scenario:
                     the small covering; grid: the hyperelliptic curve)
     parameter       subset size n, or the grid side (always 3)
     special_fibers  partition profiles of the small covering's non-simple
-                    fibers (subset only; the grid fiber layout is implied)
+                    fibers (subset only; the grid fiber layout is implied),
+                    stored sorted and padded with 1s to the degree n + 2
     model           which fiber model(s) to evaluate
     monodromy       optional explicit generators of the small covering's
                     monodromy group, used for the irreducibility check in
@@ -96,8 +101,20 @@ class Scenario:
                     f"upstairs_genus must be >= 0, got {self.upstairs_genus}"
                 )
             degree = self.parameter + 2
+            fibers = []
             for pos, profile in enumerate(self.special_fibers):
-                _check_profile(profile, degree, f"special_fibers[{pos}]")
+                try:
+                    parts = normalize_profile(profile)
+                except ValueError as exc:
+                    raise InvalidScenario(f"special_fibers[{pos}]: {exc}") from exc
+                if sum(parts) > degree:
+                    raise InvalidScenario(
+                        f"special_fibers[{pos}]: parts sum to {sum(parts)},"
+                        f" covering degree is {degree}"
+                    )
+                # pad with unramified sheets
+                fibers.append(parts + (1,) * (degree - sum(parts)))
+            object.__setattr__(self, "special_fibers", tuple(fibers))
             try:
                 self.covering
             except (GenusValidationError, ValueError) as exc:
@@ -105,6 +122,7 @@ class Scenario:
                     f"special_fibers vs upstairs_genus: {exc}"
                 ) from exc
             if self.monodromy is not None:
+                object.__setattr__(self, "monodromy", tuple(tuple(g) for g in self.monodromy))
                 for pos, images in enumerate(self.monodromy):
                     if not all(_is_int(x) for x in images):
                         raise InvalidScenario(
@@ -143,23 +161,6 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _check_parts(profile, field):
-    if not all(_is_int(part) and part >= 1 for part in profile):
-        raise InvalidScenario(f"{field}: parts must be positive integers")
-
-
-def _check_profile(profile, degree, field):
-    if not profile:
-        raise InvalidScenario(f"{field}: profile is empty")
-    _check_parts(profile, field)
-    if sum(profile) != degree:
-        raise InvalidScenario(
-            f"{field}: parts sum to {sum(profile)}, covering degree is {degree}"
-        )
-    if max(profile) == 1:
-        raise InvalidScenario(f"{field}: profile is unramified (all parts 1)")
-
-
 def default_subset_fibers(n: int) -> tuple[tuple[int, ...], ...]:
     """Two fibers of the maximal pair profile: (2,..,2) padded with a 1
     when the covering degree n+2 is odd."""
@@ -177,25 +178,13 @@ def subset_scenario(
 ) -> Scenario:
     if special_fibers is None:
         special_fibers = default_subset_fibers(n)
-    degree = n + 2
-    fibers = []
-    for pos, profile in enumerate(special_fibers):
-        # parts are sorted and summed before Scenario validates them
-        _check_parts(profile, f"special_fibers[{pos}]")
-        parts = tuple(sorted(profile, reverse=True))
-        short = degree - sum(parts)
-        if short > 0:  # pad with unramified sheets
-            parts = parts + (1,) * short
-        fibers.append(parts)
-    fibers = tuple(fibers)
-    gens = None if monodromy is None else tuple(tuple(g) for g in monodromy)
     return Scenario(
         kind=SUBSET,
         upstairs_genus=upstairs_genus,
         parameter=n,
-        special_fibers=fibers,
+        special_fibers=special_fibers,
         model=model,
-        monodromy=gens,
+        monodromy=monodromy,
     )
 
 
@@ -246,14 +235,11 @@ def parse_scenario(data) -> Scenario:
     if fibers is not None:
         if not isinstance(fibers, list):
             raise InvalidScenario("special_fibers must be a list of profiles")
-        parsed = []
         for pos, profile in enumerate(fibers):
             if not isinstance(profile, list):
                 raise InvalidScenario(
                     f"special_fibers[{pos}] must be a list of integer parts"
                 )
-            parsed.append(tuple(profile))
-        fibers = parsed
     gens = data.get("monodromy")
     if gens is not None:
         if not isinstance(gens, list) or not all(isinstance(g, list) for g in gens):

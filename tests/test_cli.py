@@ -166,6 +166,7 @@ def test_run_infeasible_budget(tmp_path, capsys):
         ({"n": 2, "upstairs_genus": 1, "special_fibers": [[2, None]]}, "special_fibers[0]"),
         ({"n": 2, "upstairs_genus": 1, "special_fibers": [[2, [1]]]}, "special_fibers[0]"),
         ({"kind": "grid", "upstairs_genus": 3, "m": 3.0}, "m must be 3, got 3.0"),
+        ({"n": 3, "upstairs_genus": 2, "special_fibers": [[]]}, "special_fibers[0]: profile is empty"),
     ],
 )
 def test_run_rejects_non_integer_labels_and_parts(tmp_path, capsys, data, field):

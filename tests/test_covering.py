@@ -16,12 +16,17 @@ def test_profile_normalization():
     assert normalize_profile([1, 2, 2]) == (2, 2, 1)
     assert profile_contribution((2, 2, 1)) == 2
     assert profile_contribution((4, 2, 2, 1, 1)) == 5
-    with pytest.raises(ValueError):
-        normalize_profile([1, 1, 1])
-    with pytest.raises(ValueError):
-        normalize_profile([2, 0])
-    with pytest.raises(ValueError):
-        normalize_profile([])
+    # each fault is named, and no part is coerced with int()
+    for parts, message in (
+        ([], "profile is empty"),
+        ([2, 0], "parts must be positive integers"),
+        ([2.9, 1], "parts must be positive integers"),
+        (["2", True], "parts must be positive integers"),
+        ([2, True], "parts must be positive integers"),
+        ([1, 1, 1], "profile is unramified"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            normalize_profile(parts)
 
 
 def test_covering_data_validation():
@@ -33,6 +38,8 @@ def test_covering_data_validation():
         CoveringData(degree=4, base_genus=0, simple_extra=-1)
     with pytest.raises(ValueError):
         CoveringData(degree=1, base_genus=0, simple_extra=2)
+    with pytest.raises(ValueError, match="parts must be positive integers"):
+        CoveringData(3, 0, ((2.9, 1),))
 
 
 def test_riemann_hurwitz_direct_values():

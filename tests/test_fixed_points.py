@@ -84,7 +84,6 @@ def test_class_action_grid_fibers():
 def test_class_action_rejects_representative_dependence():
     corr = build_grid_matrix(2)
     bad = SpecialFiber(
-        model=MERGED,
         classes=(
             FiberClass(members=((1, 1), (1, 2))),
             FiberClass(members=((2, 1),)),
@@ -103,12 +102,12 @@ def test_class_action_rejects_off_grid_member():
         for c in fiber.classes
     )
     with pytest.raises(ValueError, match=r"member \(0, 4\) is not a point"):
-        class_action(build_grid_matrix(3), SpecialFiber(model=MERGED, classes=classes))
+        class_action(build_grid_matrix(3), SpecialFiber(classes=classes))
 
 
 def test_class_action_rejects_partial_cover():
     corr = build_subset_matrix(2)
-    partial = SpecialFiber(model=MERGED, classes=(FiberClass(members=((1, 2),)),))
+    partial = SpecialFiber(classes=(FiberClass(members=((1, 2),)),))
     with pytest.raises(ValueError, match="cover"):
         class_action(corr, partial)
 
@@ -340,16 +339,15 @@ def test_clique_search_matches_reference_on_subset_fibers(n):
 
 
 def test_clique_search_matches_reference_on_grid_layout():
+    # the grid layout is the same under both models
     corr = build_grid_matrix(3)
-    for model in (MERGED, ORBIT):
-        fibers = grid_fiber_layout(3, model)
-        actions = [class_action(corr, f) for f in fibers]
-        for chosen in (actions, actions[:1], actions[2:]):
-            report = fixed_point_scan(chosen)
-            for bidegree in (corr.bidegree, 1):
-                assert nesting_search(report, bidegree) == reference_nesting_search(
-                    report, bidegree
-                )
+    actions = [class_action(corr, f) for f in grid_fiber_layout(3)]
+    for chosen in (actions, actions[:1], actions[2:]):
+        report = fixed_point_scan(chosen)
+        for bidegree in (corr.bidegree, 1):
+            assert nesting_search(report, bidegree) == reference_nesting_search(
+                report, bidegree
+            )
 
 
 @st.composite
@@ -364,13 +362,8 @@ def symmetric_class_actions(draw):
             if draw(st.booleans()):
                 rows[i][j] = draw(st.integers(1, 3))
                 rows[j][i] = draw(st.integers(1, 3))
-    fiber = SpecialFiber(
-        model=MERGED,
-        classes=tuple(FiberClass(members=((k + 1,),)) for k in range(size)),
-    )
-    return ClassAction(
-        fiber=fiber, action=tuple(tuple(r) for r in rows), bidegree=max(map(sum, rows))
-    )
+    fiber = SpecialFiber(classes=tuple(FiberClass(members=((k + 1,),)) for k in range(size)))
+    return ClassAction(fiber=fiber, action=tuple(tuple(r) for r in rows))
 
 
 @settings(max_examples=200, deadline=None)
@@ -421,9 +414,7 @@ def test_nesting_budget_leaves_search_undecided(monkeypatch):
 
 
 def test_nesting_search_rejects_asymmetric_action():
-    fiber = SpecialFiber(
-        model=MERGED, classes=tuple(FiberClass(members=((k,),)) for k in (1, 2))
-    )
-    act = ClassAction(fiber=fiber, action=((1, 1), (0, 1)), bidegree=2)
+    fiber = SpecialFiber(classes=tuple(FiberClass(members=((k,),)) for k in (1, 2)))
+    act = ClassAction(fiber=fiber, action=((1, 1), (0, 1)))
     with pytest.raises(ValueError, match="not symmetric"):
         nesting_search(fixed_point_scan([act, act]), bidegree=2)

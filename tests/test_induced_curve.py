@@ -187,8 +187,10 @@ def test_grid_generators_transitive():
 
 
 def test_subset_fiber_dispatch():
-    assert subset_fiber(3, THREE_BLOCKS, MERGED).model == MERGED
-    assert subset_fiber(3, THREE_BLOCKS, ORBIT).model == ORBIT
+    merged, orbit = merged_fiber(3, THREE_BLOCKS), orbit_fiber(3, THREE_BLOCKS)
+    assert merged != orbit
+    assert subset_fiber(3, THREE_BLOCKS, MERGED) == merged
+    assert subset_fiber(3, THREE_BLOCKS, ORBIT) == orbit
     with pytest.raises(ValueError):
         subset_fiber(3, THREE_BLOCKS, "other")
 

@@ -1,12 +1,16 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prymtyurin.covering import CoveringData
 from prymtyurin.report import assemble
 from prymtyurin.scenario import (
     BOTH,
     GRID,
+    KINDS,
+    MODEL_CHOICES,
     SUBSET,
     InvalidScenario,
     Scenario,
@@ -38,6 +42,21 @@ def test_subset_scenario_defaults():
 def test_subset_scenario_pads_and_sorts_profiles():
     s = subset_scenario(3, 1, special_fibers=[[2, 2], [1, 2, 2]])
     assert s.special_fibers == ((2, 2, 1), (2, 2, 1))
+
+
+def test_constructor_normalizes_its_input():
+    # the constructor, not its callers, sorts and pads profiles and turns
+    # generator lists into tuples
+    raw = Scenario(
+        kind=SUBSET,
+        upstairs_genus=1,
+        parameter=3,
+        special_fibers=([2, 2], [1, 2, 2]),
+        monodromy=[[2, 1, 3, 4, 5]],
+    )
+    assert raw.special_fibers == ((2, 2, 1), (2, 2, 1))
+    assert raw.monodromy == ((2, 1, 3, 4, 5),)
+    assert raw == subset_scenario(3, 1, monodromy=[[2, 1, 3, 4, 5]])
 
 
 def test_grid_scenario():
@@ -108,6 +127,8 @@ def test_monodromy_validation():
         ({"special_fibers": [[2, "a"]]}, "special_fibers\\[0\\]: parts must be"),
         ({"special_fibers": [[2, None]]}, "special_fibers\\[0\\]: parts must be"),
         ({"special_fibers": [[2, [1]]]}, "special_fibers\\[0\\]: parts must be"),
+        # an empty profile is judged before padding, which would make it unramified
+        ({"special_fibers": [[]]}, "special_fibers\\[0\\]: profile is empty$"),
     ],
 )
 def test_parse_rejects_non_integer_labels_and_parts(extra, field):
@@ -158,3 +179,54 @@ def test_load_scenario(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(InvalidScenario, match="JSON"):
         load_scenario(bad)
+
+
+SCHEMA_KEYS = ("kind", "n", "upstairs_genus", "m", "model", "special_fibers", "monodromy")
+SMALL_INTS = st.integers(-3, 12)
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | SMALL_INTS
+    | st.floats(-3, 12)
+    | st.text(max_size=3)
+    | st.sampled_from(KINDS + MODEL_CHOICES),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=10,
+)
+# dicts of the right shape for each kind, so that many draws are accepted
+MODELS = st.sampled_from(MODEL_CHOICES)
+SUBSET_DICTS = st.fixed_dictionaries(
+    {"kind": st.just(SUBSET), "n": SMALL_INTS, "upstairs_genus": SMALL_INTS},
+    optional={
+        "model": MODELS,
+        "special_fibers": st.lists(st.lists(st.integers(0, 4), max_size=5), max_size=3),
+        "monodromy": st.lists(
+            st.integers(3, 8).flatmap(lambda d: st.permutations(range(1, d + 1))).map(list),
+            max_size=2,
+        ),
+    },
+)
+GRID_DICTS = st.fixed_dictionaries(
+    {"kind": st.just(GRID), "upstairs_genus": SMALL_INTS},
+    optional={"m": st.just(3) | SMALL_INTS, "model": MODELS},
+)
+# then any schema key or an extra key may be overwritten with any JSON value
+SCENARIO_DICTS = st.tuples(
+    SUBSET_DICTS | GRID_DICTS,
+    st.just({})
+    | st.dictionaries(st.sampled_from(SCHEMA_KEYS) | st.text(max_size=4), JSON_VALUES, max_size=2),
+).map(lambda pair: {**pair[0], **pair[1]})
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=SCENARIO_DICTS | JSON_VALUES)
+def test_parse_scenario_accepts_or_names_the_fault(data):
+    # integers stay small: a large n allocates its default or padded
+    # profile before any size limit applies, and nothing is assembled here
+    try:
+        scenario = parse_scenario(data)
+    except InvalidScenario:
+        return
+    assert isinstance(scenario, Scenario)
+    assert parse_scenario(scenario_to_dict(scenario)) == scenario
