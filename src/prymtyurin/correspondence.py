@@ -12,7 +12,10 @@ generic point of the base line:
 Each correspondence carries its point descriptors in matrix order, so the
 rest of the package looks a point's row up by its descriptor and never
 recomputes a rank.  It also carries its square D^2, computed once on first
-use and shared by identity discovery and verification.
+use and shared by identity discovery and verification.  The square is a
+popcount product: D splits into threshold layers [D >= 1] + [D >= 2] + ...,
+each row and column becomes an int bitset, and each entry of D^2 is the
+popcount of an AND.  Both families are 0/1 matrices, a single layer.
 
 A correspondence D may satisfy a quadratic identity
 
@@ -24,6 +27,13 @@ identity becomes gamma^2 - b*gamma - a = 0 for the induced endomorphism, and
 when it factors as (1 - gamma)(gamma + q - 1) = 0 the integer q >= 2 is the
 exponent candidate.  Matching coefficients: q = 2 - b, which requires
 a = q - 1.  identity_and_exponent is the one place that runs both steps.
+
+Both families are strongly regular graphs with parameters (N, k, lambda, mu)
+in closed form (Brouwer-Haemers, Spectra of Graphs, ch. 9), and for those
+D^2 = (k - mu)*I + (lambda - mu)*D + mu*U.  The subset correspondence is the
+Kneser graph K(n+2, 2) on the 2-element complements, the grid one the rook's
+graph on m x m cells.  identity_and_exponent re-checks every discovered
+identity of either family against that closed form before it extracts q.
 
 All arithmetic is integer or Fraction; nothing here ever touches a float.
 """
@@ -47,12 +57,13 @@ class ExponentExtractionError(ValueError):
 
 @dataclass(frozen=True)
 class FiberCorrespondence:
-    """A symmetric correspondence on a generic fiber, stored densely.
+    """A symmetric correspondence on a generic fiber.
 
     matrix[i][j] counts how often point j appears in the image divisor of
     point i, and points[i] is the descriptor of point i (a subset tuple or a
     grid cell).  Symmetry, zero diagonal, constant row sums (the bidegree)
-    and one distinct descriptor per row are validated at construction.
+    and one distinct descriptor per row are validated at construction.  The
+    square D^2 is the layered popcount product of mat_mul.
     """
 
     kind: str
@@ -148,12 +159,31 @@ def build_grid_matrix(m: int) -> FiberCorrespondence:
     return FiberCorrespondence(kind="grid", parameter=m, matrix=tuple(rows), points=pts)
 
 
+def _bitset(flags: list[bool]) -> int:
+    """The int whose bit k is flags[k]."""
+    return int("".join(["1" if f else "0" for f in reversed(flags)]) or "0", 2)
+
+
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    """The exact product of two non-negative square matrices, by popcounts.
+
+    Each factor splits into threshold layers, M = [M >= 1] + [M >= 2] + ...,
+    so (ab)[i][j] is the sum over layer pairs (t, s) of the number of k with
+    a[i][k] >= t and b[k][j] >= s.  Row i of a becomes one int bitset with a
+    block per layer pair holding its layer t, column j of b one with the
+    same blocks holding its layer s; one AND lines every pair up and one
+    popcount sums them.  A 0/1 matrix has a single layer and a single block.
+    """
     n = len(a)
     if len(b) != n or any(len(r) != n for r in itertools.chain(a, b)):
         raise ValueError("matrix shapes do not match")
-    bt = tuple(zip(*b))
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
+    if min(map(min, a), default=0) < 0 or min(map(min, b), default=0) < 0:
+        raise ValueError("matrix has a negative entry")
+    top_a = range(1, max(map(max, a), default=0) + 1)
+    top_b = range(1, max(map(max, b), default=0) + 1)
+    rows = [_bitset([x >= t for t in top_a for _ in top_b for x in row]) for row in a]
+    cols = [_bitset([y >= s for _ in top_a for s in top_b for y in col]) for col in zip(*b)]
+    return tuple(tuple([(r & c).bit_count() for c in cols]) for r in rows)
 
 
 def verify_identity(corr: FiberCorrespondence, a, b, c):
@@ -237,13 +267,38 @@ def exponent_from_identity(ident: QuadraticIdentity) -> ExponentResult:
     )
 
 
+def strongly_regular_identity(kind: str, parameter: int) -> tuple[int, int, int] | None:
+    """(a, b, c) = (k - mu, lambda - mu, mu) from the closed-form strongly
+    regular parameters of a family: the Kneser graph K(n+2, 2) has
+    k = C(n, 2), lambda = C(n-2, 2), mu = C(n-1, 2), and the rook's graph on
+    m x m cells k = 2(m-1), lambda = m-2, mu = 2.  None for any other kind."""
+    if kind == "subset":
+        n = parameter
+        k, lam, mu = math.comb(n, 2), math.comb(n - 2, 2), math.comb(n - 1, 2)
+    elif kind == "grid":
+        m = parameter
+        k, lam, mu = 2 * (m - 1), m - 2, 2
+    else:
+        return None
+    return (k - mu, lam - mu, mu)
+
+
 def identity_and_exponent(corr) -> tuple[QuadraticIdentity | None, int | None, str]:
     """The discovered identity, the exponent q (None when the identity does
-    not factor as the criterion needs) and a note saying how q was derived
-    or why it was not."""
+    not factor as the criterion needs, or when a family's identity differs
+    from its strongly regular closed form) and a note saying how q was
+    derived or why it was not."""
     ident = discover_identity(corr)
     if ident is None:
         return None, None, "no quadratic identity exists for this correspondence"
+    want = strongly_regular_identity(corr.kind, corr.parameter)
+    if want is not None and ident.coefficients() != want:
+        got = ", ".join(map(str, ident.coefficients()))
+        return ident, None, (
+            f"the discovered identity (a, b, c) = ({got}) differs from the strongly"
+            f" regular closed form {want} of the {corr.kind} correspondence with"
+            f" parameter {corr.parameter}"
+        )
     try:
         res = exponent_from_identity(ident)
     except ExponentExtractionError as exc:

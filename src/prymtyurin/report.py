@@ -279,7 +279,11 @@ def _model(
     """Everything one fiber model says, from the family's fiber layout on."""
     layout = _subset_layout if scenario.kind == SUBSET else _grid_layout
     fibers, simple, prefix = layout(scenario, model)
-    scan = fixed_point_scan(class_action(corr, f) for f in fibers)
+    # layouts repeat fiber objects (the grid has four at every genus), so
+    # each distinct one is acted on once and its action reused in order
+    distinct = {id(f): f for f in fibers}
+    actions = {key: class_action(corr, f) for key, f in distinct.items()}
+    scan = fixed_point_scan(actions[id(f)] for f in fibers)
     w_induced = sum(f.w_contribution for f in fibers)
     simple_free = None
     if simple is not None:

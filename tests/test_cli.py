@@ -4,6 +4,8 @@ Everything drives ``main(argv)`` directly so exit codes and streams are
 asserted in-process; one smoke test exercises the installed console script.
 """
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -12,16 +14,21 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import prymtyurin
-from prymtyurin import fixed_points
+from prymtyurin import cli, fixed_points, report
 from prymtyurin.cli import (
     EXIT_HYPOTHESIS,
     EXIT_VALIDATION,
     EXIT_VERIFIED,
     main,
 )
+from prymtyurin.correspondence import FiberCorrespondence
+from prymtyurin.perms import all_subsets
 from prymtyurin.report import canonical_json
+from prymtyurin.scenario import MODEL_CHOICES
 
 
 def write_scenario(tmp_path, name, data):
@@ -317,6 +324,86 @@ MIXUP_MESSAGES = {
 def test_verify_identity_argument_mixups(argv, capsys):
     assert main(argv) == EXIT_VALIDATION
     assert MIXUP_MESSAGES[tuple(argv)] in capsys.readouterr().err
+
+
+def test_closed_form_mismatch_fails_with_exit_two(capsys, monkeypatch):
+    # the triangular graph T(5) labeled as the subset family with n = 3: its
+    # identity factors with q = 3 but is not the Kneser closed form
+    pts = tuple(all_subsets(5, 3))
+    t5 = FiberCorrespondence(
+        kind="subset",
+        parameter=3,
+        matrix=tuple(tuple(int(len(set(p) & set(r)) == 2) for r in pts) for p in pts),
+        points=pts,
+    )
+    monkeypatch.setattr(cli, "build_subset_matrix", lambda n: t5)
+    monkeypatch.setattr(report, "build_subset_matrix", lambda n: t5)
+    want = "(a, b, c) = (2, -1, 4) differs from the strongly regular closed form (2, -1, 1)"
+
+    assert main(["verify-identity", "--kind", "subset", "--n", "3"]) == EXIT_HYPOTHESIS
+    captured = capsys.readouterr()
+    assert want in captured.out
+    assert captured.err == ""
+
+    assert main(["builtin", "pn-case", "--n", "3", "--gx", "1", "--format", "json"]) == (
+        EXIT_HYPOTHESIS
+    )
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["correspondence"]["exponent"] is None
+    assert want in payload["correspondence"]["exponent_derivation"]
+    assert set(payload["verdict"].values()) == {"failed"}
+
+
+# --- argv fuzz ----------------------------------------------------------------
+
+# integers in -3..12, half of them from the sizes every command accepts
+FUZZ_INTS = (st.integers(2, 4) | st.integers(-3, 12)).map(str)
+# flag -> its value, or None for a switch
+FUZZ_FLAGS = {
+    "--kind": st.sampled_from(["subset", "grid"]),
+    "--n": FUZZ_INTS,
+    "--m": FUZZ_INTS,
+    "--gx": FUZZ_INTS,
+    "--g": FUZZ_INTS,
+    "--model": st.sampled_from(MODEL_CHOICES),
+    "--format": st.sampled_from(["json", "table"]),
+    "--dump-matrix": None,
+}
+FUZZ_COMMANDS = (
+    (("verify-identity",), ("--kind", "--n", "--dump-matrix", "--format")),
+    (("verify-identity",), ("--kind", "--m", "--dump-matrix", "--format")),
+    (("builtin", "pn-case"), ("--n", "--gx", "--model", "--format")),
+    (("builtin", "hyperelliptic"), ("--g", "--model", "--format")),
+)
+
+
+@st.composite
+def cli_argv(draw):
+    command, own = draw(st.sampled_from(FUZZ_COMMANDS))
+    # each flag of the command is missing a quarter of the time, a quarter
+    # of the draws add a flag of any command, and the order is shuffled
+    names = [name for name in own if draw(st.integers(0, 3))]
+    if not draw(st.integers(0, 3)):
+        names.append(draw(st.sampled_from(sorted(FUZZ_FLAGS))))
+    argv = list(command)
+    for name in draw(st.permutations(names)):
+        argv.append(name)
+        if FUZZ_FLAGS[name] is not None:
+            argv.append(draw(FUZZ_FLAGS[name]))
+    return argv
+
+
+@settings(max_examples=100, deadline=None)
+@given(argv=cli_argv())
+def test_argv_fuzz_exits_cleanly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the arguments
+            code = exc.code
+    assert code in (EXIT_VERIFIED, EXIT_VALIDATION, EXIT_HYPOTHESIS)
+    assert "Traceback" not in err.getvalue()
 
 
 # --- argparse plumbing --------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 from math import comb
 
@@ -16,6 +17,7 @@ from prymtyurin.correspondence import (
     exponent_from_identity,
     identity_and_exponent,
     mat_mul,
+    strongly_regular_identity,
     verify_identity,
 )
 from prymtyurin.perms import all_subsets
@@ -82,6 +84,32 @@ def test_mat_mul_exact():
         mat_mul(a, ((1,),))
 
 
+def reference_mat_mul(a, b):
+    """The dense triple-loop product that mat_mul's popcount product replaces."""
+    bt = tuple(zip(*b))
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
+
+
+def square_matrices(size):
+    row = st.lists(st.integers(0, 3), min_size=size, max_size=size).map(tuple)
+    return st.lists(row, min_size=size, max_size=size).map(tuple)
+
+
+@given(st.integers(0, 8).flatmap(lambda size: st.tuples(square_matrices(size), square_matrices(size))))
+def test_mat_mul_matches_dense_reference(pair):
+    # independent factors, so neither is symmetric nor has a zero diagonal
+    a, b = pair
+    assert mat_mul(a, b) == reference_mat_mul(a, b)
+
+
+def test_mat_mul_rejects_negative_entries():
+    swap = ((0, 1), (1, 0))
+    with pytest.raises(ValueError, match="negative entry"):
+        mat_mul(((0, -1), (1, 0)), swap)
+    with pytest.raises(ValueError, match="negative entry"):
+        mat_mul(swap, ((0, 1), (-1, 0)))
+
+
 def test_discover_identity_subset_small():
     # frozen coefficients, derived by brute-force squaring
     for n, want in [(2, (1, 0, 0)), (3, (2, -1, 1)), (4, (3, -2, 3)), (5, (4, -3, 6))]:
@@ -97,6 +125,7 @@ def test_discover_identity_grid():
         ident = discover_identity(build_grid_matrix(m))
         assert ident is not None
         assert ident.coefficients() == (2 * m - 4, m - 4, 2)
+        assert ident.coefficients() == strongly_regular_identity("grid", m)
 
 
 def test_identity_row_sum_consistency():
@@ -202,6 +231,7 @@ def test_identity_template_full_range():
         assert corr.bidegree == n * (n - 1) // 2
         ident = discover_identity(corr)
         assert ident.coefficients() == (n - 1, -(n - 2), comb(n - 1, 2))
+        assert ident.coefficients() == strongly_regular_identity("subset", n)
 
 
 def test_identity_and_exponent():
@@ -220,6 +250,25 @@ def test_identity_and_exponent():
     assert identity_and_exponent(corr) == (
         None, None, "no quadratic identity exists for this correspondence"
     )
+
+
+def test_identity_and_exponent_rechecks_the_closed_form():
+    # the triangular graph T(5), SRG(10, 6, 3, 4), on the 3-subsets of five
+    # sheets sharing two elements: D^2 = 2*I - D + 4*U factors with q = 3,
+    # but the subset family with n = 3 relates the 3-subsets sharing one
+    # (the Petersen graph) and has the closed form (2, -1, 1)
+    pts = tuple(all_subsets(5, 3))
+    matrix = tuple(tuple(int(len(set(p) & set(r)) == 2) for r in pts) for p in pts)
+    corr = FiberCorrespondence(kind="subset", parameter=3, matrix=matrix, points=pts)
+    ident, q, note = identity_and_exponent(corr)
+    assert ident == QuadraticIdentity(Fraction(2), Fraction(-1), Fraction(4))
+    assert q is None
+    assert note == (
+        "the discovered identity (a, b, c) = (2, -1, 4) differs from the strongly"
+        " regular closed form (2, -1, 1) of the subset correspondence with parameter 3"
+    )
+    # a kind without a closed form is not re-checked
+    assert identity_and_exponent(dataclasses.replace(corr, kind="x"))[1] == 3
 
 
 def reference_discover_identity(corr):
@@ -273,6 +322,11 @@ def regular_correspondences(draw):
     return FiberCorrespondence(
         kind="x", parameter=0, matrix=tuple(map(tuple, matrix)), points=tuple(range(size))
     )
+
+
+@given(regular_correspondences())
+def test_square_matches_dense_reference(corr):
+    assert corr.square == reference_mat_mul(corr.matrix, corr.matrix)
 
 
 @given(regular_correspondences())
