@@ -18,6 +18,7 @@ from __future__ import annotations
 import dataclasses
 import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .correspondence import (
     FiberCorrespondence,
@@ -231,13 +232,16 @@ def grid_fiber_layout(genus: int) -> tuple[SpecialFiber, ...]:
 def _subset_layout(scenario: Scenario, model: str):
     n = scenario.parameter
     degree = n + 2
-    fibers = tuple(
-        subset_fiber(n, blocks_from_parts(p, degree), model)
-        for p in scenario.special_fibers
-    )
-    simple = subset_fiber(n, blocks_from_parts((2,) + (1,) * n, degree), model)
+    simple_profile = (2,) + (1,) * n
+    # one fiber object per distinct profile, the simple one included, so
+    # repeated profiles share their class action and serialized entry
+    built = {
+        p: subset_fiber(n, blocks_from_parts(p, degree), model)
+        for p in dict.fromkeys((*scenario.special_fibers, simple_profile))
+    }
+    fibers = tuple(built[p] for p in scenario.special_fibers)
     prefix = f"subset scenario n={n}, source genus {scenario.upstairs_genus}"
-    return fibers, simple, prefix
+    return fibers, built[simple_profile], prefix
 
 
 def _grid_layout(scenario: Scenario, model: str):
@@ -279,9 +283,10 @@ def _model(
     """Everything one fiber model says, from the family's fiber layout on."""
     layout = _subset_layout if scenario.kind == SUBSET else _grid_layout
     fibers, simple, prefix = layout(scenario, model)
-    # layouts repeat fiber objects (the grid has four at every genus), so
-    # each distinct one is acted on once and its action reused in order
-    distinct = {id(f): f for f in fibers}
+    # layouts repeat fiber objects (the grid has four at every genus; a
+    # declared simple profile is the simple representative itself), so each
+    # distinct one is acted on once and its action reused in order
+    distinct = {id(f): f for f in (*fibers, simple) if f is not None}
     actions = {key: class_action(corr, f) for key, f in distinct.items()}
     scan = fixed_point_scan(actions[id(f)] for f in fibers)
     w_induced = sum(f.w_contribution for f in fibers)
@@ -290,7 +295,7 @@ def _model(
         w_induced += scenario.covering.simple_extra * simple.w_contribution
         # the fixed-point count only scans declared special fibers, so check
         # on a representative that a simple branch point has no fixed class
-        simple_free = class_action(corr, simple).fixed_class_indices() == ()
+        simple_free = actions[id(simple)].fixed_class_indices() == ()
 
     genus = error = None
     try:
@@ -483,6 +488,13 @@ def nesting_to_dict(nesting) -> dict:
 
 
 def model_to_dict(rep: ModelReport) -> dict:
+    # the fiber does not know its model; its model report does.  Layouts
+    # repeat fiber objects, so each distinct one gets one dict, repeated in
+    # layout order, which canonical_json writes once
+    distinct = {id(f): f for f in rep.fibers}
+    fiber_entries = {
+        key: {"model": rep.model, **fiber_to_dict(f)} for key, f in distinct.items()
+    }
     out: dict = {
         "model": rep.model,
         "covering": covering_to_dict(rep.covering),
@@ -491,8 +503,7 @@ def model_to_dict(rep: ModelReport) -> dict:
             "ramification": rep.total_ramification,
             "genus": rep.genus,
         },
-        # the fiber does not know its model; its model report does
-        "special_fibers": [{"model": rep.model, **fiber_to_dict(f)} for f in rep.fibers],
+        "special_fibers": [fiber_entries[id(f)] for f in rep.fibers],
         "fixed_points": [
             {
                 "fiber": fc.fiber_index,
@@ -559,7 +570,73 @@ def report_to_dict(report: PrymReport) -> dict:
 
 
 def canonical_json(data) -> str:
-    return json.dumps(data, indent=2, sort_keys=True)
+    """The text json.dumps(data, indent=2, sort_keys=True) writes, byte for byte.
+
+    Keys must be str: a key of any other type raises TypeError, where
+    json.dumps would also write int, float, bool and None keys.  A value that
+    is not a str, int, None, list, tuple or dict goes to json.dumps, so a
+    float is written as it writes it and anything else (a Fraction, a set)
+    raises its TypeError; nothing is stringified by accident.
+
+    Reports repeat one fiber dict many times (the grid layout has four
+    distinct fibers at every genus), and the pure-Python encoder that indent
+    selects would write every copy again.  Here each container is written
+    once per depth, keyed by (id, depth), and its text reused; the ids stay
+    valid because data keeps every keyed object alive for the whole call.  A
+    container met again while it is still being written raises ValueError,
+    as json.dumps does on a cycle.
+    """
+    written: dict[tuple[int, int], str] = {}
+    open_ids: set[int] = set()
+
+    # the recursion stays private: a recursive public call would be one more
+    # serialize span per node to anything that wraps canonical_json
+    def write(obj, depth: int) -> str:
+        if isinstance(obj, str):
+            return encode_basestring_ascii(obj)
+        if obj is None:
+            return "null"
+        if obj is True:
+            return "true"
+        if obj is False:
+            return "false"
+        if isinstance(obj, int):
+            return int.__repr__(obj)
+        if isinstance(obj, (list, tuple)):
+            if not obj:
+                return "[]"
+        elif isinstance(obj, dict):
+            if not obj:
+                return "{}"
+        else:
+            return json.dumps(obj)
+        oid = id(obj)
+        text = written.get((oid, depth))
+        if text is not None:
+            return text
+        if oid in open_ids:
+            raise ValueError("Circular reference detected")
+        open_ids.add(oid)
+        pad = "  " * depth
+        inner = "\n  " + pad
+        # every item is preceded by "," and the first "," becomes the opening
+        # bracket, so a large subtree is copied once per level, by one join
+        parts: list[str] = []
+        if isinstance(obj, dict):
+            for k, v in sorted(obj.items()):
+                parts += (",", inner, encode_basestring_ascii(k), ": ", write(v, depth + 1))
+            parts[0], close = "{", "}"
+        else:
+            for v in obj:
+                parts += (",", inner, write(v, depth + 1))
+            parts[0], close = "[", "]"
+        parts += ("\n", pad, close)
+        text = "".join(parts)
+        open_ids.remove(oid)
+        written[oid, depth] = text
+        return text
+
+    return write(data, 0)
 
 
 def report_to_json(report: PrymReport) -> str:

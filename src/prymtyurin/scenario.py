@@ -274,10 +274,6 @@ def scenario_to_dict(scenario: Scenario) -> dict:
     return out
 
 
-def scenario_to_json(scenario: Scenario) -> str:
-    return json.dumps(scenario_to_dict(scenario), indent=2, sort_keys=True)
-
-
 def load_scenario(path) -> Scenario:
     with open(path, "r", encoding="utf-8") as fh:
         try:

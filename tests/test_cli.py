@@ -393,17 +393,22 @@ def cli_argv(draw):
     return argv
 
 
-@settings(max_examples=100, deadline=None)
-@given(argv=cli_argv())
-def test_argv_fuzz_exits_cleanly(argv):
+def _captured_main(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(argv)
         except SystemExit as exc:  # argparse rejects the arguments
             code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=100, deadline=None)
+@given(argv=cli_argv())
+def test_argv_fuzz_exits_cleanly(argv):
+    code, _, err = _captured_main(argv)
     assert code in (EXIT_VERIFIED, EXIT_VALIDATION, EXIT_HYPOTHESIS)
-    assert "Traceback" not in err.getvalue()
+    assert "Traceback" not in err
 
 
 # --- argparse plumbing --------------------------------------------------------
@@ -426,6 +431,27 @@ def test_unknown_model_choice_exits_one(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["run", path, "--model", "quantum"])
     assert exc.value.code == EXIT_VALIDATION
+
+
+def test_shared_parser_carries_no_state_between_calls(tmp_path):
+    path = write_scenario(tmp_path, "s.json", STANDARD_N3)
+    calls = (
+        ["run", path, "--model", "quantum"],
+        ["verify-identity", "--kind", "grid", "--m", "3", "--format", "json"],
+        ["run", path, "--model", "paper", "--format", "json"],
+        ["run", path, "--format", "json"],
+    )
+    fresh = []
+    for argv in calls:
+        cli.build_parser.cache_clear()
+        fresh.append(_captured_main(argv))
+    cli.build_parser.cache_clear()
+    shared = [_captured_main(argv) for argv in calls]
+    assert cli.build_parser.cache_info().misses == 1
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [EXIT_VALIDATION] + [EXIT_VERIFIED] * 3
+    # the default model, both, came back after the --model paper call
+    assert set(json.loads(shared[3][1])["models"]) == {"paper", "monodromy"}
 
 
 def test_verbose_echoes_scenario(tmp_path, capsys, monkeypatch):

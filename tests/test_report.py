@@ -1,7 +1,10 @@
 import json
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prymtyurin import fixed_points
 from prymtyurin import report as report_module
@@ -18,6 +21,7 @@ from prymtyurin.report import (
     canonical_json,
     epsilon_degree,
     grid_fiber_layout,
+    model_to_dict,
     prym_dimension,
     rational_json,
     render_table,
@@ -256,6 +260,137 @@ def test_report_serialization_round_trip():
             }
             if m.error is not None:
                 assert entry["error"] == m.error
+
+
+def reference_json(data) -> str:
+    """The format canonical_json reproduces, written by the standard library."""
+    return json.dumps(data, indent=2, sort_keys=True)
+
+
+TRICKY_STRINGS = st.sampled_from(
+    ["", '"', "\\", '\\"', "\x00\x1f\x7f", "\n\t\r", "é", "\u2028", "\U0001F600", "/"]
+)
+JSON_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers(-5, 5)
+    | st.integers(-(10**40), 10**40)
+    | st.text(max_size=6)
+    | TRICKY_STRINGS
+)
+
+
+def json_containers(children):
+    keys = st.text(max_size=4) | TRICKY_STRINGS
+    return (
+        st.lists(children, max_size=4)
+        | st.lists(children, max_size=4).map(tuple)
+        | st.dictionaries(keys, children, max_size=4)
+    )
+
+
+SHARED_SUBTREES = json_containers(
+    st.recursive(JSON_LEAVES, json_containers, max_leaves=8)
+).filter(len)
+
+
+@st.composite
+def json_trees_with_shared_subtree(draw):
+    # one container object held at several depths and positions, the way a
+    # report repeats one fiber entry: at depths 1 and 3, and wherever the
+    # drawn tree holds it, which itself sits at depths 1 and 3
+    shared = draw(SHARED_SUBTREES)
+    tree = draw(st.recursive(JSON_LEAVES | st.just(shared), json_containers, max_leaves=20))
+    return [shared, tree, {"k": [tree, shared]}, shared]
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=json_trees_with_shared_subtree())
+def test_canonical_json_matches_json_dumps(data):
+    assert canonical_json(data) == reference_json(data)
+
+
+def test_canonical_json_scalars_match_json_dumps():
+    for value in (None, True, False, 0, -(2**100), "", "x\"y", 1.5, [0.1, -2.5e300]):
+        assert canonical_json(value) == reference_json(value)
+
+
+@pytest.mark.parametrize(
+    "data", [Fraction(1, 2), {"a": [Fraction(1, 2)]}, {1, 2}, [1, {"s": {3}}], object()]
+)
+def test_canonical_json_refuses_what_json_dumps_refuses(data):
+    with pytest.raises(TypeError):
+        reference_json(data)
+    with pytest.raises(TypeError):
+        canonical_json(data)
+
+
+def test_canonical_json_detects_cycles():
+    looped: list = [1]
+    looped.append(looped)
+    inner: dict = {}
+    cyclic = {"a": [inner]}
+    inner["back"] = cyclic
+    for data in (looped, cyclic, [[looped]]):
+        with pytest.raises(ValueError, match="Circular reference"):
+            reference_json(data)
+        with pytest.raises(ValueError, match="Circular reference"):
+            canonical_json(data)
+
+
+def test_canonical_json_refuses_non_string_keys():
+    # json.dumps would write these keys as strings; reports never have them
+    for data in ({1: "a"}, {"a": {None: 1}}, {"a": 1, 2: "b"}):
+        with pytest.raises(TypeError):
+            canonical_json(data)
+
+
+@pytest.mark.parametrize(
+    "scenario",
+    [grid_scenario(g) for g in (2, 20, 300)] + [subset_scenario(n, 2) for n in range(2, 8)],
+    ids=lambda s: f"{s.kind}-{s.parameter}-g{s.upstairs_genus}",
+)
+def test_report_to_json_matches_json_dumps(scenario):
+    rep = assemble(scenario)
+    assert {m.model for m in rep.models} == {MERGED, ORBIT}
+    assert report_to_json(rep) == reference_json(report_to_dict(rep))
+
+
+def test_repeated_fibers_share_one_entry():
+    for scen, distinct in ((grid_scenario(5), 4), (subset_scenario(3, 2), 1)):
+        for rep in assemble(scen).models:
+            fibers = [id(f) for f in rep.fibers]
+            entries = [id(e) for e in model_to_dict(rep)["special_fibers"]]
+            # the same fiber object always gets the same entry object
+            assert len(set(zip(fibers, entries))) == len(set(entries)) == distinct
+
+
+def test_subset_layout_builds_one_fiber_per_profile(monkeypatch):
+    built = []
+    original = report_module.subset_fiber
+
+    def record(n, blocks, model):
+        built.append(blocks)
+        return original(n, blocks, model)
+
+    monkeypatch.setattr(report_module, "subset_fiber", record)
+    assemble(subset_scenario(3, 2, model="paper"))
+    # the declared (2,2,1) twice and the simple (2,1,1,1) once
+    assert len(built) == 2
+    built.clear()
+    # a declared simple profile is the simple-branch representative itself
+    rep = assemble(subset_scenario(3, 1, special_fibers=[[2], [2, 2]], model="paper"))
+    assert len(built) == 2
+    (merged,) = rep.models
+    assert merged.simple_fibers_fixed_free is True
+
+
+def test_grid_g3000_serializes_under_a_second():
+    rep = assemble(grid_scenario(3000))
+    start = time.monotonic()
+    text = report_to_json(rep)
+    assert time.monotonic() - start < 1.0
+    assert len(text) == 19_400_382
 
 
 def test_report_json_has_no_floats():
