@@ -23,18 +23,24 @@ class GenusValidationError(ValueError):
     """The covering data does not admit an integral, non-negative genus."""
 
 
+def is_int(value) -> bool:
+    """An int that is not a bool: JSON true/false decode to bool, an int subclass."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def normalize_profile(parts) -> tuple[int, ...]:
     """Validate a ramification profile and sort it into weakly decreasing order.
 
-    This is the one check of a profile's parts: it must be non-empty, every
-    part a positive int (bool, float and str parts are refused, never
-    coerced), and some part at least 2.
+    This is the one check of a profile's parts: it must be a non-empty list
+    or tuple, every part a positive int (bool, float and str parts are
+    refused, never coerced), and some part at least 2.
     """
+    if not isinstance(parts, (list, tuple)):
+        raise ValueError("profile must be a list of integer parts")
     prof = tuple(parts)
     if not prof:
         raise ValueError("profile is empty")
-    # JSON true/false decode to bool, which Python counts as an int
-    if not all(isinstance(p, int) and not isinstance(p, bool) and p >= 1 for p in prof):
+    if not all(is_int(p) and p >= 1 for p in prof):
         raise ValueError("parts must be positive integers")
     if max(prof) == 1:
         raise ValueError("profile is unramified (all parts 1)")

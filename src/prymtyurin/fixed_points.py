@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from math import factorial
 
 from .correspondence import FiberCorrespondence, Matrix
@@ -53,6 +54,7 @@ class ClassAction:
     def self_multiplicity(self, q: int) -> int:
         return self.action[q][q]
 
+    @cached_property
     def fixed_class_indices(self) -> tuple[int, ...]:
         return tuple(q for q in range(len(self.action)) if self.action[q][q] > 0)
 
@@ -136,7 +138,7 @@ def fixed_point_scan(actions) -> FixedPointReport:
     actions = tuple(actions)
     fixed = []
     for fi, act in enumerate(actions):
-        for ci in act.fixed_class_indices():
+        for ci in act.fixed_class_indices:
             fixed.append(
                 FixedClass(
                     fiber_index=fi,
@@ -235,7 +237,7 @@ def nesting_search(report: FixedPointReport, bidegree: int):
     visited = 0
     for fi, act in enumerate(report.actions):
         # chain members must share a fiber: every D(p_i) lies in the fiber of p_i
-        candidates = [q for q in act.fixed_class_indices() if act.self_multiplicity(q) == 1]
+        candidates = [q for q in act.fixed_class_indices if act.self_multiplicity(q) == 1]
         c = len(candidates)
         if c < n:
             continue

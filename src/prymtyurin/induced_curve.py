@@ -32,6 +32,7 @@ report assembles it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb
 
 from .correspondence import grid_points
@@ -76,7 +77,7 @@ class SpecialFiber:
 
     classes: tuple[FiberClass, ...]
 
-    @property
+    @cached_property
     def w_contribution(self) -> int:
         return sum(c.size - 1 for c in self.classes)
 

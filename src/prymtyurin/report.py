@@ -295,7 +295,7 @@ def _model(
         w_induced += scenario.covering.simple_extra * simple.w_contribution
         # the fixed-point count only scans declared special fibers, so check
         # on a representative that a simple branch point has no fixed class
-        simple_free = actions[id(simple)].fixed_class_indices() == ()
+        simple_free = actions[id(simple)].fixed_class_indices == ()
 
     genus = error = None
     try:
@@ -580,13 +580,18 @@ def canonical_json(data) -> str:
 
     Reports repeat one fiber dict many times (the grid layout has four
     distinct fibers at every genus), and the pure-Python encoder that indent
-    selects would write every copy again.  Here each container is written
-    once per depth, keyed by (id, depth), and its text reused; the ids stay
-    valid because data keeps every keyed object alive for the whole call.  A
+    selects would write every copy again.  Here a container's text is kept
+    by (id, depth) and reused when met again at that depth, but dropped when
+    the container around it closes unless reused by then, so the nesting
+    levels of a large report are not all held at once.  The ids stay valid
+    because data keeps every keyed object alive for the whole call.  A
     container met again while it is still being written raises ValueError,
     as json.dumps does on a cycle.
     """
     written: dict[tuple[int, int], str] = {}
+    reused: set[tuple[int, int]] = set()
+    # keys of kept texts whose enclosing container is still open, innermost last
+    fresh: list[tuple[int, int]] = []
     open_ids: set[int] = set()
 
     # the recursion stays private: a recursive public call would be one more
@@ -611,12 +616,15 @@ def canonical_json(data) -> str:
         else:
             return json.dumps(obj)
         oid = id(obj)
-        text = written.get((oid, depth))
+        key = (oid, depth)
+        text = written.get(key)
         if text is not None:
+            reused.add(key)
             return text
         if oid in open_ids:
             raise ValueError("Circular reference detected")
         open_ids.add(oid)
+        mark = len(fresh)
         pad = "  " * depth
         inner = "\n  " + pad
         # every item is preceded by "," and the first "," becomes the opening
@@ -633,7 +641,12 @@ def canonical_json(data) -> str:
         parts += ("\n", pad, close)
         text = "".join(parts)
         open_ids.remove(oid)
-        written[oid, depth] = text
+        for child in fresh[mark:]:
+            if child not in reused:
+                del written[child]
+        del fresh[mark:]
+        written[key] = text
+        fresh.append(key)
         return text
 
     return write(data, 0)

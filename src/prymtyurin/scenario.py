@@ -7,13 +7,14 @@ fiber profiles, and which fiber model(s) to evaluate.  It carries the input
 covering these data determine, built once.
 
 Scenarios are plain data, and the constructor is the one place raw input
-becomes a scenario: each special-fiber profile goes through
-covering.normalize_profile, the one check of a profile's parts, then is
-checked against the covering degree and padded with unramified sheets, and
-monodromy generators become tuples.  Files are parsed strictly on top of
-that: unknown keys and out-of-range values are rejected up front with the
-offending field named, so a malformed input file never turns into a
-confusing arithmetic error halfway through a report.
+becomes a scenario, for files and Python callers alike: it checks the type
+and value of every field and names the bad one.  Each special-fiber profile
+goes through covering.normalize_profile, the one check of a profile's parts,
+then is checked against the covering degree and padded with unramified
+sheets, and monodromy generators become tuples.  parse_scenario adds only
+the object, kind and unknown-key checks and maps n or m to the parameter,
+so a malformed file never turns into a confusing error halfway through a
+report.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import dataclasses
 import json
 from functools import cached_property
 
-from .covering import CoveringData, GenusValidationError, normalize_profile, simple_budget
+from .covering import CoveringData, GenusValidationError, is_int, normalize_profile, simple_budget
 from .induced_curve import MODELS
 from .perms import Permutation
 
@@ -71,10 +72,17 @@ class Scenario:
             raise InvalidScenario(
                 f"model must be one of {MODEL_CHOICES}, got {self.model!r}"
             )
+        if not is_int(self.upstairs_genus):
+            raise InvalidScenario(
+                f"upstairs_genus must be an integer, got {self.upstairs_genus!r}"
+            )
+        if not isinstance(self.special_fibers, (list, tuple)):
+            raise InvalidScenario("special_fibers must be a list of profiles")
         if self.kind == GRID:
-            if self.parameter != GRID_SIZE:
+            if not is_int(self.parameter) or self.parameter != GRID_SIZE:
                 raise InvalidScenario(
-                    f"grid scenarios require side {GRID_SIZE}, got {self.parameter}"
+                    f"grid scenarios require side {GRID_SIZE}:"
+                    f" m must be {GRID_SIZE}, got {self.parameter!r}"
                 )
             if self.upstairs_genus < 2:
                 raise InvalidScenario(
@@ -91,11 +99,10 @@ class Scenario:
                     "grid scenarios fix their own monodromy;"
                     " an explicit generator list is not accepted"
                 )
+            object.__setattr__(self, "special_fibers", ())
         else:
-            if self.parameter < 2:
-                raise InvalidScenario(
-                    f"subset size must be >= 2, got {self.parameter}"
-                )
+            if not is_int(self.parameter) or self.parameter < 2:
+                raise InvalidScenario(f"n must be an integer >= 2, got {self.parameter!r}")
             if self.upstairs_genus < 0:
                 raise InvalidScenario(
                     f"upstairs_genus must be >= 0, got {self.upstairs_genus}"
@@ -122,12 +129,13 @@ class Scenario:
                     f"special_fibers vs upstairs_genus: {exc}"
                 ) from exc
             if self.monodromy is not None:
-                object.__setattr__(self, "monodromy", tuple(tuple(g) for g in self.monodromy))
+                if not isinstance(self.monodromy, (list, tuple)):
+                    raise InvalidScenario("monodromy must be a list of image lists")
                 for pos, images in enumerate(self.monodromy):
-                    if not all(_is_int(x) for x in images):
+                    if not isinstance(images, (list, tuple)) or not all(map(is_int, images)):
                         raise InvalidScenario(
-                            f"monodromy[{pos}]: sheet labels must be integers,"
-                            f" got {list(images)!r}"
+                            f"monodromy[{pos}] must be a list of integer sheet labels,"
+                            f" got {images!r}"
                         )
                     try:
                         perm = Permutation(images=tuple(images))
@@ -138,6 +146,7 @@ class Scenario:
                             f"monodromy[{pos}]: permutation degree {perm.degree}"
                             f" does not match covering degree {degree}"
                         )
+                object.__setattr__(self, "monodromy", tuple(tuple(g) for g in self.monodromy))
 
     @cached_property
     def covering(self) -> CoveringData:
@@ -156,11 +165,6 @@ class Scenario:
         return dataclasses.replace(bare, simple_extra=simple_budget(bare, self.upstairs_genus))
 
 
-def _is_int(value) -> bool:
-    # JSON true/false decode to bool, which Python counts as an int
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def default_subset_fibers(n: int) -> tuple[tuple[int, ...], ...]:
     """Two fibers of the maximal pair profile: (2,..,2) padded with a 1
     when the covering degree n+2 is odd."""
@@ -177,7 +181,8 @@ def subset_scenario(
     monodromy=None,
 ) -> Scenario:
     if special_fibers is None:
-        special_fibers = default_subset_fibers(n)
+        # a non-integer n gets no default profiles; the constructor names it
+        special_fibers = default_subset_fibers(n) if is_int(n) else ()
     return Scenario(
         kind=SUBSET,
         upstairs_genus=upstairs_genus,
@@ -211,51 +216,22 @@ def parse_scenario(data) -> Scenario:
         raise InvalidScenario(f"kind must be one of {KINDS}, got {kind!r}")
 
     allowed = _SUBSET_KEYS if kind == SUBSET else _GRID_KEYS
-    unknown = sorted(set(data) - allowed)
+    unknown = sorted(map(str, set(data) - allowed))
     if unknown:
         raise InvalidScenario(f"unknown keys for kind {kind!r}: {', '.join(unknown)}")
 
     genus = data.get("upstairs_genus")
-    if not _is_int(genus):
-        raise InvalidScenario("upstairs_genus must be an integer")
     model = data.get("model", BOTH)
-
     if kind == GRID:
         side = data.get("m", GRID_SIZE)
-        if not _is_int(side) or side != GRID_SIZE:
-            raise InvalidScenario(f"m must be {GRID_SIZE}, got {side!r}")
-        return Scenario(
-            kind=GRID, upstairs_genus=genus, parameter=GRID_SIZE, model=model
-        )
-
-    n = data.get("n")
-    if not _is_int(n):
-        raise InvalidScenario("n must be an integer")
-    fibers = data.get("special_fibers")
-    if fibers is not None:
-        if not isinstance(fibers, list):
-            raise InvalidScenario("special_fibers must be a list of profiles")
-        for pos, profile in enumerate(fibers):
-            if not isinstance(profile, list):
-                raise InvalidScenario(
-                    f"special_fibers[{pos}] must be a list of integer parts"
-                )
-    gens = data.get("monodromy")
-    if gens is not None:
-        if not isinstance(gens, list) or not all(isinstance(g, list) for g in gens):
-            raise InvalidScenario("monodromy must be a list of image lists")
-    try:
-        return subset_scenario(
-            n=n,
-            upstairs_genus=genus,
-            special_fibers=fibers,
-            model=model,
-            monodromy=gens,
-        )
-    except InvalidScenario:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise InvalidScenario(str(exc)) from exc
+        return Scenario(kind=GRID, upstairs_genus=genus, parameter=side, model=model)
+    return subset_scenario(
+        n=data.get("n"),
+        upstairs_genus=genus,
+        special_fibers=data.get("special_fibers"),
+        model=model,
+        monodromy=data.get("monodromy"),
+    )
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:

@@ -48,6 +48,15 @@ def test_subset_matrix_n3_examples():
     assert neighbors == want
 
 
+@pytest.mark.parametrize("n", range(2, 13))
+def test_subset_matrix_relates_subsets_sharing_n_minus_2(n):
+    corr = build_subset_matrix(n)
+    sets = [frozenset(p) for p in corr.points]
+    assert corr.matrix == tuple(
+        tuple(int(len(s & t) == n - 2) for t in sets) for s in sets
+    )
+
+
 def test_grid_matrix_small():
     corr = build_grid_matrix(3)
     assert corr.size == 9
@@ -191,6 +200,18 @@ def test_discover_identity_none_when_impossible():
     with pytest.raises(ValueError):
         # row sums differ, rejected at construction
         FiberCorrespondence(kind="x", parameter=0, matrix=broken, points=tuple(range(4)))
+
+
+def test_discover_identity_checks_its_equations_not_every_entry(monkeypatch):
+    # every entry of D^2 is one of the distinct equations, so checking those
+    # is the entrywise proof; the entrywise checker is never called again
+    def refuse(*args):
+        raise AssertionError("discover_identity walked D^2 a second time")
+
+    monkeypatch.setattr(correspondence, "verify_identity", refuse)
+    for corr in (build_subset_matrix(6), build_grid_matrix(4)):
+        ident = discover_identity(corr)
+        assert ident.coefficients() == strongly_regular_identity(corr.kind, corr.parameter)
 
 
 def test_discover_identity_underdetermined_canonicalization():

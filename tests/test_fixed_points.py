@@ -43,7 +43,7 @@ def test_class_action_merged_n3():
     assert [c.members[0] for c in act.fiber.classes] == [
         (1, 2, 3), (1, 2, 5), (1, 3, 4), (1, 3, 5), (3, 4, 5),
     ]
-    assert act.fixed_class_indices() == (3,)
+    assert act.fixed_class_indices == (3,)
     # frozen: the image of the big class is itself + {123,124} + {134,234}
     assert act.action[3] == (1, 0, 1, 1, 0)
     assert all(sum(row) == 3 for row in act.action)
@@ -51,7 +51,7 @@ def test_class_action_merged_n3():
 
 def test_class_action_merged_n4_pattern():
     act = class_action(build_subset_matrix(4), subset_fiber(4, PAIR_BLOCKS_6, MERGED))
-    assert act.fixed_class_indices() == (1, 3, 4)
+    assert act.fixed_class_indices == (1, 3, 4)
     # frozen from brute force: self multiplicity 1, cross multiplicities 2
     assert act.action[1] == (0, 1, 0, 2, 2, 1)
     assert act.action[3] == (0, 2, 1, 1, 2, 0)
@@ -60,24 +60,24 @@ def test_class_action_merged_n4_pattern():
 
 def test_class_action_orbit_models():
     act2 = class_action(build_subset_matrix(2), subset_fiber(2, ((1, 2), (3, 4)), ORBIT))
-    assert len(act2.fixed_class_indices()) == 2
+    assert len(act2.fixed_class_indices) == 2
     act3 = class_action(build_subset_matrix(3), subset_fiber(3, THREE_BLOCKS, ORBIT))
-    assert len(act3.fixed_class_indices()) == 2
+    assert len(act3.fixed_class_indices) == 2
     act4 = class_action(build_subset_matrix(4), subset_fiber(4, PAIR_BLOCKS_6, ORBIT))
-    assert len(act4.fixed_class_indices()) == 6
+    assert len(act4.fixed_class_indices) == 6
     for act in (act2, act3, act4):
-        assert all(act.self_multiplicity(q) == 1 for q in act.fixed_class_indices())
+        assert all(act.self_multiplicity(q) == 1 for q in act.fixed_class_indices)
 
 
 def test_class_action_grid_fibers():
     branch = class_action(build_grid_matrix(3), grid_row_merge_fiber(3, ((1, 2), (3,))))
-    assert branch.fixed_class_indices() == (0, 1, 2)
+    assert branch.fixed_class_indices == (0, 1, 2)
     assert branch.action[0] == (1, 1, 1, 1, 0, 0)
     assert branch.action[1] == (1, 1, 1, 0, 1, 0)
     assert branch.action[2] == (1, 1, 1, 0, 0, 1)
     for shift in (0, 1, 2):
         pairing = class_action(build_grid_matrix(3), grid_pairing_fiber(3, shift))
-        assert pairing.fixed_class_indices() == ()
+        assert pairing.fixed_class_indices == ()
         assert all(sum(row) == 4 for row in pairing.action)
 
 
@@ -272,7 +272,7 @@ def reference_nesting_search(report, bidegree):
     tried = 0
     searched = 0
     for fi, act in enumerate(report.actions):
-        candidates = [q for q in act.fixed_class_indices() if act.self_multiplicity(q) == 1]
+        candidates = [q for q in act.fixed_class_indices if act.self_multiplicity(q) == 1]
         if len(candidates) < n:
             continue
         searched += 1

@@ -1,5 +1,7 @@
 import json
 import time
+import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -9,12 +11,13 @@ from hypothesis import strategies as st
 from prymtyurin import fixed_points
 from prymtyurin import report as report_module
 from prymtyurin.fixed_points import (
+    ClassAction,
     NestingCertificate,
     NestingFailure,
     NestingUndecided,
     check_certificate,
 )
-from prymtyurin.induced_curve import MERGED, ORBIT
+from prymtyurin.induced_curve import MERGED, ORBIT, SpecialFiber
 from prymtyurin.report import (
     DimensionError,
     assemble,
@@ -391,6 +394,36 @@ def test_grid_g3000_serializes_under_a_second():
     text = report_to_json(rep)
     assert time.monotonic() - start < 1.0
     assert len(text) == 19_400_382
+
+
+def test_grid_g3000_json_peak_memory_stays_near_its_length():
+    # a text not reused by the time its enclosing container closes is dropped
+    data = report_to_dict(assemble(grid_scenario(3000)))
+    tracemalloc.start()
+    try:
+        text = canonical_json(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * len(text)
+
+
+def test_grid_g3000_computes_each_fiber_fact_once(monkeypatch):
+    # 2g + 4 layout positions per model read the facts of four distinct
+    # fibers and their four class actions
+    counts = Counter()
+    for cls, name in ((SpecialFiber, "w_contribution"), (ClassAction, "fixed_class_indices")):
+        prop = cls.__dict__[name]
+
+        def counted(self, func=prop.func, name=name):
+            counts[name, id(self)] += 1
+            return func(self)
+
+        monkeypatch.setattr(prop, "func", counted)
+    rep = assemble(grid_scenario(3000))
+    assert len(rep.models) == 2
+    assert set(counts.values()) == {1}
+    assert Counter(name for name, _ in counts) == {"w_contribution": 8, "fixed_class_indices": 8}
 
 
 def test_report_json_has_no_floats():

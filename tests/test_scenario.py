@@ -135,6 +135,38 @@ def test_parse_rejects_non_integer_labels_and_parts(extra, field):
         parse_scenario({"kind": "subset", "n": 3, "upstairs_genus": 2, **extra})
 
 
+SUBSET_FILE = {"kind": "subset", "n": 3, "upstairs_genus": 2}
+
+
+@pytest.mark.parametrize(
+    "build, field",
+    [
+        # Python callers get the same type checks as files
+        (lambda: subset_scenario(3, True), "upstairs_genus must be an integer, got True"),
+        (lambda: subset_scenario(3, 2.0), "upstairs_genus must be an integer, got 2.0"),
+        (lambda: subset_scenario(3.0, 2), "n must be an integer >= 2, got 3.0"),
+        (lambda: grid_scenario(5.0), "upstairs_genus must be an integer, got 5.0"),
+        (
+            lambda: Scenario(kind=GRID, upstairs_genus=3, parameter=3.0),
+            "grid scenarios require side 3: m must be 3, got 3.0",
+        ),
+        (lambda: subset_scenario(3, 2, special_fibers=5), "special_fibers must be a list"),
+        (lambda: subset_scenario(3, 2, special_fibers=[5]), "special_fibers\\[0\\]: profile must be a list"),
+        (lambda: subset_scenario(3, 2, monodromy=5), "monodromy must be a list"),
+        (lambda: subset_scenario(3, 2, monodromy=[5]), "monodromy\\[0\\] must be a list"),
+        (lambda: parse_scenario({**SUBSET_FILE, "special_fibers": {}}), "special_fibers must be a list"),
+        (lambda: parse_scenario({**SUBSET_FILE, "special_fibers": ["22"]}), "special_fibers\\[0\\]"),
+        (lambda: parse_scenario({**SUBSET_FILE, "monodromy": "21345"}), "monodromy must be a list"),
+        (lambda: parse_scenario({**SUBSET_FILE, "monodromy": [{}]}), "monodromy\\[0\\]"),
+        # keys that cannot be sorted together are still named
+        (lambda: parse_scenario({**SUBSET_FILE, 1: 2, "x": 3}), "unknown keys for kind 'subset': 1, x"),
+    ],
+)
+def test_every_entry_point_names_the_bad_field(build, field):
+    with pytest.raises(InvalidScenario, match=field):
+        build()
+
+
 def test_parse_strict_keys():
     good = {"kind": "subset", "n": 2, "upstairs_genus": 1}
     assert parse_scenario(good).parameter == 2
@@ -222,10 +254,30 @@ SCENARIO_DICTS = st.tuples(
 @given(data=SCENARIO_DICTS | JSON_VALUES)
 def test_parse_scenario_accepts_or_names_the_fault(data):
     # integers stay small: a large n allocates its default or padded
-    # profile before any size limit applies, and nothing is assembled here
-    try:
-        scenario = parse_scenario(data)
-    except InvalidScenario:
-        return
-    assert isinstance(scenario, Scenario)
-    assert parse_scenario(scenario_to_dict(scenario)) == scenario
+    # profile before any size limit applies, and nothing is assembled here.
+    # The Python constructors get the same drawn values: a dict's own, or
+    # any other drawn value as every field
+    fields = data if isinstance(data, dict) else dict.fromkeys(SCHEMA_KEYS, data)
+    genus, model = fields.get("upstairs_genus"), fields.get("model", BOTH)
+    builds = (
+        lambda: parse_scenario(data),
+        lambda: Scenario(
+            kind=fields.get("kind"),
+            upstairs_genus=genus,
+            parameter=fields.get("n", fields.get("m")),
+            special_fibers=fields.get("special_fibers", ()),
+            model=model,
+            monodromy=fields.get("monodromy"),
+        ),
+        lambda: subset_scenario(
+            fields.get("n"), genus, fields.get("special_fibers"), model, fields.get("monodromy")
+        ),
+        lambda: grid_scenario(genus, model),
+    )
+    for build in builds:
+        try:
+            scenario = build()
+        except InvalidScenario:
+            continue
+        assert isinstance(scenario, Scenario)
+        assert parse_scenario(scenario_to_dict(scenario)) == scenario
