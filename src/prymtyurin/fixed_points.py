@@ -19,13 +19,17 @@ Since images stay inside the fiber of the base point, such a chain lives in a
 single special fiber.  The correspondence is symmetric, so "p in D(q)" holds
 exactly when "q in D(p)" does, and a chain is any ordering of an n-clique in
 the graph of fixed classes of self multiplicity 1 joined when each lies in
-the image of the other.  The search walks cliques in increasing order, fiber
-by fiber, and returns the lexicographically first chain, which makes
-certificates deterministic.  On failure it reports, in closed form, how many
-orderings a backtracking search would have tried.  It visits at most
-NESTING_CLIQUE_BUDGET cliques and reports the search undecided beyond that.
-Certificates carry enough raw data to be re-verified by check_certificate,
-which recomputes every multiplicity from scratch.
+the image of the other.  The search counts the cliques of each fiber by
+size with a memoized split on the lowest candidate.  A fiber without an
+n-clique fails from its counts alone, which also give, in closed form, how
+many orderings a backtracking search would have tried there.  On a fiber
+with an n-clique the search walks cliques in increasing order and returns
+the lexicographically first chain, which makes certificates deterministic.
+The count makes at most NESTING_CLIQUE_BUDGET memo misses per fiber and the
+walk visits at most NESTING_CLIQUE_BUDGET cliques in all; beyond either the
+search is reported undecided.  Certificates carry enough raw data to be
+re-verified by check_certificate, which recomputes every multiplicity from
+scratch.
 """
 
 from __future__ import annotations
@@ -191,10 +195,52 @@ class NestingUndecided:
     cliques_visited: int
 
 
-# cliques visited per nesting search, summed over its fibers.  The subset
-# family visits 3^10 = 59,049 per failing fiber at n = 8 and 9, and
-# 3^15 = 14,348,907 at n = 10 and 11, which this budget refuses.
+# cliques visited by the walk, summed over the fibers of one nesting search,
+# and memo misses of the clique count on each fiber.  On the orbit fiber of a
+# (2, ..., 2) profile with m pairs of fixed classes the count makes 2m misses
+# where a walk would visit 3^m cliques (m = 15 at n = 10, 55 at n = 20).
 NESTING_CLIQUE_BUDGET = 1_000_000
+
+
+def _clique_counts(adjacent: list[int], n: int) -> list[int] | None:
+    """The number of k-cliques for k = 0..n-1 of the graph on len(adjacent)
+    vertices whose neighbours are the bitsets adjacent[v]; None when it has an
+    n-clique or counting needs more than NESTING_CLIQUE_BUDGET memo misses.
+
+    Splitting a vertex set S on its lowest vertex v gives
+    count(S) = count(S - v) + x * count(S & adjacent[v]) as polynomials whose
+    x^k coefficient counts k-cliques, memoized by S.  No set has more than
+    2^c cliques, so the coefficients pack into one int at c + 1 bits each.
+    The split tree has a leaf per clique, so reaching the cap means the graph
+    has more than NESTING_CLIQUE_BUDGET + 1 cliques.  An explicit stack keeps
+    any number of vertices clear of the recursion limit.
+    """
+    c = len(adjacent)
+    width = c + 1
+    top = width * (n - 1)
+    memo = {0: 1}
+    stack = [(1 << c) - 1]
+    while stack:
+        s = stack[-1]
+        if s in memo:
+            stack.pop()
+            continue
+        low = s & -s
+        rest = s ^ low
+        inner = rest & adjacent[low.bit_length() - 1]
+        if rest not in memo or inner not in memo:
+            stack += (rest, inner)  # a memoized one is popped at once
+            continue
+        within = memo[inner]
+        if within >> top:
+            return None  # v and an (n-1)-clique of its neighbours
+        if len(memo) > NESTING_CLIQUE_BUDGET:
+            return None
+        memo[s] = memo[rest] + (within << width)
+        stack.pop()
+    total = memo[(1 << c) - 1]
+    mask = (1 << width) - 1
+    return [(total >> (width * k)) & mask for k in range(n)]
 
 
 def nesting_search(report: FixedPointReport, bidegree: int):
@@ -205,13 +251,16 @@ def nesting_search(report: FixedPointReport, bidegree: int):
     sizes |p|, |q|: "p in D(q)" holds exactly when "q in D(p)" does.  A chain
     is therefore any ordering of an n-clique of the graph joining two
     candidates (fixed classes of self multiplicity 1) when each lies in the
-    image of the other.  The search walks the cliques of each fiber as
-    increasing index sets and stops at the first n-clique; the lexicographically
-    first ordering of any n-clique is that clique, listed in increasing order.
+    image of the other.  The search first counts the cliques of each fiber
+    by size (_clique_counts); a fiber without an n-clique fails there.  Only
+    on a fiber with an n-clique, or one the count could not finish, does it
+    walk the cliques as increasing index sets and stop at the first n-clique;
+    the lexicographically first ordering of any n-clique is that clique,
+    listed in increasing order.
 
     Returns a NestingCertificate; a NestingFailure when the hypotheses on the
     fixed-point count already fail or no fiber has an n-clique; or a
-    NestingUndecided once NESTING_CLIQUE_BUDGET cliques have been visited.
+    NestingUndecided once the walk has visited NESTING_CLIQUE_BUDGET cliques.
     On failure orderings_tried is sum over cliques S with |S| < n of
     |S|! * (c - |S|), over the searched fibers with c candidates each.  An
     empty chain (no fixed points at all) certifies trivially.
@@ -257,11 +306,16 @@ def nesting_search(report: FixedPointReport, bidegree: int):
                 if act.action[q][p] >= 1:
                     bits |= 1 << j
             adjacent.append(bits)
-        # what a search over orderings tries at each ordering of a k-clique
-        weight = [factorial(k) * (c - k) for k in range(n)]
+        counts = _clique_counts(adjacent, n)
+        if counts is not None:
+            # what a search over orderings tries at each ordering of a k-clique
+            tried += sum(count * factorial(k) * (c - k) for k, count in enumerate(counts))
+            continue
 
         # depth-first over cliques in increasing order: chain is the current
-        # clique, open_[k] the candidates not yet tried that extend chain[:k]
+        # clique, open_[k] the candidates not yet tried that extend chain[:k].
+        # The fiber has an n-clique, or more cliques than the budget, so the
+        # walk ends at an n-clique or at the budget, never by exhaustion.
         chain: list[int] = []
         open_: list[int] = []
         allowed = (1 << c) - 1
@@ -276,14 +330,13 @@ def nesting_search(report: FixedPointReport, bidegree: int):
                     cliques_visited=visited,
                 )
             visited += 1
-            tried += weight[len(chain)]
             open_.append(allowed)
             while open_ and not open_[-1]:
                 open_.pop()
                 if chain:
                     chain.pop()
             if not open_:
-                break
+                raise AssertionError(f"fiber {fi} has no {n}-clique, yet its count did not finish")
             allowed = open_[-1]
             low = allowed & -allowed
             open_[-1] = allowed ^ low

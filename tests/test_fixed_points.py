@@ -1,8 +1,9 @@
 import dataclasses
+import itertools
 from math import comb, factorial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from prymtyurin import fixed_points
@@ -386,7 +387,9 @@ def test_orderings_tried_closed_forms():
     # the orbit fiber of a (2,...,2) profile: 2m fixed classes, each adjacent
     # to all but its partner, so a k-clique picks k of the m pairs and one
     # class of each; the fiber has 3^m cliques and none longer than m
-    for n, pairs in ((6, 6), (7, 6), (8, 10), (9, 10)):
+    for n, pairs in (
+        (6, 6), (7, 6), (8, 10), (9, 10), (10, 15), (12, 21), (14, 28), (16, 36), (20, 55)
+    ):
         failure = nesting_search(_default_monodromy_report(n), comb(n, 2))
         assert isinstance(failure, NestingFailure)
         assert failure.fibers_searched == 2
@@ -399,18 +402,103 @@ def test_orderings_tried_closed_forms():
 
 
 def test_nesting_budget_leaves_search_undecided(monkeypatch):
+    # counting an orbit fiber of m = 6 pairs misses the memo 2m = 12 times:
+    # at the full suffix of j pairs and at that suffix with one class dropped
     report = _default_monodromy_report(6)  # 3^6 = 729 cliques per fiber
-    monkeypatch.setattr(fixed_points, "NESTING_CLIQUE_BUDGET", 2 * 729)
+    monkeypatch.setattr(fixed_points, "NESTING_CLIQUE_BUDGET", 12)
     failure = nesting_search(report, 15)
     assert isinstance(failure, NestingFailure)
     assert failure.orderings_tried == 987_648
 
-    monkeypatch.setattr(fixed_points, "NESTING_CLIQUE_BUDGET", 2 * 729 - 1)
+    # one miss fewer stops the count on the first fiber, and the walk that
+    # takes over runs out of budget long before its 729 cliques
+    monkeypatch.setattr(fixed_points, "NESTING_CLIQUE_BUDGET", 11)
     undecided = nesting_search(report, 15)
     assert isinstance(undecided, NestingUndecided)
-    assert undecided.fibers_searched == 2
-    assert undecided.cliques_visited == 2 * 729 - 1
+    assert undecided.fibers_searched == 1
+    assert undecided.cliques_visited == 11
     assert "budget" in undecided.reason
+
+
+def test_nesting_search_has_no_recursion_limit():
+    # 1,100 fixed classes of self multiplicity 1 and no edges: splitting off
+    # the lowest candidate 1,100 times in a row nests that deep
+    size = 1_100
+    fiber = SpecialFiber(classes=tuple(FiberClass(members=((k + 1,),)) for k in range(size)))
+    action = tuple(tuple(int(i == j) for j in range(size)) for i in range(size))
+    failure = nesting_search(fixed_point_scan([ClassAction(fiber=fiber, action=action)]), size)
+    assert isinstance(failure, NestingFailure)
+    assert failure.fibers_searched == 1
+    # the empty clique and the 1,100 single classes
+    assert failure.orderings_tried == size + size * (size - 1)
+
+
+@st.composite
+def large_symmetric_class_actions(draw):
+    """A symmetric class action on 9 to 16 classes with an even fixed-point
+    count, often denser than symmetric_class_actions so that some fibers
+    hold long chains."""
+    size = draw(st.integers(9, 16))
+    keep = draw(st.sampled_from((3, 6, 8, 9, 10)))  # edge when a draw from 0..9 is below
+    rows = [[0] * size for _ in range(size)]
+    for i in range(size):
+        rows[i][i] = draw(st.sampled_from((0, 0, 1, 1, 1, 2)))
+    if sum(rows[i][i] for i in range(size)) % 2:
+        rows[0][0] ^= 1
+    for i in range(size):
+        for j in range(i + 1, size):
+            if draw(st.integers(0, 9)) < keep:
+                rows[i][j] = draw(st.integers(1, 3))
+                rows[j][i] = draw(st.integers(1, 3))
+    fiber = SpecialFiber(classes=tuple(FiberClass(members=((k + 1,),)) for k in range(size)))
+    return ClassAction(fiber=fiber, action=tuple(tuple(r) for r in rows))
+
+
+def combination_nesting_search(report, n):
+    """The search result by itertools.combinations: the first fiber with an
+    n-clique gives its lexicographically first one, and a failure sums
+    k! * (c - k) over every k-clique with k < n of every searched fiber."""
+    tried = 0
+    searched = 0
+    for fi, act in enumerate(report.actions):
+        candidates = [q for q in act.fixed_class_indices if act.self_multiplicity(q) == 1]
+        c = len(candidates)
+        if c < n:
+            continue
+        searched += 1
+
+        def is_clique(qs):
+            return all(act.action[q][p] >= 1 for q, p in itertools.combinations(qs, 2))
+
+        chain = next((qs for qs in itertools.combinations(candidates, n) if is_clique(qs)), None)
+        if chain is not None:
+            return NestingCertificate(
+                fiber_index=fi,
+                chain=chain,
+                chain_members=tuple(act.fiber.classes[q].members for q in chain),
+                memberships=tuple(
+                    tuple(act.action[qi][qj] for qj in chain[: i + 1])
+                    for i, qi in enumerate(chain)
+                ),
+            )
+        for k in range(n):
+            cliques = sum(map(is_clique, itertools.combinations(candidates, k)))
+            tried += cliques * factorial(k) * (c - k)
+    return NestingFailure(
+        reason=f"no ordering of {n} fixed points nests on any special fiber",
+        fibers_searched=searched,
+        orderings_tried=tried,
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(actions=st.lists(large_symmetric_class_actions(), min_size=1, max_size=2))
+def test_clique_count_matches_combinations_on_large_actions(actions):
+    # at most 2^16 cliques per fiber: within the budget, so always decided
+    report = fixed_point_scan(actions)
+    n = report.half
+    assume(n)
+    assert nesting_search(report, n) == combination_nesting_search(report, n)
 
 
 def test_nesting_search_rejects_asymmetric_action():

@@ -3,6 +3,7 @@ import time
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings
@@ -474,8 +475,32 @@ def test_subset_n8_both_models_decided():
     assert orbit.nesting.orderings_tried == 128_655_846_080
 
 
+@pytest.mark.parametrize("n, pairs", [(10, 15), (12, 21), (16, 36), (20, 55)])
+def test_subset_large_n_both_models_decided(n, pairs):
+    start = time.monotonic()
+    rep = assemble(subset_scenario(n, 3))
+    elapsed = time.monotonic() - start
+    merged = rep.model_report(MERGED)
+    assert merged.verdict == "verified"
+    cert = merged.nesting
+    assert isinstance(cert, NestingCertificate) and cert.length > 0
+    assert check_certificate(cert, merged.fibers[cert.fiber_index], "subset", n)
+    orbit = rep.model_report(ORBIT)
+    assert orbit.verdict == "failed"
+    assert isinstance(orbit.nesting, NestingFailure)
+    # two orbit fibers of `pairs` pairs of fixed classes, as in
+    # test_fixed_points.test_orderings_tried_closed_forms
+    per_fiber = sum(
+        comb(pairs, k) * 2**k * factorial(k) * (2 * pairs - k) for k in range(pairs + 1)
+    )
+    assert orbit.nesting.orderings_tried == 2 * per_fiber
+    assert elapsed < 2.0
+
+
 def test_exhausted_nesting_budget_is_undecided(monkeypatch):
-    monkeypatch.setattr(fixed_points, "NESTING_CLIQUE_BUDGET", 100)
+    # below the 12 memo misses of counting an n = 6 orbit fiber, so the walk
+    # takes over and runs out of budget
+    monkeypatch.setattr(fixed_points, "NESTING_CLIQUE_BUDGET", 11)
     rep = assemble(subset_scenario(6, 3))
     merged = rep.model_report(MERGED)
     assert merged.verdict == "verified"
@@ -484,7 +509,7 @@ def test_exhausted_nesting_budget_is_undecided(monkeypatch):
     assert not orbit.verified and orbit.undecided
     data = report_to_dict(rep)
     assert data["verdict"] == {"paper": "verified", "monodromy": "undecided"}
-    assert data["models"]["monodromy"]["nesting"]["cliques_visited"] == 100
+    assert data["models"]["monodromy"]["nesting"]["cliques_visited"] == 11
     assert "orderings_tried" not in data["models"]["monodromy"]["nesting"]
     orbit_table = render_table(rep).split("== model: monodromy ==")[1]
     assert "nesting               undecided: " in orbit_table
@@ -494,7 +519,7 @@ def test_exhausted_nesting_budget_is_undecided(monkeypatch):
 
 
 def test_undecided_nesting_does_not_hide_a_failed_hypothesis(monkeypatch):
-    monkeypatch.setattr(fixed_points, "NESTING_CLIQUE_BUDGET", 100)
+    monkeypatch.setattr(fixed_points, "NESTING_CLIQUE_BUDGET", 11)
     # a single transposition does not act transitively on 6-subsets
     rep = assemble(subset_scenario(6, 3, model="monodromy", monodromy=[[2, 1, 3, 4, 5, 6, 7, 8]]))
     orbit = rep.model_report(ORBIT)
