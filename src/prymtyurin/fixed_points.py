@@ -22,14 +22,13 @@ the graph of fixed classes of self multiplicity 1 joined when each lies in
 the image of the other.  The search counts the cliques of each fiber by
 size with a memoized split on the lowest candidate.  A fiber without an
 n-clique fails from its counts alone, which also give, in closed form, how
-many orderings a backtracking search would have tried there.  On a fiber
-with an n-clique the search walks cliques in increasing order and returns
-the lexicographically first chain, which makes certificates deterministic.
-The count makes at most NESTING_CLIQUE_BUDGET memo misses per fiber and the
-walk visits at most NESTING_CLIQUE_BUDGET cliques in all; beyond either the
-search is reported undecided.  Certificates carry enough raw data to be
-re-verified by check_certificate, which recomputes every multiplicity from
-scratch.
+many orderings a backtracking search would have tried there.  On the first
+fiber with an n-clique the lexicographically first chain is read off the
+same memo, by descending the split tree, which makes certificates
+deterministic.  The count makes at most NESTING_CLIQUE_BUDGET memo misses
+per fiber, the one budget of the search; beyond it the search is reported
+undecided.  Certificates carry enough raw data to be re-verified by
+check_certificate, which recomputes every multiplicity from scratch.
 """
 
 from __future__ import annotations
@@ -37,6 +36,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 from math import factorial
 
 from .correspondence import FiberCorrespondence, Matrix
@@ -188,36 +188,36 @@ class NestingFailure:
 
 @dataclass(frozen=True)
 class NestingUndecided:
-    """The search ran out of its budget before deciding either way."""
+    """The clique count ran out of its budget before deciding either way."""
 
     reason: str
     fibers_searched: int
-    cliques_visited: int
+    memo_misses: int
 
 
-# cliques visited by the walk, summed over the fibers of one nesting search,
-# and memo misses of the clique count on each fiber.  On the orbit fiber of a
-# (2, ..., 2) profile with m pairs of fixed classes the count makes 2m misses
-# where a walk would visit 3^m cliques (m = 15 at n = 10, 55 at n = 20).
+# memo misses of the clique count on one fiber: the one bound on the work of
+# a nesting search.  On the orbit fiber of a (2, ..., 2) profile with m pairs
+# of fixed classes the count makes 2m misses where the fiber has 3^m cliques
+# (m = 15 at n = 10, 55 at n = 20).
 NESTING_CLIQUE_BUDGET = 1_000_000
 
 
-def _clique_counts(adjacent: list[int], n: int) -> list[int] | None:
-    """The number of k-cliques for k = 0..n-1 of the graph on len(adjacent)
-    vertices whose neighbours are the bitsets adjacent[v]; None when it has an
-    n-clique or counting needs more than NESTING_CLIQUE_BUDGET memo misses.
+def _clique_counts(adjacent: list[int], n: int) -> dict[int, int]:
+    """The memo of clique counts by size, keyed by vertex bitset, of the graph
+    on len(adjacent) vertices whose neighbours are the bitsets adjacent[v];
+    it lacks the full set when counting needs more than NESTING_CLIQUE_BUDGET
+    memo misses.
 
     Splitting a vertex set S on its lowest vertex v gives
     count(S) = count(S - v) + x * count(S & adjacent[v]) as polynomials whose
-    x^k coefficient counts k-cliques, memoized by S.  No set has more than
+    x^k coefficient, kept for k <= n, counts k-cliques.  No set has more than
     2^c cliques, so the coefficients pack into one int at c + 1 bits each.
-    The split tree has a leaf per clique, so reaching the cap means the graph
-    has more than NESTING_CLIQUE_BUDGET + 1 cliques.  An explicit stack keeps
-    any number of vertices clear of the recursion limit.
+    An explicit stack keeps any number of vertices clear of the recursion
+    limit.
     """
     c = len(adjacent)
     width = c + 1
-    top = width * (n - 1)
+    keep = (1 << (width * (n + 1))) - 1
     memo = {0: 1}
     stack = [(1 << c) - 1]
     while stack:
@@ -231,16 +231,11 @@ def _clique_counts(adjacent: list[int], n: int) -> list[int] | None:
         if rest not in memo or inner not in memo:
             stack += (rest, inner)  # a memoized one is popped at once
             continue
-        within = memo[inner]
-        if within >> top:
-            return None  # v and an (n-1)-clique of its neighbours
         if len(memo) > NESTING_CLIQUE_BUDGET:
-            return None
-        memo[s] = memo[rest] + (within << width)
+            break
+        memo[s] = (memo[rest] + (memo[inner] << width)) & keep
         stack.pop()
-    total = memo[(1 << c) - 1]
-    mask = (1 << width) - 1
-    return [(total >> (width * k)) & mask for k in range(n)]
+    return memo
 
 
 def nesting_search(report: FixedPointReport, bidegree: int):
@@ -251,19 +246,21 @@ def nesting_search(report: FixedPointReport, bidegree: int):
     sizes |p|, |q|: "p in D(q)" holds exactly when "q in D(p)" does.  A chain
     is therefore any ordering of an n-clique of the graph joining two
     candidates (fixed classes of self multiplicity 1) when each lies in the
-    image of the other.  The search first counts the cliques of each fiber
-    by size (_clique_counts); a fiber without an n-clique fails there.  Only
-    on a fiber with an n-clique, or one the count could not finish, does it
-    walk the cliques as increasing index sets and stop at the first n-clique;
-    the lexicographically first ordering of any n-clique is that clique,
-    listed in increasing order.
+    image of the other, and the lexicographically first ordering of an
+    n-clique is that clique in increasing order.  The search counts the
+    cliques of each fiber by size (_clique_counts); a fiber without an
+    n-clique fails there.  On the first fiber with one, the chain is read off
+    the memo down the split tree from the full candidate set S: the lowest v
+    in S joins the chain and S becomes S & adjacent[v] when that set still
+    holds a clique of the missing size; otherwise v leaves S.
 
     Returns a NestingCertificate; a NestingFailure when the hypotheses on the
     fixed-point count already fail or no fiber has an n-clique; or a
-    NestingUndecided once the walk has visited NESTING_CLIQUE_BUDGET cliques.
-    On failure orderings_tried is sum over cliques S with |S| < n of
-    |S|! * (c - |S|), over the searched fibers with c candidates each.  An
-    empty chain (no fixed points at all) certifies trivially.
+    NestingUndecided once counting a fiber needs more than
+    NESTING_CLIQUE_BUDGET memo misses.  On failure orderings_tried is sum
+    over cliques S with |S| < n of |S|! * (c - |S|), over the searched fibers
+    with c candidates each.  An empty chain (no fixed points at all)
+    certifies trivially.
     """
     if not report.is_even:
         return NestingFailure(
@@ -283,7 +280,6 @@ def nesting_search(report: FixedPointReport, bidegree: int):
 
     tried = 0
     searched = 0
-    visited = 0
     for fi, act in enumerate(report.actions):
         # chain members must share a fiber: every D(p_i) lies in the fiber of p_i
         candidates = [q for q in act.fixed_class_indices if act.self_multiplicity(q) == 1]
@@ -291,69 +287,61 @@ def nesting_search(report: FixedPointReport, bidegree: int):
         if c < n:
             continue
         searched += 1
-        adjacent = []
+        # row bitsets of the candidate graph, each read once from the set
+        # entries of its action row and mirrored into the transpose
+        index = {q: i for i, q in enumerate(candidates)}
+        adjacent, mirror = [0] * c, [0] * c
         for i, q in enumerate(candidates):
-            bits = 0
-            for j, p in enumerate(candidates):
-                if j == i:
-                    continue
-                if (act.action[q][p] >= 1) != (act.action[p][q] >= 1):
-                    raise ValueError(
-                        f"class action of fiber {fi} is not symmetric:"
-                        f" action[{q}][{p}] = {act.action[q][p]},"
-                        f" action[{p}][{q}] = {act.action[p][q]}"
-                    )
-                if act.action[q][p] >= 1:
-                    bits |= 1 << j
-            adjacent.append(bits)
-        counts = _clique_counts(adjacent, n)
-        if counts is not None:
+            for p in compress(range(len(act.action)), act.action[q]):
+                j = index.get(p, i)
+                if j != i:
+                    adjacent[i] |= 1 << j
+                    mirror[j] |= 1 << i
+        for i, one_sided in enumerate(a ^ b for a, b in zip(adjacent, mirror)):
+            if one_sided:
+                q, p = candidates[i], candidates[(one_sided & -one_sided).bit_length() - 1]
+                raise ValueError(
+                    f"class action of fiber {fi} is not symmetric:"
+                    f" action[{q}][{p}] = {act.action[q][p]},"
+                    f" action[{p}][{q}] = {act.action[p][q]}"
+                )
+        memo = _clique_counts(adjacent, n)
+        s = (1 << c) - 1
+        if s not in memo:
+            return NestingUndecided(
+                reason=(
+                    f"the search for a chain of {n} fixed points ran out of its"
+                    f" budget of {NESTING_CLIQUE_BUDGET} memo misses"
+                ),
+                fibers_searched=searched,
+                memo_misses=len(memo) - 1,
+            )
+        width = c + 1
+        block = (1 << width) - 1
+        counts = [(memo[s] >> (width * k)) & block for k in range(n + 1)]
+        if not counts[n]:
             # what a search over orderings tries at each ordering of a k-clique
-            tried += sum(count * factorial(k) * (c - k) for k, count in enumerate(counts))
+            tried += sum(count * factorial(k) * (c - k) for k, count in enumerate(counts[:n]))
             continue
 
-        # depth-first over cliques in increasing order: chain is the current
-        # clique, open_[k] the candidates not yet tried that extend chain[:k].
-        # The fiber has an n-clique, or more cliques than the budget, so the
-        # walk ends at an n-clique or at the budget, never by exhaustion.
         chain: list[int] = []
-        open_: list[int] = []
-        allowed = (1 << c) - 1
-        while True:
-            if visited == NESTING_CLIQUE_BUDGET:
-                return NestingUndecided(
-                    reason=(
-                        f"the search for a chain of {n} fixed points ran out of its"
-                        f" budget of {NESTING_CLIQUE_BUDGET} cliques"
-                    ),
-                    fibers_searched=searched,
-                    cliques_visited=visited,
-                )
-            visited += 1
-            open_.append(allowed)
-            while open_ and not open_[-1]:
-                open_.pop()
-                if chain:
-                    chain.pop()
-            if not open_:
-                raise AssertionError(f"fiber {fi} has no {n}-clique, yet its count did not finish")
-            allowed = open_[-1]
-            low = allowed & -allowed
-            open_[-1] = allowed ^ low
+        while len(chain) < n:
+            low = s & -s
+            s ^= low
             v = low.bit_length() - 1
-            chain.append(v)
-            if len(chain) == n:
-                found = tuple(candidates[i] for i in chain)
-                return NestingCertificate(
-                    fiber_index=fi,
-                    chain=found,
-                    chain_members=tuple(act.fiber.classes[q].members for q in found),
-                    memberships=tuple(
-                        tuple(act.action[qi][qj] for qj in found[: i + 1])
-                        for i, qi in enumerate(found)
-                    ),
-                )
-            allowed &= adjacent[v]
+            inner = s & adjacent[v]
+            if (memo[inner] >> (width * (n - 1 - len(chain)))) & block:
+                chain.append(v)
+                s = inner
+        found = tuple(candidates[i] for i in chain)
+        return NestingCertificate(
+            fiber_index=fi,
+            chain=found,
+            chain_members=tuple(act.fiber.classes[q].members for q in found),
+            memberships=tuple(
+                tuple(act.action[qi][qj] for qj in found[: i + 1]) for i, qi in enumerate(found)
+            ),
+        )
     return NestingFailure(
         reason=f"no ordering of {n} fixed points nests on any special fiber",
         fibers_searched=searched,

@@ -81,9 +81,6 @@ class SpecialFiber:
     def w_contribution(self) -> int:
         return sum(c.size - 1 for c in self.classes)
 
-    def class_sizes(self) -> tuple[int, ...]:
-        return tuple(sorted((c.size for c in self.classes), reverse=True))
-
 
 def blocks_from_parts(parts: tuple[int, ...], degree: int) -> tuple[tuple[int, ...], ...]:
     """Canonical identification blocks for a ramification profile.

@@ -68,34 +68,9 @@ class Permutation:
     def __call__(self, x: int) -> int:
         return self.images[x - 1]
 
-    def __mul__(self, other: "Permutation") -> "Permutation":
-        return compose(self, other)
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * self.degree
-        for x, y in enumerate(self.images, start=1):
-            inv[y - 1] = x
-        return Permutation(tuple(inv))
-
-    def is_identity(self) -> bool:
-        return all(y == x for x, y in enumerate(self.images, start=1))
-
     def apply_to_set(self, subset: tuple[int, ...]) -> tuple[int, ...]:
         """Image of a set of labels, returned sorted."""
         return tuple(sorted(self.images[x - 1] for x in subset))
-
-
-def compose(a: Permutation, b: Permutation) -> Permutation:
-    """The composition a after b: ``compose(a, b)(x) == a(b(x))``.
-
-    >>> a = Permutation((2, 3, 1))
-    >>> b = Permutation((2, 1, 3))
-    >>> compose(a, b).images
-    (3, 2, 1)
-    """
-    if a.degree != b.degree:
-        raise ValueError(f"degree mismatch: {a.degree} vs {b.degree}")
-    return Permutation(tuple(a.images[y - 1] for y in b.images))
 
 
 def cycle_type(p: Permutation) -> tuple[int, ...]:

@@ -477,7 +477,7 @@ def nesting_to_dict(nesting) -> dict:
             "certified": False,
             "reason": nesting.reason,
             "fibers_searched": nesting.fibers_searched,
-            "cliques_visited": nesting.cliques_visited,
+            "memo_misses": nesting.memo_misses,
         }
     return {
         "certified": False,

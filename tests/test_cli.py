@@ -110,7 +110,8 @@ def test_run_too_many_fixed_points(tmp_path, capsys):
 
 
 def test_run_undecided_nesting_exits_two(tmp_path, capsys, monkeypatch):
-    # below the 12 memo misses of counting an n = 6 orbit fiber
+    # below the 12 memo misses of counting an n = 6 orbit fiber, so the count
+    # stops unfinished on the first one
     monkeypatch.setattr(fixed_points, "NESTING_CLIQUE_BUDGET", 11)
     path = write_scenario(tmp_path, "s.json", {"kind": "subset", "n": 6, "upstairs_genus": 3})
     assert main(["run", path, "--model", "monodromy", "--format", "json"]) == EXIT_HYPOTHESIS

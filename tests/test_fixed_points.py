@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import re
 from math import comb, factorial
 
 import pytest
@@ -410,14 +411,27 @@ def test_nesting_budget_leaves_search_undecided(monkeypatch):
     assert isinstance(failure, NestingFailure)
     assert failure.orderings_tried == 987_648
 
-    # one miss fewer stops the count on the first fiber, and the walk that
-    # takes over runs out of budget long before its 729 cliques
+    # one miss fewer leaves the count of the first fiber unfinished, and the
+    # budget is the search's only one: it ends undecided there
     monkeypatch.setattr(fixed_points, "NESTING_CLIQUE_BUDGET", 11)
     undecided = nesting_search(report, 15)
     assert isinstance(undecided, NestingUndecided)
     assert undecided.fibers_searched == 1
-    assert undecided.cliques_visited == 11
+    assert undecided.memo_misses == 11
     assert "budget" in undecided.reason
+
+
+def test_nesting_budget_bounds_memo_misses_not_cliques(monkeypatch):
+    # 60 classes all in each other's images: 2^60 cliques, yet the split
+    # tree of a complete graph is one path of 60 suffixes
+    size = 60
+    fiber = SpecialFiber(classes=tuple(FiberClass(members=((k + 1,),)) for k in range(size)))
+    act = ClassAction(fiber=fiber, action=tuple((1,) * size for _ in range(size)))
+    monkeypatch.setattr(fixed_points, "NESTING_CLIQUE_BUDGET", 100)
+    cert = nesting_search(fixed_point_scan([act]), size - 1)
+    assert isinstance(cert, NestingCertificate)
+    assert cert.chain == tuple(range(30))
+    assert all(m == 1 for row in cert.memberships for m in row)
 
 
 def test_nesting_search_has_no_recursion_limit():
@@ -506,3 +520,8 @@ def test_nesting_search_rejects_asymmetric_action():
     act = ClassAction(fiber=fiber, action=((1, 1), (0, 1)))
     with pytest.raises(ValueError, match="not symmetric"):
         nesting_search(fixed_point_scan([act, act]), bidegree=2)
+    # the one-sided entry below the diagonal: both entries are named
+    fiber = SpecialFiber(classes=tuple(FiberClass(members=((k,),)) for k in (1, 2, 3)))
+    act = ClassAction(fiber=fiber, action=((1, 1, 0), (1, 1, 1), (1, 1, 1)))
+    with pytest.raises(ValueError, match=re.escape("action[0][2] = 0, action[2][0] = 1")):
+        nesting_search(fixed_point_scan([act, act]), bidegree=3)

@@ -24,6 +24,11 @@ THREE_BLOCKS = ((1, 2), (3, 4), (5,))
 PAIR_BLOCKS_6 = ((1, 2), (3, 4), (5, 6))
 
 
+def class_sizes(fiber):
+    """The ramification indices of a fiber's classes, largest first."""
+    return tuple(sorted((c.size for c in fiber.classes), reverse=True))
+
+
 def test_blocks_from_parts():
     assert blocks_from_parts((2, 2, 1), 5) == ((1, 2), (3, 4), (5,))
     assert blocks_from_parts((1, 2, 2), 5) == ((1, 2), (3, 4), (5,))
@@ -33,7 +38,7 @@ def test_blocks_from_parts():
 
 def test_merged_fiber_n3():
     fiber = merged_fiber(3, THREE_BLOCKS)
-    assert fiber.class_sizes() == (4, 2, 2, 1, 1)
+    assert class_sizes(fiber) == (4, 2, 2, 1, 1)
     assert fiber.w_contribution == 5
     big = max(fiber.classes, key=lambda c: c.size)
     assert big.members == ((1, 3, 5), (1, 4, 5), (2, 3, 5), (2, 4, 5))
@@ -41,16 +46,16 @@ def test_merged_fiber_n3():
 
 
 def test_merged_fiber_n2_and_n4():
-    assert merged_fiber(2, TWO_BLOCKS).class_sizes() == (4, 1, 1)
+    assert class_sizes(merged_fiber(2, TWO_BLOCKS)) == (4, 1, 1)
     assert merged_fiber(2, TWO_BLOCKS).w_contribution == 3
     fiber4 = merged_fiber(4, PAIR_BLOCKS_6)
-    assert fiber4.class_sizes() == (4, 4, 4, 1, 1, 1)
+    assert class_sizes(fiber4) == (4, 4, 4, 1, 1, 1)
     assert fiber4.w_contribution == 9
 
 
 def test_merged_fiber_discrete_partition_is_unramified():
     fiber = merged_fiber(3, ((1,), (2,), (3,), (4,), (5,)))
-    assert fiber.class_sizes() == (1,) * 10
+    assert class_sizes(fiber) == (1,) * 10
     assert fiber.w_contribution == 0
 
 
@@ -62,7 +67,7 @@ def test_partition_monodromy():
 
 def test_orbit_fiber_n3():
     fiber = orbit_fiber(3, THREE_BLOCKS)
-    assert fiber.class_sizes() == (2, 2, 2, 2, 1, 1)
+    assert class_sizes(fiber) == (2, 2, 2, 2, 1, 1)
     assert fiber.w_contribution == 4
     member_sets = {c.members for c in fiber.classes}
     assert ((1, 3, 5), (2, 4, 5)) in member_sets
@@ -70,10 +75,10 @@ def test_orbit_fiber_n3():
 
 
 def test_orbit_fiber_n2_and_n4():
-    assert orbit_fiber(2, TWO_BLOCKS).class_sizes() == (2, 2, 1, 1)
+    assert class_sizes(orbit_fiber(2, TWO_BLOCKS)) == (2, 2, 1, 1)
     assert orbit_fiber(2, TWO_BLOCKS).w_contribution == 2
     fiber4 = orbit_fiber(4, PAIR_BLOCKS_6)
-    assert fiber4.class_sizes() == (2,) * 6 + (1,) * 3
+    assert class_sizes(fiber4) == (2,) * 6 + (1,) * 3
     assert fiber4.w_contribution == 6
 
 
@@ -82,7 +87,7 @@ def test_single_transposition_models_agree():
         blocks = ((1, 2),) + tuple((x,) for x in range(3, n + 3))
         merged = merged_fiber(n, blocks)
         orbit = orbit_fiber(n, blocks)
-        assert merged.class_sizes() == orbit.class_sizes()
+        assert class_sizes(merged) == class_sizes(orbit)
         assert merged.w_contribution == n
 
 
@@ -143,7 +148,7 @@ def test_induced_w_matches_genus_arithmetic():
 
 def test_grid_row_merge_fiber():
     fiber = grid_row_merge_fiber(3, ((1, 2), (3,)))
-    assert fiber.class_sizes() == (2, 2, 2, 1, 1, 1)
+    assert class_sizes(fiber) == (2, 2, 2, 1, 1, 1)
     assert fiber.w_contribution == 3
     assert fiber.classes[0].members == ((1, 1), (2, 1))
     assert fiber.classes[3].members == ((3, 1),)
@@ -152,7 +157,7 @@ def test_grid_row_merge_fiber():
 def test_grid_pairing_fiber_all_shifts():
     for shift in (0, 1, 2):
         fiber = grid_pairing_fiber(3, shift)
-        assert fiber.class_sizes() == (2, 2, 2, 1, 1, 1)
+        assert class_sizes(fiber) == (2, 2, 2, 1, 1, 1)
         assert fiber.w_contribution == 3
     # shift 0 glues (i, j) with (j, i)
     fiber0 = grid_pairing_fiber(3, 0)
@@ -171,7 +176,7 @@ def test_grid_monodromies_match_fiber_classes():
 
     for shift in (0, 1, 2):
         perm = grid_pairing_monodromy(3, shift)
-        assert (perm * perm).is_identity()
+        assert all(perm(perm(x)) == x for x in range(1, perm.degree + 1))
         fiber = grid_pairing_fiber(3, shift)
         assert orbit_classes(perm) == sorted(c.members for c in fiber.classes)
 
