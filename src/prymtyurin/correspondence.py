@@ -51,10 +51,6 @@ from .perms import all_subsets
 Matrix = tuple[tuple[int, ...], ...]
 
 
-class ExponentExtractionError(ValueError):
-    """The quadratic identity does not factor in the required shape."""
-
-
 @dataclass(frozen=True)
 class FiberCorrespondence:
     """A symmetric correspondence on a generic fiber.
@@ -118,12 +114,6 @@ class QuadraticIdentity:
 
     def coefficients(self) -> tuple[Fraction, Fraction, Fraction]:
         return (self.a, self.b, self.c)
-
-
-@dataclass(frozen=True)
-class ExponentResult:
-    q: int
-    derivation: str
 
 
 def build_subset_matrix(n: int) -> FiberCorrespondence:
@@ -238,8 +228,9 @@ def discover_identity(corr: FiberCorrespondence) -> QuadraticIdentity | None:
     return QuadraticIdentity(a=diagonal - c, b=b, c=c)
 
 
-def exponent_from_identity(ident: QuadraticIdentity) -> ExponentResult:
-    """Extract the exponent q from a verified identity.
+def exponent_from_identity(ident: QuadraticIdentity) -> tuple[int | None, str]:
+    """The exponent q of an identity and a note saying how q was derived,
+    or q = None and a note naming the failed hypothesis.
 
     Discarding the all-ones term (the base of the pencil is a rational curve,
     whose Jacobian is trivial) leaves gamma^2 = a + b*gamma.  The factored
@@ -249,21 +240,16 @@ def exponent_from_identity(ident: QuadraticIdentity) -> ExponentResult:
     """
     b = ident.b
     if b.denominator != 1:
-        raise ExponentExtractionError(f"criterion hypothesis fails: b = {b} is not an integer")
+        return None, f"criterion hypothesis fails: b = {b} is not an integer"
     q = 2 - int(b)
     if q < 2:
-        raise ExponentExtractionError(f"criterion hypothesis fails: q = 2 - b = {q} is below 2")
+        return None, f"criterion hypothesis fails: q = 2 - b = {q} is below 2"
     if ident.a != q - 1:
-        raise ExponentExtractionError(
-            f"criterion hypothesis fails: need a = q - 1 = {q - 1}, got a = {ident.a}"
-        )
-    return ExponentResult(
-        q=q,
-        derivation=(
-            f"gamma^2 = {ident.a} + ({ident.b})*gamma after dropping the all-ones term "
-            f"(trivial Jacobian of the rational base); factors as "
-            f"(1 - gamma)(gamma + {q - 1}) = 0, so the exponent is q = {q}"
-        ),
+        return None, f"criterion hypothesis fails: need a = q - 1 = {q - 1}, got a = {ident.a}"
+    return q, (
+        f"gamma^2 = {ident.a} + ({ident.b})*gamma after dropping the all-ones term "
+        f"(trivial Jacobian of the rational base); factors as "
+        f"(1 - gamma)(gamma + {q - 1}) = 0, so the exponent is q = {q}"
     )
 
 
@@ -299,9 +285,5 @@ def identity_and_exponent(corr) -> tuple[QuadraticIdentity | None, int | None, s
             f" regular closed form {want} of the {corr.kind} correspondence with"
             f" parameter {corr.parameter}"
         )
-    try:
-        res = exponent_from_identity(ident)
-    except ExponentExtractionError as exc:
-        return ident, None, str(exc)
-    return ident, res.q, res.derivation
+    return (ident, *exponent_from_identity(ident))
 

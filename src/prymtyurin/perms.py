@@ -42,10 +42,6 @@ class Permutation:
         return len(self.images)
 
     @classmethod
-    def identity(cls, degree: int) -> "Permutation":
-        return cls(tuple(range(1, degree + 1)))
-
-    @classmethod
     def from_cycles(cls, degree: int, cycles: tuple[tuple[int, ...], ...]) -> "Permutation":
         """Build a permutation from disjoint cycles (labels not mentioned are fixed).
 
@@ -71,18 +67,6 @@ class Permutation:
     def apply_to_set(self, subset: tuple[int, ...]) -> tuple[int, ...]:
         """Image of a set of labels, returned sorted."""
         return tuple(sorted(self.images[x - 1] for x in subset))
-
-
-def cycle_type(p: Permutation) -> tuple[int, ...]:
-    """Cycle lengths of p (the orbits of <p>) in weakly decreasing order;
-    parts sum to the degree.
-
-    >>> cycle_type(Permutation.from_cycles(4, ((1, 2), (3, 4))))
-    (2, 2)
-    >>> cycle_type(Permutation.identity(6))
-    (1, 1, 1, 1, 1, 1)
-    """
-    return tuple(sorted((len(o) for o in orbits((p,))), reverse=True))
 
 
 def transposition(degree: int, i: int, j: int) -> Permutation:
@@ -123,8 +107,8 @@ def induced_subset_action(p: Permutation, k: int) -> Permutation:
     This is a group homomorphism: the induced action of a composition is the
     composition of the induced actions, and the identity induces the identity.
 
-    >>> cycle_type(induced_subset_action(Permutation.from_cycles(4, ((1, 2),)), 2))
-    (2, 2, 1, 1)
+    >>> induced_subset_action(Permutation.from_cycles(4, ((1, 2),)), 2).images
+    (1, 3, 2, 5, 4, 6)
     """
     if not 0 <= k <= p.degree:
         raise ValueError(f"subset size {k} outside 0..{p.degree}")

@@ -58,7 +58,7 @@ from .induced_curve import (
     subset_fiber,
 )
 from .perms import Permutation, is_transitive, transposition
-from .scenario import BOTH, GRID, SUBSET, Scenario, scenario_to_dict
+from .scenario import BOTH, GRID, GRID_SIZE, SUBSET, Scenario, scenario_to_dict
 
 UNCHECKED = "unchecked"
 VERIFIED = "verified"
@@ -214,14 +214,14 @@ def assemble(scenario: Scenario) -> PrymReport:
     return dataclasses.replace(report, notes=_notes(report))
 
 
-def grid_fiber_layout(genus: int) -> tuple[SpecialFiber, ...]:
+def grid_fiber_layout(simple_points: int) -> tuple[SpecialFiber, ...]:
     """The grid scenario's special fibers over the base line, the same under
-    both models: two row-merge fibers, then 2*genus + 2 pairing fibers
-    cycling the diagonal shift.  The four distinct fibers are built once and
-    repeated."""
-    rows = grid_row_merge_fiber(3, GRID_ROW_BLOCKS)
-    pairings = tuple(grid_pairing_fiber(3, s) for s in (0, 1, 2))
-    return (rows, rows) + tuple(pairings[k % 3] for k in range(2 * genus + 2))
+    both models: two row-merge fibers, then one pairing fiber per simple
+    branch point of the double covering (its simple_budget) cycling the
+    diagonal shift.  The four distinct fibers are built once and repeated."""
+    rows = grid_row_merge_fiber(GRID_SIZE, GRID_ROW_BLOCKS)
+    pairings = tuple(grid_pairing_fiber(GRID_SIZE, s) for s in range(GRID_SIZE))
+    return (rows, rows) + tuple(pairings[k % GRID_SIZE] for k in range(simple_points))
 
 
 # A layout is (declared special fibers, a representative fiber over one of
@@ -245,17 +245,17 @@ def _subset_layout(scenario: Scenario, model: str):
 
 
 def _grid_layout(scenario: Scenario, model: str):
-    g = scenario.upstairs_genus
     # one pairing fiber per simple branch point of the double covering: the
     # layout declares every ramified fiber of the induced covering
-    return grid_fiber_layout(g), None, f"grid scenario, genus {g}"
+    layout = grid_fiber_layout(scenario.covering.simple_extra)
+    return layout, None, f"grid scenario, genus {scenario.upstairs_genus}"
 
 
 def _irreducibility(scenario: Scenario) -> tuple[bool, str]:
     if scenario.kind == GRID:
-        gens = tuple(grid_pairing_monodromy(3, s) for s in (0, 1, 2))
-        gens += (grid_row_monodromy(3, GRID_ROW_BLOCKS),)
-        return is_transitive(gens, 9), SYNTHESIZED
+        gens = tuple(grid_pairing_monodromy(GRID_SIZE, s) for s in range(GRID_SIZE))
+        gens += (grid_row_monodromy(GRID_SIZE, GRID_ROW_BLOCKS),)
+        return is_transitive(gens, GRID_SIZE ** 2), SYNTHESIZED
     n = scenario.parameter
     degree = n + 2
     if scenario.monodromy is not None:
@@ -405,12 +405,11 @@ def _notes(report: PrymReport) -> tuple[str, ...]:
             )
 
     if scen.kind == GRID:
-        g = scen.upstairs_genus
-        branch_points = 2 * g + 4
+        branch_points = 2 + scen.covering.simple_extra
         notes.append(
             f"informational: the {branch_points} branch locations on the base"
             f" line move in a ({branch_points} - 3)-dimensional family once the"
-            f" line's automorphisms are normalized away, i.e. dimension {2 * g + 1}"
+            f" line's automorphisms are normalized away, i.e. dimension {branch_points - 3}"
         )
 
     if scen.kind == SUBSET and scen.parameter == 4 and report.q is not None:

@@ -150,18 +150,13 @@ class Scenario:
 
     @cached_property
     def covering(self) -> CoveringData:
-        """The input covering of the base line, built once.
-
-        subset: degree n + 2 with the declared special fibers and as many
-        simple branch points as the source genus needs; grid: the
-        hyperelliptic double covering, one simple branch point per pairing
-        fiber.
+        """The input covering of the base line, built once: degree n + 2 with
+        the declared special fibers (subset) or the hyperelliptic double
+        covering (grid), and as many simple branch points as simple_budget
+        says the source genus needs, 2g + 2 for the double covering.
         """
-        if self.kind == GRID:
-            return CoveringData(degree=2, base_genus=0, simple_extra=2 * self.upstairs_genus + 2)
-        bare = CoveringData(
-            degree=self.parameter + 2, base_genus=0, special_fibers=self.special_fibers
-        )
+        degree = 2 if self.kind == GRID else self.parameter + 2
+        bare = CoveringData(degree=degree, base_genus=0, special_fibers=self.special_fibers)
         return dataclasses.replace(bare, simple_extra=simple_budget(bare, self.upstairs_genus))
 
 

@@ -93,7 +93,8 @@ def test_criterion_1_quadratic_identities():
             assert found.coefficients() == (n - 1, -(n - 2), (n - 1) * (n - 2) // 2)
             ok, witness = verify_identity(corr, *found.coefficients())
             assert ok, witness
-            assert exponent_from_identity(found).q == n
+            q, note = exponent_from_identity(found)
+            assert q == n, note
 
         corr = build_grid_matrix(3)
         found = discover_identity(corr)
@@ -101,7 +102,8 @@ def test_criterion_1_quadratic_identities():
         assert found.coefficients() == (2, -1, 2)
         ok, witness = verify_identity(corr, *found.coefficients())
         assert ok, witness
-        assert exponent_from_identity(found).q == 3
+        q, note = exponent_from_identity(found)
+        assert q == 3, note
         assert time.monotonic() - start < 1.0
 
 

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from prymtyurin import correspondence
 from prymtyurin.correspondence import (
-    ExponentExtractionError,
     FiberCorrespondence,
     QuadraticIdentity,
     build_grid_matrix,
@@ -225,22 +224,29 @@ def test_discover_identity_underdetermined_canonicalization():
 def test_exponent_extraction():
     for n in range(2, 13):
         ident = discover_identity(build_subset_matrix(n))
-        res = exponent_from_identity(ident)
-        assert res.q == n
-        assert "exponent is q = %d" % n in res.derivation
-    res3 = exponent_from_identity(discover_identity(build_grid_matrix(3)))
-    assert res3.q == 3
+        q, note = exponent_from_identity(ident)
+        assert q == n
+        assert "exponent is q = %d" % n in note
+    q3, _ = exponent_from_identity(discover_identity(build_grid_matrix(3)))
+    assert q3 == 3
 
 
 def test_exponent_extraction_failures():
     # grid m=4: (a, b) = (4, 0) gives q = 2 but a != 1
-    with pytest.raises(ExponentExtractionError):
-        exponent_from_identity(discover_identity(build_grid_matrix(4)))
+    assert exponent_from_identity(discover_identity(build_grid_matrix(4))) == (
+        None,
+        "criterion hypothesis fails: need a = q - 1 = 1, got a = 4",
+    )
     # grid m=5: b = 1 gives q = 1 < 2
-    with pytest.raises(ExponentExtractionError):
-        exponent_from_identity(discover_identity(build_grid_matrix(5)))
-    with pytest.raises(ExponentExtractionError):
-        exponent_from_identity(QuadraticIdentity(Fraction(1), Fraction(1, 2), Fraction(0)))
+    assert exponent_from_identity(discover_identity(build_grid_matrix(5))) == (
+        None,
+        "criterion hypothesis fails: q = 2 - b = 1 is below 2",
+    )
+    half = QuadraticIdentity(Fraction(1), Fraction(1, 2), Fraction(0))
+    assert exponent_from_identity(half) == (
+        None,
+        "criterion hypothesis fails: b = 1/2 is not an integer",
+    )
 
 
 def test_identity_template_full_range():
@@ -259,7 +265,7 @@ def test_identity_and_exponent():
     ident, q, note = identity_and_exponent(build_subset_matrix(4))
     assert ident == QuadraticIdentity(Fraction(3), Fraction(-2), Fraction(3))
     assert q == 4
-    assert note == exponent_from_identity(ident).derivation
+    assert (q, note) == exponent_from_identity(ident)
     # the 4x4 grid has an identity, but a != q - 1
     ident, q, note = identity_and_exponent(build_grid_matrix(4))
     assert ident is not None and q is None

@@ -32,7 +32,7 @@ from prymtyurin.induced_curve import (
     subset_fiber,
 )
 from prymtyurin.report import grid_fiber_layout
-from prymtyurin.scenario import default_subset_fibers
+from prymtyurin.scenario import default_subset_fibers, grid_scenario
 
 THREE_BLOCKS = ((1, 2), (3, 4), (5,))
 PAIR_BLOCKS_6 = ((1, 2), (3, 4), (5, 6))
@@ -343,7 +343,9 @@ def test_clique_search_matches_reference_on_subset_fibers(n):
 def test_clique_search_matches_reference_on_grid_layout():
     # the grid layout is the same under both models
     corr = build_grid_matrix(3)
-    actions = [class_action(corr, f) for f in grid_fiber_layout(3)]
+    layout = grid_fiber_layout(grid_scenario(3).covering.simple_extra)
+    assert len(layout) == 10
+    actions = [class_action(corr, f) for f in layout]
     for chosen in (actions, actions[:1], actions[2:]):
         report = fixed_point_scan(chosen)
         for bidegree in (corr.bidegree, 1):

@@ -15,7 +15,7 @@ from prymtyurin.induced_curve import (
     partition_monodromy,
     subset_fiber,
 )
-from prymtyurin.perms import Permutation, cycle_type, is_transitive, orbits, transposition
+from prymtyurin.perms import Permutation, is_transitive, orbits, transposition
 from prymtyurin.report import assemble
 from prymtyurin.scenario import subset_scenario
 
@@ -62,7 +62,7 @@ def test_merged_fiber_discrete_partition_is_unramified():
 def test_partition_monodromy():
     p = partition_monodromy(THREE_BLOCKS, 5)
     assert p.images == (2, 1, 4, 3, 5)
-    assert cycle_type(p) == (2, 2, 1)
+    assert tuple(sorted(map(len, orbits((p,))), reverse=True)) == (2, 2, 1)
 
 
 def test_orbit_fiber_n3():

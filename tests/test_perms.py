@@ -6,7 +6,6 @@ import pytest
 from prymtyurin.perms import (
     Permutation,
     all_subsets,
-    cycle_type,
     induced_subset_action,
     is_transitive,
     orbits,
@@ -24,6 +23,15 @@ def after(a, b):
     return tuple(a(b(x)) for x in range(1, b.degree + 1))
 
 
+def cycle_type(p):
+    """Cycle lengths of p, the orbits of <p>, largest first."""
+    return tuple(sorted(map(len, orbits((p,))), reverse=True))
+
+
+def identity(degree):
+    return Permutation(tuple(range(1, degree + 1)))
+
+
 def test_compose_against_brute_force_s3():
     # oracle: apply the maps pointwise through plain dicts, no tuple indexing
     for a in s_n(3):
@@ -36,7 +44,7 @@ def test_compose_against_brute_force_s3():
 
 def test_orbits_degree_mismatch():
     with pytest.raises(ValueError):
-        orbits((Permutation.identity(3), Permutation.identity(4)))
+        orbits((identity(3), identity(4)))
 
 
 def test_not_a_bijection_rejected():
@@ -49,14 +57,14 @@ def test_not_a_bijection_rejected():
 def test_inverse_and_identity():
     for p in s_n(4):
         inverse = Permutation(tuple(sorted(range(1, 5), key=p)))
-        assert after(p, inverse) == Permutation.identity(4).images
-        assert after(inverse, p) == Permutation.identity(4).images
+        assert after(p, inverse) == identity(4).images
+        assert after(inverse, p) == identity(4).images
 
 
 def test_cycles_and_cycle_type():
     p = Permutation.from_cycles(4, ((1, 2), (3, 4)))
     assert cycle_type(p) == (2, 2)
-    assert cycle_type(Permutation.identity(6)) == (1, 1, 1, 1, 1, 1)
+    assert cycle_type(identity(6)) == (1, 1, 1, 1, 1, 1)
     assert cycle_type(Permutation.from_cycles(5, ((1, 3, 5),))) == (3, 1, 1)
     for p in s_n(4):
         assert sum(cycle_type(p)) == 4
@@ -82,7 +90,7 @@ def test_point_permutation():
     assert point_permutation(points, swap_ab.__getitem__).images == (1, 4, 3, 2)
     shift = {"a": "b", "b": "c", "c": "d", "d": "a"}
     assert point_permutation(points, shift.__getitem__).images == (3, 4, 2, 1)
-    assert point_permutation((), shift.__getitem__) == Permutation.identity(0)
+    assert point_permutation((), shift.__getitem__) == identity(0)
     with pytest.raises(ValueError):
         # a map that is not a bijection of the points
         point_permutation(points, lambda p: "a")
@@ -110,8 +118,8 @@ def test_induced_action_is_homomorphism_s4_pairs():
 def test_induced_identity_is_identity():
     for degree in range(1, 7):
         for k in range(0, degree + 1):
-            ident = Permutation.identity(comb(degree, k))
-            assert induced_subset_action(Permutation.identity(degree), k) == ident
+            ident = identity(comb(degree, k))
+            assert induced_subset_action(identity(degree), k) == ident
 
 
 def test_orbits_closure():

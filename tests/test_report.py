@@ -91,7 +91,7 @@ def test_hyperelliptic_report():
 
 
 def test_grid_layout_counts():
-    fibers = grid_fiber_layout(4)
+    fibers = grid_fiber_layout(grid_scenario(4).covering.simple_extra)
     assert len(fibers) == 2 + 10
     assert all(f.w_contribution == 3 for f in fibers)
     # one row-merge fiber and three pairing fibers, each built once
