@@ -38,6 +38,7 @@ from .report import (
 )
 from .scenario import (
     GRID,
+    MAX_SUBSET_N,
     MODEL_CHOICES,
     SUBSET,
     InvalidScenario,
@@ -49,6 +50,10 @@ from .scenario import (
 EXIT_VERIFIED = 0
 EXIT_VALIDATION = 1
 EXIT_HYPOTHESIS = 2
+
+# verify-identity squares an m^2 x m^2 relation: m = 30 takes about as long
+# as subset n = MAX_SUBSET_N (0.6 s on a 2-vCPU host)
+MAX_IDENTITY_M = 30
 
 
 class _Parser(argparse.ArgumentParser):
@@ -135,34 +140,29 @@ def cmd_builtin(args) -> int:
 
 
 def cmd_verify_identity(args) -> int:
-    if args.kind == SUBSET:
-        if args.n is None:
-            raise InvalidScenario("--kind subset requires --n")
-        if args.m is not None:
-            raise InvalidScenario("--m only applies to --kind grid")
-        corr = build_subset_matrix(args.n)
-        params = {"kind": SUBSET, "n": args.n}
-    else:
-        if args.m is None:
-            raise InvalidScenario("--kind grid requires --m")
-        if args.n is not None:
-            raise InvalidScenario("--n only applies to --kind subset")
-        corr = build_grid_matrix(args.m)
-        params = {"kind": GRID, "m": args.m}
+    subset = args.kind == SUBSET
+    key, stray = ("n", "m") if subset else ("m", "n")
+    size, limit = (args.n, MAX_SUBSET_N) if subset else (args.m, MAX_IDENTITY_M)
+    if size is None:
+        raise InvalidScenario(f"--kind {args.kind} requires --{key}")
+    if getattr(args, stray) is not None:
+        raise InvalidScenario(f"--{stray} only applies to --kind {GRID if subset else SUBSET}")
+    if size > limit:
+        raise InvalidScenario(f"--{key} must be at most {limit}, got {size}")
+    corr = build_subset_matrix(size) if subset else build_grid_matrix(size)
 
     ident, q, note = identity_and_exponent(corr)
+    if args.dump_matrix:
+        matrix = [[row >> j & 1 for j in range(corr.size)] for row in corr.rows]
     if args.format == "json":
-        out = dict(params)
+        out = {"kind": args.kind, key: size}
         out.update(correspondence_to_dict(corr.size, corr.bidegree, ident, q, note))
         if args.dump_matrix:
-            out["matrix"] = [list(row) for row in corr.matrix]
+            out["matrix"] = matrix
         print(canonical_json(out))
     else:
-        label = f"{params['kind']} " + (
-            f"n = {args.n}" if args.kind == SUBSET else f"m = {args.m}"
-        )
         rows = [
-            table_row("correspondence", label),
+            table_row("correspondence", f"{args.kind} {key} = {size}"),
             table_row("fiber size", corr.size),
             table_row("bidegree", corr.bidegree),
             *identity_rows(ident, q),
@@ -171,7 +171,7 @@ def cmd_verify_identity(args) -> int:
         print("\n".join(rows))
         if args.dump_matrix:
             print("matrix:")
-            for row in corr.matrix:
+            for row in matrix:
                 print("  " + " ".join(str(x) for x in row))
 
     return EXIT_VERIFIED if q is not None else EXIT_HYPOTHESIS

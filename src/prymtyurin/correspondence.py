@@ -1,4 +1,4 @@
-"""Symmetric fiber correspondences as exact integer matrices.
+"""Symmetric fiber correspondences as 0/1 relations held in row bitsets.
 
 Two families are built here, both on the fiber of an induced covering over a
 generic point of the base line:
@@ -9,13 +9,13 @@ generic point of the base line:
 - the grid correspondence: points are the cells of an m x m grid in row-major
   order, and two cells are related when they share a row or a column.
 
-Each correspondence carries its point descriptors in matrix order, so the
-rest of the package looks a point's row up by its descriptor and never
-recomputes a rank.  It also carries its square D^2, computed once on first
-use and shared by identity discovery and verification.  The square is a
-popcount product: D splits into threshold layers [D >= 1] + [D >= 2] + ...,
-each row and column becomes an int bitset, and each entry of D^2 is the
-popcount of an AND.  Both families are 0/1 matrices, a single layer.
+Both relations are plain 0/1, and each correspondence holds its relation
+once, as one int bitset per point, next to its point descriptors in row
+order: the rest of the package looks a point's row up by its descriptor and
+never recomputes a rank.  The square D^2 is computed once on first use and
+shared by identity discovery and verification; the relation is symmetric,
+so its rows are also its columns and each entry of D^2 is the popcount of
+an AND of two rows.
 
 A correspondence D may satisfy a quadratic identity
 
@@ -40,7 +40,6 @@ All arithmetic is integer or Fraction; nothing here ever touches a float.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -53,45 +52,44 @@ Matrix = tuple[tuple[int, ...], ...]
 
 @dataclass(frozen=True)
 class FiberCorrespondence:
-    """A symmetric correspondence on a generic fiber.
+    """A symmetric 0/1 correspondence on a generic fiber.
 
-    matrix[i][j] counts how often point j appears in the image divisor of
-    point i, and points[i] is the descriptor of point i (a subset tuple or a
-    grid cell).  Symmetry, zero diagonal, constant row sums (the bidegree)
-    and one distinct descriptor per row are validated at construction.  The
-    square D^2 is the layered popcount product of mat_mul.
+    Bit j of rows[i] is set when point j lies in the image of point i, and
+    points[i] is the descriptor of point i (a subset tuple or a grid cell).
+    Rows inside 0..N-1, symmetry, an empty diagonal, constant row popcounts
+    (the bidegree) and one distinct descriptor per row are validated at
+    construction.  The square D^2 is the popcount product of mat_mul.
     """
 
     kind: str
     parameter: int
-    matrix: Matrix
+    rows: tuple[int, ...]
     points: tuple
 
     def __post_init__(self):
-        n = len(self.matrix)
-        if any(len(row) != n for row in self.matrix):
-            raise ValueError("matrix is not square")
+        n = len(self.rows)
         if len(self.points) != n or len(set(self.points)) != n:
             raise ValueError(f"need {n} distinct point descriptors, got {len(self.points)}")
-        sums = {sum(row) for row in self.matrix}
+        for i, row in enumerate(self.rows):
+            if row < 0 or row >> n:
+                raise ValueError(f"row {i} is not a set of points 0..{n - 1}")
+        sums = {row.bit_count() for row in self.rows}
         if len(sums) != 1:
             raise ValueError(f"row sums are not constant: {sorted(sums)}")
-        for i in range(n):
-            if self.matrix[i][i] != 0:
+        for i, row in enumerate(self.rows):
+            if row >> i & 1:
                 raise ValueError(f"nonzero diagonal entry at {i}")
             for j in range(i):
-                if self.matrix[i][j] != self.matrix[j][i]:
+                if (row >> j & 1) != (self.rows[j] >> i & 1):
                     raise ValueError(f"not symmetric at ({i}, {j})")
-                if self.matrix[i][j] < 0:
-                    raise ValueError(f"negative entry at ({i}, {j})")
 
     @property
     def size(self) -> int:
-        return len(self.matrix)
+        return len(self.rows)
 
     @property
     def bidegree(self) -> int:
-        return sum(self.matrix[0])
+        return self.rows[0].bit_count()
 
     @cached_property
     def index(self) -> dict:
@@ -100,8 +98,9 @@ class FiberCorrespondence:
 
     @cached_property
     def square(self) -> Matrix:
-        """D^2, computed once and shared by identity discovery and verification."""
-        return mat_mul(self.matrix, self.matrix)
+        """D^2, computed once and shared by identity discovery and verification;
+        a symmetric relation's columns are its rows."""
+        return mat_mul(self.rows, self.rows)
 
 
 @dataclass(frozen=True)
@@ -124,12 +123,13 @@ def build_subset_matrix(n: int) -> FiberCorrespondence:
     """
     if n < 2:
         raise ValueError(f"subset correspondence needs n >= 2, got {n}")
+    labels = range(1, n + 3)
     pts = tuple(all_subsets(n + 2, n))
-    # complements as bitmasks, bit x - 1 for label x
-    everything = (1 << (n + 2)) - 1
-    complements = [everything ^ sum(1 << (x - 1) for x in s) for s in pts]
-    rows = tuple(tuple([0 if c & d else 1 for d in complements]) for c in complements)
-    return FiberCorrespondence(kind="subset", parameter=n, matrix=rows, points=pts)
+    # bit j of holding[x] is set when point j holds label x; the points
+    # related to I are those holding both labels of its complement
+    holding = {x: sum(1 << j for j, s in enumerate(pts) if x in s) for x in labels}
+    rows = tuple(holding[a] & holding[b] for a, b in (set(labels).difference(s) for s in pts))
+    return FiberCorrespondence(kind="subset", parameter=n, rows=rows, points=pts)
 
 
 def grid_points(m: int) -> list[tuple[int, int]]:
@@ -142,36 +142,20 @@ def build_grid_matrix(m: int) -> FiberCorrespondence:
     if m < 2:
         raise ValueError(f"grid correspondence needs m >= 2, got {m}")
     pts = tuple(grid_points(m))
-    rows = []
-    for p in pts:
-        rows.append(tuple(1 if q != p and (q[0] == p[0] or q[1] == p[1]) else 0 for q in pts))
-    return FiberCorrespondence(kind="grid", parameter=m, matrix=tuple(rows), points=pts)
+    line = (1 << m) - 1  # the cells of the first row
+    column = sum(1 << (m * i) for i in range(m))  # the cells of the first column
+    # a cell's own bit is set in both its row and its column; XOR clears it
+    rows = tuple((line << (m * (i - 1))) ^ (column << (j - 1)) for i, j in pts)
+    return FiberCorrespondence(kind="grid", parameter=m, rows=rows, points=pts)
 
 
-def _bitset(flags: list[bool]) -> int:
-    """The int whose bit k is flags[k]."""
-    return int("".join(["1" if f else "0" for f in reversed(flags)]) or "0", 2)
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    """The exact product of two non-negative square matrices, by popcounts.
-
-    Each factor splits into threshold layers, M = [M >= 1] + [M >= 2] + ...,
-    so (ab)[i][j] is the sum over layer pairs (t, s) of the number of k with
-    a[i][k] >= t and b[k][j] >= s.  Row i of a becomes one int bitset with a
-    block per layer pair holding its layer t, column j of b one with the
-    same blocks holding its layer s; one AND lines every pair up and one
-    popcount sums them.  A 0/1 matrix has a single layer and a single block.
+def mat_mul(rows: tuple[int, ...], cols: tuple[int, ...]) -> Matrix:
+    """The product of two 0/1 matrices, the left one given by its row
+    bitsets and the right one by its column bitsets: entry (i, j) counts
+    the k with bit k set in both rows[i] and cols[j], one popcount of an AND.
     """
-    n = len(a)
-    if len(b) != n or any(len(r) != n for r in itertools.chain(a, b)):
+    if len(rows) != len(cols):
         raise ValueError("matrix shapes do not match")
-    if min(map(min, a), default=0) < 0 or min(map(min, b), default=0) < 0:
-        raise ValueError("matrix has a negative entry")
-    top_a = range(1, max(map(max, a), default=0) + 1)
-    top_b = range(1, max(map(max, b), default=0) + 1)
-    rows = [_bitset([x >= t for t in top_a for _ in top_b for x in row]) for row in a]
-    cols = [_bitset([y >= s for _ in top_a for s in top_b for y in col]) for col in zip(*b)]
     return tuple(tuple([(r & c).bit_count() for c in cols]) for r in rows)
 
 
@@ -186,9 +170,9 @@ def verify_identity(corr: FiberCorrespondence, a, b, c):
     a, b, c = Fraction(a), Fraction(b), Fraction(c)
     scale = math.lcm(a.denominator, b.denominator, c.denominator)
     sa, sb, sc = (int(x * scale) for x in (a, b, c))
-    for i, (row, sq) in enumerate(zip(corr.matrix, corr.square)):
-        for j, (x, got) in enumerate(zip(row, sq)):
-            want = sb * x + sc + (sa if i == j else 0)
+    for i, (row, sq) in enumerate(zip(corr.rows, corr.square)):
+        for j, got in enumerate(sq):
+            want = sb * (row >> j & 1) + sc + (sa if i == j else 0)
             if got * scale != want:
                 return False, (i, j, got, Fraction(want, scale))
     return True, None
@@ -209,9 +193,9 @@ def discover_identity(corr: FiberCorrespondence) -> QuadraticIdentity | None:
     no second walk over D^2.  Returns None when no identity exists.
     """
     equations: dict[tuple[bool, int], int] = {}
-    for i, (row, sq) in enumerate(zip(corr.matrix, corr.square)):
-        for j, (x, got) in enumerate(zip(row, sq)):
-            if equations.setdefault((i == j, x), got) != got:
+    for i, (row, sq) in enumerate(zip(corr.rows, corr.square)):
+        for j, got in enumerate(sq):
+            if equations.setdefault((i == j, row >> j & 1), got) != got:
                 return None
     diagonal = equations.pop((True, 0))
     off = sorted((x, y) for (_, x), y in equations.items())

@@ -2,9 +2,9 @@
 
 On a special fiber the points of the induced curve are classes of generic
 fiber points (see induced_curve).  The correspondence descends to classes by
-picking a representative, reading its row through the correspondence's own
-point descriptors and projecting the image points to classes.  That
-projection must not depend on the representative; the constructor checks
+picking a representative, reading its row bitset through the correspondence's
+own point descriptors and counting its image points in each class by a
+popcount.  That projection must not depend on the representative; the constructor checks
 every representative and refuses the fiber otherwise, as it refuses a member
 that is not a point of the correspondence.
 
@@ -73,30 +73,29 @@ def class_action(corr: FiberCorrespondence, fiber: SpecialFiber) -> ClassAction:
     raises ValueError.  The classes partition the points, so every row of
     the action sums to the bidegree.
     """
-    class_of = [-1] * corr.size
-    for ci, cls in enumerate(fiber.classes):
+    masks, seen = [], 0
+    for cls in fiber.classes:
+        before = seen
         for member in cls.members:
             row = corr.index.get(member)
             if row is None:
                 raise ValueError(
                     f"member {member} is not a point of the {corr.kind} correspondence"
                 )
-            if class_of[row] >= 0:
+            if seen >> row & 1:
                 raise ValueError(f"member {member} appears in two classes")
-            class_of[row] = ci
+            seen |= 1 << row
+        masks.append(seen ^ before)
     covered = sum(len(c.members) for c in fiber.classes)
     if covered != corr.size:
         raise ValueError(f"classes cover {covered} points, matrix has {corr.size}")
 
-    n_classes = len(fiber.classes)
     rows = []
     for ci, cls in enumerate(fiber.classes):
         projected = None
         for member in cls.members:
-            counts = [0] * n_classes
-            for j, mult in enumerate(corr.matrix[corr.index[member]]):
-                if mult:
-                    counts[class_of[j]] += mult
+            image = corr.rows[corr.index[member]]
+            counts = [(image & mask).bit_count() for mask in masks]
             if projected is None:
                 projected = counts
             elif projected != counts:

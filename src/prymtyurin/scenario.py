@@ -36,6 +36,11 @@ MODEL_CHOICES = MODELS + (BOTH,)
 
 GRID_SIZE = 3  # the only grid side with a usable exponent
 
+# size ceilings, checked before anything is built: a subset matrix has C(n+2, 2)
+# rows, and a grid layout and report grow with the genus (65 MB of JSON at 10,000)
+MAX_SUBSET_N = 40
+MAX_GRID_GENUS = 10_000
+
 
 class InvalidScenario(ValueError):
     """Scenario data failed validation; the message names the field."""
@@ -89,6 +94,10 @@ class Scenario:
                     "grid scenarios need a hyperelliptic curve, so upstairs_genus"
                     f" must be >= 2, got {self.upstairs_genus}"
                 )
+            if self.upstairs_genus > MAX_GRID_GENUS:
+                raise InvalidScenario(
+                    f"upstairs_genus must be at most {MAX_GRID_GENUS}, got {self.upstairs_genus}"
+                )
             if self.special_fibers:
                 raise InvalidScenario(
                     "grid scenarios fix their own fiber layout;"
@@ -103,6 +112,8 @@ class Scenario:
         else:
             if not is_int(self.parameter) or self.parameter < 2:
                 raise InvalidScenario(f"n must be an integer >= 2, got {self.parameter!r}")
+            if self.parameter > MAX_SUBSET_N:
+                raise InvalidScenario(f"n must be at most {MAX_SUBSET_N}, got {self.parameter}")
             if self.upstairs_genus < 0:
                 raise InvalidScenario(
                     f"upstairs_genus must be >= 0, got {self.upstairs_genus}"
@@ -176,8 +187,8 @@ def subset_scenario(
     monodromy=None,
 ) -> Scenario:
     if special_fibers is None:
-        # a non-integer n gets no default profiles; the constructor names it
-        special_fibers = default_subset_fibers(n) if is_int(n) else ()
+        # a non-integer or oversize n gets no default profiles; the constructor names it
+        special_fibers = default_subset_fibers(n) if is_int(n) and n <= MAX_SUBSET_N else ()
     return Scenario(
         kind=SUBSET,
         upstairs_genus=upstairs_genus,
@@ -249,7 +260,8 @@ def load_scenario(path) -> Scenario:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except (json.JSONDecodeError, RecursionError) as exc:
-            # nesting deeper than the interpreter's recursion limit
+        except (ValueError, RecursionError) as exc:
+            # a decode error, an integer literal past the interpreter's digit
+            # limit, or nesting deeper than its recursion limit
             raise InvalidScenario(f"not valid JSON: {exc}") from exc
     return parse_scenario(data)

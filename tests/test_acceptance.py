@@ -273,14 +273,14 @@ def test_criterion_5_property_suites():
         matrices = [build_subset_matrix(n) for n in range(2, 13)]
         matrices += [build_grid_matrix(m) for m in range(2, 9)]
         for corr in matrices:
-            mat = corr.matrix
+            rows = corr.rows
             size = corr.size
-            assert len(mat) == size and all(len(row) == size for row in mat)
-            assert all(mat[i][i] == 0 for i in range(size))
+            assert len(rows) == size and all(0 <= row < 1 << size for row in rows)
+            assert all(not rows[i] >> i & 1 for i in range(size))
             assert all(
-                mat[i][j] == mat[j][i] for i in range(size) for j in range(i)
+                (rows[i] >> j & 1) == (rows[j] >> i & 1) for i in range(size) for j in range(i)
             )
-            assert all(sum(row) == corr.bidegree for row in mat)
+            assert all(row.bit_count() == corr.bidegree for row in rows)
 
         # (e) parity validation rejects fabricated odd ramification totals
         with pytest.raises(GenusValidationError):

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 import prymtyurin
 from prymtyurin import cli, fixed_points, report
+from prymtyurin import scenario as scenario_module
 from prymtyurin.cli import (
     EXIT_HYPOTHESIS,
     EXIT_VALIDATION,
@@ -328,6 +329,69 @@ def test_verify_identity_argument_mixups(argv, capsys):
     assert MIXUP_MESSAGES[tuple(argv)] in capsys.readouterr().err
 
 
+# argv, or a scenario file for `run`, -> the ceiling message stderr must name
+CEILING_MESSAGES = {
+    ("verify-identity", "--kind", "subset", "--n", "41"): "--n must be at most 40, got 41",
+    ("verify-identity", "--kind", "grid", "--m", "31"): "--m must be at most 30, got 31",
+    ("builtin", "hyperelliptic", "--g", "10001"): "upstairs_genus must be at most 10000",
+    ("builtin", "hyperelliptic", "--g", str(10**9)): "upstairs_genus must be at most 10000",
+}
+CEILING_FILES = (
+    ({"kind": "subset", "n": 41, "upstairs_genus": 1}, "n must be at most 40, got 41"),
+    ({"kind": "subset", "n": 2_000_000, "upstairs_genus": 1}, "n must be at most 40"),
+    ({"kind": "grid", "upstairs_genus": 10**9}, "upstairs_genus must be at most 10000"),
+)
+
+
+def test_size_ceilings_reject_through_validation_alone(tmp_path, monkeypatch, capsys):
+    # every builder of an n-, m- or genus-sized object fails loudly
+    def refuse(*args):
+        raise AssertionError(f"built an object for {args}")
+
+    for module, name in (
+        (cli, "build_subset_matrix"),
+        (cli, "build_grid_matrix"),
+        (report, "build_subset_matrix"),
+        (report, "build_grid_matrix"),
+        (report, "grid_fiber_layout"),
+        (scenario_module, "default_subset_fibers"),
+    ):
+        monkeypatch.setattr(module, name, refuse)
+    cases = [(list(argv), want) for argv, want in CEILING_MESSAGES.items()]
+    for pos, (data, want) in enumerate(CEILING_FILES):
+        cases.append((["run", write_scenario(tmp_path, f"big{pos}.json", data)], want))
+    for argv, want in cases:
+        assert main(argv) == EXIT_VALIDATION, argv
+        err = capsys.readouterr().err
+        assert err.startswith("invalid scenario: ") and want in err, (argv, err)
+
+
+def test_size_ceilings_admit_their_limits(monkeypatch, capsys):
+    # at each limit validation passes and the builder is reached
+    built = []
+
+    def record(size):
+        built.append(size)
+        raise ValueError("stopped at the builder")
+
+    monkeypatch.setattr(cli, "build_subset_matrix", record)
+    monkeypatch.setattr(cli, "build_grid_matrix", record)
+    assert main(["verify-identity", "--kind", "subset", "--n", "40"]) == EXIT_VALIDATION
+    assert main(["verify-identity", "--kind", "grid", "--m", "30"]) == EXIT_VALIDATION
+    assert built == [40, 30]
+    assert "stopped at the builder" in capsys.readouterr().err
+
+
+def test_oversize_json_integer_is_invalid_json(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text('{"kind": "subset", "n": ' + "9" * 5000 + ', "upstairs_genus": 1}')
+    assert main(["run", str(path)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    # interpreters without a digit limit parse the literal, then the ceiling names it
+    want = "not valid JSON" if hasattr(sys, "get_int_max_str_digits") else "n must be at most"
+    assert err.startswith("invalid scenario: ") and want in err
+
+
 def test_closed_form_mismatch_fails_with_exit_two(capsys, monkeypatch):
     # the triangular graph T(5) labeled as the subset family with n = 3: its
     # identity factors with q = 3 but is not the Kneser closed form
@@ -335,7 +399,9 @@ def test_closed_form_mismatch_fails_with_exit_two(capsys, monkeypatch):
     t5 = FiberCorrespondence(
         kind="subset",
         parameter=3,
-        matrix=tuple(tuple(int(len(set(p) & set(r)) == 2) for r in pts) for p in pts),
+        rows=tuple(
+            sum(1 << j for j, r in enumerate(pts) if len(set(p) & set(r)) == 2) for p in pts
+        ),
         points=pts,
     )
     monkeypatch.setattr(cli, "build_subset_matrix", lambda n: t5)
@@ -358,8 +424,10 @@ def test_closed_form_mismatch_fails_with_exit_two(capsys, monkeypatch):
 
 # --- argv fuzz ----------------------------------------------------------------
 
-# integers in -3..12, half of them from the sizes every command accepts
-FUZZ_INTS = (st.integers(2, 4) | st.integers(-3, 12)).map(str)
+# integers up to 10**12, mostly from the sizes every command accepts or
+# near them: values past a size ceiling must be refused before anything of
+# that size is built
+FUZZ_INTS = (st.integers(2, 4) | st.integers(-3, 12) | st.integers(-3, 10**12)).map(str)
 # flag -> its value, or None for a switch
 FUZZ_FLAGS = {
     "--kind": st.sampled_from(["subset", "grid"]),

@@ -32,8 +32,7 @@ def test_subset_matrix_n2_is_the_complement_involution():
     for i, s in enumerate(pairs):
         comp = tuple(sorted(set(range(1, 5)) - set(s)))
         j = corr.index[comp]
-        assert corr.matrix[i][j] == 1
-        assert sum(corr.matrix[i]) == 1
+        assert corr.rows[i] == 1 << j
 
 
 def test_subset_matrix_n3_examples():
@@ -42,7 +41,7 @@ def test_subset_matrix_n3_examples():
     assert corr.bidegree == 3
     # frozen: the image of {1,3,5} is {2,4,5} + {1,2,4} + {2,3,4}
     i = corr.index[(1, 3, 5)]
-    neighbors = {j for j in range(10) if corr.matrix[i][j] == 1}
+    neighbors = {j for j in range(10) if corr.rows[i] >> j & 1}
     want = {corr.index[s] for s in ((2, 4, 5), (1, 2, 4), (2, 3, 4))}
     assert neighbors == want
 
@@ -51,8 +50,8 @@ def test_subset_matrix_n3_examples():
 def test_subset_matrix_relates_subsets_sharing_n_minus_2(n):
     corr = build_subset_matrix(n)
     sets = [frozenset(p) for p in corr.points]
-    assert corr.matrix == tuple(
-        tuple(int(len(s & t) == n - 2) for t in sets) for s in sets
+    assert corr.rows == tuple(
+        sum(1 << j for j, t in enumerate(sets) if len(s & t) == n - 2) for s in sets
     )
 
 
@@ -61,7 +60,7 @@ def test_grid_matrix_small():
     assert corr.size == 9
     assert corr.bidegree == 4
     # P_11 is related to P_12, P_13 (row) and P_21, P_31 (column); row-major ranks
-    assert [j for j in range(9) if corr.matrix[0][j]] == [1, 2, 3, 6]
+    assert [j for j in range(9) if corr.rows[0] >> j & 1] == [1, 2, 3, 6]
     assert corr.points[:4] == ((1, 1), (1, 2), (1, 3), (2, 1))
     assert corr.index[(3, 3)] == 8
     corr2 = build_grid_matrix(2)
@@ -73,49 +72,57 @@ def test_build_validation():
         build_subset_matrix(1)
     with pytest.raises(ValueError):
         build_grid_matrix(1)
-    with pytest.raises(ValueError):
-        # not symmetric
-        FiberCorrespondence(kind="x", parameter=0, matrix=((0, 1), (0, 0)), points=(0, 1))
-    with pytest.raises(ValueError):
-        # nonzero diagonal
-        FiberCorrespondence(kind="x", parameter=0, matrix=((1, 1), (1, 1)), points=(0, 1))
+    with pytest.raises(ValueError, match=r"not symmetric at \(1, 0\)"):
+        # the directed 3-cycle 0 -> 1 -> 2 -> 0
+        FiberCorrespondence(kind="x", parameter=0, rows=(0b010, 0b100, 0b001), points=(0, 1, 2))
+    with pytest.raises(ValueError, match="nonzero diagonal entry at 0"):
+        FiberCorrespondence(kind="x", parameter=0, rows=(0b11, 0b11), points=(0, 1))
+    with pytest.raises(ValueError, match="row sums are not constant"):
+        FiberCorrespondence(kind="x", parameter=0, rows=(0b10, 0b00), points=(0, 1))
     with pytest.raises(ValueError, match="distinct point descriptors"):
-        FiberCorrespondence(kind="x", parameter=0, matrix=((0, 1), (1, 0)), points=(0,))
+        FiberCorrespondence(kind="x", parameter=0, rows=(0b10, 0b01), points=(0,))
     with pytest.raises(ValueError, match="distinct point descriptors"):
-        FiberCorrespondence(kind="x", parameter=0, matrix=((0, 1), (1, 0)), points=(0, 0))
+        FiberCorrespondence(kind="x", parameter=0, rows=(0b10, 0b01), points=(0, 0))
+
+
+def test_rows_are_sets_of_points():
+    # a bitset row cannot hold a multiplicity, but it can be negative or name
+    # a point past the fiber; both are refused before any other row check
+    for bad in (-1, -0b10, 0b100, 0b101):
+        with pytest.raises(ValueError, match=r"row 1 is not a set of points 0\.\.1"):
+            FiberCorrespondence(kind="x", parameter=0, rows=(0b10, bad), points=(0, 1))
 
 
 def test_mat_mul_exact():
-    a = ((1, 2), (3, 4))
-    assert mat_mul(a, a) == ((7, 10), (15, 22))
-    with pytest.raises(ValueError):
-        mat_mul(a, ((1,),))
+    # a = [[1, 1, 0], [0, 1, 1], [1, 0, 1]] by rows, and b has the columns
+    # [1, 1, 1], [0, 0, 1] and [0, 0, 0]
+    rows = (0b011, 0b110, 0b101)
+    cols = (0b111, 0b100, 0b000)
+    assert mat_mul(rows, cols) == ((2, 0, 0), (2, 1, 0), (2, 1, 0))
+    with pytest.raises(ValueError, match="shapes"):
+        mat_mul(rows, (0b1,))
 
 
-def reference_mat_mul(a, b):
+def bit_matrix(bitsets, size):
+    """The dense 0/1 matrix whose i-th row has the bits of bitsets[i]."""
+    return tuple(tuple(b >> j & 1 for j in range(size)) for b in bitsets)
+
+
+def reference_mat_mul(rows, cols, size):
     """The dense triple-loop product that mat_mul's popcount product replaces."""
-    bt = tuple(zip(*b))
+    a, bt = bit_matrix(rows, size), bit_matrix(cols, size)
     return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
 
 
-def square_matrices(size):
-    row = st.lists(st.integers(0, 3), min_size=size, max_size=size).map(tuple)
-    return st.lists(row, min_size=size, max_size=size).map(tuple)
+def bitsets(size):
+    return st.lists(st.integers(0, (1 << size) - 1), min_size=size, max_size=size).map(tuple)
 
 
-@given(st.integers(0, 8).flatmap(lambda size: st.tuples(square_matrices(size), square_matrices(size))))
-def test_mat_mul_matches_dense_reference(pair):
-    # independent factors, so neither is symmetric nor has a zero diagonal
-    a, b = pair
-    assert mat_mul(a, b) == reference_mat_mul(a, b)
-
-
-def test_mat_mul_rejects_negative_entries():
-    swap = ((0, 1), (1, 0))
-    with pytest.raises(ValueError, match="negative entry"):
-        mat_mul(((0, -1), (1, 0)), swap)
-    with pytest.raises(ValueError, match="negative entry"):
-        mat_mul(swap, ((0, 1), (-1, 0)))
+@given(st.integers(0, 8).flatmap(lambda n: st.tuples(st.just(n), bitsets(n), bitsets(n))))
+def test_mat_mul_matches_dense_reference(drawn):
+    # independent random factors: neither is symmetric nor has a zero diagonal
+    size, rows, cols = drawn
+    assert mat_mul(rows, cols) == reference_mat_mul(rows, cols, size)
 
 
 def test_discover_identity_subset_small():
@@ -179,26 +186,23 @@ def test_square_is_computed_once(monkeypatch):
     assert ok, witness
     assert q == 4
     assert calls == [corr.size]
-    assert corr.square == real(corr.matrix, corr.matrix)
+    assert corr.square == real(corr.rows, corr.rows)
 
 
 def test_discover_identity_none_when_impossible():
     # the 6-cycle is 2-regular but not strongly regular: vertices at distance
     # 2 and distance 3 both have D[i][j] = 0 yet different D^2 entries
-    six_cycle = tuple(
-        tuple(1 if (i - j) % 6 in (1, 5) else 0 for j in range(6)) for i in range(6)
-    )
-    corr = FiberCorrespondence(kind="x", parameter=0, matrix=six_cycle, points=tuple(range(6)))
+    six_cycle = tuple(sum(1 << j for j in range(6) if (i - j) % 6 in (1, 5)) for i in range(6))
+    corr = FiberCorrespondence(kind="x", parameter=0, rows=six_cycle, points=tuple(range(6)))
     assert discover_identity(corr) is None
     # the complete graph on 3 vertices does satisfy one
     k3 = FiberCorrespondence(
-        kind="x", parameter=0, matrix=((0, 1, 1), (1, 0, 1), (1, 1, 0)), points=tuple(range(3))
+        kind="x", parameter=0, rows=(0b110, 0b101, 0b011), points=tuple(range(3))
     )
     assert discover_identity(k3) == QuadraticIdentity(Fraction(2), Fraction(1), Fraction(0))
-    broken = ((0, 1, 0, 0), (1, 0, 1, 0), (0, 1, 0, 1), (0, 0, 1, 0))
-    with pytest.raises(ValueError):
-        # row sums differ, rejected at construction
-        FiberCorrespondence(kind="x", parameter=0, matrix=broken, points=tuple(range(4)))
+    broken = (0b0010, 0b0101, 0b1010, 0b0100)  # the path on four points
+    with pytest.raises(ValueError, match="row sums are not constant"):
+        FiberCorrespondence(kind="x", parameter=0, rows=broken, points=tuple(range(4)))
 
 
 def test_discover_identity_checks_its_equations_not_every_entry(monkeypatch):
@@ -215,7 +219,7 @@ def test_discover_identity_checks_its_equations_not_every_entry(monkeypatch):
 
 def test_discover_identity_underdetermined_canonicalization():
     # D = permutation-free degenerate case: the 2x2 "swap" matrix is D with D^2 = I
-    swap = FiberCorrespondence(kind="x", parameter=0, matrix=((0, 1), (1, 0)), points=(0, 1))
+    swap = FiberCorrespondence(kind="x", parameter=0, rows=(0b10, 0b01), points=(0, 1))
     ident = discover_identity(swap)
     # equations: diagonal a + c = 1, off-diagonal b + c = 0; c is free -> 0
     assert ident == QuadraticIdentity(Fraction(1), Fraction(0), Fraction(0))
@@ -270,10 +274,8 @@ def test_identity_and_exponent():
     ident, q, note = identity_and_exponent(build_grid_matrix(4))
     assert ident is not None and q is None
     assert note.startswith("criterion hypothesis fails")
-    six_cycle = tuple(
-        tuple(1 if (i - j) % 6 in (1, 5) else 0 for j in range(6)) for i in range(6)
-    )
-    corr = FiberCorrespondence(kind="x", parameter=0, matrix=six_cycle, points=tuple(range(6)))
+    six_cycle = tuple(sum(1 << j for j in range(6) if (i - j) % 6 in (1, 5)) for i in range(6))
+    corr = FiberCorrespondence(kind="x", parameter=0, rows=six_cycle, points=tuple(range(6)))
     assert identity_and_exponent(corr) == (
         None, None, "no quadratic identity exists for this correspondence"
     )
@@ -285,8 +287,8 @@ def test_identity_and_exponent_rechecks_the_closed_form():
     # but the subset family with n = 3 relates the 3-subsets sharing one
     # (the Petersen graph) and has the closed form (2, -1, 1)
     pts = tuple(all_subsets(5, 3))
-    matrix = tuple(tuple(int(len(set(p) & set(r)) == 2) for r in pts) for p in pts)
-    corr = FiberCorrespondence(kind="subset", parameter=3, matrix=matrix, points=pts)
+    rows = tuple(sum(1 << j for j, r in enumerate(pts) if len(set(p) & set(r)) == 2) for p in pts)
+    corr = FiberCorrespondence(kind="subset", parameter=3, rows=rows, points=pts)
     ident, q, note = identity_and_exponent(corr)
     assert ident == QuadraticIdentity(Fraction(2), Fraction(-1), Fraction(4))
     assert q is None
@@ -304,9 +306,9 @@ def reference_discover_identity(corr):
     solved by Gaussian elimination over Fraction in the unknown order b, a, c
     with free unknowns set to zero, then re-verified entrywise."""
     rows = {}
-    for i, (row, sq) in enumerate(zip(corr.matrix, corr.square)):
-        for j, (x, got) in enumerate(zip(row, sq)):
-            key = (1 if i == j else 0, x)
+    for i, (row, sq) in enumerate(zip(corr.rows, corr.square)):
+        for j, got in enumerate(sq):
+            key = (1 if i == j else 0, row >> j & 1)
             if rows.setdefault(key, got) != got:
                 return None
     system = [[Fraction(k[1]), Fraction(k[0]), Fraction(1), Fraction(rhs)] for k, rhs in rows.items()]
@@ -333,27 +335,37 @@ def reference_discover_identity(corr):
     return ident if ok else None
 
 
+def relabeled_circulant(draw, size):
+    """A symmetric 0/1 circulant with a random set of distances, relabeled:
+    point label[i] is related to label[j] when i - j is a chosen distance."""
+    chosen = draw(st.lists(st.booleans(), min_size=size // 2, max_size=size // 2))
+    label = draw(st.permutations(range(size)))
+    rows = [0] * size
+    for i in range(size):
+        for j in range(size):
+            d = min((i - j) % size, (j - i) % size)
+            if d and chosen[d - 1]:
+                rows[label[i]] |= 1 << label[j]
+    return tuple(rows)
+
+
 @st.composite
 def regular_correspondences(draw):
-    # a sum of relabeled symmetric circulants: symmetric, zero diagonal and
-    # constant row sums, so every shape FiberCorrespondence accepts can occur
+    # the union of relabeled symmetric circulants, each kept when the union
+    # stays regular: symmetric, zero diagonal and constant row sums, so
+    # every relation FiberCorrespondence accepts can occur
     size = draw(st.integers(1, 7))
-    matrix = [[0] * size for _ in range(size)]
-    for _ in range(draw(st.integers(1, 2))):
-        half = draw(st.lists(st.integers(0, 3), min_size=size // 2, max_size=size // 2))
-        weight = [0] + [half[min(d, size - d) - 1] for d in range(1, size)]
-        label = draw(st.permutations(range(size)))
-        for i in range(size):
-            for j in range(size):
-                matrix[label[i]][label[j]] += weight[(i - j) % size]
-    return FiberCorrespondence(
-        kind="x", parameter=0, matrix=tuple(map(tuple, matrix)), points=tuple(range(size))
-    )
+    rows = relabeled_circulant(draw, size)
+    for _ in range(draw(st.integers(0, 2))):
+        union = tuple(a | b for a, b in zip(rows, relabeled_circulant(draw, size)))
+        if len({row.bit_count() for row in union}) == 1:
+            rows = union
+    return FiberCorrespondence(kind="x", parameter=0, rows=rows, points=tuple(range(size)))
 
 
 @given(regular_correspondences())
 def test_square_matches_dense_reference(corr):
-    assert corr.square == reference_mat_mul(corr.matrix, corr.matrix)
+    assert corr.square == reference_mat_mul(corr.rows, corr.rows, corr.size)
 
 
 @given(regular_correspondences())

@@ -1,4 +1,8 @@
+from math import comb
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from prymtyurin.correspondence import grid_points
 from prymtyurin.induced_curve import (
@@ -15,7 +19,13 @@ from prymtyurin.induced_curve import (
     partition_monodromy,
     subset_fiber,
 )
-from prymtyurin.perms import Permutation, is_transitive, orbits, transposition
+from prymtyurin.perms import (
+    Permutation,
+    induced_subset_action,
+    is_transitive,
+    orbits,
+    transposition,
+)
 from prymtyurin.report import assemble
 from prymtyurin.scenario import subset_scenario
 
@@ -207,3 +217,37 @@ def test_irreducibility_check():
     stuck = (transposition(5, 1, 2), transposition(5, 3, 4), transposition(5, 4, 5))
     assert not irreducibility_check(stuck, 3)
     assert not irreducibility_check((), 3)
+    with pytest.raises(ValueError, match="subset size 7 outside 0..5"):
+        irreducibility_check(gens, 7)
+
+
+@st.composite
+def generators_and_k(draw):
+    degree = draw(st.integers(3, 9))
+    # besides arbitrary permutations, generators that fix {1..split} setwise
+    # (intransitive groups) and rotations (cyclic groups, transitive on the
+    # labels but not on their pairs)
+    split = draw(st.integers(1, degree))
+    low, high = range(1, split + 1), range(split + 1, degree + 1)
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(("any", "split", "rotation")))
+        if kind == "any":
+            images = draw(st.permutations(range(1, degree + 1)))
+        elif kind == "split":
+            images = draw(st.permutations(low)) + draw(st.permutations(high))
+        else:
+            shift = draw(st.integers(0, degree - 1))
+            images = [(x + shift) % degree + 1 for x in range(degree)]
+        gens.append(Permutation(tuple(images)))
+    return tuple(gens), draw(st.integers(0, degree))
+
+
+@given(generators_and_k())
+def test_irreducibility_check_matches_the_k_subset_definition(drawn):
+    # the check may induce on the complements; the verdict is transitivity
+    # of the action on the k-subsets themselves
+    gens, k = drawn
+    degree = gens[0].degree
+    induced = tuple(induced_subset_action(g, k) for g in gens)
+    assert irreducibility_check(gens, k) == is_transitive(induced, comb(degree, k))

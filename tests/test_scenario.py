@@ -6,10 +6,13 @@ from hypothesis import strategies as st
 
 from prymtyurin.covering import CoveringData
 from prymtyurin.report import assemble, canonical_json
+from prymtyurin import scenario as scenario_module
 from prymtyurin.scenario import (
     BOTH,
     GRID,
     KINDS,
+    MAX_GRID_GENUS,
+    MAX_SUBSET_N,
     MODEL_CHOICES,
     SUBSET,
     InvalidScenario,
@@ -99,6 +102,26 @@ def test_subset_validation():
         subset_scenario(2, 1, special_fibers=[[1, 1, 1, 1]])
     with pytest.raises(InvalidScenario, match="model"):
         subset_scenario(2, 1, model="merged")
+
+
+def test_size_ceilings(monkeypatch):
+    def refuse(n):
+        raise AssertionError(f"built the default profiles of n = {n}")
+
+    monkeypatch.setattr(scenario_module, "default_subset_fibers", refuse)
+    for n in (MAX_SUBSET_N + 1, 2_000_000, 10**12):
+        with pytest.raises(InvalidScenario, match=f"n must be at most {MAX_SUBSET_N}, got {n}"):
+            subset_scenario(n, 1)
+        with pytest.raises(InvalidScenario, match=f"n must be at most {MAX_SUBSET_N}"):
+            parse_scenario({"kind": SUBSET, "n": n, "upstairs_genus": 1, "special_fibers": []})
+    for genus in (MAX_GRID_GENUS + 1, 10**9):
+        with pytest.raises(
+            InvalidScenario, match=f"upstairs_genus must be at most {MAX_GRID_GENUS}, got {genus}"
+        ):
+            grid_scenario(genus)
+    # the limits themselves are accepted
+    assert Scenario(kind=SUBSET, upstairs_genus=10**12, parameter=MAX_SUBSET_N).parameter == 40
+    assert grid_scenario(MAX_GRID_GENUS).covering.simple_extra == 2 * MAX_GRID_GENUS + 2
 
 
 def test_infeasible_budget_rejected():
@@ -213,11 +236,13 @@ def test_load_scenario(tmp_path):
 
 
 SCHEMA_KEYS = ("kind", "n", "upstairs_genus", "m", "model", "special_fibers", "monodromy")
-SMALL_INTS = st.integers(-3, 12)
+# mostly small integers, but up to 10**12: a value past a size ceiling is
+# refused before anything of that size is built
+INTS = st.integers(-3, 12) | st.integers(-3, 10**12)
 JSON_VALUES = st.recursive(
     st.none()
     | st.booleans()
-    | SMALL_INTS
+    | INTS
     | st.floats(-3, 12)
     | st.text(max_size=3)
     | st.sampled_from(KINDS + MODEL_CHOICES),
@@ -228,7 +253,7 @@ JSON_VALUES = st.recursive(
 # dicts of the right shape for each kind, so that many draws are accepted
 MODELS = st.sampled_from(MODEL_CHOICES)
 SUBSET_DICTS = st.fixed_dictionaries(
-    {"kind": st.just(SUBSET), "n": SMALL_INTS, "upstairs_genus": SMALL_INTS},
+    {"kind": st.just(SUBSET), "n": INTS, "upstairs_genus": INTS},
     optional={
         "model": MODELS,
         "special_fibers": st.lists(st.lists(st.integers(0, 4), max_size=5), max_size=3),
@@ -239,8 +264,8 @@ SUBSET_DICTS = st.fixed_dictionaries(
     },
 )
 GRID_DICTS = st.fixed_dictionaries(
-    {"kind": st.just(GRID), "upstairs_genus": SMALL_INTS},
-    optional={"m": st.just(3) | SMALL_INTS, "model": MODELS},
+    {"kind": st.just(GRID), "upstairs_genus": INTS},
+    optional={"m": st.just(3) | INTS, "model": MODELS},
 )
 # then any schema key or an extra key may be overwritten with any JSON value
 SCENARIO_DICTS = st.tuples(
@@ -253,10 +278,8 @@ SCENARIO_DICTS = st.tuples(
 @settings(max_examples=400, deadline=None)
 @given(data=SCENARIO_DICTS | JSON_VALUES)
 def test_parse_scenario_accepts_or_names_the_fault(data):
-    # integers stay small: a large n allocates its default or padded
-    # profile before any size limit applies, and nothing is assembled here.
-    # The Python constructors get the same drawn values: a dict's own, or
-    # any other drawn value as every field
+    # nothing is assembled here.  The Python constructors get the same drawn
+    # values: a dict's own, or any other drawn value as every field
     fields = data if isinstance(data, dict) else dict.fromkeys(SCHEMA_KEYS, data)
     genus, model = fields.get("upstairs_genus"), fields.get("model", BOTH)
     builds = (

@@ -1,22 +1,65 @@
-"""The benchmark tracer's targets must name functions the package still has.
+"""The benchmark tracer's targets must name functions the package still has,
+and a traced run must count them without changing what the CLI prints.
 
-`bench/tracing.py` patches each `(module, function)` in `TARGETS` by name; a
-renamed or deleted function would only show up when a traced benchmark run
-fails, so the names are resolved here.
+`bench/tracing.py` patches each `(module, function)` in `TARGETS` by name and
+reads its counters from the wrapped calls' arguments and results; a renamed
+function or a changed signature would only show up when a traced benchmark
+run fails, so both are exercised here.
 """
 
+import contextlib
 import importlib
 import importlib.util
+import io
 from pathlib import Path
+
+import pytest
+
+from prymtyurin import cli
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
 
-def test_every_tracer_target_resolves_to_a_callable():
+def load_tracing():
     spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_every_tracer_target_resolves_to_a_callable():
+    tracing = load_tracing()
     assert tracing.TARGETS
     for module, name, *_ in tracing.TARGETS:
         target = getattr(importlib.import_module(module), name, None)
         assert callable(target), f"{module}.{name}"
+
+
+def _run_cli(argv):
+    # cli.main is looked up at call time: the tracer patches module bindings
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    return code, out.getvalue()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-identity", "--kind", "subset", "--n", "5", "--format", "json"],
+        ["builtin", "pn-case", "--n", "3", "--gx", "2", "--format", "json"],
+        ["builtin", "hyperelliptic", "--g", "4", "--format", "table"],
+    ],
+)
+def test_traced_run_counts_layers_and_prints_the_same(argv):
+    tracing = load_tracing()
+    plain = _run_cli(argv)
+    with tracing.Tracer() as tracer:
+        traced = _run_cli(argv)
+    assert traced == plain
+    metrics = tracing.layer_metrics(tracer.spans)
+    assert metrics["correspondence.mat_mul_calls"] == 1
+    assert metrics["cli.calls"] == 1
+    if argv[0] == "builtin":
+        assert metrics["fixed_points.class_action_calls"] >= 1
+        assert metrics["fixed_points.nesting_calls"] >= 1
