@@ -76,12 +76,15 @@ class FiberCorrespondence:
         sums = {row.bit_count() for row in self.rows}
         if len(sums) != 1:
             raise ValueError(f"row sums are not constant: {sorted(sums)}")
-        for i, row in enumerate(self.rows):
-            if row >> i & 1:
+        # bits[i][j] is bit j of row i, and columns[i][j] bit i of row j
+        bits = [format(row, f"0{n}b")[::-1] for row in self.rows]
+        columns = ["".join(col) for col in zip(*bits)]
+        for i, (row, col) in enumerate(zip(bits, columns)):
+            if row[i] == "1":
                 raise ValueError(f"nonzero diagonal entry at {i}")
-            for j in range(i):
-                if (row >> j & 1) != (self.rows[j] >> i & 1):
-                    raise ValueError(f"not symmetric at ({i}, {j})")
+            if row[:i] != col[:i]:
+                j = next(j for j in range(i) if row[j] != col[j])
+                raise ValueError(f"not symmetric at ({i}, {j})")
 
     @property
     def size(self) -> int:

@@ -28,15 +28,15 @@ same memo, by descending the split tree, which makes certificates
 deterministic.  The count makes at most NESTING_CLIQUE_BUDGET memo misses
 per fiber, the one budget of the search; beyond it the search is reported
 undecided.  Certificates carry enough raw data to be re-verified by
-check_certificate, which recomputes every multiplicity from scratch.
+check_certificate, which recomputes every multiplicity from the fiber
+classes and the family's label rule alone.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress
+from itertools import combinations, compress
 from math import factorial
 
 from .correspondence import FiberCorrespondence, Matrix
@@ -349,63 +349,51 @@ def nesting_search(report: FixedPointReport, bidegree: int):
 # --- independent certificate checking ---------------------------------------
 #
 # check_certificate recomputes every claimed multiplicity from the raw fiber
-# data with its own set arithmetic: it never consults the matrix module or
-# the ClassAction that produced the certificate.
-
-
-def _subset_image(member: tuple[int, ...], n: int, degree: int):
-    import itertools
-
-    here = set(member)
-    for other in itertools.combinations(range(1, degree + 1), n):
-        if len(here & set(other)) == n - 2:
-            yield other
-
-
-def _grid_image(member: tuple[int, ...], m: int):
-    i, j = member
-    for k in range(1, m + 1):
-        if k != j:
-            yield (i, k)
-        if k != i:
-            yield (k, j)
+# data by one label rule: each point is the bitmask of its labels (an n-subset
+# its labels in 1..n+2, a grid cell (i, j) the labels i and m + j), and two
+# points are related exactly when they share n - 2 labels (subset) or one
+# label (grid: a row or a column).  It never consults the correspondence
+# module or the ClassAction that produced the certificate.
 
 
 def check_certificate(cert: NestingCertificate, fiber: SpecialFiber, kind: str, parameter: int) -> bool:
     """Re-verify a nesting certificate from the fiber classes alone.
 
-    kind is "subset" (parameter n, labels 1..n+2) or "grid" (parameter m).
-    Every membership multiplicity is recomputed from every representative by
-    direct enumeration of image points.
+    kind is "subset" (parameter n, labels 1..n+2) or "grid" (parameter m,
+    labels 1..2m).  The label bitmasks of the family's points are built once,
+    and the declared classes must partition them: every point in exactly one
+    class and no member that is not a point.  Every membership multiplicity
+    is then recomputed at every representative by counting, per class, the
+    points that share the related number of labels with it.
     """
     if cert.length == 0:
         return True
-    if len(set(cert.chain)) != cert.length:
+    chain = set(cert.chain)
+    # distinct classes, each named by its index: a negative one would alias another
+    if len(chain) != cert.length or not chain <= set(range(len(fiber.classes))):
         return False
-    which: dict[tuple[int, ...], int] = {}
-    for ci, cls in enumerate(fiber.classes):
-        for member in cls.members:
-            which[member] = ci
-
-    def image_of(member):
-        if kind == "subset":
-            return _subset_image(member, parameter, parameter + 2)
-        if kind == "grid":
-            return _grid_image(member, parameter)
+    if kind == "subset":
+        subsets = combinations(range(1, parameter + 3), parameter)
+        mask_of = {s: sum(1 << x for x in s) for s in subsets}
+        shared = parameter - 2
+    elif kind == "grid":
+        cells = range(1, parameter + 1)
+        mask_of = {(i, j): 1 << i | 1 << (parameter + j) for i in cells for j in cells}
+        shared = 1
+    else:
         raise ValueError(f"unknown correspondence kind {kind!r}")
+    masks = [[mask_of.get(member) for member in cls.members] for cls in fiber.classes]
+    listed = [mask for row in masks for mask in row]
+    if None in listed or sorted(listed) != sorted(mask_of.values()):
+        return False
 
     for i, qi in enumerate(cert.chain):
         if cert.chain_members[i] != fiber.classes[qi].members:
             return False
         expected = dict(zip(cert.chain[: i + 1], cert.memberships[i]))
-        for member in fiber.classes[qi].members:
-            counts: Counter = Counter()
-            for img in image_of(member):
-                if img not in which:
-                    return False  # image escapes the declared classes
-                counts[which[img]] += 1
+        for here in masks[qi]:
             for qj, mult in expected.items():
-                if counts.get(qj, 0) != mult:
+                if sum((here & there).bit_count() == shared for there in masks[qj]) != mult:
                     return False
         # the self multiplicity must be exactly 1 and every listed point present
         if cert.memberships[i][i] != 1:

@@ -111,7 +111,8 @@ def merged_fiber(n: int, blocks) -> SpecialFiber:
 
     Two n-subsets land on the same point of the induced curve exactly when
     they hit the same identification blocks with the same multiplicities.
-    Classes are ordered by their colex-smallest member.
+    Each class lists its members in lexicographic order, and classes are
+    ordered by that first member.
     """
     degree = n + 2
     blocks = _validate_blocks(blocks, degree)
@@ -151,7 +152,8 @@ def _orbit_classes(perm: Permutation, points) -> tuple[FiberClass, ...]:
 
 def orbit_fiber(n: int, blocks) -> SpecialFiber:
     """Orbit-model special fiber: points are cycles of the induced local
-    monodromy on n-subsets, ordered by their colex-smallest member."""
+    monodromy on n-subsets.  Each class lists its members in lexicographic
+    order, and classes are ordered by that first member."""
     degree = n + 2
     induced = induced_subset_action(partition_monodromy(blocks, degree), n)
     return SpecialFiber(classes=_orbit_classes(induced, all_subsets(degree, n)))

@@ -75,6 +75,11 @@ def test_build_validation():
     with pytest.raises(ValueError, match=r"not symmetric at \(1, 0\)"):
         # the directed 3-cycle 0 -> 1 -> 2 -> 0
         FiberCorrespondence(kind="x", parameter=0, rows=(0b010, 0b100, 0b001), points=(0, 1, 2))
+    with pytest.raises(ValueError, match=r"not symmetric at \(3, 2\)"):
+        # rows 0 and 5 already disagree on the pair {0, 5}, but the walk by
+        # rows below the diagonal meets the one-sided pair {2, 3} first
+        rows = tuple(1 << j for j in (5, 3, 3, 1, 5, 4))
+        FiberCorrespondence(kind="x", parameter=0, rows=rows, points=tuple(range(6)))
     with pytest.raises(ValueError, match="nonzero diagonal entry at 0"):
         FiberCorrespondence(kind="x", parameter=0, rows=(0b11, 0b11), points=(0, 1))
     with pytest.raises(ValueError, match="row sums are not constant"):

@@ -1,13 +1,14 @@
 import dataclasses
 import itertools
 import re
+from collections import Counter
 from math import comb, factorial
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from prymtyurin import fixed_points
+from prymtyurin import correspondence, fixed_points
 from prymtyurin.correspondence import build_grid_matrix, build_subset_matrix
 from prymtyurin.fixed_points import (
     ClassAction,
@@ -31,7 +32,7 @@ from prymtyurin.induced_curve import (
     orbit_fiber,
     subset_fiber,
 )
-from prymtyurin.report import grid_fiber_layout
+from prymtyurin.report import assemble, grid_fiber_layout
 from prymtyurin.scenario import default_subset_fibers, grid_scenario
 
 THREE_BLOCKS = ((1, 2), (3, 4), (5,))
@@ -235,6 +236,15 @@ def test_check_certificate_rejects_tampering():
     bogus = dataclasses.replace(cert, chain=(0, 3, 4))
     assert not check_certificate(bogus, fiber, "subset", 4)
 
+    # class 1 named twice, once by its negative alias, as a chain of length 2
+    aliased = dataclasses.replace(
+        cert,
+        chain=(1, 1 - len(fiber.classes)),
+        chain_members=cert.chain_members[:1] * 2,
+        memberships=((1,), (1, 1)),
+    )
+    assert not check_certificate(aliased, fiber, "subset", 4)
+
 
 def test_check_certificate_rejects_cert_against_wrong_fiber():
     merged = merged_fiber(2, ((1, 2), (3, 4)))
@@ -246,6 +256,181 @@ def test_check_certificate_rejects_cert_against_wrong_fiber():
     # against the orbit fiber the same class index holds different members
     orbit = orbit_fiber(2, ((1, 2), (3, 4)))
     assert not check_certificate(mcert, orbit, "subset", 2)
+
+
+def _genuine_n4_certificate():
+    act = class_action(build_subset_matrix(4), subset_fiber(4, PAIR_BLOCKS_6, MERGED))
+    cert = nesting_search(fixed_point_scan([act, act]), bidegree=6)
+    assert isinstance(cert, NestingCertificate)
+    return cert
+
+
+def test_check_certificate_requires_classes_to_partition_the_points():
+    fiber = merged_fiber(4, PAIR_BLOCKS_6)
+    cert = _genuine_n4_certificate()
+    assert cert.chain == (1, 3, 4)
+    assert check_certificate(cert, fiber, "subset", 4)
+    not_a_point = fiber.classes + (FiberClass(members=((1, 1, 2, 9),)),)
+    repeated = fiber.classes + (FiberClass(members=(fiber.classes[0].members[0],)),)
+    dropped = fiber.classes[:5]  # class 5 is not on the chain
+    for classes in (not_a_point, repeated, dropped):
+        assert not check_certificate(cert, SpecialFiber(classes=classes), "subset", 4)
+
+
+def test_check_certificate_is_independent_of_the_pipeline(monkeypatch):
+    fiber = merged_fiber(4, PAIR_BLOCKS_6)
+    cert = _genuine_n4_certificate()
+    gfiber = grid_row_merge_fiber(3, ((1, 2), (3,)))
+    gact = class_action(build_grid_matrix(3), gfiber)
+    gcert = nesting_search(fixed_point_scan([gact, gact]), bidegree=4)
+
+    def refuse(*args):
+        raise AssertionError(f"the checker called the pipeline with {args}")
+
+    for module, name in (
+        (correspondence, "build_subset_matrix"),
+        (correspondence, "build_grid_matrix"),
+        (correspondence, "mat_mul"),
+        (fixed_points, "class_action"),
+    ):
+        monkeypatch.setattr(module, name, refuse)
+    assert check_certificate(cert, fiber, "subset", 4)
+    assert check_certificate(gcert, gfiber, "grid", 3)
+    tampered = dataclasses.replace(cert, memberships=((1,), (2, 1), (2, 1, 1)))
+    assert not check_certificate(tampered, fiber, "subset", 4)
+    gtampered = dataclasses.replace(gcert, memberships=((1,), (2, 1), (1, 1, 1)))
+    assert not check_certificate(gtampered, gfiber, "grid", 3)
+
+
+# --- the label-bitmask checker against the image-enumerating one -------------
+
+
+def _subset_image(member, n, degree):
+    here = set(member)
+    for other in itertools.combinations(range(1, degree + 1), n):
+        if len(here & set(other)) == n - 2:
+            yield other
+
+
+def _grid_image(member, m):
+    i, j = member
+    for k in range(1, m + 1):
+        if k != j:
+            yield (i, k)
+        if k != i:
+            yield (k, j)
+
+
+def reference_check_certificate(cert, fiber, kind, parameter):
+    """The checker that check_certificate replaced, kept as the reference: it
+    enumerates the image points of every representative and looks each one
+    up among the declared classes."""
+    if cert.length == 0:
+        return True
+    if len(set(cert.chain)) != cert.length:
+        return False
+    which = {}
+    for ci, cls in enumerate(fiber.classes):
+        for member in cls.members:
+            which[member] = ci
+
+    def image_of(member):
+        if kind == "subset":
+            return _subset_image(member, parameter, parameter + 2)
+        if kind == "grid":
+            return _grid_image(member, parameter)
+        raise ValueError(f"unknown correspondence kind {kind!r}")
+
+    for i, qi in enumerate(cert.chain):
+        if cert.chain_members[i] != fiber.classes[qi].members:
+            return False
+        expected = dict(zip(cert.chain[: i + 1], cert.memberships[i]))
+        for member in fiber.classes[qi].members:
+            counts = Counter()
+            for img in image_of(member):
+                if img not in which:
+                    return False  # image escapes the declared classes
+                counts[which[img]] += 1
+            for qj, mult in expected.items():
+                if counts.get(qj, 0) != mult:
+                    return False
+        if cert.memberships[i][i] != 1:
+            return False
+        if any(m < 1 for m in cert.memberships[i]):
+            return False
+    return True
+
+
+def _tampered(cert, fixed, classes):
+    """Every membership entry moved by one, the chain reversed with its
+    members, its last class named by its negative alias, and each chain
+    class swapped, with its members, for each other fixed class of the fiber
+    (given as index -> members)."""
+    for i, row in enumerate(cert.memberships):
+        for j in range(len(row)):
+            for step in (-1, 1):
+                moved = row[:j] + (row[j] + step,) + row[j + 1:]
+                rows = cert.memberships[:i] + (moved,) + cert.memberships[i + 1:]
+                yield dataclasses.replace(cert, memberships=rows)
+    yield dataclasses.replace(
+        cert, chain=cert.chain[::-1], chain_members=cert.chain_members[::-1]
+    )
+    yield dataclasses.replace(cert, chain=cert.chain[:-1] + (cert.chain[-1] - classes,))
+    for i in range(cert.length):
+        for q, members in fixed.items():
+            if q not in cert.chain:
+                yield dataclasses.replace(
+                    cert,
+                    chain=cert.chain[:i] + (q,) + cert.chain[i + 1:],
+                    chain_members=cert.chain_members[:i] + (members,) + cert.chain_members[i + 1:],
+                )
+
+
+def _pipeline_certificates():
+    """Each distinct (certificate, fiber, kind, parameter) the pipeline builds
+    for the 1- and 2-fiber profile combinations of subset n = 2..7 under both
+    models, and for grid g = 2 and 3.  The subset scans run on the class
+    actions of the declared fibers, as report._model scans them."""
+    found = {}
+    for n in range(2, 8):
+        corr = build_subset_matrix(n)
+        profiles = [p for p in _partitions(n + 2) if max(p) > 1]
+        for model in (MERGED, ORBIT):
+            acts = {
+                p: class_action(corr, subset_fiber(n, blocks_from_parts(p, n + 2), model))
+                for p in profiles
+            }
+            for combo in [(p,) for p in profiles] + list(
+                itertools.combinations_with_replacement(profiles, 2)
+            ):
+                actions = [acts[p] for p in combo]
+                cert = nesting_search(fixed_point_scan(actions), corr.bidegree)
+                if isinstance(cert, NestingCertificate) and cert.length:
+                    act = actions[cert.fiber_index]
+                    found[(cert, act.fiber, "subset", n)] = act
+    for g in (2, 3):
+        model = assemble(grid_scenario(g)).models[0]
+        cert = model.nesting
+        assert isinstance(cert, NestingCertificate) and cert.length
+        fiber = model.fibers[cert.fiber_index]
+        found[(cert, fiber, "grid", 3)] = class_action(build_grid_matrix(3), fiber)
+    return found
+
+
+def test_check_certificate_matches_reference_on_pipeline_certificates():
+    found = _pipeline_certificates()
+    verdicts = Counter()
+    for (cert, fiber, kind, parameter), act in found.items():
+        fixed = {q: fiber.classes[q].members for q in act.fixed_class_indices}
+        for variant in (cert, *_tampered(cert, fixed, len(fiber.classes))):
+            verdict = check_certificate(variant, fiber, kind, parameter)
+            assert verdict == reference_check_certificate(variant, fiber, kind, parameter), (
+                kind, parameter, variant
+            )
+            verdicts[verdict] += 1
+        assert check_certificate(cert, fiber, kind, parameter)
+    assert {kind for _, _, kind, _ in found} == {"subset", "grid"}
+    assert verdicts[True] > len(found) and verdicts[False] > 0
 
 
 # --- the clique search against the backtracking search over orderings -------

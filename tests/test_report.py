@@ -475,7 +475,7 @@ def test_subset_n8_both_models_decided():
     assert orbit.nesting.orderings_tried == 128_655_846_080
 
 
-@pytest.mark.parametrize("n, pairs", [(10, 15), (12, 21), (16, 36), (20, 55)])
+@pytest.mark.parametrize("n, pairs", [(10, 15), (12, 21), (16, 36), (20, 55), (30, 120)])
 def test_subset_large_n_both_models_decided(n, pairs):
     start = time.monotonic()
     rep = assemble(subset_scenario(n, 3))
