@@ -13,9 +13,8 @@ Both relations are plain 0/1, and each correspondence holds its relation
 once, as one int bitset per point, next to its point descriptors in row
 order: the rest of the package looks a point's row up by its descriptor and
 never recomputes a rank.  The square D^2 is computed once on first use and
-shared by identity discovery and verification; the relation is symmetric,
-so its rows are also its columns and each entry of D^2 is the popcount of
-an AND of two rows.
+walked once, by verify_identity; the relation is symmetric, so its rows are
+also its columns and each entry of D^2 is the popcount of an AND of two rows.
 
 A correspondence D may satisfy a quadratic identity
 
@@ -35,14 +34,13 @@ Kneser graph K(n+2, 2) on the 2-element complements, the grid one the rook's
 graph on m x m cells.  identity_and_exponent re-checks every discovered
 identity of either family against that closed form before it extracts q.
 
-All arithmetic is integer or Fraction; nothing here ever touches a float.
+All arithmetic is integer; nothing here ever touches a float.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 from .perms import all_subsets
@@ -101,8 +99,8 @@ class FiberCorrespondence:
 
     @cached_property
     def square(self) -> Matrix:
-        """D^2, computed once and shared by identity discovery and verification;
-        a symmetric relation's columns are its rows."""
+        """D^2, computed once and walked once, by verify_identity; a symmetric
+        relation's columns are its rows."""
         return mat_mul(self.rows, self.rows)
 
 
@@ -110,11 +108,11 @@ class FiberCorrespondence:
 class QuadraticIdentity:
     """Coefficients of D^2 = a*I + b*D + c*U."""
 
-    a: Fraction
-    b: Fraction
-    c: Fraction
+    a: int
+    b: int
+    c: int
 
-    def coefficients(self) -> tuple[Fraction, Fraction, Fraction]:
+    def coefficients(self) -> tuple[int, int, int]:
         return (self.a, self.b, self.c)
 
 
@@ -163,56 +161,40 @@ def mat_mul(rows: tuple[int, ...], cols: tuple[int, ...]) -> Matrix:
 
 
 def verify_identity(corr: FiberCorrespondence, a, b, c):
-    """Check D^2 = a*I + b*D + c*U entrywise, exactly.
+    """Check D^2 = a*I + b*D + c*U entrywise, exactly: the one walk over D^2.
 
-    The comparison runs in integers: a, b and c are scaled by the lcm of
-    their denominators, and so is each entry of D^2.  Returns (True, None)
-    on success, else (False, (i, j, got, want)) for the first differing
-    entry in row-major order, with want the exact Fraction.
+    Returns (True, None) on success, else (False, (i, j, got, want)) for the
+    first differing entry in row-major order.
     """
-    a, b, c = Fraction(a), Fraction(b), Fraction(c)
-    scale = math.lcm(a.denominator, b.denominator, c.denominator)
-    sa, sb, sc = (int(x * scale) for x in (a, b, c))
     for i, (row, sq) in enumerate(zip(corr.rows, corr.square)):
         for j, got in enumerate(sq):
-            want = sb * (row >> j & 1) + sc + (sa if i == j else 0)
-            if got * scale != want:
-                return False, (i, j, got, Fraction(want, scale))
+            want = b * (row >> j & 1) + c + (a if i == j else 0)
+            if got != want:
+                return False, (i, j, got, want)
     return True, None
 
 
 def discover_identity(corr: FiberCorrespondence) -> QuadraticIdentity | None:
-    """Solve for rational (a, b, c) with D^2 = a*I + b*D + c*U, if possible.
+    """The integer (a, b, c) with D^2 = a*I + b*D + c*U, or None if none exists.
 
-    The diagonal of D is zero, so the entries give the equations
-    a + c = D^2[i][i] and b*x + c = D^2[i][j] for each value x off the
-    diagonal; equal left-hand sides must have equal right-hand sides.  Two
-    off-diagonal values fix b and c (the two smallest are used).  With one
-    value the system is underdetermined, and the free unknown is set to
-    zero, preferring to attribute weight to the D term: b = y/x and c = 0
-    for a nonzero value x, b = 0 and c = y for the value 0.  Then
-    a = D^2[i][i] - c, and the candidate is checked against every distinct
-    equation, which every entry of D^2 satisfies: an entrywise proof with
-    no second walk over D^2.  Returns None when no identity exists.
+    D is 0/1 with a zero diagonal, so under the identity D^2 takes three
+    values: a + c on the diagonal, b + c on related pairs and c on unrelated
+    ones.  Rows have constant sums, so row 0 has a related (or an unrelated)
+    point exactly when some row does, and the coefficients are read off row 0
+    of D^2.  A kind of pair that never occurs leaves its unknown free, and it
+    is set to zero: c = 0 for a complete relation, b = 0 for an empty one.
+    verify_identity then proves the candidate entrywise.
+
+    >>> discover_identity(build_grid_matrix(3)).coefficients() == (2, -1, 2)
+    True
     """
-    equations: dict[tuple[bool, int], int] = {}
-    for i, (row, sq) in enumerate(zip(corr.rows, corr.square)):
-        for j, got in enumerate(sq):
-            if equations.setdefault((i == j, row >> j & 1), got) != got:
-                return None
-    diagonal = equations.pop((True, 0))
-    off = sorted((x, y) for (_, x), y in equations.items())
-    if len(off) >= 2:
-        (x1, y1), (x2, y2) = off[:2]
-        b = Fraction(y2 - y1, x2 - x1)
-        c = y1 - b * x1
-    elif off and off[0][0] != 0:
-        b, c = Fraction(off[0][1], off[0][0]), Fraction(0)
-    else:  # D is zero off the diagonal too, or has a single point
-        b, c = Fraction(0), Fraction(off[0][1] if off else 0)
-    if any(b * x + c != y for x, y in off):
-        return None
-    return QuadraticIdentity(a=diagonal - c, b=b, c=c)
+    row, sq = corr.rows[0], corr.square[0]
+    unrelated = ((1 << corr.size) - 2) & ~row  # off the diagonal, outside the image
+    c = sq[(unrelated & -unrelated).bit_length() - 1] if unrelated else 0
+    b = sq[(row & -row).bit_length() - 1] - c if row else 0
+    a = sq[0] - c
+    ok, _ = verify_identity(corr, a, b, c)
+    return QuadraticIdentity(a=a, b=b, c=c) if ok else None
 
 
 def exponent_from_identity(ident: QuadraticIdentity) -> tuple[int | None, str]:
@@ -225,10 +207,7 @@ def exponent_from_identity(ident: QuadraticIdentity) -> tuple[int | None, str]:
     so q = 2 - b and the factorization exists exactly when a = q - 1 with an
     integer q >= 2.
     """
-    b = ident.b
-    if b.denominator != 1:
-        return None, f"criterion hypothesis fails: b = {b} is not an integer"
-    q = 2 - int(b)
+    q = 2 - ident.b
     if q < 2:
         return None, f"criterion hypothesis fails: q = 2 - b = {q} is below 2"
     if ident.a != q - 1:

@@ -542,9 +542,9 @@ def correspondence_to_dict(
         if ident is None
         else {
             "form": "D^2 = a*I + b*D + c*U",
-            "a": rational_json(ident.a),
-            "b": rational_json(ident.b),
-            "c": rational_json(ident.c),
+            "a": ident.a,
+            "b": ident.b,
+            "c": ident.c,
         },
         "identity_verified": ident is not None,
         "exponent": q,
@@ -672,7 +672,7 @@ def identity_rows(ident: QuadraticIdentity | None, q: int | None) -> list[str]:
     if ident is None:
         found = "none found"
     else:
-        a, b, c = (rational_json(x) for x in ident.coefficients())
+        a, b, c = ident.coefficients()
         found = f"D^2 = ({a})*I + ({b})*D + ({c})*U   [verified entrywise]"
     return [table_row("identity", found), table_row("exponent q", q if q is not None else "none")]
 

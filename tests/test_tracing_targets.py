@@ -59,6 +59,11 @@ def test_traced_run_counts_layers_and_prints_the_same(argv):
     assert traced == plain
     metrics = tracing.layer_metrics(tracer.spans)
     assert metrics["correspondence.mat_mul_calls"] == 1
+    # discover_identity proves its identity through verify_identity, so the
+    # verify layer has one span per run and its time is never a silent 0
+    names = [span[0] for span in tracer.spans]
+    assert names.count("correspondence.discover") == 1
+    assert names.count("correspondence.verify") == 1
     assert metrics["cli.calls"] == 1
     if argv[0] == "builtin":
         assert metrics["fixed_points.class_action_calls"] >= 1
