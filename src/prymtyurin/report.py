@@ -577,78 +577,75 @@ def canonical_json(data) -> str:
     float is written as it writes it and anything else (a Fraction, a set)
     raises its TypeError; nothing is stringified by accident.
 
+    Like json.dumps, every piece goes to one list, joined once at the end.
     Reports repeat one fiber dict many times (the grid layout has four
     distinct fibers at every genus), and the pure-Python encoder that indent
-    selects would write every copy again.  Here a container's text is kept
-    by (id, depth) and reused when met again at that depth, but dropped when
-    the container around it closes unless reused by then, so the nesting
-    levels of a large report are not all held at once.  The ids stay valid
-    because data keeps every keyed object alive for the whole call.  A
-    container met again while it is still being written raises ValueError,
-    as json.dumps does on a cycle.
+    selects would write every copy again.  Here the slice of the list that a
+    container filled is recorded by (id, depth); when the container is met
+    again at that depth the slice is joined once and its text appended from
+    then on.  The ids stay valid because data keeps every keyed object alive
+    for the whole call.  A list or tuple of plain ints (not bools) is written
+    as one string.  A container met again while it is still being written
+    raises ValueError, as json.dumps does on a cycle.
     """
-    written: dict[tuple[int, int], str] = {}
-    reused: set[tuple[int, int]] = set()
-    # keys of kept texts whose enclosing container is still open, innermost last
-    fresh: list[tuple[int, int]] = []
+    out: list[str] = []
+    append = out.append
+    # (id, depth) -> the slice of out the container filled, or its joined text
+    seen: dict[tuple[int, int], slice | str] = {}
     open_ids: set[int] = set()
 
     # the recursion stays private: a recursive public call would be one more
     # serialize span per node to anything that wraps canonical_json
-    def write(obj, depth: int) -> str:
+    def write(obj, depth: int) -> None:
         if isinstance(obj, str):
-            return encode_basestring_ascii(obj)
+            return append(encode_basestring_ascii(obj))
         if obj is None:
-            return "null"
+            return append("null")
         if obj is True:
-            return "true"
+            return append("true")
         if obj is False:
-            return "false"
+            return append("false")
         if isinstance(obj, int):
-            return int.__repr__(obj)
-        if isinstance(obj, (list, tuple)):
-            if not obj:
-                return "[]"
-        elif isinstance(obj, dict):
-            if not obj:
-                return "{}"
-        else:
-            return json.dumps(obj)
+            return append(int.__repr__(obj))
+        is_dict = isinstance(obj, dict)
+        if not is_dict and not isinstance(obj, (list, tuple)):
+            return append(json.dumps(obj))
+        if not obj:
+            return append("{}" if is_dict else "[]")
+        pad = "  " * depth
+        line = "\n  " + pad
+        comma = "," + line
+        if not is_dict and all(type(v) is int for v in obj):
+            # an int list holds no container, so it needs no reuse or cycle check
+            return append("[" + line + comma.join(map(int.__repr__, obj)) + "\n" + pad + "]")
         oid = id(obj)
         key = (oid, depth)
-        text = written.get(key)
-        if text is not None:
-            reused.add(key)
-            return text
+        kept = seen.get(key)
+        if kept is not None:
+            if not isinstance(kept, str):
+                kept = seen[key] = "".join(out[kept])
+            return append(kept)
         if oid in open_ids:
             raise ValueError("Circular reference detected")
         open_ids.add(oid)
-        mark = len(fresh)
-        pad = "  " * depth
-        inner = "\n  " + pad
-        # every item is preceded by "," and the first "," becomes the opening
-        # bracket, so a large subtree is copied once per level, by one join
-        parts: list[str] = []
-        if isinstance(obj, dict):
+        start = len(out)
+        sep = ("{" if is_dict else "[") + line
+        if is_dict:
             for k, v in sorted(obj.items()):
-                parts += (",", inner, encode_basestring_ascii(k), ": ", write(v, depth + 1))
-            parts[0], close = "{", "}"
+                append(sep + encode_basestring_ascii(k) + ": ")
+                sep = comma
+                write(v, depth + 1)
         else:
             for v in obj:
-                parts += (",", inner, write(v, depth + 1))
-            parts[0], close = "[", "]"
-        parts += ("\n", pad, close)
-        text = "".join(parts)
+                append(sep)
+                sep = comma
+                write(v, depth + 1)
+        append("\n" + pad + ("}" if is_dict else "]"))
         open_ids.remove(oid)
-        for child in fresh[mark:]:
-            if child not in reused:
-                del written[child]
-        del fresh[mark:]
-        written[key] = text
-        fresh.append(key)
-        return text
+        seen[key] = slice(start, len(out))
 
-    return write(data, 0)
+    write(data, 0)
+    return "".join(out)
 
 
 def report_to_json(report: PrymReport) -> str:

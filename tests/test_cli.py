@@ -294,24 +294,17 @@ def test_verify_identity_grid_other_sides_fail_exponent(capsys):
 
 
 def test_verify_identity_dump_matrix(capsys):
-    code = main(
-        [
-            "verify-identity",
-            "--kind",
-            "grid",
-            "--m",
-            "3",
-            "--dump-matrix",
-            "--format",
-            "json",
-        ]
-    )
-    assert code == EXIT_VERIFIED
-    payload = json.loads(capsys.readouterr().out)
-    matrix = payload["matrix"]
-    assert len(matrix) == 9
-    assert all(sum(row) == 4 for row in matrix)
-    assert all(matrix[i][i] == 0 for i in range(9))
+    cases = (("grid", "--m", 3, 9, 4), ("subset", "--n", 6, 28, 15))
+    for kind, flag, size, points, degree in cases:
+        argv = ["verify-identity", "--kind", kind, flag, str(size), "--dump-matrix"]
+        assert main([*argv, "--format", "json"]) == EXIT_VERIFIED
+        out = capsys.readouterr().out
+        # the bytes the standard library writes, not only canonical_json's own
+        assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+        matrix = json.loads(out)["matrix"]
+        assert len(matrix) == points
+        assert all(sum(row) == degree for row in matrix)
+        assert all(matrix[i][i] == 0 for i in range(points))
 
 
 # argv -> what stderr must name; the matrix builders name the size bounds

@@ -1,3 +1,4 @@
+import enum
 import json
 import time
 import tracemalloc
@@ -6,7 +7,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from prymtyurin import fixed_points
@@ -308,9 +309,38 @@ def json_trees_with_shared_subtree(draw):
     return [shared, tree, {"k": [tree, shared]}, shared]
 
 
+SHARED_INTS = [3, -1, 10**40]
+
+
+class Colour(enum.IntEnum):
+    RED = 1
+
+
 @settings(max_examples=100, deadline=None)
 @given(data=json_trees_with_shared_subtree())
+@example(data=[SHARED_INTS, {"k": [SHARED_INTS, [SHARED_INTS]]}, SHARED_INTS])
 def test_canonical_json_matches_json_dumps(data):
+    assert canonical_json(data) == reference_json(data)
+
+
+# a list or tuple of plain ints is written in one piece; bools, int
+# subclasses and floats among ints must take the general path
+@pytest.mark.parametrize(
+    "data",
+    [
+        [True, 1],
+        [1, True],
+        (0, -(10**40)),
+        [1, 2.5],
+        [Colour.RED, 2],
+        [[], [1]],
+        [SHARED_INTS, [[SHARED_INTS]]],
+    ],
+    ids=[
+        "bool-first", "bool-last", "tuple", "float", "int-enum", "empty-nested", "shared-depths-1-3"
+    ],
+)
+def test_canonical_json_int_lists_match_json_dumps(data):
     assert canonical_json(data) == reference_json(data)
 
 
@@ -398,7 +428,9 @@ def test_grid_g3000_serializes_under_a_second():
 
 
 def test_grid_g3000_json_peak_memory_stays_near_its_length():
-    # a text not reused by the time its enclosing container closes is dropped
+    # every piece goes to one list joined once at the end; a repeated fiber's
+    # text is joined once and then appended by reference, so the pieces hold
+    # little beyond the four distinct fibers and the peak is about the text
     data = report_to_dict(assemble(grid_scenario(3000)))
     tracemalloc.start()
     try:
@@ -406,7 +438,7 @@ def test_grid_g3000_json_peak_memory_stays_near_its_length():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.5 * len(text)
+    assert peak <= 1.5 * len(text)
 
 
 def test_grid_g3000_computes_each_fiber_fact_once(monkeypatch):
