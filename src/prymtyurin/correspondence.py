@@ -12,9 +12,11 @@ generic point of the base line:
 Both relations are plain 0/1, and each correspondence holds its relation
 once, as one int bitset per point, next to its point descriptors in row
 order: the rest of the package looks a point's row up by its descriptor and
-never recomputes a rank.  The square D^2 is computed once on first use and
-walked once, by verify_identity; the relation is symmetric, so its rows are
-also its columns and each entry of D^2 is the popcount of an AND of two rows.
+never recomputes a rank.  Each family also carries permutations of its points
+that preserve D, checked at construction; verify_identity squares one row per
+orbit of the group they generate, one row for either family, and each entry is
+the popcount of an AND of two rows, since a symmetric relation's rows are its
+columns.
 
 A correspondence D may satisfy a quadratic identity
 
@@ -43,7 +45,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from .perms import all_subsets
+from .perms import Permutation, all_subsets, induced_subset_action, orbits, point_permutation
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -54,15 +56,17 @@ class FiberCorrespondence:
 
     Bit j of rows[i] is set when point j lies in the image of point i, and
     points[i] is the descriptor of point i (a subset tuple or a grid cell).
+    Each symmetry permutes the 1-based point positions and preserves D.
     Rows inside 0..N-1, symmetry, an empty diagonal, constant row popcounts
-    (the bidegree) and one distinct descriptor per row are validated at
-    construction.  The square D^2 is the popcount product of mat_mul.
+    (the bidegree), one distinct descriptor per row and every symmetry of
+    degree N that preserves D are validated at construction.
     """
 
     kind: str
     parameter: int
     rows: tuple[int, ...]
     points: tuple
+    symmetries: tuple[Permutation, ...] = ()
 
     def __post_init__(self):
         n = len(self.rows)
@@ -83,6 +87,14 @@ class FiberCorrespondence:
             if row[:i] != col[:i]:
                 j = next(j for j in range(i) if row[j] != col[j])
                 raise ValueError(f"not symmetric at ({i}, {j})")
+        for k, g in enumerate(self.symmetries):
+            if g.degree != n:
+                raise ValueError(f"symmetry {k} has degree {g.degree}, not {n}")
+            # moved[p][i] is bit p of row g(i); D is symmetric, so g preserves
+            # it when moved[g(j)][i] = D[g(i)][g(j)] is bit i of row j
+            moved = ["".join(col) for col in zip(*[bits[x - 1] for x in g.images])]
+            if any(moved[x - 1] != row for x, row in zip(g.images, bits)):
+                raise ValueError(f"symmetry {k} does not preserve the relation")
 
     @property
     def size(self) -> int:
@@ -96,12 +108,6 @@ class FiberCorrespondence:
     def index(self) -> dict:
         """Row index of each point descriptor."""
         return {p: i for i, p in enumerate(self.points)}
-
-    @cached_property
-    def square(self) -> Matrix:
-        """D^2, computed once and walked once, by verify_identity; a symmetric
-        relation's columns are its rows."""
-        return mat_mul(self.rows, self.rows)
 
 
 @dataclass(frozen=True)
@@ -121,6 +127,7 @@ def build_subset_matrix(n: int) -> FiberCorrespondence:
 
     Bidegree n*(n-1)/2: the subsets sharing n-2 elements with I are exactly
     those whose 2-element complement is disjoint from the complement of I.
+    Its symmetries are the label moves (1 2) and (1 ... n+2), induced on n-subsets.
     """
     if n < 2:
         raise ValueError(f"subset correspondence needs n >= 2, got {n}")
@@ -130,7 +137,9 @@ def build_subset_matrix(n: int) -> FiberCorrespondence:
     # related to I are those holding both labels of its complement
     holding = {x: sum(1 << j for j, s in enumerate(pts) if x in s) for x in labels}
     rows = tuple(holding[a] & holding[b] for a, b in (set(labels).difference(s) for s in pts))
-    return FiberCorrespondence(kind="subset", parameter=n, rows=rows, points=pts)
+    moves = (((1, 2),), (tuple(labels),))
+    symmetries = tuple(induced_subset_action(Permutation.from_cycles(n + 2, g), n) for g in moves)
+    return FiberCorrespondence("subset", n, rows, pts, symmetries)
 
 
 def grid_points(m: int) -> list[tuple[int, int]]:
@@ -147,26 +156,37 @@ def build_grid_matrix(m: int) -> FiberCorrespondence:
     column = sum(1 << (m * i) for i in range(m))  # the cells of the first column
     # a cell's own bit is set in both its row and its column; XOR clears it
     rows = tuple((line << (m * (i - 1))) ^ (column << (j - 1)) for i, j in pts)
-    return FiberCorrespondence(kind="grid", parameter=m, rows=rows, points=pts)
+    # the symmetries: the transpose, the swap of rows 1 and 2 and the row long cycle
+    moves = (lambda c: c[::-1], lambda c: (3 - c[0] if c[0] < 3 else c[0], c[1]),
+             lambda c: (c[0] % m + 1, c[1]))
+    symmetries = tuple(point_permutation(pts, move) for move in moves)
+    return FiberCorrespondence("grid", m, rows, pts, symmetries)
 
 
 def mat_mul(rows: tuple[int, ...], cols: tuple[int, ...]) -> Matrix:
-    """The product of two 0/1 matrices, the left one given by its row
-    bitsets and the right one by its column bitsets: entry (i, j) counts
-    the k with bit k set in both rows[i] and cols[j], one popcount of an AND.
+    """The product of two 0/1 matrices, len(rows) x len(cols), the left one by
+    its row bitsets and the right one by its column bitsets: entry (i, j)
+    counts the k with bit k set in both rows[i] and cols[j], one popcount.
     """
-    if len(rows) != len(cols):
-        raise ValueError("matrix shapes do not match")
     return tuple(tuple([(r & c).bit_count() for c in cols]) for r in rows)
 
 
 def verify_identity(corr: FiberCorrespondence, a, b, c):
-    """Check D^2 = a*I + b*D + c*U entrywise, exactly: the one walk over D^2.
+    """Check D^2 = a*I + b*D + c*U entrywise, exactly.
 
-    Returns (True, None) on success, else (False, (i, j, got, want)) for the
-    first differing entry in row-major order.
+    The symmetries preserve D^2 - (a*I + b*D + c*U), so its failing rows are
+    unions of orbits: one mat_mul call squares each orbit's minimum, and each
+    entry of those rows is compared.  Returns (True, None) on success, else
+    (False, (i, j, got, want)) for the first differing entry in row-major
+    order, which lies on its orbit's minimum.  Subset n = 4 squares one row:
+
+    >>> corr = build_subset_matrix(4)
+    >>> len(orbits(corr.symmetries)), verify_identity(corr, 3, -2, 3)
+    (1, (True, None))
     """
-    for i, (row, sq) in enumerate(zip(corr.rows, corr.square)):
+    minima = [orbit[0] - 1 for orbit in orbits(corr.symmetries, corr.size)]
+    picked = [corr.rows[i] for i in minima]
+    for i, row, sq in zip(minima, picked, mat_mul(picked, corr.rows)):
         for j, got in enumerate(sq):
             want = b * (row >> j & 1) + c + (a if i == j else 0)
             if got != want:
@@ -183,16 +203,19 @@ def discover_identity(corr: FiberCorrespondence) -> QuadraticIdentity | None:
     point exactly when some row does, and the coefficients are read off row 0
     of D^2.  A kind of pair that never occurs leaves its unknown free, and it
     is set to zero: c = 0 for a complete relation, b = 0 for an empty one.
-    verify_identity then proves the candidate entrywise.
+    Each is one popcount of row 0 and another row (D^2[0][0] is the
+    bidegree); verify_identity then proves the candidate entrywise.
 
     >>> discover_identity(build_grid_matrix(3)).coefficients() == (2, -1, 2)
     True
     """
-    row, sq = corr.rows[0], corr.square[0]
+    row = corr.rows[0]
     unrelated = ((1 << corr.size) - 2) & ~row  # off the diagonal, outside the image
-    c = sq[(unrelated & -unrelated).bit_length() - 1] if unrelated else 0
-    b = sq[(row & -row).bit_length() - 1] - c if row else 0
-    a = sq[0] - c
+    # D^2[0][j] at the lowest point j of a nonempty bitset
+    square = lambda bits: (row & corr.rows[(bits & -bits).bit_length() - 1]).bit_count()
+    c = square(unrelated) if unrelated else 0
+    b = square(row) - c if row else 0
+    a = corr.bidegree - c
     ok, _ = verify_identity(corr, a, b, c)
     return QuadraticIdentity(a=a, b=b, c=c) if ok else None
 

@@ -208,13 +208,9 @@ def irreducibility_check(generators: tuple[Permutation, ...], k: int) -> bool:
 
     This is the combinatorial content of irreducibility of the induced curve:
     the monodromy image must not split the subset fiber.  It is a proxy, not
-    a proof of irreducibility of any particular curve.  Complementing commutes
-    with the action, so the smaller of k and degree - k gives the same verdict.
+    a proof of irreducibility of any particular curve.
     """
     if not generators:
         return False
-    degree = generators[0].degree
-    if 0 <= k <= degree:  # an out-of-range k is named by induced_subset_action
-        k = min(k, degree - k)
     induced = tuple(induced_subset_action(g, k) for g in generators)
-    return is_transitive(induced, comb(degree, k))
+    return is_transitive(induced, comb(generators[0].degree, k))

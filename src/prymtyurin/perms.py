@@ -85,7 +85,10 @@ def all_subsets(universe: int, k: int) -> list[tuple[int, ...]]:
     >>> all_subsets(4, 2)
     [(1, 2), (1, 3), (2, 3), (1, 4), (2, 4), (3, 4)]
     """
-    return sorted(itertools.combinations(range(1, universe + 1), k), key=lambda s: s[::-1])
+    # k-subsets written largest first come in lex order from the labels
+    # listed downwards; read backwards, that is colex order
+    descending = list(itertools.combinations(range(universe, 0, -1), k))
+    return [s[::-1] for s in reversed(descending)]
 
 
 def point_permutation(points, move) -> Permutation:
@@ -106,13 +109,16 @@ def induced_subset_action(p: Permutation, k: int) -> Permutation:
 
     This is a group homomorphism: the induced action of a composition is the
     composition of the induced actions, and the identity induces the identity.
+    Complementing commutes with p and reverses colex order, so for k above
+    degree - k the points are the complements, the smaller subsets backwards.
 
     >>> induced_subset_action(Permutation.from_cycles(4, ((1, 2),)), 2).images
     (1, 3, 2, 5, 4, 6)
     """
     if not 0 <= k <= p.degree:
         raise ValueError(f"subset size {k} outside 0..{p.degree}")
-    return point_permutation(all_subsets(p.degree, k), p.apply_to_set)
+    small = all_subsets(p.degree, min(k, p.degree - k))
+    return point_permutation(small if 2 * k <= p.degree else small[::-1], p.apply_to_set)
 
 
 def orbits(generators: tuple[Permutation, ...], degree: int | None = None) -> tuple[tuple[int, ...], ...]:

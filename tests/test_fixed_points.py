@@ -433,6 +433,26 @@ def test_check_certificate_matches_reference_on_pipeline_certificates():
     assert verdicts[True] > len(found) and verdicts[False] > 0
 
 
+def test_check_certificate_reads_every_grid_row():
+    # the pipeline's grid certificates glue rows 1 and 2 only, so a label rule
+    # that gave row m the label of column 1 passed them all; gluing each pair
+    # of rows puts every row, the last one included, on some chain
+    for m in (3, 4):
+        corr = build_grid_matrix(m)
+        for pair in itertools.combinations(range(1, m + 1), 2):
+            blocks = (pair, *((r,) for r in range(1, m + 1) if r not in pair))
+            fiber = grid_row_merge_fiber(m, blocks)
+            act = class_action(corr, fiber)
+            cert = nesting_search(fixed_point_scan([act, act]), corr.bidegree)
+            assert {i for members in cert.chain_members for i, _ in members} == set(pair)
+            assert check_certificate(cert, fiber, "grid", m)
+            fixed = {q: fiber.classes[q].members for q in act.fixed_class_indices}
+            for variant in _tampered(cert, fixed, len(fiber.classes)):
+                assert check_certificate(variant, fiber, "grid", m) == (
+                    reference_check_certificate(variant, fiber, "grid", m)
+                )
+
+
 # --- the clique search against the backtracking search over orderings -------
 
 

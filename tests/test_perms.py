@@ -137,3 +137,13 @@ def test_transitive_tuple_induces_transitive_subset_action():
     gens = (transposition(5, 1, 2), Permutation.from_cycles(5, ((1, 2, 3, 4, 5),)))
     induced = tuple(induced_subset_action(g, 3) for g in gens)
     assert is_transitive(induced, comb(5, 3))
+
+
+def test_induced_action_reads_large_subsets_off_their_complements():
+    # k > degree - k is induced on the complements and read backwards; every
+    # permutation of S_5 and every k agrees with the definition, the map
+    # applied to each k-subset and looked up in colex order
+    for p in s_n(5):
+        for k in range(6):
+            want = point_permutation(all_subsets(5, k), p.apply_to_set)
+            assert induced_subset_action(p, k) == want
