@@ -156,9 +156,10 @@ def build_grid_matrix(m: int) -> FiberCorrespondence:
     column = sum(1 << (m * i) for i in range(m))  # the cells of the first column
     # a cell's own bit is set in both its row and its column; XOR clears it
     rows = tuple((line << (m * (i - 1))) ^ (column << (j - 1)) for i, j in pts)
-    # the symmetries: the transpose, the swap of rows 1 and 2 and the row long cycle
-    moves = (lambda c: c[::-1], lambda c: (3 - c[0] if c[0] < 3 else c[0], c[1]),
-             lambda c: (c[0] % m + 1, c[1]))
+    # the symmetries: the transpose and the row long cycle, transitive on the
+    # cells since the cycle moves a cell to every row and the transpose to
+    # every column
+    moves = (lambda c: c[::-1], lambda c: (c[0] % m + 1, c[1]))
     symmetries = tuple(point_permutation(pts, move) for move in moves)
     return FiberCorrespondence("grid", m, rows, pts, symmetries)
 

@@ -1,14 +1,15 @@
 """Branched-covering bookkeeping.
 
-A covering of curves is recorded by its degree, the genus of the base, the
+A covering of the projective line is recorded by its degree, the
 ramification profiles of its special fibers, and a count of additional simple
 branch points.  A profile is the partition of the degree given by the
 ramification indices over one branch point; its contribution to the total
-ramification degree is sum(part - 1).
+ramification degree is sum(part - 1).  The base is always the line, since the
+exponent derivation needs a rational base (correspondence.exponent_from_identity).
 
-The genus upstairs is pinned down by Riemann-Hurwitz:
+The genus upstairs is pinned down by Riemann-Hurwitz over genus 0:
 
-    2*g - 2 = degree * (2*base_genus - 2) + w
+    2*g - 2 = degree * (2*0 - 2) + w
 
 Scenarios that make g fractional or negative are rejected loudly; they are
 never rounded or clamped.
@@ -53,7 +54,7 @@ def profile_contribution(parts) -> int:
 
 @dataclass(frozen=True)
 class CoveringData:
-    """A covering described by branch data only; branch points are anonymous.
+    """A covering of the line by branch data only; branch points are anonymous.
 
     special_fibers holds one ramification profile per branch point that is not
     a plain simple one; simple_extra counts further branch points with profile
@@ -61,15 +62,12 @@ class CoveringData:
     """
 
     degree: int
-    base_genus: int
     special_fibers: tuple[tuple[int, ...], ...] = field(default=())
     simple_extra: int = 0
 
     def __post_init__(self):
         if self.degree < 1:
             raise ValueError(f"degree must be at least 1, got {self.degree}")
-        if self.base_genus < 0:
-            raise ValueError(f"base genus must be non-negative, got {self.base_genus}")
         if self.simple_extra < 0:
             raise ValueError(f"simple branch point count must be non-negative, got {self.simple_extra}")
         if self.simple_extra > 0 and self.degree < 2:
@@ -86,29 +84,29 @@ def ramification_degree(cov: CoveringData) -> int:
     return sum(profile_contribution(f) for f in cov.special_fibers) + cov.simple_extra
 
 
-def riemann_hurwitz_genus(degree: int, base_genus: int, w: int) -> int:
-    """Genus upstairs from 2g - 2 = degree*(2*base_genus - 2) + w.
+def riemann_hurwitz_genus(degree: int, w: int) -> int:
+    """Genus upstairs of a covering of the line: 2g - 2 = degree*(2*0 - 2) + w.
 
     Raises GenusValidationError when the parity does not work out or the genus
-    would be negative.
+    would be negative; its messages keep the base genus 0 written out.
     """
-    if degree < 1 or base_genus < 0 or w < 0:
-        raise ValueError(f"bad covering data: degree={degree} base_genus={base_genus} w={w}")
-    rhs = degree * (2 * base_genus - 2) + w
+    if degree < 1 or w < 0:
+        raise ValueError(f"bad covering data: degree={degree} w={w}")
+    rhs = w - 2 * degree
     if rhs % 2 != 0:
         raise GenusValidationError(
-            f"ramification parity failure: degree*(2*{base_genus}-2) + {w} = {rhs} is odd"
+            f"ramification parity failure: degree*(2*0-2) + {w} = {rhs} is odd"
         )
     g = rhs // 2 + 1
     if g < 0:
         raise GenusValidationError(
-            f"negative genus {g} from degree={degree}, base_genus={base_genus}, w={w}"
+            f"negative genus {g} from degree={degree}, base_genus=0, w={w}"
         )
     return g
 
 
 def upstairs_genus(cov: CoveringData) -> int:
-    return riemann_hurwitz_genus(cov.degree, cov.base_genus, ramification_degree(cov))
+    return riemann_hurwitz_genus(cov.degree, ramification_degree(cov))
 
 
 def simple_budget(cov: CoveringData, target_upstairs_genus: int) -> int:
@@ -121,7 +119,7 @@ def simple_budget(cov: CoveringData, target_upstairs_genus: int) -> int:
         raise ValueError(f"target genus must be non-negative, got {target_upstairs_genus}")
     w_special = sum(profile_contribution(f) for f in cov.special_fibers)
     # w_needed is even for every integral target, so the budget is a plain difference
-    w_needed = 2 * target_upstairs_genus - 2 - cov.degree * (2 * cov.base_genus - 2)
+    w_needed = 2 * target_upstairs_genus - 2 + 2 * cov.degree
     extra = w_needed - w_special
     if extra < 0:
         raise GenusValidationError(

@@ -364,8 +364,12 @@ def check_certificate(cert: NestingCertificate, fiber: SpecialFiber, kind: str, 
     and the declared classes must partition them: every point in exactly one
     class and no member that is not a point.  Every membership multiplicity
     is then recomputed at every representative by counting, per class, the
-    points that share the related number of labels with it.
+    points that share the related number of labels with it.  A certificate
+    whose chain_members or membership rows do not fit its chain is refused.
     """
+    shape = [len(row) for row in cert.memberships]
+    if len(cert.chain_members) != cert.length or shape != list(range(1, cert.length + 1)):
+        return False
     if cert.length == 0:
         return True
     chain = set(cert.chain)

@@ -72,7 +72,8 @@ class SpecialFiber:
     """A special fiber of the induced covering: its classes of points.
 
     A fiber does not record which model built it; the ModelReport holding it
-    does.  The grid fibers are the same objects under both models.
+    does.  Each model builds its own fibers, so the grid fibers, whose
+    classes are the same under both models, are equal but not shared.
     """
 
     classes: tuple[FiberClass, ...]

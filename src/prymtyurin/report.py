@@ -67,9 +67,7 @@ UNDECIDED = "undecided"
 SYNTHESIZED = "synthesized"
 EXPLICIT = "explicit"
 
-# the grid family's fixed fiber layout: two fibers merging rows {1,2} of the
-# grid, then one pairing fiber per branch point of the double covering,
-# cycling through the three diagonal shifts
+# the rows the grid layout's row-merge fibers glue
 GRID_ROW_BLOCKS = ((1, 2), (3,))
 
 
@@ -118,9 +116,11 @@ class Hypotheses:
 class ModelReport:
     """Everything a single fiber model says about the scenario.
 
-    error is set when the model's own arithmetic is inconsistent (genus
-    validation, negative dimension); fields computed before the failure are
-    kept for diagnosis, the rest are None.  undecided is set when the
+    Its layout holds each distinct special fiber once; positions[i] is the
+    index into distinct_fibers of the fiber at layout position i.  error is
+    set when the model's own arithmetic is inconsistent (genus validation,
+    negative dimension); fields computed before the failure are kept for
+    diagnosis, the rest are None.  undecided is set when the
     nesting search ran out of budget and every other check held, so the
     model is neither verified nor refuted.
     """
@@ -128,7 +128,8 @@ class ModelReport:
     model: str
     covering: CoveringData
     induced_deg: int
-    fibers: tuple[SpecialFiber, ...]
+    distinct_fibers: tuple[SpecialFiber, ...]
+    positions: tuple[int, ...]
     total_ramification: int
     fixed: FixedPointReport
     simple_fibers_fixed_free: bool | None
@@ -141,6 +142,12 @@ class ModelReport:
     hypotheses: Hypotheses
     verified: bool
     undecided: bool
+
+    @property
+    def fibers(self) -> tuple[SpecialFiber, ...]:
+        """The special fibers in layout order, the index space of fixed
+        classes and certificates."""
+        return tuple(self.distinct_fibers[i] for i in self.positions)
 
     @property
     def certificate_checked(self) -> bool:
@@ -214,41 +221,30 @@ def assemble(scenario: Scenario) -> PrymReport:
     return dataclasses.replace(report, notes=_notes(report))
 
 
-def grid_fiber_layout(simple_points: int) -> tuple[SpecialFiber, ...]:
-    """The grid scenario's special fibers over the base line, the same under
-    both models: two row-merge fibers, then one pairing fiber per simple
-    branch point of the double covering (its simple_budget) cycling the
-    diagonal shift.  The four distinct fibers are built once and repeated."""
-    rows = grid_row_merge_fiber(GRID_SIZE, GRID_ROW_BLOCKS)
-    pairings = tuple(grid_pairing_fiber(GRID_SIZE, s) for s in range(GRID_SIZE))
-    return (rows, rows) + tuple(pairings[k % GRID_SIZE] for k in range(simple_points))
+def fiber_layout(
+    scenario: Scenario, model: str
+) -> tuple[tuple[SpecialFiber, ...], tuple[int, ...], int | None]:
+    """One model's special fibers over the base line: the distinct fibers,
+    each built once; the index of each layout position's fiber among them,
+    in report order; and the index of a fiber over a simple branch point of
+    the input covering, or None when the layout declares them all.
 
-
-# A layout is (declared special fibers, a representative fiber over one of
-# the input covering's simple branch points or None when the layout declares
-# them all, and the prefix of a genus error message).
-
-
-def _subset_layout(scenario: Scenario, model: str):
+    A subset layout has one fiber per distinct profile, the simple one
+    included.  The grid layout has two row-merge fibers, then one pairing
+    fiber per simple branch point of the double covering (its simple_budget)
+    cycling the diagonal shift: every ramified fiber, four distinct ones.
+    """
+    if scenario.kind == GRID:
+        rows = grid_row_merge_fiber(GRID_SIZE, GRID_ROW_BLOCKS)
+        pairings = tuple(grid_pairing_fiber(GRID_SIZE, s) for s in range(GRID_SIZE))
+        cycle = tuple(1 + k % GRID_SIZE for k in range(scenario.covering.simple_extra))
+        return (rows, *pairings), (0, 0) + cycle, None
     n = scenario.parameter
-    degree = n + 2
     simple_profile = (2,) + (1,) * n
-    # one fiber object per distinct profile, the simple one included, so
-    # repeated profiles share their class action and serialized entry
-    built = {
-        p: subset_fiber(n, blocks_from_parts(p, degree), model)
-        for p in dict.fromkeys((*scenario.special_fibers, simple_profile))
-    }
-    fibers = tuple(built[p] for p in scenario.special_fibers)
-    prefix = f"subset scenario n={n}, source genus {scenario.upstairs_genus}"
-    return fibers, built[simple_profile], prefix
-
-
-def _grid_layout(scenario: Scenario, model: str):
-    # one pairing fiber per simple branch point of the double covering: the
-    # layout declares every ramified fiber of the induced covering
-    layout = grid_fiber_layout(scenario.covering.simple_extra)
-    return layout, None, f"grid scenario, genus {scenario.upstairs_genus}"
+    profiles = dict.fromkeys((*scenario.special_fibers, simple_profile))
+    index = {p: i for i, p in enumerate(profiles)}
+    distinct = tuple(subset_fiber(n, blocks_from_parts(p, n + 2), model) for p in profiles)
+    return distinct, tuple(index[p] for p in scenario.special_fibers), index[simple_profile]
 
 
 def _irreducibility(scenario: Scenario) -> tuple[bool, str]:
@@ -281,27 +277,24 @@ def _model(
     irreducible: bool,
 ) -> ModelReport:
     """Everything one fiber model says, from the family's fiber layout on."""
-    layout = _subset_layout if scenario.kind == SUBSET else _grid_layout
-    fibers, simple, prefix = layout(scenario, model)
-    # layouts repeat fiber objects (the grid has four at every genus; a
-    # declared simple profile is the simple representative itself), so each
-    # distinct one is acted on once and its action reused in order
-    distinct = {id(f): f for f in (*fibers, simple) if f is not None}
-    actions = {key: class_action(corr, f) for key, f in distinct.items()}
-    scan = fixed_point_scan(actions[id(f)] for f in fibers)
-    w_induced = sum(f.w_contribution for f in fibers)
+    distinct, positions, simple = fiber_layout(scenario, model)
+    # each distinct fiber is acted on once and its action reused in order
+    actions = [class_action(corr, f) for f in distinct]
+    scan = fixed_point_scan(actions[i] for i in positions)
+    w_induced = sum(distinct[i].w_contribution for i in positions)
     simple_free = None
     if simple is not None:
-        w_induced += scenario.covering.simple_extra * simple.w_contribution
+        w_induced += scenario.covering.simple_extra * distinct[simple].w_contribution
         # the fixed-point count only scans declared special fibers, so check
         # on a representative that a simple branch point has no fixed class
-        simple_free = actions[id(simple)].fixed_class_indices == ()
+        simple_free = actions[simple].fixed_class_indices == ()
 
     genus = error = None
     try:
-        genus = riemann_hurwitz_genus(corr.size, 0, w_induced)
+        genus = riemann_hurwitz_genus(corr.size, w_induced)
     except GenusValidationError as exc:
-        error = f"{prefix}, {model} model: {exc}"
+        where = f" n={scenario.parameter}, source" if scenario.kind == SUBSET else ","
+        error = f"{scenario.kind} scenario{where} genus {scenario.upstairs_genus}, {model} model: {exc}"
 
     bidegree = corr.bidegree
     even = scan.is_even
@@ -310,7 +303,7 @@ def _model(
     checked = certified and (
         nesting.length == 0
         or check_certificate(
-            nesting, fibers[nesting.fiber_index], scenario.kind, scenario.parameter
+            nesting, distinct[positions[nesting.fiber_index]], scenario.kind, scenario.parameter
         )
     )
     hyp = Hypotheses(
@@ -344,7 +337,8 @@ def _model(
         model=model,
         covering=scenario.covering,
         induced_deg=corr.size,
-        fibers=fibers,
+        distinct_fibers=distinct,
+        positions=positions,
         total_ramification=w_induced,
         fixed=scan,
         simple_fibers_fixed_free=simple_free,
@@ -438,7 +432,7 @@ def rational_json(x) -> int | str:
 def covering_to_dict(cov: CoveringData) -> dict:
     return {
         "degree": cov.degree,
-        "base_genus": cov.base_genus,
+        "base_genus": 0,
         "special_fibers": [list(p) for p in cov.special_fibers],
         "upstairs_genus": upstairs_genus(cov),
         "simple_extra": cov.simple_extra,
@@ -487,13 +481,10 @@ def nesting_to_dict(nesting) -> dict:
 
 
 def model_to_dict(rep: ModelReport) -> dict:
-    # the fiber does not know its model; its model report does.  Layouts
-    # repeat fiber objects, so each distinct one gets one dict, repeated in
-    # layout order, which canonical_json writes once
-    distinct = {id(f): f for f in rep.fibers}
-    fiber_entries = {
-        key: {"model": rep.model, **fiber_to_dict(f)} for key, f in distinct.items()
-    }
+    # the fiber does not know its model; its model report does.  Each
+    # distinct fiber gets one dict, repeated in layout order, which
+    # canonical_json writes once
+    entries = [{"model": rep.model, **fiber_to_dict(f)} for f in rep.distinct_fibers]
     out: dict = {
         "model": rep.model,
         "covering": covering_to_dict(rep.covering),
@@ -502,7 +493,7 @@ def model_to_dict(rep: ModelReport) -> dict:
             "ramification": rep.total_ramification,
             "genus": rep.genus,
         },
-        "special_fibers": [fiber_entries[id(f)] for f in rep.fibers],
+        "special_fibers": [entries[i] for i in rep.positions],
         "fixed_points": [
             {
                 "fiber": fc.fiber_index,
@@ -702,7 +693,7 @@ def render_table(report: PrymReport) -> str:
         lines.append(
             table_row(
                 "input covering",
-                f"degree {cov.degree} over genus {cov.base_genus},"
+                f"degree {cov.degree} over genus 0,"
                 f" special fibers [{fiber_desc}], {cov.simple_extra} simple points",
             )
         )

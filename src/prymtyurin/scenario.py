@@ -167,7 +167,7 @@ class Scenario:
         says the source genus needs, 2g + 2 for the double covering.
         """
         degree = 2 if self.kind == GRID else self.parameter + 2
-        bare = CoveringData(degree=degree, base_genus=0, special_fibers=self.special_fibers)
+        bare = CoveringData(degree=degree, special_fibers=self.special_fibers)
         return dataclasses.replace(bare, simple_extra=simple_budget(bare, self.upstairs_genus))
 
 

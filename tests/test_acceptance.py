@@ -284,9 +284,7 @@ def test_criterion_5_property_suites():
 
         # (e) parity validation rejects fabricated odd ramification totals
         with pytest.raises(GenusValidationError):
-            riemann_hurwitz_genus(4, 0, 1)
-        odd_covering = CoveringData(
-            degree=4, base_genus=0, special_fibers=((2, 1, 1),), simple_extra=0
-        )
+            riemann_hurwitz_genus(4, 1)
+        odd_covering = CoveringData(degree=4, special_fibers=((2, 1, 1),), simple_extra=0)
         with pytest.raises(GenusValidationError):
             upstairs_genus(odd_covering)

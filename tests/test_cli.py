@@ -313,6 +313,8 @@ MIXUP_MESSAGES = {
     ("verify-identity", "--kind", "grid", "--n", "2"): "requires --m",  # stray --n
     ("verify-identity", "--kind", "subset", "--n", "1"): "n >= 2",  # size too small
     ("verify-identity", "--kind", "grid", "--m", "1"): "m >= 2",  # side too small
+    # a stray --n next to the grid's --m
+    ("verify-identity", "--kind", "grid", "--m", "3", "--n", "2"): "--n only applies to --kind subset",
 }
 
 
@@ -346,7 +348,7 @@ def test_size_ceilings_reject_through_validation_alone(tmp_path, monkeypatch, ca
         (cli, "build_grid_matrix"),
         (report, "build_subset_matrix"),
         (report, "build_grid_matrix"),
-        (report, "grid_fiber_layout"),
+        (report, "fiber_layout"),
         (scenario_module, "default_subset_fibers"),
     ):
         monkeypatch.setattr(module, name, refuse)

@@ -30,63 +30,72 @@ def test_profile_normalization():
 
 
 def test_covering_data_validation():
-    cov = CoveringData(degree=5, base_genus=0, special_fibers=((1, 2, 2),), simple_extra=6)
+    cov = CoveringData(degree=5, special_fibers=((1, 2, 2),), simple_extra=6)
     assert cov.special_fibers == ((2, 2, 1),)
     with pytest.raises(ValueError):
-        CoveringData(degree=4, base_genus=0, special_fibers=((2, 2, 1),))
+        CoveringData(degree=4, special_fibers=((2, 2, 1),))
     with pytest.raises(ValueError):
-        CoveringData(degree=4, base_genus=0, simple_extra=-1)
+        CoveringData(degree=4, simple_extra=-1)
     with pytest.raises(ValueError):
-        CoveringData(degree=1, base_genus=0, simple_extra=2)
+        CoveringData(degree=1, simple_extra=2)
     with pytest.raises(ValueError, match="parts must be positive integers"):
-        CoveringData(3, 0, ((2.9, 1),))
+        CoveringData(3, ((2.9, 1),))
+    with pytest.raises(ValueError, match="degree must be at least 1, got 0"):
+        CoveringData(degree=0)
 
 
 def test_riemann_hurwitz_direct_values():
     # degree 2 cover of the line branched at 2g+2 points is the genus-g curve
     for g in range(0, 8):
-        assert riemann_hurwitz_genus(2, 0, 2 * g + 2) == g
+        assert riemann_hurwitz_genus(2, 2 * g + 2) == g
     # degree 10 cover of the line with w = 6*gx + 22 has genus 3*gx + 2
     for gx in range(0, 12):
-        assert riemann_hurwitz_genus(10, 0, 6 * gx + 22) == 3 * gx + 2
+        assert riemann_hurwitz_genus(10, 6 * gx + 22) == 3 * gx + 2
     # degree 9 cover of the line with w = 6*g + 12 has genus 3*g - 2
     for g in range(2, 21):
-        assert riemann_hurwitz_genus(9, 0, 6 * g + 12) == 3 * g - 2
-    # unramified degree-d cover of an elliptic base stays at genus 1
-    assert riemann_hurwitz_genus(7, 1, 0) == 1
+        assert riemann_hurwitz_genus(9, 6 * g + 12) == 3 * g - 2
 
 
 def test_riemann_hurwitz_rejects_odd_w():
     with pytest.raises(GenusValidationError):
-        riemann_hurwitz_genus(9, 0, 7)
+        riemann_hurwitz_genus(9, 7)
     with pytest.raises(GenusValidationError):
-        riemann_hurwitz_genus(2, 0, 3)
+        riemann_hurwitz_genus(2, 3)
+
+
+def test_riemann_hurwitz_rejects_bad_covering_data():
+    with pytest.raises(ValueError, match="bad covering data: degree=0 w=2"):
+        riemann_hurwitz_genus(0, 2)
+    with pytest.raises(ValueError, match="bad covering data: degree=3 w=-2"):
+        riemann_hurwitz_genus(3, -2)
 
 
 def test_riemann_hurwitz_rejects_negative_genus():
     with pytest.raises(GenusValidationError):
-        riemann_hurwitz_genus(3, 0, 2)
+        riemann_hurwitz_genus(3, 2)
     # w = 4 is the minimum for degree 3 over the line
-    assert riemann_hurwitz_genus(3, 0, 4) == 0
+    assert riemann_hurwitz_genus(3, 4) == 0
 
 
 def test_ramification_degree_and_upstairs_genus():
     # the degree-5 covering from the subset construction at n=3
-    cov = CoveringData(degree=5, base_genus=0, special_fibers=((2, 2, 1), (2, 2, 1)), simple_extra=6)
+    cov = CoveringData(degree=5, special_fibers=((2, 2, 1), (2, 2, 1)), simple_extra=6)
     assert ramification_degree(cov) == 10
     assert upstairs_genus(cov) == 1
 
 
 def test_simple_budget():
-    base = CoveringData(degree=4, base_genus=0, special_fibers=((2, 2), (2, 2)))
+    base = CoveringData(degree=4, special_fibers=((2, 2), (2, 2)))
     for gx in range(0, 11):
         assert simple_budget(base, gx) == 2 * gx + 2
-    base6 = CoveringData(degree=6, base_genus=0, special_fibers=((2, 2, 2), (2, 2, 2)))
+    base6 = CoveringData(degree=6, special_fibers=((2, 2, 2), (2, 2, 2)))
     for gx in range(0, 11):
         assert simple_budget(base6, gx) == 2 * gx + 4
 
 
 def test_simple_budget_infeasible():
-    crowded = CoveringData(degree=4, base_genus=0, special_fibers=((4,), (4,), (4,), (4,)))
+    crowded = CoveringData(degree=4, special_fibers=((4,), (4,), (4,), (4,)))
     with pytest.raises(GenusValidationError):
         simple_budget(crowded, 0)
+    with pytest.raises(ValueError, match="target genus must be non-negative, got -1"):
+        simple_budget(CoveringData(degree=4), -1)

@@ -32,7 +32,7 @@ from prymtyurin.induced_curve import (
     orbit_fiber,
     subset_fiber,
 )
-from prymtyurin.report import assemble, grid_fiber_layout
+from prymtyurin.report import assemble, fiber_layout
 from prymtyurin.scenario import default_subset_fibers, grid_scenario
 
 THREE_BLOCKS = ((1, 2), (3, 4), (5,))
@@ -113,6 +113,13 @@ def test_class_action_rejects_partial_cover():
     partial = SpecialFiber(classes=(FiberClass(members=((1, 2),)),))
     with pytest.raises(ValueError, match="cover"):
         class_action(corr, partial)
+
+
+def test_class_action_rejects_a_member_in_two_classes():
+    fiber = merged_fiber(2, ((1, 2), (3, 4)))
+    twice = SpecialFiber(classes=fiber.classes + (FiberClass(members=((1, 2),)),))
+    with pytest.raises(ValueError, match=r"member \(1, 2\) appears in two classes"):
+        class_action(build_subset_matrix(2), twice)
 
 
 def test_fixed_point_scan_and_delta():
@@ -300,6 +307,55 @@ def test_check_certificate_is_independent_of_the_pipeline(monkeypatch):
     assert not check_certificate(tampered, fiber, "subset", 4)
     gtampered = dataclasses.replace(gcert, memberships=((1,), (2, 1), (1, 1, 1)))
     assert not check_certificate(gtampered, gfiber, "grid", 3)
+
+
+def test_check_certificate_refuses_honest_multiplicities_off_a_chain():
+    # every multiplicity below is the true one, yet neither is a nesting
+    # chain: the one class of the merged (5) fiber of n = 3 lies in its own
+    # image 3 times, and on the orbit (4) fiber of n = 2 the second class
+    # does not hold the first in its image
+    one_class = merged_fiber(3, blocks_from_parts((5,), 5))
+    four_cycle = orbit_fiber(2, blocks_from_parts((4,), 4))
+    for fiber, n, chain, rows in (
+        (one_class, 3, (0,), ((3,),)),
+        (four_cycle, 2, (0, 1), ((1,), (0, 1))),
+    ):
+        act = class_action(build_subset_matrix(n), fiber)
+        assert rows == tuple(
+            tuple(act.action[qi][qj] for qj in chain[: i + 1]) for i, qi in enumerate(chain)
+        )
+        members = tuple(fiber.classes[q].members for q in chain)
+        cert = NestingCertificate(
+            fiber_index=0, chain=chain, chain_members=members, memberships=rows
+        )
+        assert not check_certificate(cert, fiber, "subset", n)
+        assert not reference_check_certificate(cert, fiber, "subset", n)
+
+
+def test_check_certificate_refuses_a_misshapen_certificate():
+    # membership rows or chain members that do not fit the chain are refused,
+    # never read past their end
+    grid = assemble(grid_scenario(3)).models[0]
+    gfiber = grid.fibers[grid.nesting.fiber_index]
+    for cert, fiber, kind, parameter in (
+        (_genuine_n4_certificate(), merged_fiber(4, PAIR_BLOCKS_6), "subset", 4),
+        (grid.nesting, gfiber, "grid", 3),
+    ):
+        assert cert.length == 3 and check_certificate(cert, fiber, kind, parameter)
+        rows, members = cert.memberships, cert.chain_members
+        variants = [
+            dataclasses.replace(cert, memberships=rows[:-1]),
+            dataclasses.replace(cert, memberships=rows + rows[-1:]),
+            dataclasses.replace(cert, chain_members=members[:-1]),
+            dataclasses.replace(cert, chain_members=members + members[-1:]),
+        ]
+        for i, row in enumerate(rows):
+            cut = rows[:i] + (row[:-1],) + rows[i + 1:]
+            variants.append(dataclasses.replace(cert, memberships=cut))
+        for variant in variants:
+            assert not check_certificate(variant, fiber, kind, parameter), variant
+    with pytest.raises(ValueError, match="unknown correspondence kind 'cube'"):
+        check_certificate(grid.nesting, gfiber, "cube", 3)
 
 
 # --- the label-bitmask checker against the image-enumerating one -------------
@@ -548,9 +604,9 @@ def test_clique_search_matches_reference_on_subset_fibers(n):
 def test_clique_search_matches_reference_on_grid_layout():
     # the grid layout is the same under both models
     corr = build_grid_matrix(3)
-    layout = grid_fiber_layout(grid_scenario(3).covering.simple_extra)
-    assert len(layout) == 10
-    actions = [class_action(corr, f) for f in layout]
+    distinct, positions, _ = fiber_layout(grid_scenario(3), MERGED)
+    assert len(positions) == 10
+    actions = [class_action(corr, distinct[i]) for i in positions]
     for chosen in (actions, actions[:1], actions[2:]):
         report = fixed_point_scan(chosen)
         for bidegree in (corr.bidegree, 1):

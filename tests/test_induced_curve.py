@@ -73,6 +73,8 @@ def test_partition_monodromy():
     p = partition_monodromy(THREE_BLOCKS, 5)
     assert p.images == (2, 1, 4, 3, 5)
     assert tuple(sorted(map(len, orbits((p,))), reverse=True)) == (2, 2, 1)
+    with pytest.raises(ValueError, match=r"blocks \(\(1, 2\), \(2, 3\)\) are not a partition of 1..3"):
+        partition_monodromy(((1, 2), (2, 3)), 3)
 
 
 def test_orbit_fiber_n3():

@@ -75,6 +75,8 @@ def test_from_cycles_rejects_overlap():
         Permutation.from_cycles(4, ((1, 2), (2, 3)))
     with pytest.raises(ValueError):
         Permutation.from_cycles(3, ((1, 4),))
+    with pytest.raises(ValueError, match="a transposition needs two distinct labels"):
+        transposition(4, 2, 2)
 
 
 def test_colex_rank_of_pairs():

@@ -25,7 +25,7 @@ from prymtyurin.report import (
     assemble,
     canonical_json,
     epsilon_degree,
-    grid_fiber_layout,
+    fiber_layout,
     model_to_dict,
     prym_dimension,
     rational_json,
@@ -92,12 +92,13 @@ def test_hyperelliptic_report():
 
 
 def test_grid_layout_counts():
-    fibers = grid_fiber_layout(grid_scenario(4).covering.simple_extra)
-    assert len(fibers) == 2 + 10
-    assert all(f.w_contribution == 3 for f in fibers)
+    distinct, positions, simple = fiber_layout(grid_scenario(4), MERGED)
+    assert simple is None
+    assert len(positions) == 2 + 10
+    assert all(distinct[i].w_contribution == 3 for i in positions)
     # one row-merge fiber and three pairing fibers, each built once
-    assert len({id(f) for f in fibers}) == 4
-    assert fibers[2] is fibers[5] is fibers[11]
+    assert len(distinct) == 4
+    assert positions == (0, 0, 1, 2, 3, 1, 2, 3, 1, 2, 3, 1)
 
 
 def test_subset_families_per_model():

@@ -72,10 +72,10 @@ def test_scenario_covering():
     # subset n = 3, gx = 2: w = 2*2 - 2 + 2*5 = 12 is needed, the two (2,2,1)
     # fibers give 4, so 8 simple branch points are left
     s = subset_scenario(3, 2)
-    assert s.covering == CoveringData(5, 0, ((2, 2, 1), (2, 2, 1)), simple_extra=8)
+    assert s.covering == CoveringData(5, ((2, 2, 1), (2, 2, 1)), simple_extra=8)
     # grid g = 5: one simple branch point per pairing fiber, 2g + 2 of them
     g = grid_scenario(5)
-    assert g.covering == CoveringData(2, 0, simple_extra=12)
+    assert g.covering == CoveringData(2, simple_extra=12)
     for scenario in (s, g):
         report = assemble(scenario)
         assert len(report.models) == 2
@@ -172,6 +172,10 @@ SUBSET_FILE = {"kind": "subset", "n": 3, "upstairs_genus": 2}
         (
             lambda: Scenario(kind=GRID, upstairs_genus=3, parameter=3.0),
             "grid scenarios require side 3: m must be 3, got 3.0",
+        ),
+        (
+            lambda: Scenario(kind=GRID, upstairs_genus=3, parameter=3, monodromy=((2, 1),)),
+            "grid scenarios fix their own monodromy",
         ),
         (lambda: subset_scenario(3, 2, special_fibers=5), "special_fibers must be a list"),
         (lambda: subset_scenario(3, 2, special_fibers=[5]), "special_fibers\\[0\\]: profile must be a list"),
