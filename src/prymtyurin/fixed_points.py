@@ -36,8 +36,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, compress
+from itertools import combinations, compress, count
 from math import factorial
+from operator import attrgetter
 
 from .correspondence import FiberCorrespondence, Matrix
 from .induced_curve import SpecialFiber
@@ -138,7 +139,10 @@ class FixedPointReport:
 def fixed_point_scan(actions) -> FixedPointReport:
     actions = tuple(actions)
     fixed = []
-    for fi, act in enumerate(actions):
+    # only the fibers with a fixed class are visited: a layout that repeats a
+    # fixed-point-free fiber at every simple branch point costs no Python step
+    for fi in compress(count(), map(attrgetter("fixed_class_indices"), actions)):
+        act = actions[fi]
         for ci in act.fixed_class_indices:
             fixed.append(
                 FixedClass(

@@ -18,6 +18,7 @@ from __future__ import annotations
 import dataclasses
 import json
 from fractions import Fraction
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 
 from .correspondence import (
@@ -233,11 +234,14 @@ def fiber_layout(
     included.  The grid layout has two row-merge fibers, then one pairing
     fiber per simple branch point of the double covering (its simple_budget)
     cycling the diagonal shift: every ramified fiber, four distinct ones.
+    The positions are built at C level, so no layout costs a Python step per
+    branch point.
     """
     if scenario.kind == GRID:
         rows = grid_row_merge_fiber(GRID_SIZE, GRID_ROW_BLOCKS)
         pairings = tuple(grid_pairing_fiber(GRID_SIZE, s) for s in range(GRID_SIZE))
-        cycle = tuple(1 + k % GRID_SIZE for k in range(scenario.covering.simple_extra))
+        extra = scenario.covering.simple_extra
+        cycle = (tuple(range(1, GRID_SIZE + 1)) * (extra // GRID_SIZE + 1))[:extra]
         return (rows, *pairings), (0, 0) + cycle, None
     n = scenario.parameter
     simple_profile = (2,) + (1,) * n
@@ -278,13 +282,15 @@ def _model(
 ) -> ModelReport:
     """Everything one fiber model says, from the family's fiber layout on."""
     distinct, positions, simple = fiber_layout(scenario, model)
-    # each distinct fiber is acted on once and its action reused in order
+    # each distinct fiber is acted on once and its action and w reused in
+    # layout order by C-level gathers
     actions = [class_action(corr, f) for f in distinct]
-    scan = fixed_point_scan(actions[i] for i in positions)
-    w_induced = sum(distinct[i].w_contribution for i in positions)
+    ws = [f.w_contribution for f in distinct]
+    scan = fixed_point_scan(tuple(map(actions.__getitem__, positions)))
+    w_induced = sum(map(ws.__getitem__, positions))
     simple_free = None
     if simple is not None:
-        w_induced += scenario.covering.simple_extra * distinct[simple].w_contribution
+        w_induced += scenario.covering.simple_extra * ws[simple]
         # the fixed-point count only scans declared special fibers, so check
         # on a representative that a simple branch point has no fixed class
         simple_free = actions[simple].fixed_class_indices == ()
@@ -493,7 +499,7 @@ def model_to_dict(rep: ModelReport) -> dict:
             "ramification": rep.total_ramification,
             "genus": rep.genus,
         },
-        "special_fibers": [entries[i] for i in rep.positions],
+        "special_fibers": list(map(entries.__getitem__, rep.positions)),
         "fixed_points": [
             {
                 "fiber": fc.fiber_index,
@@ -571,18 +577,16 @@ def canonical_json(data) -> str:
     Like json.dumps, every piece goes to one list, joined once at the end.
     Reports repeat one fiber dict many times (the grid layout has four
     distinct fibers at every genus), and the pure-Python encoder that indent
-    selects would write every copy again.  Here the slice of the list that a
-    container filled is recorded by (id, depth); when the container is met
-    again at that depth the slice is joined once and its text appended from
-    then on.  The ids stay valid because data keeps every keyed object alive
-    for the whole call.  A list or tuple of plain ints (not bools) is written
-    as one string.  A container met again while it is still being written
-    raises ValueError, as json.dumps does on a cycle.
+    selects would write every copy again.  Here a list or tuple that holds
+    the same element (by id) more than once writes each distinct element
+    once into its own text, then splices the texts and separators into the
+    list in one C-level extend, so a repeated element costs no Python step.
+    A list or tuple of plain ints (not bools) is written as one string.  A
+    container met again while it is still being written raises ValueError,
+    as json.dumps does on a cycle.
     """
     out: list[str] = []
     append = out.append
-    # (id, depth) -> the slice of out the container filled, or its joined text
-    seen: dict[tuple[int, int], slice | str] = {}
     open_ids: set[int] = set()
 
     # the recursion stays private: a recursive public call would be one more
@@ -607,33 +611,37 @@ def canonical_json(data) -> str:
         line = "\n  " + pad
         comma = "," + line
         if not is_dict and all(type(v) is int for v in obj):
-            # an int list holds no container, so it needs no reuse or cycle check
+            # an int list holds no container, so it needs no cycle check
             return append("[" + line + comma.join(map(int.__repr__, obj)) + "\n" + pad + "]")
         oid = id(obj)
-        key = (oid, depth)
-        kept = seen.get(key)
-        if kept is not None:
-            if not isinstance(kept, str):
-                kept = seen[key] = "".join(out[kept])
-            return append(kept)
         if oid in open_ids:
             raise ValueError("Circular reference detected")
         open_ids.add(oid)
-        start = len(out)
         sep = ("{" if is_dict else "[") + line
         if is_dict:
             for k, v in sorted(obj.items()):
                 append(sep + encode_basestring_ascii(k) + ": ")
                 sep = comma
                 write(v, depth + 1)
-        else:
+        elif len(set(map(id, obj))) == len(obj):
             for v in obj:
                 append(sep)
                 sep = comma
                 write(v, depth + 1)
+        else:
+            # write each distinct element once, cut its pieces out of the
+            # list as one text, then splice the texts back in order
+            ids = list(map(id, obj))
+            texts = {}
+            for eid, v in dict(zip(ids, obj)).items():
+                start = len(out)
+                write(v, depth + 1)
+                texts[eid] = "".join(out[start:])
+                del out[start:]
+            separators = chain((sep,), repeat(comma))
+            out.extend(chain.from_iterable(zip(separators, map(texts.__getitem__, ids))))
         append("\n" + pad + ("}" if is_dict else "]"))
         open_ids.remove(oid)
-        seen[key] = slice(start, len(out))
 
     write(data, 0)
     return "".join(out)

@@ -1,5 +1,7 @@
 import enum
 import json
+import os
+import sys
 import time
 import tracemalloc
 from collections import Counter
@@ -317,10 +319,40 @@ class Colour(enum.IntEnum):
     RED = 1
 
 
+SHARED_TREE = {"a": [SHARED_INTS, None], "b": ({"c": "d"}, [])}
+
+
 @settings(max_examples=100, deadline=None)
 @given(data=json_trees_with_shared_subtree())
 @example(data=[SHARED_INTS, {"k": [SHARED_INTS, [SHARED_INTS]]}, SHARED_INTS])
+@example(data=[SHARED_TREE, 1, SHARED_TREE, SHARED_TREE, [SHARED_TREE], SHARED_TREE])
 def test_canonical_json_matches_json_dumps(data):
+    assert canonical_json(data) == reference_json(data)
+
+
+def _fiber_like(w: int) -> dict:
+    return {"w": w, "classes": [{"members": [[1, w], [2, w]], "index": 2, "block": None}]}
+
+
+_ROWS, _P1, _P2, _P3 = (_fiber_like(w) for w in range(4))
+_NESTED = [_P1, [_P1, _P1], {"k": _P1}]
+
+
+# a list that holds one element (by id) more than once is written by
+# splicing each distinct element's text; every case must still be the
+# bytes of json.dumps
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"special_fibers": [_ROWS, _ROWS] + [_P1, _P2, _P3] * 7},
+        ({"x": 1}, SHARED_INTS, {"x": 1}, SHARED_INTS, SHARED_INTS),
+        [SHARED_INTS] * 5,
+        [None, True, 1, "w", _P1, None, True, 1, "w", _P1, False, [], {}, [], 0, 0],
+        [_NESTED, 7, _NESTED, {"again": [_NESTED, _NESTED]}],
+    ],
+    ids=["grid-shaped", "tuple-repeats", "repeated-int-list", "shared-scalars", "nested-repeats"],
+)
+def test_canonical_json_splices_repeats_like_json_dumps(data):
     assert canonical_json(data) == reference_json(data)
 
 
@@ -366,7 +398,14 @@ def test_canonical_json_detects_cycles():
     inner: dict = {}
     cyclic = {"a": [inner]}
     inner["back"] = cyclic
-    for data in (looped, cyclic, [[looped]]):
+    # cycles through an element that its list holds more than once
+    back: list = [1]
+    repeated = [back, 2, back]
+    back.append(repeated)
+    shared: dict = {}
+    spliced = {"r": [shared, shared, shared]}
+    shared["x"] = [spliced]
+    for data in (looped, cyclic, [[looped]], repeated, spliced, [repeated, repeated]):
         with pytest.raises(ValueError, match="Circular reference"):
             reference_json(data)
         with pytest.raises(ValueError, match="Circular reference"):
@@ -429,9 +468,10 @@ def test_grid_g3000_serializes_under_a_second():
 
 
 def test_grid_g3000_json_peak_memory_stays_near_its_length():
-    # every piece goes to one list joined once at the end; a repeated fiber's
-    # text is joined once and then appended by reference, so the pieces hold
-    # little beyond the four distinct fibers and the peak is about the text
+    # every piece goes to one list joined once at the end; each of the four
+    # distinct fibers is written once into its own text and the list of
+    # fiber entries splices references to those texts, so the pieces hold
+    # little beyond them and the peak is about the text
     data = report_to_dict(assemble(grid_scenario(3000)))
     tracemalloc.start()
     try:
@@ -440,6 +480,46 @@ def test_grid_g3000_json_peak_memory_stays_near_its_length():
     finally:
         tracemalloc.stop()
     assert peak <= 1.5 * len(text)
+
+
+def _package_lines(func, *args) -> int:
+    """The number of lines of the package that func(*args) runs.
+
+    Code outside the package (a garbage-collection callback, say) is not
+    counted, so the count does not depend on when a collection happens.
+    """
+    package = os.path.dirname(report_module.__file__) + os.sep
+    count = 0
+
+    def line(frame, event, arg):
+        nonlocal count
+        count += event == "line"
+        return line
+
+    def tracer(frame, event, arg):
+        return line if frame.f_code.co_filename.startswith(package) else None
+
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        func(*args)
+    finally:
+        sys.settrace(previous)
+    return count
+
+
+@pytest.mark.parametrize("output", [report_to_json, render_table], ids=["json", "table"])
+def test_grid_report_python_work_does_not_grow_with_genus(output):
+    # the grid layout repeats four distinct fibers over 2g + 4 positions;
+    # every per-position step (the layout, w, the fixed-point scan, the
+    # entry list and the JSON splice) runs at C level, so the Python lines
+    # of a whole report are the same at every genus.  The warm-up call
+    # fills import-time and per-process caches
+    def run(genus):
+        return output(assemble(grid_scenario(genus)))
+
+    run(300)
+    assert _package_lines(run, 300) == _package_lines(run, 3000)
 
 
 def test_grid_g3000_computes_each_fiber_fact_once(monkeypatch):
