@@ -9,10 +9,9 @@ Subcommands:
 Exit codes: 0 when the keyed model's combinatorial hypotheses all verify,
 2 when they do not: a hypothesis failed or the nesting search ran out of
 budget (the report is still printed, with the verdict "failed" or
-"undecided"), 1 on validation
-errors (malformed file, bad arguments, infeasible scenario).  The keyed
-model is the merged-class model whenever it was evaluated, otherwise the
-single model requested.
+"undecided"), 1 on validation errors (malformed file, bad arguments,
+infeasible scenario).  The keyed model is the merged-class model whenever
+it was evaluated, otherwise the single model requested.
 
 Set PRYMTYURIN_VERBOSE=1 to echo the resolved scenario to stderr.
 """
@@ -151,30 +150,26 @@ def cmd_verify_identity(args) -> int:
         raise InvalidScenario(f"--{key} must be at most {limit}, got {size}")
     corr = build_subset_matrix(size) if subset else build_grid_matrix(size)
 
-    ident, q, note = identity_and_exponent(corr)
+    summary = {"kind": args.kind, key: size}
+    summary.update(correspondence_to_dict(corr.size, corr.bidegree, *identity_and_exponent(corr)))
     if args.dump_matrix:
-        matrix = [[row >> j & 1 for j in range(corr.size)] for row in corr.rows]
+        summary["matrix"] = [[row >> j & 1 for j in range(corr.size)] for row in corr.rows]
     if args.format == "json":
-        out = {"kind": args.kind, key: size}
-        out.update(correspondence_to_dict(corr.size, corr.bidegree, ident, q, note))
-        if args.dump_matrix:
-            out["matrix"] = matrix
-        print(canonical_json(out))
+        print(canonical_json(summary))
     else:
         rows = [
-            table_row("correspondence", f"{args.kind} {key} = {size}"),
-            table_row("fiber size", corr.size),
-            table_row("bidegree", corr.bidegree),
-            *identity_rows(ident, q),
-            table_row("derivation", note),
+            table_row("correspondence", f"{summary['kind']} {key} = {summary[key]}"),
+            table_row("fiber size", summary["size"]),
+            table_row("bidegree", summary["bidegree"]),
+            *identity_rows(summary),
+            table_row("derivation", summary["exponent_derivation"]),
         ]
-        print("\n".join(rows))
         if args.dump_matrix:
-            print("matrix:")
-            for row in matrix:
-                print("  " + " ".join(str(x) for x in row))
+            rows.append("matrix:")
+            rows += ["  " + " ".join(map(str, row)) for row in summary["matrix"]]
+        print("\n".join(rows))
 
-    return EXIT_VERIFIED if q is not None else EXIT_HYPOTHESIS
+    return EXIT_VERIFIED if summary["exponent"] is not None else EXIT_HYPOTHESIS
 
 
 def main(argv=None) -> int:

@@ -3,9 +3,10 @@
 Runs a scenario through the whole pipeline -- covering bookkeeping, induced
 curve genus, quadratic identity and exponent, fixed classes, nesting
 certificate, dimension and auxiliary line-bundle degree -- under one or both
-fiber models, and packages everything into a report that serializes to
-canonical JSON or an aligned text table.  Both families run through the same
-per-model pipeline; each supplies only its fiber layout.
+fiber models, and packages everything into a report.  Both families run
+through the same per-model pipeline; each supplies only its fiber layout.
+The report's canonical dict, report_to_dict, is the one source of both of
+its views: canonical JSON and an aligned text table.
 
 All arithmetic is exact.  The dimension is a Fraction; a non-integral value
 is reported as an inconsistency diagnostic, never rounded.  Verdicts only
@@ -653,6 +654,14 @@ def report_to_json(report: PrymReport) -> str:
 
 # --- text rendering ----------------------------------------------------------
 
+_VERDICT_TEXT = {
+    VERIFIED: "combinatorial hypotheses verified; analytic hypotheses"
+    " (primitivity, smoothness) assumed, not checked",
+    UNDECIDED: "undecided: the nesting search ran out of budget; every other"
+    " combinatorial check holds",
+    FAILED: "combinatorial hypotheses NOT verified",
+}
+
 
 def table_row(label: str, value) -> str:
     """One row of a text table: the label padded to the one column width."""
@@ -663,109 +672,96 @@ def _yesno(flag: bool) -> str:
     return "yes" if flag else "no"
 
 
-def identity_rows(ident: QuadraticIdentity | None, q: int | None) -> list[str]:
-    """The table rows for a discovered identity and its exponent."""
+def identity_rows(summary: dict) -> list[str]:
+    """The table rows for a correspondence summary's identity and exponent."""
+    ident, q = summary["identity"], summary["exponent"]
     if ident is None:
         found = "none found"
     else:
-        a, b, c = ident.coefficients()
+        a, b, c = ident["a"], ident["b"], ident["c"]
         found = f"D^2 = ({a})*I + ({b})*D + ({c})*U   [verified entrywise]"
     return [table_row("identity", found), table_row("exponent q", q if q is not None else "none")]
 
 
 def render_table(report: PrymReport) -> str:
-    scen = report.scenario
-    lines = ["== correspondence =="]
-    if scen.kind == SUBSET:
-        kind = f"subset exchange, n = {scen.parameter}, source genus {scen.upstairs_genus}"
-    else:
-        kind = f"3x3 grid over a genus {scen.upstairs_genus} hyperelliptic curve"
-    lines.append(table_row("scenario", kind))
-    lines.append(table_row("fiber size", report.size))
-    lines.append(table_row("bidegree d", report.bidegree))
-    lines.extend(identity_rows(report.identity, report.q))
-    lines.append(
-        table_row(
-            "irreducible",
-            f"{_yesno(report.irreducible)} ({report.irreducibility_basis} generators)",
-        )
-    )
+    """The report as an aligned text table, a view of report_to_dict.
 
-    for rep in report.models:
-        lines.append("")
-        lines.append(f"== model: {rep.model} ==")
-        if rep.error is not None:
-            lines.append(table_row("error", rep.error))
-        cov = rep.covering
-        fiber_desc = ", ".join("(" + ",".join(map(str, p)) + ")" for p in cov.special_fibers)
+    Every row is read from the canonical dict, so the table claims nothing
+    the JSON does not carry.  Models are taken in the order the scenario's
+    model choice names them, not in the dict's key order, so a json.loads of
+    the canonical text, whose keys are sorted, renders the same table.
+    """
+    data = report_to_dict(report)
+    scen, corr, irr = data["scenario"], data["correspondence"], data["irreducibility"]
+    if scen["kind"] == SUBSET:
+        kind = f"subset exchange, n = {scen['n']}, source genus {scen['upstairs_genus']}"
+    else:
+        kind = f"3x3 grid over a genus {scen['upstairs_genus']} hyperelliptic curve"
+    lines = [
+        "== correspondence ==",
+        table_row("scenario", kind),
+        table_row("fiber size", corr["size"]),
+        table_row("bidegree d", corr["bidegree"]),
+        *identity_rows(corr),
+        table_row("irreducible", f"{_yesno(irr['transitive'])} ({irr['basis']} generators)"),
+    ]
+
+    for model in models_for(scen["model"]):
+        rep = data["models"][model]
+        lines += ["", f"== model: {model} =="]
+        if "error" in rep:
+            lines.append(table_row("error", rep["error"]))
+        cov, induced = rep["covering"], rep["induced"]
+        fiber_desc = ", ".join("(" + ",".join(map(str, p)) + ")" for p in cov["special_fibers"])
         lines.append(
             table_row(
                 "input covering",
-                f"degree {cov.degree} over genus 0,"
-                f" special fibers [{fiber_desc}], {cov.simple_extra} simple points",
+                f"degree {cov['degree']} over genus {cov['base_genus']},"
+                f" special fibers [{fiber_desc}], {cov['simple_extra']} simple points",
             )
         )
         lines.append(
             table_row(
                 "induced covering",
-                f"degree {rep.induced_deg}, ramification w = {rep.total_ramification}",
+                f"degree {induced['degree']}, ramification w = {induced['ramification']}",
             )
         )
-        lines.append(table_row("curve genus", rep.genus if rep.genus is not None else "-"))
-        half = rep.fixed.half
-        lines.append(
-            table_row(
-                "fixed points",
-                f"Delta.D = {rep.fixed.delta_dot_d}"
-                + (f" (half = {half})" if half is not None else " (odd!)"),
-            )
-        )
-        nest = rep.nesting
-        if isinstance(nest, NestingCertificate):
-            if nest.length == 0:
-                lines.append(table_row("nesting", "trivial (no fixed points required)"))
-            else:
-                chain = ", ".join(str(i) for i in nest.chain)
-                checked = "re-checked" if rep.certificate_checked else "NOT re-checked"
-                certified = f"certified in fiber {nest.fiber_index}, chain [{chain}] ({checked})"
-                lines.append(table_row("nesting", certified))
-        elif isinstance(nest, NestingUndecided):
-            lines.append(table_row("nesting", f"undecided: {nest.reason}"))
+        genus = induced["genus"]
+        lines.append(table_row("curve genus", genus if genus is not None else "-"))
+        fixed = rep["delta_dot_d"]
+        half = f" (half = {fixed // 2})" if fixed % 2 == 0 else " (odd!)"
+        lines.append(table_row("fixed points", f"Delta.D = {fixed}{half}"))
+        nest = rep["nesting"]
+        # only an undecided search names its memo misses
+        undecided = "memo_misses" in nest
+        if not nest["certified"]:
+            nesting = f"{UNDECIDED if undecided else FAILED}: {nest['reason']}"
+        elif not nest["chain"]:
+            nesting = "trivial (no fixed points required)"
         else:
-            lines.append(table_row("nesting", f"failed: {nest.reason}"))
-        if rep.dim_p is not None:
-            integral = "integral" if rep.dim_integral else "NOT AN INTEGER"
-            lines.append(table_row("dim P", f"{rational_json(rep.dim_p)}   [{integral}]"))
-        if rep.epsilon_deg is not None:
-            lines.append(table_row("epsilon degree", rep.epsilon_deg))
-        hyp = rep.hypotheses
-        nesting = UNDECIDED if isinstance(nest, NestingUndecided) else _yesno(hyp.nesting_ok)
+            chain = ", ".join(map(str, nest["chain"]))
+            checked = "re-checked" if rep["certificate_checked"] else "NOT re-checked"
+            nesting = f"certified in fiber {nest['fiber']}, chain [{chain}] ({checked})"
+        lines.append(table_row("nesting", nesting))
+        if rep["dim_p"] is not None:
+            integral = "integral" if rep["dim_p_integral"] else "NOT AN INTEGER"
+            lines.append(table_row("dim P", f"{rep['dim_p']}   [{integral}]"))
+        if rep["epsilon_degree"] is not None:
+            lines.append(table_row("epsilon degree", rep["epsilon_degree"]))
+        hyp = rep["hypotheses"]
+        nested = UNDECIDED if undecided else _yesno(hyp["nesting_ok"])
         lines.append(
             table_row(
                 "hypotheses",
-                f"quadratic {_yesno(hyp.quadratic_ok)} | fixed even {_yesno(hyp.fixed_even)}"
-                f" | n<=d {_yesno(hyp.n_le_d)} | nesting {nesting}"
-                f" | irreducible {_yesno(hyp.irreducible)}"
-                f" | primitivity {hyp.primitivity} | smoothness {hyp.smoothness}",
+                f"quadratic {_yesno(hyp['quadratic_ok'])} | fixed even {_yesno(hyp['fixed_even'])}"
+                f" | n<=d {_yesno(hyp['n_le_d'])} | nesting {nested}"
+                f" | irreducible {_yesno(hyp['irreducible'])}"
+                f" | primitivity {hyp['primitivity']} | smoothness {hyp['smoothness']}",
             )
         )
-        if rep.verified:
-            verdict = (
-                "combinatorial hypotheses verified; analytic hypotheses"
-                " (primitivity, smoothness) assumed, not checked"
-            )
-        elif rep.undecided:
-            verdict = (
-                "undecided: the nesting search ran out of budget; every other"
-                " combinatorial check holds"
-            )
-        else:
-            verdict = "combinatorial hypotheses NOT verified"
-        lines.append(table_row("verdict", verdict))
+        lines.append(table_row("verdict", _VERDICT_TEXT[data["verdict"][model]]))
 
-    if report.notes:
-        lines.append("")
-        lines.append("== notes ==")
-        for note in report.notes:
-            lines.append(f"- {note}")
+    if data["notes"]:
+        lines += ["", "== notes =="]
+        lines += [f"- {note}" for note in data["notes"]]
     return "\n".join(lines) + "\n"

@@ -28,7 +28,7 @@ from prymtyurin.cli import (
 )
 from prymtyurin.correspondence import FiberCorrespondence
 from prymtyurin.perms import all_subsets
-from prymtyurin.report import canonical_json
+from prymtyurin.report import canonical_json, identity_rows
 from prymtyurin.scenario import MODEL_CHOICES
 
 
@@ -305,6 +305,31 @@ def test_verify_identity_dump_matrix(capsys):
         assert len(matrix) == points
         assert all(sum(row) == degree for row in matrix)
         assert all(matrix[i][i] == 0 for i in range(points))
+
+
+# the sizes of the benchmark's identity workload
+IDENTITY_SIZES = [("subset", "--n", n) for n in range(2, 13)] + [
+    ("grid", "--m", m) for m in range(2, 9)
+]
+
+
+@pytest.mark.parametrize(
+    "kind, flag, size", IDENTITY_SIZES, ids=[f"{k}-{f[2:]}{s}" for k, f, s in IDENTITY_SIZES]
+)
+def test_verify_identity_table_is_a_view_of_the_json(kind, flag, size, capsys):
+    # both formats print one summary dict: the table's identity rows are
+    # those of the JSON summary, and its matrix rows the JSON matrix
+    for dump in ([], ["--dump-matrix"]):
+        argv = ["verify-identity", "--kind", kind, flag, str(size), *dump]
+        code = main([*argv, "--format", "json"])
+        summary = json.loads(capsys.readouterr().out)
+        assert main([*argv, "--format", "table"]) == code
+        rows, _, matrix = capsys.readouterr().out.partition("matrix:\n")
+        assert "\n".join(identity_rows(summary)) in rows
+        if dump:
+            assert [[int(x) for x in line.split()] for line in matrix.splitlines()] == summary["matrix"]
+        else:
+            assert matrix == "" and "matrix" not in summary
 
 
 # argv -> what stderr must name; the matrix builders name the size bounds

@@ -29,6 +29,7 @@ from prymtyurin.report import (
     epsilon_degree,
     fiber_layout,
     model_to_dict,
+    models_for,
     prym_dimension,
     rational_json,
     render_table,
@@ -572,6 +573,38 @@ def test_render_table_mentions_verdict_split():
     assert "primitivity unchecked" in text
     text = render_table(assemble(subset_scenario(2, 0)))
     assert "error" in text
+
+
+def _view_cases():
+    # scenario, nesting budget (None keeps the default), a row the table must show
+    for n in range(2, 8):
+        for model in ("paper", "monodromy", "both"):
+            scen = subset_scenario(n, 3, model=model)
+            shows = f"== model: {models_for(model)[-1]} =="
+            yield pytest.param(scen, None, shows, id=f"subset-n{n}-{model}")
+    for g in (2, 20):
+        yield pytest.param(grid_scenario(g), None, "3x3 grid", id=f"grid-g{g}")
+    gens = [[2, 1, 3, 4, 5], [2, 3, 4, 5, 1]]
+    scen = subset_scenario(3, 2, monodromy=gens)
+    yield pytest.param(scen, None, "(explicit generators)", id="explicit-monodromy")
+    yield pytest.param(subset_scenario(6, 3), 11, "verdict               undecided: ", id="undecided")
+    yield pytest.param(subset_scenario(2, 0), None, "\nerror ", id="model-error")
+
+
+@pytest.mark.parametrize("scenario, budget, shows", _view_cases())
+def test_render_table_is_a_view_of_the_canonical_json(scenario, budget, shows, monkeypatch):
+    # the table reads only report_to_dict, so the dict read back from the
+    # canonical text, whose keys are sorted, renders the same bytes
+    if budget is not None:
+        monkeypatch.setattr(fixed_points, "NESTING_CLIQUE_BUDGET", budget)
+    rep = assemble(scenario)
+    want = render_table(rep)
+    assert shows in want
+    original = report_module.report_to_dict
+    monkeypatch.setattr(
+        report_module, "report_to_dict", lambda r: json.loads(canonical_json(original(r)))
+    )
+    assert render_table(rep) == want
 
 
 def test_subset_n8_both_models_decided():
