@@ -13,20 +13,24 @@ Usage:
 
 import argparse
 
-from prymtyurin.report import assemble
+from prymtyurin.report import assemble, models_for, report_to_dict
 from prymtyurin.scenario import grid_scenario, subset_scenario
 
 
-def row(label, rep):
-    cells = [f"{label:<18}{'q=' + str(rep.q) if rep.q else 'q=?':<6}"]
-    for model in rep.models:
-        if model.error is not None:
-            cells.append(f"{model.model}: error ({model.error})")
+def row(label, data):
+    """One table line, read from the report's canonical dict."""
+    q = data["correspondence"]["exponent"]
+    cells = [f"{label:<18}{'q=' + str(q) if q else 'q=?':<6}"]
+    for model in models_for(data["scenario"]["model"]):
+        rep = data["models"][model]
+        if "error" in rep:
+            cells.append(f"{model}: error ({rep['error']})")
             continue
-        dim = model.dim_p if model.dim_p is not None else "?"
-        verdict = {"verified": "ok", "failed": "FAIL"}.get(model.verdict, model.verdict)
+        dim = rep["dim_p"] if rep["dim_p"] is not None else "?"
+        verdict = data["verdict"][model]
+        verdict = {"verified": "ok", "failed": "FAIL"}.get(verdict, verdict)
         cells.append(
-            f"{model.model}: g_C={model.genus} diag={model.fixed.delta_dot_d}"
+            f"{model}: g_C={rep['induced']['genus']} diag={rep['delta_dot_d']}"
             f" dim={dim} [{verdict}]"
         )
     return "  ".join(cells)
@@ -40,12 +44,12 @@ def main() -> int:
 
     for n in (2, 3, 4):
         for gx in range(args.min_genus, args.max_genus + 1):
-            rep = assemble(subset_scenario(n, gx))
-            print(row(f"subset n={n} gx={gx}", rep))
+            data = report_to_dict(assemble(subset_scenario(n, gx)))
+            print(row(f"subset n={n} gx={gx}", data))
         print()
     for g in range(max(args.min_genus, 2), args.max_genus + 1):
-        rep = assemble(grid_scenario(g))
-        print(row(f"grid 3x3 g={g}", rep))
+        data = report_to_dict(assemble(grid_scenario(g)))
+        print(row(f"grid 3x3 g={g}", data))
     return 0
 
 

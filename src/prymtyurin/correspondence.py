@@ -44,8 +44,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
+from operator import and_, getitem, itemgetter
 
-from .perms import Permutation, all_subsets, induced_subset_action, orbits, point_permutation
+from .perms import (
+    Permutation,
+    all_subsets,
+    induced_subset_action,
+    orbits,
+    point_permutation,
+    subset_index,
+)
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -59,7 +68,9 @@ class FiberCorrespondence:
     Each symmetry permutes the 1-based point positions and preserves D.
     Rows inside 0..N-1, symmetry, an empty diagonal, constant row popcounts
     (the bidegree), one distinct descriptor per row and every symmetry of
-    degree N that preserves D are validated at construction.
+    degree N that preserves D are validated at construction.  Each check
+    compares whole lists at C level and walks the rows only to name the
+    first bad entry.
     """
 
     kind: str
@@ -72,28 +83,32 @@ class FiberCorrespondence:
         n = len(self.rows)
         if len(self.points) != n or len(set(self.points)) != n:
             raise ValueError(f"need {n} distinct point descriptors, got {len(self.points)}")
-        for i, row in enumerate(self.rows):
-            if row < 0 or row >> n:
-                raise ValueError(f"row {i} is not a set of points 0..{n - 1}")
-        sums = {row.bit_count() for row in self.rows}
+        if min(self.rows, default=0) < 0 or max(self.rows, default=0) >> n:
+            for i, row in enumerate(self.rows):
+                if row < 0 or row >> n:
+                    raise ValueError(f"row {i} is not a set of points 0..{n - 1}")
+        sums = set(map(int.bit_count, self.rows))
         if len(sums) != 1:
             raise ValueError(f"row sums are not constant: {sorted(sums)}")
         # bits[i][j] is bit j of row i, and columns[i][j] bit i of row j
-        bits = [format(row, f"0{n}b")[::-1] for row in self.rows]
-        columns = ["".join(col) for col in zip(*bits)]
-        for i, (row, col) in enumerate(zip(bits, columns)):
-            if row[i] == "1":
-                raise ValueError(f"nonzero diagonal entry at {i}")
-            if row[:i] != col[:i]:
-                j = next(j for j in range(i) if row[j] != col[j])
-                raise ValueError(f"not symmetric at ({i}, {j})")
+        written = map(format, self.rows, repeat(f"0{n}b"))
+        bits = list(map(itemgetter(slice(None, None, -1)), written))
+        columns = list(map("".join, zip(*bits)))
+        if "1" in "".join(map(getitem, bits, range(n))) or bits != columns:
+            for i, (row, col) in enumerate(zip(bits, columns)):
+                if row[i] == "1":
+                    raise ValueError(f"nonzero diagonal entry at {i}")
+                if row[:i] != col[:i]:
+                    j = next(j for j in range(i) if row[j] != col[j])
+                    raise ValueError(f"not symmetric at ({i}, {j})")
         for k, g in enumerate(self.symmetries):
             if g.degree != n:
                 raise ValueError(f"symmetry {k} has degree {g.degree}, not {n}")
             # moved[p][i] is bit p of row g(i); D is symmetric, so g preserves
             # it when moved[g(j)][i] = D[g(i)][g(j)] is bit i of row j
-            moved = ["".join(col) for col in zip(*[bits[x - 1] for x in g.images])]
-            if any(moved[x - 1] != row for x, row in zip(g.images, bits)):
+            at = list(map((-1).__add__, g.images))  # g(i) - 1 for each 1-based i
+            moved = list(map("".join, zip(*map(bits.__getitem__, at))))
+            if list(map(moved.__getitem__, at)) != bits:
                 raise ValueError(f"symmetry {k} does not preserve the relation")
 
     @property
@@ -128,17 +143,33 @@ def build_subset_matrix(n: int) -> FiberCorrespondence:
     Bidegree n*(n-1)/2: the subsets sharing n-2 elements with I are exactly
     those whose 2-element complement is disjoint from the complement of I.
     Its symmetries are the label moves (1 2) and (1 ... n+2), induced on n-subsets.
+    The relation and both symmetries are read off one colex index of the
+    2-element complements, by C-level gathers; labels are bytes, so n <= 253.
     """
     if n < 2:
         raise ValueError(f"subset correspondence needs n >= 2, got {n}")
-    labels = range(1, n + 3)
-    pts = tuple(all_subsets(n + 2, n))
-    # bit j of holding[x] is set when point j holds label x; the points
-    # related to I are those holding both labels of its complement
-    holding = {x: sum(1 << j for j, s in enumerate(pts) if x in s) for x in labels}
-    rows = tuple(holding[a] & holding[b] for a, b in (set(labels).difference(s) for s in pts))
-    moves = (((1, 2),), (tuple(labels),))
-    symmetries = tuple(induced_subset_action(Permutation.from_cycles(n + 2, g), n) for g in moves)
+    degree = n + 2
+    pts = tuple(all_subsets(degree, n))
+    # complementing reverses colex order: the complement of point j is the
+    # pair at position N - j of this index.  So one character per pair, in
+    # index order, spells a bitset of the points as int(text, 2) reads it
+    pairs = subset_index(degree, n)
+    full = (1 << len(pairs)) - 1
+    firsts, seconds = map(bytes, zip(*pairs))
+    # bit j of holding[x] is set when point j holds label x, that is when x is
+    # not in its complement; the points related to I are those holding both
+    # labels of its complement
+    holding = [0]
+    for x in range(1, degree + 1):
+        marks = b"0" * x + b"1" + b"0" * (255 - x)  # translates byte x to "1"
+        touching = int(firsts.translate(marks), 2) | int(seconds.translate(marks), 2)
+        holding.append(full ^ touching)
+    held = holding.__getitem__
+    rows = tuple(map(and_, map(held, firsts[::-1]), map(held, seconds[::-1])))
+    moves = (((1, 2),), (tuple(range(1, degree + 1)),))
+    symmetries = tuple(
+        induced_subset_action(Permutation.from_cycles(degree, g), n, pairs) for g in moves
+    )
     return FiberCorrespondence("subset", n, rows, pts, symmetries)
 
 
@@ -177,7 +208,8 @@ def verify_identity(corr: FiberCorrespondence, a, b, c):
 
     The symmetries preserve D^2 - (a*I + b*D + c*U), so its failing rows are
     unions of orbits: one mat_mul call squares each orbit's minimum, and each
-    entry of those rows is compared.  Returns (True, None) on success, else
+    of those rows is compared as one list, entry by entry only to find the
+    witness.  Returns (True, None) on success, else
     (False, (i, j, got, want)) for the first differing entry in row-major
     order, which lies on its orbit's minimum.  Subset n = 4 squares one row:
 
@@ -187,11 +219,14 @@ def verify_identity(corr: FiberCorrespondence, a, b, c):
     """
     minima = [orbit[0] - 1 for orbit in orbits(corr.symmetries, corr.size)]
     picked = [corr.rows[i] for i in minima]
+    width = f"0{corr.size}b"
+    entry = {"0": c, "1": b + c}.__getitem__  # off the diagonal, by the bit of D
     for i, row, sq in zip(minima, picked, mat_mul(picked, corr.rows)):
-        for j, got in enumerate(sq):
-            want = b * (row >> j & 1) + c + (a if i == j else 0)
-            if got != want:
-                return False, (i, j, got, want)
+        want = list(map(entry, format(row, width)[::-1]))
+        want[i] += a
+        if list(sq) != want:
+            j = next(j for j, (got, w) in enumerate(zip(sq, want)) if got != w)
+            return False, (i, j, sq[j], want[j])
     return True, None
 
 

@@ -20,10 +20,10 @@ two-point divisors) each special fiber is built as the orbits of its local
 monodromy, and those orbits are exactly the divisor coincidence classes, so
 the two models agree fiber by fiber and the same classes serve both.
 
-Every local monodromy here, induced on subsets or acting on grid cells, is a
-permutation of the positions of a point list (perms.point_permutation), and
-every orbit-built fiber is the cycles of one such permutation (perms.orbits),
-read back as classes of points.
+Every local monodromy here permutes the positions of a point list: induced
+on subsets it is perms.induced_subset_action, acting on grid cells
+perms.point_permutation.  Every orbit-built fiber is the cycles of one such
+permutation (perms.orbits), read back as classes of points.
 
 The genus of the induced curve follows from these fibers by Riemann-Hurwitz;
 report assembles it.
@@ -43,6 +43,7 @@ from .perms import (
     is_transitive,
     orbits,
     point_permutation,
+    subset_index,
 )
 
 MERGED = "paper"
@@ -209,9 +210,12 @@ def irreducibility_check(generators: tuple[Permutation, ...], k: int) -> bool:
 
     This is the combinatorial content of irreducibility of the induced curve:
     the monodromy image must not split the subset fiber.  It is a proxy, not
-    a proof of irreducibility of any particular curve.
+    a proof of irreducibility of any particular curve.  Every generator is
+    induced through one colex index.
     """
     if not generators:
         return False
-    induced = tuple(induced_subset_action(g, k) for g in generators)
-    return is_transitive(induced, comb(generators[0].degree, k))
+    degree = generators[0].degree
+    index = subset_index(degree, k)
+    induced = tuple(induced_subset_action(g, k, index) for g in generators)
+    return is_transitive(induced, comb(degree, k))

@@ -8,8 +8,10 @@ Conventions used across the package:
 - k-subsets of ``{1..d}`` are written as sorted tuples and listed in colex
   order, which is lexicographic order on the reversed tuples
 - a map on a list of points acts as the permutation of their 1-based
-  positions (``point_permutation``); the induced action on k-subsets and the
-  grid monodromies are built this way
+  positions (``point_permutation``); the grid monodromies are built this way
+- the induced action on k-subsets reads one colex index (``subset_index``),
+  the 1-based position of each subset on the smaller side; a caller inducing
+  several permutations of one degree builds it once and passes it to each
 - the cycles of a permutation p are the orbits of the group it generates, so
   ``orbits`` is the one orbit walk
 
@@ -20,6 +22,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from math import comb
+from operator import itemgetter
 
 
 @dataclass(frozen=True)
@@ -88,7 +92,7 @@ def all_subsets(universe: int, k: int) -> list[tuple[int, ...]]:
     # k-subsets written largest first come in lex order from the labels
     # listed downwards; read backwards, that is colex order
     descending = list(itertools.combinations(range(universe, 0, -1), k))
-    return [s[::-1] for s in reversed(descending)]
+    return list(map(itemgetter(slice(None, None, -1)), reversed(descending)))
 
 
 def point_permutation(points, move) -> Permutation:
@@ -103,7 +107,20 @@ def point_permutation(points, move) -> Permutation:
     return Permutation(tuple(position[move(p)] for p in points))
 
 
-def induced_subset_action(p: Permutation, k: int) -> Permutation:
+def subset_index(degree: int, k: int) -> dict[tuple[int, ...], int]:
+    """The colex index that induced_subset_action reads for k-subsets of
+    {1..degree}: the 1-based position of each min(k, degree - k)-subset in
+    colex order, its keys listed in that order.
+
+    >>> subset_index(4, 3)
+    {(1,): 1, (2,): 2, (3,): 3, (4,): 4}
+    """
+    if not 0 <= k <= degree:
+        raise ValueError(f"subset size {k} outside 0..{degree}")
+    return dict(zip(all_subsets(degree, min(k, degree - k)), itertools.count(1)))
+
+
+def induced_subset_action(p: Permutation, k: int, index: dict | None = None) -> Permutation:
     """The permutation induced by p on the k-subsets of its domain, listed
     in colex order.
 
@@ -111,14 +128,26 @@ def induced_subset_action(p: Permutation, k: int) -> Permutation:
     composition of the induced actions, and the identity induces the identity.
     Complementing commutes with p and reverses colex order, so for k above
     degree - k the points are the complements, the smaller subsets backwards.
+    ``index`` is ``subset_index(p.degree, k)``, built here when not given;
+    each subset's image is one C-level gather of labels, sorted and looked up.
 
     >>> induced_subset_action(Permutation.from_cycles(4, ((1, 2),)), 2).images
     (1, 3, 2, 5, 4, 6)
     """
     if not 0 <= k <= p.degree:
         raise ValueError(f"subset size {k} outside 0..{p.degree}")
-    small = all_subsets(p.degree, min(k, p.degree - k))
-    return point_permutation(small if 2 * k <= p.degree else small[::-1], p.apply_to_set)
+    if index is None:
+        index = subset_index(p.degree, k)
+    elif len(index) != comb(p.degree, k):
+        raise ValueError(f"an index of {len(index)} subsets does not fit C({p.degree}, {k})")
+    label = (0, *p.images).__getitem__  # label(x) is p(x)
+    moved = map(tuple, map(sorted, map(map, itertools.repeat(label), index)))
+    images = map(index.__getitem__, moved)
+    if 2 * k <= p.degree:
+        return Permutation(tuple(images))
+    # point r is the complement of the small subset at position len + 1 - r,
+    # so the images are read backwards and renumbered the same way
+    return Permutation(tuple(map((len(index) + 1).__sub__, reversed(list(images)))))
 
 
 def orbits(generators: tuple[Permutation, ...], degree: int | None = None) -> tuple[tuple[int, ...], ...]:

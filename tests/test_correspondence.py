@@ -20,7 +20,7 @@ from prymtyurin.correspondence import (
     strongly_regular_identity,
     verify_identity,
 )
-from prymtyurin.perms import Permutation, all_subsets, orbits
+from prymtyurin.perms import Permutation, all_subsets, induced_subset_action, orbits
 
 
 def test_subset_matrix_n2_is_the_complement_involution():
@@ -97,6 +97,36 @@ def test_rows_are_sets_of_points():
     for bad in (-1, -0b10, 0b100, 0b101):
         with pytest.raises(ValueError, match=r"row 1 is not a set of points 0\.\.1"):
             FiberCorrespondence(kind="x", parameter=0, rows=(0b10, bad), points=(0, 1))
+
+
+SIX_CYCLE = tuple(sum(1 << j for j in range(6) if (i - j) % 6 in (1, 5)) for i in range(6))
+
+
+@pytest.mark.parametrize(
+    "rows, symmetries, message",
+    [
+        # a diagonal entry at row 3 and an asymmetry at (1, 0): the walk by
+        # rows meets the asymmetry first
+        ((0b0100, 0b0001, 0b0001, 0b1000), (), r"^not symmetric at \(1, 0\)$"),
+        # a diagonal entry at row 0 and an asymmetry at (3, 2): the diagonal
+        ((0b0001, 0b0100, 0b0010, 0b0100), (), r"^nonzero diagonal entry at 0$"),
+        # a row out of range and unequal row sums: the range is checked first
+        ((0b10, 0b111), (), r"^row 1 is not a set of points 0\.\.1$"),
+        # two symmetries of the 6-cycle that both fail: the first is named
+        (
+            SIX_CYCLE,
+            (Permutation((1, 6, 3, 4, 5, 2)), Permutation((2, 1, 3, 4, 5, 6))),
+            r"^symmetry 0 does not preserve the relation$",
+        ),
+    ],
+)
+def test_first_of_two_defects_is_named(rows, symmetries, message):
+    # the checks compare whole lists first, so a construction with two
+    # defects must still name the one the walk by rows reaches first
+    with pytest.raises(ValueError, match=message):
+        FiberCorrespondence(
+            kind="x", parameter=0, rows=rows, points=tuple(range(len(rows))), symmetries=symmetries
+        )
 
 
 def test_mat_mul_exact():
@@ -221,6 +251,14 @@ def test_symmetries_are_checked_at_construction():
     for corr in (*map(build_subset_matrix, range(2, 9)), *map(build_grid_matrix, range(2, 31))):
         assert len(corr.symmetries) == 2
         assert len(orbits(corr.symmetries, corr.size)) == 1
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_subset_symmetries_are_the_induced_label_moves(n):
+    corr = build_subset_matrix(n)
+    moves = (((1, 2),), (tuple(range(1, n + 3)),))
+    want = tuple(induced_subset_action(Permutation.from_cycles(n + 2, g), n) for g in moves)
+    assert corr.symmetries == want
 
 
 def two_switch(rows):

@@ -221,6 +221,9 @@ def test_irreducibility_check():
     assert not irreducibility_check((), 3)
     with pytest.raises(ValueError, match="subset size 7 outside 0..5"):
         irreducibility_check(gens, 7)
+    # every generator is induced through the index of the first one's degree
+    with pytest.raises(ValueError, match="does not fit"):
+        irreducibility_check((transposition(5, 1, 2), transposition(6, 1, 2)), 3)
 
 
 @st.composite

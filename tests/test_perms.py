@@ -10,6 +10,7 @@ from prymtyurin.perms import (
     is_transitive,
     orbits,
     point_permutation,
+    subset_index,
     transposition,
 )
 
@@ -143,9 +144,21 @@ def test_transitive_tuple_induces_transitive_subset_action():
 
 def test_induced_action_reads_large_subsets_off_their_complements():
     # k > degree - k is induced on the complements and read backwards; every
-    # permutation of S_5 and every k agrees with the definition, the map
-    # applied to each k-subset and looked up in colex order
-    for p in s_n(5):
-        for k in range(6):
-            want = point_permutation(all_subsets(5, k), p.apply_to_set)
+    # permutation of S_6 and every k, the empty subset at k = 0 and k = 6
+    # included, agrees with the definition, the map applied to each k-subset
+    # and looked up in colex order, whether the index is shared or not
+    group = s_n(6)
+    for k in range(7):
+        index = subset_index(6, k)
+        for p in group:
+            want = point_permutation(all_subsets(6, k), p.apply_to_set)
             assert induced_subset_action(p, k) == want
+            assert induced_subset_action(p, k, index) == want
+
+
+def test_induced_action_refuses_an_index_of_another_size():
+    p = transposition(6, 1, 2)
+    with pytest.raises(ValueError, match=r"an index of 10 subsets does not fit C\(6, 2\)"):
+        induced_subset_action(p, 2, subset_index(5, 2))
+    with pytest.raises(ValueError, match="subset size 7 outside 0..6"):
+        subset_index(6, 7)

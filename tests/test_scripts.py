@@ -35,10 +35,17 @@ def test_identity_sweep_script():
 
 
 def test_family_sweep_script():
-    lines = [line for line in run_script("family_sweep.py", "--min-genus", "2", "--max-genus", "2") if line]
-    assert len(lines) == 4
-    assert lines[0].startswith("subset n=2 gx=2")
-    assert "paper: g_C=4 diag=2 dim=2 [ok]" in lines[0]
-    assert "monodromy: g_C=3 diag=4 dim=2 [FAIL]" in lines[0]
-    assert lines[3].startswith("grid 3x3 g=2")
-    assert lines[3].count("g_C=4 diag=6 dim=1 [ok]") == 2
+    lines = [line for line in run_script("family_sweep.py", "--min-genus", "0", "--max-genus", "2") if line]
+    assert len(lines) == 10
+    # whole lines, an error cell included: the table is read from report_to_dict
+    assert lines[0] == (
+        "subset n=2 gx=0   q=2     paper: g_C=0 diag=2 dim=0 [ok]  monodromy: error (subset"
+        " scenario n=2, source genus 0, monodromy model: negative genus -1 from degree=6,"
+        " base_genus=0, w=8)"
+    )
+    assert lines[2] == (
+        "subset n=2 gx=2   q=2     paper: g_C=4 diag=2 dim=2 [ok]  monodromy: g_C=3 diag=4 dim=2 [FAIL]"
+    )
+    assert lines[9] == (
+        "grid 3x3 g=2      q=3     paper: g_C=4 diag=6 dim=1 [ok]  monodromy: g_C=4 diag=6 dim=1 [ok]"
+    )
