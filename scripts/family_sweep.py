@@ -13,7 +13,7 @@ Usage:
 
 import argparse
 
-from prymtyurin.report import assemble, models_for, report_to_dict
+from prymtyurin.report import assemble, models_for
 from prymtyurin.scenario import grid_scenario, subset_scenario
 
 
@@ -44,12 +44,10 @@ def main() -> int:
 
     for n in (2, 3, 4):
         for gx in range(args.min_genus, args.max_genus + 1):
-            data = report_to_dict(assemble(subset_scenario(n, gx)))
-            print(row(f"subset n={n} gx={gx}", data))
+            print(row(f"subset n={n} gx={gx}", assemble(subset_scenario(n, gx))))
         print()
     for g in range(max(args.min_genus, 2), args.max_genus + 1):
-        data = report_to_dict(assemble(grid_scenario(g)))
-        print(row(f"grid 3x3 g={g}", data))
+        print(row(f"grid 3x3 g={g}", assemble(grid_scenario(g))))
     return 0
 
 

@@ -2,17 +2,17 @@
 fiber correspondences with fixed points.
 
 The top level re-exports the pieces most callers need: scenario
-construction, report assembly, and serialization.  The submodules expose
-the full machinery (permutations, coverings, correspondence matrices,
-special-fiber models, fixed-point scans, nesting certificates).
+construction, report assembly and serialization.  assemble returns the
+report as one canonical dict of JSON values; report_to_json and
+render_table are its two views.  The submodules expose the full machinery
+(permutations, coverings, correspondence matrices, special-fiber models,
+fixed-point scans, nesting certificates).
 """
 
 from .report import (
-    PrymReport,
     assemble,
     canonical_json,
     render_table,
-    report_to_dict,
     report_to_json,
 )
 from .scenario import (
@@ -28,7 +28,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "InvalidScenario",
-    "PrymReport",
     "Scenario",
     "assemble",
     "canonical_json",
@@ -36,7 +35,6 @@ __all__ = [
     "load_scenario",
     "parse_scenario",
     "render_table",
-    "report_to_dict",
     "report_to_json",
     "subset_scenario",
     "__version__",

@@ -12,8 +12,6 @@ budget (the report is still printed, with the verdict "failed" or
 "undecided"), 1 on validation errors (malformed file, bad arguments,
 infeasible scenario).  The keyed model is the merged-class model whenever
 it was evaluated, otherwise the single model requested.
-
-Set PRYMTYURIN_VERBOSE=1 to echo the resolved scenario to stderr.
 """
 
 from __future__ import annotations
@@ -21,16 +19,15 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import os
 import sys
 
 from .correspondence import build_grid_matrix, build_subset_matrix, identity_and_exponent
 from .report import (
-    PrymReport,
     assemble,
     canonical_json,
     correspondence_to_dict,
     identity_rows,
+    keyed_verdict,
     render_table,
     report_to_json,
     table_row,
@@ -106,23 +103,17 @@ def _output_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("json", "table"), default="table")
 
 
-def _verbose() -> bool:
-    return os.environ.get("PRYMTYURIN_VERBOSE", "") not in ("", "0")
-
-
-def _emit_report(report: PrymReport, fmt: str) -> int:
+def _emit_report(data: dict, fmt: str) -> int:
     if fmt == "json":
-        print(report_to_json(report))
+        print(report_to_json(data))
     else:
-        print(render_table(report), end="")
-    return EXIT_VERIFIED if report.keyed_verdict else EXIT_HYPOTHESIS
+        print(render_table(data), end="")
+    return EXIT_VERIFIED if keyed_verdict(data) else EXIT_HYPOTHESIS
 
 
 def _run_scenario(scenario, args) -> int:
     if args.model is not None and args.model != scenario.model:
         scenario = dataclasses.replace(scenario, model=args.model)
-    if _verbose():
-        print(f"scenario: {scenario}", file=sys.stderr)
     return _emit_report(assemble(scenario), args.format)
 
 

@@ -45,7 +45,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
-from operator import and_, getitem, itemgetter
+from operator import getitem, itemgetter
 
 from .perms import (
     Permutation,
@@ -144,28 +144,26 @@ def build_subset_matrix(n: int) -> FiberCorrespondence:
     those whose 2-element complement is disjoint from the complement of I.
     Its symmetries are the label moves (1 2) and (1 ... n+2), induced on n-subsets.
     The relation and both symmetries are read off one colex index of the
-    2-element complements, by C-level gathers; labels are bytes, so n <= 253.
+    2-element complements.
     """
     if n < 2:
         raise ValueError(f"subset correspondence needs n >= 2, got {n}")
     degree = n + 2
     pts = tuple(all_subsets(degree, n))
     # complementing reverses colex order: the complement of point j is the
-    # pair at position N - j of this index.  So one character per pair, in
-    # index order, spells a bitset of the points as int(text, 2) reads it
+    # pair at 1-based position N - j of this index
     pairs = subset_index(degree, n)
-    full = (1 << len(pairs)) - 1
-    firsts, seconds = map(bytes, zip(*pairs))
-    # bit j of holding[x] is set when point j holds label x, that is when x is
-    # not in its complement; the points related to I are those holding both
-    # labels of its complement
-    holding = [0]
-    for x in range(1, degree + 1):
-        marks = b"0" * x + b"1" + b"0" * (255 - x)  # translates byte x to "1"
-        touching = int(firsts.translate(marks), 2) | int(seconds.translate(marks), 2)
-        holding.append(full ^ touching)
-    held = holding.__getitem__
-    rows = tuple(map(and_, map(held, firsts[::-1]), map(held, seconds[::-1])))
+    size = len(pairs)
+    # bit j of touching[x] is set when the complement of point j holds label
+    # x; the points related to I are those whose complement misses both
+    # labels of the complement of I
+    touching = [0] * (degree + 1)
+    for (a, b), pos in pairs.items():
+        bit = 1 << (size - pos)
+        touching[a] |= bit
+        touching[b] |= bit
+    full = (1 << size) - 1
+    rows = tuple(full ^ (touching[a] | touching[b]) for a, b in reversed(pairs))
     moves = (((1, 2),), (tuple(range(1, degree + 1)),))
     symmetries = tuple(
         induced_subset_action(Permutation.from_cycles(degree, g), n, pairs) for g in moves

@@ -72,9 +72,9 @@ class FiberClass:
 class SpecialFiber:
     """A special fiber of the induced covering: its classes of points.
 
-    A fiber does not record which model built it; the ModelReport holding it
-    does.  Each model builds its own fibers, so the grid fibers, whose
-    classes are the same under both models, are equal but not shared.
+    A fiber does not record which model built it; the report's model entry
+    holding it does.  Each model builds its own fibers, so the grid fibers,
+    whose classes are the same under both models, are equal but not shared.
     """
 
     classes: tuple[FiberClass, ...]

@@ -165,21 +165,21 @@ def orbits(generators: tuple[Permutation, ...], degree: int | None = None) -> tu
     for g in generators:
         if g.degree != degree:
             raise ValueError(f"generator degree {g.degree} != {degree}")
-    seen: set[int] = set()
+    images = [g.images for g in generators]
+    seen = [False] * (degree + 1)
     out = []
     for start in range(1, degree + 1):
-        if start in seen:
+        if seen[start]:
             continue
-        orbit = {start}
-        frontier = [start]
-        while frontier:
-            x = frontier.pop()
-            for g in generators:
-                y = g(x)
-                if y not in orbit:
-                    orbit.add(y)
-                    frontier.append(y)
-        seen |= orbit
+        seen[start] = True
+        orbit = [start]
+        # the walk reads the orbit list as it grows
+        for x in orbit:
+            for image in images:
+                y = image[x - 1]
+                if not seen[y]:
+                    seen[y] = True
+                    orbit.append(y)
         out.append(tuple(sorted(orbit)))
     return tuple(out)
 

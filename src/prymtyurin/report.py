@@ -5,11 +5,12 @@ curve genus, quadratic identity and exponent, fixed classes, nesting
 certificate, dimension and auxiliary line-bundle degree -- under one or both
 fiber models, and packages everything into a report.  Both families run
 through the same per-model pipeline; each supplies only its fiber layout.
-The report's canonical dict, report_to_dict, is the one source of both of
-its views: canonical JSON and an aligned text table.
+assemble returns the report's canonical dict, the one source of both of its
+views: canonical JSON and an aligned text table.
 
-All arithmetic is exact.  The dimension is a Fraction; a non-integral value
-is reported as an inconsistency diagnostic, never rounded.  Verdicts only
+All arithmetic is exact.  The dimension is a Fraction, written as an int or
+a "p/q" string; a non-integral value is reported as an inconsistency
+diagnostic, never rounded.  Verdicts only
 ever claim the combinatorial hypotheses: the analytic ones (primitivity of
 the correspondence class, smoothness of the curve) are marked unchecked.
 """
@@ -37,9 +38,7 @@ from .covering import (
     upstairs_genus,
 )
 from .fixed_points import (
-    FixedPointReport,
     NestingCertificate,
-    NestingFailure,
     NestingUndecided,
     check_certificate,
     class_action,
@@ -103,124 +102,39 @@ def epsilon_degree(genus: int, fixed_count: int) -> int:
     return genus + fixed_count // 2 - 1
 
 
-@dataclasses.dataclass(frozen=True)
-class Hypotheses:
-    quadratic_ok: bool
-    fixed_even: bool
-    n_le_d: bool
-    nesting_ok: bool
-    irreducible: bool
-    primitivity: str = UNCHECKED
-    smoothness: str = UNCHECKED
-
-
-@dataclasses.dataclass(frozen=True)
-class ModelReport:
-    """Everything a single fiber model says about the scenario.
-
-    Its layout holds each distinct special fiber once; positions[i] is the
-    index into distinct_fibers of the fiber at layout position i.  error is
-    set when the model's own arithmetic is inconsistent (genus validation,
-    negative dimension); fields computed before the failure are kept for
-    diagnosis, the rest are None.  undecided is set when the
-    nesting search ran out of budget and every other check held, so the
-    model is neither verified nor refuted.
-    """
-
-    model: str
-    covering: CoveringData
-    induced_deg: int
-    distinct_fibers: tuple[SpecialFiber, ...]
-    positions: tuple[int, ...]
-    total_ramification: int
-    fixed: FixedPointReport
-    simple_fibers_fixed_free: bool | None
-    error: str | None
-    genus: int | None
-    nesting: NestingCertificate | NestingFailure | NestingUndecided
-    dim_p: Fraction | None
-    dim_integral: bool | None
-    epsilon_deg: int | None
-    hypotheses: Hypotheses
-    verified: bool
-    undecided: bool
-
-    @property
-    def fibers(self) -> tuple[SpecialFiber, ...]:
-        """The special fibers in layout order, the index space of fixed
-        classes and certificates."""
-        return tuple(self.distinct_fibers[i] for i in self.positions)
-
-    @property
-    def certificate_checked(self) -> bool:
-        """A nesting certificate was found and re-checked independently."""
-        return self.hypotheses.nesting_ok
-
-    @property
-    def verdict(self) -> str:
-        if self.verified:
-            return VERIFIED
-        return UNDECIDED if self.undecided else FAILED
-
-
-@dataclasses.dataclass(frozen=True)
-class PrymReport:
-    scenario: Scenario
-    size: int
-    bidegree: int
-    identity: QuadraticIdentity | None
-    q: int | None
-    exponent_note: str
-    irreducible: bool
-    irreducibility_basis: str
-    models: tuple[ModelReport, ...]
-    notes: tuple[str, ...]
-
-    def model_report(self, model: str) -> ModelReport | None:
-        for rep in self.models:
-            if rep.model == model:
-                return rep
-        return None
-
-    @property
-    def keyed_verdict(self) -> bool:
-        """The verdict the exit code follows: the merged-class model when it
-        was evaluated, otherwise the single model requested."""
-        keyed = self.model_report(MERGED)
-        if keyed is None:
-            keyed = self.models[0]
-        return keyed.verified
-
-
 def models_for(choice: str) -> tuple[str, ...]:
     return (MERGED, ORBIT) if choice == BOTH else (choice,)
 
 
-def assemble(scenario: Scenario) -> PrymReport:
-    """Run the full pipeline for every requested fiber model."""
+def keyed_verdict(data: dict) -> bool:
+    """The verdict the exit code follows: the merged-class model when it was
+    evaluated, otherwise the single model requested."""
+    return data["verdict"][models_for(data["scenario"]["model"])[0]] == VERIFIED
+
+
+def assemble(scenario: Scenario) -> dict:
+    """Run the full pipeline for every requested fiber model.
+
+    Returns the report's canonical dict.  It holds JSON values only, so
+    json.loads of its canonical text equals it.
+    """
     if scenario.kind == SUBSET:
         corr = build_subset_matrix(scenario.parameter)
     else:
         corr = build_grid_matrix(scenario.parameter)
     ident, q, note = identity_and_exponent(corr)
     irreducible, basis = _irreducibility(scenario)
-    models = tuple(
-        _model(scenario, corr, model, q, irreducible)
-        for model in models_for(scenario.model)
-    )
-    report = PrymReport(
-        scenario=scenario,
-        size=corr.size,
-        bidegree=corr.bidegree,
-        identity=ident,
-        q=q,
-        exponent_note=note,
-        irreducible=irreducible,
-        irreducibility_basis=basis,
-        models=models,
-        notes=(),
-    )
-    return dataclasses.replace(report, notes=_notes(report))
+    models = {m: _model(scenario, corr, m, q, irreducible) for m in models_for(scenario.model)}
+    data = {
+        "scenario": scenario_to_dict(scenario),
+        "correspondence": correspondence_to_dict(corr.size, corr.bidegree, ident, q, note),
+        "irreducibility": {"transitive": irreducible, "basis": basis},
+        "models": {model: rep for model, (rep, _) in models.items()},
+        "notes": [],
+        "verdict": {model: verdict for model, (_, verdict) in models.items()},
+    }
+    data["notes"] = _notes(data)
+    return data
 
 
 def fiber_layout(
@@ -280,8 +194,16 @@ def _model(
     model: str,
     q: int | None,
     irreducible: bool,
-) -> ModelReport:
-    """Everything one fiber model says, from the family's fiber layout on."""
+) -> tuple[dict, str]:
+    """Everything one fiber model says, from the family's fiber layout on:
+    the model's canonical dict and its verdict.
+
+    error is set when the model's own arithmetic is inconsistent (genus
+    validation, negative dimension); the facts computed before the failure
+    are kept for diagnosis, the rest are None.  The verdict is undecided when
+    the nesting search ran out of budget and every other check held, so the
+    model is neither verified nor refuted.
+    """
     distinct, positions, simple = fiber_layout(scenario, model)
     # each distinct fiber is acted on once and its action and w reused in
     # layout order by C-level gathers
@@ -306,20 +228,21 @@ def _model(
     bidegree = corr.bidegree
     even = scan.is_even
     nesting = nesting_search(scan, bidegree)
-    certified = isinstance(nesting, NestingCertificate)
-    checked = certified and (
+    checked = isinstance(nesting, NestingCertificate) and (
         nesting.length == 0
         or check_certificate(
             nesting, distinct[positions[nesting.fiber_index]], scenario.kind, scenario.parameter
         )
     )
-    hyp = Hypotheses(
-        quadratic_ok=q is not None,
-        fixed_even=even,
-        n_le_d=bool(even and scan.half <= bidegree),
-        nesting_ok=checked,
-        irreducible=irreducible,
-    )
+    hyp = {
+        "quadratic_ok": q is not None,
+        "fixed_even": even,
+        "n_le_d": bool(even and scan.half <= bidegree),
+        "nesting_ok": checked,
+        "irreducible": irreducible,
+        "primitivity": UNCHECKED,
+        "smoothness": UNCHECKED,
+    }
 
     dim = integral = eps = None
     if error is None and q is not None and even:
@@ -333,68 +256,79 @@ def _model(
     # everything but the nesting condition, which may be left undecided
     rest_ok = (
         error is None
-        and hyp.quadratic_ok
-        and hyp.fixed_even
-        and hyp.n_le_d
-        and hyp.irreducible
+        and all(hyp[key] for key in ("quadratic_ok", "fixed_even", "n_le_d", "irreducible"))
         and integral is True
         and simple_free is not False
     )
-    return ModelReport(
-        model=model,
-        covering=scenario.covering,
-        induced_deg=corr.size,
-        distinct_fibers=distinct,
-        positions=positions,
-        total_ramification=w_induced,
-        fixed=scan,
-        simple_fibers_fixed_free=simple_free,
-        error=error,
-        genus=genus,
-        nesting=nesting,
-        dim_p=dim,
-        dim_integral=integral,
-        epsilon_deg=eps,
-        hypotheses=hyp,
-        verified=rest_ok and hyp.nesting_ok,
-        undecided=rest_ok and isinstance(nesting, NestingUndecided),
-    )
+    # the fiber does not know its model; its model entry does.  Each
+    # distinct fiber gets one dict, repeated in layout order, which
+    # canonical_json writes once
+    entries = [{"model": model, **fiber_to_dict(f)} for f in distinct]
+    rep = {
+        "model": model,
+        "covering": covering_to_dict(scenario.covering),
+        "induced": {"degree": corr.size, "ramification": w_induced, "genus": genus},
+        "special_fibers": list(map(entries.__getitem__, positions)),
+        "fixed_points": [
+            {
+                "fiber": fc.fiber_index,
+                "class": fc.class_index,
+                "multiplicity": fc.multiplicity,
+                "members": [list(m) for m in fc.members],
+            }
+            for fc in scan.fixed
+        ],
+        "delta_dot_d": scan.delta_dot_d,
+        "simple_fibers_fixed_free": simple_free,
+        "nesting": nesting_to_dict(nesting),
+        "certificate_checked": checked,
+        "dim_p": None if dim is None else rational_json(dim),
+        "dim_p_integral": integral,
+        "epsilon_degree": eps,
+        "hypotheses": hyp,
+        "combinatorial_verified": rest_ok and checked,
+    }
+    if error is not None:
+        rep["error"] = error
+    if rest_ok and checked:
+        return rep, VERIFIED
+    return rep, UNDECIDED if rest_ok and isinstance(nesting, NestingUndecided) else FAILED
 
 
 # --- notes -------------------------------------------------------------------
 
 
-def _notes(report: PrymReport) -> tuple[str, ...]:
+def _notes(data: dict) -> list[str]:
     notes: list[str] = []
-    scen = report.scenario
+    scen, corr, models = data["scenario"], data["correspondence"], data["models"]
 
-    if report.irreducibility_basis == SYNTHESIZED:
+    if data["irreducibility"]["basis"] == SYNTHESIZED:
         notes.append(
             "irreducibility was tested against a synthesized representative"
             " choice of local monodromies, not data supplied by the scenario"
         )
 
-    for rep in report.models:
-        if rep.error is not None:
-            notes.append(f"{rep.model} model: {rep.error}")
-        if rep.dim_integral is False:
+    for model, rep in models.items():
+        if "error" in rep:
+            notes.append(f"{model} model: {rep['error']}")
+        if rep["dim_p_integral"] is False:
             notes.append(
-                f"inconsistency ({rep.model} model): dim P = {rep.dim_p} is not an"
+                f"inconsistency ({model} model): dim P = {rep['dim_p']} is not an"
                 " integer, so the declared data cannot all be correct"
             )
-        if rep.dim_p == 0:
+        if rep["dim_p"] == 0:
             notes.append(
-                f"degenerate ({rep.model} model): dim P = 0, the target abelian"
+                f"degenerate ({model} model): dim P = 0, the target abelian"
                 " variety is a point"
             )
-        if rep.simple_fibers_fixed_free is False:
+        if rep["simple_fibers_fixed_free"] is False:
             notes.append(
-                f"{rep.model} model: a simple branch fiber carries a fixed class,"
+                f"{model} model: a simple branch fiber carries a fixed class,"
                 " so the fixed-point count over the declared special fibers is"
                 " incomplete"
             )
 
-    dims = {rep.model: rep.dim_p for rep in report.models if rep.dim_p is not None}
+    dims = {model: rep["dim_p"] for model, rep in models.items() if rep["dim_p"] is not None}
     if len(dims) == 2:
         vals = sorted(dims.items())
         if vals[0][1] == vals[1][1]:
@@ -405,27 +339,29 @@ def _notes(report: PrymReport) -> tuple[str, ...]:
                 + ", ".join(f"{m} gives {v}" for m, v in vals)
             )
 
-    if scen.kind == GRID:
-        branch_points = 2 + scen.covering.simple_extra
+    if scen["kind"] == GRID:
+        # every model entry carries the scenario's covering
+        branch_points = 2 + next(iter(models.values()))["covering"]["simple_extra"]
         notes.append(
             f"informational: the {branch_points} branch locations on the base"
             f" line move in a ({branch_points} - 3)-dimensional family once the"
             f" line's automorphisms are normalized away, i.e. dimension {branch_points - 3}"
         )
 
-    if scen.kind == SUBSET and scen.parameter == 4 and report.q is not None:
-        rep = report.model_report(MERGED)
-        if rep is not None and rep.genus is not None and rep.error is None:
-            alt = rep.genus + 2
-            alt_dim = prym_dimension(alt, report.bidegree, rep.fixed.delta_dot_d, report.q)
+    q = corr["exponent"]
+    if scen["kind"] == SUBSET and scen["n"] == 4 and q is not None:
+        rep = models.get(MERGED)
+        if rep is not None and rep["induced"]["genus"] is not None and "error" not in rep:
+            genus = rep["induced"]["genus"]
+            alt_dim = prym_dimension(genus + 2, corr["bidegree"], rep["delta_dot_d"], q)
             notes.append(
                 f"genus cross-check (merged model): the declared fiber data force"
-                f" genus {rep.genus} with dim P = {rep.dim_p}; the nearby value"
-                f" {alt}, which would follow from counting one extra simple branch"
+                f" genus {genus} with dim P = {rep['dim_p']}; the nearby value"
+                f" {genus + 2}, which would follow from counting one extra simple branch"
                 f" point, gives dim P = {alt_dim} and is not consistent"
             )
 
-    return tuple(notes)
+    return notes
 
 
 # --- serialization -----------------------------------------------------------
@@ -453,9 +389,7 @@ def fiber_to_dict(fiber: SpecialFiber) -> dict:
         "classes": [
             {
                 "members": [list(m) for m in cls.members],
-                "block_multiset": None
-                if cls.block_multiset is None
-                else list(cls.block_multiset),
+                "block_multiset": None if cls.block_multiset is None else list(cls.block_multiset),
                 "index": cls.size,
             }
             for cls in fiber.classes
@@ -472,57 +406,8 @@ def nesting_to_dict(nesting) -> dict:
             "chain_members": [[list(m) for m in ms] for ms in nesting.chain_members],
             "multiplicities": [list(row) for row in nesting.memberships],
         }
-    if isinstance(nesting, NestingUndecided):
-        return {
-            "certified": False,
-            "reason": nesting.reason,
-            "fibers_searched": nesting.fibers_searched,
-            "memo_misses": nesting.memo_misses,
-        }
-    return {
-        "certified": False,
-        "reason": nesting.reason,
-        "fibers_searched": nesting.fibers_searched,
-        "orderings_tried": nesting.orderings_tried,
-    }
-
-
-def model_to_dict(rep: ModelReport) -> dict:
-    # the fiber does not know its model; its model report does.  Each
-    # distinct fiber gets one dict, repeated in layout order, which
-    # canonical_json writes once
-    entries = [{"model": rep.model, **fiber_to_dict(f)} for f in rep.distinct_fibers]
-    out: dict = {
-        "model": rep.model,
-        "covering": covering_to_dict(rep.covering),
-        "induced": {
-            "degree": rep.induced_deg,
-            "ramification": rep.total_ramification,
-            "genus": rep.genus,
-        },
-        "special_fibers": list(map(entries.__getitem__, rep.positions)),
-        "fixed_points": [
-            {
-                "fiber": fc.fiber_index,
-                "class": fc.class_index,
-                "multiplicity": fc.multiplicity,
-                "members": [list(m) for m in fc.members],
-            }
-            for fc in rep.fixed.fixed
-        ],
-        "delta_dot_d": rep.fixed.delta_dot_d,
-        "simple_fibers_fixed_free": rep.simple_fibers_fixed_free,
-        "nesting": nesting_to_dict(rep.nesting),
-        "certificate_checked": rep.certificate_checked,
-        "dim_p": None if rep.dim_p is None else rational_json(rep.dim_p),
-        "dim_p_integral": rep.dim_integral,
-        "epsilon_degree": rep.epsilon_deg,
-        "hypotheses": dataclasses.asdict(rep.hypotheses),
-        "combinatorial_verified": rep.verified,
-    }
-    if rep.error is not None:
-        out["error"] = rep.error
-    return out
+    # a failed search names its orderings tried, an undecided one its memo misses
+    return {"certified": False, **dataclasses.asdict(nesting)}
 
 
 def correspondence_to_dict(
@@ -547,22 +432,6 @@ def correspondence_to_dict(
         "identity_verified": ident is not None,
         "exponent": q,
         "exponent_derivation": note,
-    }
-
-
-def report_to_dict(report: PrymReport) -> dict:
-    return {
-        "scenario": scenario_to_dict(report.scenario),
-        "correspondence": correspondence_to_dict(
-            report.size, report.bidegree, report.identity, report.q, report.exponent_note
-        ),
-        "irreducibility": {
-            "transitive": report.irreducible,
-            "basis": report.irreducibility_basis,
-        },
-        "models": {rep.model: model_to_dict(rep) for rep in report.models},
-        "notes": list(report.notes),
-        "verdict": {rep.model: rep.verdict for rep in report.models},
     }
 
 
@@ -648,8 +517,8 @@ def canonical_json(data) -> str:
     return "".join(out)
 
 
-def report_to_json(report: PrymReport) -> str:
-    return canonical_json(report_to_dict(report))
+def report_to_json(data: dict) -> str:
+    return canonical_json(data)
 
 
 # --- text rendering ----------------------------------------------------------
@@ -683,15 +552,14 @@ def identity_rows(summary: dict) -> list[str]:
     return [table_row("identity", found), table_row("exponent q", q if q is not None else "none")]
 
 
-def render_table(report: PrymReport) -> str:
-    """The report as an aligned text table, a view of report_to_dict.
+def render_table(data: dict) -> str:
+    """The report as an aligned text table, a view of the canonical dict.
 
     Every row is read from the canonical dict, so the table claims nothing
     the JSON does not carry.  Models are taken in the order the scenario's
     model choice names them, not in the dict's key order, so a json.loads of
     the canonical text, whose keys are sorted, renders the same table.
     """
-    data = report_to_dict(report)
     scen, corr, irr = data["scenario"], data["correspondence"], data["irreducibility"]
     if scen["kind"] == SUBSET:
         kind = f"subset exchange, n = {scen['n']}, source genus {scen['upstairs_genus']}"
@@ -720,12 +588,8 @@ def render_table(report: PrymReport) -> str:
                 f" special fibers [{fiber_desc}], {cov['simple_extra']} simple points",
             )
         )
-        lines.append(
-            table_row(
-                "induced covering",
-                f"degree {induced['degree']}, ramification w = {induced['ramification']}",
-            )
-        )
+        induced_desc = f"degree {induced['degree']}, ramification w = {induced['ramification']}"
+        lines.append(table_row("induced covering", induced_desc))
         genus = induced["genus"]
         lines.append(table_row("curve genus", genus if genus is not None else "-"))
         fixed = rep["delta_dot_d"]

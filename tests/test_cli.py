@@ -544,13 +544,6 @@ def test_shared_parser_carries_no_state_between_calls(tmp_path):
     assert set(json.loads(shared[3][1])["models"]) == {"paper", "monodromy"}
 
 
-def test_verbose_echoes_scenario(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("PRYMTYURIN_VERBOSE", "1")
-    path = write_scenario(tmp_path, "s.json", STANDARD_N3)
-    assert main(["run", path]) == EXIT_VERIFIED
-    assert "scenario:" in capsys.readouterr().err
-
-
 # --- installed console script -------------------------------------------------
 
 

@@ -34,6 +34,7 @@ from prymtyurin.induced_curve import (
 )
 from prymtyurin.report import assemble, fiber_layout
 from prymtyurin.scenario import default_subset_fibers, grid_scenario
+from report_objects import fiber_of, nesting_of
 
 THREE_BLOCKS = ((1, 2), (3, 4), (5,))
 PAIR_BLOCKS_6 = ((1, 2), (3, 4), (5, 6))
@@ -335,11 +336,12 @@ def test_check_certificate_refuses_honest_multiplicities_off_a_chain():
 def test_check_certificate_refuses_a_misshapen_certificate():
     # membership rows or chain members that do not fit the chain are refused,
     # never read past their end
-    grid = assemble(grid_scenario(3)).models[0]
-    gfiber = grid.fibers[grid.nesting.fiber_index]
+    grid = assemble(grid_scenario(3))["models"][MERGED]
+    gcert = nesting_of(grid)
+    gfiber = fiber_of(grid, gcert.fiber_index)
     for cert, fiber, kind, parameter in (
         (_genuine_n4_certificate(), merged_fiber(4, PAIR_BLOCKS_6), "subset", 4),
-        (grid.nesting, gfiber, "grid", 3),
+        (gcert, gfiber, "grid", 3),
     ):
         assert cert.length == 3 and check_certificate(cert, fiber, kind, parameter)
         rows, members = cert.memberships, cert.chain_members
@@ -355,7 +357,7 @@ def test_check_certificate_refuses_a_misshapen_certificate():
         for variant in variants:
             assert not check_certificate(variant, fiber, kind, parameter), variant
     with pytest.raises(ValueError, match="unknown correspondence kind 'cube'"):
-        check_certificate(grid.nesting, gfiber, "cube", 3)
+        check_certificate(gcert, gfiber, "cube", 3)
 
 
 # --- the label-bitmask checker against the image-enumerating one -------------
@@ -465,10 +467,10 @@ def _pipeline_certificates():
                     act = actions[cert.fiber_index]
                     found[(cert, act.fiber, "subset", n)] = act
     for g in (2, 3):
-        model = assemble(grid_scenario(g)).models[0]
-        cert = model.nesting
+        model = assemble(grid_scenario(g))["models"][MERGED]
+        cert = nesting_of(model)
         assert isinstance(cert, NestingCertificate) and cert.length
-        fiber = model.fibers[cert.fiber_index]
+        fiber = fiber_of(model, cert.fiber_index)
         found[(cert, fiber, "grid", 3)] = class_action(build_grid_matrix(3), fiber)
     return found
 

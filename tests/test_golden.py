@@ -4,7 +4,9 @@
 decided benchmark input; a benchmark run compares against it, and this test
 makes the same comparison in tier-1, so a report byte that drifts fails here
 first.  The inputs come from `bench/workloads.py`, loaded by path; the
-scenario files are written under the test's temporary directory.
+scenario files are written under the test's temporary directory.  The
+scenarios of those inputs also show that the dict assemble returns is
+exactly what its JSON carries.
 """
 
 import contextlib
@@ -18,6 +20,8 @@ from pathlib import Path
 import pytest
 
 from prymtyurin import cli
+from prymtyurin.report import assemble, report_to_json
+from prymtyurin.scenario import grid_scenario, parse_scenario, subset_scenario
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -61,3 +65,19 @@ def test_report_matches_golden_digest(inp, workdir):
     want = GOLDEN[inp.id]
     assert code == want["exit"]
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == want["sha256"]
+
+
+REPORT_SCENARIOS = [
+    pytest.param(parse_scenario(inp.scenario), id=inp.id) for inp in INPUTS if inp.scenario
+] + [
+    pytest.param(subset_scenario(10, 3), id="subset-n10-both"),
+    pytest.param(grid_scenario(20), id="grid-g20"),
+]
+
+
+@pytest.mark.parametrize("scenario", REPORT_SCENARIOS)
+def test_assembled_report_is_its_json_read_back(scenario):
+    # the pipeline's result holds only what the JSON carries: a tuple, a
+    # Fraction or any other object in it would not survive the round trip
+    data = assemble(scenario)
+    assert data == json.loads(report_to_json(data))

@@ -115,31 +115,31 @@ def test_orbits_refine_merged_classes():
 
 
 def induced(n, gx, special_parts, model):
-    """The report of one fiber model for a subset scenario."""
-    return assemble(subset_scenario(n, gx, special_parts, model=model)).models[0]
+    """The report entry of one fiber model for a subset scenario."""
+    return assemble(subset_scenario(n, gx, special_parts, model=model))["models"][model]
 
 
 def test_curve_genus_merged_model_families():
     for gx in range(0, 11):
-        assert induced(2, gx, ((2, 2), (2, 2)), MERGED).genus == 2 * gx
-        assert induced(3, gx, ((2, 2, 1), (2, 2, 1)), MERGED).genus == 3 * gx + 2
-        assert induced(4, gx, ((2, 2, 2), (2, 2, 2)), MERGED).genus == 4 * gx + 3
+        assert induced(2, gx, ((2, 2), (2, 2)), MERGED)["induced"]["genus"] == 2 * gx
+        assert induced(3, gx, ((2, 2, 1), (2, 2, 1)), MERGED)["induced"]["genus"] == 3 * gx + 2
+        assert induced(4, gx, ((2, 2, 2), (2, 2, 2)), MERGED)["induced"]["genus"] == 4 * gx + 3
 
 
 def test_curve_genus_orbit_model_families():
     for gx in range(1, 11):
-        assert induced(2, gx, ((2, 2), (2, 2)), ORBIT).genus == 2 * gx - 1
-        assert induced(3, gx, ((2, 2, 1), (2, 2, 1)), ORBIT).genus == 3 * gx + 1
-        assert induced(4, gx, ((2, 2, 2), (2, 2, 2)), ORBIT).genus == 4 * gx
+        assert induced(2, gx, ((2, 2), (2, 2)), ORBIT)["induced"]["genus"] == 2 * gx - 1
+        assert induced(3, gx, ((2, 2, 1), (2, 2, 1)), ORBIT)["induced"]["genus"] == 3 * gx + 1
+        assert induced(4, gx, ((2, 2, 2), (2, 2, 2)), ORBIT)["induced"]["genus"] == 4 * gx
 
 
 def test_curve_genus_orbit_model_can_be_impossible():
     # at gx = 0 the orbit model of the n=2 scenario undercounts ramification
     # so badly the genus would be negative; that is a hard error, not a fixup
     rep = induced(2, 0, ((2, 2), (2, 2)), ORBIT)
-    assert rep.genus is None
-    assert "negative genus" in rep.error
-    assert not rep.verified
+    assert rep["induced"]["genus"] is None
+    assert "negative genus" in rep["error"]
+    assert not rep["combinatorial_verified"]
 
 
 def test_curve_genus_all_simple():
@@ -147,15 +147,15 @@ def test_curve_genus_all_simple():
     for n in (2, 3, 4, 5):
         for gx in (0, 1, 3):
             want = n * gx + n * (n - 1) // 2
-            assert induced(n, gx, (), MERGED).genus == want
-            assert induced(n, gx, (), ORBIT).genus == want
+            assert induced(n, gx, (), MERGED)["induced"]["genus"] == want
+            assert induced(n, gx, (), ORBIT)["induced"]["genus"] == want
 
 
 def test_induced_w_matches_genus_arithmetic():
     rep = induced(3, 1, ((2, 2, 1), (2, 2, 1)), MERGED)
-    assert rep.covering.simple_extra == 6
-    assert rep.total_ramification == 3 * 6 + 5 + 5 == 28
-    assert rep.induced_deg == 10
+    assert rep["covering"]["simple_extra"] == 6
+    assert rep["induced"]["ramification"] == 3 * 6 + 5 + 5 == 28
+    assert rep["induced"]["degree"] == 10
 
 
 def test_grid_row_merge_fiber():

@@ -15,6 +15,7 @@ from prymtyurin.fixed_points import NestingFailure
 from prymtyurin.perms import Permutation, orbits
 from prymtyurin.report import assemble
 from prymtyurin.scenario import MODEL_CHOICES, InvalidScenario, subset_scenario
+from report_objects import nesting_of
 
 
 def cycle_type(images):
@@ -60,18 +61,21 @@ def relabeled_pairs(draw):
 
 def invariants(report):
     """Everything in a report that names no sheet and no fiber position."""
-    out = {"irreducible": report.irreducible, "q": report.q}
-    for rep in report.models:
-        nesting = rep.nesting
-        out[rep.model] = (
-            rep.genus,
-            rep.fixed.delta_dot_d,
-            rep.dim_p,
-            rep.epsilon_deg,
-            rep.verdict,
+    out = {
+        "irreducible": report["irreducibility"]["transitive"],
+        "q": report["correspondence"]["exponent"],
+    }
+    for model, rep in report["models"].items():
+        nesting = nesting_of(rep)
+        out[model] = (
+            rep["induced"]["genus"],
+            rep["delta_dot_d"],
+            rep["dim_p"],
+            rep["epsilon_degree"],
+            report["verdict"][model],
             type(nesting).__name__,
-            rep.total_ramification,
-            rep.simple_fibers_fixed_free,
+            rep["induced"]["ramification"],
+            rep["simple_fibers_fixed_free"],
             (nesting.fibers_searched, nesting.orderings_tried)
             if isinstance(nesting, NestingFailure)
             else None,

@@ -28,15 +28,15 @@ from prymtyurin.report import (
     canonical_json,
     epsilon_degree,
     fiber_layout,
-    model_to_dict,
+    keyed_verdict,
     models_for,
     prym_dimension,
     rational_json,
     render_table,
-    report_to_dict,
     report_to_json,
 )
 from prymtyurin.scenario import grid_scenario, subset_scenario
+from report_objects import fiber_of, nesting_of
 
 
 def test_prym_dimension_worked_cases():
@@ -77,21 +77,23 @@ def test_epsilon_degree():
 
 
 def test_hyperelliptic_report():
-    rep = assemble(grid_scenario(3))
-    assert rep.q == 3
-    assert rep.bidegree == 4
-    assert rep.size == 9
-    assert (rep.identity.a, rep.identity.b, rep.identity.c) == (2, -1, 2)
-    for m in rep.models:
-        assert m.total_ramification == 30
-        assert m.genus == 7
-        assert m.fixed.delta_dot_d == 6
-        assert m.dim_p == 2
-        assert m.epsilon_deg == 9
-        assert m.verified
-        assert isinstance(m.nesting, NestingCertificate)
-        assert m.certificate_checked
-    assert rep.keyed_verdict
+    data = assemble(grid_scenario(3))
+    corr = data["correspondence"]
+    assert corr["exponent"] == 3
+    assert corr["bidegree"] == 4
+    assert corr["size"] == 9
+    ident = corr["identity"]
+    assert (ident["a"], ident["b"], ident["c"]) == (2, -1, 2)
+    for m in data["models"].values():
+        assert m["induced"]["ramification"] == 30
+        assert m["induced"]["genus"] == 7
+        assert m["delta_dot_d"] == 6
+        assert m["dim_p"] == 2
+        assert m["epsilon_degree"] == 9
+        assert m["combinatorial_verified"]
+        assert isinstance(nesting_of(m), NestingCertificate)
+        assert m["certificate_checked"]
+    assert keyed_verdict(data)
 
 
 def test_grid_layout_counts():
@@ -106,107 +108,105 @@ def test_grid_layout_counts():
 
 def test_subset_families_per_model():
     for gx in range(0, 6):
-        rep = assemble(subset_scenario(2, gx))
-        merged = rep.model_report(MERGED)
-        orbit = rep.model_report(ORBIT)
-        assert merged.genus == 2 * gx
-        assert merged.fixed.delta_dot_d == 2
-        assert merged.dim_p == gx
-        assert merged.epsilon_deg == 2 * gx
-        assert merged.verified
+        models = assemble(subset_scenario(2, gx))["models"]
+        merged, orbit = models[MERGED], models[ORBIT]
+        assert merged["induced"]["genus"] == 2 * gx
+        assert merged["delta_dot_d"] == 2
+        assert merged["dim_p"] == gx
+        assert merged["epsilon_degree"] == 2 * gx
+        assert merged["combinatorial_verified"]
         if gx == 0:
-            assert orbit.error is not None and "negative genus" in orbit.error
-            assert orbit.genus is None
+            assert "negative genus" in orbit["error"]
+            assert orbit["induced"]["genus"] is None
         else:
-            assert orbit.genus == 2 * gx - 1
-            assert orbit.fixed.delta_dot_d == 4
-            assert not orbit.hypotheses.n_le_d
-            assert not orbit.verified
+            assert orbit["induced"]["genus"] == 2 * gx - 1
+            assert orbit["delta_dot_d"] == 4
+            assert not orbit["hypotheses"]["n_le_d"]
+            assert not orbit["combinatorial_verified"]
 
     for gx in range(0, 6):
-        rep = assemble(subset_scenario(3, gx))
-        merged = rep.model_report(MERGED)
-        orbit = rep.model_report(ORBIT)
-        assert merged.genus == 3 * gx + 2
-        assert merged.dim_p == gx
-        assert merged.verified
-        assert orbit.genus == 3 * gx + 1
-        assert orbit.fixed.delta_dot_d == 4
-        assert orbit.hypotheses.n_le_d
-        assert isinstance(orbit.nesting, NestingFailure)
-        assert not orbit.verified
+        models = assemble(subset_scenario(3, gx))["models"]
+        merged, orbit = models[MERGED], models[ORBIT]
+        assert merged["induced"]["genus"] == 3 * gx + 2
+        assert merged["dim_p"] == gx
+        assert merged["combinatorial_verified"]
+        assert orbit["induced"]["genus"] == 3 * gx + 1
+        assert orbit["delta_dot_d"] == 4
+        assert orbit["hypotheses"]["n_le_d"]
+        assert isinstance(nesting_of(orbit), NestingFailure)
+        assert not orbit["combinatorial_verified"]
 
     for gx in range(0, 6):
-        rep = assemble(subset_scenario(4, gx))
-        merged = rep.model_report(MERGED)
-        orbit = rep.model_report(ORBIT)
-        assert merged.genus == 4 * gx + 3
-        assert merged.fixed.delta_dot_d == 6
-        assert merged.dim_p == gx
-        assert merged.verified
-        assert orbit.genus == 4 * gx
-        assert orbit.fixed.delta_dot_d == 12
-        assert isinstance(orbit.nesting, NestingFailure)
-        assert not orbit.verified
+        models = assemble(subset_scenario(4, gx))["models"]
+        merged, orbit = models[MERGED], models[ORBIT]
+        assert merged["induced"]["genus"] == 4 * gx + 3
+        assert merged["delta_dot_d"] == 6
+        assert merged["dim_p"] == gx
+        assert merged["combinatorial_verified"]
+        assert orbit["induced"]["genus"] == 4 * gx
+        assert orbit["delta_dot_d"] == 12
+        assert isinstance(nesting_of(orbit), NestingFailure)
+        assert not orbit["combinatorial_verified"]
 
 
 def test_exponent_times_dim_identity():
     scenarios = [subset_scenario(n, gx) for n in (2, 3, 4) for gx in range(0, 5)]
     scenarios += [grid_scenario(g) for g in range(2, 7)]
     for scen in scenarios:
-        rep = assemble(scen)
-        for m in rep.models:
-            if m.dim_p is None:
+        data = assemble(scen)
+        corr = data["correspondence"]
+        for m in data["models"].values():
+            if m["dim_p"] is None:
                 continue
-            assert rep.q * m.dim_p == Fraction(
-                2 * (m.genus - rep.bidegree) + m.fixed.delta_dot_d, 2
+            assert corr["exponent"] * Fraction(m["dim_p"]) == Fraction(
+                2 * (m["induced"]["genus"] - corr["bidegree"]) + m["delta_dot_d"], 2
             )
 
 
 def test_n4_genus_crosscheck_note():
-    rep = assemble(subset_scenario(4, 2))
-    note = next(n for n in rep.notes if "cross-check" in n)
+    data = assemble(subset_scenario(4, 2))
+    note = next(n for n in data["notes"] if "cross-check" in n)
     assert "genus 11" in note
     assert "13" in note and "5/2" in note and "not consistent" in note
 
 
 def test_degenerate_dim_zero():
-    rep = assemble(subset_scenario(3, 0))
-    merged = rep.model_report(MERGED)
-    assert merged.genus == 2
-    assert merged.dim_p == 0
-    assert merged.verified
-    assert any("degenerate" in n for n in rep.notes)
+    data = assemble(subset_scenario(3, 0))
+    merged = data["models"][MERGED]
+    assert merged["induced"]["genus"] == 2
+    assert merged["dim_p"] == 0
+    assert merged["combinatorial_verified"]
+    assert any("degenerate" in n for n in data["notes"])
 
 
 def test_all_simple_scenario():
     for n, gx in ((2, 1), (3, 1), (4, 2)):
-        rep = assemble(subset_scenario(n, gx, special_fibers=[]))
-        for m in rep.models:
-            assert m.genus == n * gx + n * (n - 1) // 2
-            assert m.fixed.delta_dot_d == 0
-            assert isinstance(m.nesting, NestingCertificate)
-            assert m.nesting.length == 0
-            assert m.dim_p == gx
-            assert m.verified
+        for m in assemble(subset_scenario(n, gx, special_fibers=[]))["models"].values():
+            assert m["induced"]["genus"] == n * gx + n * (n - 1) // 2
+            assert m["delta_dot_d"] == 0
+            nesting = nesting_of(m)
+            assert isinstance(nesting, NestingCertificate)
+            assert nesting.length == 0
+            assert m["dim_p"] == gx
+            assert m["combinatorial_verified"]
 
 
 def test_explicit_monodromy_controls_irreducibility():
     intransitive = subset_scenario(2, 1, monodromy=[[2, 1, 3, 4]])
-    rep = assemble(intransitive)
-    assert rep.irreducibility_basis == "explicit"
-    assert not rep.irreducible
-    merged = rep.model_report(MERGED)
-    assert not merged.hypotheses.irreducible
-    assert not merged.verified
+    data = assemble(intransitive)
+    assert data["irreducibility"]["basis"] == "explicit"
+    assert not data["irreducibility"]["transitive"]
+    merged = data["models"][MERGED]
+    assert not merged["hypotheses"]["irreducible"]
+    assert not merged["combinatorial_verified"]
 
     transitive = subset_scenario(
         2, 1, monodromy=[[2, 1, 3, 4], [2, 3, 4, 1]]
     )
-    rep = assemble(transitive)
-    assert rep.irreducible
-    assert rep.model_report(MERGED).verified
-    assert not any("synthesized" in n for n in rep.notes)
+    data = assemble(transitive)
+    assert data["irreducibility"]["transitive"]
+    assert data["models"][MERGED]["combinatorial_verified"]
+    assert not any("synthesized" in n for n in data["notes"])
 
 
 def test_synthesized_generators_are_distinct(monkeypatch):
@@ -220,8 +220,8 @@ def test_synthesized_generators_are_distinct(monkeypatch):
     monkeypatch.setattr(report_module, "irreducibility_check", record)
     # 2,004 simple branch points, but only 4 distinct adjacent transpositions
     scenario = subset_scenario(3, 1000)
-    rep = assemble(scenario)
-    assert rep.irreducible and rep.irreducibility_basis == "synthesized"
+    irr = assemble(scenario)["irreducibility"]
+    assert irr["transitive"] and irr["basis"] == "synthesized"
     (gens,) = seen
     assert len(gens) == len(scenario.special_fibers) + 4
     assert len(set(gens[2:])) == 4
@@ -232,17 +232,17 @@ def test_synthesized_generators_are_distinct(monkeypatch):
 
 
 def test_keyed_verdict_follows_model_choice():
-    assert assemble(subset_scenario(2, 1, model="both")).keyed_verdict
-    assert assemble(subset_scenario(2, 1, model="paper")).keyed_verdict
-    assert not assemble(subset_scenario(2, 1, model="monodromy")).keyed_verdict
-    assert not assemble(subset_scenario(2, 0, model="monodromy")).keyed_verdict
+    assert keyed_verdict(assemble(subset_scenario(2, 1, model="both")))
+    assert keyed_verdict(assemble(subset_scenario(2, 1, model="paper")))
+    assert not keyed_verdict(assemble(subset_scenario(2, 1, model="monodromy")))
+    assert not keyed_verdict(assemble(subset_scenario(2, 0, model="monodromy")))
 
 
 def test_unchecked_analytic_hypotheses_everywhere():
     for scen in (subset_scenario(3, 1), grid_scenario(2)):
-        for m in assemble(scen).models:
-            assert m.hypotheses.primitivity == "unchecked"
-            assert m.hypotheses.smoothness == "unchecked"
+        for m in assemble(scen)["models"].values():
+            assert m["hypotheses"]["primitivity"] == "unchecked"
+            assert m["hypotheses"]["smoothness"] == "unchecked"
 
 
 def test_rational_json():
@@ -258,17 +258,17 @@ def test_report_serialization_round_trip():
         text = report_to_json(rep)
         assert canonical_json(json.loads(text)) == text
         data = json.loads(text)
-        assert data["correspondence"]["exponent"] == rep.q
-        assert set(data["models"]) == {m.model for m in rep.models}
-        for m in rep.models:
-            entry = data["models"][m.model]
+        assert data["correspondence"]["exponent"] == rep["correspondence"]["exponent"]
+        assert set(data["models"]) == set(rep["models"])
+        for model, m in rep["models"].items():
+            entry = data["models"][model]
             hyp = entry["hypotheses"]
             assert set(hyp) == {
                 "quadratic_ok", "fixed_even", "n_le_d", "nesting_ok",
                 "irreducible", "primitivity", "smoothness",
             }
-            if m.error is not None:
-                assert entry["error"] == m.error
+            if "error" in m:
+                assert entry["error"] == m["error"]
 
 
 def reference_json(data) -> str:
@@ -427,17 +427,19 @@ def test_canonical_json_refuses_non_string_keys():
 )
 def test_report_to_json_matches_json_dumps(scenario):
     rep = assemble(scenario)
-    assert {m.model for m in rep.models} == {MERGED, ORBIT}
-    assert report_to_json(rep) == reference_json(report_to_dict(rep))
+    assert set(rep["models"]) == {MERGED, ORBIT}
+    assert report_to_json(rep) == reference_json(rep)
 
 
 def test_repeated_fibers_share_one_entry():
     for scen, distinct in ((grid_scenario(5), 4), (subset_scenario(3, 2), 1)):
-        for rep in assemble(scen).models:
-            fibers = [id(f) for f in rep.fibers]
-            entries = [id(e) for e in model_to_dict(rep)["special_fibers"]]
-            # the same fiber object always gets the same entry object
-            assert len(set(zip(fibers, entries))) == len(set(entries)) == distinct
+        for model, rep in assemble(scen)["models"].items():
+            fibers, positions, _ = fiber_layout(scen, model)
+            entries = [id(e) for e in rep["special_fibers"]]
+            # the same fiber always gets the same entry object
+            assert len(set(zip(positions, entries))) == len(set(entries)) == distinct
+            # and each entry holds the fiber of its position
+            assert [fiber_of(rep, i) for i in range(len(positions))] == [fibers[i] for i in positions]
 
 
 def test_subset_layout_builds_one_fiber_per_profile(monkeypatch):
@@ -454,10 +456,10 @@ def test_subset_layout_builds_one_fiber_per_profile(monkeypatch):
     assert len(built) == 2
     built.clear()
     # a declared simple profile is the simple-branch representative itself
-    rep = assemble(subset_scenario(3, 1, special_fibers=[[2], [2, 2]], model="paper"))
+    data = assemble(subset_scenario(3, 1, special_fibers=[[2], [2, 2]], model="paper"))
     assert len(built) == 2
-    (merged,) = rep.models
-    assert merged.simple_fibers_fixed_free is True
+    (merged,) = data["models"].values()
+    assert merged["simple_fibers_fixed_free"] is True
 
 
 def test_grid_g3000_serializes_under_a_second():
@@ -473,7 +475,7 @@ def test_grid_g3000_json_peak_memory_stays_near_its_length():
     # distinct fibers is written once into its own text and the list of
     # fiber entries splices references to those texts, so the pieces hold
     # little beyond them and the peak is about the text
-    data = report_to_dict(assemble(grid_scenario(3000)))
+    data = assemble(grid_scenario(3000))
     tracemalloc.start()
     try:
         text = canonical_json(data)
@@ -525,18 +527,21 @@ def test_grid_report_python_work_does_not_grow_with_genus(output):
 
 def test_grid_g3000_computes_each_fiber_fact_once(monkeypatch):
     # 2g + 4 layout positions per model read the facts of four distinct
-    # fibers and their four class actions
+    # fibers and their four class actions.  The report keeps neither, so the
+    # counted objects are held here: a freed one's id could be reused
     counts = Counter()
+    held = []
     for cls, name in ((SpecialFiber, "w_contribution"), (ClassAction, "fixed_class_indices")):
         prop = cls.__dict__[name]
 
         def counted(self, func=prop.func, name=name):
             counts[name, id(self)] += 1
+            held.append(self)
             return func(self)
 
         monkeypatch.setattr(prop, "func", counted)
-    rep = assemble(grid_scenario(3000))
-    assert len(rep.models) == 2
+    data = assemble(grid_scenario(3000))
+    assert len(data["models"]) == 2
     assert set(counts.values()) == {1}
     assert Counter(name for name, _ in counts) == {"w_contribution": 8, "fixed_class_indices": 8}
 
@@ -551,11 +556,11 @@ def test_report_json_has_no_floats():
             for v in node:
                 walk(v)
 
-    walk(report_to_dict(assemble(subset_scenario(4, 1))))
+    walk(assemble(subset_scenario(4, 1)))
 
 
 def test_fiber_serialization_shape():
-    data = report_to_dict(assemble(subset_scenario(3, 1, model="paper")))
+    data = assemble(subset_scenario(3, 1, model="paper"))
     fiber = data["models"]["paper"]["special_fibers"][0]
     assert fiber["w"] == 5
     big = next(c for c in fiber["classes"] if c["index"] == 4)
@@ -593,53 +598,49 @@ def _view_cases():
 
 @pytest.mark.parametrize("scenario, budget, shows", _view_cases())
 def test_render_table_is_a_view_of_the_canonical_json(scenario, budget, shows, monkeypatch):
-    # the table reads only report_to_dict, so the dict read back from the
+    # the table reads only the canonical dict, so the dict read back from the
     # canonical text, whose keys are sorted, renders the same bytes
     if budget is not None:
         monkeypatch.setattr(fixed_points, "NESTING_CLIQUE_BUDGET", budget)
-    rep = assemble(scenario)
-    want = render_table(rep)
+    data = assemble(scenario)
+    want = render_table(data)
     assert shows in want
-    original = report_module.report_to_dict
-    monkeypatch.setattr(
-        report_module, "report_to_dict", lambda r: json.loads(canonical_json(original(r)))
-    )
-    assert render_table(rep) == want
+    assert render_table(json.loads(canonical_json(data))) == want
 
 
 def test_subset_n8_both_models_decided():
-    rep = assemble(subset_scenario(8, 3))
-    assert rep.keyed_verdict
-    merged = rep.model_report(MERGED)
-    assert merged.verdict == "verified"
-    cert = merged.nesting
+    data = assemble(subset_scenario(8, 3))
+    assert keyed_verdict(data)
+    merged = data["models"][MERGED]
+    assert data["verdict"][MERGED] == "verified"
+    cert = nesting_of(merged)
     assert isinstance(cert, NestingCertificate) and cert.length > 0
-    assert check_certificate(cert, merged.fibers[cert.fiber_index], "subset", 8)
-    orbit = rep.model_report(ORBIT)
-    assert orbit.verdict == "failed"
-    assert isinstance(orbit.nesting, NestingFailure)
-    assert orbit.nesting.orderings_tried == 128_655_846_080
+    assert check_certificate(cert, fiber_of(merged, cert.fiber_index), "subset", 8)
+    orbit = nesting_of(data["models"][ORBIT])
+    assert data["verdict"][ORBIT] == "failed"
+    assert isinstance(orbit, NestingFailure)
+    assert orbit.orderings_tried == 128_655_846_080
 
 
 @pytest.mark.parametrize("n, pairs", [(10, 15), (12, 21), (16, 36), (20, 55), (30, 120)])
 def test_subset_large_n_both_models_decided(n, pairs):
     start = time.monotonic()
-    rep = assemble(subset_scenario(n, 3))
+    data = assemble(subset_scenario(n, 3))
     elapsed = time.monotonic() - start
-    merged = rep.model_report(MERGED)
-    assert merged.verdict == "verified"
-    cert = merged.nesting
+    merged = data["models"][MERGED]
+    assert data["verdict"][MERGED] == "verified"
+    cert = nesting_of(merged)
     assert isinstance(cert, NestingCertificate) and cert.length > 0
-    assert check_certificate(cert, merged.fibers[cert.fiber_index], "subset", n)
-    orbit = rep.model_report(ORBIT)
-    assert orbit.verdict == "failed"
-    assert isinstance(orbit.nesting, NestingFailure)
+    assert check_certificate(cert, fiber_of(merged, cert.fiber_index), "subset", n)
+    orbit = nesting_of(data["models"][ORBIT])
+    assert data["verdict"][ORBIT] == "failed"
+    assert isinstance(orbit, NestingFailure)
     # two orbit fibers of `pairs` pairs of fixed classes, as in
     # test_fixed_points.test_orderings_tried_closed_forms
     per_fiber = sum(
         comb(pairs, k) * 2**k * factorial(k) * (2 * pairs - k) for k in range(pairs + 1)
     )
-    assert orbit.nesting.orderings_tried == 2 * per_fiber
+    assert orbit.orderings_tried == 2 * per_fiber
     assert elapsed < 2.0
 
 
@@ -647,18 +648,16 @@ def test_exhausted_nesting_budget_is_undecided(monkeypatch):
     # below the 12 memo misses of counting an n = 6 orbit fiber, so the count
     # stops unfinished on the first one
     monkeypatch.setattr(fixed_points, "NESTING_CLIQUE_BUDGET", 11)
-    rep = assemble(subset_scenario(6, 3))
-    merged = rep.model_report(MERGED)
-    assert merged.verdict == "verified"
-    orbit = rep.model_report(ORBIT)
-    assert isinstance(orbit.nesting, NestingUndecided)
-    assert not orbit.verified and orbit.undecided
-    data = report_to_dict(rep)
+    data = assemble(subset_scenario(6, 3))
+    assert data["verdict"][MERGED] == "verified"
+    orbit = data["models"][ORBIT]
+    assert isinstance(nesting_of(orbit), NestingUndecided)
+    assert not orbit["combinatorial_verified"] and data["verdict"][ORBIT] == "undecided"
     assert data["verdict"] == {"paper": "verified", "monodromy": "undecided"}
     assert data["models"]["monodromy"]["nesting"]["memo_misses"] == 11
     assert "cliques_visited" not in data["models"]["monodromy"]["nesting"]
     assert "orderings_tried" not in data["models"]["monodromy"]["nesting"]
-    orbit_table = render_table(rep).split("== model: monodromy ==")[1]
+    orbit_table = render_table(data).split("== model: monodromy ==")[1]
     assert "nesting               undecided: " in orbit_table
     assert "| nesting undecided |" in orbit_table
     assert "verdict               undecided: " in orbit_table
@@ -668,8 +667,7 @@ def test_exhausted_nesting_budget_is_undecided(monkeypatch):
 def test_undecided_nesting_does_not_hide_a_failed_hypothesis(monkeypatch):
     monkeypatch.setattr(fixed_points, "NESTING_CLIQUE_BUDGET", 11)
     # a single transposition does not act transitively on 6-subsets
-    rep = assemble(subset_scenario(6, 3, model="monodromy", monodromy=[[2, 1, 3, 4, 5, 6, 7, 8]]))
-    orbit = rep.model_report(ORBIT)
-    assert isinstance(orbit.nesting, NestingUndecided)
-    assert not rep.irreducible
-    assert orbit.verdict == "failed"
+    data = assemble(subset_scenario(6, 3, model="monodromy", monodromy=[[2, 1, 3, 4, 5, 6, 7, 8]]))
+    assert isinstance(nesting_of(data["models"][ORBIT]), NestingUndecided)
+    assert not data["irreducibility"]["transitive"]
+    assert data["verdict"][ORBIT] == "failed"

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prymtyurin.covering import CoveringData
-from prymtyurin.report import assemble, canonical_json
+from prymtyurin.report import assemble, canonical_json, covering_to_dict
 from prymtyurin import scenario as scenario_module
 from prymtyurin.scenario import (
     BOTH,
@@ -77,9 +77,9 @@ def test_scenario_covering():
     g = grid_scenario(5)
     assert g.covering == CoveringData(2, simple_extra=12)
     for scenario in (s, g):
-        report = assemble(scenario)
-        assert len(report.models) == 2
-        assert all(rep.covering is scenario.covering for rep in report.models)
+        models = assemble(scenario)["models"].values()
+        assert len(models) == 2
+        assert all(rep["covering"] == covering_to_dict(scenario.covering) for rep in models)
 
 
 def test_grid_rejects_low_genus_and_extras():

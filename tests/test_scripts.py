@@ -37,7 +37,7 @@ def test_identity_sweep_script():
 def test_family_sweep_script():
     lines = [line for line in run_script("family_sweep.py", "--min-genus", "0", "--max-genus", "2") if line]
     assert len(lines) == 10
-    # whole lines, an error cell included: the table is read from report_to_dict
+    # whole lines, an error cell included: the table is read from the report's dict
     assert lines[0] == (
         "subset n=2 gx=0   q=2     paper: g_C=0 diag=2 dim=0 [ok]  monodromy: error (subset"
         " scenario n=2, source genus 0, monodromy model: negative genus -1 from degree=6,"
