@@ -4,9 +4,9 @@ On a special fiber the points of the induced curve are classes of generic
 fiber points (see induced_curve).  The correspondence descends to classes by
 picking a representative, reading its row bitset through the correspondence's
 own point descriptors and counting its image points in each class by a
-popcount.  That projection must not depend on the representative; the constructor checks
-every representative and refuses the fiber otherwise, as it refuses a member
-that is not a point of the correspondence.
+popcount.  That projection must not depend on the representative;
+class_action checks every representative and refuses the fiber otherwise, as
+it refuses a member that is not a point of the correspondence.
 
 A class Q is a fixed point when Q appears in its own image D(Q); the
 multiplicity of the appearance is the local intersection number with the
@@ -27,52 +27,37 @@ fiber with an n-clique the lexicographically first chain is read off the
 same memo, by descending the split tree, which makes certificates
 deterministic.  The count makes at most NESTING_CLIQUE_BUDGET memo misses
 per fiber, the one budget of the search; beyond it the search is reported
-undecided.  Certificates carry enough raw data to be re-verified by
-check_certificate, which recomputes every multiplicity from the fiber
-classes and the family's label rule alone.
+undecided.
+
+The scan and the search read a layout as report.fiber_layout gives it: the
+distinct fibers with their class actions, and for each layout position the
+index of its fiber among them.  Certificates carry enough raw data to be
+re-verified by check_certificate, which reads the report's own nesting and
+fiber entries and recomputes every multiplicity from the fiber classes and
+the family's label rule alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import combinations, compress, count
 from math import factorial
-from operator import attrgetter
 
 from .correspondence import FiberCorrespondence, Matrix
 from .induced_curve import SpecialFiber
 
 
-@dataclass(frozen=True)
-class ClassAction:
-    """The correspondence on one special fiber, as a matrix over classes.
-
-    action[q][r] is the multiplicity of class r in the image of class q.
-    Every row sums to the correspondence's bidegree: images have constant
-    total degree.
-    """
-
-    fiber: SpecialFiber
-    action: Matrix
-
-    def self_multiplicity(self, q: int) -> int:
-        return self.action[q][q]
-
-    @cached_property
-    def fixed_class_indices(self) -> tuple[int, ...]:
-        return tuple(q for q in range(len(self.action)) if self.action[q][q] > 0)
-
-
-def class_action(corr: FiberCorrespondence, fiber: SpecialFiber) -> ClassAction:
+def class_action(corr: FiberCorrespondence, fiber: SpecialFiber) -> Matrix:
     """Descend a generic-fiber correspondence to the classes of a special fiber.
 
-    Class members are looked up among corr.points; a member that is not a
-    point of the correspondence raises ValueError.  Every representative of
-    every class is checked to produce the same class multiset; a discrepancy
-    means the identification is not compatible with the correspondence and
-    raises ValueError.  The classes partition the points, so every row of
-    the action sums to the bidegree.
+    Returns the action as a matrix over classes: entry [q][r] is the
+    multiplicity of class r in the image of class q.  Class members are
+    looked up among corr.points; a member that is not a point of the
+    correspondence raises ValueError.  Every representative of every class
+    is checked to produce the same class multiset; a discrepancy means the
+    identification is not compatible with the correspondence and raises
+    ValueError.  The classes partition the points, so every row of the
+    action sums to the bidegree.
     """
     masks, seen = [], 0
     for cls in fiber.classes:
@@ -105,72 +90,39 @@ def class_action(corr: FiberCorrespondence, fiber: SpecialFiber) -> ClassAction:
                     f"{projected} vs {counts} at {member}"
                 )
         rows.append(tuple(projected))
-    return ClassAction(fiber=fiber, action=tuple(rows))
+    return tuple(rows)
 
 
-@dataclass(frozen=True)
-class FixedClass:
-    fiber_index: int
-    class_index: int
-    multiplicity: int
-    members: tuple[tuple[int, ...], ...]
-
-
-@dataclass(frozen=True)
-class FixedPointReport:
-    """All fixed classes over all special fibers, with the actions as evidence."""
-
-    fixed: tuple[FixedClass, ...]
-    actions: tuple[ClassAction, ...]
-
-    @property
-    def delta_dot_d(self) -> int:
-        return sum(f.multiplicity for f in self.fixed)
-
-    @property
-    def is_even(self) -> bool:
-        return self.delta_dot_d % 2 == 0
-
-    @property
-    def half(self) -> int | None:
-        return self.delta_dot_d // 2 if self.is_even else None
-
-
-def fixed_point_scan(actions) -> FixedPointReport:
-    actions = tuple(actions)
-    fixed = []
-    # only the fibers with a fixed class are visited: a layout that repeats a
-    # fixed-point-free fiber at every simple branch point costs no Python step
-    for fi in compress(count(), map(attrgetter("fixed_class_indices"), actions)):
-        act = actions[fi]
-        for ci in act.fixed_class_indices:
-            fixed.append(
-                FixedClass(
-                    fiber_index=fi,
-                    class_index=ci,
-                    multiplicity=act.self_multiplicity(ci),
-                    members=act.fiber.classes[ci].members,
-                )
-            )
-    return FixedPointReport(fixed=tuple(fixed), actions=actions)
+def fixed_point_scan(actions, positions) -> list[tuple[int, int, int]]:
+    """The fixed classes of a layout, in layout order: (position, class q,
+    multiplicity action[q][q]) for every class q that lies in its own image,
+    at every position.  actions holds the class actions of the distinct
+    fibers and positions[p] the index of position p's fiber among them.
+    """
+    fixed = [[(q, row[q]) for q, row in enumerate(action) if row[q]] for action in actions]
+    # only the positions whose fiber has a fixed class are visited: a layout
+    # that repeats a fixed-point-free fiber at every simple branch point
+    # costs no Python step
+    return [
+        (p, q, mult)
+        for p in compress(count(), map(fixed.__getitem__, positions))
+        for q, mult in fixed[positions[p]]
+    ]
 
 
 @dataclass(frozen=True)
 class NestingCertificate:
     """A chain p_1..p_n witnessing the nesting condition on one fiber.
 
-    memberships[i][j] is the multiplicity of p_{j+1} in D(p_{i+1}) for j <= i;
-    the last entry of each row is the self multiplicity, always 1.
+    fiber_index is the layout position of that fiber (-1 for the empty
+    chain).  memberships[i][j] is the multiplicity of p_{j+1} in D(p_{i+1})
+    for j <= i; the last entry of each row is the self multiplicity, always 1.
     """
 
     fiber_index: int
     chain: tuple[int, ...]
     chain_members: tuple[tuple[tuple[int, ...], ...], ...]
     memberships: tuple[tuple[int, ...], ...]
-
-    @property
-    def length(self) -> int:
-        return len(self.chain)
 
 
 @dataclass(frozen=True)
@@ -239,8 +191,13 @@ def _clique_counts(adjacent: list[int], n: int) -> dict[int, int]:
     return memo
 
 
-def nesting_search(report: FixedPointReport, bidegree: int):
-    """Find the lexicographically first nesting chain of length delta/2.
+def nesting_search(fibers, actions, positions, delta_dot_d: int, bidegree: int):
+    """Find the lexicographically first nesting chain of length delta_dot_d / 2.
+
+    fibers and actions are a layout's distinct fibers and their class
+    actions, positions[p] the index of position p's fiber among them, and
+    delta_dot_d the layout's weighted fixed-point count.  Positions are
+    searched in layout order, a repeated fiber at each of its positions.
 
     The correspondence is symmetric and its class action does not depend on
     the representative, so |q| * action[q][p] = |p| * action[p][q] for class
@@ -263,13 +220,13 @@ def nesting_search(report: FixedPointReport, bidegree: int):
     with c candidates each.  An empty chain (no fixed points at all)
     certifies trivially.
     """
-    if not report.is_even:
+    if delta_dot_d % 2:
         return NestingFailure(
-            reason=f"fixed-point count {report.delta_dot_d} is odd",
+            reason=f"fixed-point count {delta_dot_d} is odd",
             fibers_searched=0,
             orderings_tried=0,
         )
-    n = report.half
+    n = delta_dot_d // 2
     if n > bidegree:
         return NestingFailure(
             reason=f"chain length {n} exceeds the bidegree {bidegree}",
@@ -279,21 +236,22 @@ def nesting_search(report: FixedPointReport, bidegree: int):
     if n == 0:
         return NestingCertificate(fiber_index=-1, chain=(), chain_members=(), memberships=())
 
+    # chain members must share a fiber: every D(p_i) lies in the fiber of p_i
+    candidates_of = [[q for q, row in enumerate(action) if row[q] == 1] for action in actions]
+    searchable = [len(candidates) >= n for candidates in candidates_of]
     tried = 0
     searched = 0
-    for fi, act in enumerate(report.actions):
-        # chain members must share a fiber: every D(p_i) lies in the fiber of p_i
-        candidates = [q for q in act.fixed_class_indices if act.self_multiplicity(q) == 1]
+    for pos in compress(count(), map(searchable.__getitem__, positions)):
+        fi = positions[pos]
+        fiber, act, candidates = fibers[fi], actions[fi], candidates_of[fi]
         c = len(candidates)
-        if c < n:
-            continue
         searched += 1
         # row bitsets of the candidate graph, each read once from the set
         # entries of its action row and mirrored into the transpose
         index = {q: i for i, q in enumerate(candidates)}
         adjacent, mirror = [0] * c, [0] * c
         for i, q in enumerate(candidates):
-            for p in compress(range(len(act.action)), act.action[q]):
+            for p in compress(range(len(act)), act[q]):
                 j = index.get(p, i)
                 if j != i:
                     adjacent[i] |= 1 << j
@@ -302,9 +260,9 @@ def nesting_search(report: FixedPointReport, bidegree: int):
             if one_sided:
                 q, p = candidates[i], candidates[(one_sided & -one_sided).bit_length() - 1]
                 raise ValueError(
-                    f"class action of fiber {fi} is not symmetric:"
-                    f" action[{q}][{p}] = {act.action[q][p]},"
-                    f" action[{p}][{q}] = {act.action[p][q]}"
+                    f"class action of fiber {pos} is not symmetric:"
+                    f" action[{q}][{p}] = {act[q][p]},"
+                    f" action[{p}][{q}] = {act[p][q]}"
                 )
         memo = _clique_counts(adjacent, n)
         s = (1 << c) - 1
@@ -336,11 +294,11 @@ def nesting_search(report: FixedPointReport, bidegree: int):
                 s = inner
         found = tuple(candidates[i] for i in chain)
         return NestingCertificate(
-            fiber_index=fi,
+            fiber_index=pos,
             chain=found,
-            chain_members=tuple(act.fiber.classes[q].members for q in found),
+            chain_members=tuple(fiber.classes[q].members for q in found),
             memberships=tuple(
-                tuple(act.action[qi][qj] for qj in found[: i + 1]) for i, qi in enumerate(found)
+                tuple(act[qi][qj] for qj in found[: i + 1]) for i, qi in enumerate(found)
             ),
         )
     return NestingFailure(
@@ -356,29 +314,34 @@ def nesting_search(report: FixedPointReport, bidegree: int):
 # data by one label rule: each point is the bitmask of its labels (an n-subset
 # its labels in 1..n+2, a grid cell (i, j) the labels i and m + j), and two
 # points are related exactly when they share n - 2 labels (subset) or one
-# label (grid: a row or a column).  It never consults the correspondence
-# module or the ClassAction that produced the certificate.
+# label (grid: a row or a column).  It reads only the report's entries, never
+# the correspondence module or the class action that produced the
+# certificate.
 
 
-def check_certificate(cert: NestingCertificate, fiber: SpecialFiber, kind: str, parameter: int) -> bool:
-    """Re-verify a nesting certificate from the fiber classes alone.
+def check_certificate(nesting: dict, fiber: dict, kind: str, parameter: int) -> bool:
+    """Re-verify a report's nesting certificate from its fiber entry alone.
 
-    kind is "subset" (parameter n, labels 1..n+2) or "grid" (parameter m,
-    labels 1..2m).  The label bitmasks of the family's points are built once,
-    and the declared classes must partition them: every point in exactly one
-    class and no member that is not a point.  Every membership multiplicity
-    is then recomputed at every representative by counting, per class, the
-    points that share the related number of labels with it.  A certificate
-    whose chain_members or membership rows do not fit its chain is refused.
+    nesting is a report's certified nesting entry and fiber the
+    special_fibers entry at the position it names; kind is "subset"
+    (parameter n, labels 1..n+2) or "grid" (parameter m, labels 1..2m).  The
+    label bitmasks of the family's points are built once, and the entry's
+    classes must partition them: every point in exactly one class and no
+    member that is not a point.  Every multiplicity is then recomputed at
+    every representative by counting, per class, the points that share the
+    related number of labels with it.  A certificate whose chain_members or
+    multiplicities rows do not fit its chain is refused.
     """
-    shape = [len(row) for row in cert.memberships]
-    if len(cert.chain_members) != cert.length or shape != list(range(1, cert.length + 1)):
+    chain, chain_members = nesting["chain"], nesting["chain_members"]
+    rows = nesting["multiplicities"]
+    classes = [cls["members"] for cls in fiber["classes"]]
+    length = len(chain)
+    if len(chain_members) != length or [len(row) for row in rows] != list(range(1, length + 1)):
         return False
-    if cert.length == 0:
+    if length == 0:
         return True
-    chain = set(cert.chain)
     # distinct classes, each named by its index: a negative one would alias another
-    if len(chain) != cert.length or not chain <= set(range(len(fiber.classes))):
+    if len(set(chain)) != length or not set(chain) <= set(range(len(classes))):
         return False
     if kind == "subset":
         subsets = combinations(range(1, parameter + 3), parameter)
@@ -390,22 +353,22 @@ def check_certificate(cert: NestingCertificate, fiber: SpecialFiber, kind: str, 
         shared = 1
     else:
         raise ValueError(f"unknown correspondence kind {kind!r}")
-    masks = [[mask_of.get(member) for member in cls.members] for cls in fiber.classes]
+    masks = [[mask_of.get(tuple(member)) for member in members] for members in classes]
     listed = [mask for row in masks for mask in row]
     if None in listed or sorted(listed) != sorted(mask_of.values()):
         return False
 
-    for i, qi in enumerate(cert.chain):
-        if cert.chain_members[i] != fiber.classes[qi].members:
+    for i, qi in enumerate(chain):
+        if chain_members[i] != classes[qi]:
             return False
-        expected = dict(zip(cert.chain[: i + 1], cert.memberships[i]))
+        expected = dict(zip(chain[: i + 1], rows[i]))
         for here in masks[qi]:
             for qj, mult in expected.items():
                 if sum((here & there).bit_count() == shared for there in masks[qj]) != mult:
                     return False
         # the self multiplicity must be exactly 1 and every listed point present
-        if cert.memberships[i][i] != 1:
+        if rows[i][i] != 1:
             return False
-        if any(m < 1 for m in cert.memberships[i]):
+        if any(m < 1 for m in rows[i]):
             return False
     return True

@@ -205,18 +205,19 @@ def _model(
     model is neither verified nor refuted.
     """
     distinct, positions, simple = fiber_layout(scenario, model)
-    # each distinct fiber is acted on once and its action and w reused in
-    # layout order by C-level gathers
+    # each distinct fiber is acted on once; the scan and the search read each
+    # position's fiber and action through positions, and w is gathered by
+    # position at C level
     actions = [class_action(corr, f) for f in distinct]
     ws = [f.w_contribution for f in distinct]
-    scan = fixed_point_scan(tuple(map(actions.__getitem__, positions)))
+    fixed = fixed_point_scan(actions, positions)
     w_induced = sum(map(ws.__getitem__, positions))
     simple_free = None
     if simple is not None:
         w_induced += scenario.covering.simple_extra * ws[simple]
         # the fixed-point count only scans declared special fibers, so check
         # on a representative that a simple branch point has no fixed class
-        simple_free = actions[simple].fixed_class_indices == ()
+        simple_free = not fixed_point_scan(actions, (simple,))
 
     genus = error = None
     try:
@@ -226,18 +227,27 @@ def _model(
         error = f"{scenario.kind} scenario{where} genus {scenario.upstairs_genus}, {model} model: {exc}"
 
     bidegree = corr.bidegree
-    even = scan.is_even
-    nesting = nesting_search(scan, bidegree)
-    checked = isinstance(nesting, NestingCertificate) and (
-        nesting.length == 0
+    delta = sum(mult for _, _, mult in fixed)
+    even = delta % 2 == 0
+    nesting = nesting_search(distinct, actions, positions, delta, bidegree)
+    # the fiber does not know its model; its model entry does.  Each
+    # distinct fiber gets one dict, repeated in layout order, which
+    # canonical_json writes once
+    entries = [{"model": model, **fiber_to_dict(f)} for f in distinct]
+    special_fibers = list(map(entries.__getitem__, positions))
+    nest = nesting_to_dict(nesting)
+    # the certificate is checked as the report carries it: its nesting entry
+    # and the fiber entry at the position that entry names
+    checked = nest["certified"] and (
+        not nest["chain"]
         or check_certificate(
-            nesting, distinct[positions[nesting.fiber_index]], scenario.kind, scenario.parameter
+            nest, special_fibers[nest["fiber"]], scenario.kind, scenario.parameter
         )
     )
     hyp = {
         "quadratic_ok": q is not None,
         "fixed_even": even,
-        "n_le_d": bool(even and scan.half <= bidegree),
+        "n_le_d": even and delta // 2 <= bidegree,
         "nesting_ok": checked,
         "irreducible": irreducible,
         "primitivity": UNCHECKED,
@@ -246,9 +256,9 @@ def _model(
 
     dim = integral = eps = None
     if error is None and q is not None and even:
-        eps = epsilon_degree(genus, scan.delta_dot_d)
+        eps = epsilon_degree(genus, delta)
         try:
-            dim = prym_dimension(genus, bidegree, scan.delta_dot_d, q)
+            dim = prym_dimension(genus, bidegree, delta, q)
             integral = dim.denominator == 1
         except DimensionError as exc:
             error = f"{scenario.kind} scenario, {model} model: {exc}"
@@ -260,27 +270,23 @@ def _model(
         and integral is True
         and simple_free is not False
     )
-    # the fiber does not know its model; its model entry does.  Each
-    # distinct fiber gets one dict, repeated in layout order, which
-    # canonical_json writes once
-    entries = [{"model": model, **fiber_to_dict(f)} for f in distinct]
     rep = {
         "model": model,
         "covering": covering_to_dict(scenario.covering),
         "induced": {"degree": corr.size, "ramification": w_induced, "genus": genus},
-        "special_fibers": list(map(entries.__getitem__, positions)),
+        "special_fibers": special_fibers,
         "fixed_points": [
             {
-                "fiber": fc.fiber_index,
-                "class": fc.class_index,
-                "multiplicity": fc.multiplicity,
-                "members": [list(m) for m in fc.members],
+                "fiber": pos,
+                "class": ci,
+                "multiplicity": mult,
+                "members": [list(m) for m in distinct[positions[pos]].classes[ci].members],
             }
-            for fc in scan.fixed
+            for pos, ci, mult in fixed
         ],
-        "delta_dot_d": scan.delta_dot_d,
+        "delta_dot_d": delta,
         "simple_fibers_fixed_free": simple_free,
-        "nesting": nesting_to_dict(nesting),
+        "nesting": nest,
         "certificate_checked": checked,
         "dim_p": None if dim is None else rational_json(dim),
         "dim_p_integral": integral,

@@ -40,6 +40,10 @@ GRID_SIZE = 3  # the only grid side with a usable exponent
 # rows, and a grid layout and report grow with the genus (65 MB of JSON at 10,000)
 MAX_SUBSET_N = 40
 MAX_GRID_GENUS = 10_000
+# a subset report prints numbers up to about n times the source genus, and
+# Python refuses to print an int of more than 4,300 digits; the ceiling is
+# named by its exponent, since a genus past it may not print either
+MAX_SUBSET_GENUS_EXPONENT = 4_000
 
 
 class InvalidScenario(ValueError):
@@ -117,6 +121,10 @@ class Scenario:
             if self.upstairs_genus < 0:
                 raise InvalidScenario(
                     f"upstairs_genus must be >= 0, got {self.upstairs_genus}"
+                )
+            if self.upstairs_genus > 10**MAX_SUBSET_GENUS_EXPONENT:
+                raise InvalidScenario(
+                    f"upstairs_genus must be at most 10**{MAX_SUBSET_GENUS_EXPONENT}"
                 )
             degree = self.parameter + 2
             fibers = []

@@ -29,7 +29,7 @@ from prymtyurin.cli import (
 from prymtyurin.correspondence import FiberCorrespondence
 from prymtyurin.perms import all_subsets
 from prymtyurin.report import canonical_json, identity_rows
-from prymtyurin.scenario import MODEL_CHOICES
+from prymtyurin.scenario import MAX_SUBSET_GENUS_EXPONENT, MODEL_CHOICES
 
 
 def write_scenario(tmp_path, name, data):
@@ -360,6 +360,12 @@ CEILING_FILES = (
     ({"kind": "subset", "n": 41, "upstairs_genus": 1}, "n must be at most 40, got 41"),
     ({"kind": "subset", "n": 2_000_000, "upstairs_genus": 1}, "n must be at most 40"),
     ({"kind": "grid", "upstairs_genus": 10**9}, "upstairs_genus must be at most 10000"),
+    (
+        # default profiles are a builder too, so the file declares none
+        {"kind": "subset", "n": 40, "upstairs_genus": 10**MAX_SUBSET_GENUS_EXPONENT + 1,
+         "special_fibers": []},
+        f"upstairs_genus must be at most 10**{MAX_SUBSET_GENUS_EXPONENT}",
+    ),
 )
 
 
@@ -400,6 +406,19 @@ def test_size_ceilings_admit_their_limits(monkeypatch, capsys):
     assert main(["verify-identity", "--kind", "grid", "--m", "30"]) == EXIT_VALIDATION
     assert built == [40, 30]
     assert "stopped at the builder" in capsys.readouterr().err
+
+
+def test_subset_genus_ceiling_prints_an_n40_report(tmp_path, capsys):
+    # the induced genus is about n times the source genus: at the ceiling
+    # every number of an n = 40 report is still short of the interpreter's
+    # limit on printing an int
+    genus = 10**MAX_SUBSET_GENUS_EXPONENT
+    data = {"kind": "subset", "n": 40, "model": "paper", "upstairs_genus": genus}
+    path = write_scenario(tmp_path, "ceiling.json", data)
+    for fmt in ("table", "json"):
+        assert main(["run", path, "--format", fmt]) == EXIT_VERIFIED
+        captured = capsys.readouterr()
+        assert captured.err == "" and f"genus {genus}" in captured.out.replace('": ', " ")
 
 
 def test_oversize_json_integer_is_invalid_json(tmp_path, capsys):

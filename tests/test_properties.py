@@ -202,6 +202,6 @@ def test_class_action_never_depends_on_representative(case):
     corr = build_subset_matrix(n)
     fiber = merged_fiber(n, blocks)
     act = class_action(corr, fiber)
-    for row in act.action:
+    for row in act:
         assert sum(row) == corr.bidegree
     assert sum(cls.size for cls in fiber.classes) == corr.size

@@ -11,11 +11,9 @@ import dataclasses
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from prymtyurin.fixed_points import NestingFailure
 from prymtyurin.perms import Permutation, orbits
 from prymtyurin.report import assemble
 from prymtyurin.scenario import MODEL_CHOICES, InvalidScenario, subset_scenario
-from report_objects import nesting_of
 
 
 def cycle_type(images):
@@ -66,18 +64,19 @@ def invariants(report):
         "q": report["correspondence"]["exponent"],
     }
     for model, rep in report["models"].items():
-        nesting = nesting_of(rep)
+        nesting = rep["nesting"]
         out[model] = (
             rep["induced"]["genus"],
             rep["delta_dot_d"],
             rep["dim_p"],
             rep["epsilon_degree"],
             report["verdict"][model],
-            type(nesting).__name__,
+            nesting["certified"],
+            "memo_misses" in nesting,
             rep["induced"]["ramification"],
             rep["simple_fibers_fixed_free"],
-            (nesting.fibers_searched, nesting.orderings_tried)
-            if isinstance(nesting, NestingFailure)
+            (nesting["fibers_searched"], nesting["orderings_tried"])
+            if "orderings_tried" in nesting
             else None,
         )
     return out

@@ -14,13 +14,7 @@ from hypothesis import strategies as st
 
 from prymtyurin import fixed_points
 from prymtyurin import report as report_module
-from prymtyurin.fixed_points import (
-    ClassAction,
-    NestingCertificate,
-    NestingFailure,
-    NestingUndecided,
-    check_certificate,
-)
+from prymtyurin.fixed_points import check_certificate
 from prymtyurin.induced_curve import MERGED, ORBIT, SpecialFiber
 from prymtyurin.report import (
     DimensionError,
@@ -28,6 +22,7 @@ from prymtyurin.report import (
     canonical_json,
     epsilon_degree,
     fiber_layout,
+    fiber_to_dict,
     keyed_verdict,
     models_for,
     prym_dimension,
@@ -36,7 +31,21 @@ from prymtyurin.report import (
     report_to_json,
 )
 from prymtyurin.scenario import grid_scenario, subset_scenario
-from report_objects import fiber_of, nesting_of
+
+
+def nesting_kind(rep: dict) -> str:
+    """What a model's nesting entry records: a certificate, a failed search
+    (it names its orderings tried) or an undecided one (its memo misses)."""
+    nest = rep["nesting"]
+    if nest["certified"]:
+        return "certificate"
+    return "undecided" if "memo_misses" in nest else "failure"
+
+
+def certificate_holds(rep: dict, kind: str, parameter: int) -> bool:
+    """check_certificate on a model's nesting entry and the fiber entry it names."""
+    nest = rep["nesting"]
+    return check_certificate(nest, rep["special_fibers"][nest["fiber"]], kind, parameter)
 
 
 def test_prym_dimension_worked_cases():
@@ -91,7 +100,7 @@ def test_hyperelliptic_report():
         assert m["dim_p"] == 2
         assert m["epsilon_degree"] == 9
         assert m["combinatorial_verified"]
-        assert isinstance(nesting_of(m), NestingCertificate)
+        assert nesting_kind(m) == "certificate"
         assert m["certificate_checked"]
     assert keyed_verdict(data)
 
@@ -133,7 +142,7 @@ def test_subset_families_per_model():
         assert orbit["induced"]["genus"] == 3 * gx + 1
         assert orbit["delta_dot_d"] == 4
         assert orbit["hypotheses"]["n_le_d"]
-        assert isinstance(nesting_of(orbit), NestingFailure)
+        assert nesting_kind(orbit) == "failure"
         assert not orbit["combinatorial_verified"]
 
     for gx in range(0, 6):
@@ -145,7 +154,7 @@ def test_subset_families_per_model():
         assert merged["combinatorial_verified"]
         assert orbit["induced"]["genus"] == 4 * gx
         assert orbit["delta_dot_d"] == 12
-        assert isinstance(nesting_of(orbit), NestingFailure)
+        assert nesting_kind(orbit) == "failure"
         assert not orbit["combinatorial_verified"]
 
 
@@ -184,9 +193,8 @@ def test_all_simple_scenario():
         for m in assemble(subset_scenario(n, gx, special_fibers=[]))["models"].values():
             assert m["induced"]["genus"] == n * gx + n * (n - 1) // 2
             assert m["delta_dot_d"] == 0
-            nesting = nesting_of(m)
-            assert isinstance(nesting, NestingCertificate)
-            assert nesting.length == 0
+            assert nesting_kind(m) == "certificate"
+            assert m["nesting"]["chain"] == []
             assert m["dim_p"] == gx
             assert m["combinatorial_verified"]
 
@@ -439,7 +447,9 @@ def test_repeated_fibers_share_one_entry():
             # the same fiber always gets the same entry object
             assert len(set(zip(positions, entries))) == len(set(entries)) == distinct
             # and each entry holds the fiber of its position
-            assert [fiber_of(rep, i) for i in range(len(positions))] == [fibers[i] for i in positions]
+            assert rep["special_fibers"] == [
+                {"model": model, **fiber_to_dict(fibers[i])} for i in positions
+            ]
 
 
 def test_subset_layout_builds_one_fiber_per_profile(monkeypatch):
@@ -515,35 +525,70 @@ def _package_lines(func, *args) -> int:
 def test_grid_report_python_work_does_not_grow_with_genus(output):
     # the grid layout repeats four distinct fibers over 2g + 4 positions;
     # every per-position step (the layout, w, the fixed-point scan, the
-    # entry list and the JSON splice) runs at C level, so the Python lines
-    # of a whole report are the same at every genus.  The warm-up call
-    # fills import-time and per-process caches
-    def run(genus):
-        return output(assemble(grid_scenario(genus)))
+    # nesting search, the entry list and the JSON splice) runs at C level,
+    # so the Python lines of a whole report are the same at every genus.  A
+    # subset layout grows only in its simple branch points, which no
+    # position holds.  The warm-up call fills import-time and per-process
+    # caches
+    for build in (grid_scenario, lambda genus: subset_scenario(5, genus)):
+        def run(genus, build=build):
+            return output(assemble(build(genus)))
 
-    run(300)
-    assert _package_lines(run, 300) == _package_lines(run, 3000)
+        run(300)
+        assert _package_lines(run, 300) == _package_lines(run, 3000)
 
 
 def test_grid_g3000_computes_each_fiber_fact_once(monkeypatch):
     # 2g + 4 layout positions per model read the facts of four distinct
-    # fibers and their four class actions.  The report keeps neither, so the
-    # counted objects are held here: a freed one's id could be reused
+    # fibers: each fiber's w is computed once and each is acted on once.
+    # The report keeps no fiber, so the counted ones are held here: a freed
+    # fiber's id could be reused
     counts = Counter()
     held = []
-    for cls, name in ((SpecialFiber, "w_contribution"), (ClassAction, "fixed_class_indices")):
-        prop = cls.__dict__[name]
+    prop = SpecialFiber.__dict__["w_contribution"]
 
-        def counted(self, func=prop.func, name=name):
-            counts[name, id(self)] += 1
-            held.append(self)
-            return func(self)
+    def counted(self, func=prop.func):
+        counts["w_contribution", id(self)] += 1
+        held.append(self)
+        return func(self)
 
-        monkeypatch.setattr(prop, "func", counted)
+    def acted(corr, fiber, action=report_module.class_action):
+        counts["class_action", id(fiber)] += 1
+        held.append(fiber)
+        return action(corr, fiber)
+
+    monkeypatch.setattr(prop, "func", counted)
+    monkeypatch.setattr(report_module, "class_action", acted)
     data = assemble(grid_scenario(3000))
     assert len(data["models"]) == 2
     assert set(counts.values()) == {1}
-    assert Counter(name for name, _ in counts) == {"w_contribution": 8, "fixed_class_indices": 8}
+    assert Counter(name for name, _ in counts) == {"w_contribution": 8, "class_action": 8}
+
+
+# the merged n = 4 fiber has classes of sizes 1, 4, 1, 4, 4, 1 and its chain
+# is classes 1, 3 and 4
+@pytest.mark.parametrize("ci", [1, 2], ids=["chain-class", "off-chain-singleton"])
+def test_certificate_is_checked_against_the_reported_fiber_entry(ci, monkeypatch):
+    # the search runs on the fiber objects and still certifies, but the
+    # check reads the entry the report carries, which lost a member
+    original = report_module.fiber_to_dict
+
+    def drop_a_member(fiber):
+        entry = original(fiber)
+        entry["classes"][ci]["members"].pop()
+        return entry
+
+    scenario = subset_scenario(4, 2, model="paper")
+    data = assemble(scenario)
+    assert data["models"][MERGED]["certificate_checked"] is True
+    assert data["verdict"][MERGED] == "verified"
+    monkeypatch.setattr(report_module, "fiber_to_dict", drop_a_member)
+    data = assemble(scenario)
+    merged = data["models"][MERGED]
+    assert merged["nesting"]["chain"] == [1, 3, 4]
+    assert merged["certificate_checked"] is False
+    assert merged["hypotheses"]["nesting_ok"] is False
+    assert data["verdict"][MERGED] == "failed"
 
 
 def test_report_json_has_no_floats():
@@ -613,13 +658,12 @@ def test_subset_n8_both_models_decided():
     assert keyed_verdict(data)
     merged = data["models"][MERGED]
     assert data["verdict"][MERGED] == "verified"
-    cert = nesting_of(merged)
-    assert isinstance(cert, NestingCertificate) and cert.length > 0
-    assert check_certificate(cert, fiber_of(merged, cert.fiber_index), "subset", 8)
-    orbit = nesting_of(data["models"][ORBIT])
+    assert nesting_kind(merged) == "certificate" and merged["nesting"]["chain"]
+    assert certificate_holds(merged, "subset", 8)
+    orbit = data["models"][ORBIT]
     assert data["verdict"][ORBIT] == "failed"
-    assert isinstance(orbit, NestingFailure)
-    assert orbit.orderings_tried == 128_655_846_080
+    assert nesting_kind(orbit) == "failure"
+    assert orbit["nesting"]["orderings_tried"] == 128_655_846_080
 
 
 @pytest.mark.parametrize("n, pairs", [(10, 15), (12, 21), (16, 36), (20, 55), (30, 120)])
@@ -629,18 +673,17 @@ def test_subset_large_n_both_models_decided(n, pairs):
     elapsed = time.monotonic() - start
     merged = data["models"][MERGED]
     assert data["verdict"][MERGED] == "verified"
-    cert = nesting_of(merged)
-    assert isinstance(cert, NestingCertificate) and cert.length > 0
-    assert check_certificate(cert, fiber_of(merged, cert.fiber_index), "subset", n)
-    orbit = nesting_of(data["models"][ORBIT])
+    assert nesting_kind(merged) == "certificate" and merged["nesting"]["chain"]
+    assert certificate_holds(merged, "subset", n)
+    orbit = data["models"][ORBIT]
     assert data["verdict"][ORBIT] == "failed"
-    assert isinstance(orbit, NestingFailure)
+    assert nesting_kind(orbit) == "failure"
     # two orbit fibers of `pairs` pairs of fixed classes, as in
     # test_fixed_points.test_orderings_tried_closed_forms
     per_fiber = sum(
         comb(pairs, k) * 2**k * factorial(k) * (2 * pairs - k) for k in range(pairs + 1)
     )
-    assert orbit.orderings_tried == 2 * per_fiber
+    assert orbit["nesting"]["orderings_tried"] == 2 * per_fiber
     assert elapsed < 2.0
 
 
@@ -651,7 +694,7 @@ def test_exhausted_nesting_budget_is_undecided(monkeypatch):
     data = assemble(subset_scenario(6, 3))
     assert data["verdict"][MERGED] == "verified"
     orbit = data["models"][ORBIT]
-    assert isinstance(nesting_of(orbit), NestingUndecided)
+    assert nesting_kind(orbit) == "undecided"
     assert not orbit["combinatorial_verified"] and data["verdict"][ORBIT] == "undecided"
     assert data["verdict"] == {"paper": "verified", "monodromy": "undecided"}
     assert data["models"]["monodromy"]["nesting"]["memo_misses"] == 11
@@ -668,6 +711,6 @@ def test_undecided_nesting_does_not_hide_a_failed_hypothesis(monkeypatch):
     monkeypatch.setattr(fixed_points, "NESTING_CLIQUE_BUDGET", 11)
     # a single transposition does not act transitively on 6-subsets
     data = assemble(subset_scenario(6, 3, model="monodromy", monodromy=[[2, 1, 3, 4, 5, 6, 7, 8]]))
-    assert isinstance(nesting_of(data["models"][ORBIT]), NestingUndecided)
+    assert nesting_kind(data["models"][ORBIT]) == "undecided"
     assert not data["irreducibility"]["transitive"]
     assert data["verdict"][ORBIT] == "failed"

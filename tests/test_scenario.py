@@ -12,6 +12,7 @@ from prymtyurin.scenario import (
     GRID,
     KINDS,
     MAX_GRID_GENUS,
+    MAX_SUBSET_GENUS_EXPONENT,
     MAX_SUBSET_N,
     MODEL_CHOICES,
     SUBSET,
@@ -119,8 +120,14 @@ def test_size_ceilings(monkeypatch):
             InvalidScenario, match=f"upstairs_genus must be at most {MAX_GRID_GENUS}, got {genus}"
         ):
             grid_scenario(genus)
+    ceiling = 10**MAX_SUBSET_GENUS_EXPONENT
+    with pytest.raises(
+        InvalidScenario, match=rf"upstairs_genus must be at most 10\*\*{MAX_SUBSET_GENUS_EXPONENT}$"
+    ):
+        subset_scenario(2, ceiling + 1, special_fibers=[])
     # the limits themselves are accepted
     assert Scenario(kind=SUBSET, upstairs_genus=10**12, parameter=MAX_SUBSET_N).parameter == 40
+    assert subset_scenario(MAX_SUBSET_N, ceiling, special_fibers=[]).upstairs_genus == ceiling
     assert grid_scenario(MAX_GRID_GENUS).covering.simple_extra == 2 * MAX_GRID_GENUS + 2
 
 
