@@ -48,7 +48,8 @@ EXIT_VALIDATION = 1
 EXIT_HYPOTHESIS = 2
 
 # verify-identity builds and checks an m^2-point relation; m = 30 takes about as long as
-# subset n = MAX_SUBSET_N: 25-35 ms in process, 115-120 ms with a JSON --dump-matrix (2 vCPUs)
+# subset n = MAX_SUBSET_N: 3.4-3.7 ms in process, 57-60 ms with a JSON --dump-matrix
+# (2 vCPUs, best and median of 7 JSON runs)
 MAX_IDENTITY_M = 30
 
 
@@ -144,7 +145,10 @@ def cmd_verify_identity(args) -> int:
     summary = {"kind": args.kind, key: size}
     summary.update(correspondence_to_dict(corr.size, corr.bidegree, *identity_and_exponent(corr)))
     if args.dump_matrix:
-        summary["matrix"] = [[row >> j & 1 for j in range(corr.size)] for row in corr.rows]
+        # bit j of a row is character j of its reversed binary text, as byte 0 or 1
+        width, digits = f"0{corr.size}b", bytes.maketrans(b"01", b"\0\1")
+        texts = (format(row, width)[::-1].encode() for row in corr.rows)
+        summary["matrix"] = [list(text.translate(digits)) for text in texts]
     if args.format == "json":
         print(canonical_json(summary))
     else:

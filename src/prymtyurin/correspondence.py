@@ -69,8 +69,9 @@ class FiberCorrespondence:
     Rows inside 0..N-1, symmetry, an empty diagonal, constant row popcounts
     (the bidegree), one distinct descriptor per row and every symmetry of
     degree N that preserves D are validated at construction.  Each check
-    compares whole lists at C level and walks the rows only to name the
-    first bad entry.
+    runs at C level and walks the rows only to name the first bad entry:
+    symmetry and each symmetry compare the rows' bit strings with strided
+    column slices of one row-major text (_columns_are_rows).
     """
 
     kind: str
@@ -90,25 +91,21 @@ class FiberCorrespondence:
         sums = set(map(int.bit_count, self.rows))
         if len(sums) != 1:
             raise ValueError(f"row sums are not constant: {sorted(sums)}")
-        # bits[i][j] is bit j of row i, and columns[i][j] bit i of row j
         written = map(format, self.rows, repeat(f"0{n}b"))
-        bits = list(map(itemgetter(slice(None, None, -1)), written))
-        columns = list(map("".join, zip(*bits)))
-        if "1" in "".join(map(getitem, bits, range(n))) or bits != columns:
-            for i, (row, col) in enumerate(zip(bits, columns)):
+        bits = list(map(itemgetter(slice(None, None, -1)), written))  # bits[i][j] is D[i][j]
+        if "1" in "".join(map(getitem, bits, range(n))) or not _columns_are_rows(bits, range(n)):
+            for i, row in enumerate(bits):
                 if row[i] == "1":
                     raise ValueError(f"nonzero diagonal entry at {i}")
-                if row[:i] != col[:i]:
+                col = "".join(map(itemgetter(i), bits[:i]))
+                if row[:i] != col:
                     j = next(j for j in range(i) if row[j] != col[j])
                     raise ValueError(f"not symmetric at ({i}, {j})")
         for k, g in enumerate(self.symmetries):
             if g.degree != n:
                 raise ValueError(f"symmetry {k} has degree {g.degree}, not {n}")
-            # moved[p][i] is bit p of row g(i); D is symmetric, so g preserves
-            # it when moved[g(j)][i] = D[g(i)][g(j)] is bit i of row j
             at = list(map((-1).__add__, g.images))  # g(i) - 1 for each 1-based i
-            moved = list(map("".join, zip(*map(bits.__getitem__, at))))
-            if list(map(moved.__getitem__, at)) != bits:
+            if not _columns_are_rows(bits, at):
                 raise ValueError(f"symmetry {k} does not preserve the relation")
 
     @property
@@ -123,6 +120,17 @@ class FiberCorrespondence:
     def index(self) -> dict:
         """Row index of each point descriptor."""
         return {p: i for i, p in enumerate(self.points)}
+
+
+def _columns_are_rows(bits: list[str], order) -> bool:
+    """Whether D[order[i]][order[j]] = D[j][i] for all i, j, where bits[i][j]
+    is D[i][j]: D is symmetric when this holds for the identity order, and a
+    symmetric D is preserved by g when it holds for order[i] = g(i).  Column
+    p of the rows joined in order is the strided slice text[p::N], compared
+    with its row as it is sliced, so only one N^2 text is ever held."""
+    text = "".join(map(bits.__getitem__, order))
+    columns = map(text.__getitem__, map(slice, order, repeat(None), repeat(len(bits))))
+    return all(map(str.__eq__, columns, bits))
 
 
 @dataclass(frozen=True)

@@ -50,6 +50,17 @@ class InvalidScenario(ValueError):
     """Scenario data failed validation; the message names the field."""
 
 
+def _shown(value) -> str:
+    """repr(value), or a stand-in when it holds an int past Python's limit
+    for printing one, so that a message still names its field."""
+    try:
+        return repr(value)
+    except ValueError:
+        if not is_int(value):
+            return "a value too long to print"
+        return f"{'a negative' if value < 0 else 'an'} integer of {value.bit_length()} bits"
+
+
 @dataclasses.dataclass(frozen=True)
 class Scenario:
     """One verification run.
@@ -76,14 +87,14 @@ class Scenario:
 
     def __post_init__(self):
         if self.kind not in KINDS:
-            raise InvalidScenario(f"kind must be one of {KINDS}, got {self.kind!r}")
+            raise InvalidScenario(f"kind must be one of {KINDS}, got {_shown(self.kind)}")
         if self.model not in MODEL_CHOICES:
             raise InvalidScenario(
-                f"model must be one of {MODEL_CHOICES}, got {self.model!r}"
+                f"model must be one of {MODEL_CHOICES}, got {_shown(self.model)}"
             )
         if not is_int(self.upstairs_genus):
             raise InvalidScenario(
-                f"upstairs_genus must be an integer, got {self.upstairs_genus!r}"
+                f"upstairs_genus must be an integer, got {_shown(self.upstairs_genus)}"
             )
         if not isinstance(self.special_fibers, (list, tuple)):
             raise InvalidScenario("special_fibers must be a list of profiles")
@@ -91,16 +102,17 @@ class Scenario:
             if not is_int(self.parameter) or self.parameter != GRID_SIZE:
                 raise InvalidScenario(
                     f"grid scenarios require side {GRID_SIZE}:"
-                    f" m must be {GRID_SIZE}, got {self.parameter!r}"
+                    f" m must be {GRID_SIZE}, got {_shown(self.parameter)}"
                 )
             if self.upstairs_genus < 2:
                 raise InvalidScenario(
                     "grid scenarios need a hyperelliptic curve, so upstairs_genus"
-                    f" must be >= 2, got {self.upstairs_genus}"
+                    f" must be >= 2, got {_shown(self.upstairs_genus)}"
                 )
             if self.upstairs_genus > MAX_GRID_GENUS:
                 raise InvalidScenario(
-                    f"upstairs_genus must be at most {MAX_GRID_GENUS}, got {self.upstairs_genus}"
+                    f"upstairs_genus must be at most {MAX_GRID_GENUS},"
+                    f" got {_shown(self.upstairs_genus)}"
                 )
             if self.special_fibers:
                 raise InvalidScenario(
@@ -115,12 +127,14 @@ class Scenario:
             object.__setattr__(self, "special_fibers", ())
         else:
             if not is_int(self.parameter) or self.parameter < 2:
-                raise InvalidScenario(f"n must be an integer >= 2, got {self.parameter!r}")
+                raise InvalidScenario(f"n must be an integer >= 2, got {_shown(self.parameter)}")
             if self.parameter > MAX_SUBSET_N:
-                raise InvalidScenario(f"n must be at most {MAX_SUBSET_N}, got {self.parameter}")
+                raise InvalidScenario(
+                    f"n must be at most {MAX_SUBSET_N}, got {_shown(self.parameter)}"
+                )
             if self.upstairs_genus < 0:
                 raise InvalidScenario(
-                    f"upstairs_genus must be >= 0, got {self.upstairs_genus}"
+                    f"upstairs_genus must be >= 0, got {_shown(self.upstairs_genus)}"
                 )
             if self.upstairs_genus > 10**MAX_SUBSET_GENUS_EXPONENT:
                 raise InvalidScenario(
@@ -135,7 +149,7 @@ class Scenario:
                     raise InvalidScenario(f"special_fibers[{pos}]: {exc}") from exc
                 if sum(parts) > degree:
                     raise InvalidScenario(
-                        f"special_fibers[{pos}]: parts sum to {sum(parts)},"
+                        f"special_fibers[{pos}]: parts sum to {_shown(sum(parts))},"
                         f" covering degree is {degree}"
                     )
                 # pad with unramified sheets
@@ -154,7 +168,7 @@ class Scenario:
                     if not isinstance(images, (list, tuple)) or not all(map(is_int, images)):
                         raise InvalidScenario(
                             f"monodromy[{pos}] must be a list of integer sheet labels,"
-                            f" got {images!r}"
+                            f" got {_shown(images)}"
                         )
                     try:
                         perm = Permutation(images=tuple(images))
@@ -195,8 +209,8 @@ def subset_scenario(
     monodromy=None,
 ) -> Scenario:
     if special_fibers is None:
-        # a non-integer or oversize n gets no default profiles; the constructor names it
-        special_fibers = default_subset_fibers(n) if is_int(n) and n <= MAX_SUBSET_N else ()
+        # a non-integer or out-of-range n gets no default profiles; the constructor names it
+        special_fibers = default_subset_fibers(n) if is_int(n) and 2 <= n <= MAX_SUBSET_N else ()
     return Scenario(
         kind=SUBSET,
         upstairs_genus=upstairs_genus,
@@ -227,7 +241,7 @@ def parse_scenario(data) -> Scenario:
         raise InvalidScenario(f"scenario must be an object, got {type(data).__name__}")
     kind = data.get("kind")
     if kind not in KINDS:
-        raise InvalidScenario(f"kind must be one of {KINDS}, got {kind!r}")
+        raise InvalidScenario(f"kind must be one of {KINDS}, got {_shown(kind)}")
 
     allowed = _SUBSET_KEYS if kind == SUBSET else _GRID_KEYS
     unknown = sorted(map(str, set(data) - allowed))

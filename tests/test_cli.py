@@ -26,7 +26,7 @@ from prymtyurin.cli import (
     EXIT_VERIFIED,
     main,
 )
-from prymtyurin.correspondence import FiberCorrespondence
+from prymtyurin.correspondence import FiberCorrespondence, build_grid_matrix, build_subset_matrix
 from prymtyurin.perms import all_subsets
 from prymtyurin.report import canonical_json, identity_rows
 from prymtyurin.scenario import MAX_SUBSET_GENUS_EXPONENT, MODEL_CHOICES
@@ -305,6 +305,31 @@ def test_verify_identity_dump_matrix(capsys):
         assert len(matrix) == points
         assert all(sum(row) == degree for row in matrix)
         assert all(matrix[i][i] == 0 for i in range(points))
+
+
+DUMP_SIZES = [("subset", "--n", n) for n in range(2, 7)] + [
+    ("grid", "--m", m) for m in range(2, 6)
+]
+
+
+@pytest.mark.parametrize(
+    "kind, flag, size", DUMP_SIZES, ids=[f"{k}-{f[2:]}{s}" for k, f, s in DUMP_SIZES]
+)
+def test_dump_matrix_is_the_bit_walk(kind, flag, size, capsys):
+    # the dumped matrix is read off each row's binary text; both formats
+    # print byte for byte what a walk over the bits of every row gives
+    corr = (build_subset_matrix if kind == "subset" else build_grid_matrix)(size)
+    matrix = [[row >> j & 1 for j in range(corr.size)] for row in corr.rows]
+    argv = ["verify-identity", "--kind", kind, flag, str(size)]
+    outputs = {}
+    for fmt in ("json", "table"):
+        for dump in ([], ["--dump-matrix"]):
+            main([*argv, *dump, "--format", fmt])
+            outputs[fmt, bool(dump)] = capsys.readouterr().out
+    summary = {**json.loads(outputs["json", False]), "matrix": matrix}
+    assert outputs["json", True] == canonical_json(summary) + "\n"
+    lines = "".join(f"  {' '.join(map(str, row))}\n" for row in matrix)
+    assert outputs["table", True] == f"{outputs['table', False]}matrix:\n{lines}"
 
 
 # the sizes of the benchmark's identity workload

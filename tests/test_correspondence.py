@@ -1,7 +1,9 @@
 import dataclasses
+import itertools
 import tracemalloc
 from fractions import Fraction
 from math import comb
+from operator import getitem, itemgetter
 
 import pytest
 from hypothesis import example, given
@@ -316,6 +318,21 @@ def test_identity_proof_keeps_no_square():
         assert peak < 1_000_000
 
 
+@pytest.mark.parametrize("build, size", [(build_subset_matrix, 40), (build_grid_matrix, 30)])
+def test_construction_keeps_no_transpose(build, size):
+    # the construction's transient allocation, its peak less what the built
+    # object retains: the rows' bit strings plus one N^2 text at a time, about
+    # 2.2 N^2 bytes; the zip transposes held 4.46 N^2 (subset) and 4.36 N^2
+    build(size)  # fill any cache the build reads, so it counts as retained
+    tracemalloc.start()
+    try:
+        corr = build(size)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - retained < 4 * corr.size**2
+
+
 def test_discover_identity_none_when_impossible():
     # the 6-cycle is 2-regular but not strongly regular: vertices at distance
     # 2 and distance 3 both have D[i][j] = 0 yet different D^2 entries
@@ -543,3 +560,114 @@ def test_discover_identity_matches_elimination(corr):
     assert got == want
     if got is not None:
         assert all(type(x) is int for x in got.coefficients())
+
+
+def reference_construction_check(rows, points, symmetries):
+    """The construction check that FiberCorrespondence replaced, kept as the
+    reference: it transposes the rows' bit strings with zip, once for
+    symmetry and once per symmetry, and raises the same ValueError."""
+    n = len(rows)
+    if len(points) != n or len(set(points)) != n:
+        raise ValueError(f"need {n} distinct point descriptors, got {len(points)}")
+    if min(rows, default=0) < 0 or max(rows, default=0) >> n:
+        for i, row in enumerate(rows):
+            if row < 0 or row >> n:
+                raise ValueError(f"row {i} is not a set of points 0..{n - 1}")
+    sums = set(map(int.bit_count, rows))
+    if len(sums) != 1:
+        raise ValueError(f"row sums are not constant: {sorted(sums)}")
+    # bits[i][j] is bit j of row i, and columns[i][j] bit i of row j
+    written = map(format, rows, itertools.repeat(f"0{n}b"))
+    bits = list(map(itemgetter(slice(None, None, -1)), written))
+    columns = list(map("".join, zip(*bits)))
+    if "1" in "".join(map(getitem, bits, range(n))) or bits != columns:
+        for i, (row, col) in enumerate(zip(bits, columns)):
+            if row[i] == "1":
+                raise ValueError(f"nonzero diagonal entry at {i}")
+            if row[:i] != col[:i]:
+                j = next(j for j in range(i) if row[j] != col[j])
+                raise ValueError(f"not symmetric at ({i}, {j})")
+    for k, g in enumerate(symmetries):
+        if g.degree != n:
+            raise ValueError(f"symmetry {k} has degree {g.degree}, not {n}")
+        at = list(map((-1).__add__, g.images))
+        moved = list(map("".join, zip(*map(bits.__getitem__, at))))
+        if list(map(moved.__getitem__, at)) != bits:
+            raise ValueError(f"symmetry {k} does not preserve the relation")
+
+
+def construction_outcome(check, rows, symmetries):
+    """None when check accepts the relation, else the message it raises."""
+    try:
+        check(rows, tuple(range(len(rows))), symmetries)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def package_check(rows, points, symmetries):
+    FiberCorrespondence(kind="x", parameter=0, rows=rows, points=points, symmetries=symmetries)
+
+
+def assert_matches_reference_check(rows, symmetries):
+    want = construction_outcome(reference_construction_check, rows, symmetries)
+    assert construction_outcome(package_check, rows, symmetries) == want
+
+
+def test_construction_check_matches_reference_on_the_families():
+    # each family with its symmetries in either order, and then with the swap
+    # of its first and last points, which preserves only some of them
+    for corr in (*map(build_subset_matrix, range(2, 13)), *map(build_grid_matrix, range(2, 9))):
+        swap = Permutation((corr.size, *range(2, corr.size), 1))
+        for symmetries in (corr.symmetries, corr.symmetries[::-1], (*corr.symmetries, swap)):
+            assert_matches_reference_check(corr.rows, symmetries)
+
+
+@pytest.mark.parametrize("size", range(4))
+def test_construction_check_matches_reference_on_every_small_relation(size):
+    # every 0/1 relation on at most three points, alone and with each
+    # permutation of the points as its one symmetry
+    perms = [Permutation(tuple(p)) for p in itertools.permutations(range(1, size + 1))]
+    for rows in itertools.product(range(1 << size), repeat=size):
+        assert_matches_reference_check(rows, ())
+        for g in perms:
+            assert_matches_reference_check(rows, (g,))
+
+
+@st.composite
+def relations_with_one_flip(draw):
+    """A symmetric regular relation on at most 9 points, a symmetry that
+    preserves it (its relabeled rotation) or any permutation, and often bit
+    j of row i flipped, the last row and the last column drawn often.  Often
+    a bit of row i that now equals bit j is flipped too, so the row sums stay
+    constant and the check reaches symmetry; with no flip it reaches the
+    symmetry."""
+    size = draw(st.integers(1, 9))
+    rows, label = relabeled_circulant(draw, size)
+    if draw(st.booleans()):
+        images = [0] * size
+        for i in range(size):
+            images[label[i]] = label[(i + 1) % size] + 1
+    else:
+        images = [p + 1 for p in draw(st.permutations(range(size)))]
+    rows = list(rows)
+    if draw(st.booleans()):
+        point = st.one_of(st.sampled_from([0, size - 1]), st.integers(0, size - 1))
+        i, j = draw(point), draw(point)
+        rows[i] ^= 1 << j
+        bit = rows[i] >> j & 1
+        others = [k for k in range(size) if k != j and rows[i] >> k & 1 == bit]
+        if others and draw(st.booleans()):
+            rows[i] ^= 1 << draw(st.sampled_from(others))
+    return tuple(rows), (Permutation(tuple(images)),)
+
+
+@given(relations_with_one_flip())
+# the 4-cycle 0-1-2-3 with its rotation, then with a bit moved in the last
+# row and in the last column, then with a transposition that breaks it
+@example(((0b1010, 0b0101, 0b1010, 0b0101), (Permutation((2, 3, 4, 1)),)))
+@example(((0b1010, 0b0101, 0b1010, 0b0011), (Permutation((2, 3, 4, 1)),)))
+@example(((0b0110, 0b0101, 0b1010, 0b0101), (Permutation((2, 3, 4, 1)),)))
+@example(((0b1010, 0b0101, 0b1010, 0b0101), (Permutation((2, 1, 3, 4)),)))
+def test_construction_check_matches_reference_after_one_flip(case):
+    assert_matches_reference_check(*case)

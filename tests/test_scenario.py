@@ -131,6 +131,44 @@ def test_size_ceilings(monkeypatch):
     assert grid_scenario(MAX_GRID_GENUS).covering.simple_extra == 2 * MAX_GRID_GENUS + 2
 
 
+HUGE = 10**5000  # past Python's 4,300-digit limit for printing an int
+SHOWN, NEGATIVE = "an integer of 16610 bits", "a negative integer of 16610 bits"
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: grid_scenario(HUGE), f"upstairs_genus must be at most 10000, got {SHOWN}"),
+        (lambda: grid_scenario(-HUGE), f"upstairs_genus must be >= 2, got {NEGATIVE}"),
+        (lambda: subset_scenario(3, -HUGE), f"upstairs_genus must be >= 0, got {NEGATIVE}"),
+        (lambda: subset_scenario(HUGE, 1), f"n must be at most 40, got {SHOWN}"),
+        (lambda: subset_scenario(-HUGE, 1), f"n must be an integer >= 2, got {NEGATIVE}"),
+        (lambda: Scenario(kind=GRID, upstairs_genus=3, parameter=HUGE), f"m must be 3, got {SHOWN}"),
+        (
+            lambda: subset_scenario(3, 1, special_fibers=[[HUGE]]),
+            rf"special_fibers\[0\]: parts sum to {SHOWN}, covering degree is 5",
+        ),
+        (
+            lambda: subset_scenario(3, 1, monodromy=[[HUGE, "1"]]),
+            r"monodromy\[0\] must be a list of integer sheet labels, got a value too long to print",
+        ),
+        (
+            lambda: Scenario(kind=HUGE, upstairs_genus=1, parameter=3),
+            rf"kind must be one of \('subset', 'grid'\), got {SHOWN}",
+        ),
+        (
+            lambda: parse_scenario({"kind": HUGE}),
+            rf"kind must be one of \('subset', 'grid'\), got {SHOWN}",
+        ),
+    ],
+)
+def test_unprintable_integers_are_named(build, message):
+    # an int too long to print gets a stand-in in the message, which still
+    # names the field, instead of the bare ValueError of printing it
+    with pytest.raises(InvalidScenario, match=f"{message}$"):
+        build()
+
+
 def test_infeasible_budget_rejected():
     # five (2,2) fibers force more ramification than genus 0 allows
     with pytest.raises(InvalidScenario, match="upstairs_genus"):
