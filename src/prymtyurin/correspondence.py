@@ -42,7 +42,7 @@ All arithmetic is integer; nothing here ever touches a float.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import repeat
 from operator import getitem, itemgetter
@@ -67,11 +67,10 @@ class FiberCorrespondence:
     points[i] is the descriptor of point i (a subset tuple or a grid cell).
     Each symmetry permutes the 1-based point positions and preserves D.
     Rows inside 0..N-1, symmetry, an empty diagonal, constant row popcounts
-    (the bidegree), one distinct descriptor per row and every symmetry of
-    degree N that preserves D are validated at construction.  Each check
-    runs at C level and walks the rows only to name the first bad entry:
-    symmetry and each symmetry compare the rows' bit strings with strided
-    column slices of one row-major text (_columns_are_rows).
+    (the bidegree), one distinct descriptor per row and the symmetries
+    (check_moves) are validated at construction, at C level: symmetry and
+    each symmetry compare the rows' bit strings with strided column slices
+    of one row-major text (_columns_are_rows).
     """
 
     kind: str
@@ -79,6 +78,8 @@ class FiberCorrespondence:
     rows: tuple[int, ...]
     points: tuple
     symmetries: tuple[Permutation, ...] = ()
+    # the rows as bit strings, set at construction: bits[i][j] is D[i][j]
+    bits: list[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.rows)
@@ -92,7 +93,8 @@ class FiberCorrespondence:
         if len(sums) != 1:
             raise ValueError(f"row sums are not constant: {sorted(sums)}")
         written = map(format, self.rows, repeat(f"0{n}b"))
-        bits = list(map(itemgetter(slice(None, None, -1)), written))  # bits[i][j] is D[i][j]
+        bits = list(map(itemgetter(slice(None, None, -1)), written))
+        object.__setattr__(self, "bits", bits)
         if "1" in "".join(map(getitem, bits, range(n))) or not _columns_are_rows(bits, range(n)):
             for i, row in enumerate(bits):
                 if row[i] == "1":
@@ -101,12 +103,19 @@ class FiberCorrespondence:
                 if row[:i] != col:
                     j = next(j for j in range(i) if row[j] != col[j])
                     raise ValueError(f"not symmetric at ({i}, {j})")
-        for k, g in enumerate(self.symmetries):
+        self.check_moves(self.symmetries, "symmetry")
+
+    def check_moves(self, moves, name: str) -> None:
+        """Refuse, by name and index, a permutation of the 1-based point
+        positions whose degree is not N or that does not preserve D: the
+        symmetries at construction, a fiber's generators in class_action."""
+        n = len(self.rows)
+        for k, g in enumerate(moves):
             if g.degree != n:
-                raise ValueError(f"symmetry {k} has degree {g.degree}, not {n}")
+                raise ValueError(f"{name} {k} has degree {g.degree}, not {n}")
             at = list(map((-1).__add__, g.images))  # g(i) - 1 for each 1-based i
-            if not _columns_are_rows(bits, at):
-                raise ValueError(f"symmetry {k} does not preserve the relation")
+            if not _columns_are_rows(self.bits, at):
+                raise ValueError(f"{name} {k} does not preserve the relation")
 
     @property
     def size(self) -> int:

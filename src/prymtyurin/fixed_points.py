@@ -1,12 +1,11 @@
 """Fixed points of a correspondence on special fibers, and nesting certificates.
 
 On a special fiber the points of the induced curve are classes of generic
-fiber points (see induced_curve).  The correspondence descends to classes by
-picking a representative, reading its row bitset through the correspondence's
-own point descriptors and counting its image points in each class by a
-popcount.  That projection must not depend on the representative;
-class_action checks every representative and refuses the fiber otherwise, as
-it refuses a member that is not a point of the correspondence.
+fiber points, the orbits of the fiber's generators (see induced_curve).
+class_action proves from the generators that the correspondence descends to
+the classes and reads one representative row per class, and only what the
+criterion reads: each class's multiplicity in its own image, and the block
+of multiplicities among the classes where that is 1.
 
 A class Q is a fixed point when Q appears in its own image D(Q); the
 multiplicity of the appearance is the local intersection number with the
@@ -40,66 +39,72 @@ the family's label rule alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, compress, count
+from itertools import chain, combinations, compress, count, islice
 from math import factorial
+from operator import attrgetter
 
 from .correspondence import FiberCorrespondence, Matrix
 from .induced_curve import SpecialFiber
+from .perms import orbits
 
 
-def class_action(corr: FiberCorrespondence, fiber: SpecialFiber) -> Matrix:
-    """Descend a generic-fiber correspondence to the classes of a special fiber.
+def candidates(diagonal) -> list[int]:
+    """The classes a nesting chain may use: fixed, of self multiplicity 1."""
+    return list(compress(count(), map((1).__eq__, diagonal)))
 
-    Returns the action as a matrix over classes: entry [q][r] is the
-    multiplicity of class r in the image of class q.  Class members are
-    looked up among corr.points; a member that is not a point of the
-    correspondence raises ValueError.  Every representative of every class
-    is checked to produce the same class multiset; a discrepancy means the
-    identification is not compatible with the correspondence and raises
-    ValueError.  The classes partition the points, so every row of the
-    action sums to the bidegree.
+
+def class_action(corr: FiberCorrespondence, fiber: SpecialFiber) -> tuple[tuple, Matrix]:
+    """The correspondence descended to a special fiber's classes, where the
+    criterion reads it: (diagonal, block), with diagonal[q] the multiplicity
+    of class q in its own image and block[i][j] that of class c_j in the
+    image of class c_i, for c_0 < c_1 < ... the candidates(diagonal).
+
+    Members are looked up among corr.points; a member that is not a point, a
+    member in two classes or classes that do not cover the points raise
+    ValueError.  Every count is read off one representative per class: each
+    generator has degree N and preserves D (corr.check_moves) and the
+    classes are exactly their orbits, or ValueError, so for g in the group
+    they generate, a point p and a class M, |D(gp) & M| = |D(p) & g^-1 M| =
+    |D(p) & M|, and the action does not depend on the representative.
     """
-    masks, seen = [], 0
-    for cls in fiber.classes:
-        before = seen
-        for member in cls.members:
-            row = corr.index.get(member)
-            if row is None:
-                raise ValueError(
-                    f"member {member} is not a point of the {corr.kind} correspondence"
-                )
-            if seen >> row & 1:
-                raise ValueError(f"member {member} appears in two classes")
-            seen |= 1 << row
-        masks.append(seen ^ before)
-    covered = sum(len(c.members) for c in fiber.classes)
-    if covered != corr.size:
-        raise ValueError(f"classes cover {covered} points, matrix has {corr.size}")
+    members = list(chain.from_iterable(map(attrgetter("members"), fiber.classes)))
+    at = list(map(corr.index.get, members))
+    if None in at:
+        member = members[at.index(None)]
+        raise ValueError(f"member {member} is not a point of the {corr.kind} correspondence")
+    if len(set(at)) != len(at):
+        twice = next(m for m, r in zip(members, at) if at.count(r) > 1)
+        raise ValueError(f"member {twice} appears in two classes")
+    if len(at) != corr.size:
+        raise ValueError(f"classes cover {len(at)} points, matrix has {corr.size}")
 
-    rows = []
-    for ci, cls in enumerate(fiber.classes):
-        projected = None
-        for member in cls.members:
-            image = corr.rows[corr.index[member]]
-            counts = [(image & mask).bit_count() for mask in masks]
-            if projected is None:
-                projected = counts
-            elif projected != counts:
-                raise ValueError(
-                    f"class action depends on the representative in class {ci}: "
-                    f"{projected} vs {counts} at {member}"
-                )
-        rows.append(tuple(projected))
-    return tuple(rows)
+    corr.check_moves(fiber.generators, "generator")
+    # each class as its sorted 1-based positions, as orbits writes an orbit
+    positions = iter(map((1).__add__, at))
+    sizes = map(len, map(attrgetter("members"), fiber.classes))
+    declared = [tuple(sorted(islice(positions, size))) for size in sizes]
+    orbs = orbits(fiber.generators, corr.size)
+    if sorted(declared) != list(orbs):
+        orbit_of = {r: orbit for orbit in orbs for r in orbit}
+        q = next(q for q, cls in enumerate(declared) if orbit_of[cls[0]] != cls)
+        raise ValueError(f"class {q} is not an orbit of the fiber's generators")
+
+    masks = [sum(map((1).__lshift__, cls)) >> 1 for cls in declared]
+    reps = [corr.rows[cls[0] - 1] for cls in declared]
+    diagonal = tuple(map(int.bit_count, map(int.__and__, reps, masks)))
+    chosen = candidates(diagonal)
+    within = list(map(masks.__getitem__, chosen))
+    block = tuple(tuple(map(int.bit_count, map(reps[q].__and__, within))) for q in chosen)
+    return diagonal, block
 
 
 def fixed_point_scan(actions, positions) -> list[tuple[int, int, int]]:
     """The fixed classes of a layout, in layout order: (position, class q,
-    multiplicity action[q][q]) for every class q that lies in its own image,
+    multiplicity diagonal[q]) for every class q that lies in its own image,
     at every position.  actions holds the class actions of the distinct
     fibers and positions[p] the index of position p's fiber among them.
     """
-    fixed = [[(q, row[q]) for q, row in enumerate(action) if row[q]] for action in actions]
+    fixed = [list(compress(enumerate(diagonal), diagonal)) for diagonal, _ in actions]
     # only the positions whose fiber has a fixed class are visited: a layout
     # that repeats a fixed-point-free fiber at every simple branch point
     # costs no Python step
@@ -195,8 +200,9 @@ def nesting_search(fibers, actions, positions, delta_dot_d: int, bidegree: int):
     """Find the lexicographically first nesting chain of length delta_dot_d / 2.
 
     fibers and actions are a layout's distinct fibers and their class
-    actions, positions[p] the index of position p's fiber among them, and
-    delta_dot_d the layout's weighted fixed-point count.  Positions are
+    actions as class_action returns them, positions[p] the index of position
+    p's fiber among them, and delta_dot_d the layout's weighted fixed-point
+    count.  Positions are
     searched in layout order, a repeated fiber at each of its positions.
 
     The correspondence is symmetric and its class action does not depend on
@@ -237,33 +243,31 @@ def nesting_search(fibers, actions, positions, delta_dot_d: int, bidegree: int):
         return NestingCertificate(fiber_index=-1, chain=(), chain_members=(), memberships=())
 
     # chain members must share a fiber: every D(p_i) lies in the fiber of p_i
-    candidates_of = [[q for q, row in enumerate(action) if row[q] == 1] for action in actions]
-    searchable = [len(candidates) >= n for candidates in candidates_of]
+    candidates_of = [candidates(diagonal) for diagonal, _ in actions]
+    searchable = [len(chosen) >= n for chosen in candidates_of]
     tried = 0
     searched = 0
     for pos in compress(count(), map(searchable.__getitem__, positions)):
         fi = positions[pos]
-        fiber, act, candidates = fibers[fi], actions[fi], candidates_of[fi]
-        c = len(candidates)
+        fiber, (_, block), chosen = fibers[fi], actions[fi], candidates_of[fi]
+        c = len(chosen)
         searched += 1
-        # row bitsets of the candidate graph, each read once from the set
-        # entries of its action row and mirrored into the transpose
-        index = {q: i for i, q in enumerate(candidates)}
-        adjacent, mirror = [0] * c, [0] * c
-        for i, q in enumerate(candidates):
-            for p in compress(range(len(act)), act[q]):
-                j = index.get(p, i)
-                if j != i:
-                    adjacent[i] |= 1 << j
-                    mirror[j] |= 1 << i
-        for i, one_sided in enumerate(a ^ b for a, b in zip(adjacent, mirror)):
-            if one_sided:
-                q, p = candidates[i], candidates[(one_sided & -one_sided).bit_length() - 1]
-                raise ValueError(
-                    f"class action of fiber {pos} is not symmetric:"
-                    f" action[{q}][{p}] = {act[q][p]},"
-                    f" action[{p}][{q}] = {act[p][q]}"
-                )
+        # the candidate graph's row bitsets from the nonzero entries of the
+        # block, which must equal its column bitsets; each candidate's own
+        # bit (self multiplicity 1) is dropped
+        bit = [1 << j for j in range(c)]
+        nonzero = [sum(compress(bit, row)) for row in block]
+        mirror = [sum(compress(bit, column)) for column in zip(*block)]
+        if nonzero != mirror:
+            cells = ((i, j) for i in range(c) for j in range(c))
+            i, j = next((i, j) for i, j in cells if bool(block[i][j]) != bool(block[j][i]))
+            q, p = chosen[i], chosen[j]
+            raise ValueError(
+                f"class action of fiber {pos} is not symmetric:"
+                f" action[{q}][{p}] = {block[i][j]},"
+                f" action[{p}][{q}] = {block[j][i]}"
+            )
+        adjacent = list(map(int.__xor__, nonzero, bit))
         memo = _clique_counts(adjacent, n)
         s = (1 << c) - 1
         if s not in memo:
@@ -276,8 +280,8 @@ def nesting_search(fibers, actions, positions, delta_dot_d: int, bidegree: int):
                 memo_misses=len(memo) - 1,
             )
         width = c + 1
-        block = (1 << width) - 1
-        counts = [(memo[s] >> (width * k)) & block for k in range(n + 1)]
+        digit = (1 << width) - 1
+        counts = [(memo[s] >> (width * k)) & digit for k in range(n + 1)]
         if not counts[n]:
             # what a search over orderings tries at each ordering of a k-clique
             tried += sum(count * factorial(k) * (c - k) for k, count in enumerate(counts[:n]))
@@ -289,16 +293,16 @@ def nesting_search(fibers, actions, positions, delta_dot_d: int, bidegree: int):
             s ^= low
             v = low.bit_length() - 1
             inner = s & adjacent[v]
-            if (memo[inner] >> (width * (n - 1 - len(chain)))) & block:
+            if (memo[inner] >> (width * (n - 1 - len(chain)))) & digit:
                 chain.append(v)
                 s = inner
-        found = tuple(candidates[i] for i in chain)
+        found = tuple(chosen[i] for i in chain)
         return NestingCertificate(
             fiber_index=pos,
             chain=found,
             chain_members=tuple(fiber.classes[q].members for q in found),
             memberships=tuple(
-                tuple(act[qi][qj] for qj in found[: i + 1]) for i, qi in enumerate(found)
+                tuple(block[i][j] for j in chain[: k + 1]) for k, i in enumerate(chain)
             ),
         )
     return NestingFailure(

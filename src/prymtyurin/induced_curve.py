@@ -13,20 +13,17 @@ two bookkeeping models for the collided fiber side by side:
 
 Both are honest conventions; they can disagree on ramification (a merged
 class may split into several orbits), so genus and fixed-point counts are
-computed per model and reported side by side, never mixed.
+computed per model and reported side by side, never mixed.  On the 3x3 grid
+the orbits of each local monodromy are exactly the divisor coincidence
+classes, so the two models agree fiber by fiber.
 
-For the grid construction (degree 9 over the line, fibers a 3x3 grid of
-two-point divisors) each special fiber is built as the orbits of its local
-monodromy, and those orbits are exactly the divisor coincidence classes, so
-the two models agree fiber by fiber and the same classes serve both.
-
-Every local monodromy here permutes the positions of a point list: induced
-on subsets it is perms.induced_subset_action, acting on grid cells
-perms.point_permutation.  Every orbit-built fiber is the cycles of one such
-permutation (perms.orbits), read back as classes of points.
-
-The genus of the induced curve follows from these fibers by Riemann-Hurwitz;
-report assembles it.
+Every special fiber is built one way, as the orbits (perms.orbits) of the
+generators it carries: permutations of the generic fiber's point positions
+in the correspondence's point order.  They are the Young subgroup of the
+blocks (merged model) or the local monodromy (orbit model), induced on
+subsets by perms.induced_subset_action, and the local monodromy on grid
+cells by perms.point_permutation.  fixed_points.class_action proves from
+them that the correspondence descends to the classes.
 """
 
 from __future__ import annotations
@@ -70,18 +67,34 @@ class FiberClass:
 
 @dataclass(frozen=True)
 class SpecialFiber:
-    """A special fiber of the induced covering: its classes of points.
-
-    A fiber does not record which model built it; the report's model entry
-    holding it does.  Each model builds its own fibers, so the grid fibers,
-    whose classes are the same under both models, are equal but not shared.
+    """A special fiber of the induced covering: its classes of points, the
+    orbits of its generators, permutations of the 1-based positions of the
+    generic fiber's points in the correspondence's point order.  The report's
+    model entry holding a fiber records its model; each model builds its own
+    fibers, so the grid fibers of both models are equal but not shared.
     """
 
     classes: tuple[FiberClass, ...]
+    generators: tuple[Permutation, ...]
 
     @cached_property
     def w_contribution(self) -> int:
         return sum(c.size - 1 for c in self.classes)
+
+
+def _fiber(generators: tuple[Permutation, ...], points, blocks) -> SpecialFiber:
+    """The one fiber builder: the orbits of the generators on the positions
+    of points, as classes that list their members in lexicographic order,
+    ordered by that first member.  With blocks given (merged model), each
+    class carries the block ids its first member hits, with multiplicity.
+    """
+    point = (None, *points).__getitem__  # the point at a 1-based position
+    members = sorted(tuple(sorted(map(point, orbit))) for orbit in orbits(generators, len(points)))
+    if blocks is None:
+        return SpecialFiber(tuple(map(FiberClass, members)), generators)
+    block_of = {x: i for i, b in enumerate(blocks) for x in b}
+    keys = (tuple(sorted(map(block_of.__getitem__, m[0]))) for m in members)
+    return SpecialFiber(tuple(map(FiberClass, members, keys)), generators)
 
 
 def blocks_from_parts(parts: tuple[int, ...], degree: int) -> tuple[tuple[int, ...], ...]:
@@ -108,29 +121,6 @@ def _validate_blocks(blocks, degree: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(sorted(b)) for b in blocks)
 
 
-def merged_fiber(n: int, blocks) -> SpecialFiber:
-    """Merged-model special fiber for the subset construction.
-
-    Two n-subsets land on the same point of the induced curve exactly when
-    they hit the same identification blocks with the same multiplicities.
-    Each class lists its members in lexicographic order, and classes are
-    ordered by that first member.
-    """
-    degree = n + 2
-    blocks = _validate_blocks(blocks, degree)
-    block_of = {x: i for i, b in enumerate(blocks) for x in b}
-    grouped: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for s in all_subsets(degree, n):
-        key = tuple(sorted(block_of[x] for x in s))
-        grouped.setdefault(key, []).append(s)
-    classes = [
-        FiberClass(members=tuple(sorted(members)), block_multiset=key)
-        for key, members in grouped.items()
-    ]
-    classes.sort(key=lambda c: c.members[0])
-    return SpecialFiber(classes=tuple(classes))
-
-
 def partition_monodromy(blocks, degree: int) -> Permutation:
     """The canonical local monodromy with the given cycle partition: each
     block becomes one cycle on its sorted labels.
@@ -143,30 +133,28 @@ def partition_monodromy(blocks, degree: int) -> Permutation:
     return Permutation.from_cycles(degree, tuple(b for b in blocks if len(b) > 1))
 
 
-def _orbit_classes(perm: Permutation, points) -> tuple[FiberClass, ...]:
-    """The cycles of a permutation of point positions, as classes of the
-    points, ordered by their smallest member."""
-    classes = [FiberClass(members=tuple(sorted(points[r - 1] for r in orbit)))
-               for orbit in orbits((perm,))]
-    classes.sort(key=lambda c: c.members[0])
-    return tuple(classes)
-
-
-def orbit_fiber(n: int, blocks) -> SpecialFiber:
-    """Orbit-model special fiber: points are cycles of the induced local
-    monodromy on n-subsets.  Each class lists its members in lexicographic
-    order, and classes are ordered by that first member."""
-    degree = n + 2
-    induced = induced_subset_action(partition_monodromy(blocks, degree), n)
-    return SpecialFiber(classes=_orbit_classes(induced, all_subsets(degree, n)))
-
-
 def subset_fiber(n: int, blocks, model: str) -> SpecialFiber:
+    """The subset construction's special fiber over identification blocks of
+    the n + 2 sheets.  Merged model: n-subsets that hit the blocks with the
+    same multiplicities, the orbits of the blocks' Young subgroup, generated
+    by a transposition and the cycle of each block (one move for a pair).
+    Orbit model: the cycles of the local monodromy (partition_monodromy).
+    Every generator is induced on n-subsets through one colex index.
+    """
+    degree = n + 2
+    blocks = _validate_blocks(blocks, degree)
+    moved = tuple(b for b in blocks if len(b) > 1)
     if model == MERGED:
-        return merged_fiber(n, blocks)
-    if model == ORBIT:
-        return orbit_fiber(n, blocks)
-    raise ValueError(f"unknown fiber model {model!r}")
+        moves = [(c,) for b in moved for c in dict.fromkeys((b[:2], b))]
+    elif model == ORBIT:
+        moves = [moved]
+    else:
+        raise ValueError(f"unknown fiber model {model!r}")
+    index = subset_index(degree, n)
+    generators = tuple(
+        induced_subset_action(Permutation.from_cycles(degree, c), n, index) for c in moves
+    )
+    return _fiber(generators, all_subsets(degree, n), blocks if model == MERGED else None)
 
 
 # --- grid fibers ------------------------------------------------------------
@@ -193,13 +181,13 @@ def grid_row_merge_fiber(m: int, row_blocks) -> SpecialFiber:
     """Grid special fiber where rows are glued by the given partition
     (columns stay distinct): the orbits of grid_row_monodromy, so cell (i, j)
     is identified with (i', j) when i, i' share a block."""
-    return SpecialFiber(classes=_orbit_classes(grid_row_monodromy(m, row_blocks), grid_points(m)))
+    return _fiber((grid_row_monodromy(m, row_blocks),), grid_points(m), None)
 
 
 def grid_pairing_fiber(m: int, shift: int = 0) -> SpecialFiber:
     """Grid special fiber where the two sides of the grid coincide: the
     orbits of grid_pairing_monodromy, each a glued pair or a diagonal cell."""
-    return SpecialFiber(classes=_orbit_classes(grid_pairing_monodromy(m, shift), grid_points(m)))
+    return _fiber((grid_pairing_monodromy(m, shift),), grid_points(m), None)
 
 
 # --- irreducibility proxy ---------------------------------------------------

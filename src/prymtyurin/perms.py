@@ -26,6 +26,17 @@ from math import comb
 from operator import itemgetter
 
 
+def shown(value) -> str:
+    """repr(value), or a stand-in when it holds an int past Python's limit
+    for printing one, so that an error message still names its fault."""
+    try:
+        return repr(value)
+    except ValueError:
+        if not isinstance(value, int):
+            return "a value too long to print"
+        return f"{'a negative' if value < 0 else 'an'} integer of {value.bit_length()} bits"
+
+
 @dataclass(frozen=True)
 class Permutation:
     """A bijection of ``{1..degree}`` in one-line notation.
@@ -39,7 +50,7 @@ class Permutation:
 
     def __post_init__(self):
         if sorted(self.images) != list(range(1, len(self.images) + 1)):
-            raise ValueError(f"not a bijection of 1..{len(self.images)}: {self.images!r}")
+            raise ValueError(f"not a bijection of 1..{len(self.images)}: {shown(self.images)}")
 
     @property
     def degree(self) -> int:
@@ -67,10 +78,6 @@ class Permutation:
 
     def __call__(self, x: int) -> int:
         return self.images[x - 1]
-
-    def apply_to_set(self, subset: tuple[int, ...]) -> tuple[int, ...]:
-        """Image of a set of labels, returned sorted."""
-        return tuple(sorted(self.images[x - 1] for x in subset))
 
 
 def transposition(degree: int, i: int, j: int) -> Permutation:

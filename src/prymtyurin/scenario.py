@@ -25,7 +25,7 @@ from functools import cached_property
 
 from .covering import CoveringData, GenusValidationError, is_int, normalize_profile, simple_budget
 from .induced_curve import MODELS
-from .perms import Permutation
+from .perms import Permutation, shown
 
 SUBSET = "subset"
 GRID = "grid"
@@ -48,17 +48,6 @@ MAX_SUBSET_GENUS_EXPONENT = 4_000
 
 class InvalidScenario(ValueError):
     """Scenario data failed validation; the message names the field."""
-
-
-def _shown(value) -> str:
-    """repr(value), or a stand-in when it holds an int past Python's limit
-    for printing one, so that a message still names its field."""
-    try:
-        return repr(value)
-    except ValueError:
-        if not is_int(value):
-            return "a value too long to print"
-        return f"{'a negative' if value < 0 else 'an'} integer of {value.bit_length()} bits"
 
 
 @dataclasses.dataclass(frozen=True)
@@ -87,14 +76,14 @@ class Scenario:
 
     def __post_init__(self):
         if self.kind not in KINDS:
-            raise InvalidScenario(f"kind must be one of {KINDS}, got {_shown(self.kind)}")
+            raise InvalidScenario(f"kind must be one of {KINDS}, got {shown(self.kind)}")
         if self.model not in MODEL_CHOICES:
             raise InvalidScenario(
-                f"model must be one of {MODEL_CHOICES}, got {_shown(self.model)}"
+                f"model must be one of {MODEL_CHOICES}, got {shown(self.model)}"
             )
         if not is_int(self.upstairs_genus):
             raise InvalidScenario(
-                f"upstairs_genus must be an integer, got {_shown(self.upstairs_genus)}"
+                f"upstairs_genus must be an integer, got {shown(self.upstairs_genus)}"
             )
         if not isinstance(self.special_fibers, (list, tuple)):
             raise InvalidScenario("special_fibers must be a list of profiles")
@@ -102,17 +91,17 @@ class Scenario:
             if not is_int(self.parameter) or self.parameter != GRID_SIZE:
                 raise InvalidScenario(
                     f"grid scenarios require side {GRID_SIZE}:"
-                    f" m must be {GRID_SIZE}, got {_shown(self.parameter)}"
+                    f" m must be {GRID_SIZE}, got {shown(self.parameter)}"
                 )
             if self.upstairs_genus < 2:
                 raise InvalidScenario(
                     "grid scenarios need a hyperelliptic curve, so upstairs_genus"
-                    f" must be >= 2, got {_shown(self.upstairs_genus)}"
+                    f" must be >= 2, got {shown(self.upstairs_genus)}"
                 )
             if self.upstairs_genus > MAX_GRID_GENUS:
                 raise InvalidScenario(
                     f"upstairs_genus must be at most {MAX_GRID_GENUS},"
-                    f" got {_shown(self.upstairs_genus)}"
+                    f" got {shown(self.upstairs_genus)}"
                 )
             if self.special_fibers:
                 raise InvalidScenario(
@@ -127,14 +116,14 @@ class Scenario:
             object.__setattr__(self, "special_fibers", ())
         else:
             if not is_int(self.parameter) or self.parameter < 2:
-                raise InvalidScenario(f"n must be an integer >= 2, got {_shown(self.parameter)}")
+                raise InvalidScenario(f"n must be an integer >= 2, got {shown(self.parameter)}")
             if self.parameter > MAX_SUBSET_N:
                 raise InvalidScenario(
-                    f"n must be at most {MAX_SUBSET_N}, got {_shown(self.parameter)}"
+                    f"n must be at most {MAX_SUBSET_N}, got {shown(self.parameter)}"
                 )
             if self.upstairs_genus < 0:
                 raise InvalidScenario(
-                    f"upstairs_genus must be >= 0, got {_shown(self.upstairs_genus)}"
+                    f"upstairs_genus must be >= 0, got {shown(self.upstairs_genus)}"
                 )
             if self.upstairs_genus > 10**MAX_SUBSET_GENUS_EXPONENT:
                 raise InvalidScenario(
@@ -149,7 +138,7 @@ class Scenario:
                     raise InvalidScenario(f"special_fibers[{pos}]: {exc}") from exc
                 if sum(parts) > degree:
                     raise InvalidScenario(
-                        f"special_fibers[{pos}]: parts sum to {_shown(sum(parts))},"
+                        f"special_fibers[{pos}]: parts sum to {shown(sum(parts))},"
                         f" covering degree is {degree}"
                     )
                 # pad with unramified sheets
@@ -168,7 +157,7 @@ class Scenario:
                     if not isinstance(images, (list, tuple)) or not all(map(is_int, images)):
                         raise InvalidScenario(
                             f"monodromy[{pos}] must be a list of integer sheet labels,"
-                            f" got {_shown(images)}"
+                            f" got {shown(images)}"
                         )
                     try:
                         perm = Permutation(images=tuple(images))
@@ -241,7 +230,7 @@ def parse_scenario(data) -> Scenario:
         raise InvalidScenario(f"scenario must be an object, got {type(data).__name__}")
     kind = data.get("kind")
     if kind not in KINDS:
-        raise InvalidScenario(f"kind must be one of {KINDS}, got {_shown(kind)}")
+        raise InvalidScenario(f"kind must be one of {KINDS}, got {shown(kind)}")
 
     allowed = _SUBSET_KEYS if kind == SUBSET else _GRID_KEYS
     unknown = sorted(map(str, set(data) - allowed))

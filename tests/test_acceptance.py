@@ -28,7 +28,7 @@ from prymtyurin.covering import (
     upstairs_genus,
 )
 from prymtyurin.fixed_points import check_certificate, class_action
-from prymtyurin.induced_curve import MERGED, ORBIT, merged_fiber
+from prymtyurin.induced_curve import MERGED, ORBIT, subset_fiber
 from prymtyurin.perms import (
     Permutation,
     all_subsets,
@@ -36,6 +36,7 @@ from prymtyurin.perms import (
 )
 from prymtyurin.report import UNCHECKED, assemble, keyed_verdict
 from prymtyurin.scenario import grid_scenario, subset_scenario
+from references import diagonal_and_block, reference_class_action, reference_merged_fiber
 
 
 @contextlib.contextmanager
@@ -219,14 +220,18 @@ def test_criterion_4_cross_model_dimension_agreement():
 def test_criterion_5_property_suites():
     with criterion(5, "exhaustive small-case property suites"):
         # (a) class actions never depend on the representative: every set
-        # partition of the ground set, subset sizes 2..5
+        # partition of the ground set, subset sizes 2..5.  class_action
+        # proves it from the fiber's generators, and the reference checks
+        # every member of every class; both read the same diagonal and block
         for n in range(2, 6):
             corr = build_subset_matrix(n)
             seen = 0
             for blocks in set_partitions(n + 2):
-                fiber = merged_fiber(n, blocks)
-                act = class_action(corr, fiber)
-                assert all(sum(row) == corr.bidegree for row in act)
+                fiber = subset_fiber(n, blocks, MERGED)
+                assert fiber.classes == reference_merged_fiber(n, blocks)
+                full = reference_class_action(corr, fiber)
+                assert all(sum(row) == corr.bidegree for row in full)
+                assert class_action(corr, fiber) == diagonal_and_block(full)
                 seen += 1
             assert seen == BELL[n + 2]
 

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from prymtyurin import correspondence, fixed_points
-from prymtyurin.correspondence import build_grid_matrix, build_subset_matrix
+from prymtyurin.correspondence import build_grid_matrix, build_subset_matrix, grid_points
 from prymtyurin.fixed_points import (
     NestingCertificate,
     NestingFailure,
@@ -26,13 +26,21 @@ from prymtyurin.induced_curve import (
     SpecialFiber,
     blocks_from_parts,
     grid_pairing_fiber,
+    grid_pairing_monodromy,
     grid_row_merge_fiber,
-    merged_fiber,
-    orbit_fiber,
+    grid_row_monodromy,
+    partition_monodromy,
     subset_fiber,
 )
+from prymtyurin.perms import Permutation, all_subsets, induced_subset_action
 from prymtyurin.report import assemble, fiber_layout, fiber_to_dict, nesting_to_dict
 from prymtyurin.scenario import default_subset_fibers, grid_scenario
+from references import (
+    diagonal_and_block,
+    reference_class_action,
+    reference_merged_fiber,
+    reference_orbit_classes,
+)
 
 THREE_BLOCKS = ((1, 2), (3, 4), (5,))
 PAIR_BLOCKS_6 = ((1, 2), (3, 4), (5, 6))
@@ -56,23 +64,31 @@ def entries(cert, fiber):
     return nesting_to_dict(cert), fiber_to_dict(fiber)
 
 
+def full_action(corr, fiber):
+    """The reference's full class action, after checking that class_action
+    returns its diagonal and candidate block."""
+    full = reference_class_action(corr, fiber)
+    assert class_action(corr, fiber) == diagonal_and_block(full)
+    return full
+
+
 def test_class_action_merged_n3():
     fiber = subset_fiber(3, THREE_BLOCKS, MERGED)
-    act = class_action(build_subset_matrix(3), fiber)
+    act = full_action(build_subset_matrix(3), fiber)
     # classes in order of first member: {123,124}, {125}, {134,234},
     # {135,145,235,245}, {345}
     assert [c.members[0] for c in fiber.classes] == [
         (1, 2, 3), (1, 2, 5), (1, 3, 4), (1, 3, 5), (3, 4, 5),
     ]
-    assert tuple(fixed_classes(act)) == (3,)
+    assert tuple(fixed_classes(diagonal_and_block(act))) == (3,)
     # frozen: the image of the big class is itself + {123,124} + {134,234}
     assert act[3] == (1, 0, 1, 1, 0)
     assert all(sum(row) == 3 for row in act)
 
 
 def test_class_action_merged_n4_pattern():
-    act = class_action(build_subset_matrix(4), subset_fiber(4, PAIR_BLOCKS_6, MERGED))
-    assert tuple(fixed_classes(act)) == (1, 3, 4)
+    act = full_action(build_subset_matrix(4), subset_fiber(4, PAIR_BLOCKS_6, MERGED))
+    assert tuple(fixed_classes(diagonal_and_block(act))) == (1, 3, 4)
     # frozen from brute force: self multiplicity 1, cross multiplicities 2
     assert act[1] == (0, 1, 0, 2, 2, 1)
     assert act[3] == (0, 2, 1, 1, 2, 0)
@@ -91,28 +107,72 @@ def test_class_action_orbit_models():
 
 
 def test_class_action_grid_fibers():
-    branch = class_action(build_grid_matrix(3), grid_row_merge_fiber(3, GRID_ROWS))
-    assert tuple(fixed_classes(branch)) == (0, 1, 2)
+    branch = full_action(build_grid_matrix(3), grid_row_merge_fiber(3, GRID_ROWS))
+    assert tuple(fixed_classes(diagonal_and_block(branch))) == (0, 1, 2)
     assert branch[0] == (1, 1, 1, 1, 0, 0)
     assert branch[1] == (1, 1, 1, 0, 1, 0)
     assert branch[2] == (1, 1, 1, 0, 0, 1)
     for shift in (0, 1, 2):
-        pairing = class_action(build_grid_matrix(3), grid_pairing_fiber(3, shift))
-        assert fixed_classes(pairing) == {}
+        pairing = full_action(build_grid_matrix(3), grid_pairing_fiber(3, shift))
+        assert fixed_classes(diagonal_and_block(pairing)) == {}
         assert all(sum(row) == 4 for row in pairing)
+
+
+def _partial_row_glue(generators):
+    # gluing (1, 1) with (1, 2) alone makes the action depend on the
+    # representative: (2, 1) lies in the image of (1, 1) but not of (1, 2)
+    classes = (
+        FiberClass(members=((1, 1), (1, 2))),
+        FiberClass(members=((2, 1),)),
+        FiberClass(members=((2, 2),)),
+    )
+    return SpecialFiber(classes=classes, generators=generators)
 
 
 def test_class_action_rejects_representative_dependence():
     corr = build_grid_matrix(2)
-    bad = SpecialFiber(
-        classes=(
-            FiberClass(members=((1, 1), (1, 2))),
-            FiberClass(members=((2, 1),)),
-            FiberClass(members=((2, 2),)),
-        ),
-    )
+    bad = _partial_row_glue(())
     with pytest.raises(ValueError, match="depends on the representative"):
+        reference_class_action(corr, bad)
+    with pytest.raises(ValueError, match="^class 0 is not an orbit of the fiber's generators$"):
         class_action(corr, bad)
+    # a merged class is a union of orbits of the orbit model's monodromy
+    corr = build_subset_matrix(3)
+    merged = subset_fiber(3, THREE_BLOCKS, MERGED)
+    fewer = SpecialFiber(merged.classes, subset_fiber(3, THREE_BLOCKS, ORBIT).generators)
+    with pytest.raises(ValueError, match="^class 3 is not an orbit"):
+        class_action(corr, fewer)
+    # and the orbit classes split the merged model's Young subgroup orbits
+    more = SpecialFiber(subset_fiber(3, THREE_BLOCKS, ORBIT).classes, merged.generators)
+    with pytest.raises(ValueError, match="is not an orbit"):
+        class_action(corr, more)
+
+
+def test_class_action_refuses_a_generator_that_moves_the_relation():
+    corr = build_grid_matrix(2)
+    swap = Permutation((2, 1, 3, 4))  # (1, 1) <-> (1, 2), the rest fixed
+    with pytest.raises(ValueError, match="^generator 0 does not preserve the relation$"):
+        class_action(corr, _partial_row_glue((swap,)))
+    # a position swap that is not an induced label move, on subset n = 3
+    points = all_subsets(5, 3)
+    images = list(range(1, 11))
+    images[0], images[9] = 10, 1  # swaps {1, 2, 3} with {3, 4, 5}
+    swap = Permutation(tuple(images))
+    glued = FiberClass(members=(points[0], points[9]))
+    rest = (FiberClass(members=(p,)) for p in points[1:9])
+    classes = tuple(sorted((glued, *rest), key=lambda c: c.members[0]))
+    bad = SpecialFiber(classes=classes, generators=(Permutation(tuple(range(1, 11))), swap))
+    with pytest.raises(ValueError, match="^generator 1 does not preserve the relation$"):
+        class_action(build_subset_matrix(3), bad)
+
+
+def test_class_action_refuses_a_generator_of_the_wrong_degree():
+    fiber = subset_fiber(3, THREE_BLOCKS, MERGED)
+    short = induced_subset_action(Permutation((2, 1, 3, 4)), 2)
+    for generators in ((short,), fiber.generators + (short,)):
+        bad = SpecialFiber(fiber.classes, generators)
+        with pytest.raises(ValueError, match=rf"^generator {len(generators) - 1} has degree 6, not 10$"):
+            class_action(build_subset_matrix(3), bad)
 
 
 def test_class_action_rejects_off_grid_member():
@@ -123,19 +183,19 @@ def test_class_action_rejects_off_grid_member():
         for c in fiber.classes
     )
     with pytest.raises(ValueError, match=r"member \(0, 4\) is not a point"):
-        class_action(build_grid_matrix(3), SpecialFiber(classes=classes))
+        class_action(build_grid_matrix(3), SpecialFiber(classes, fiber.generators))
 
 
 def test_class_action_rejects_partial_cover():
     corr = build_subset_matrix(2)
-    partial = SpecialFiber(classes=(FiberClass(members=((1, 2),)),))
-    with pytest.raises(ValueError, match="cover"):
+    partial = SpecialFiber(classes=(FiberClass(members=((1, 2),)),), generators=())
+    with pytest.raises(ValueError, match="^classes cover 1 points, matrix has 6$"):
         class_action(corr, partial)
 
 
 def test_class_action_rejects_a_member_in_two_classes():
-    fiber = merged_fiber(2, ((1, 2), (3, 4)))
-    twice = SpecialFiber(classes=fiber.classes + (FiberClass(members=((1, 2),)),))
+    fiber = subset_fiber(2, ((1, 2), (3, 4)), MERGED)
+    twice = SpecialFiber(fiber.classes + (FiberClass(members=((1, 2),)),), fiber.generators)
     with pytest.raises(ValueError, match=r"member \(1, 2\) appears in two classes"):
         class_action(build_subset_matrix(2), twice)
 
@@ -226,7 +286,7 @@ def test_empty_chain_certificate():
 
 
 def _genuine_n4_certificate():
-    fiber = merged_fiber(4, PAIR_BLOCKS_6)
+    fiber = subset_fiber(4, PAIR_BLOCKS_6, MERGED)
     act = class_action(build_subset_matrix(4), fiber)
     cert = search([fiber], [act], (0, 0), bidegree=6)
     assert isinstance(cert, NestingCertificate)
@@ -275,7 +335,7 @@ def test_check_certificate_rejects_tampering():
 
 
 def test_check_certificate_rejects_cert_against_wrong_fiber():
-    merged = merged_fiber(2, ((1, 2), (3, 4)))
+    merged = subset_fiber(2, ((1, 2), (3, 4)), MERGED)
     mact = class_action(build_subset_matrix(2), merged)
     mcert = search([merged], [mact], (0, 0), bidegree=1)
     assert isinstance(mcert, NestingCertificate)
@@ -283,12 +343,12 @@ def test_check_certificate_rejects_cert_against_wrong_fiber():
     nest, entry = entries(mcert, merged)
     assert check_certificate(nest, entry, "subset", 2)
     # against the orbit fiber the same class index holds different members
-    orbit = fiber_to_dict(orbit_fiber(2, ((1, 2), (3, 4))))
+    orbit = fiber_to_dict(subset_fiber(2, ((1, 2), (3, 4)), ORBIT))
     assert not check_certificate(nest, orbit, "subset", 2)
 
 
 def test_check_certificate_requires_classes_to_partition_the_points():
-    fiber = merged_fiber(4, PAIR_BLOCKS_6)
+    fiber = subset_fiber(4, PAIR_BLOCKS_6, MERGED)
     cert, entry = _genuine_n4_certificate()
     assert cert["chain"] == [1, 3, 4]
     assert check_certificate(cert, entry, "subset", 4)
@@ -296,7 +356,7 @@ def test_check_certificate_requires_classes_to_partition_the_points():
     repeated = fiber.classes + (FiberClass(members=(fiber.classes[0].members[0],)),)
     dropped = fiber.classes[:5]  # class 5 is not on the chain
     for classes in (not_a_point, repeated, dropped):
-        entry = fiber_to_dict(SpecialFiber(classes=classes))
+        entry = fiber_to_dict(SpecialFiber(classes=classes, generators=()))
         assert not check_certificate(cert, entry, "subset", 4)
 
 
@@ -327,13 +387,13 @@ def test_check_certificate_refuses_honest_multiplicities_off_a_chain():
     # chain: the one class of the merged (5) fiber of n = 3 lies in its own
     # image 3 times, and on the orbit (4) fiber of n = 2 the second class
     # does not hold the first in its image
-    one_class = merged_fiber(3, blocks_from_parts((5,), 5))
-    four_cycle = orbit_fiber(2, blocks_from_parts((4,), 4))
+    one_class = subset_fiber(3, blocks_from_parts((5,), 5), MERGED)
+    four_cycle = subset_fiber(2, blocks_from_parts((4,), 4), ORBIT)
     for fiber, n, chain, rows in (
         (one_class, 3, (0,), ((3,),)),
         (four_cycle, 2, (0, 1), ((1,), (0, 1))),
     ):
-        act = class_action(build_subset_matrix(n), fiber)
+        act = reference_class_action(build_subset_matrix(n), fiber)
         assert rows == tuple(
             tuple(act[qi][qj] for qj in chain[: i + 1]) for i, qi in enumerate(chain)
         )
@@ -601,10 +661,13 @@ def reference_nesting_search(fibers, actions, positions, delta_dot_d, bidegree):
     )
 
 
-def assert_matches_reference(fibers, actions, positions, bidegree):
+def assert_matches_reference(fibers, matrices, positions, bidegree):
+    """The clique search on the diagonals and candidate blocks of full class
+    actions finds what the reference search finds on the full actions."""
+    actions = list(map(diagonal_and_block, matrices))
     delta = sum(mult for _, _, mult in fixed_point_scan(actions, positions))
     assert nesting_search(fibers, actions, positions, delta, bidegree) == (
-        reference_nesting_search(fibers, actions, positions, delta, bidegree)
+        reference_nesting_search(fibers, matrices, positions, delta, bidegree)
     )
 
 
@@ -627,9 +690,39 @@ def test_clique_search_matches_reference_on_subset_fibers(n):
         blocks = blocks_from_parts(parts, n + 2)
         for model in (MERGED, ORBIT):
             fiber = subset_fiber(n, blocks, model)
-            act = class_action(build_subset_matrix(n), fiber)
+            act = full_action(build_subset_matrix(n), fiber)
             for positions in ((0,), (0, 0)):
                 assert_matches_reference([fiber], [act], positions, bidegree)
+
+
+def test_fibers_and_actions_match_the_references():
+    # every ramified profile of subset n = 2..7 under both models, and every
+    # grid fiber: the same classes in the same order with the same block
+    # multisets, and the diagonal and candidate block of the full action
+    for n in range(2, 8):
+        corr = build_subset_matrix(n)
+        points = all_subsets(n + 2, n)
+        for parts in _partitions(n + 2):
+            if max(parts) == 1:
+                continue
+            blocks = blocks_from_parts(parts, n + 2)
+            merged, orbit = subset_fiber(n, blocks, MERGED), subset_fiber(n, blocks, ORBIT)
+            assert merged.classes == reference_merged_fiber(n, blocks)
+            sigma = induced_subset_action(partition_monodromy(blocks, n + 2), n)
+            assert orbit.classes == reference_orbit_classes(sigma, points)
+            assert orbit.generators == (sigma,)
+            for fiber in (merged, orbit):
+                full_action(corr, fiber)
+    corr, cells = build_grid_matrix(3), grid_points(3)
+    rows = grid_row_monodromy(3, GRID_ROWS)
+    assert grid_row_merge_fiber(3, GRID_ROWS).classes == reference_orbit_classes(rows, cells)
+    full_action(corr, grid_row_merge_fiber(3, GRID_ROWS))
+    for shift in range(3):
+        pairing = grid_pairing_monodromy(3, shift)
+        fiber = grid_pairing_fiber(3, shift)
+        assert fiber.classes == reference_orbit_classes(pairing, cells)
+        assert fiber.generators == (pairing,)
+        full_action(corr, fiber)
 
 
 def test_clique_search_matches_reference_on_grid_layout():
@@ -637,14 +730,15 @@ def test_clique_search_matches_reference_on_grid_layout():
     corr = build_grid_matrix(3)
     distinct, positions, _ = fiber_layout(grid_scenario(3), MERGED)
     assert len(positions) == 10
-    actions = [class_action(corr, f) for f in distinct]
+    actions = [full_action(corr, f) for f in distinct]
     for chosen in (positions, positions[:1], positions[2:]):
         for bidegree in (corr.bidegree, 1):
             assert_matches_reference(distinct, actions, chosen, bidegree)
 
 
 def _one_point_classes(size):
-    return SpecialFiber(classes=tuple(FiberClass(members=((k + 1,),)) for k in range(size)))
+    classes = tuple(FiberClass(members=((k + 1,),)) for k in range(size))
+    return SpecialFiber(classes=classes, generators=())
 
 
 @st.composite
@@ -720,7 +814,7 @@ def test_nesting_budget_bounds_memo_misses_not_cliques(monkeypatch):
     size = 60
     action = tuple((1,) * size for _ in range(size))
     monkeypatch.setattr(fixed_points, "NESTING_CLIQUE_BUDGET", 100)
-    cert = search([_one_point_classes(size)], [action], (0,), size - 1)
+    cert = search([_one_point_classes(size)], [diagonal_and_block(action)], (0,), size - 1)
     assert isinstance(cert, NestingCertificate)
     assert cert.chain == tuple(range(30))
     assert all(m == 1 for row in cert.memberships for m in row)
@@ -731,7 +825,7 @@ def test_nesting_search_has_no_recursion_limit():
     # the lowest candidate 1,100 times in a row nests that deep
     size = 1_100
     action = tuple(tuple(int(i == j) for j in range(size)) for i in range(size))
-    failure = search([_one_point_classes(size)], [action], (0,), size)
+    failure = search([_one_point_classes(size)], [diagonal_and_block(action)], (0,), size)
     assert isinstance(failure, NestingFailure)
     assert failure.fibers_searched == 1
     # the empty clique and the 1,100 single classes
@@ -800,21 +894,27 @@ def combination_nesting_search(fibers, actions, positions, n):
 @given(layout=st.lists(large_symmetric_class_actions(), min_size=1, max_size=2))
 def test_clique_count_matches_combinations_on_large_actions(layout):
     # at most 2^16 cliques per fiber: within the budget, so always decided
-    fibers, actions = zip(*layout)
+    fibers, matrices = zip(*layout)
+    actions = list(map(diagonal_and_block, matrices))
     positions = range(len(layout))
     delta = sum(mult for _, _, mult in fixed_point_scan(actions, positions))
     n = delta // 2
     assume(n)
     assert nesting_search(fibers, actions, positions, delta, n) == (
-        combination_nesting_search(fibers, actions, positions, n)
+        combination_nesting_search(fibers, matrices, positions, n)
     )
 
 
 def test_nesting_search_rejects_asymmetric_action():
-    action = ((1, 1), (0, 1))
+    action = diagonal_and_block(((1, 1), (0, 1)))
     with pytest.raises(ValueError, match="not symmetric"):
         search([_one_point_classes(2)], [action], (0, 0), bidegree=2)
     # the one-sided entry below the diagonal: both entries are named
-    action = ((1, 1, 0), (1, 1, 1), (1, 1, 1))
+    action = diagonal_and_block(((1, 1, 0), (1, 1, 1), (1, 1, 1)))
     with pytest.raises(ValueError, match=re.escape("action[0][2] = 0, action[2][0] = 1")):
         search([_one_point_classes(3)], [action], (0, 0), bidegree=3)
+    # the block is indexed by candidate, the message by class: classes 0
+    # and 2 are not candidates here
+    action = diagonal_and_block(((0, 1, 1, 1), (1, 1, 1, 1), (1, 1, 2, 1), (1, 0, 1, 1)))
+    with pytest.raises(ValueError, match=re.escape("action[1][3] = 1, action[3][1] = 0")):
+        search([_one_point_classes(4)], [action], (0,), bidegree=3)

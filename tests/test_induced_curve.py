@@ -14,8 +14,6 @@ from prymtyurin.induced_curve import (
     grid_row_merge_fiber,
     grid_row_monodromy,
     irreducibility_check,
-    merged_fiber,
-    orbit_fiber,
     partition_monodromy,
     subset_fiber,
 )
@@ -47,7 +45,7 @@ def test_blocks_from_parts():
 
 
 def test_merged_fiber_n3():
-    fiber = merged_fiber(3, THREE_BLOCKS)
+    fiber = subset_fiber(3, THREE_BLOCKS, MERGED)
     assert class_sizes(fiber) == (4, 2, 2, 1, 1)
     assert fiber.w_contribution == 5
     big = max(fiber.classes, key=lambda c: c.size)
@@ -56,15 +54,15 @@ def test_merged_fiber_n3():
 
 
 def test_merged_fiber_n2_and_n4():
-    assert class_sizes(merged_fiber(2, TWO_BLOCKS)) == (4, 1, 1)
-    assert merged_fiber(2, TWO_BLOCKS).w_contribution == 3
-    fiber4 = merged_fiber(4, PAIR_BLOCKS_6)
+    assert class_sizes(subset_fiber(2, TWO_BLOCKS, MERGED)) == (4, 1, 1)
+    assert subset_fiber(2, TWO_BLOCKS, MERGED).w_contribution == 3
+    fiber4 = subset_fiber(4, PAIR_BLOCKS_6, MERGED)
     assert class_sizes(fiber4) == (4, 4, 4, 1, 1, 1)
     assert fiber4.w_contribution == 9
 
 
 def test_merged_fiber_discrete_partition_is_unramified():
-    fiber = merged_fiber(3, ((1,), (2,), (3,), (4,), (5,)))
+    fiber = subset_fiber(3, ((1,), (2,), (3,), (4,), (5,)), MERGED)
     assert class_sizes(fiber) == (1,) * 10
     assert fiber.w_contribution == 0
 
@@ -78,7 +76,7 @@ def test_partition_monodromy():
 
 
 def test_orbit_fiber_n3():
-    fiber = orbit_fiber(3, THREE_BLOCKS)
+    fiber = subset_fiber(3, THREE_BLOCKS, ORBIT)
     assert class_sizes(fiber) == (2, 2, 2, 2, 1, 1)
     assert fiber.w_contribution == 4
     member_sets = {c.members for c in fiber.classes}
@@ -87,9 +85,9 @@ def test_orbit_fiber_n3():
 
 
 def test_orbit_fiber_n2_and_n4():
-    assert class_sizes(orbit_fiber(2, TWO_BLOCKS)) == (2, 2, 1, 1)
-    assert orbit_fiber(2, TWO_BLOCKS).w_contribution == 2
-    fiber4 = orbit_fiber(4, PAIR_BLOCKS_6)
+    assert class_sizes(subset_fiber(2, TWO_BLOCKS, ORBIT)) == (2, 2, 1, 1)
+    assert subset_fiber(2, TWO_BLOCKS, ORBIT).w_contribution == 2
+    fiber4 = subset_fiber(4, PAIR_BLOCKS_6, ORBIT)
     assert class_sizes(fiber4) == (2,) * 6 + (1,) * 3
     assert fiber4.w_contribution == 6
 
@@ -97,16 +95,16 @@ def test_orbit_fiber_n2_and_n4():
 def test_single_transposition_models_agree():
     for n in (2, 3, 4, 5):
         blocks = ((1, 2),) + tuple((x,) for x in range(3, n + 3))
-        merged = merged_fiber(n, blocks)
-        orbit = orbit_fiber(n, blocks)
+        merged = subset_fiber(n, blocks, MERGED)
+        orbit = subset_fiber(n, blocks, ORBIT)
         assert class_sizes(merged) == class_sizes(orbit)
         assert merged.w_contribution == n
 
 
 def test_orbits_refine_merged_classes():
     for n, blocks in ((2, TWO_BLOCKS), (3, THREE_BLOCKS), (4, PAIR_BLOCKS_6), (3, ((1, 2, 3), (4, 5)))):
-        merged = merged_fiber(n, blocks)
-        orbit = orbit_fiber(n, blocks)
+        merged = subset_fiber(n, blocks, MERGED)
+        orbit = subset_fiber(n, blocks, ORBIT)
         merged_of = {m: c.members for c in merged.classes for m in c.members}
         for oc in orbit.classes:
             owners = {merged_of[m] for m in oc.members}
@@ -204,11 +202,21 @@ def test_grid_generators_transitive():
 
 
 def test_subset_fiber_dispatch():
-    merged, orbit = merged_fiber(3, THREE_BLOCKS), orbit_fiber(3, THREE_BLOCKS)
+    # merged: a transposition and the cycle of each block, one move for a
+    # pair; orbit: the one local monodromy.  Each is induced on 3-subsets
+    def induced(*cycles):
+        return induced_subset_action(Permutation.from_cycles(5, cycles), 3)
+
+    merged, orbit = subset_fiber(3, THREE_BLOCKS, MERGED), subset_fiber(3, THREE_BLOCKS, ORBIT)
     assert merged != orbit
-    assert subset_fiber(3, THREE_BLOCKS, MERGED) == merged
-    assert subset_fiber(3, THREE_BLOCKS, ORBIT) == orbit
-    with pytest.raises(ValueError):
+    assert merged.generators == (induced((1, 2)), induced((3, 4)))
+    assert orbit.generators == (induced((1, 2), (3, 4)),)
+    blocks = ((1, 2, 3), (4, 5))
+    assert subset_fiber(3, blocks, MERGED).generators == (
+        induced((1, 2)), induced((1, 2, 3)), induced((4, 5))
+    )
+    assert subset_fiber(3, blocks, ORBIT).generators == (induced((1, 2, 3), (4, 5)),)
+    with pytest.raises(ValueError, match="unknown fiber model 'other'"):
         subset_fiber(3, THREE_BLOCKS, "other")
 
 

@@ -151,7 +151,7 @@ def test_induced_action_reads_large_subsets_off_their_complements():
     for k in range(7):
         index = subset_index(6, k)
         for p in group:
-            want = point_permutation(all_subsets(6, k), p.apply_to_set)
+            want = point_permutation(all_subsets(6, k), lambda subset: tuple(sorted(map(p, subset))))
             assert induced_subset_action(p, k) == want
             assert induced_subset_action(p, k, index) == want
 

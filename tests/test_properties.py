@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from prymtyurin.correspondence import build_subset_matrix
 from prymtyurin.covering import GenusValidationError, riemann_hurwitz_genus
 from prymtyurin.fixed_points import class_action
-from prymtyurin.induced_curve import merged_fiber
+from prymtyurin.induced_curve import MERGED, subset_fiber
 from prymtyurin.perms import (
     Permutation,
     all_subsets,
@@ -18,6 +18,7 @@ from prymtyurin.perms import (
 )
 
 import pytest
+from references import diagonal_and_block, reference_class_action, reference_merged_fiber
 
 
 def after(a, b):
@@ -198,10 +199,14 @@ def test_genus_rejects_odd_total_ramification(degree, half_w):
 @settings(max_examples=60)
 @given(arbitrary_partitions())
 def test_class_action_never_depends_on_representative(case):
+    # class_action proves it from the fiber's generators; the reference
+    # checks every member of every class
     n, blocks = case
     corr = build_subset_matrix(n)
-    fiber = merged_fiber(n, blocks)
-    act = class_action(corr, fiber)
-    for row in act:
+    fiber = subset_fiber(n, blocks, MERGED)
+    assert fiber.classes == reference_merged_fiber(n, blocks)
+    full = reference_class_action(corr, fiber)
+    for row in full:
         assert sum(row) == corr.bidegree
+    assert class_action(corr, fiber) == diagonal_and_block(full)
     assert sum(cls.size for cls in fiber.classes) == corr.size

@@ -1,4 +1,5 @@
 import enum
+import hashlib
 import json
 import os
 import sys
@@ -666,7 +667,36 @@ def test_subset_n8_both_models_decided():
     assert orbit["nesting"]["orderings_tried"] == 128_655_846_080
 
 
-@pytest.mark.parametrize("n, pairs", [(10, 15), (12, 21), (16, 36), (20, 55), (30, 120)])
+# the sha256 of each large report's canonical JSON and of its table
+LARGE_N_DIGESTS = {
+    10: (
+        "91d02f54d0ec02c3a560ab61955662b3d10d5ce60790e2db2336172686d8ccf9",
+        "8011d602a714feeb4750eb9134ec760ee65c101462ffb18392c4f76d4942618e",
+    ),
+    12: (
+        "b3c1e96f8a64fc98fa94284b254895320e970554757e2a6e14e6e47ade55e948",
+        "cba4da00395b57e2683ac902a9ac58f048577a31db948c275002b4efd932d58a",
+    ),
+    16: (
+        "cc2401adbf8993c220cc9a7797b269df92df1dc9a4a813e05e289659e0424459",
+        "14257468f35f7223d83c69eca1f550d8d826312d3620343b6c298c2b373980c0",
+    ),
+    20: (
+        "495b5a5bd941cc474df7671713026e912de8c31621902f9db8d56d8b718ce606",
+        "5363d4d4aad4d2c27783c4e8f4362438937ee987a90f9cbd0dee62f7af32a2e9",
+    ),
+    30: (
+        "3e4db239d8b66a94293f2029d30df7840d188e39298c825145e1c075d420ba13",
+        "8ad0501e7a638f4c34bdb298c51a9773ecf41cb4abf901507883c828bdd65a4f",
+    ),
+    40: (
+        "0467cb98fb46aaaeee8a1a72a716aa2de024082a8552c983af9e2d5395fdbc8b",
+        "fbce3c19655b25f68fb99e8f0e7dd5cdb6516e646eb3b7160ff77211feee5f1c",
+    ),
+}
+
+
+@pytest.mark.parametrize("n, pairs", [(10, 15), (12, 21), (16, 36), (20, 55), (30, 120), (40, 210)])
 def test_subset_large_n_both_models_decided(n, pairs):
     start = time.monotonic()
     data = assemble(subset_scenario(n, 3))
@@ -685,6 +715,9 @@ def test_subset_large_n_both_models_decided(n, pairs):
     )
     assert orbit["nesting"]["orderings_tried"] == 2 * per_fiber
     assert elapsed < 2.0
+    json_digest, table_digest = LARGE_N_DIGESTS[n]
+    assert hashlib.sha256(report_to_json(data).encode()).hexdigest() == json_digest
+    assert hashlib.sha256(render_table(data).encode()).hexdigest() == table_digest
 
 
 def test_exhausted_nesting_budget_is_undecided(monkeypatch):

@@ -153,6 +153,10 @@ SHOWN, NEGATIVE = "an integer of 16610 bits", "a negative integer of 16610 bits"
             r"monodromy\[0\] must be a list of integer sheet labels, got a value too long to print",
         ),
         (
+            lambda: subset_scenario(3, 1, monodromy=[[HUGE, 1, 2, 3, 4]]),
+            r"monodromy\[0\]: not a bijection of 1..5: a value too long to print",
+        ),
+        (
             lambda: Scenario(kind=HUGE, upstairs_genus=1, parameter=3),
             rf"kind must be one of \('subset', 'grid'\), got {SHOWN}",
         ),
