@@ -142,18 +142,6 @@ def _columns_are_rows(bits: list[str], order) -> bool:
     return all(map(str.__eq__, columns, bits))
 
 
-@dataclass(frozen=True)
-class QuadraticIdentity:
-    """Coefficients of D^2 = a*I + b*D + c*U."""
-
-    a: int
-    b: int
-    c: int
-
-    def coefficients(self) -> tuple[int, int, int]:
-        return (self.a, self.b, self.c)
-
-
 def build_subset_matrix(n: int) -> FiberCorrespondence:
     """The subset correspondence for n >= 2 on comb(n+2, 2) points.
 
@@ -245,8 +233,9 @@ def verify_identity(corr: FiberCorrespondence, a, b, c):
     return True, None
 
 
-def discover_identity(corr: FiberCorrespondence) -> QuadraticIdentity | None:
-    """The integer (a, b, c) with D^2 = a*I + b*D + c*U, or None if none exists.
+def discover_identity(corr: FiberCorrespondence) -> tuple[int, int, int] | None:
+    """The integers (a, b, c) with D^2 = a*I + b*D + c*U, or None if none
+    exists: the same plain tuple strongly_regular_identity writes.
 
     D is 0/1 with a zero diagonal, so under the identity D^2 takes three
     values: a + c on the diagonal, b + c on related pairs and c on unrelated
@@ -257,8 +246,8 @@ def discover_identity(corr: FiberCorrespondence) -> QuadraticIdentity | None:
     Each is one popcount of row 0 and another row (D^2[0][0] is the
     bidegree); verify_identity then proves the candidate entrywise.
 
-    >>> discover_identity(build_grid_matrix(3)).coefficients() == (2, -1, 2)
-    True
+    >>> discover_identity(build_grid_matrix(3))
+    (2, -1, 2)
     """
     row = corr.rows[0]
     unrelated = ((1 << corr.size) - 2) & ~row  # off the diagonal, outside the image
@@ -268,11 +257,11 @@ def discover_identity(corr: FiberCorrespondence) -> QuadraticIdentity | None:
     b = square(row) - c if row else 0
     a = corr.bidegree - c
     ok, _ = verify_identity(corr, a, b, c)
-    return QuadraticIdentity(a=a, b=b, c=c) if ok else None
+    return (a, b, c) if ok else None
 
 
-def exponent_from_identity(ident: QuadraticIdentity) -> tuple[int | None, str]:
-    """The exponent q of an identity and a note saying how q was derived,
+def exponent_from_identity(ident: tuple[int, int, int]) -> tuple[int | None, str]:
+    """The exponent q of an identity (a, b, c) and a note saying how q was derived,
     or q = None and a note naming the failed hypothesis.
 
     Discarding the all-ones term (the base of the pencil is a rational curve,
@@ -281,13 +270,14 @@ def exponent_from_identity(ident: QuadraticIdentity) -> tuple[int | None, str]:
     so q = 2 - b and the factorization exists exactly when a = q - 1 with an
     integer q >= 2.
     """
-    q = 2 - ident.b
+    a, b, _ = ident
+    q = 2 - b
     if q < 2:
         return None, f"criterion hypothesis fails: q = 2 - b = {q} is below 2"
-    if ident.a != q - 1:
-        return None, f"criterion hypothesis fails: need a = q - 1 = {q - 1}, got a = {ident.a}"
+    if a != q - 1:
+        return None, f"criterion hypothesis fails: need a = q - 1 = {q - 1}, got a = {a}"
     return q, (
-        f"gamma^2 = {ident.a} + ({ident.b})*gamma after dropping the all-ones term "
+        f"gamma^2 = {a} + ({b})*gamma after dropping the all-ones term "
         f"(trivial Jacobian of the rational base); factors as "
         f"(1 - gamma)(gamma + {q - 1}) = 0, so the exponent is q = {q}"
     )
@@ -309,7 +299,7 @@ def strongly_regular_identity(kind: str, parameter: int) -> tuple[int, int, int]
     return (k - mu, lam - mu, mu)
 
 
-def identity_and_exponent(corr) -> tuple[QuadraticIdentity | None, int | None, str]:
+def identity_and_exponent(corr) -> tuple[tuple[int, int, int] | None, int | None, str]:
     """The discovered identity, the exponent q (None when the identity does
     not factor as the criterion needs, or when a family's identity differs
     from its strongly regular closed form) and a note saying how q was
@@ -318,10 +308,9 @@ def identity_and_exponent(corr) -> tuple[QuadraticIdentity | None, int | None, s
     if ident is None:
         return None, None, "no quadratic identity exists for this correspondence"
     want = strongly_regular_identity(corr.kind, corr.parameter)
-    if want is not None and ident.coefficients() != want:
-        got = ", ".join(map(str, ident.coefficients()))
+    if want is not None and ident != want:
         return ident, None, (
-            f"the discovered identity (a, b, c) = ({got}) differs from the strongly"
+            f"the discovered identity (a, b, c) = {ident} differs from the strongly"
             f" regular closed form {want} of the {corr.kind} correspondence with"
             f" parameter {corr.parameter}"
         )

@@ -41,7 +41,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain, combinations, compress, count, islice
 from math import factorial
-from operator import attrgetter
 
 from .correspondence import FiberCorrespondence, Matrix
 from .induced_curve import SpecialFiber
@@ -67,7 +66,7 @@ def class_action(corr: FiberCorrespondence, fiber: SpecialFiber) -> tuple[tuple,
     they generate, a point p and a class M, |D(gp) & M| = |D(p) & g^-1 M| =
     |D(p) & M|, and the action does not depend on the representative.
     """
-    members = list(chain.from_iterable(map(attrgetter("members"), fiber.classes)))
+    members = list(chain.from_iterable(fiber.classes))
     at = list(map(corr.index.get, members))
     if None in at:
         member = members[at.index(None)]
@@ -81,8 +80,7 @@ def class_action(corr: FiberCorrespondence, fiber: SpecialFiber) -> tuple[tuple,
     corr.check_moves(fiber.generators, "generator")
     # each class as its sorted 1-based positions, as orbits writes an orbit
     positions = iter(map((1).__add__, at))
-    sizes = map(len, map(attrgetter("members"), fiber.classes))
-    declared = [tuple(sorted(islice(positions, size))) for size in sizes]
+    declared = [tuple(sorted(islice(positions, len(cls)))) for cls in fiber.classes]
     orbs = orbits(fiber.generators, corr.size)
     if sorted(declared) != list(orbs):
         orbit_of = {r: orbit for orbit in orbs for r in orbit}
@@ -300,7 +298,7 @@ def nesting_search(fibers, actions, positions, delta_dot_d: int, bidegree: int):
         return NestingCertificate(
             fiber_index=pos,
             chain=found,
-            chain_members=tuple(fiber.classes[q].members for q in found),
+            chain_members=tuple(fiber.classes[q] for q in found),
             memberships=tuple(
                 tuple(block[i][j] for j in chain[: k + 1]) for k, i in enumerate(chain)
             ),

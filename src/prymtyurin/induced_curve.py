@@ -19,17 +19,19 @@ classes, so the two models agree fiber by fiber.
 
 Every special fiber is built one way, as the orbits (perms.orbits) of the
 generators it carries: permutations of the generic fiber's point positions
-in the correspondence's point order.  They are the Young subgroup of the
-blocks (merged model) or the local monodromy (orbit model), induced on
-subsets by perms.induced_subset_action, and the local monodromy on grid
-cells by perms.point_permutation.  fixed_points.class_action proves from
-them that the correspondence descends to the classes.
+in the correspondence's point order.  They are the Young subgroup of a
+profile's blocks (blocks_from_parts; merged model) or its local monodromy
+(orbit model), induced on subsets by perms.induced_subset_action, and the
+local monodromy on grid cells by perms.point_permutation.
+fixed_points.class_action proves from them that the correspondence
+descends to the classes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from math import comb
 
 from .correspondence import grid_points
@@ -49,56 +51,42 @@ MODELS = (MERGED, ORBIT)
 
 
 @dataclass(frozen=True)
-class FiberClass:
-    """One point of a special fiber: the subsets (or grid cells) glued into it.
-
-    members are sorted tuples of 1-based labels; block_multiset is the sorted
-    tuple of block ids hit by a member, with multiplicity (merged subset model
-    only, None otherwise).  The ramification index of the class is its size.
-    """
-
-    members: tuple[tuple[int, ...], ...]
-    block_multiset: tuple[int, ...] | None = None
-
-    @property
-    def size(self) -> int:
-        return len(self.members)
-
-
-@dataclass(frozen=True)
 class SpecialFiber:
-    """A special fiber of the induced covering: its classes of points, the
-    orbits of its generators, permutations of the 1-based positions of the
-    generic fiber's points in the correspondence's point order.  The report's
-    model entry holding a fiber records its model; each model builds its own
-    fibers, so the grid fibers of both models are equal but not shared.
+    """A special fiber of the induced covering: its classes, the orbits of its
+    generators (permutations of the 1-based positions of the generic fiber's
+    points, in the correspondence's point order).  A class is the sorted
+    tuple of its members, and its size is its ramification index.  A merged
+    subset fiber carries the label blocks its report entry reads; blocks is
+    None for orbit and grid fibers.  The report's model entry holding a fiber
+    records its model; each model builds its own fibers, so the grid fibers
+    of both models are equal but not shared.
+
+    >>> fiber = subset_fiber(2, (2, 2), MERGED)
+    >>> fiber.classes, fiber.blocks
+    ((((1, 2),), ((1, 3), (1, 4), (2, 3), (2, 4)), ((3, 4),)), ((1, 2), (3, 4)))
     """
 
-    classes: tuple[FiberClass, ...]
+    classes: tuple[tuple[tuple, ...], ...]
     generators: tuple[Permutation, ...]
+    blocks: tuple[tuple[int, ...], ...] | None = None
 
     @cached_property
     def w_contribution(self) -> int:
-        return sum(c.size - 1 for c in self.classes)
+        return sum(map(len, self.classes)) - len(self.classes)
 
 
-def _fiber(generators: tuple[Permutation, ...], points, blocks) -> SpecialFiber:
+def _fiber(generators: tuple[Permutation, ...], points, blocks=None) -> SpecialFiber:
     """The one fiber builder: the orbits of the generators on the positions
     of points, as classes that list their members in lexicographic order,
-    ordered by that first member.  With blocks given (merged model), each
-    class carries the block ids its first member hits, with multiplicity.
-    """
+    ordered by that first member."""
     point = (None, *points).__getitem__  # the point at a 1-based position
     members = sorted(tuple(sorted(map(point, orbit))) for orbit in orbits(generators, len(points)))
-    if blocks is None:
-        return SpecialFiber(tuple(map(FiberClass, members)), generators)
-    block_of = {x: i for i, b in enumerate(blocks) for x in b}
-    keys = (tuple(sorted(map(block_of.__getitem__, m[0]))) for m in members)
-    return SpecialFiber(tuple(map(FiberClass, members, keys)), generators)
+    return SpecialFiber(tuple(members), generators, blocks)
 
 
 def blocks_from_parts(parts: tuple[int, ...], degree: int) -> tuple[tuple[int, ...], ...]:
-    """Canonical identification blocks for a ramification profile.
+    """Canonical identification blocks for a ramification profile, the one
+    place a profile becomes labels.
 
     Branch points are anonymous, so only the partition shape matters; labels
     are assigned consecutively: (2, 2, 1) on 5 sheets becomes
@@ -106,43 +94,38 @@ def blocks_from_parts(parts: tuple[int, ...], degree: int) -> tuple[tuple[int, .
     """
     if sum(parts) != degree:
         raise ValueError(f"profile {parts!r} does not sum to {degree}")
-    blocks = []
-    next_label = 1
-    for p in sorted(parts, reverse=True):
-        blocks.append(tuple(range(next_label, next_label + p)))
-        next_label += p
-    return tuple(blocks)
+    parts = sorted(parts, reverse=True)
+    starts = accumulate(parts, initial=1)
+    return tuple(tuple(range(start, start + p)) for start, p in zip(starts, parts))
 
 
-def _validate_blocks(blocks, degree: int) -> tuple[tuple[int, ...], ...]:
-    flat = sorted(x for b in blocks for x in b)
-    if flat != list(range(1, degree + 1)):
-        raise ValueError(f"blocks {blocks!r} are not a partition of 1..{degree}")
-    return tuple(tuple(sorted(b)) for b in blocks)
-
-
-def partition_monodromy(blocks, degree: int) -> Permutation:
-    """The canonical local monodromy with the given cycle partition: each
-    block becomes one cycle on its sorted labels.
+def partition_monodromy(parts, degree: int) -> Permutation:
+    """The canonical local monodromy of a ramification profile: each block
+    of blocks_from_parts becomes one cycle on its labels.
 
     Any other permutation with the same cycle partition is conjugate to this
     one by a block-preserving relabeling, so the induced orbit structure
     depends only on the partition.
     """
-    blocks = _validate_blocks(blocks, degree)
+    blocks = blocks_from_parts(parts, degree)
     return Permutation.from_cycles(degree, tuple(b for b in blocks if len(b) > 1))
 
 
-def subset_fiber(n: int, blocks, model: str) -> SpecialFiber:
-    """The subset construction's special fiber over identification blocks of
-    the n + 2 sheets.  Merged model: n-subsets that hit the blocks with the
-    same multiplicities, the orbits of the blocks' Young subgroup, generated
-    by a transposition and the cycle of each block (one move for a pair).
-    Orbit model: the cycles of the local monodromy (partition_monodromy).
-    Every generator is induced on n-subsets through one colex index.
+def subset_fiber(n: int, parts, model: str) -> SpecialFiber:
+    """The subset construction's special fiber over a ramification profile
+    of the n + 2 sheets, whose blocks_from_parts collide.  Merged model:
+    n-subsets that hit the blocks with the same multiplicities, the orbits of
+    the blocks' Young subgroup, generated by a transposition and the cycle of
+    each block (one move for a pair); the fiber carries its blocks.  Orbit
+    model: the cycles of the local monodromy (partition_monodromy).  Every
+    generator is induced on n-subsets through one colex index.  The merged
+    class of size 4 splits into two orbits:
+
+    >>> [[len(c) for c in subset_fiber(3, (2, 2, 1), m).classes] for m in MODELS]
+    [[2, 1, 2, 4, 1], [2, 1, 2, 2, 2, 1]]
     """
     degree = n + 2
-    blocks = _validate_blocks(blocks, degree)
+    blocks = blocks_from_parts(parts, degree)
     moved = tuple(b for b in blocks if len(b) > 1)
     if model == MERGED:
         moves = [(c,) for b in moved for c in dict.fromkeys((b[:2], b))]
@@ -160,10 +143,10 @@ def subset_fiber(n: int, blocks, model: str) -> SpecialFiber:
 # --- grid fibers ------------------------------------------------------------
 
 
-def grid_row_monodromy(m: int, row_blocks) -> Permutation:
+def grid_row_monodromy(m: int, row_parts) -> Permutation:
     """Local monodromy of a row-merge fiber as a permutation of the cells:
-    the row coordinate moves by the block cycles, columns stay put."""
-    sigma = partition_monodromy(row_blocks, m)
+    the rows move by partition_monodromy of their profile, columns stay put."""
+    sigma = partition_monodromy(row_parts, m)
     return point_permutation(grid_points(m), lambda cell: (sigma(cell[0]), cell[1]))
 
 
@@ -177,17 +160,17 @@ def grid_pairing_monodromy(m: int, shift: int = 0) -> Permutation:
     return point_permutation(grid_points(m), lambda cell: (tau_inv(cell[1]), tau(cell[0])))
 
 
-def grid_row_merge_fiber(m: int, row_blocks) -> SpecialFiber:
-    """Grid special fiber where rows are glued by the given partition
+def grid_row_merge_fiber(m: int, row_parts) -> SpecialFiber:
+    """Grid special fiber where rows are glued by a profile of the m rows
     (columns stay distinct): the orbits of grid_row_monodromy, so cell (i, j)
-    is identified with (i', j) when i, i' share a block."""
-    return _fiber((grid_row_monodromy(m, row_blocks),), grid_points(m), None)
+    is identified with (i', j) when i, i' share a block of the profile."""
+    return _fiber((grid_row_monodromy(m, row_parts),), grid_points(m))
 
 
 def grid_pairing_fiber(m: int, shift: int = 0) -> SpecialFiber:
     """Grid special fiber where the two sides of the grid coincide: the
     orbits of grid_pairing_monodromy, each a glued pair or a diagonal cell."""
-    return _fiber((grid_pairing_monodromy(m, shift),), grid_points(m), None)
+    return _fiber((grid_pairing_monodromy(m, shift),), grid_points(m))
 
 
 # --- irreducibility proxy ---------------------------------------------------

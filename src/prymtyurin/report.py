@@ -25,7 +25,6 @@ from json.encoder import encode_basestring_ascii
 
 from .correspondence import (
     FiberCorrespondence,
-    QuadraticIdentity,
     build_grid_matrix,
     build_subset_matrix,
     identity_and_exponent,
@@ -49,7 +48,6 @@ from .induced_curve import (
     MERGED,
     ORBIT,
     SpecialFiber,
-    blocks_from_parts,
     grid_pairing_fiber,
     grid_pairing_monodromy,
     grid_row_merge_fiber,
@@ -68,8 +66,8 @@ UNDECIDED = "undecided"
 SYNTHESIZED = "synthesized"
 EXPLICIT = "explicit"
 
-# the rows the grid layout's row-merge fibers glue
-GRID_ROW_BLOCKS = ((1, 2), (3,))
+# the profile of the rows the grid layout's row-merge fibers glue
+GRID_ROW_PROFILE = (2, 1)
 
 
 class DimensionError(ValueError):
@@ -153,7 +151,7 @@ def fiber_layout(
     branch point.
     """
     if scenario.kind == GRID:
-        rows = grid_row_merge_fiber(GRID_SIZE, GRID_ROW_BLOCKS)
+        rows = grid_row_merge_fiber(GRID_SIZE, GRID_ROW_PROFILE)
         pairings = tuple(grid_pairing_fiber(GRID_SIZE, s) for s in range(GRID_SIZE))
         extra = scenario.covering.simple_extra
         cycle = (tuple(range(1, GRID_SIZE + 1)) * (extra // GRID_SIZE + 1))[:extra]
@@ -162,14 +160,14 @@ def fiber_layout(
     simple_profile = (2,) + (1,) * n
     profiles = dict.fromkeys((*scenario.special_fibers, simple_profile))
     index = {p: i for i, p in enumerate(profiles)}
-    distinct = tuple(subset_fiber(n, blocks_from_parts(p, n + 2), model) for p in profiles)
+    distinct = tuple(subset_fiber(n, p, model) for p in profiles)
     return distinct, tuple(index[p] for p in scenario.special_fibers), index[simple_profile]
 
 
 def _irreducibility(scenario: Scenario) -> tuple[bool, str]:
     if scenario.kind == GRID:
         gens = tuple(grid_pairing_monodromy(GRID_SIZE, s) for s in range(GRID_SIZE))
-        gens += (grid_row_monodromy(GRID_SIZE, GRID_ROW_BLOCKS),)
+        gens += (grid_row_monodromy(GRID_SIZE, GRID_ROW_PROFILE),)
         return is_transitive(gens, GRID_SIZE ** 2), SYNTHESIZED
     n = scenario.parameter
     degree = n + 2
@@ -179,10 +177,7 @@ def _irreducibility(scenario: Scenario) -> tuple[bool, str]:
     # representative choice: the declared special-fiber monodromies plus one
     # adjacent transposition per simple branch point; they repeat after
     # degree - 1, so only the distinct ones are kept
-    gens = [
-        partition_monodromy(blocks_from_parts(p, degree), degree)
-        for p in scenario.special_fibers
-    ]
+    gens = [partition_monodromy(p, degree) for p in scenario.special_fibers]
     for i in range(1, 1 + min(scenario.covering.simple_extra, degree - 1)):
         gens.append(transposition(degree, i, i + 1))
     return irreducibility_check(tuple(gens), n), SYNTHESIZED
@@ -280,7 +275,7 @@ def _model(
                 "fiber": pos,
                 "class": ci,
                 "multiplicity": mult,
-                "members": [list(m) for m in distinct[positions[pos]].classes[ci].members],
+                "members": [list(m) for m in distinct[positions[pos]].classes[ci]],
             }
             for pos, ci, mult in fixed
         ],
@@ -390,15 +385,19 @@ def covering_to_dict(cov: CoveringData) -> dict:
 
 
 def fiber_to_dict(fiber: SpecialFiber) -> dict:
+    # a merged class's block_multiset: the block ids its first member hits, with multiplicity
+    block_of = {x: i for i, b in enumerate(fiber.blocks or ()) for x in b}
     return {
         "w": fiber.w_contribution,
         "classes": [
             {
-                "members": [list(m) for m in cls.members],
-                "block_multiset": None if cls.block_multiset is None else list(cls.block_multiset),
-                "index": cls.size,
+                "members": [list(m) for m in members],
+                "block_multiset": sorted(map(block_of.__getitem__, members[0]))
+                if fiber.blocks
+                else None,
+                "index": len(members),
             }
-            for cls in fiber.classes
+            for members in fiber.classes
         ],
     }
 
@@ -417,7 +416,7 @@ def nesting_to_dict(nesting) -> dict:
 
 
 def correspondence_to_dict(
-    size: int, bidegree: int, ident: QuadraticIdentity | None, q: int | None, note: str
+    size: int, bidegree: int, ident: tuple[int, int, int] | None, q: int | None, note: str
 ) -> dict:
     """The correspondence summary: size, bidegree, identity and exponent.
 
@@ -429,12 +428,7 @@ def correspondence_to_dict(
         "bidegree": bidegree,
         "identity": None
         if ident is None
-        else {
-            "form": "D^2 = a*I + b*D + c*U",
-            "a": ident.a,
-            "b": ident.b,
-            "c": ident.c,
-        },
+        else {"form": "D^2 = a*I + b*D + c*U", **dict(zip("abc", ident))},
         "identity_verified": ident is not None,
         "exponent": q,
         "exponent_derivation": note,

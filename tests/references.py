@@ -3,15 +3,21 @@ compare against.
 
 reference_class_action is the class action as a full matrix over classes,
 checked at every member of every class; reference_merged_fiber groups the
-n-subsets by the multiset of identification blocks they hit; and
+n-subsets by the multiset of identification blocks they hit, and returns the
+classes with those grouping keys; and
 reference_orbit_classes is the cycles of one permutation of point positions.
+merged_fiber_over reaches the merged fiber over any identification blocks,
+which the package builds only for a profile's canonical blocks, by
+relabeling.
 The package now builds every special fiber as the orbits of its generators
 and reads the action off one representative per class, only where the
 criterion reads it: diagonal_and_block cuts a full matrix down to that part.
 """
 
-from prymtyurin.induced_curve import FiberClass
-from prymtyurin.perms import all_subsets, orbits
+from itertools import chain
+
+from prymtyurin.induced_curve import MERGED, SpecialFiber, subset_fiber
+from prymtyurin.perms import Permutation, all_subsets, induced_subset_action, orbits
 
 
 def reference_class_action(corr, fiber):
@@ -22,7 +28,7 @@ def reference_class_action(corr, fiber):
     masks, seen = [], 0
     for cls in fiber.classes:
         before = seen
-        for member in cls.members:
+        for member in cls:
             row = corr.index.get(member)
             if row is None:
                 raise ValueError(
@@ -32,14 +38,14 @@ def reference_class_action(corr, fiber):
                 raise ValueError(f"member {member} appears in two classes")
             seen |= 1 << row
         masks.append(seen ^ before)
-    covered = sum(len(c.members) for c in fiber.classes)
+    covered = sum(map(len, fiber.classes))
     if covered != corr.size:
         raise ValueError(f"classes cover {covered} points, matrix has {corr.size}")
 
     rows = []
     for ci, cls in enumerate(fiber.classes):
         projected = None
-        for member in cls.members:
+        for member in cls:
             image = corr.rows[corr.index[member]]
             counts = [(image & mask).bit_count() for mask in masks]
             if projected is None:
@@ -54,29 +60,44 @@ def reference_class_action(corr, fiber):
 
 
 def reference_merged_fiber(n, blocks):
-    """The classes of the merged-model fiber: n-subsets grouped by the sorted
-    block ids they hit, each class in lexicographic order, classes ordered by
-    their first member."""
+    """The classes of the merged-model fiber and their grouping keys: n-subsets
+    grouped by the sorted block ids they hit, each class a tuple of its
+    members in lexicographic order, classes ordered by their first member,
+    and the key of each class in the same order."""
     block_of = {x: i for i, b in enumerate(blocks) for x in b}
     grouped = {}
     for s in all_subsets(n + 2, n):
         key = tuple(sorted(block_of[x] for x in s))
         grouped.setdefault(key, []).append(s)
-    classes = [
-        FiberClass(members=tuple(sorted(members)), block_multiset=key)
-        for key, members in grouped.items()
-    ]
-    classes.sort(key=lambda c: c.members[0])
-    return tuple(classes)
+    ordered = sorted((tuple(sorted(members)), key) for key, members in grouped.items())
+    return tuple(c for c, _ in ordered), tuple(key for _, key in ordered)
+
+
+def merged_fiber_over(n, blocks):
+    """The merged fiber over arbitrary identification blocks of the n + 2
+    sheets, carrying those blocks: subset_fiber's fiber of their profile,
+    classes and generators relabeled by the label permutation that carries
+    its canonical blocks onto these (blocks of equal size in the order
+    given)."""
+    ordered = sorted(blocks, key=len, reverse=True)
+    fiber = subset_fiber(n, tuple(map(len, ordered)), MERGED)
+    image = dict(zip(chain.from_iterable(fiber.blocks), chain.from_iterable(ordered)))
+    relabel = lambda member: tuple(sorted(map(image.__getitem__, member)))
+    classes = tuple(sorted(tuple(sorted(map(relabel, cls))) for cls in fiber.classes))
+    # a generator g on positions becomes move . g . move^-1
+    move = induced_subset_action(Permutation(tuple(map(image.__getitem__, range(1, n + 3)))), n)
+    back = {r: q for q, r in enumerate(move.images, 1)}
+    generators = tuple(
+        Permutation(tuple(move(g(back[r])) for r in range(1, g.degree + 1)))
+        for g in fiber.generators
+    )
+    return SpecialFiber(classes, generators, tuple(blocks))
 
 
 def reference_orbit_classes(perm, points):
     """The cycles of a permutation of point positions, as classes of the
     points, ordered by their smallest member."""
-    classes = [FiberClass(members=tuple(sorted(points[r - 1] for r in orbit)))
-               for orbit in orbits((perm,))]
-    classes.sort(key=lambda c: c.members[0])
-    return tuple(classes)
+    return tuple(sorted(tuple(sorted(points[r - 1] for r in orbit)) for orbit in orbits((perm,))))
 
 
 def diagonal_and_block(matrix):

@@ -28,15 +28,20 @@ from prymtyurin.covering import (
     upstairs_genus,
 )
 from prymtyurin.fixed_points import check_certificate, class_action
-from prymtyurin.induced_curve import MERGED, ORBIT, subset_fiber
+from prymtyurin.induced_curve import MERGED, ORBIT
 from prymtyurin.perms import (
     Permutation,
     all_subsets,
     induced_subset_action,
 )
-from prymtyurin.report import UNCHECKED, assemble, keyed_verdict
+from prymtyurin.report import UNCHECKED, assemble, fiber_to_dict, keyed_verdict
 from prymtyurin.scenario import grid_scenario, subset_scenario
-from references import diagonal_and_block, reference_class_action, reference_merged_fiber
+from references import (
+    diagonal_and_block,
+    merged_fiber_over,
+    reference_class_action,
+    reference_merged_fiber,
+)
 
 
 @contextlib.contextmanager
@@ -87,8 +92,8 @@ def test_criterion_1_quadratic_identities():
             corr = build_subset_matrix(n)
             found = discover_identity(corr)
             assert found is not None
-            assert found.coefficients() == (n - 1, -(n - 2), (n - 1) * (n - 2) // 2)
-            ok, witness = verify_identity(corr, *found.coefficients())
+            assert found == (n - 1, -(n - 2), (n - 1) * (n - 2) // 2)
+            ok, witness = verify_identity(corr, *found)
             assert ok, witness
             q, note = exponent_from_identity(found)
             assert q == n, note
@@ -96,8 +101,8 @@ def test_criterion_1_quadratic_identities():
         corr = build_grid_matrix(3)
         found = discover_identity(corr)
         assert found is not None
-        assert found.coefficients() == (2, -1, 2)
-        ok, witness = verify_identity(corr, *found.coefficients())
+        assert found == (2, -1, 2)
+        ok, witness = verify_identity(corr, *found)
         assert ok, witness
         q, note = exponent_from_identity(found)
         assert q == 3, note
@@ -227,8 +232,11 @@ def test_criterion_5_property_suites():
             corr = build_subset_matrix(n)
             seen = 0
             for blocks in set_partitions(n + 2):
-                fiber = subset_fiber(n, blocks, MERGED)
-                assert fiber.classes == reference_merged_fiber(n, blocks)
+                fiber = merged_fiber_over(n, blocks)
+                classes, keys = reference_merged_fiber(n, blocks)
+                assert fiber.classes == classes
+                written = [cls["block_multiset"] for cls in fiber_to_dict(fiber)["classes"]]
+                assert written == list(map(list, keys))
                 full = reference_class_action(corr, fiber)
                 assert all(sum(row) == corr.bidegree for row in full)
                 assert class_action(corr, fiber) == diagonal_and_block(full)

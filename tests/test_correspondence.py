@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from prymtyurin import correspondence
 from prymtyurin.correspondence import (
     FiberCorrespondence,
-    QuadraticIdentity,
     build_grid_matrix,
     build_subset_matrix,
     discover_identity,
@@ -170,7 +169,7 @@ def test_discover_identity_subset_small():
     for n, want in [(2, (1, 0, 0)), (3, (2, -1, 1)), (4, (3, -2, 3)), (5, (4, -3, 6))]:
         ident = discover_identity(build_subset_matrix(n))
         assert ident is not None
-        assert ident.coefficients() == want
+        assert ident == want
 
 
 def test_discover_identity_grid():
@@ -179,8 +178,8 @@ def test_discover_identity_grid():
     for m in range(2, 9):
         ident = discover_identity(build_grid_matrix(m))
         assert ident is not None
-        assert ident.coefficients() == (2 * m - 4, m - 4, 2)
-        assert ident.coefficients() == strongly_regular_identity("grid", m)
+        assert ident == (2 * m - 4, m - 4, 2)
+        assert ident == strongly_regular_identity("grid", m)
 
 
 def test_identity_row_sum_consistency():
@@ -190,10 +189,11 @@ def test_identity_row_sum_consistency():
             corr = build(p)
             ident = discover_identity(corr)
             assert ident is not None
-            ok, witness = verify_identity(corr, *ident.coefficients())
+            ok, witness = verify_identity(corr, *ident)
             assert ok, witness
+            a, b, c = ident
             d = corr.bidegree
-            assert d * d == ident.a + ident.b * d + ident.c * corr.size
+            assert d * d == a + b * d + c * corr.size
 
 
 def test_verify_identity_failure_witness():
@@ -297,7 +297,7 @@ def test_witness_is_the_same_with_and_without_symmetries():
     # the same first failing entry as the walk over every row
     for corr in (*map(build_subset_matrix, range(2, 9)), *map(build_grid_matrix, range(2, 9))):
         bare = dataclasses.replace(corr, symmetries=())
-        a, b, c = discover_identity(corr).coefficients()
+        a, b, c = discover_identity(corr)
         for claim in (
             (a, b, c), (a + 1, b, c), (a, b - 1, c), (a, b, c + 1), (0, 0, 0),
             (a, b, Fraction(2 * c + 1, 2)),
@@ -343,7 +343,7 @@ def test_discover_identity_none_when_impossible():
     k3 = FiberCorrespondence(
         kind="x", parameter=0, rows=(0b110, 0b101, 0b011), points=tuple(range(3))
     )
-    assert discover_identity(k3) == QuadraticIdentity(Fraction(2), Fraction(1), Fraction(0))
+    assert discover_identity(k3) == (2, 1, 0)
     broken = (0b0010, 0b0101, 0b1010, 0b0100)  # the path on four points
     with pytest.raises(ValueError, match="row sums are not constant"):
         FiberCorrespondence(kind="x", parameter=0, rows=broken, points=tuple(range(4)))
@@ -363,8 +363,8 @@ def test_discover_identity_walks_d2_once(monkeypatch):
     for corr in (build_subset_matrix(6), build_grid_matrix(4)):
         calls.clear()
         ident = discover_identity(corr)
-        assert ident.coefficients() == strongly_regular_identity(corr.kind, corr.parameter)
-        assert calls == [ident.coefficients()]
+        assert ident == strongly_regular_identity(corr.kind, corr.parameter)
+        assert calls == [ident]
     six_cycle = tuple(sum(1 << j for j in range(6) if (i - j) % 6 in (1, 5)) for i in range(6))
     calls.clear()
     assert discover_identity(
@@ -378,7 +378,7 @@ def test_discover_identity_underdetermined_canonicalization():
     swap = FiberCorrespondence(kind="x", parameter=0, rows=(0b10, 0b01), points=(0, 1))
     ident = discover_identity(swap)
     # equations: diagonal a + c = 1, off-diagonal b + c = 0; c is free -> 0
-    assert ident == QuadraticIdentity(Fraction(1), Fraction(0), Fraction(0))
+    assert ident == (1, 0, 0)
 
 
 def test_exponent_extraction():
@@ -412,13 +412,13 @@ def test_identity_template_full_range():
         assert corr.size == comb(n + 2, 2)
         assert corr.bidegree == n * (n - 1) // 2
         ident = discover_identity(corr)
-        assert ident.coefficients() == (n - 1, -(n - 2), comb(n - 1, 2))
-        assert ident.coefficients() == strongly_regular_identity("subset", n)
+        assert ident == (n - 1, -(n - 2), comb(n - 1, 2))
+        assert ident == strongly_regular_identity("subset", n)
 
 
 def test_identity_and_exponent():
     ident, q, note = identity_and_exponent(build_subset_matrix(4))
-    assert ident == QuadraticIdentity(Fraction(3), Fraction(-2), Fraction(3))
+    assert ident == (3, -2, 3)
     assert q == 4
     assert (q, note) == exponent_from_identity(ident)
     # the 4x4 grid has an identity, but a != q - 1
@@ -441,7 +441,7 @@ def test_identity_and_exponent_rechecks_the_closed_form():
     rows = tuple(sum(1 << j for j, r in enumerate(pts) if len(set(p) & set(r)) == 2) for p in pts)
     corr = FiberCorrespondence(kind="subset", parameter=3, rows=rows, points=pts)
     ident, q, note = identity_and_exponent(corr)
-    assert ident == QuadraticIdentity(Fraction(2), Fraction(-1), Fraction(4))
+    assert ident == (2, -1, 4)
     assert q is None
     assert note == (
         "the discovered identity (a, b, c) = (2, -1, 4) differs from the strongly"
@@ -489,7 +489,7 @@ def reference_discover_identity(corr):
         got == a * (i == j) + b * dense[i][j] + c
         for i, sq in enumerate(square) for j, got in enumerate(sq)
     )
-    return QuadraticIdentity(a=a, b=b, c=c) if ok else None
+    return (a, b, c) if ok else None
 
 
 def relabeled_circulant(draw, size):
@@ -559,7 +559,7 @@ def test_discover_identity_matches_elimination(corr):
     got = discover_identity(corr)
     assert got == want
     if got is not None:
-        assert all(type(x) is int for x in got.coefficients())
+        assert type(got) is tuple and all(type(x) is int for x in got)
 
 
 def reference_construction_check(rows, points, symmetries):

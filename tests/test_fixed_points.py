@@ -22,7 +22,6 @@ from prymtyurin.fixed_points import (
 from prymtyurin.induced_curve import (
     MERGED,
     ORBIT,
-    FiberClass,
     SpecialFiber,
     blocks_from_parts,
     grid_pairing_fiber,
@@ -32,7 +31,13 @@ from prymtyurin.induced_curve import (
     partition_monodromy,
     subset_fiber,
 )
-from prymtyurin.perms import Permutation, all_subsets, induced_subset_action
+from prymtyurin.perms import (
+    Permutation,
+    all_subsets,
+    induced_subset_action,
+    point_permutation,
+    transposition,
+)
 from prymtyurin.report import assemble, fiber_layout, fiber_to_dict, nesting_to_dict
 from prymtyurin.scenario import default_subset_fibers, grid_scenario
 from references import (
@@ -42,9 +47,9 @@ from references import (
     reference_orbit_classes,
 )
 
-THREE_BLOCKS = ((1, 2), (3, 4), (5,))
-PAIR_BLOCKS_6 = ((1, 2), (3, 4), (5, 6))
-GRID_ROWS = ((1, 2), (3,))
+THREE_PARTS = (2, 2, 1)
+THREE_PAIRS = (2, 2, 2)
+GRID_ROWS = (2, 1)
 
 
 def fixed_classes(action):
@@ -73,11 +78,11 @@ def full_action(corr, fiber):
 
 
 def test_class_action_merged_n3():
-    fiber = subset_fiber(3, THREE_BLOCKS, MERGED)
+    fiber = subset_fiber(3, THREE_PARTS, MERGED)
     act = full_action(build_subset_matrix(3), fiber)
     # classes in order of first member: {123,124}, {125}, {134,234},
     # {135,145,235,245}, {345}
-    assert [c.members[0] for c in fiber.classes] == [
+    assert [c[0] for c in fiber.classes] == [
         (1, 2, 3), (1, 2, 5), (1, 3, 4), (1, 3, 5), (3, 4, 5),
     ]
     assert tuple(fixed_classes(diagonal_and_block(act))) == (3,)
@@ -87,7 +92,7 @@ def test_class_action_merged_n3():
 
 
 def test_class_action_merged_n4_pattern():
-    act = full_action(build_subset_matrix(4), subset_fiber(4, PAIR_BLOCKS_6, MERGED))
+    act = full_action(build_subset_matrix(4), subset_fiber(4, THREE_PAIRS, MERGED))
     assert tuple(fixed_classes(diagonal_and_block(act))) == (1, 3, 4)
     # frozen from brute force: self multiplicity 1, cross multiplicities 2
     assert act[1] == (0, 1, 0, 2, 2, 1)
@@ -96,11 +101,11 @@ def test_class_action_merged_n4_pattern():
 
 
 def test_class_action_orbit_models():
-    act2 = class_action(build_subset_matrix(2), subset_fiber(2, ((1, 2), (3, 4)), ORBIT))
+    act2 = class_action(build_subset_matrix(2), subset_fiber(2, (2, 2), ORBIT))
     assert len(fixed_classes(act2)) == 2
-    act3 = class_action(build_subset_matrix(3), subset_fiber(3, THREE_BLOCKS, ORBIT))
+    act3 = class_action(build_subset_matrix(3), subset_fiber(3, THREE_PARTS, ORBIT))
     assert len(fixed_classes(act3)) == 2
-    act4 = class_action(build_subset_matrix(4), subset_fiber(4, PAIR_BLOCKS_6, ORBIT))
+    act4 = class_action(build_subset_matrix(4), subset_fiber(4, THREE_PAIRS, ORBIT))
     assert len(fixed_classes(act4)) == 6
     for act in (act2, act3, act4):
         assert set(fixed_classes(act).values()) == {1}
@@ -121,11 +126,7 @@ def test_class_action_grid_fibers():
 def _partial_row_glue(generators):
     # gluing (1, 1) with (1, 2) alone makes the action depend on the
     # representative: (2, 1) lies in the image of (1, 1) but not of (1, 2)
-    classes = (
-        FiberClass(members=((1, 1), (1, 2))),
-        FiberClass(members=((2, 1),)),
-        FiberClass(members=((2, 2),)),
-    )
+    classes = (((1, 1), (1, 2)), ((2, 1),), ((2, 2),))
     return SpecialFiber(classes=classes, generators=generators)
 
 
@@ -138,12 +139,12 @@ def test_class_action_rejects_representative_dependence():
         class_action(corr, bad)
     # a merged class is a union of orbits of the orbit model's monodromy
     corr = build_subset_matrix(3)
-    merged = subset_fiber(3, THREE_BLOCKS, MERGED)
-    fewer = SpecialFiber(merged.classes, subset_fiber(3, THREE_BLOCKS, ORBIT).generators)
+    merged = subset_fiber(3, THREE_PARTS, MERGED)
+    fewer = SpecialFiber(merged.classes, subset_fiber(3, THREE_PARTS, ORBIT).generators)
     with pytest.raises(ValueError, match="^class 3 is not an orbit"):
         class_action(corr, fewer)
     # and the orbit classes split the merged model's Young subgroup orbits
-    more = SpecialFiber(subset_fiber(3, THREE_BLOCKS, ORBIT).classes, merged.generators)
+    more = SpecialFiber(subset_fiber(3, THREE_PARTS, ORBIT).classes, merged.generators)
     with pytest.raises(ValueError, match="is not an orbit"):
         class_action(corr, more)
 
@@ -158,16 +159,14 @@ def test_class_action_refuses_a_generator_that_moves_the_relation():
     images = list(range(1, 11))
     images[0], images[9] = 10, 1  # swaps {1, 2, 3} with {3, 4, 5}
     swap = Permutation(tuple(images))
-    glued = FiberClass(members=(points[0], points[9]))
-    rest = (FiberClass(members=(p,)) for p in points[1:9])
-    classes = tuple(sorted((glued, *rest), key=lambda c: c.members[0]))
+    classes = tuple(sorted(((points[0], points[9]), *((p,) for p in points[1:9]))))
     bad = SpecialFiber(classes=classes, generators=(Permutation(tuple(range(1, 11))), swap))
     with pytest.raises(ValueError, match="^generator 1 does not preserve the relation$"):
         class_action(build_subset_matrix(3), bad)
 
 
 def test_class_action_refuses_a_generator_of_the_wrong_degree():
-    fiber = subset_fiber(3, THREE_BLOCKS, MERGED)
+    fiber = subset_fiber(3, THREE_PARTS, MERGED)
     short = induced_subset_action(Permutation((2, 1, 3, 4)), 2)
     for generators in ((short,), fiber.generators + (short,)):
         bad = SpecialFiber(fiber.classes, generators)
@@ -179,8 +178,7 @@ def test_class_action_rejects_off_grid_member():
     # (0, 4) has the row-major rank of (1, 1) but is not a cell of the grid
     fiber = grid_row_merge_fiber(3, GRID_ROWS)
     classes = tuple(
-        FiberClass(members=tuple(sorted((0, 4) if m == (1, 1) else m for m in c.members)))
-        for c in fiber.classes
+        tuple(sorted((0, 4) if m == (1, 1) else m for m in c)) for c in fiber.classes
     )
     with pytest.raises(ValueError, match=r"member \(0, 4\) is not a point"):
         class_action(build_grid_matrix(3), SpecialFiber(classes, fiber.generators))
@@ -188,20 +186,20 @@ def test_class_action_rejects_off_grid_member():
 
 def test_class_action_rejects_partial_cover():
     corr = build_subset_matrix(2)
-    partial = SpecialFiber(classes=(FiberClass(members=((1, 2),)),), generators=())
+    partial = SpecialFiber(classes=(((1, 2),),), generators=())
     with pytest.raises(ValueError, match="^classes cover 1 points, matrix has 6$"):
         class_action(corr, partial)
 
 
 def test_class_action_rejects_a_member_in_two_classes():
-    fiber = subset_fiber(2, ((1, 2), (3, 4)), MERGED)
-    twice = SpecialFiber(fiber.classes + (FiberClass(members=((1, 2),)),), fiber.generators)
+    fiber = subset_fiber(2, (2, 2), MERGED)
+    twice = SpecialFiber(fiber.classes + (((1, 2),),), fiber.generators)
     with pytest.raises(ValueError, match=r"member \(1, 2\) appears in two classes"):
         class_action(build_subset_matrix(2), twice)
 
 
 def test_fixed_point_scan_and_delta():
-    act = class_action(build_subset_matrix(3), subset_fiber(3, THREE_BLOCKS, MERGED))
+    act = class_action(build_subset_matrix(3), subset_fiber(3, THREE_PARTS, MERGED))
     fixed = fixed_point_scan([act], (0, 0))
     assert fixed == [(0, 3, 1), (1, 3, 1)]
     assert sum(mult for _, _, mult in fixed) == 2
@@ -213,7 +211,7 @@ def test_fixed_point_scan_and_delta():
 
 
 def test_nesting_chain_length_one():
-    fiber = subset_fiber(3, THREE_BLOCKS, MERGED)
+    fiber = subset_fiber(3, THREE_PARTS, MERGED)
     act = class_action(build_subset_matrix(3), fiber)
     cert = search([fiber], [act], (0, 0), bidegree=3)
     assert isinstance(cert, NestingCertificate)
@@ -223,7 +221,7 @@ def test_nesting_chain_length_one():
 
 
 def test_nesting_chain_n4():
-    fiber = subset_fiber(4, PAIR_BLOCKS_6, MERGED)
+    fiber = subset_fiber(4, THREE_PAIRS, MERGED)
     act = class_action(build_subset_matrix(4), fiber)
     assert sum(mult for _, _, mult in fixed_point_scan([act], (0, 0))) == 6
     cert = search([fiber], [act], (0, 0), bidegree=6)
@@ -247,7 +245,7 @@ def test_nesting_chain_grid():
 
 
 def test_nesting_failure_odd_count():
-    fiber = subset_fiber(3, THREE_BLOCKS, MERGED)
+    fiber = subset_fiber(3, THREE_PARTS, MERGED)
     act = class_action(build_subset_matrix(3), fiber)
     assert sum(mult for _, _, mult in fixed_point_scan([act], (0,))) == 1
     failure = search([fiber], [act], (0,), bidegree=3)
@@ -256,7 +254,7 @@ def test_nesting_failure_odd_count():
 
 
 def test_nesting_failure_exceeds_bidegree():
-    fiber = subset_fiber(2, ((1, 2), (3, 4)), ORBIT)
+    fiber = subset_fiber(2, (2, 2), ORBIT)
     act = class_action(build_subset_matrix(2), fiber)
     assert sum(mult for _, _, mult in fixed_point_scan([act], (0, 0))) == 4
     failure = search([fiber], [act], (0, 0), bidegree=1)
@@ -267,7 +265,7 @@ def test_nesting_failure_exceeds_bidegree():
 def test_nesting_failure_no_ordering():
     # orbit model at n=3: two fixed orbits per fiber, but neither contains
     # the other in its image, so no chain of length 2 exists anywhere
-    fiber = subset_fiber(3, THREE_BLOCKS, ORBIT)
+    fiber = subset_fiber(3, THREE_PARTS, ORBIT)
     act = class_action(build_subset_matrix(3), fiber)
     assert sum(mult for _, _, mult in fixed_point_scan([act], (0, 0))) == 4
     failure = search([fiber], [act], (0, 0), bidegree=3)
@@ -286,7 +284,7 @@ def test_empty_chain_certificate():
 
 
 def _genuine_n4_certificate():
-    fiber = subset_fiber(4, PAIR_BLOCKS_6, MERGED)
+    fiber = subset_fiber(4, THREE_PAIRS, MERGED)
     act = class_action(build_subset_matrix(4), fiber)
     cert = search([fiber], [act], (0, 0), bidegree=6)
     assert isinstance(cert, NestingCertificate)
@@ -335,7 +333,7 @@ def test_check_certificate_rejects_tampering():
 
 
 def test_check_certificate_rejects_cert_against_wrong_fiber():
-    merged = subset_fiber(2, ((1, 2), (3, 4)), MERGED)
+    merged = subset_fiber(2, (2, 2), MERGED)
     mact = class_action(build_subset_matrix(2), merged)
     mcert = search([merged], [mact], (0, 0), bidegree=1)
     assert isinstance(mcert, NestingCertificate)
@@ -343,17 +341,17 @@ def test_check_certificate_rejects_cert_against_wrong_fiber():
     nest, entry = entries(mcert, merged)
     assert check_certificate(nest, entry, "subset", 2)
     # against the orbit fiber the same class index holds different members
-    orbit = fiber_to_dict(subset_fiber(2, ((1, 2), (3, 4)), ORBIT))
+    orbit = fiber_to_dict(subset_fiber(2, (2, 2), ORBIT))
     assert not check_certificate(nest, orbit, "subset", 2)
 
 
 def test_check_certificate_requires_classes_to_partition_the_points():
-    fiber = subset_fiber(4, PAIR_BLOCKS_6, MERGED)
+    fiber = subset_fiber(4, THREE_PAIRS, MERGED)
     cert, entry = _genuine_n4_certificate()
     assert cert["chain"] == [1, 3, 4]
     assert check_certificate(cert, entry, "subset", 4)
-    not_a_point = fiber.classes + (FiberClass(members=((1, 1, 2, 9),)),)
-    repeated = fiber.classes + (FiberClass(members=(fiber.classes[0].members[0],)),)
+    not_a_point = fiber.classes + (((1, 1, 2, 9),),)
+    repeated = fiber.classes + ((fiber.classes[0][0],),)
     dropped = fiber.classes[:5]  # class 5 is not on the chain
     for classes in (not_a_point, repeated, dropped):
         entry = fiber_to_dict(SpecialFiber(classes=classes, generators=()))
@@ -387,8 +385,8 @@ def test_check_certificate_refuses_honest_multiplicities_off_a_chain():
     # chain: the one class of the merged (5) fiber of n = 3 lies in its own
     # image 3 times, and on the orbit (4) fiber of n = 2 the second class
     # does not hold the first in its image
-    one_class = subset_fiber(3, blocks_from_parts((5,), 5), MERGED)
-    four_cycle = subset_fiber(2, blocks_from_parts((4,), 4), ORBIT)
+    one_class = subset_fiber(3, (5,), MERGED)
+    four_cycle = subset_fiber(2, (4,), ORBIT)
     for fiber, n, chain, rows in (
         (one_class, 3, (0,), ((3,),)),
         (four_cycle, 2, (0, 1), ((1,), (0, 1))),
@@ -397,7 +395,7 @@ def test_check_certificate_refuses_honest_multiplicities_off_a_chain():
         assert rows == tuple(
             tuple(act[qi][qj] for qj in chain[: i + 1]) for i, qi in enumerate(chain)
         )
-        members = tuple(fiber.classes[q].members for q in chain)
+        members = tuple(fiber.classes[q] for q in chain)
         cert = NestingCertificate(
             fiber_index=0, chain=chain, chain_members=members, memberships=rows
         )
@@ -532,7 +530,7 @@ def _pipeline_certificates():
         corr = build_subset_matrix(n)
         profiles = [p for p in _partitions(n + 2) if max(p) > 1]
         for model in (MERGED, ORBIT):
-            fibers = {p: subset_fiber(n, blocks_from_parts(p, n + 2), model) for p in profiles}
+            fibers = {p: subset_fiber(n, p, model) for p in profiles}
             acts = {p: class_action(corr, fibers[p]) for p in profiles}
             for combo in [(p,) for p in profiles] + list(
                 itertools.combinations_with_replacement(profiles, 2)
@@ -545,7 +543,7 @@ def _pipeline_certificates():
                 )
                 if isinstance(cert, NestingCertificate) and cert.chain:
                     fiber = fibers[combo[cert.fiber_index]]
-                    fixed = {q: [list(m) for m in fiber.classes[q].members]
+                    fixed = {q: [list(m) for m in fiber.classes[q]]
                              for q in fixed_classes(acts[combo[cert.fiber_index]])}
                     keep(*entries(cert, fiber), "subset", n, fixed)
     for g in (2, 3):
@@ -576,12 +574,15 @@ def test_check_certificate_matches_reference_on_pipeline_certificates():
 def test_check_certificate_reads_every_grid_row():
     # the pipeline's grid certificates glue rows 1 and 2 only, so a label rule
     # that gave row m the label of column 1 passed them all; gluing each pair
-    # of rows puts every row, the last one included, on some chain
+    # of rows puts every row, the last one included, on some chain.  A row
+    # profile glues the first rows, so the other pairs are glued here by
+    # their row transposition's orbits
     for m in (3, 4):
-        corr = build_grid_matrix(m)
+        corr, cells = build_grid_matrix(m), grid_points(m)
         for pair in itertools.combinations(range(1, m + 1), 2):
-            blocks = (pair, *((r,) for r in range(1, m + 1) if r not in pair))
-            fiber = grid_row_merge_fiber(m, blocks)
+            swap = transposition(m, *pair)
+            glue = point_permutation(cells, lambda cell: (swap(cell[0]), cell[1]))
+            fiber = SpecialFiber(reference_orbit_classes(glue, cells), (glue,))
             act = class_action(corr, fiber)
             cert = search([fiber], [act], (0, 0), corr.bidegree)
             assert {i for members in cert.chain_members for i, _ in members} == set(pair)
@@ -651,7 +652,7 @@ def reference_nesting_search(fibers, actions, positions, delta_dot_d, bidegree):
             return NestingCertificate(
                 fiber_index=fi,
                 chain=tuple(chain),
-                chain_members=tuple(fiber.classes[q].members for q in chain),
+                chain_members=tuple(fiber.classes[q] for q in chain),
                 memberships=memberships,
             )
     return NestingFailure(
@@ -687,9 +688,8 @@ def test_clique_search_matches_reference_on_subset_fibers(n):
     for parts in _partitions(n + 2):
         if max(parts) == 1:
             continue
-        blocks = blocks_from_parts(parts, n + 2)
         for model in (MERGED, ORBIT):
-            fiber = subset_fiber(n, blocks, model)
+            fiber = subset_fiber(n, parts, model)
             act = full_action(build_subset_matrix(n), fiber)
             for positions in ((0,), (0, 0)):
                 assert_matches_reference([fiber], [act], positions, bidegree)
@@ -706,9 +706,14 @@ def test_fibers_and_actions_match_the_references():
             if max(parts) == 1:
                 continue
             blocks = blocks_from_parts(parts, n + 2)
-            merged, orbit = subset_fiber(n, blocks, MERGED), subset_fiber(n, blocks, ORBIT)
-            assert merged.classes == reference_merged_fiber(n, blocks)
-            sigma = induced_subset_action(partition_monodromy(blocks, n + 2), n)
+            merged, orbit = subset_fiber(n, parts, MERGED), subset_fiber(n, parts, ORBIT)
+            classes, keys = reference_merged_fiber(n, blocks)
+            assert merged.classes == classes
+            written = [cls["block_multiset"] for cls in fiber_to_dict(merged)["classes"]]
+            assert written == list(map(list, keys))
+            cycles = tuple(b for b in blocks if len(b) > 1)
+            sigma = induced_subset_action(Permutation.from_cycles(n + 2, cycles), n)
+            assert sigma == induced_subset_action(partition_monodromy(parts, n + 2), n)
             assert orbit.classes == reference_orbit_classes(sigma, points)
             assert orbit.generators == (sigma,)
             for fiber in (merged, orbit):
@@ -737,7 +742,7 @@ def test_clique_search_matches_reference_on_grid_layout():
 
 
 def _one_point_classes(size):
-    classes = tuple(FiberClass(members=((k + 1,),)) for k in range(size))
+    classes = tuple(((k + 1,),) for k in range(size))
     return SpecialFiber(classes=classes, generators=())
 
 
@@ -767,7 +772,7 @@ def test_clique_search_matches_reference_on_random_actions(layout, bidegree):
 
 
 def _default_monodromy_layout(n):
-    fiber = subset_fiber(n, blocks_from_parts(default_subset_fibers(n)[0], n + 2), ORBIT)
+    fiber = subset_fiber(n, default_subset_fibers(n)[0], ORBIT)
     return [fiber], [class_action(build_subset_matrix(n), fiber)], (0, 0)
 
 
@@ -874,7 +879,7 @@ def combination_nesting_search(fibers, actions, positions, n):
             return NestingCertificate(
                 fiber_index=fi,
                 chain=chain,
-                chain_members=tuple(fiber.classes[q].members for q in chain),
+                chain_members=tuple(fiber.classes[q] for q in chain),
                 memberships=tuple(
                     tuple(act[qi][qj] for qj in chain[: i + 1])
                     for i, qi in enumerate(chain)

@@ -24,17 +24,17 @@ from prymtyurin.perms import (
     orbits,
     transposition,
 )
-from prymtyurin.report import assemble
+from prymtyurin.report import assemble, fiber_to_dict
 from prymtyurin.scenario import subset_scenario
 
-TWO_BLOCKS = ((1, 2), (3, 4))
-THREE_BLOCKS = ((1, 2), (3, 4), (5,))
-PAIR_BLOCKS_6 = ((1, 2), (3, 4), (5, 6))
+TWO_PAIRS = (2, 2)
+THREE_PARTS = (2, 2, 1)
+THREE_PAIRS = (2, 2, 2)
 
 
 def class_sizes(fiber):
     """The ramification indices of a fiber's classes, largest first."""
-    return tuple(sorted((c.size for c in fiber.classes), reverse=True))
+    return tuple(sorted(map(len, fiber.classes), reverse=True))
 
 
 def test_blocks_from_parts():
@@ -45,69 +45,71 @@ def test_blocks_from_parts():
 
 
 def test_merged_fiber_n3():
-    fiber = subset_fiber(3, THREE_BLOCKS, MERGED)
+    fiber = subset_fiber(3, THREE_PARTS, MERGED)
     assert class_sizes(fiber) == (4, 2, 2, 1, 1)
     assert fiber.w_contribution == 5
-    big = max(fiber.classes, key=lambda c: c.size)
-    assert big.members == ((1, 3, 5), (1, 4, 5), (2, 3, 5), (2, 4, 5))
-    assert big.block_multiset == (0, 1, 2)
+    assert fiber.blocks == ((1, 2), (3, 4), (5,))
+    q, big = max(enumerate(fiber.classes), key=lambda item: len(item[1]))
+    assert big == ((1, 3, 5), (1, 4, 5), (2, 3, 5), (2, 4, 5))
+    assert fiber_to_dict(fiber)["classes"][q]["block_multiset"] == [0, 1, 2]
 
 
 def test_merged_fiber_n2_and_n4():
-    assert class_sizes(subset_fiber(2, TWO_BLOCKS, MERGED)) == (4, 1, 1)
-    assert subset_fiber(2, TWO_BLOCKS, MERGED).w_contribution == 3
-    fiber4 = subset_fiber(4, PAIR_BLOCKS_6, MERGED)
+    assert class_sizes(subset_fiber(2, TWO_PAIRS, MERGED)) == (4, 1, 1)
+    assert subset_fiber(2, TWO_PAIRS, MERGED).w_contribution == 3
+    fiber4 = subset_fiber(4, THREE_PAIRS, MERGED)
     assert class_sizes(fiber4) == (4, 4, 4, 1, 1, 1)
     assert fiber4.w_contribution == 9
 
 
 def test_merged_fiber_discrete_partition_is_unramified():
-    fiber = subset_fiber(3, ((1,), (2,), (3,), (4,), (5,)), MERGED)
+    fiber = subset_fiber(3, (1, 1, 1, 1, 1), MERGED)
     assert class_sizes(fiber) == (1,) * 10
     assert fiber.w_contribution == 0
 
 
 def test_partition_monodromy():
-    p = partition_monodromy(THREE_BLOCKS, 5)
+    p = partition_monodromy(THREE_PARTS, 5)
     assert p.images == (2, 1, 4, 3, 5)
     assert tuple(sorted(map(len, orbits((p,))), reverse=True)) == (2, 2, 1)
-    with pytest.raises(ValueError, match=r"blocks \(\(1, 2\), \(2, 3\)\) are not a partition of 1..3"):
-        partition_monodromy(((1, 2), (2, 3)), 3)
+    assert partition_monodromy((1, 2, 2), 5) == p
+    with pytest.raises(ValueError, match=r"profile \(2, 2\) does not sum to 3"):
+        partition_monodromy((2, 2), 3)
 
 
 def test_orbit_fiber_n3():
-    fiber = subset_fiber(3, THREE_BLOCKS, ORBIT)
+    fiber = subset_fiber(3, THREE_PARTS, ORBIT)
     assert class_sizes(fiber) == (2, 2, 2, 2, 1, 1)
     assert fiber.w_contribution == 4
-    member_sets = {c.members for c in fiber.classes}
-    assert ((1, 3, 5), (2, 4, 5)) in member_sets
-    assert ((1, 4, 5), (2, 3, 5)) in member_sets
+    assert fiber.blocks is None
+    assert ((1, 3, 5), (2, 4, 5)) in fiber.classes
+    assert ((1, 4, 5), (2, 3, 5)) in fiber.classes
 
 
 def test_orbit_fiber_n2_and_n4():
-    assert class_sizes(subset_fiber(2, TWO_BLOCKS, ORBIT)) == (2, 2, 1, 1)
-    assert subset_fiber(2, TWO_BLOCKS, ORBIT).w_contribution == 2
-    fiber4 = subset_fiber(4, PAIR_BLOCKS_6, ORBIT)
+    assert class_sizes(subset_fiber(2, TWO_PAIRS, ORBIT)) == (2, 2, 1, 1)
+    assert subset_fiber(2, TWO_PAIRS, ORBIT).w_contribution == 2
+    fiber4 = subset_fiber(4, THREE_PAIRS, ORBIT)
     assert class_sizes(fiber4) == (2,) * 6 + (1,) * 3
     assert fiber4.w_contribution == 6
 
 
 def test_single_transposition_models_agree():
     for n in (2, 3, 4, 5):
-        blocks = ((1, 2),) + tuple((x,) for x in range(3, n + 3))
-        merged = subset_fiber(n, blocks, MERGED)
-        orbit = subset_fiber(n, blocks, ORBIT)
+        parts = (2,) + (1,) * n
+        merged = subset_fiber(n, parts, MERGED)
+        orbit = subset_fiber(n, parts, ORBIT)
         assert class_sizes(merged) == class_sizes(orbit)
         assert merged.w_contribution == n
 
 
 def test_orbits_refine_merged_classes():
-    for n, blocks in ((2, TWO_BLOCKS), (3, THREE_BLOCKS), (4, PAIR_BLOCKS_6), (3, ((1, 2, 3), (4, 5)))):
-        merged = subset_fiber(n, blocks, MERGED)
-        orbit = subset_fiber(n, blocks, ORBIT)
-        merged_of = {m: c.members for c in merged.classes for m in c.members}
+    for n, parts in ((2, TWO_PAIRS), (3, THREE_PARTS), (4, THREE_PAIRS), (3, (3, 2))):
+        merged = subset_fiber(n, parts, MERGED)
+        orbit = subset_fiber(n, parts, ORBIT)
+        merged_of = {m: c for c in merged.classes for m in c}
         for oc in orbit.classes:
-            owners = {merged_of[m] for m in oc.members}
+            owners = {merged_of[m] for m in oc}
             assert len(owners) == 1
         assert merged.w_contribution >= orbit.w_contribution
 
@@ -157,11 +159,12 @@ def test_induced_w_matches_genus_arithmetic():
 
 
 def test_grid_row_merge_fiber():
-    fiber = grid_row_merge_fiber(3, ((1, 2), (3,)))
+    fiber = grid_row_merge_fiber(3, (2, 1))
     assert class_sizes(fiber) == (2, 2, 2, 1, 1, 1)
     assert fiber.w_contribution == 3
-    assert fiber.classes[0].members == ((1, 1), (2, 1))
-    assert fiber.classes[3].members == ((3, 1),)
+    assert fiber.classes[0] == ((1, 1), (2, 1))
+    assert fiber.classes[3] == ((3, 1),)
+    assert fiber.blocks is None
 
 
 def test_grid_pairing_fiber_all_shifts():
@@ -171,7 +174,7 @@ def test_grid_pairing_fiber_all_shifts():
         assert fiber.w_contribution == 3
     # shift 0 glues (i, j) with (j, i)
     fiber0 = grid_pairing_fiber(3, 0)
-    assert ((1, 2), (2, 1)) in {c.members for c in fiber0.classes}
+    assert ((1, 2), (2, 1)) in fiber0.classes
 
 
 def test_grid_monodromies_match_fiber_classes():
@@ -188,16 +191,16 @@ def test_grid_monodromies_match_fiber_classes():
         perm = grid_pairing_monodromy(3, shift)
         assert all(perm(perm(x)) == x for x in range(1, perm.degree + 1))
         fiber = grid_pairing_fiber(3, shift)
-        assert orbit_classes(perm) == sorted(c.members for c in fiber.classes)
+        assert orbit_classes(perm) == sorted(fiber.classes)
 
-    row_perm = grid_row_monodromy(3, ((1, 2), (3,)))
-    fiber = grid_row_merge_fiber(3, ((1, 2), (3,)))
-    assert orbit_classes(row_perm) == sorted(c.members for c in fiber.classes)
+    row_perm = grid_row_monodromy(3, (2, 1))
+    fiber = grid_row_merge_fiber(3, (2, 1))
+    assert orbit_classes(row_perm) == sorted(fiber.classes)
 
 
 def test_grid_generators_transitive():
     gens = tuple(grid_pairing_monodromy(3, s) for s in (0, 1, 2))
-    gens += (grid_row_monodromy(3, ((1, 2), (3,))),)
+    gens += (grid_row_monodromy(3, (2, 1)),)
     assert is_transitive(gens, 9)
 
 
@@ -207,17 +210,18 @@ def test_subset_fiber_dispatch():
     def induced(*cycles):
         return induced_subset_action(Permutation.from_cycles(5, cycles), 3)
 
-    merged, orbit = subset_fiber(3, THREE_BLOCKS, MERGED), subset_fiber(3, THREE_BLOCKS, ORBIT)
+    merged, orbit = subset_fiber(3, THREE_PARTS, MERGED), subset_fiber(3, THREE_PARTS, ORBIT)
     assert merged != orbit
     assert merged.generators == (induced((1, 2)), induced((3, 4)))
     assert orbit.generators == (induced((1, 2), (3, 4)),)
-    blocks = ((1, 2, 3), (4, 5))
-    assert subset_fiber(3, blocks, MERGED).generators == (
+    assert subset_fiber(3, (3, 2), MERGED).generators == (
         induced((1, 2)), induced((1, 2, 3)), induced((4, 5))
     )
-    assert subset_fiber(3, blocks, ORBIT).generators == (induced((1, 2, 3), (4, 5)),)
+    assert subset_fiber(3, (2, 3), ORBIT).generators == (induced((1, 2, 3), (4, 5)),)
     with pytest.raises(ValueError, match="unknown fiber model 'other'"):
-        subset_fiber(3, THREE_BLOCKS, "other")
+        subset_fiber(3, THREE_PARTS, "other")
+    with pytest.raises(ValueError, match=r"profile \(2, 2\) does not sum to 5"):
+        subset_fiber(3, TWO_PAIRS, MERGED)
 
 
 def test_irreducibility_check():

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from prymtyurin.correspondence import build_subset_matrix
 from prymtyurin.covering import GenusValidationError, riemann_hurwitz_genus
 from prymtyurin.fixed_points import class_action
-from prymtyurin.induced_curve import MERGED, subset_fiber
 from prymtyurin.perms import (
     Permutation,
     all_subsets,
@@ -16,9 +15,15 @@ from prymtyurin.perms import (
     is_transitive,
     orbits,
 )
+from prymtyurin.report import fiber_to_dict
 
 import pytest
-from references import diagonal_and_block, reference_class_action, reference_merged_fiber
+from references import (
+    diagonal_and_block,
+    merged_fiber_over,
+    reference_class_action,
+    reference_merged_fiber,
+)
 
 
 def after(a, b):
@@ -203,10 +208,13 @@ def test_class_action_never_depends_on_representative(case):
     # checks every member of every class
     n, blocks = case
     corr = build_subset_matrix(n)
-    fiber = subset_fiber(n, blocks, MERGED)
-    assert fiber.classes == reference_merged_fiber(n, blocks)
+    fiber = merged_fiber_over(n, blocks)
+    classes, keys = reference_merged_fiber(n, blocks)
+    assert fiber.classes == classes
+    written = [cls["block_multiset"] for cls in fiber_to_dict(fiber)["classes"]]
+    assert written == list(map(list, keys))
     full = reference_class_action(corr, fiber)
     for row in full:
         assert sum(row) == corr.bidegree
     assert class_action(corr, fiber) == diagonal_and_block(full)
-    assert sum(cls.size for cls in fiber.classes) == corr.size
+    assert sum(map(len, fiber.classes)) == corr.size

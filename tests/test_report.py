@@ -457,9 +457,9 @@ def test_subset_layout_builds_one_fiber_per_profile(monkeypatch):
     built = []
     original = report_module.subset_fiber
 
-    def record(n, blocks, model):
-        built.append(blocks)
-        return original(n, blocks, model)
+    def record(n, parts, model):
+        built.append(parts)
+        return original(n, parts, model)
 
     monkeypatch.setattr(report_module, "subset_fiber", record)
     assemble(subset_scenario(3, 2, model="paper"))
