@@ -17,7 +17,6 @@ it was evaluated, otherwise the single model requested.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import sys
 
@@ -38,6 +37,7 @@ from .scenario import (
     MODEL_CHOICES,
     SUBSET,
     InvalidScenario,
+    Scenario,
     grid_scenario,
     load_scenario,
     subset_scenario,
@@ -114,7 +114,7 @@ def _emit_report(data: dict, fmt: str) -> int:
 
 def _run_scenario(scenario, args) -> int:
     if args.model is not None and args.model != scenario.model:
-        scenario = dataclasses.replace(scenario, model=args.model)
+        scenario = Scenario(**{**scenario._asdict(), "model": args.model})
     return _emit_report(assemble(scenario), args.format)
 
 

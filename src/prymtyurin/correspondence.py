@@ -42,25 +42,25 @@ All arithmetic is integer; nothing here ever touches a float.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import cached_property
-from itertools import repeat
+from itertools import chain, repeat
 from operator import getitem, itemgetter
 
 from .perms import (
     Permutation,
+    Record,
     all_subsets,
-    induced_subset_action,
     orbits,
-    point_permutation,
     subset_index,
 )
 
 Matrix = tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
-class FiberCorrespondence:
+class FiberCorrespondence(
+    Record, namedtuple("FiberCorrespondence", "kind parameter rows points symmetries")
+):
     """A symmetric 0/1 correspondence on a generic fiber.
 
     Bit j of rows[i] is set when point j lies in the image of point i, and
@@ -70,31 +70,25 @@ class FiberCorrespondence:
     (the bidegree), one distinct descriptor per row and the symmetries
     (check_moves) are validated at construction, at C level: symmetry and
     each symmetry compare the rows' bit strings with strided column slices
-    of one row-major text (_columns_are_rows).
+    of one row-major text (_columns_are_rows).  The rows as bit strings are
+    kept as the attribute bits, outside the fields and equality: bits[i][j]
+    is D[i][j].
     """
 
-    kind: str
-    parameter: int
-    rows: tuple[int, ...]
-    points: tuple
-    symmetries: tuple[Permutation, ...] = ()
-    # the rows as bit strings, set at construction: bits[i][j] is D[i][j]
-    bits: list[str] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        n = len(self.rows)
-        if len(self.points) != n or len(set(self.points)) != n:
-            raise ValueError(f"need {n} distinct point descriptors, got {len(self.points)}")
-        if min(self.rows, default=0) < 0 or max(self.rows, default=0) >> n:
-            for i, row in enumerate(self.rows):
+    def __new__(cls, kind: str, parameter: int, rows: tuple[int, ...], points: tuple,
+                symmetries: tuple[Permutation, ...] = ()):
+        n = len(rows)
+        if len(points) != n or len(set(points)) != n:
+            raise ValueError(f"need {n} distinct point descriptors, got {len(points)}")
+        if min(rows, default=0) < 0 or max(rows, default=0) >> n:
+            for i, row in enumerate(rows):
                 if row < 0 or row >> n:
                     raise ValueError(f"row {i} is not a set of points 0..{n - 1}")
-        sums = set(map(int.bit_count, self.rows))
+        sums = set(map(int.bit_count, rows))
         if len(sums) != 1:
             raise ValueError(f"row sums are not constant: {sorted(sums)}")
-        written = map(format, self.rows, repeat(f"0{n}b"))
+        written = map(format, rows, repeat(f"0{n}b"))
         bits = list(map(itemgetter(slice(None, None, -1)), written))
-        object.__setattr__(self, "bits", bits)
         if "1" in "".join(map(getitem, bits, range(n))) or not _columns_are_rows(bits, range(n)):
             for i, row in enumerate(bits):
                 if row[i] == "1":
@@ -103,7 +97,10 @@ class FiberCorrespondence:
                 if row[:i] != col:
                     j = next(j for j in range(i) if row[j] != col[j])
                     raise ValueError(f"not symmetric at ({i}, {j})")
-        self.check_moves(self.symmetries, "symmetry")
+        self = super().__new__(cls, kind, parameter, rows, points, symmetries)
+        object.__setattr__(self, "bits", bits)
+        self.check_moves(symmetries, "symmetry")
+        return self
 
     def check_moves(self, moves, name: str) -> None:
         """Refuse, by name and index, a permutation of the 1-based point
@@ -147,9 +144,9 @@ def build_subset_matrix(n: int) -> FiberCorrespondence:
 
     Bidegree n*(n-1)/2: the subsets sharing n-2 elements with I are exactly
     those whose 2-element complement is disjoint from the complement of I.
-    Its symmetries are the label moves (1 2) and (1 ... n+2), induced on n-subsets.
-    The relation and both symmetries are read off one colex index of the
-    2-element complements.
+    Its symmetries are the label moves (1 2) and (1 ... n+2), induced on
+    n-subsets.  The relation is read off one colex index of the 2-element
+    complements, and both symmetries off their positions in it.
     """
     if n < 2:
         raise ValueError(f"subset correspondence needs n >= 2, got {n}")
@@ -169,11 +166,32 @@ def build_subset_matrix(n: int) -> FiberCorrespondence:
         touching[b] |= bit
     full = (1 << size) - 1
     rows = tuple(full ^ (touching[a] | touching[b]) for a, b in reversed(pairs))
-    moves = (((1, 2),), (tuple(range(1, degree + 1)),))
-    symmetries = tuple(
-        induced_subset_action(Permutation.from_cycles(degree, g), n, pairs) for g in moves
+    return FiberCorrespondence("subset", n, rows, pts, _subset_symmetries(degree))
+
+
+def _subset_symmetries(degree: int) -> tuple[Permutation, Permutation]:
+    """The label moves (1 2) and (1 ... degree) induced on the points of the
+    subset correspondence, in closed form over colex positions.
+
+    The pair (a, b) sits at position C(b - 1, 2) + a: (1 2) swaps (1, b)
+    and (2, b) for each b >= 3, and the cycle moves (a, b) b positions on,
+    to (a + 1, b + 1), when b < degree, and (a, degree) to (1, a + 1) at
+    C(a, 2) + 1.  Complementing commutes with label moves and takes the
+    point at position r to the pair at N + 1 - r, so a move that takes the
+    pair at position s to Q(s) takes point r to N + 1 - Q(N + 1 - r).
+    """
+    size = math.comb(degree, 2)
+    swap = list(range(1, size + 1))
+    for b in range(3, degree + 1):
+        t = math.comb(b - 1, 2)
+        swap[t : t + 2] = t + 2, t + 1
+    # the pairs (1, b) .. (b - 1, b) sit at C(b - 1, 2) + 1 .. C(b, 2)
+    shifted = (
+        range(math.comb(b - 1, 2) + 1 + b, math.comb(b, 2) + 1 + b) for b in range(2, degree)
     )
-    return FiberCorrespondence("subset", n, rows, pts, symmetries)
+    cycle = [*chain.from_iterable(shifted), *(math.comb(a, 2) + 1 for a in range(1, degree))]
+    back = (size + 1).__sub__
+    return tuple(Permutation(tuple(map(back, reversed(q)))) for q in (swap, cycle))
 
 
 def grid_points(m: int) -> list[tuple[int, int]]:
@@ -192,9 +210,13 @@ def build_grid_matrix(m: int) -> FiberCorrespondence:
     rows = tuple((line << (m * (i - 1))) ^ (column << (j - 1)) for i, j in pts)
     # the symmetries: the transpose and the row long cycle, transitive on the
     # cells since the cycle moves a cell to every row and the transpose to
-    # every column
-    moves = (lambda c: c[::-1], lambda c: (c[0] % m + 1, c[1]))
-    symmetries = tuple(point_permutation(pts, move) for move in moves)
+    # every column.  Over the row-major positions (i - 1)m + j, the
+    # transpose takes row i to column i, positions i, i + m, ..., and the
+    # cycle moves every row one row down, the last to the first
+    cells = m * m
+    transpose = chain.from_iterable(range(i, cells + 1, m) for i in range(1, m + 1))
+    cycle = chain(range(m + 1, cells + 1), range(1, m + 1))
+    symmetries = (Permutation(tuple(transpose)), Permutation(tuple(cycle)))
     return FiberCorrespondence("grid", m, rows, pts, symmetries)
 
 

@@ -17,7 +17,9 @@ never rounded or clamped.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
+
+from .perms import Record
 
 
 class GenusValidationError(ValueError):
@@ -52,31 +54,28 @@ def profile_contribution(parts) -> int:
     return sum(p - 1 for p in parts)
 
 
-@dataclass(frozen=True)
-class CoveringData:
+class CoveringData(Record, namedtuple("CoveringData", "degree special_fibers simple_extra")):
     """A covering of the line by branch data only; branch points are anonymous.
 
     special_fibers holds one ramification profile per branch point that is not
-    a plain simple one; simple_extra counts further branch points with profile
-    (2, 1, ..., 1).
+    a plain simple one, each sorted by normalize_profile; simple_extra counts
+    further branch points with profile (2, 1, ..., 1).
     """
 
-    degree: int
-    special_fibers: tuple[tuple[int, ...], ...] = field(default=())
-    simple_extra: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.degree < 1:
-            raise ValueError(f"degree must be at least 1, got {self.degree}")
-        if self.simple_extra < 0:
-            raise ValueError(f"simple branch point count must be non-negative, got {self.simple_extra}")
-        if self.simple_extra > 0 and self.degree < 2:
+    def __new__(cls, degree: int, special_fibers=(), simple_extra: int = 0):
+        if degree < 1:
+            raise ValueError(f"degree must be at least 1, got {degree}")
+        if simple_extra < 0:
+            raise ValueError(f"simple branch point count must be non-negative, got {simple_extra}")
+        if simple_extra > 0 and degree < 2:
             raise ValueError("a degree-1 covering cannot have simple branch points")
-        fibers = tuple(normalize_profile(f) for f in self.special_fibers)
+        fibers = tuple(normalize_profile(f) for f in special_fibers)
         for prof in fibers:
-            if sum(prof) != self.degree:
-                raise ValueError(f"profile {prof} does not sum to the degree {self.degree}")
-        object.__setattr__(self, "special_fibers", fibers)
+            if sum(prof) != degree:
+                raise ValueError(f"profile {prof} does not sum to the degree {degree}")
+        return super().__new__(cls, degree, fibers, simple_extra)
 
 
 def ramification_degree(cov: CoveringData) -> int:

@@ -38,13 +38,13 @@ the family's label rule alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import chain, combinations, compress, count, islice
 from math import factorial
 
 from .correspondence import FiberCorrespondence, Matrix
 from .induced_curve import SpecialFiber
-from .perms import orbits
+from .perms import Record, orbits
 
 
 def candidates(diagonal) -> list[int]:
@@ -113,8 +113,9 @@ def fixed_point_scan(actions, positions) -> list[tuple[int, int, int]]:
     ]
 
 
-@dataclass(frozen=True)
-class NestingCertificate:
+class NestingCertificate(
+    Record, namedtuple("NestingCertificate", "fiber_index chain chain_members memberships")
+):
     """A chain p_1..p_n witnessing the nesting condition on one fiber.
 
     fiber_index is the layout position of that fiber (-1 for the empty
@@ -122,14 +123,12 @@ class NestingCertificate:
     for j <= i; the last entry of each row is the self multiplicity, always 1.
     """
 
-    fiber_index: int
-    chain: tuple[int, ...]
-    chain_members: tuple[tuple[tuple[int, ...], ...], ...]
-    memberships: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class NestingFailure:
+class NestingFailure(
+    Record, namedtuple("NestingFailure", "reason fibers_searched orderings_tried")
+):
     """No chain exists: the search was exhaustive.
 
     orderings_tried counts what a backtracking search over orderings would
@@ -137,18 +136,15 @@ class NestingFailure:
     ordering of every clique shorter than the chain.
     """
 
-    reason: str
-    fibers_searched: int
-    orderings_tried: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class NestingUndecided:
+class NestingUndecided(
+    Record, namedtuple("NestingUndecided", "reason fibers_searched memo_misses")
+):
     """The clique count ran out of its budget before deciding either way."""
 
-    reason: str
-    fibers_searched: int
-    memo_misses: int
+    __slots__ = ()
 
 
 # memo misses of the clique count on one fiber: the one bound on the work of

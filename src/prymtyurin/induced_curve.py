@@ -29,7 +29,7 @@ descends to the classes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 from itertools import accumulate
 from math import comb
@@ -37,6 +37,7 @@ from math import comb
 from .correspondence import grid_points
 from .perms import (
     Permutation,
+    Record,
     all_subsets,
     induced_subset_action,
     is_transitive,
@@ -50,8 +51,9 @@ ORBIT = "monodromy"
 MODELS = (MERGED, ORBIT)
 
 
-@dataclass(frozen=True)
-class SpecialFiber:
+class SpecialFiber(
+    Record, namedtuple("SpecialFiber", "classes generators blocks", defaults=(None,))
+):
     """A special fiber of the induced covering: its classes, the orbits of its
     generators (permutations of the 1-based positions of the generic fiber's
     points, in the correspondence's point order).  A class is the sorted
@@ -65,10 +67,6 @@ class SpecialFiber:
     >>> fiber.classes, fiber.blocks
     ((((1, 2),), ((1, 3), (1, 4), (2, 3), (2, 4)), ((3, 4),)), ((1, 2), (3, 4)))
     """
-
-    classes: tuple[tuple[tuple, ...], ...]
-    generators: tuple[Permutation, ...]
-    blocks: tuple[tuple[int, ...], ...] | None = None
 
     @cached_property
     def w_contribution(self) -> int:

@@ -14,6 +14,8 @@ Conventions used across the package:
   several permutations of one degree builds it once and passes it to each
 - the cycles of a permutation p are the orbits of the group it generates, so
   ``orbits`` is the one orbit walk
+- the package's immutable records are namedtuples with their own checks in
+  ``__new__`` and the equality of ``Record``
 
 Everything here is plain integer arithmetic, no floating point anywhere.
 """
@@ -21,7 +23,7 @@ Everything here is plain integer arithmetic, no floating point anywhere.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from math import comb
 from operator import itemgetter
 
@@ -37,20 +39,49 @@ def shown(value) -> str:
         return f"{'a negative' if value < 0 else 'an'} integer of {value.bit_length()} bits"
 
 
-@dataclass(frozen=True)
-class Permutation:
+class Record:
+    """The equality of the package's records, each a namedtuple that lists
+    this class first among its bases: a record equals only a record of its
+    own class with equal fields, never a plain tuple or a record of another
+    class with the same fields, and it stays hashable.  Fields are read-only,
+    and a record that keeps a __dict__ for its cached properties refuses any
+    other attribute.  Each record runs its checks in __new__, so _replace
+    and _make, which skip __new__, are not used on them.
+    """
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return type(other) is type(self) and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self == other
+
+    __hash__ = tuple.__hash__
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class Permutation(Record, namedtuple("Permutation", "images")):
     """A bijection of ``{1..degree}`` in one-line notation.
 
     >>> p = Permutation((2, 1, 3))
     >>> p(1), p(2), p(3)
     (2, 1, 3)
+    >>> p == ((2, 1, 3),), p == Permutation((2, 1, 3))
+    (False, True)
     """
 
-    images: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if sorted(self.images) != list(range(1, len(self.images) + 1)):
-            raise ValueError(f"not a bijection of 1..{len(self.images)}: {shown(self.images)}")
+    def __new__(cls, images: tuple[int, ...]):
+        if sorted(images) != list(range(1, len(images) + 1)):
+            raise ValueError(f"not a bijection of 1..{len(images)}: {shown(images)}")
+        return super().__new__(cls, images)
 
     @property
     def degree(self) -> int:

@@ -8,20 +8,19 @@ through the same per-model pipeline; each supplies only its fiber layout.
 assemble returns the report's canonical dict, the one source of both of its
 views: canonical JSON and an aligned text table.
 
-All arithmetic is exact.  The dimension is a Fraction, written as an int or
-a "p/q" string; a non-integral value is reported as an inconsistency
-diagnostic, never rounded.  Verdicts only
+All arithmetic is exact.  The dimension is an int, or a ratio reduced by
+math.gcd and written as a "p/q" string with the sign on p; a non-integral
+value is reported as an inconsistency diagnostic, never rounded.  Verdicts only
 ever claim the combinatorial hypotheses: the analytic ones (primitivity of
 the correspondence class, smoothness of the curve) are marked unchecked.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
-from fractions import Fraction
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
+from math import gcd
 
 from .correspondence import (
     FiberCorrespondence,
@@ -74,19 +73,27 @@ class DimensionError(ValueError):
     """The dimension formula was fed inconsistent inputs."""
 
 
-def prym_dimension(genus: int, bidegree: int, fixed_count: int, exponent: int) -> Fraction:
-    """(genus - bidegree + fixed_count/2) / exponent, exact.
+def prym_dimension(genus: int, bidegree: int, fixed_count: int, exponent: int) -> int | str:
+    """(genus - bidegree + fixed_count/2) / exponent, exact, as the report
+    writes it: an int, or the reduced ratio "p/q" with the sign on p.
 
     fixed_count is the full weighted number of fixed points, the quantity
-    whose half enters the formula.  Integrality of the result is the
-    caller's diagnostic; this function only rejects outright nonsense.
+    whose half enters the formula.  Integrality of the result (whether it is
+    an int) is the caller's diagnostic; this function only rejects outright
+    nonsense.
+
+    >>> prym_dimension(13, 6, 6, 4), prym_dimension(11, 6, 6, 4)
+    ('5/2', 2)
     """
     if exponent < 2:
         raise DimensionError(f"exponent must be >= 2, got {exponent}")
     if genus < 0 or bidegree < 0 or fixed_count < 0:
         raise DimensionError("genus, bidegree and fixed count must all be non-negative")
-    dim = Fraction(2 * (genus - bidegree) + fixed_count, 2 * exponent)
-    if dim < 0:
+    p, q = 2 * (genus - bidegree) + fixed_count, 2 * exponent
+    common = gcd(p, q)
+    p, q = p // common, q // common
+    dim = p if q == 1 else f"{p}/{q}"
+    if p < 0:
         raise DimensionError(f"dimension came out negative: {dim}")
     return dim
 
@@ -254,7 +261,7 @@ def _model(
         eps = epsilon_degree(genus, delta)
         try:
             dim = prym_dimension(genus, bidegree, delta, q)
-            integral = dim.denominator == 1
+            integral = isinstance(dim, int)
         except DimensionError as exc:
             error = f"{scenario.kind} scenario, {model} model: {exc}"
 
@@ -283,7 +290,7 @@ def _model(
         "simple_fibers_fixed_free": simple_free,
         "nesting": nest,
         "certificate_checked": checked,
-        "dim_p": None if dim is None else rational_json(dim),
+        "dim_p": dim,
         "dim_p_integral": integral,
         "epsilon_degree": eps,
         "hypotheses": hyp,
@@ -368,11 +375,6 @@ def _notes(data: dict) -> list[str]:
 # --- serialization -----------------------------------------------------------
 
 
-def rational_json(x) -> int | str:
-    f = Fraction(x)
-    return int(f) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
-
-
 def covering_to_dict(cov: CoveringData) -> dict:
     return {
         "degree": cov.degree,
@@ -412,7 +414,7 @@ def nesting_to_dict(nesting) -> dict:
             "multiplicities": [list(row) for row in nesting.memberships],
         }
     # a failed search names its orderings tried, an undecided one its memo misses
-    return {"certified": False, **dataclasses.asdict(nesting)}
+    return {"certified": False, **nesting._asdict()}
 
 
 def correspondence_to_dict(
@@ -439,10 +441,13 @@ def canonical_json(data) -> str:
     """The text json.dumps(data, indent=2, sort_keys=True) writes, byte for byte.
 
     Keys must be str: a key of any other type raises TypeError, where
-    json.dumps would also write int, float, bool and None keys.  A value that
-    is not a str, int, None, list, tuple or dict goes to json.dumps, so a
-    float is written as it writes it and anything else (a Fraction, a set)
-    raises its TypeError; nothing is stringified by accident.
+    json.dumps would also write int, float, bool and None keys.  A list or
+    tuple is accepted by its exact type, so a subclass of either (one of
+    the package's namedtuple records) raises TypeError where json.dumps
+    would write it as a list.  A float goes to json.dumps, so it is written
+    as it writes it, and any other value that is not a str, int, None or
+    dict (a Fraction, a set) raises TypeError; nothing is stringified by
+    accident.
 
     Like json.dumps, every piece goes to one list, joined once at the end.
     Reports repeat one fiber dict many times (the grid layout has four
@@ -473,8 +478,10 @@ def canonical_json(data) -> str:
         if isinstance(obj, int):
             return append(int.__repr__(obj))
         is_dict = isinstance(obj, dict)
-        if not is_dict and not isinstance(obj, (list, tuple)):
-            return append(json.dumps(obj))
+        if not is_dict and type(obj) not in (list, tuple):
+            if isinstance(obj, float):
+                return append(json.dumps(obj))
+            raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
         if not obj:
             return append("{}" if is_dict else "[]")
         pad = "  " * depth

@@ -19,13 +19,13 @@ report.
 
 from __future__ import annotations
 
-import dataclasses
 import json
+from collections import namedtuple
 from functools import cached_property
 
 from .covering import CoveringData, GenusValidationError, is_int, normalize_profile, simple_budget
 from .induced_curve import MODELS
-from .perms import Permutation, shown
+from .perms import Permutation, Record, shown
 
 SUBSET = "subset"
 GRID = "grid"
@@ -50,8 +50,10 @@ class InvalidScenario(ValueError):
     """Scenario data failed validation; the message names the field."""
 
 
-@dataclasses.dataclass(frozen=True)
-class Scenario:
+class Scenario(
+    Record,
+    namedtuple("Scenario", "kind upstairs_genus parameter special_fibers model monodromy"),
+):
     """One verification run.
 
     kind            "subset" or "grid"
@@ -67,71 +69,60 @@ class Scenario:
                     place of the synthesized representative choice
     """
 
-    kind: str
-    upstairs_genus: int
-    parameter: int
-    special_fibers: tuple[tuple[int, ...], ...] = ()
-    model: str = BOTH
-    monodromy: tuple[tuple[int, ...], ...] | None = None
-
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise InvalidScenario(f"kind must be one of {KINDS}, got {shown(self.kind)}")
-        if self.model not in MODEL_CHOICES:
+    def __new__(cls, kind: str, upstairs_genus: int, parameter: int, special_fibers=(),
+                model: str = BOTH, monodromy=None):
+        if kind not in KINDS:
+            raise InvalidScenario(f"kind must be one of {KINDS}, got {shown(kind)}")
+        if model not in MODEL_CHOICES:
+            raise InvalidScenario(f"model must be one of {MODEL_CHOICES}, got {shown(model)}")
+        if not is_int(upstairs_genus):
             raise InvalidScenario(
-                f"model must be one of {MODEL_CHOICES}, got {shown(self.model)}"
+                f"upstairs_genus must be an integer, got {shown(upstairs_genus)}"
             )
-        if not is_int(self.upstairs_genus):
-            raise InvalidScenario(
-                f"upstairs_genus must be an integer, got {shown(self.upstairs_genus)}"
-            )
-        if not isinstance(self.special_fibers, (list, tuple)):
+        if not isinstance(special_fibers, (list, tuple)):
             raise InvalidScenario("special_fibers must be a list of profiles")
-        if self.kind == GRID:
-            if not is_int(self.parameter) or self.parameter != GRID_SIZE:
+        covering = None
+        if kind == GRID:
+            if not is_int(parameter) or parameter != GRID_SIZE:
                 raise InvalidScenario(
                     f"grid scenarios require side {GRID_SIZE}:"
-                    f" m must be {GRID_SIZE}, got {shown(self.parameter)}"
+                    f" m must be {GRID_SIZE}, got {shown(parameter)}"
                 )
-            if self.upstairs_genus < 2:
+            if upstairs_genus < 2:
                 raise InvalidScenario(
                     "grid scenarios need a hyperelliptic curve, so upstairs_genus"
-                    f" must be >= 2, got {shown(self.upstairs_genus)}"
+                    f" must be >= 2, got {shown(upstairs_genus)}"
                 )
-            if self.upstairs_genus > MAX_GRID_GENUS:
+            if upstairs_genus > MAX_GRID_GENUS:
                 raise InvalidScenario(
                     f"upstairs_genus must be at most {MAX_GRID_GENUS},"
-                    f" got {shown(self.upstairs_genus)}"
+                    f" got {shown(upstairs_genus)}"
                 )
-            if self.special_fibers:
+            if special_fibers:
                 raise InvalidScenario(
                     "grid scenarios fix their own fiber layout;"
                     " special_fibers must be empty"
                 )
-            if self.monodromy is not None:
+            if monodromy is not None:
                 raise InvalidScenario(
                     "grid scenarios fix their own monodromy;"
                     " an explicit generator list is not accepted"
                 )
-            object.__setattr__(self, "special_fibers", ())
+            special_fibers = ()
         else:
-            if not is_int(self.parameter) or self.parameter < 2:
-                raise InvalidScenario(f"n must be an integer >= 2, got {shown(self.parameter)}")
-            if self.parameter > MAX_SUBSET_N:
-                raise InvalidScenario(
-                    f"n must be at most {MAX_SUBSET_N}, got {shown(self.parameter)}"
-                )
-            if self.upstairs_genus < 0:
-                raise InvalidScenario(
-                    f"upstairs_genus must be >= 0, got {shown(self.upstairs_genus)}"
-                )
-            if self.upstairs_genus > 10**MAX_SUBSET_GENUS_EXPONENT:
+            if not is_int(parameter) or parameter < 2:
+                raise InvalidScenario(f"n must be an integer >= 2, got {shown(parameter)}")
+            if parameter > MAX_SUBSET_N:
+                raise InvalidScenario(f"n must be at most {MAX_SUBSET_N}, got {shown(parameter)}")
+            if upstairs_genus < 0:
+                raise InvalidScenario(f"upstairs_genus must be >= 0, got {shown(upstairs_genus)}")
+            if upstairs_genus > 10**MAX_SUBSET_GENUS_EXPONENT:
                 raise InvalidScenario(
                     f"upstairs_genus must be at most 10**{MAX_SUBSET_GENUS_EXPONENT}"
                 )
-            degree = self.parameter + 2
+            degree = parameter + 2
             fibers = []
-            for pos, profile in enumerate(self.special_fibers):
+            for pos, profile in enumerate(special_fibers):
                 try:
                     parts = normalize_profile(profile)
                 except ValueError as exc:
@@ -143,17 +134,15 @@ class Scenario:
                     )
                 # pad with unramified sheets
                 fibers.append(parts + (1,) * (degree - sum(parts)))
-            object.__setattr__(self, "special_fibers", tuple(fibers))
+            special_fibers = tuple(fibers)
             try:
-                self.covering
+                covering = _input_covering(degree, special_fibers, upstairs_genus)
             except (GenusValidationError, ValueError) as exc:
-                raise InvalidScenario(
-                    f"special_fibers vs upstairs_genus: {exc}"
-                ) from exc
-            if self.monodromy is not None:
-                if not isinstance(self.monodromy, (list, tuple)):
+                raise InvalidScenario(f"special_fibers vs upstairs_genus: {exc}") from exc
+            if monodromy is not None:
+                if not isinstance(monodromy, (list, tuple)):
                     raise InvalidScenario("monodromy must be a list of image lists")
-                for pos, images in enumerate(self.monodromy):
+                for pos, images in enumerate(monodromy):
                     if not isinstance(images, (list, tuple)) or not all(map(is_int, images)):
                         raise InvalidScenario(
                             f"monodromy[{pos}] must be a list of integer sheet labels,"
@@ -168,7 +157,14 @@ class Scenario:
                             f"monodromy[{pos}]: permutation degree {perm.degree}"
                             f" does not match covering degree {degree}"
                         )
-                object.__setattr__(self, "monodromy", tuple(tuple(g) for g in self.monodromy))
+                monodromy = tuple(tuple(g) for g in monodromy)
+        self = super().__new__(
+            cls, kind, upstairs_genus, parameter, special_fibers, model, monodromy
+        )
+        if covering is not None:
+            # the covering the checks built is the cached one
+            self.__dict__["covering"] = covering
+        return self
 
     @cached_property
     def covering(self) -> CoveringData:
@@ -178,8 +174,12 @@ class Scenario:
         says the source genus needs, 2g + 2 for the double covering.
         """
         degree = 2 if self.kind == GRID else self.parameter + 2
-        bare = CoveringData(degree=degree, special_fibers=self.special_fibers)
-        return dataclasses.replace(bare, simple_extra=simple_budget(bare, self.upstairs_genus))
+        return _input_covering(degree, self.special_fibers, self.upstairs_genus)
+
+
+def _input_covering(degree: int, special_fibers, upstairs_genus: int) -> CoveringData:
+    bare = CoveringData(degree, special_fibers)
+    return CoveringData(degree, special_fibers, simple_budget(bare, upstairs_genus))
 
 
 def default_subset_fibers(n: int) -> tuple[tuple[int, ...], ...]:

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import tracemalloc
 from fractions import Fraction
@@ -16,12 +15,25 @@ from prymtyurin.correspondence import (
     build_subset_matrix,
     discover_identity,
     exponent_from_identity,
+    grid_points,
     identity_and_exponent,
     mat_mul,
     strongly_regular_identity,
     verify_identity,
 )
-from prymtyurin.perms import Permutation, all_subsets, induced_subset_action, orbits
+from prymtyurin.perms import (
+    Permutation,
+    all_subsets,
+    induced_subset_action,
+    orbits,
+    point_permutation,
+)
+
+
+def rebuilt(corr, **changes):
+    """corr with the given fields changed, through the constructor and so
+    through every check it makes."""
+    return FiberCorrespondence(**{**corr._asdict(), **changes})
 
 
 def test_subset_matrix_n2_is_the_complement_involution():
@@ -242,25 +254,34 @@ def test_symmetries_are_checked_at_construction():
     rotation = Permutation((2, 3, 4, 5, 6, 1))
     reflection = Permutation((1, 6, 5, 4, 3, 2))
     corr = relation(six_cycle)
-    assert dataclasses.replace(corr, symmetries=(rotation, reflection)).symmetries
+    assert rebuilt(corr, symmetries=(rotation, reflection)).symmetries
     # swapping points 1 and 5, the neighbours of point 0, moves the edge
     # {1, 2} to {5, 2}
     with pytest.raises(ValueError, match="symmetry 1 does not preserve the relation"):
-        dataclasses.replace(corr, symmetries=(rotation, Permutation((1, 6, 3, 4, 5, 2))))
+        rebuilt(corr, symmetries=(rotation, Permutation((1, 6, 3, 4, 5, 2))))
     with pytest.raises(ValueError, match="symmetry 0 has degree 5, not 6"):
-        dataclasses.replace(corr, symmetries=(Permutation((2, 3, 4, 5, 1)),))
+        rebuilt(corr, symmetries=(Permutation((2, 3, 4, 5, 1)),))
     # each family's generators preserve its relation and are transitive
     for corr in (*map(build_subset_matrix, range(2, 9)), *map(build_grid_matrix, range(2, 31))):
         assert len(corr.symmetries) == 2
         assert len(orbits(corr.symmetries, corr.size)) == 1
 
 
-@pytest.mark.parametrize("n", range(2, 13))
+@pytest.mark.parametrize("n", range(2, 41))
 def test_subset_symmetries_are_the_induced_label_moves(n):
+    # the closed form over colex positions against the induced action
     corr = build_subset_matrix(n)
     moves = (((1, 2),), (tuple(range(1, n + 3)),))
     want = tuple(induced_subset_action(Permutation.from_cycles(n + 2, g), n) for g in moves)
     assert corr.symmetries == want
+
+
+def test_grid_symmetries_are_the_transpose_and_the_row_cycle():
+    # the closed form over row-major positions against the moves on cells
+    for m in range(2, 31):
+        moves = (lambda c: c[::-1], lambda c: (c[0] % m + 1, c[1]))
+        want = tuple(point_permutation(grid_points(m), move) for move in moves)
+        assert build_grid_matrix(m).symmetries == want
 
 
 def two_switch(rows):
@@ -285,9 +306,9 @@ def test_two_switch_is_refused_by_the_symmetries():
     switched = two_switch(corr.rows)
     assert {row.bit_count() for row in switched} == {corr.bidegree}
     with pytest.raises(ValueError, match="does not preserve the relation"):
-        dataclasses.replace(corr, rows=switched)
+        rebuilt(corr, rows=switched)
     # without symmetries every row is proved, and the identity fails
-    bare = dataclasses.replace(corr, rows=switched, symmetries=())
+    bare = rebuilt(corr, rows=switched, symmetries=())
     assert discover_identity(bare) is None
     assert identity_and_exponent(bare)[0] is None
 
@@ -296,7 +317,7 @@ def test_witness_is_the_same_with_and_without_symmetries():
     # a failing row is the first of its orbit, so one row per orbit finds
     # the same first failing entry as the walk over every row
     for corr in (*map(build_subset_matrix, range(2, 9)), *map(build_grid_matrix, range(2, 9))):
-        bare = dataclasses.replace(corr, symmetries=())
+        bare = rebuilt(corr, symmetries=())
         a, b, c = discover_identity(corr)
         for claim in (
             (a, b, c), (a + 1, b, c), (a, b - 1, c), (a, b, c + 1), (0, 0, 0),
@@ -448,7 +469,7 @@ def test_identity_and_exponent_rechecks_the_closed_form():
         " regular closed form (2, -1, 1) of the subset correspondence with parameter 3"
     )
     # a kind without a closed form is not re-checked
-    assert identity_and_exponent(dataclasses.replace(corr, kind="x"))[1] == 3
+    assert identity_and_exponent(rebuilt(corr, kind="x"))[1] == 3
 
 
 def reference_discover_identity(corr):

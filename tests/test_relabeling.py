@@ -6,14 +6,12 @@ conjugates every monodromy generator by sigma and describes the same
 covering too.  Neither may change a verdict or any number the report derives.
 """
 
-import dataclasses
-
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from prymtyurin.perms import Permutation, orbits
 from prymtyurin.report import assemble
-from prymtyurin.scenario import MODEL_CHOICES, InvalidScenario, subset_scenario
+from prymtyurin.scenario import MODEL_CHOICES, InvalidScenario, Scenario, subset_scenario
 
 
 def cycle_type(images):
@@ -49,10 +47,12 @@ def relabeled_pairs(draw):
         assume(False)
     order = draw(st.permutations(range(len(fibers))))
     sigma = draw(st.permutations(labels))
-    relabeled = dataclasses.replace(
-        scen,
-        special_fibers=tuple(scen.special_fibers[i] for i in order),
-        monodromy=None if monodromy is None else [conjugate(g, sigma) for g in monodromy],
+    relabeled = Scenario(
+        **{
+            **scen._asdict(),
+            "special_fibers": tuple(scen.special_fibers[i] for i in order),
+            "monodromy": None if monodromy is None else [conjugate(g, sigma) for g in monodromy],
+        }
     )
     return scen, relabeled
 

@@ -17,6 +17,7 @@ from prymtyurin import fixed_points
 from prymtyurin import report as report_module
 from prymtyurin.fixed_points import check_certificate
 from prymtyurin.induced_curve import MERGED, ORBIT, SpecialFiber
+from prymtyurin.perms import Permutation
 from prymtyurin.report import (
     DimensionError,
     assemble,
@@ -27,7 +28,6 @@ from prymtyurin.report import (
     keyed_verdict,
     models_for,
     prym_dimension,
-    rational_json,
     render_table,
     report_to_json,
 )
@@ -60,8 +60,8 @@ def test_prym_dimension_worked_cases():
 
 def test_prym_dimension_flags_non_integral():
     dim = prym_dimension(4 * 2 + 5, 6, 6, 4)
-    assert dim == Fraction(5, 2)
-    assert dim.denominator != 1
+    assert dim == "5/2"
+    assert not isinstance(dim, int)
 
 
 def test_prym_dimension_errors():
@@ -254,11 +254,24 @@ def test_unchecked_analytic_hypotheses_everywhere():
             assert m["hypotheses"]["smoothness"] == "unchecked"
 
 
-def test_rational_json():
-    assert rational_json(Fraction(4, 2)) == 2
-    assert rational_json(5) == 5
-    assert rational_json(Fraction(5, 2)) == "5/2"
-    assert rational_json(Fraction(-7, 3)) == "-7/3"
+def test_prym_dimension_is_an_int_or_a_reduced_ratio():
+    # each value is the one Fraction((2 * (g - d) + f), 2 * q) writes, reduced
+    # by the gcd with the sign on the numerator
+    cases = {(5, 1, 2, 2): "5/2", (6, 1, 0, 2): "5/2", (7, 1, 0, 3): 2, (3, 3, 0, 2): 0}
+    for args, want in cases.items():
+        dim = prym_dimension(*args)
+        assert dim == want and type(dim) is type(want)
+        g, d, f, q = args
+        assert str(Fraction(2 * (g - d) + f, 2 * q)) == str(dim)
+    for g in range(0, 40):
+        for q in range(2, 7):
+            exact = Fraction(2 * g + 3, 2 * q)
+            want = int(exact) if exact.denominator == 1 else str(exact)
+            assert prym_dimension(g, 0, 3, q) == want
+    with pytest.raises(DimensionError, match="negative: -7/3"):
+        prym_dimension(0, 7, 0, 3)
+    with pytest.raises(DimensionError, match="negative: -1$"):
+        prym_dimension(0, 2, 0, 2)
 
 
 def test_report_serialization_round_trip():
@@ -399,6 +412,22 @@ def test_canonical_json_refuses_what_json_dumps_refuses(data):
     with pytest.raises(TypeError):
         reference_json(data)
     with pytest.raises(TypeError):
+        canonical_json(data)
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        Permutation((2, 1)),
+        fixed_points.NestingFailure("no chain", 1, 0),
+        {"nesting": [fixed_points.NestingFailure("no chain", 1, 0)]},
+    ],
+)
+def test_canonical_json_refuses_records(data):
+    # json.dumps writes a namedtuple record as a list; the writer accepts a
+    # list or tuple by its exact type, so a record that strays into a report
+    # is refused as a dataclass was
+    with pytest.raises(TypeError, match="is not JSON serializable"):
         canonical_json(data)
 
 
