@@ -11,12 +11,12 @@ generic point of the base line:
 
 Both relations are plain 0/1, and each correspondence holds its relation
 once, as one int bitset per point, next to its point descriptors in row
-order: the rest of the package looks a point's row up by its descriptor and
-never recomputes a rank.  Each family also carries permutations of its points
-that preserve D, checked at construction; verify_identity squares one row per
-orbit of the group they generate, one row for either family, and each entry is
-the popcount of an AND of two rows, since a symmetric relation's rows are its
-columns.
+order: the rest of the package reads a point's row at its position and
+never recomputes a rank.  Each family also carries permutations of its
+points that preserve D, checked at construction; verify_identity squares one
+row per orbit of the group they generate, one row for either family, and
+each entry is the popcount of an AND of two rows, since a symmetric
+relation's rows are its columns.
 
 A correspondence D may satisfy a quadratic identity
 
@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from functools import cached_property
 from itertools import chain, repeat
 from operator import getitem, itemgetter
 
@@ -121,11 +120,6 @@ class FiberCorrespondence(
     @property
     def bidegree(self) -> int:
         return self.rows[0].bit_count()
-
-    @cached_property
-    def index(self) -> dict:
-        """Row index of each point descriptor."""
-        return {p: i for i, p in enumerate(self.points)}
 
 
 def _columns_are_rows(bits: list[str], order) -> bool:

@@ -3,9 +3,10 @@
 On a special fiber the points of the induced curve are classes of generic
 fiber points, the orbits of the fiber's generators (see induced_curve).
 class_action proves from the generators that the correspondence descends to
-the classes and reads one representative row per class, and only what the
-criterion reads: each class's multiplicity in its own image, and the block
-of multiplicities among the classes where that is 1.
+the classes, with one comparison of the classes against their orbits, and
+reads one representative row per class, and only what the criterion reads:
+each class's multiplicity in its own image, and the block of multiplicities
+among the classes where that is 1.
 
 A class Q is a fixed point when Q appears in its own image D(Q); the
 multiplicity of the appearance is the local intersection number with the
@@ -29,8 +30,8 @@ per fiber, the one budget of the search; beyond it the search is reported
 undecided.
 
 The scan and the search read a layout as report.fiber_layout gives it: the
-distinct fibers with their class actions, and for each layout position the
-index of its fiber among them.  Certificates carry enough raw data to be
+distinct fibers, their class actions, and for each layout position the index
+of its fiber among them.  Certificates carry enough raw data to be
 re-verified by check_certificate, which reads the report's own nesting and
 fiber entries and recomputes every multiplicity from the fiber classes and
 the family's label rule alone.
@@ -39,12 +40,13 @@ the family's label rule alone.
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import chain, combinations, compress, count, islice
+from itertools import combinations, compress, count
 from math import factorial
+from operator import ne
 
 from .correspondence import FiberCorrespondence, Matrix
-from .induced_curve import SpecialFiber
-from .perms import Record, orbits
+from .induced_curve import SpecialFiber, orbit_classes
+from .perms import Record
 
 
 def candidates(diagonal) -> list[int]:
@@ -58,37 +60,27 @@ def class_action(corr: FiberCorrespondence, fiber: SpecialFiber) -> tuple[tuple,
     of class q in its own image and block[i][j] that of class c_j in the
     image of class c_i, for c_0 < c_1 < ... the candidates(diagonal).
 
-    Members are looked up among corr.points; a member that is not a point, a
-    member in two classes or classes that do not cover the points raise
-    ValueError.  Every count is read off one representative per class: each
-    generator has degree N and preserves D (corr.check_moves) and the
-    classes are exactly their orbits, or ValueError, so for g in the group
-    they generate, a point p and a class M, |D(gp) & M| = |D(p) & g^-1 M| =
-    |D(p) & M|, and the action does not depend on the representative.
+    Each generator must have degree N and preserve D (corr.check_moves), and
+    the classes must equal orbit_classes of the generators on corr.points,
+    order included, or ValueError: a member that is not a point or lies in
+    two classes, classes that miss a point and classes out of order all fail
+    that one comparison.  So for g in the group the generators span, a
+    point p and a class M, |D(gp) & M| = |D(p) & g^-1 M| = |D(p) & M|: the
+    action does not depend on the representative, and every count is read
+    off one representative per class, the first position of its orbit.
     """
-    members = list(chain.from_iterable(fiber.classes))
-    at = list(map(corr.index.get, members))
-    if None in at:
-        member = members[at.index(None)]
-        raise ValueError(f"member {member} is not a point of the {corr.kind} correspondence")
-    if len(set(at)) != len(at):
-        twice = next(m for m, r in zip(members, at) if at.count(r) > 1)
-        raise ValueError(f"member {twice} appears in two classes")
-    if len(at) != corr.size:
-        raise ValueError(f"classes cover {len(at)} points, matrix has {corr.size}")
-
     corr.check_moves(fiber.generators, "generator")
-    # each class as its sorted 1-based positions, as orbits writes an orbit
-    positions = iter(map((1).__add__, at))
-    declared = [tuple(sorted(islice(positions, len(cls)))) for cls in fiber.classes]
-    orbs = orbits(fiber.generators, corr.size)
-    if sorted(declared) != list(orbs):
-        orbit_of = {r: orbit for orbit in orbs for r in orbit}
-        q = next(q for q, cls in enumerate(declared) if orbit_of[cls[0]] != cls)
-        raise ValueError(f"class {q} is not an orbit of the fiber's generators")
+    classes, walked = zip(*orbit_classes(fiber.generators, corr.points))
+    if fiber.classes != classes:
+        # the first class that differs, or the first orbit the classes miss
+        declared = fiber.classes
+        q = next(compress(count(), map(ne, declared, classes)), min(len(declared), len(classes)))
+        if q < len(declared):
+            raise ValueError(f"class {q} is not an orbit of the fiber's generators")
+        raise ValueError(f"the classes miss orbit {q} of the fiber's generators")
 
-    masks = [sum(map((1).__lshift__, cls)) >> 1 for cls in declared]
-    reps = [corr.rows[cls[0] - 1] for cls in declared]
+    masks = [sum(map((1).__lshift__, orbit)) >> 1 for orbit in walked]
+    reps = [corr.rows[orbit[0] - 1] for orbit in walked]
     diagonal = tuple(map(int.bit_count, map(int.__and__, reps, masks)))
     chosen = candidates(diagonal)
     within = list(map(masks.__getitem__, chosen))
@@ -196,8 +188,8 @@ def nesting_search(fibers, actions, positions, delta_dot_d: int, bidegree: int):
     fibers and actions are a layout's distinct fibers and their class
     actions as class_action returns them, positions[p] the index of position
     p's fiber among them, and delta_dot_d the layout's weighted fixed-point
-    count.  Positions are
-    searched in layout order, a repeated fiber at each of its positions.
+    count.  Positions are searched in layout order, a repeated fiber at each
+    of its positions.
 
     The correspondence is symmetric and its class action does not depend on
     the representative, so |q| * action[q][p] = |p| * action[p][q] for class

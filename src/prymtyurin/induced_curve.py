@@ -22,9 +22,10 @@ generators it carries: permutations of the generic fiber's point positions
 in the correspondence's point order.  They are the Young subgroup of a
 profile's blocks (blocks_from_parts; merged model) or its local monodromy
 (orbit model), induced on subsets by perms.induced_subset_action, and the
-local monodromy on grid cells by perms.point_permutation.
-fixed_points.class_action proves from them that the correspondence
-descends to the classes.
+local monodromy on grid cells as arithmetic on row-major cell positions.
+orbit_classes writes the orbits as classes; fixed_points.class_action
+proves from the generators that the correspondence descends to the classes
+and requires them to be exactly these.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ from .perms import (
     induced_subset_action,
     is_transitive,
     orbits,
-    point_permutation,
     subset_index,
 )
 
@@ -60,8 +60,8 @@ class SpecialFiber(
     tuple of its members, and its size is its ramification index.  A merged
     subset fiber carries the label blocks its report entry reads; blocks is
     None for orbit and grid fibers.  The report's model entry holding a fiber
-    records its model; each model builds its own fibers, so the grid fibers
-    of both models are equal but not shared.
+    records its model; the grid fibers of both models are equal, so one grid
+    layout serves both, and each subset model builds its own fibers.
 
     >>> fiber = subset_fiber(2, (2, 2), MERGED)
     >>> fiber.classes, fiber.blocks
@@ -73,13 +73,23 @@ class SpecialFiber(
         return sum(map(len, self.classes)) - len(self.classes)
 
 
-def _fiber(generators: tuple[Permutation, ...], points, blocks=None) -> SpecialFiber:
-    """The one fiber builder: the orbits of the generators on the positions
-    of points, as classes that list their members in lexicographic order,
-    ordered by that first member."""
+def orbit_classes(generators: tuple[Permutation, ...], points) -> list[tuple[tuple, tuple]]:
+    """The orbits of the generators on the 1-based positions of points, as
+    (class, orbit) pairs: the class lists the orbit's points in
+    lexicographic order, and the pairs are ordered by that first member.
+
+    >>> orbit_classes((Permutation((3, 2, 1)),), "cab")
+    [(('a',), (2,)), (('b', 'c'), (1, 3))]
+    """
     point = (None, *points).__getitem__  # the point at a 1-based position
-    members = sorted(tuple(sorted(map(point, orbit))) for orbit in orbits(generators, len(points)))
-    return SpecialFiber(tuple(members), generators, blocks)
+    walked = orbits(generators, len(points))
+    return sorted((tuple(sorted(map(point, orbit))), orbit) for orbit in walked)
+
+
+def _fiber(generators: tuple[Permutation, ...], points, blocks=None) -> SpecialFiber:
+    """The one fiber builder: the classes of orbit_classes."""
+    classes, _ = zip(*orbit_classes(generators, points))
+    return SpecialFiber(classes, generators, blocks)
 
 
 def blocks_from_parts(parts: tuple[int, ...], degree: int) -> tuple[tuple[int, ...], ...]:
@@ -143,19 +153,21 @@ def subset_fiber(n: int, parts, model: str) -> SpecialFiber:
 
 def grid_row_monodromy(m: int, row_parts) -> Permutation:
     """Local monodromy of a row-merge fiber as a permutation of the cells:
-    the rows move by partition_monodromy of their profile, columns stay put."""
+    the rows move by partition_monodromy of their profile, columns stay put.
+    Cell (i, j) sits at the row-major position (i - 1)m + j."""
     sigma = partition_monodromy(row_parts, m)
-    return point_permutation(grid_points(m), lambda cell: (sigma(cell[0]), cell[1]))
+    return Permutation(tuple((s - 1) * m + j for s in sigma.images for j in range(1, m + 1)))
 
 
 def grid_pairing_monodromy(m: int, shift: int = 0) -> Permutation:
     """Local monodromy of a pairing fiber: the two sides of the grid coincide
     through the matching i -> i + shift (mod m), so cell (i, j) goes to
     (j - shift, i + shift).  It is an involution; cells on the matched
-    diagonal are fixed."""
-    tau = lambda i: (i - 1 + shift) % m + 1
-    tau_inv = lambda i: (i - 1 - shift) % m + 1
-    return point_permutation(grid_points(m), lambda cell: (tau_inv(cell[1]), tau(cell[0])))
+    diagonal are fixed.  Counting i and j from 0 below, cell (i, j) sits at
+    the row-major position i*m + j + 1."""
+    return Permutation(
+        tuple((j - shift) % m * m + (i + shift) % m + 1 for i in range(m) for j in range(m))
+    )
 
 
 def grid_row_merge_fiber(m: int, row_parts) -> SpecialFiber:

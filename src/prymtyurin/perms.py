@@ -7,8 +7,8 @@ Conventions used across the package:
   image of the label ``x``
 - k-subsets of ``{1..d}`` are written as sorted tuples and listed in colex
   order, which is lexicographic order on the reversed tuples
-- a map on a list of points acts as the permutation of their 1-based
-  positions (``point_permutation``); the grid monodromies are built this way
+- a permutation of a fiber's points is one of their 1-based positions in
+  the correspondence's point order
 - the induced action on k-subsets reads one colex index (``subset_index``),
   the 1-based position of each subset on the smaller side; a caller inducing
   several permutations of one degree builds it once and passes it to each
@@ -131,18 +131,6 @@ def all_subsets(universe: int, k: int) -> list[tuple[int, ...]]:
     # listed downwards; read backwards, that is colex order
     descending = list(itertools.combinations(range(universe, 0, -1), k))
     return list(map(itemgetter(slice(None, None, -1)), reversed(descending)))
-
-
-def point_permutation(points, move) -> Permutation:
-    """The permutation of 1-based positions in ``points`` induced by a map
-    that permutes the points: position r goes to the position of
-    ``move(points[r - 1])``.
-
-    >>> point_permutation("abc", {"a": "b", "b": "a", "c": "c"}.get).images
-    (2, 1, 3)
-    """
-    position = {p: r for r, p in enumerate(points, start=1)}
-    return Permutation(tuple(position[move(p)] for p in points))
 
 
 def subset_index(degree: int, k: int) -> dict[tuple[int, ...], int]:

@@ -48,9 +48,7 @@ from .induced_curve import (
     ORBIT,
     SpecialFiber,
     grid_pairing_fiber,
-    grid_pairing_monodromy,
     grid_row_merge_fiber,
-    grid_row_monodromy,
     irreducibility_check,
     partition_monodromy,
     subset_fiber,
@@ -128,8 +126,9 @@ def assemble(scenario: Scenario) -> dict:
     else:
         corr = build_grid_matrix(scenario.parameter)
     ident, q, note = identity_and_exponent(corr)
-    irreducible, basis = _irreducibility(scenario)
-    models = {m: _model(scenario, corr, m, q, irreducible) for m in models_for(scenario.model)}
+    layouts = fiber_layout(scenario, corr)
+    irreducible, basis = _irreducibility(scenario, layouts)
+    models = {m: _model(scenario, corr, layout, m, q, irreducible) for m, layout in layouts.items()}
     data = {
         "scenario": scenario_to_dict(scenario),
         "correspondence": correspondence_to_dict(corr.size, corr.bidegree, ident, q, note),
@@ -142,39 +141,46 @@ def assemble(scenario: Scenario) -> dict:
     return data
 
 
-def fiber_layout(
-    scenario: Scenario, model: str
-) -> tuple[tuple[SpecialFiber, ...], tuple[int, ...], int | None]:
-    """One model's special fibers over the base line: the distinct fibers,
-    each built once; the index of each layout position's fiber among them,
-    in report order; and the index of a fiber over a simple branch point of
-    the input covering, or None when the layout declares them all.
+def fiber_layout(scenario: Scenario, corr: FiberCorrespondence) -> dict[str, tuple]:
+    """Each requested model's layout, in the order models_for names them:
+    (distinct, actions, positions, simple), the distinct fibers, each built
+    and acted on once; their class actions on corr; the index of each layout
+    position's fiber among them, in report order; and the index of a fiber
+    over a simple branch point of the input covering, or None when the
+    layout declares them all.
 
     A subset layout has one fiber per distinct profile, the simple one
-    included.  The grid layout has two row-merge fibers, then one pairing
-    fiber per simple branch point of the double covering (its simple_budget)
-    cycling the diagonal shift: every ramified fiber, four distinct ones.
-    The positions are built at C level, so no layout costs a Python step per
-    branch point.
+    included, and each model has its own.  The grid layout has two
+    row-merge fibers, then one pairing fiber per simple branch point of the
+    double covering (its simple_budget) cycling the diagonal shift: every
+    ramified fiber, four distinct ones.  They do not depend on the model,
+    so both models share one layout object.  The positions are built at C
+    level, so no layout costs a Python step per branch point.
     """
+    models = models_for(scenario.model)
     if scenario.kind == GRID:
-        rows = grid_row_merge_fiber(GRID_SIZE, GRID_ROW_PROFILE)
         pairings = tuple(grid_pairing_fiber(GRID_SIZE, s) for s in range(GRID_SIZE))
+        distinct = (grid_row_merge_fiber(GRID_SIZE, GRID_ROW_PROFILE), *pairings)
         extra = scenario.covering.simple_extra
         cycle = (tuple(range(1, GRID_SIZE + 1)) * (extra // GRID_SIZE + 1))[:extra]
-        return (rows, *pairings), (0, 0) + cycle, None
+        layout = distinct, [class_action(corr, f) for f in distinct], (0, 0) + cycle, None
+        return dict.fromkeys(models, layout)
     n = scenario.parameter
     simple_profile = (2,) + (1,) * n
     profiles = dict.fromkeys((*scenario.special_fibers, simple_profile))
     index = {p: i for i, p in enumerate(profiles)}
-    distinct = tuple(subset_fiber(n, p, model) for p in profiles)
-    return distinct, tuple(index[p] for p in scenario.special_fibers), index[simple_profile]
+    positions, simple = tuple(index[p] for p in scenario.special_fibers), index[simple_profile]
+    fibers = {m: tuple(subset_fiber(n, p, m) for p in profiles) for m in models}
+    return {
+        m: (d, [class_action(corr, f) for f in d], positions, simple) for m, d in fibers.items()
+    }
 
 
-def _irreducibility(scenario: Scenario) -> tuple[bool, str]:
+def _irreducibility(scenario: Scenario, layouts: dict) -> tuple[bool, str]:
     if scenario.kind == GRID:
-        gens = tuple(grid_pairing_monodromy(GRID_SIZE, s) for s in range(GRID_SIZE))
-        gens += (grid_row_monodromy(GRID_SIZE, GRID_ROW_PROFILE),)
+        # the four local monodromies are the generators of the grid fibers
+        distinct = next(iter(layouts.values()))[0]
+        gens = tuple(chain.from_iterable(f.generators for f in distinct))
         return is_transitive(gens, GRID_SIZE ** 2), SYNTHESIZED
     n = scenario.parameter
     degree = n + 2
@@ -193,12 +199,13 @@ def _irreducibility(scenario: Scenario) -> tuple[bool, str]:
 def _model(
     scenario: Scenario,
     corr: FiberCorrespondence,
+    layout: tuple,
     model: str,
     q: int | None,
     irreducible: bool,
 ) -> tuple[dict, str]:
-    """Everything one fiber model says, from the family's fiber layout on:
-    the model's canonical dict and its verdict.
+    """Everything one fiber model says, from its fiber layout on (as
+    fiber_layout gives it): the model's canonical dict and its verdict.
 
     error is set when the model's own arithmetic is inconsistent (genus
     validation, negative dimension); the facts computed before the failure
@@ -206,11 +213,9 @@ def _model(
     the nesting search ran out of budget and every other check held, so the
     model is neither verified nor refuted.
     """
-    distinct, positions, simple = fiber_layout(scenario, model)
-    # each distinct fiber is acted on once; the scan and the search read each
-    # position's fiber and action through positions, and w is gathered by
-    # position at C level
-    actions = [class_action(corr, f) for f in distinct]
+    distinct, actions, positions, simple = layout
+    # the scan and the search read each position's fiber and action through
+    # positions, and w is gathered by position at C level
     ws = [f.w_contribution for f in distinct]
     fixed = fixed_point_scan(actions, positions)
     w_induced = sum(map(ws.__getitem__, positions))

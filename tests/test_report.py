@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from prymtyurin import fixed_points
 from prymtyurin import report as report_module
+from prymtyurin.correspondence import build_grid_matrix, build_subset_matrix
 from prymtyurin.fixed_points import check_certificate
 from prymtyurin.induced_curve import MERGED, ORBIT, SpecialFiber
 from prymtyurin.perms import Permutation
@@ -107,7 +108,11 @@ def test_hyperelliptic_report():
 
 
 def test_grid_layout_counts():
-    distinct, positions, simple = fiber_layout(grid_scenario(4), MERGED)
+    layouts = fiber_layout(grid_scenario(4), build_grid_matrix(3))
+    # both models read one layout object
+    assert list(layouts) == [MERGED, ORBIT] and layouts[MERGED] is layouts[ORBIT]
+    distinct, actions, positions, simple = layouts[MERGED]
+    assert len(actions) == len(distinct)
     assert simple is None
     assert len(positions) == 2 + 10
     assert all(distinct[i].w_contribution == 3 for i in positions)
@@ -471,8 +476,10 @@ def test_report_to_json_matches_json_dumps(scenario):
 
 def test_repeated_fibers_share_one_entry():
     for scen, distinct in ((grid_scenario(5), 4), (subset_scenario(3, 2), 1)):
+        corr = build_subset_matrix(3) if scen.kind == "subset" else build_grid_matrix(3)
+        layouts = fiber_layout(scen, corr)
         for model, rep in assemble(scen)["models"].items():
-            fibers, positions, _ = fiber_layout(scen, model)
+            fibers, _, positions, _ = layouts[model]
             entries = [id(e) for e in rep["special_fibers"]]
             # the same fiber always gets the same entry object
             assert len(set(zip(positions, entries))) == len(set(entries)) == distinct
@@ -570,7 +577,8 @@ def test_grid_report_python_work_does_not_grow_with_genus(output):
 
 def test_grid_g3000_computes_each_fiber_fact_once(monkeypatch):
     # 2g + 4 layout positions per model read the facts of four distinct
-    # fibers: each fiber's w is computed once and each is acted on once.
+    # fibers, built once for both models: each fiber's w is computed once
+    # and each is acted on once.
     # The report keeps no fiber, so the counted ones are held here: a freed
     # fiber's id could be reused
     counts = Counter()
@@ -589,10 +597,19 @@ def test_grid_g3000_computes_each_fiber_fact_once(monkeypatch):
 
     monkeypatch.setattr(prop, "func", counted)
     monkeypatch.setattr(report_module, "class_action", acted)
+    built = Counter()
+    for name in ("grid_row_merge_fiber", "grid_pairing_fiber"):
+        def build(*args, original=getattr(report_module, name), name=name):
+            built[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(report_module, name, build)
     data = assemble(grid_scenario(3000))
     assert len(data["models"]) == 2
     assert set(counts.values()) == {1}
-    assert Counter(name for name, _ in counts) == {"w_contribution": 8, "class_action": 8}
+    # the two models share the four grid fibers and their facts
+    assert Counter(name for name, _ in counts) == {"w_contribution": 4, "class_action": 4}
+    assert built == {"grid_row_merge_fiber": 1, "grid_pairing_fiber": 3}
 
 
 # the merged n = 4 fiber has classes of sizes 1, 4, 1, 4, 4, 1 and its chain

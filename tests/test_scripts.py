@@ -1,6 +1,8 @@
 """Smoke tests of the sweep scripts, run the way a user runs them."""
 
+import importlib.util
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +12,7 @@ import prymtyurin
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
-def run_script(name, *args):
+def run_script(name, *args, **env):
     # the child imports the same package as this test, installed or not
     source = str(Path(prymtyurin.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (source, os.environ.get("PYTHONPATH")) if p)
@@ -18,7 +20,7 @@ def run_script(name, *args):
         [sys.executable, str(SCRIPTS / name), *args],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env={**os.environ, "PYTHONPATH": path, **env},
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.splitlines()
@@ -49,3 +51,26 @@ def test_family_sweep_script():
     assert lines[9] == (
         "grid 3x3 g=2      q=3     paper: g_C=4 diag=6 dim=1 [ok]  monodromy: g_C=4 diag=6 dim=1 [ok]"
     )
+
+
+def test_report_digest_script(tmp_path):
+    # a tiny range, hashed in two scratch directories: no temporary path
+    # reaches the digest
+    tiny = ["--max-n", "2", "--max-profile-n", "1", "--max-g", "2", "--large-g",
+            "--max-identity-n", "2", "--max-identity-m", "2"]
+    lines = []
+    for name in ("a", "b"):
+        (tmp_path / name).mkdir()
+        lines.append(run_script("report_digest.py", *tiny, TMPDIR=str(tmp_path / name)))
+    assert lines[0] == lines[1]
+    # subset n = 2 at two genera, grid g = 2 under three model choices and
+    # two identities, each in two formats
+    assert re.fullmatch(r"[0-9a-f]{64}  14 runs", *lines[0])
+
+
+def test_report_digest_covers_its_scenario_set():
+    spec = importlib.util.spec_from_file_location("report_digest", SCRIPTS / "report_digest.py")
+    digest = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digest)
+    # 156 subset runs, 5,682 profile choices, 240 grid runs, 36 identities
+    assert sum(1 for _ in digest.cases(digest.parse_args([]))) == 6114
