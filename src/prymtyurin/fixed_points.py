@@ -29,12 +29,12 @@ deterministic.  The count makes at most NESTING_CLIQUE_BUDGET memo misses
 per fiber, the one budget of the search; beyond it the search is reported
 undecided.
 
-The scan and the search read a layout as report.fiber_layout gives it: the
-distinct fibers, their class actions, and for each layout position the index
-of its fiber among them.  Certificates carry enough raw data to be
-re-verified by check_certificate, which reads the report's own nesting and
-fiber entries and recomputes every multiplicity from the fiber classes and
-the family's label rule alone.
+The scan and the search read only the class actions of a layout's distinct
+fibers and, for each layout position, the index of its fiber among them
+(report.fiber_layout).  A certificate's fields are its report keys; the
+report adds the chain's members from the fiber entry it names, and
+check_certificate recomputes every multiplicity from those entries and the
+family's label rule alone.
 """
 
 from __future__ import annotations
@@ -105,14 +105,12 @@ def fixed_point_scan(actions, positions) -> list[tuple[int, int, int]]:
     ]
 
 
-class NestingCertificate(
-    Record, namedtuple("NestingCertificate", "fiber_index chain chain_members memberships")
-):
-    """A chain p_1..p_n witnessing the nesting condition on one fiber.
+class NestingCertificate(Record, namedtuple("NestingCertificate", "fiber chain multiplicities")):
+    """A chain p_1..p_n of classes, by index, witnessing the nesting
+    condition on the fiber at layout position fiber (-1 for the empty chain).
 
-    fiber_index is the layout position of that fiber (-1 for the empty
-    chain).  memberships[i][j] is the multiplicity of p_{j+1} in D(p_{i+1})
-    for j <= i; the last entry of each row is the self multiplicity, always 1.
+    multiplicities[i][j] is the multiplicity of p_{j+1} in D(p_{i+1}) for
+    j <= i; the last entry of each row is the self multiplicity, always 1.
     """
 
     __slots__ = ()
@@ -182,14 +180,15 @@ def _clique_counts(adjacent: list[int], n: int) -> dict[int, int]:
     return memo
 
 
-def nesting_search(fibers, actions, positions, delta_dot_d: int, bidegree: int):
+def nesting_search(actions, positions, delta_dot_d: int, bidegree: int):
     """Find the lexicographically first nesting chain of length delta_dot_d / 2.
 
-    fibers and actions are a layout's distinct fibers and their class
-    actions as class_action returns them, positions[p] the index of position
-    p's fiber among them, and delta_dot_d the layout's weighted fixed-point
-    count.  Positions are searched in layout order, a repeated fiber at each
-    of its positions.
+    actions are the class actions of a layout's distinct fibers as
+    class_action returns them, positions[p] the index of position p's fiber
+    among them, and delta_dot_d the layout's weighted fixed-point count; the
+    search reads nothing else, so a certificate names its classes by index.
+    Positions are searched in layout order, a repeated fiber at each of its
+    positions.
 
     The correspondence is symmetric and its class action does not depend on
     the representative, so |q| * action[q][p] = |p| * action[p][q] for class
@@ -226,7 +225,7 @@ def nesting_search(fibers, actions, positions, delta_dot_d: int, bidegree: int):
             orderings_tried=0,
         )
     if n == 0:
-        return NestingCertificate(fiber_index=-1, chain=(), chain_members=(), memberships=())
+        return NestingCertificate(fiber=-1, chain=(), multiplicities=())
 
     # chain members must share a fiber: every D(p_i) lies in the fiber of p_i
     candidates_of = [candidates(diagonal) for diagonal, _ in actions]
@@ -235,7 +234,7 @@ def nesting_search(fibers, actions, positions, delta_dot_d: int, bidegree: int):
     searched = 0
     for pos in compress(count(), map(searchable.__getitem__, positions)):
         fi = positions[pos]
-        fiber, (_, block), chosen = fibers[fi], actions[fi], candidates_of[fi]
+        (_, block), chosen = actions[fi], candidates_of[fi]
         c = len(chosen)
         searched += 1
         # the candidate graph's row bitsets from the nonzero entries of the
@@ -282,12 +281,10 @@ def nesting_search(fibers, actions, positions, delta_dot_d: int, bidegree: int):
             if (memo[inner] >> (width * (n - 1 - len(chain)))) & digit:
                 chain.append(v)
                 s = inner
-        found = tuple(chosen[i] for i in chain)
         return NestingCertificate(
-            fiber_index=pos,
-            chain=found,
-            chain_members=tuple(fiber.classes[q] for q in found),
-            memberships=tuple(
+            fiber=pos,
+            chain=tuple(chosen[i] for i in chain),
+            multiplicities=tuple(
                 tuple(block[i][j] for j in chain[: k + 1]) for k, i in enumerate(chain)
             ),
         )

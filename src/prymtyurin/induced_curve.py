@@ -51,21 +51,18 @@ ORBIT = "monodromy"
 MODELS = (MERGED, ORBIT)
 
 
-class SpecialFiber(
-    Record, namedtuple("SpecialFiber", "classes generators blocks", defaults=(None,))
-):
+class SpecialFiber(Record, namedtuple("SpecialFiber", "classes generators")):
     """A special fiber of the induced covering: its classes, the orbits of its
     generators (permutations of the 1-based positions of the generic fiber's
     points, in the correspondence's point order).  A class is the sorted
-    tuple of its members, and its size is its ramification index.  A merged
-    subset fiber carries the label blocks its report entry reads; blocks is
-    None for orbit and grid fibers.  The report's model entry holding a fiber
-    records its model; the grid fibers of both models are equal, so one grid
-    layout serves both, and each subset model builds its own fibers.
+    tuple of its members, and its size is its ramification index.  A fiber
+    does not know its model: the report's model entry holding it records the
+    model, and a merged subset entry writes its block multisets from the
+    fiber's profile.  So one fiber serves both models wherever their
+    generators agree: the four grid fibers and the subset simple fiber.
 
-    >>> fiber = subset_fiber(2, (2, 2), MERGED)
-    >>> fiber.classes, fiber.blocks
-    ((((1, 2),), ((1, 3), (1, 4), (2, 3), (2, 4)), ((3, 4),)), ((1, 2), (3, 4)))
+    >>> subset_fiber(2, (2, 2), MERGED).classes
+    (((1, 2),), ((1, 3), (1, 4), (2, 3), (2, 4)), ((3, 4),))
     """
 
     @cached_property
@@ -86,10 +83,10 @@ def orbit_classes(generators: tuple[Permutation, ...], points) -> list[tuple[tup
     return sorted((tuple(sorted(map(point, orbit))), orbit) for orbit in walked)
 
 
-def _fiber(generators: tuple[Permutation, ...], points, blocks=None) -> SpecialFiber:
+def _fiber(generators: tuple[Permutation, ...], points) -> SpecialFiber:
     """The one fiber builder: the classes of orbit_classes."""
     classes, _ = zip(*orbit_classes(generators, points))
-    return SpecialFiber(classes, generators, blocks)
+    return SpecialFiber(classes, generators)
 
 
 def blocks_from_parts(parts: tuple[int, ...], degree: int) -> tuple[tuple[int, ...], ...]:
@@ -124,10 +121,11 @@ def subset_fiber(n: int, parts, model: str) -> SpecialFiber:
     of the n + 2 sheets, whose blocks_from_parts collide.  Merged model:
     n-subsets that hit the blocks with the same multiplicities, the orbits of
     the blocks' Young subgroup, generated by a transposition and the cycle of
-    each block (one move for a pair); the fiber carries its blocks.  Orbit
-    model: the cycles of the local monodromy (partition_monodromy).  Every
-    generator is induced on n-subsets through one colex index.  The merged
-    class of size 4 splits into two orbits:
+    each block (one move for a pair).  Orbit model: the cycles of the local
+    monodromy (partition_monodromy).  Every generator is induced on
+    n-subsets through one colex index.  Only the simple profile (2, 1, ...)
+    gets equal fibers: both models move its one pair by (1 2) alone.  The
+    merged class of size 4 splits into two orbits:
 
     >>> [[len(c) for c in subset_fiber(3, (2, 2, 1), m).classes] for m in MODELS]
     [[2, 1, 2, 4, 1], [2, 1, 2, 2, 2, 1]]
@@ -145,7 +143,7 @@ def subset_fiber(n: int, parts, model: str) -> SpecialFiber:
     generators = tuple(
         induced_subset_action(Permutation.from_cycles(degree, c), n, index) for c in moves
     )
-    return _fiber(generators, all_subsets(degree, n), blocks if model == MERGED else None)
+    return _fiber(generators, all_subsets(degree, n))
 
 
 # --- grid fibers ------------------------------------------------------------

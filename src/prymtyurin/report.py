@@ -47,6 +47,7 @@ from .induced_curve import (
     MERGED,
     ORBIT,
     SpecialFiber,
+    blocks_from_parts,
     grid_pairing_fiber,
     grid_row_merge_fiber,
     irreducibility_check,
@@ -143,19 +144,20 @@ def assemble(scenario: Scenario) -> dict:
 
 def fiber_layout(scenario: Scenario, corr: FiberCorrespondence) -> dict[str, tuple]:
     """Each requested model's layout, in the order models_for names them:
-    (distinct, actions, positions, simple), the distinct fibers, each built
-    and acted on once; their class actions on corr; the index of each layout
-    position's fiber among them, in report order; and the index of a fiber
-    over a simple branch point of the input covering, or None when the
-    layout declares them all.
+    (distinct, actions, positions, simple, profiles), the distinct fibers,
+    each built and acted on once per report; their class actions on corr;
+    the index of each layout position's fiber among them, in report order;
+    the index of a fiber over a simple branch point of the input covering,
+    or None when the layout declares them all; and the distinct fibers'
+    subset profiles (None for the grid).
 
     A subset layout has one fiber per distinct profile, the simple one
-    included, and each model has its own.  The grid layout has two
-    row-merge fibers, then one pairing fiber per simple branch point of the
-    double covering (its simple_budget) cycling the diagonal shift: every
-    ramified fiber, four distinct ones.  They do not depend on the model,
-    so both models share one layout object.  The positions are built at C
-    level, so no layout costs a Python step per branch point.
+    included.  Each model builds its own, but both move the simple
+    profile's pair by (1 2) alone and share its fiber.  The grid layout has
+    two row-merge fibers, then one pairing fiber per simple branch point of
+    the double covering (its simple_budget) cycling the diagonal shift: four
+    distinct fibers, one layout object for both models.  The positions are
+    built at C level, so no layout costs a Python step per branch point.
     """
     models = models_for(scenario.model)
     if scenario.kind == GRID:
@@ -163,16 +165,20 @@ def fiber_layout(scenario: Scenario, corr: FiberCorrespondence) -> dict[str, tup
         distinct = (grid_row_merge_fiber(GRID_SIZE, GRID_ROW_PROFILE), *pairings)
         extra = scenario.covering.simple_extra
         cycle = (tuple(range(1, GRID_SIZE + 1)) * (extra // GRID_SIZE + 1))[:extra]
-        layout = distinct, [class_action(corr, f) for f in distinct], (0, 0) + cycle, None
-        return dict.fromkeys(models, layout)
+        actions = [class_action(corr, f) for f in distinct]
+        return dict.fromkeys(models, (distinct, actions, (0, 0) + cycle, None, None))
     n = scenario.parameter
     simple_profile = (2,) + (1,) * n
-    profiles = dict.fromkeys((*scenario.special_fibers, simple_profile))
+    profiles = tuple(dict.fromkeys((*scenario.special_fibers, simple_profile)))
     index = {p: i for i, p in enumerate(profiles)}
     positions, simple = tuple(index[p] for p in scenario.special_fibers), index[simple_profile]
-    fibers = {m: tuple(subset_fiber(n, p, m) for p in profiles) for m in models}
+    # each model's fibers by (profile, model); the simple one has one key
+    keys = {m: [(p, MERGED if p == simple_profile else m) for p in profiles] for m in models}
+    fibers = {k: subset_fiber(n, *k) for k in dict.fromkeys(chain.from_iterable(keys.values()))}
+    actions = {k: class_action(corr, f) for k, f in fibers.items()}
     return {
-        m: (d, [class_action(corr, f) for f in d], positions, simple) for m, d in fibers.items()
+        m: (tuple(map(fibers.get, ks)), list(map(actions.get, ks)), positions, simple, profiles)
+        for m, ks in keys.items()
     }
 
 
@@ -185,15 +191,16 @@ def _irreducibility(scenario: Scenario, layouts: dict) -> tuple[bool, str]:
     n = scenario.parameter
     degree = n + 2
     if scenario.monodromy is not None:
-        gens = tuple(Permutation(images=g) for g in scenario.monodromy)
-        return irreducibility_check(gens, n), EXPLICIT
-    # representative choice: the declared special-fiber monodromies plus one
-    # adjacent transposition per simple branch point; they repeat after
-    # degree - 1, so only the distinct ones are kept
-    gens = [partition_monodromy(p, degree) for p in scenario.special_fibers]
-    for i in range(1, 1 + min(scenario.covering.simple_extra, degree - 1)):
-        gens.append(transposition(degree, i, i + 1))
-    return irreducibility_check(tuple(gens), n), SYNTHESIZED
+        gens, basis = [Permutation(images=g) for g in scenario.monodromy], EXPLICIT
+    else:
+        # representative choice: the declared fibers' monodromies and one adjacent
+        # transposition per simple branch point, which repeat after degree - 1
+        gens = [partition_monodromy(p, degree) for p in scenario.special_fibers]
+        for i in range(1, 1 + min(scenario.covering.simple_extra, degree - 1)):
+            gens.append(transposition(degree, i, i + 1))
+        basis = SYNTHESIZED
+    # a repeated label move generates nothing new, so each is induced once
+    return irreducibility_check(tuple(dict.fromkeys(gens)), n), basis
 
 
 def _model(
@@ -213,8 +220,8 @@ def _model(
     the nesting search ran out of budget and every other check held, so the
     model is neither verified nor refuted.
     """
-    distinct, actions, positions, simple = layout
-    # the scan and the search read each position's fiber and action through
+    distinct, actions, positions, simple, profiles = layout
+    # the scan and the search read each position's action through
     # positions, and w is gathered by position at C level
     ws = [f.w_contribution for f in distinct]
     fixed = fixed_point_scan(actions, positions)
@@ -236,13 +243,17 @@ def _model(
     bidegree = corr.bidegree
     delta = sum(mult for _, _, mult in fixed)
     even = delta % 2 == 0
-    nesting = nesting_search(distinct, actions, positions, delta, bidegree)
-    # the fiber does not know its model; its model entry does.  Each
+    nesting = nesting_search(actions, positions, delta, bidegree)
+    # the fiber does not know its model; its model entry does, and a merged
+    # subset entry writes its block multisets from its profile.  Each
     # distinct fiber gets one dict, repeated in layout order, which
     # canonical_json writes once
-    entries = [{"model": model, **fiber_to_dict(f)} for f in distinct]
+    blocks = repeat(None)
+    if model == MERGED and profiles is not None:
+        blocks = (blocks_from_parts(p, scenario.parameter + 2) for p in profiles)
+    entries = [{"model": model, **fiber_to_dict(f, b)} for f, b in zip(distinct, blocks)]
     special_fibers = list(map(entries.__getitem__, positions))
-    nest = nesting_to_dict(nesting)
+    nest = nesting_to_dict(nesting, special_fibers)
     # the certificate is checked as the report carries it: its nesting entry
     # and the fiber entry at the position that entry names
     checked = nest["certified"] and (
@@ -287,7 +298,7 @@ def _model(
                 "fiber": pos,
                 "class": ci,
                 "multiplicity": mult,
-                "members": [list(m) for m in distinct[positions[pos]].classes[ci]],
+                "members": special_fibers[pos]["classes"][ci]["members"],
             }
             for pos, ci, mult in fixed
         ],
@@ -391,17 +402,16 @@ def covering_to_dict(cov: CoveringData) -> dict:
     }
 
 
-def fiber_to_dict(fiber: SpecialFiber) -> dict:
-    # a merged class's block_multiset: the block ids its first member hits, with multiplicity
-    block_of = {x: i for i, b in enumerate(fiber.blocks or ()) for x in b}
+def fiber_to_dict(fiber: SpecialFiber, blocks=None) -> dict:
+    # given its profile's label blocks, a merged class's block_multiset: the
+    # block ids its first member hits, with multiplicity; else None
+    block_of = {x: i for i, b in enumerate(blocks or ()) for x in b}
     return {
         "w": fiber.w_contribution,
         "classes": [
             {
                 "members": [list(m) for m in members],
-                "block_multiset": sorted(map(block_of.__getitem__, members[0]))
-                if fiber.blocks
-                else None,
+                "block_multiset": blocks and sorted(map(block_of.__getitem__, members[0])),
                 "index": len(members),
             }
             for members in fiber.classes
@@ -409,14 +419,17 @@ def fiber_to_dict(fiber: SpecialFiber) -> dict:
     }
 
 
-def nesting_to_dict(nesting) -> dict:
+def nesting_to_dict(nesting, special_fibers: list) -> dict:
+    # a certificate's chain_members are the member lists of the fiber entry
+    # it names, as its fixed points' members are
     if isinstance(nesting, NestingCertificate):
+        named = (special_fibers[nesting.fiber]["classes"][q]["members"] for q in nesting.chain)
         return {
             "certified": True,
-            "fiber": nesting.fiber_index,
+            "fiber": nesting.fiber,
             "chain": list(nesting.chain),
-            "chain_members": [[list(m) for m in ms] for ms in nesting.chain_members],
-            "multiplicities": [list(row) for row in nesting.memberships],
+            "chain_members": list(named),
+            "multiplicities": list(map(list, nesting.multiplicities)),
         }
     # a failed search names its orderings tried, an undecided one its memo misses
     return {"certified": False, **nesting._asdict()}

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import json
 from collections import namedtuple
-from functools import cached_property
 
 from .covering import CoveringData, GenusValidationError, is_int, normalize_profile, simple_budget
 from .induced_curve import MODELS
@@ -67,6 +66,8 @@ class Scenario(
     monodromy       optional explicit generators of the small covering's
                     monodromy group, used for the irreducibility check in
                     place of the synthesized representative choice
+    covering        not a field: the input covering, built once by the
+                    constructor for either kind
     """
 
     def __new__(cls, kind: str, upstairs_genus: int, parameter: int, special_fibers=(),
@@ -81,7 +82,6 @@ class Scenario(
             )
         if not isinstance(special_fibers, (list, tuple)):
             raise InvalidScenario("special_fibers must be a list of profiles")
-        covering = None
         if kind == GRID:
             if not is_int(parameter) or parameter != GRID_SIZE:
                 raise InvalidScenario(
@@ -109,6 +109,7 @@ class Scenario(
                     " an explicit generator list is not accepted"
                 )
             special_fibers = ()
+            covering = _input_covering(2, special_fibers, upstairs_genus)
         else:
             if not is_int(parameter) or parameter < 2:
                 raise InvalidScenario(f"n must be an integer >= 2, got {shown(parameter)}")
@@ -161,23 +162,13 @@ class Scenario(
         self = super().__new__(
             cls, kind, upstairs_genus, parameter, special_fibers, model, monodromy
         )
-        if covering is not None:
-            # the covering the checks built is the cached one
-            self.__dict__["covering"] = covering
+        self.__dict__["covering"] = covering
         return self
-
-    @cached_property
-    def covering(self) -> CoveringData:
-        """The input covering of the base line, built once: degree n + 2 with
-        the declared special fibers (subset) or the hyperelliptic double
-        covering (grid), and as many simple branch points as simple_budget
-        says the source genus needs, 2g + 2 for the double covering.
-        """
-        degree = 2 if self.kind == GRID else self.parameter + 2
-        return _input_covering(degree, self.special_fibers, self.upstairs_genus)
 
 
 def _input_covering(degree: int, special_fibers, upstairs_genus: int) -> CoveringData:
+    """The covering with the simple branch points simple_budget says the
+    source genus needs: 2g + 2 for the grid's double covering."""
     bare = CoveringData(degree, special_fibers)
     return CoveringData(degree, special_fibers, simple_budget(bare, upstairs_genus))
 

@@ -19,7 +19,7 @@ criterion reads it: diagonal_and_block cuts a full matrix down to that part.
 
 from itertools import chain
 
-from prymtyurin.induced_curve import MERGED, SpecialFiber, subset_fiber
+from prymtyurin.induced_curve import MERGED, SpecialFiber, blocks_from_parts, subset_fiber
 from prymtyurin.perms import Permutation, all_subsets, induced_subset_action, orbits
 
 
@@ -102,13 +102,15 @@ def reference_merged_fiber(n, blocks):
 
 def merged_fiber_over(n, blocks):
     """The merged fiber over arbitrary identification blocks of the n + 2
-    sheets, carrying those blocks: subset_fiber's fiber of their profile,
-    classes and generators relabeled by the label permutation that carries
-    its canonical blocks onto these (blocks of equal size in the order
+    sheets: subset_fiber's fiber of their profile, classes and generators
+    relabeled by the label permutation that carries the profile's canonical
+    blocks (blocks_from_parts) onto these (blocks of equal size in the order
     given)."""
     ordered = sorted(blocks, key=len, reverse=True)
-    fiber = subset_fiber(n, tuple(map(len, ordered)), MERGED)
-    image = dict(zip(chain.from_iterable(fiber.blocks), chain.from_iterable(ordered)))
+    parts = tuple(map(len, ordered))
+    fiber = subset_fiber(n, parts, MERGED)
+    canonical = blocks_from_parts(parts, n + 2)
+    image = dict(zip(chain.from_iterable(canonical), chain.from_iterable(ordered)))
     relabel = lambda member: tuple(sorted(map(image.__getitem__, member)))
     classes = tuple(sorted(tuple(sorted(map(relabel, cls))) for cls in fiber.classes))
     # a generator g on positions becomes move . g . move^-1
@@ -118,7 +120,7 @@ def merged_fiber_over(n, blocks):
         Permutation(tuple(move(g(back[r])) for r in range(1, g.degree + 1)))
         for g in fiber.generators
     )
-    return SpecialFiber(classes, generators, tuple(blocks))
+    return SpecialFiber(classes, generators)
 
 
 def reference_orbit_classes(perm, points):

@@ -235,7 +235,7 @@ def test_criterion_5_property_suites():
                 fiber = merged_fiber_over(n, blocks)
                 classes, keys = reference_merged_fiber(n, blocks)
                 assert fiber.classes == classes
-                written = [cls["block_multiset"] for cls in fiber_to_dict(fiber)["classes"]]
+                written = [cls["block_multiset"] for cls in fiber_to_dict(fiber, blocks)["classes"]]
                 assert written == list(map(list, keys))
                 full = reference_class_action(corr, fiber)
                 assert all(sum(row) == corr.bidegree for row in full)

@@ -59,15 +59,17 @@ def fixed_classes(action):
     return {q: mult for _, q, mult in fixed_point_scan([action], (0,))}
 
 
-def search(fibers, actions, positions, bidegree):
+def search(actions, positions, bidegree):
     """nesting_search over a layout, at the fixed-point count of its scan."""
     delta = sum(mult for _, _, mult in fixed_point_scan(actions, positions))
-    return nesting_search(fibers, actions, positions, delta, bidegree)
+    return nesting_search(actions, positions, delta, bidegree)
 
 
 def entries(cert, fiber):
-    """A certificate and its fiber as a report writes them."""
-    return nesting_to_dict(cert), fiber_to_dict(fiber)
+    """A certificate and its fiber as a report writes them, the fiber's
+    entry at every position up to the certificate's."""
+    entry = fiber_to_dict(fiber)
+    return nesting_to_dict(cert, [entry] * (cert.fiber + 1)), entry
 
 
 def full_action(corr, fiber):
@@ -109,7 +111,7 @@ def test_class_action_refuses_every_tampered_fiber():
         class_action(corr, fiber)
         non_point = (0,) * len(fiber.classes[0][0])
         for name, classes in tampered_classes(fiber.classes, non_point):
-            bad = SpecialFiber(classes, fiber.generators, fiber.blocks)
+            bad = SpecialFiber(classes, fiber.generators)
             with pytest.raises(ValueError, match="^(class [0-9]+ is not an|the classes miss) orbit"):
                 class_action(corr, bad)
             refused[name] += 1
@@ -255,42 +257,42 @@ def test_fixed_point_scan_and_delta():
 def test_nesting_chain_length_one():
     fiber = subset_fiber(3, THREE_PARTS, MERGED)
     act = class_action(build_subset_matrix(3), fiber)
-    cert = search([fiber], [act], (0, 0), bidegree=3)
+    cert = search([act], (0, 0), bidegree=3)
     assert isinstance(cert, NestingCertificate)
-    assert cert.fiber_index == 0
+    assert cert.fiber == 0
     assert cert.chain == (3,)
-    assert cert.memberships == ((1,),)
+    assert cert.multiplicities == ((1,),)
 
 
 def test_nesting_chain_n4():
     fiber = subset_fiber(4, THREE_PAIRS, MERGED)
     act = class_action(build_subset_matrix(4), fiber)
     assert sum(mult for _, _, mult in fixed_point_scan([act], (0, 0))) == 6
-    cert = search([fiber], [act], (0, 0), bidegree=6)
+    cert = search([act], (0, 0), bidegree=6)
     assert isinstance(cert, NestingCertificate)
     assert cert.chain == (1, 3, 4)
-    assert cert.memberships == ((1,), (2, 1), (2, 2, 1))
+    assert cert.multiplicities == ((1,), (2, 1), (2, 2, 1))
 
 
 def test_nesting_chain_grid():
     fibers = [grid_row_merge_fiber(3, GRID_ROWS), grid_pairing_fiber(3, 0)]
     actions = [class_action(build_grid_matrix(3), f) for f in fibers]
     assert sum(mult for _, _, mult in fixed_point_scan(actions, (0, 1, 0))) == 6
-    cert = search(fibers, actions, (0, 1, 0), bidegree=4)
+    cert = search(actions, (0, 1, 0), bidegree=4)
     assert isinstance(cert, NestingCertificate)
-    assert cert.fiber_index == 0
+    assert cert.fiber == 0
     assert cert.chain == (0, 1, 2)
-    assert cert.chain_members[0] == ((1, 1), (2, 1))
-    assert cert.memberships == ((1,), (1, 1), (1, 1, 1))
+    assert fibers[0].classes[cert.chain[0]] == ((1, 1), (2, 1))
+    assert cert.multiplicities == ((1,), (1, 1), (1, 1, 1))
     # a certificate names the layout position of its fiber
-    assert search(fibers, actions, (1, 1, 0, 0), bidegree=4).fiber_index == 2
+    assert search(actions, (1, 1, 0, 0), bidegree=4).fiber == 2
 
 
 def test_nesting_failure_odd_count():
     fiber = subset_fiber(3, THREE_PARTS, MERGED)
     act = class_action(build_subset_matrix(3), fiber)
     assert sum(mult for _, _, mult in fixed_point_scan([act], (0,))) == 1
-    failure = search([fiber], [act], (0,), bidegree=3)
+    failure = search([act], (0,), bidegree=3)
     assert isinstance(failure, NestingFailure)
     assert "odd" in failure.reason
 
@@ -299,7 +301,7 @@ def test_nesting_failure_exceeds_bidegree():
     fiber = subset_fiber(2, (2, 2), ORBIT)
     act = class_action(build_subset_matrix(2), fiber)
     assert sum(mult for _, _, mult in fixed_point_scan([act], (0, 0))) == 4
-    failure = search([fiber], [act], (0, 0), bidegree=1)
+    failure = search([act], (0, 0), bidegree=1)
     assert isinstance(failure, NestingFailure)
     assert "exceeds the bidegree" in failure.reason
 
@@ -310,7 +312,7 @@ def test_nesting_failure_no_ordering():
     fiber = subset_fiber(3, THREE_PARTS, ORBIT)
     act = class_action(build_subset_matrix(3), fiber)
     assert sum(mult for _, _, mult in fixed_point_scan([act], (0, 0))) == 4
-    failure = search([fiber], [act], (0, 0), bidegree=3)
+    failure = search([act], (0, 0), bidegree=3)
     assert isinstance(failure, NestingFailure)
     assert failure.fibers_searched == 2
     assert failure.orderings_tried > 0
@@ -319,7 +321,7 @@ def test_nesting_failure_no_ordering():
 def test_empty_chain_certificate():
     fiber = grid_pairing_fiber(3, 1)
     pairing = class_action(build_grid_matrix(3), fiber)
-    cert = search([fiber], [pairing], (0,), bidegree=4)
+    cert = search([pairing], (0,), bidegree=4)
     assert isinstance(cert, NestingCertificate)
     assert cert.chain == ()
     assert check_certificate(*entries(cert, fiber), "grid", 3)
@@ -328,7 +330,7 @@ def test_empty_chain_certificate():
 def _genuine_n4_certificate():
     fiber = subset_fiber(4, THREE_PAIRS, MERGED)
     act = class_action(build_subset_matrix(4), fiber)
-    cert = search([fiber], [act], (0, 0), bidegree=6)
+    cert = search([act], (0, 0), bidegree=6)
     assert isinstance(cert, NestingCertificate)
     return entries(cert, fiber)
 
@@ -336,7 +338,7 @@ def _genuine_n4_certificate():
 def _genuine_grid_certificate():
     fiber = grid_row_merge_fiber(3, GRID_ROWS)
     act = class_action(build_grid_matrix(3), fiber)
-    cert = search([fiber], [act], (0, 0), bidegree=4)
+    cert = search([act], (0, 0), bidegree=4)
     assert isinstance(cert, NestingCertificate)
     return entries(cert, fiber)
 
@@ -377,7 +379,7 @@ def test_check_certificate_rejects_tampering():
 def test_check_certificate_rejects_cert_against_wrong_fiber():
     merged = subset_fiber(2, (2, 2), MERGED)
     mact = class_action(build_subset_matrix(2), merged)
-    mcert = search([merged], [mact], (0, 0), bidegree=1)
+    mcert = search([mact], (0, 0), bidegree=1)
     assert isinstance(mcert, NestingCertificate)
     assert mcert.chain == (1,)
     nest, entry = entries(mcert, merged)
@@ -437,10 +439,7 @@ def test_check_certificate_refuses_honest_multiplicities_off_a_chain():
         assert rows == tuple(
             tuple(act[qi][qj] for qj in chain[: i + 1]) for i, qi in enumerate(chain)
         )
-        members = tuple(fiber.classes[q] for q in chain)
-        cert = NestingCertificate(
-            fiber_index=0, chain=chain, chain_members=members, memberships=rows
-        )
+        cert = NestingCertificate(fiber=0, chain=chain, multiplicities=rows)
         assert not check_certificate(*entries(cert, fiber), "subset", n)
         assert not reference_check_certificate(*entries(cert, fiber), "subset", n)
 
@@ -579,14 +578,11 @@ def _pipeline_certificates():
             ):
                 distinct = list(dict.fromkeys(combo))
                 positions = tuple(map(distinct.index, combo))
-                cert = search(
-                    [fibers[p] for p in distinct], [acts[p] for p in distinct], positions,
-                    corr.bidegree,
-                )
+                cert = search([acts[p] for p in distinct], positions, corr.bidegree)
                 if isinstance(cert, NestingCertificate) and cert.chain:
-                    fiber = fibers[combo[cert.fiber_index]]
+                    fiber = fibers[combo[cert.fiber]]
                     fixed = {q: [list(m) for m in fiber.classes[q]]
-                             for q in fixed_classes(acts[combo[cert.fiber_index]])}
+                             for q in fixed_classes(acts[combo[cert.fiber]])}
                     keep(*entries(cert, fiber), "subset", n, fixed)
     for g in (2, 3):
         model = assemble(grid_scenario(g))["models"][MERGED]
@@ -626,8 +622,8 @@ def test_check_certificate_reads_every_grid_row():
             glue = point_permutation(cells, lambda cell: (swap(cell[0]), cell[1]))
             fiber = SpecialFiber(reference_orbit_classes(glue, cells), (glue,))
             act = class_action(corr, fiber)
-            cert = search([fiber], [act], (0, 0), corr.bidegree)
-            assert {i for members in cert.chain_members for i, _ in members} == set(pair)
+            cert = search([act], (0, 0), corr.bidegree)
+            assert {i for q in cert.chain for i, _ in fiber.classes[q]} == set(pair)
             nest, entry = entries(cert, fiber)
             assert check_certificate(nest, entry, "grid", m)
             fixed = {q: entry["classes"][q]["members"] for q in fixed_classes(act)}
@@ -640,7 +636,7 @@ def test_check_certificate_reads_every_grid_row():
 # --- the clique search against the backtracking search over orderings -------
 
 
-def reference_nesting_search(fibers, actions, positions, delta_dot_d, bidegree):
+def reference_nesting_search(actions, positions, delta_dot_d, bidegree):
     """The backtracking search over orderings that the clique search replaced,
     kept as the reference: it tries every candidate outside the partial chain
     at every node and counts each try."""
@@ -658,12 +654,12 @@ def reference_nesting_search(fibers, actions, positions, delta_dot_d, bidegree):
             orderings_tried=0,
         )
     if n == 0:
-        return NestingCertificate(fiber_index=-1, chain=(), chain_members=(), memberships=())
+        return NestingCertificate(fiber=-1, chain=(), multiplicities=())
 
     tried = 0
     searched = 0
     for fi, distinct in enumerate(positions):
-        fiber, act = fibers[distinct], actions[distinct]
+        act = actions[distinct]
         candidates = [q for q in range(len(act)) if act[q][q] == 1]
         if len(candidates) < n:
             continue
@@ -687,16 +683,11 @@ def reference_nesting_search(fibers, actions, positions, delta_dot_d, bidegree):
             return False
 
         if extend():
-            memberships = tuple(
+            multiplicities = tuple(
                 tuple(act[qi][qj] for qj in chain[: i + 1])
                 for i, qi in enumerate(chain)
             )
-            return NestingCertificate(
-                fiber_index=fi,
-                chain=tuple(chain),
-                chain_members=tuple(fiber.classes[q] for q in chain),
-                memberships=memberships,
-            )
+            return NestingCertificate(fiber=fi, chain=tuple(chain), multiplicities=multiplicities)
     return NestingFailure(
         reason=f"no ordering of {n} fixed points nests on any special fiber",
         fibers_searched=searched,
@@ -704,13 +695,13 @@ def reference_nesting_search(fibers, actions, positions, delta_dot_d, bidegree):
     )
 
 
-def assert_matches_reference(fibers, matrices, positions, bidegree):
+def assert_matches_reference(matrices, positions, bidegree):
     """The clique search on the diagonals and candidate blocks of full class
     actions finds what the reference search finds on the full actions."""
     actions = list(map(diagonal_and_block, matrices))
     delta = sum(mult for _, _, mult in fixed_point_scan(actions, positions))
-    assert nesting_search(fibers, actions, positions, delta, bidegree) == (
-        reference_nesting_search(fibers, matrices, positions, delta, bidegree)
+    assert nesting_search(actions, positions, delta, bidegree) == (
+        reference_nesting_search(matrices, positions, delta, bidegree)
     )
 
 
@@ -724,7 +715,7 @@ def test_clique_search_matches_reference_on_subset_fibers(n):
             fiber = subset_fiber(n, parts, model)
             act = full_action(build_subset_matrix(n), fiber)
             for positions in ((0,), (0, 0)):
-                assert_matches_reference([fiber], [act], positions, bidegree)
+                assert_matches_reference([act], positions, bidegree)
 
 
 def test_fibers_and_actions_match_the_references():
@@ -741,7 +732,7 @@ def test_fibers_and_actions_match_the_references():
             merged, orbit = subset_fiber(n, parts, MERGED), subset_fiber(n, parts, ORBIT)
             classes, keys = reference_merged_fiber(n, blocks)
             assert merged.classes == classes
-            written = [cls["block_multiset"] for cls in fiber_to_dict(merged)["classes"]]
+            written = [cls["block_multiset"] for cls in fiber_to_dict(merged, blocks)["classes"]]
             assert written == list(map(list, keys))
             cycles = tuple(b for b in blocks if len(b) > 1)
             sigma = induced_subset_action(Permutation.from_cycles(n + 2, cycles), n)
@@ -767,24 +758,19 @@ def test_clique_search_matches_reference_on_grid_layout():
     corr = build_grid_matrix(3)
     layouts = fiber_layout(grid_scenario(3), corr)
     assert layouts[MERGED] is layouts[ORBIT]
-    distinct, acted, positions, _ = layouts[MERGED]
+    distinct, acted, positions, _, _ = layouts[MERGED]
     assert len(positions) == 10
     actions = [full_action(corr, f) for f in distinct]
     assert acted == list(map(diagonal_and_block, actions))
     for chosen in (positions, positions[:1], positions[2:]):
         for bidegree in (corr.bidegree, 1):
-            assert_matches_reference(distinct, actions, chosen, bidegree)
-
-
-def _one_point_classes(size):
-    classes = tuple(((k + 1,),) for k in range(size))
-    return SpecialFiber(classes=classes, generators=())
+            assert_matches_reference(actions, chosen, bidegree)
 
 
 @st.composite
 def symmetric_class_actions(draw):
-    """A fiber of at most 8 classes and a class action on it whose relation
-    "q lies in D(p)" is symmetric, with arbitrary positive multiplicities."""
+    """A class action on at most 8 classes whose relation "q lies in D(p)" is
+    symmetric, with arbitrary positive multiplicities."""
     size = draw(st.integers(1, 8))
     rows = [[0] * size for _ in range(size)]
     for i in range(size):
@@ -793,7 +779,7 @@ def symmetric_class_actions(draw):
             if draw(st.booleans()):
                 rows[i][j] = draw(st.integers(1, 3))
                 rows[j][i] = draw(st.integers(1, 3))
-    return _one_point_classes(size), tuple(tuple(r) for r in rows)
+    return tuple(tuple(r) for r in rows)
 
 
 @settings(max_examples=200, deadline=None)
@@ -802,13 +788,12 @@ def symmetric_class_actions(draw):
     bidegree=st.integers(0, 8),
 )
 def test_clique_search_matches_reference_on_random_actions(layout, bidegree):
-    fibers, actions = zip(*layout)
-    assert_matches_reference(fibers, actions, range(len(layout)), bidegree)
+    assert_matches_reference(layout, range(len(layout)), bidegree)
 
 
 def _default_monodromy_layout(n):
     fiber = subset_fiber(n, default_subset_fibers(n)[0], ORBIT)
-    return [fiber], [class_action(build_subset_matrix(n), fiber)], (0, 0)
+    return [class_action(build_subset_matrix(n), fiber)], (0, 0)
 
 
 def test_orderings_tried_closed_forms():
@@ -854,10 +839,10 @@ def test_nesting_budget_bounds_memo_misses_not_cliques(monkeypatch):
     size = 60
     action = tuple((1,) * size for _ in range(size))
     monkeypatch.setattr(fixed_points, "NESTING_CLIQUE_BUDGET", 100)
-    cert = search([_one_point_classes(size)], [diagonal_and_block(action)], (0,), size - 1)
+    cert = search([diagonal_and_block(action)], (0,), size - 1)
     assert isinstance(cert, NestingCertificate)
     assert cert.chain == tuple(range(30))
-    assert all(m == 1 for row in cert.memberships for m in row)
+    assert all(m == 1 for row in cert.multiplicities for m in row)
 
 
 def test_nesting_search_has_no_recursion_limit():
@@ -865,7 +850,7 @@ def test_nesting_search_has_no_recursion_limit():
     # the lowest candidate 1,100 times in a row nests that deep
     size = 1_100
     action = tuple(tuple(int(i == j) for j in range(size)) for i in range(size))
-    failure = search([_one_point_classes(size)], [diagonal_and_block(action)], (0,), size)
+    failure = search([diagonal_and_block(action)], (0,), size)
     assert isinstance(failure, NestingFailure)
     assert failure.fibers_searched == 1
     # the empty clique and the 1,100 single classes
@@ -874,9 +859,9 @@ def test_nesting_search_has_no_recursion_limit():
 
 @st.composite
 def large_symmetric_class_actions(draw):
-    """A fiber of 9 to 16 classes and a symmetric class action on it with an
-    even fixed-point count, often denser than symmetric_class_actions so
-    that some fibers hold long chains."""
+    """A symmetric class action on 9 to 16 classes with an even fixed-point
+    count, often denser than symmetric_class_actions so that some fibers
+    hold long chains."""
     size = draw(st.integers(9, 16))
     keep = draw(st.sampled_from((3, 6, 8, 9, 10)))  # edge when a draw from 0..9 is below
     rows = [[0] * size for _ in range(size)]
@@ -889,17 +874,17 @@ def large_symmetric_class_actions(draw):
             if draw(st.integers(0, 9)) < keep:
                 rows[i][j] = draw(st.integers(1, 3))
                 rows[j][i] = draw(st.integers(1, 3))
-    return _one_point_classes(size), tuple(tuple(r) for r in rows)
+    return tuple(tuple(r) for r in rows)
 
 
-def combination_nesting_search(fibers, actions, positions, n):
+def combination_nesting_search(actions, positions, n):
     """The search result by itertools.combinations: the first fiber with an
     n-clique gives its lexicographically first one, and a failure sums
     k! * (c - k) over every k-clique with k < n of every searched fiber."""
     tried = 0
     searched = 0
     for fi, distinct in enumerate(positions):
-        fiber, act = fibers[distinct], actions[distinct]
+        act = actions[distinct]
         candidates = [q for q in range(len(act)) if act[q][q] == 1]
         c = len(candidates)
         if c < n:
@@ -912,10 +897,9 @@ def combination_nesting_search(fibers, actions, positions, n):
         chain = next((qs for qs in itertools.combinations(candidates, n) if is_clique(qs)), None)
         if chain is not None:
             return NestingCertificate(
-                fiber_index=fi,
+                fiber=fi,
                 chain=chain,
-                chain_members=tuple(fiber.classes[q] for q in chain),
-                memberships=tuple(
+                multiplicities=tuple(
                     tuple(act[qi][qj] for qj in chain[: i + 1])
                     for i, qi in enumerate(chain)
                 ),
@@ -934,27 +918,26 @@ def combination_nesting_search(fibers, actions, positions, n):
 @given(layout=st.lists(large_symmetric_class_actions(), min_size=1, max_size=2))
 def test_clique_count_matches_combinations_on_large_actions(layout):
     # at most 2^16 cliques per fiber: within the budget, so always decided
-    fibers, matrices = zip(*layout)
-    actions = list(map(diagonal_and_block, matrices))
+    actions = list(map(diagonal_and_block, layout))
     positions = range(len(layout))
     delta = sum(mult for _, _, mult in fixed_point_scan(actions, positions))
     n = delta // 2
     assume(n)
-    assert nesting_search(fibers, actions, positions, delta, n) == (
-        combination_nesting_search(fibers, matrices, positions, n)
+    assert nesting_search(actions, positions, delta, n) == (
+        combination_nesting_search(layout, positions, n)
     )
 
 
 def test_nesting_search_rejects_asymmetric_action():
     action = diagonal_and_block(((1, 1), (0, 1)))
     with pytest.raises(ValueError, match="not symmetric"):
-        search([_one_point_classes(2)], [action], (0, 0), bidegree=2)
+        search([action], (0, 0), bidegree=2)
     # the one-sided entry below the diagonal: both entries are named
     action = diagonal_and_block(((1, 1, 0), (1, 1, 1), (1, 1, 1)))
     with pytest.raises(ValueError, match=re.escape("action[0][2] = 0, action[2][0] = 1")):
-        search([_one_point_classes(3)], [action], (0, 0), bidegree=3)
+        search([action], (0, 0), bidegree=3)
     # the block is indexed by candidate, the message by class: classes 0
     # and 2 are not candidates here
     action = diagonal_and_block(((0, 1, 1, 1), (1, 1, 1, 1), (1, 1, 2, 1), (1, 0, 1, 1)))
     with pytest.raises(ValueError, match=re.escape("action[1][3] = 1, action[3][1] = 0")):
-        search([_one_point_classes(4)], [action], (0,), bidegree=3)
+        search([action], (0,), bidegree=3)

@@ -49,10 +49,11 @@ def test_merged_fiber_n3():
     fiber = subset_fiber(3, THREE_PARTS, MERGED)
     assert class_sizes(fiber) == (4, 2, 2, 1, 1)
     assert fiber.w_contribution == 5
-    assert fiber.blocks == ((1, 2), (3, 4), (5,))
     q, big = max(enumerate(fiber.classes), key=lambda item: len(item[1]))
     assert big == ((1, 3, 5), (1, 4, 5), (2, 3, 5), (2, 4, 5))
-    assert fiber_to_dict(fiber)["classes"][q]["block_multiset"] == [0, 1, 2]
+    blocks = blocks_from_parts(THREE_PARTS, 5)
+    assert fiber_to_dict(fiber, blocks)["classes"][q]["block_multiset"] == [0, 1, 2]
+    assert fiber_to_dict(fiber)["classes"][q]["block_multiset"] is None
 
 
 def test_merged_fiber_n2_and_n4():
@@ -82,7 +83,6 @@ def test_orbit_fiber_n3():
     fiber = subset_fiber(3, THREE_PARTS, ORBIT)
     assert class_sizes(fiber) == (2, 2, 2, 2, 1, 1)
     assert fiber.w_contribution == 4
-    assert fiber.blocks is None
     assert ((1, 3, 5), (2, 4, 5)) in fiber.classes
     assert ((1, 4, 5), (2, 3, 5)) in fiber.classes
 
@@ -165,7 +165,8 @@ def test_grid_row_merge_fiber():
     assert fiber.w_contribution == 3
     assert fiber.classes[0] == ((1, 1), (2, 1))
     assert fiber.classes[3] == ((3, 1),)
-    assert fiber.blocks is None
+    # a fiber carries no model and no labels of its own
+    assert fiber._fields == ("classes", "generators")
 
 
 def test_grid_pairing_fiber_all_shifts():

@@ -211,7 +211,7 @@ def test_class_action_never_depends_on_representative(case):
     fiber = merged_fiber_over(n, blocks)
     classes, keys = reference_merged_fiber(n, blocks)
     assert fiber.classes == classes
-    written = [cls["block_multiset"] for cls in fiber_to_dict(fiber)["classes"]]
+    written = [cls["block_multiset"] for cls in fiber_to_dict(fiber, blocks)["classes"]]
     assert written == list(map(list, keys))
     full = reference_class_action(corr, fiber)
     for row in full:

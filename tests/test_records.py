@@ -29,7 +29,7 @@ def one_of_each():
         build_grid_matrix(3),
         subset_fiber(2, (2, 2), MERGED),
         subset_scenario(3, 1),
-        NestingCertificate(0, (1,), (((1, 2),),), ((1,),)),
+        NestingCertificate(0, (1,), ((1,),)),
         NestingFailure("no chain", 1, 0),
         NestingUndecided("no chain", 1, 0),
     ]
@@ -87,7 +87,9 @@ def test_cached_properties_stay_cached():
     # its own: index is the tuple method
     assert "index" not in vars(corr) and type(corr).index is tuple.index
     assert fiber.w_contribution == sum(map(len, fiber.classes)) - len(fiber.classes)
+    # a scenario of either kind keeps the covering its constructor built
     scen = grid_scenario(4)
+    assert "covering" in vars(scen)
     assert scen.covering is scen.covering
     assert scen.covering == CoveringData(2, (), 10)
     # a subset scenario keeps the covering its checks built

@@ -17,7 +17,7 @@ from prymtyurin import fixed_points
 from prymtyurin import report as report_module
 from prymtyurin.correspondence import build_grid_matrix, build_subset_matrix
 from prymtyurin.fixed_points import check_certificate
-from prymtyurin.induced_curve import MERGED, ORBIT, SpecialFiber
+from prymtyurin.induced_curve import MERGED, ORBIT, SpecialFiber, blocks_from_parts, subset_fiber
 from prymtyurin.perms import Permutation
 from prymtyurin.report import (
     DimensionError,
@@ -111,9 +111,9 @@ def test_grid_layout_counts():
     layouts = fiber_layout(grid_scenario(4), build_grid_matrix(3))
     # both models read one layout object
     assert list(layouts) == [MERGED, ORBIT] and layouts[MERGED] is layouts[ORBIT]
-    distinct, actions, positions, simple = layouts[MERGED]
+    distinct, actions, positions, simple, profiles = layouts[MERGED]
     assert len(actions) == len(distinct)
-    assert simple is None
+    assert simple is None and profiles is None
     assert len(positions) == 2 + 10
     assert all(distinct[i].w_contribution == 3 for i in positions)
     # one row-merge fiber and three pairing fibers, each built once
@@ -232,17 +232,18 @@ def test_synthesized_generators_are_distinct(monkeypatch):
         return original(gens, k)
 
     monkeypatch.setattr(report_module, "irreducibility_check", record)
-    # 2,004 simple branch points, but only 4 distinct adjacent transpositions
+    # 2,004 simple branch points, but only 4 distinct adjacent transpositions,
+    # and the declared (2, 2, 1) twice, whose monodromy is induced once
     scenario = subset_scenario(3, 1000)
     irr = assemble(scenario)["irreducibility"]
     assert irr["transitive"] and irr["basis"] == "synthesized"
     (gens,) = seen
-    assert len(gens) == len(scenario.special_fibers) + 4
-    assert len(set(gens[2:])) == 4
+    assert len(set(gens)) == len(gens) == 1 + 4
     # fewer simple branch points than sheets - 1 keep one transposition each
     seen.clear()
     assemble(subset_scenario(3, 0, special_fibers=[[3, 2], [3, 2]]))
-    assert len(seen[0]) == 2 + 2
+    (gens,) = seen
+    assert len(set(gens)) == len(gens) == 1 + 2
 
 
 def test_keyed_verdict_follows_model_choice():
@@ -479,34 +480,90 @@ def test_repeated_fibers_share_one_entry():
         corr = build_subset_matrix(3) if scen.kind == "subset" else build_grid_matrix(3)
         layouts = fiber_layout(scen, corr)
         for model, rep in assemble(scen)["models"].items():
-            fibers, _, positions, _ = layouts[model]
+            fibers, _, positions, _, profiles = layouts[model]
             entries = [id(e) for e in rep["special_fibers"]]
             # the same fiber always gets the same entry object
             assert len(set(zip(positions, entries))) == len(set(entries)) == distinct
-            # and each entry holds the fiber of its position
+            # and each entry holds the fiber of its position, a merged subset
+            # entry with the block multisets of its profile
+            blocks = [None] * len(fibers)
+            if model == MERGED and profiles is not None:
+                blocks = [blocks_from_parts(p, 5) for p in profiles]
             assert rep["special_fibers"] == [
-                {"model": model, **fiber_to_dict(fibers[i])} for i in positions
+                {"model": model, **fiber_to_dict(fibers[i], blocks[i])} for i in positions
             ]
 
 
 def test_subset_layout_builds_one_fiber_per_profile(monkeypatch):
-    built = []
-    original = report_module.subset_fiber
+    built, acted = [], []
+    original, original_action = report_module.subset_fiber, report_module.class_action
 
     def record(n, parts, model):
         built.append(parts)
         return original(n, parts, model)
 
+    def record_action(corr, fiber):
+        acted.append(fiber)
+        return original_action(corr, fiber)
+
     monkeypatch.setattr(report_module, "subset_fiber", record)
+    monkeypatch.setattr(report_module, "class_action", record_action)
     assemble(subset_scenario(3, 2, model="paper"))
     # the declared (2,2,1) twice and the simple (2,1,1,1) once
-    assert len(built) == 2
-    built.clear()
+    assert len(built) == len(acted) == 2
+    # both models: (2,2,1) once per model, and the simple fiber, the same
+    # under both, once for the two
+    for model in ("both", "monodromy"):
+        built.clear(), acted.clear()
+        assemble(subset_scenario(3, 1, model=model))
+        assert len(built) == len(acted) == (3 if model == "both" else 2)
     # a declared simple profile is the simple-branch representative itself
+    built.clear()
     data = assemble(subset_scenario(3, 1, special_fibers=[[2], [2, 2]], model="paper"))
     assert len(built) == 2
     (merged,) = data["models"].values()
     assert merged["simple_fibers_fixed_free"] is True
+    built.clear()
+    assemble(subset_scenario(3, 1, special_fibers=[[2]], model="both"))
+    assert built == [(2, 1, 1, 1)]
+
+
+def test_declared_simple_profile_shares_its_fiber_between_models():
+    # the simple profile's one fiber serves both models; only the merged
+    # entry writes block multisets, from the profile's blocks
+    data = assemble(subset_scenario(3, 1, special_fibers=[[2]], model="both"))
+    merged, orbit = (data["models"][m]["special_fibers"][0] for m in (MERGED, ORBIT))
+    assert merged["w"] == orbit["w"] == 3
+    assert [c["members"] for c in merged["classes"]] == [c["members"] for c in orbit["classes"]]
+    assert all(c["block_multiset"] is not None for c in merged["classes"])
+    assert all(c["block_multiset"] is None for c in orbit["classes"])
+    for n in range(2, 8):
+        simple = (2,) + (1,) * n
+        assert subset_fiber(n, simple, MERGED) == subset_fiber(n, simple, ORBIT)
+
+
+@pytest.mark.parametrize(
+    "scenario",
+    [subset_scenario(n, 1) for n in (2, 3, 4, 6)] + [grid_scenario(g) for g in (2, 5)],
+    ids=lambda s: f"{s.kind}-{s.parameter}-g{s.upstairs_genus}",
+)
+def test_members_are_the_fiber_entry_lists(scenario):
+    # every fixed point and chain row lists its members as the fiber entry
+    # it names does: one list object, built once.  Each scenario here
+    # certifies a chain under at least one model
+    certified = 0
+    for rep in assemble(scenario)["models"].values():
+        entries = rep["special_fibers"]
+        for fixed in rep["fixed_points"]:
+            named = entries[fixed["fiber"]]["classes"][fixed["class"]]
+            assert fixed["members"] is named["members"]
+        nest = rep["nesting"]
+        if nest["certified"] and nest["chain"]:
+            certified += 1
+            classes = entries[nest["fiber"]]["classes"]
+            for q, members in zip(nest["chain"], nest["chain_members"], strict=True):
+                assert members is classes[q]["members"]
+    assert certified
 
 
 def test_grid_g3000_serializes_under_a_second():
@@ -620,8 +677,8 @@ def test_certificate_is_checked_against_the_reported_fiber_entry(ci, monkeypatch
     # check reads the entry the report carries, which lost a member
     original = report_module.fiber_to_dict
 
-    def drop_a_member(fiber):
-        entry = original(fiber)
+    def drop_a_member(fiber, blocks=None):
+        entry = original(fiber, blocks)
         entry["classes"][ci]["members"].pop()
         return entry
 
