@@ -233,7 +233,7 @@ def verify_identity(corr: FiberCorrespondence, a, b, c):
     order, which lies on its orbit's minimum.  Subset n = 4 squares one row:
 
     >>> corr = build_subset_matrix(4)
-    >>> len(orbits(corr.symmetries)), verify_identity(corr, 3, -2, 3)
+    >>> len(orbits(corr.symmetries, corr.size)), verify_identity(corr, 3, -2, 3)
     (1, (True, None))
     """
     minima = [orbit[0] - 1 for orbit in orbits(corr.symmetries, corr.size)]

@@ -1,12 +1,12 @@
 """Fixed points of a correspondence on special fibers, and nesting certificates.
 
 On a special fiber the points of the induced curve are classes of generic
-fiber points, the orbits of the fiber's generators (see induced_curve).
-class_action proves from the generators that the correspondence descends to
-the classes, with one comparison of the classes against their orbits, and
-reads one representative row per class, and only what the criterion reads:
-each class's multiplicity in its own image, and the block of multiplicities
-among the classes where that is 1.
+fiber points, the orbits of the fiber's generators, written once where the
+fiber is built (see induced_curve).  class_action proves from the generators
+that the correspondence descends to the classes, and reads one
+representative row per class off the orbits the fiber keeps, and only what
+the criterion reads: each class's multiplicity in its own image, and the
+block of multiplicities among the classes where that is 1.
 
 A class Q is a fixed point when Q appears in its own image D(Q); the
 multiplicity of the appearance is the local intersection number with the
@@ -20,12 +20,12 @@ single special fiber.  The correspondence is symmetric, so "p in D(q)" holds
 exactly when "q in D(p)" does, and a chain is any ordering of an n-clique in
 the graph of fixed classes of self multiplicity 1 joined when each lies in
 the image of the other.  The search counts the cliques of each fiber by
-size with a memoized split on the lowest candidate.  A fiber without an
-n-clique fails from its counts alone, which also give, in closed form, how
-many orderings a backtracking search would have tried there.  On the first
-fiber with an n-clique the lexicographically first chain is read off the
-same memo, by descending the split tree, which makes certificates
-deterministic.  The count makes at most NESTING_CLIQUE_BUDGET memo misses
+size with a memoized split on the lowest candidate, once per distinct
+fiber.  A fiber without an n-clique fails from its counts alone, which also
+give, in closed form, how many orderings a backtracking search would have
+tried there.  On the first fiber with an n-clique the lexicographically
+first chain is read off the same memo, by descending the split tree, which
+makes certificates deterministic.  The count makes at most NESTING_CLIQUE_BUDGET memo misses
 per fiber, the one budget of the search; beyond it the search is reported
 undecided.
 
@@ -42,10 +42,9 @@ from __future__ import annotations
 from collections import namedtuple
 from itertools import combinations, compress, count
 from math import factorial
-from operator import ne
 
 from .correspondence import FiberCorrespondence, Matrix
-from .induced_curve import SpecialFiber, orbit_classes
+from .induced_curve import SpecialFiber
 from .perms import Record
 
 
@@ -60,27 +59,21 @@ def class_action(corr: FiberCorrespondence, fiber: SpecialFiber) -> tuple[tuple,
     of class q in its own image and block[i][j] that of class c_j in the
     image of class c_i, for c_0 < c_1 < ... the candidates(diagonal).
 
-    Each generator must have degree N and preserve D (corr.check_moves), and
-    the classes must equal orbit_classes of the generators on corr.points,
-    order included, or ValueError: a member that is not a point or lies in
-    two classes, classes that miss a point and classes out of order all fail
-    that one comparison.  So for g in the group the generators span, a
-    point p and a class M, |D(gp) & M| = |D(p) & g^-1 M| = |D(p) & M|: the
-    action does not depend on the representative, and every count is read
-    off one representative per class, the first position of its orbit.
+    Each of the fiber's generators must have degree N and preserve D
+    (corr.check_moves), and the fiber must be built on corr.points, in their
+    order, or ValueError.  Its classes are the generators' orbits by
+    construction, so for g in the group the generators span, a point p and
+    a class M, |D(gp) & M| = |D(p) & g^-1 M| = |D(p) & M|: the action does
+    not depend on the representative, and every count is read off one
+    representative per class, the first position of its orbit.
     """
     corr.check_moves(fiber.generators, "generator")
-    classes, walked = zip(*orbit_classes(fiber.generators, corr.points))
-    if fiber.classes != classes:
-        # the first class that differs, or the first orbit the classes miss
-        declared = fiber.classes
-        q = next(compress(count(), map(ne, declared, classes)), min(len(declared), len(classes)))
-        if q < len(declared):
-            raise ValueError(f"class {q} is not an orbit of the fiber's generators")
-        raise ValueError(f"the classes miss orbit {q} of the fiber's generators")
-
-    masks = [sum(map((1).__lshift__, orbit)) >> 1 for orbit in walked]
-    reps = [corr.rows[orbit[0] - 1] for orbit in walked]
+    if fiber.points != corr.points:
+        raise ValueError(
+            f"the fiber is built on points other than those of the {corr.kind} correspondence"
+        )
+    masks = [sum(map((1).__lshift__, orbit)) >> 1 for orbit in fiber.orbits]
+    reps = [corr.rows[orbit[0] - 1] for orbit in fiber.orbits]
     diagonal = tuple(map(int.bit_count, map(int.__and__, reps, masks)))
     chosen = candidates(diagonal)
     within = list(map(masks.__getitem__, chosen))
@@ -187,8 +180,10 @@ def nesting_search(actions, positions, delta_dot_d: int, bidegree: int):
     class_action returns them, positions[p] the index of position p's fiber
     among them, and delta_dot_d the layout's weighted fixed-point count; the
     search reads nothing else, so a certificate names its classes by index.
-    Positions are searched in layout order, a repeated fiber at each of its
-    positions.
+    Positions are searched in layout order, and each distinct fiber's
+    cliques are counted once, at its first searchable position: a fiber that
+    fails there adds the same orderings tried at each of its later
+    positions, which fibers_searched counts too.
 
     The correspondence is symmetric and its class action does not depend on
     the representative, so |q| * action[q][p] = |p| * action[p][q] for class
@@ -230,13 +225,16 @@ def nesting_search(actions, positions, delta_dot_d: int, bidegree: int):
     # chain members must share a fiber: every D(p_i) lies in the fiber of p_i
     candidates_of = [candidates(diagonal) for diagonal, _ in actions]
     searchable = [len(chosen) >= n for chosen in candidates_of]
-    tried = 0
-    searched = 0
+    failed: dict[int, int] = {}  # orderings tried on each distinct fiber that fails
+    tried = searched = 0
     for pos in compress(count(), map(searchable.__getitem__, positions)):
         fi = positions[pos]
+        searched += 1
+        if fi in failed:
+            tried += failed[fi]
+            continue
         (_, block), chosen = actions[fi], candidates_of[fi]
         c = len(chosen)
-        searched += 1
         # the candidate graph's row bitsets from the nonzero entries of the
         # block, which must equal its column bitsets; each candidate's own
         # bit (self multiplicity 1) is dropped
@@ -269,7 +267,8 @@ def nesting_search(actions, positions, delta_dot_d: int, bidegree: int):
         counts = [(memo[s] >> (width * k)) & digit for k in range(n + 1)]
         if not counts[n]:
             # what a search over orderings tries at each ordering of a k-clique
-            tried += sum(count * factorial(k) * (c - k) for k, count in enumerate(counts[:n]))
+            failed[fi] = sum(count * factorial(k) * (c - k) for k, count in enumerate(counts[:n]))
+            tried += failed[fi]
             continue
 
         chain: list[int] = []

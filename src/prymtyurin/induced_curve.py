@@ -17,15 +17,16 @@ computed per model and reported side by side, never mixed.  On the 3x3 grid
 the orbits of each local monodromy are exactly the divisor coincidence
 classes, so the two models agree fiber by fiber.
 
-Every special fiber is built one way, as the orbits (perms.orbits) of the
-generators it carries: permutations of the generic fiber's point positions
-in the correspondence's point order.  They are the Young subgroup of a
+A special fiber is built only from the generators it carries and the
+points they move: permutations of the generic fiber's point positions in
+the correspondence's point order.  They are the Young subgroup of a
 profile's blocks (blocks_from_parts; merged model) or its local monodromy
 (orbit model), induced on subsets by perms.induced_subset_action, and the
 local monodromy on grid cells as arithmetic on row-major cell positions.
-orbit_classes writes the orbits as classes; fixed_points.class_action
-proves from the generators that the correspondence descends to the classes
-and requires them to be exactly these.
+The SpecialFiber constructor walks their orbits (perms.orbits) once and
+writes them as the classes, so the classes are the orbits by construction;
+fixed_points.class_action proves from the generators that the
+correspondence descends to them and reads the orbits the fiber keeps.
 """
 
 from __future__ import annotations
@@ -52,41 +53,43 @@ MODELS = (MERGED, ORBIT)
 
 
 class SpecialFiber(Record, namedtuple("SpecialFiber", "classes generators")):
-    """A special fiber of the induced covering: its classes, the orbits of its
-    generators (permutations of the 1-based positions of the generic fiber's
-    points, in the correspondence's point order).  A class is the sorted
-    tuple of its members, and its size is its ramification index.  A fiber
-    does not know its model: the report's model entry holding it records the
-    model, and a merged subset entry writes its block multisets from the
-    fiber's profile.  So one fiber serves both models wherever their
-    generators agree: the four grid fibers and the subset simple fiber.
+    """A special fiber of the induced covering, built from its generators
+    and the points they move, the generic fiber's points in the
+    correspondence's point order (a generator permutes their 1-based
+    positions).  Its classes are the generators' orbits, walked once here,
+    each the sorted tuple of its members, in order of their first member; a
+    class's size is its ramification index.  The points and the orbits (as
+    positions, in class order) are the attributes points and orbits, outside
+    the fields and equality.  A fiber does not know its model: the report's
+    model entry holding it records the model, and a merged subset entry
+    writes its block multisets from the fiber's profile.  So one fiber
+    serves both models wherever their generators agree: the four grid
+    fibers and the subset simple fiber.
 
+    >>> fiber = SpecialFiber((Permutation((3, 2, 1)),), "cab")
+    >>> fiber.classes, fiber.orbits
+    ((('a',), ('b', 'c')), ((2,), (1, 3)))
     >>> subset_fiber(2, (2, 2), MERGED).classes
     (((1, 2),), ((1, 3), (1, 4), (2, 3), (2, 4)), ((3, 4),))
     """
 
+    def __new__(cls, generators: tuple[Permutation, ...], points):
+        points = tuple(points)
+        point = (None, *points).__getitem__  # the point at a 1-based position
+        walked = orbits(generators, len(points))
+        ordered = sorted((tuple(sorted(map(point, orbit))), orbit) for orbit in walked)
+        classes, walked = zip(*ordered)
+        self = super().__new__(cls, classes, generators)
+        self.__dict__.update(points=points, orbits=walked)
+        return self
+
+    def __getnewargs__(self):
+        # copy and pickle rebuild a fiber from what it is built from
+        return self.generators, self.points
+
     @cached_property
     def w_contribution(self) -> int:
         return sum(map(len, self.classes)) - len(self.classes)
-
-
-def orbit_classes(generators: tuple[Permutation, ...], points) -> list[tuple[tuple, tuple]]:
-    """The orbits of the generators on the 1-based positions of points, as
-    (class, orbit) pairs: the class lists the orbit's points in
-    lexicographic order, and the pairs are ordered by that first member.
-
-    >>> orbit_classes((Permutation((3, 2, 1)),), "cab")
-    [(('a',), (2,)), (('b', 'c'), (1, 3))]
-    """
-    point = (None, *points).__getitem__  # the point at a 1-based position
-    walked = orbits(generators, len(points))
-    return sorted((tuple(sorted(map(point, orbit))), orbit) for orbit in walked)
-
-
-def _fiber(generators: tuple[Permutation, ...], points) -> SpecialFiber:
-    """The one fiber builder: the classes of orbit_classes."""
-    classes, _ = zip(*orbit_classes(generators, points))
-    return SpecialFiber(classes, generators)
 
 
 def blocks_from_parts(parts: tuple[int, ...], degree: int) -> tuple[tuple[int, ...], ...]:
@@ -143,7 +146,7 @@ def subset_fiber(n: int, parts, model: str) -> SpecialFiber:
     generators = tuple(
         induced_subset_action(Permutation.from_cycles(degree, c), n, index) for c in moves
     )
-    return _fiber(generators, all_subsets(degree, n))
+    return SpecialFiber(generators, all_subsets(degree, n))
 
 
 # --- grid fibers ------------------------------------------------------------
@@ -157,7 +160,7 @@ def grid_row_monodromy(m: int, row_parts) -> Permutation:
     return Permutation(tuple((s - 1) * m + j for s in sigma.images for j in range(1, m + 1)))
 
 
-def grid_pairing_monodromy(m: int, shift: int = 0) -> Permutation:
+def grid_pairing_monodromy(m: int, shift: int) -> Permutation:
     """Local monodromy of a pairing fiber: the two sides of the grid coincide
     through the matching i -> i + shift (mod m), so cell (i, j) goes to
     (j - shift, i + shift).  It is an involution; cells on the matched
@@ -172,13 +175,13 @@ def grid_row_merge_fiber(m: int, row_parts) -> SpecialFiber:
     """Grid special fiber where rows are glued by a profile of the m rows
     (columns stay distinct): the orbits of grid_row_monodromy, so cell (i, j)
     is identified with (i', j) when i, i' share a block of the profile."""
-    return _fiber((grid_row_monodromy(m, row_parts),), grid_points(m))
+    return SpecialFiber((grid_row_monodromy(m, row_parts),), grid_points(m))
 
 
-def grid_pairing_fiber(m: int, shift: int = 0) -> SpecialFiber:
+def grid_pairing_fiber(m: int, shift: int) -> SpecialFiber:
     """Grid special fiber where the two sides of the grid coincide: the
     orbits of grid_pairing_monodromy, each a glued pair or a diagonal cell."""
-    return _fiber((grid_pairing_monodromy(m, shift),), grid_points(m))
+    return SpecialFiber((grid_pairing_monodromy(m, shift),), grid_points(m))
 
 
 # --- irreducibility proxy ---------------------------------------------------

@@ -176,18 +176,13 @@ def induced_subset_action(p: Permutation, k: int, index: dict | None = None) -> 
     return Permutation(tuple(map((len(index) + 1).__sub__, reversed(list(images)))))
 
 
-def orbits(generators: tuple[Permutation, ...], degree: int | None = None) -> tuple[tuple[int, ...], ...]:
+def orbits(generators: tuple[Permutation, ...], degree: int) -> tuple[tuple[int, ...], ...]:
     """Orbits of {1..degree} under the group generated by the given permutations,
     each orbit sorted, orbits ordered by smallest element.
 
     Computed by breadth-first closure under the generators; the group itself is
-    never enumerated.  With no generators the degree is required and every
-    label is its own orbit.
+    never enumerated.  With no generators every label is its own orbit.
     """
-    if degree is None:
-        if not generators:
-            raise ValueError("degree required when no generators are given")
-        degree = generators[0].degree
     for g in generators:
         if g.degree != degree:
             raise ValueError(f"generator degree {g.degree} != {degree}")
@@ -210,5 +205,5 @@ def orbits(generators: tuple[Permutation, ...], degree: int | None = None) -> tu
     return tuple(out)
 
 
-def is_transitive(generators: tuple[Permutation, ...], degree: int | None = None) -> bool:
+def is_transitive(generators: tuple[Permutation, ...], degree: int) -> bool:
     return len(orbits(generators, degree)) == 1

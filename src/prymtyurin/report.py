@@ -402,9 +402,9 @@ def covering_to_dict(cov: CoveringData) -> dict:
     }
 
 
-def fiber_to_dict(fiber: SpecialFiber, blocks=None) -> dict:
+def fiber_to_dict(fiber: SpecialFiber, blocks) -> dict:
     # given its profile's label blocks, a merged class's block_multiset: the
-    # block ids its first member hits, with multiplicity; else None
+    # block ids its first member hits, with multiplicity; None for no blocks
     block_of = {x: i for i, b in enumerate(blocks or ()) for x in b}
     return {
         "w": fiber.w_contribution,

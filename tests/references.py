@@ -102,17 +102,15 @@ def reference_merged_fiber(n, blocks):
 
 def merged_fiber_over(n, blocks):
     """The merged fiber over arbitrary identification blocks of the n + 2
-    sheets: subset_fiber's fiber of their profile, classes and generators
-    relabeled by the label permutation that carries the profile's canonical
-    blocks (blocks_from_parts) onto these (blocks of equal size in the order
-    given)."""
+    sheets, built from the generators of subset_fiber's fiber of their
+    profile, relabeled by the label permutation that carries the profile's
+    canonical blocks (blocks_from_parts) onto these (blocks of equal size in
+    the order given)."""
     ordered = sorted(blocks, key=len, reverse=True)
     parts = tuple(map(len, ordered))
     fiber = subset_fiber(n, parts, MERGED)
     canonical = blocks_from_parts(parts, n + 2)
     image = dict(zip(chain.from_iterable(canonical), chain.from_iterable(ordered)))
-    relabel = lambda member: tuple(sorted(map(image.__getitem__, member)))
-    classes = tuple(sorted(tuple(sorted(map(relabel, cls))) for cls in fiber.classes))
     # a generator g on positions becomes move . g . move^-1
     move = induced_subset_action(Permutation(tuple(map(image.__getitem__, range(1, n + 3)))), n)
     back = {r: q for q, r in enumerate(move.images, 1)}
@@ -120,13 +118,14 @@ def merged_fiber_over(n, blocks):
         Permutation(tuple(move(g(back[r])) for r in range(1, g.degree + 1)))
         for g in fiber.generators
     )
-    return SpecialFiber(classes, generators)
+    return SpecialFiber(generators, all_subsets(n + 2, n))
 
 
 def reference_orbit_classes(perm, points):
     """The cycles of a permutation of point positions, as classes of the
     points, ordered by their smallest member."""
-    return tuple(sorted(tuple(sorted(points[r - 1] for r in orbit)) for orbit in orbits((perm,))))
+    walked = orbits((perm,), perm.degree)
+    return tuple(sorted(tuple(sorted(points[r - 1] for r in orbit)) for orbit in walked))
 
 
 def diagonal_and_block(matrix):

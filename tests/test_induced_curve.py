@@ -53,7 +53,7 @@ def test_merged_fiber_n3():
     assert big == ((1, 3, 5), (1, 4, 5), (2, 3, 5), (2, 4, 5))
     blocks = blocks_from_parts(THREE_PARTS, 5)
     assert fiber_to_dict(fiber, blocks)["classes"][q]["block_multiset"] == [0, 1, 2]
-    assert fiber_to_dict(fiber)["classes"][q]["block_multiset"] is None
+    assert fiber_to_dict(fiber, None)["classes"][q]["block_multiset"] is None
 
 
 def test_merged_fiber_n2_and_n4():
@@ -73,7 +73,7 @@ def test_merged_fiber_discrete_partition_is_unramified():
 def test_partition_monodromy():
     p = partition_monodromy(THREE_PARTS, 5)
     assert p.images == (2, 1, 4, 3, 5)
-    assert tuple(sorted(map(len, orbits((p,))), reverse=True)) == (2, 2, 1)
+    assert tuple(sorted(map(len, orbits((p,), p.degree)), reverse=True)) == (2, 2, 1)
     assert partition_monodromy((1, 2, 2), 5) == p
     with pytest.raises(ValueError, match=r"profile \(2, 2\) does not sum to 3"):
         partition_monodromy((2, 2), 3)

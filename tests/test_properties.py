@@ -33,7 +33,7 @@ def after(a, b):
 
 def cycle_type(p):
     """Cycle lengths of p, the orbits of <p>, largest first."""
-    return tuple(sorted(map(len, orbits((p,))), reverse=True))
+    return tuple(sorted(map(len, orbits((p,), p.degree)), reverse=True))
 
 
 def identity(degree):
@@ -121,10 +121,10 @@ def test_cycle_type_is_conjugation_invariant(triple):
 @given(perm_triples())
 def test_orbits_partition_the_domain(triple):
     a, b, _ = triple
-    orbs = orbits((a, b))
+    orbs = orbits((a, b), a.degree)
     seen = sorted(x for orb in orbs for x in orb)
     assert seen == list(range(1, a.degree + 1))
-    assert is_transitive((a, b)) == (len(orbs) == 1)
+    assert is_transitive((a, b), a.degree) == (len(orbs) == 1)
 
 
 # --- the induced action on subsets is a group homomorphism ---------------------

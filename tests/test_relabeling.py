@@ -16,7 +16,7 @@ from prymtyurin.scenario import MODEL_CHOICES, InvalidScenario, Scenario, subset
 
 def cycle_type(images):
     """The profile of a local monodromy: its cycle lengths, largest first."""
-    return tuple(sorted(map(len, orbits((Permutation(images),))), reverse=True))
+    return tuple(sorted(map(len, orbits((Permutation(images),), len(images))), reverse=True))
 
 
 def conjugate(images, sigma):

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from prymtyurin import fixed_points
+from prymtyurin import fixed_points, induced_curve
 from prymtyurin import report as report_module
 from prymtyurin.correspondence import build_grid_matrix, build_subset_matrix
 from prymtyurin.fixed_points import check_certificate
@@ -528,6 +528,56 @@ def test_subset_layout_builds_one_fiber_per_profile(monkeypatch):
     assert built == [(2, 1, 1, 1)]
 
 
+def test_a_subset_report_walks_each_fiber_s_orbits_once(monkeypatch):
+    # a fiber's classes are its generators' orbits, walked where it is
+    # built; class_action reads the orbits the fiber keeps and walks none
+    walks, acting = [], []
+    original_walk, original_action = induced_curve.orbits, report_module.class_action
+
+    def walk(generators, degree):
+        walks.append(bool(acting))
+        return original_walk(generators, degree)
+
+    def act(corr, fiber):
+        acting.append(fiber)
+        try:
+            return original_action(corr, fiber)
+        finally:
+            acting.pop()
+
+    monkeypatch.setattr(induced_curve, "orbits", walk)
+    monkeypatch.setattr(report_module, "class_action", act)
+    for n in (3, 6):
+        walks.clear()
+        assemble(subset_scenario(n, 1))
+        # the declared profile under each model and the shared simple fiber
+        assert walks == [False] * 3
+
+
+def test_nesting_search_counts_each_distinct_fiber_s_cliques_once(monkeypatch):
+    # the default profiles repeat one fiber, which fails under the
+    # monodromy model: its cliques are counted at its first position, and
+    # the failure still counts both positions
+    calls = []
+    original = fixed_points._clique_counts
+
+    def counted(adjacent, n):
+        calls.append(n)
+        return original(adjacent, n)
+
+    monkeypatch.setattr(fixed_points, "_clique_counts", counted)
+    for n in (3, 10):
+        calls.clear()
+        data = assemble(subset_scenario(n, 3, model="monodromy"))
+        nest = data["models"][ORBIT]["nesting"]
+        assert len(calls) == 1
+        assert not nest["certified"] and nest["fibers_searched"] == 2
+    # a certified model counts only the fiber whose chain it finds
+    calls.clear()
+    assemble(subset_scenario(4, 2, model="paper"))
+    assert len(calls) == 1
+
+
 def test_declared_simple_profile_shares_its_fiber_between_models():
     # the simple profile's one fiber serves both models; only the merged
     # entry writes block multisets, from the profile's blocks
@@ -677,7 +727,7 @@ def test_certificate_is_checked_against_the_reported_fiber_entry(ci, monkeypatch
     # check reads the entry the report carries, which lost a member
     original = report_module.fiber_to_dict
 
-    def drop_a_member(fiber, blocks=None):
+    def drop_a_member(fiber, blocks):
         entry = original(fiber, blocks)
         entry["classes"][ci]["members"].pop()
         return entry
