@@ -33,8 +33,8 @@ Both families are strongly regular graphs with parameters (N, k, lambda, mu)
 in closed form (Brouwer-Haemers, Spectra of Graphs, ch. 9), and for those
 D^2 = (k - mu)*I + (lambda - mu)*D + mu*U.  The subset correspondence is the
 Kneser graph K(n+2, 2) on the 2-element complements, the grid one the rook's
-graph on m x m cells.  identity_and_exponent re-checks every discovered
-identity of either family against that closed form before it extracts q.
+graph on m x m cells.  identity_and_exponent extracts q only from an
+identity equal to its family's closed form, and no other kind has one.
 
 All arithmetic is integer; nothing here ever touches a float.
 """
@@ -299,11 +299,11 @@ def exponent_from_identity(ident: tuple[int, int, int]) -> tuple[int | None, str
     )
 
 
-def strongly_regular_identity(kind: str, parameter: int) -> tuple[int, int, int] | None:
+def strongly_regular_identity(kind: str, parameter: int) -> tuple[int, int, int]:
     """(a, b, c) = (k - mu, lambda - mu, mu) from the closed-form strongly
     regular parameters of a family: the Kneser graph K(n+2, 2) has
     k = C(n, 2), lambda = C(n-2, 2), mu = C(n-1, 2), and the rook's graph on
-    m x m cells k = 2(m-1), lambda = m-2, mu = 2.  None for any other kind."""
+    m x m cells k = 2(m-1), lambda = m-2, mu = 2; any other kind raises ValueError."""
     if kind == "subset":
         n = parameter
         k, lam, mu = math.comb(n, 2), math.comb(n - 2, 2), math.comb(n - 1, 2)
@@ -311,20 +311,20 @@ def strongly_regular_identity(kind: str, parameter: int) -> tuple[int, int, int]
         m = parameter
         k, lam, mu = 2 * (m - 1), m - 2, 2
     else:
-        return None
+        raise ValueError(f"no strongly regular closed form for correspondence kind {kind!r}")
     return (k - mu, lam - mu, mu)
 
 
 def identity_and_exponent(corr) -> tuple[tuple[int, int, int] | None, int | None, str]:
     """The discovered identity, the exponent q (None when the identity does
-    not factor as the criterion needs, or when a family's identity differs
-    from its strongly regular closed form) and a note saying how q was
-    derived or why it was not."""
+    not factor as the criterion needs, or differs from its family's strongly
+    regular closed form, where a kind without one raises ValueError) and a
+    note saying how q was derived or why it was not."""
     ident = discover_identity(corr)
     if ident is None:
         return None, None, "no quadratic identity exists for this correspondence"
     want = strongly_regular_identity(corr.kind, corr.parameter)
-    if want is not None and ident != want:
+    if ident != want:
         return ident, None, (
             f"the discovered identity (a, b, c) = {ident} differs from the strongly"
             f" regular closed form {want} of the {corr.kind} correspondence with"

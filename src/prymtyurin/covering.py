@@ -108,17 +108,17 @@ def upstairs_genus(cov: CoveringData) -> int:
     return riemann_hurwitz_genus(cov.degree, ramification_degree(cov))
 
 
-def simple_budget(cov: CoveringData, target_upstairs_genus: int) -> int:
-    """How many extra simple branch points make the genus upstairs hit the target.
-
-    The count returned replaces cov.simple_extra.  Raises GenusValidationError
-    when no non-negative count works (wrong parity or target too small).
+def simple_budget(degree: int, special_fibers, target_upstairs_genus: int) -> int:
+    """How many simple branch points, besides the special fibers' profiles,
+    make the genus upstairs of a degree covering hit the target: the
+    simple_extra of the covering to build.  Raises GenusValidationError
+    when no non-negative count works (the target is too small).
     """
     if target_upstairs_genus < 0:
         raise ValueError(f"target genus must be non-negative, got {target_upstairs_genus}")
-    w_special = sum(profile_contribution(f) for f in cov.special_fibers)
+    w_special = sum(map(profile_contribution, special_fibers))
     # w_needed is even for every integral target, so the budget is a plain difference
-    w_needed = 2 * target_upstairs_genus - 2 + 2 * cov.degree
+    w_needed = 2 * target_upstairs_genus - 2 + 2 * degree
     extra = w_needed - w_special
     if extra < 0:
         raise GenusValidationError(

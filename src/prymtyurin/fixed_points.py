@@ -31,10 +31,11 @@ undecided.
 
 The scan and the search read only the class actions of a layout's distinct
 fibers and, for each layout position, the index of its fiber among them
-(report.fiber_layout).  A certificate's fields are its report keys; the
-report adds the chain's members from the fiber entry it names, and
-check_certificate recomputes every multiplicity from those entries and the
-family's label rule alone.
+(report.fiber_layout).  A certificate's fields are its report keys, and
+the report adds the chain's members from the fiber entry it names.
+check_certificate alone decides a model's nesting claim: it binds the
+chain's length to the model's fixed-point count, and recomputes every
+multiplicity from the report's entries and the family's label rule.
 """
 
 from __future__ import annotations
@@ -305,28 +306,36 @@ def nesting_search(actions, positions, delta_dot_d: int, bidegree: int):
 # certificate.
 
 
-def check_certificate(nesting: dict, fiber: dict, kind: str, parameter: int) -> bool:
-    """Re-verify a report's nesting certificate from its fiber entry alone.
+def check_certificate(nesting: dict, special_fibers: list, delta_dot_d: int,
+                      kind: str, parameter: int) -> bool:
+    """Decide a model's nesting claim from its report entries alone.
 
-    nesting is a report's certified nesting entry and fiber the
-    special_fibers entry at the position it names; kind is "subset"
+    nesting is the model's nesting entry, special_fibers its fiber entries in
+    layout order and delta_dot_d its fixed-point count; kind is "subset"
     (parameter n, labels 1..n+2) or "grid" (parameter m, labels 1..2m).  The
-    label bitmasks of the family's points are built once, and the entry's
-    classes must partition them: every point in exactly one class and no
-    member that is not a point.  Every multiplicity is then recomputed at
-    every representative by counting, per class, the points that share the
-    related number of labels with it.  A certificate whose chain_members or
-    multiplicities rows do not fit its chain is refused.
+    entry must be certified, with a chain of delta_dot_d / 2 classes (an even
+    count), chain_members and multiplicities rows that fit it, and, unless
+    it is empty, a fiber position among special_fibers.  The label bitmasks
+    of the family's points are built once, and that fiber entry's classes
+    must partition them: every point in exactly one class and no member that
+    is not a point.  Every multiplicity is then recomputed at every
+    representative by counting, per class, the points that share the related
+    number of labels with it.
     """
+    if not nesting["certified"] or delta_dot_d % 2:
+        return False
     chain, chain_members = nesting["chain"], nesting["chain_members"]
     rows = nesting["multiplicities"]
-    classes = [cls["members"] for cls in fiber["classes"]]
-    length = len(chain)
-    if len(chain_members) != length or [len(row) for row in rows] != list(range(1, length + 1)):
+    length = delta_dot_d // 2
+    # n classes, n members and rows of 1, ..., n multiplicities
+    if list(map(len, (chain, chain_members, *rows))) != [length, length, *range(1, length + 1)]:
         return False
     if length == 0:
         return True
-    # distinct classes, each named by its index: a negative one would alias another
+    # positions and classes are named by index: a negative one would alias another
+    if not 0 <= nesting["fiber"] < len(special_fibers):
+        return False
+    classes = [cls["members"] for cls in special_fibers[nesting["fiber"]]["classes"]]
     if len(set(chain)) != length or not set(chain) <= set(range(len(classes))):
         return False
     if kind == "subset":

@@ -134,18 +134,16 @@ def subset_fiber(n: int, parts, model: str) -> SpecialFiber:
     [[2, 1, 2, 4, 1], [2, 1, 2, 2, 2, 1]]
     """
     degree = n + 2
-    blocks = blocks_from_parts(parts, degree)
-    moved = tuple(b for b in blocks if len(b) > 1)
     if model == MERGED:
-        moves = [(c,) for b in moved for c in dict.fromkeys((b[:2], b))]
+        moved = (b for b in blocks_from_parts(parts, degree) if len(b) > 1)
+        cycles = (c for b in moved for c in dict.fromkeys((b[:2], b)))
+        moves = [Permutation.from_cycles(degree, (c,)) for c in cycles]
     elif model == ORBIT:
-        moves = [moved]
+        moves = [partition_monodromy(parts, degree)]
     else:
         raise ValueError(f"unknown fiber model {model!r}")
     index = subset_index(degree, n)
-    generators = tuple(
-        induced_subset_action(Permutation.from_cycles(degree, c), n, index) for c in moves
-    )
+    generators = tuple(induced_subset_action(g, n, index) for g in moves)
     return SpecialFiber(generators, all_subsets(degree, n))
 
 

@@ -17,7 +17,6 @@ the correspondence class, smoothness of the curve) are marked unchecked.
 
 from __future__ import annotations
 
-import json
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 from math import gcd
@@ -254,14 +253,8 @@ def _model(
     entries = [{"model": model, **fiber_to_dict(f, b)} for f, b in zip(distinct, blocks)]
     special_fibers = list(map(entries.__getitem__, positions))
     nest = nesting_to_dict(nesting, special_fibers)
-    # the certificate is checked as the report carries it: its nesting entry
-    # and the fiber entry at the position that entry names
-    checked = nest["certified"] and (
-        not nest["chain"]
-        or check_certificate(
-            nest, special_fibers[nest["fiber"]], scenario.kind, scenario.parameter
-        )
-    )
+    # the nesting claim is decided as the report carries it, by its checker alone
+    checked = check_certificate(nest, special_fibers, delta, scenario.kind, scenario.parameter)
     hyp = {
         "quadratic_ok": q is not None,
         "fixed_even": even,
@@ -462,9 +455,9 @@ def canonical_json(data) -> str:
     json.dumps would also write int, float, bool and None keys.  A list or
     tuple is accepted by its exact type, so a subclass of either (one of
     the package's namedtuple records) raises TypeError where json.dumps
-    would write it as a list.  A float goes to json.dumps, so it is written
-    as it writes it, and any other value that is not a str, int, None or
-    dict (a Fraction, a set) raises TypeError; nothing is stringified by
+    would write it as a list.  Any other value that is not a str, int, None
+    or dict raises json's own TypeError: a float (reports are exact and hold
+    none) as well as a Fraction or a set, so nothing is stringified by
     accident.
 
     Like json.dumps, every piece goes to one list, joined once at the end.
@@ -497,8 +490,6 @@ def canonical_json(data) -> str:
             return append(int.__repr__(obj))
         is_dict = isinstance(obj, dict)
         if not is_dict and type(obj) not in (list, tuple):
-            if isinstance(obj, float):
-                return append(json.dumps(obj))
             raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
         if not obj:
             return append("{}" if is_dict else "[]")
@@ -625,7 +616,7 @@ def render_table(data: dict) -> str:
         undecided = "memo_misses" in nest
         if not nest["certified"]:
             nesting = f"{UNDECIDED if undecided else FAILED}: {nest['reason']}"
-        elif not nest["chain"]:
+        elif not nest["chain"] and rep["certificate_checked"]:
             nesting = "trivial (no fixed points required)"
         else:
             chain = ", ".join(map(str, nest["chain"]))

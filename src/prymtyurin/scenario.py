@@ -169,8 +169,8 @@ class Scenario(
 def _input_covering(degree: int, special_fibers, upstairs_genus: int) -> CoveringData:
     """The covering with the simple branch points simple_budget says the
     source genus needs: 2g + 2 for the grid's double covering."""
-    bare = CoveringData(degree, special_fibers)
-    return CoveringData(degree, special_fibers, simple_budget(bare, upstairs_genus))
+    extra = simple_budget(degree, special_fibers, upstairs_genus)
+    return CoveringData(degree, special_fibers, extra)
 
 
 def default_subset_fibers(n: int) -> tuple[tuple[int, ...], ...]:

@@ -187,7 +187,7 @@ def test_criterion_2_merged_model_number_regression():
 def test_criterion_3_nesting_certificate_independent_recheck():
     with criterion(3, "size-4 subset nesting certificate: diagonal 1, cross 2, rechecked"):
         # the independent checker re-checks the report's own nesting entry
-        # against the fiber entry it names
+        # against its fiber entries and fixed-point count
         merged = assemble(subset_scenario(4, 2))["models"][MERGED]
         cert = merged["nesting"]
         assert cert["certified"]
@@ -197,11 +197,11 @@ def test_criterion_3_nesting_certificate_independent_recheck():
         for row in cert["multiplicities"]:
             assert row[-1] == 1
             assert all(entry == 2 for entry in row[:-1])
-        fiber = merged["special_fibers"][cert["fiber"]]
-        assert check_certificate(cert, fiber, "subset", 4)
+        fibers, delta = merged["special_fibers"], merged["delta_dot_d"]
+        assert check_certificate(cert, fibers, delta, "subset", 4)
         # the checker must reject a tampered multiplicity table
         tampered = {**cert, "multiplicities": [[2] * len(row) for row in cert["multiplicities"]]}
-        assert not check_certificate(tampered, fiber, "subset", 4)
+        assert not check_certificate(tampered, fibers, delta, "subset", 4)
 
 
 def test_criterion_4_cross_model_dimension_agreement():

@@ -468,8 +468,10 @@ def test_identity_and_exponent_rechecks_the_closed_form():
         "the discovered identity (a, b, c) = (2, -1, 4) differs from the strongly"
         " regular closed form (2, -1, 1) of the subset correspondence with parameter 3"
     )
-    # a kind without a closed form is not re-checked
-    assert identity_and_exponent(rebuilt(corr, kind="x"))[1] == 3
+    # T(5) itself factors with q = 3, but a kind without a closed form is
+    # refused, never left unchecked
+    with pytest.raises(ValueError, match="kind 'x'"):
+        identity_and_exponent(rebuilt(corr, kind="x"))
 
 
 def reference_discover_identity(corr):

@@ -85,17 +85,16 @@ def test_ramification_degree_and_upstairs_genus():
 
 
 def test_simple_budget():
-    base = CoveringData(degree=4, special_fibers=((2, 2), (2, 2)))
+    pairs4, pairs6 = ((2, 2), (2, 2)), ((2, 2, 2), (2, 2, 2))
     for gx in range(0, 11):
-        assert simple_budget(base, gx) == 2 * gx + 2
-    base6 = CoveringData(degree=6, special_fibers=((2, 2, 2), (2, 2, 2)))
-    for gx in range(0, 11):
-        assert simple_budget(base6, gx) == 2 * gx + 4
+        assert simple_budget(4, pairs4, gx) == 2 * gx + 2
+        assert simple_budget(6, pairs6, gx) == 2 * gx + 4
+        # the budget gives the covering built from it the target genus
+        assert upstairs_genus(CoveringData(6, pairs6, simple_budget(6, pairs6, gx))) == gx
 
 
 def test_simple_budget_infeasible():
-    crowded = CoveringData(degree=4, special_fibers=((4,), (4,), (4,), (4,)))
     with pytest.raises(GenusValidationError):
-        simple_budget(crowded, 0)
+        simple_budget(4, ((4,), (4,), (4,), (4,)), 0)
     with pytest.raises(ValueError, match="target genus must be non-negative, got -1"):
-        simple_budget(CoveringData(degree=4), -1)
+        simple_budget(4, (), -1)

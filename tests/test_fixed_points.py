@@ -68,10 +68,12 @@ def search(actions, positions, bidegree):
 
 
 def entries(cert, fiber):
-    """A certificate and its fiber as a report writes them, the fiber's
-    entry at every position up to the certificate's."""
+    """What check_certificate reads of a certificate found on fiber, as a
+    report writes it: the nesting entry, the fiber's entry at every position
+    up to the certificate's, and the fixed-point count the chain answers."""
     entry = fiber_to_dict(fiber, None)
-    return nesting_to_dict(cert, [entry] * (cert.fiber + 1)), entry
+    fibers = [entry] * (cert.fiber + 1)
+    return nesting_to_dict(cert, fibers), fibers, 2 * len(cert.chain)
 
 
 def full_action(corr, fiber):
@@ -312,31 +314,68 @@ def test_check_certificate_accepts_genuine():
 
 
 def test_check_certificate_rejects_tampering():
-    cert, fiber = _genuine_n4_certificate()
+    cert, fibers, delta = _genuine_n4_certificate()
 
     wrong_mult = {**cert, "multiplicities": [[1], [1, 1], [2, 2, 1]]}
-    assert not check_certificate(wrong_mult, fiber, "subset", 4)
+    assert not check_certificate(wrong_mult, fibers, delta, "subset", 4)
 
     wrong_chain = {**cert, "chain": [1, 1, 4]}
-    assert not check_certificate(wrong_chain, fiber, "subset", 4)
+    assert not check_certificate(wrong_chain, fibers, delta, "subset", 4)
 
     members = cert["chain_members"]
     wrong_members = {**cert, "chain_members": members[1:2] + members[1:]}
-    assert not check_certificate(wrong_members, fiber, "subset", 4)
+    assert not check_certificate(wrong_members, fibers, delta, "subset", 4)
 
     # reordering the chain so a later point misses an earlier one must fail:
     # the singleton class {1,2,3,4} is not fixed at all
     bogus = {**cert, "chain": [0, 3, 4]}
-    assert not check_certificate(bogus, fiber, "subset", 4)
+    assert not check_certificate(bogus, fibers, delta, "subset", 4)
 
     # class 1 named twice, once by its negative alias, as a chain of length 2
+    # at the fixed-point count 4 such a chain answers
     aliased = {
         **cert,
-        "chain": [1, 1 - len(fiber["classes"])],
+        "chain": [1, 1 - len(fibers[0]["classes"])],
         "chain_members": members[:1] * 2,
         "multiplicities": [[1], [1, 1]],
     }
-    assert not check_certificate(aliased, fiber, "subset", 4)
+    assert not check_certificate(aliased, fibers, 4, "subset", 4)
+
+
+def test_check_certificate_binds_the_chain_to_the_fixed_point_count():
+    # every doctored claim below passes the entry checks; only the
+    # certified flag, the count delta_dot_d or the fiber position refuses it
+    for (cert, fibers, delta), kind, parameter in (
+        (_genuine_n4_certificate(), "subset", 4),
+        (_genuine_grid_certificate(), "grid", 3),
+    ):
+        assert (delta, len(fibers)) == (6, 1)
+        assert check_certificate(cert, fibers, delta, kind, parameter)
+        # the chain cut to its first class, with its multiplicity row, is a
+        # chain of one fixed point: it answers a count of 2, not 6
+        cut = {
+            **cert,
+            "chain": cert["chain"][:1],
+            "chain_members": cert["chain_members"][:1],
+            "multiplicities": cert["multiplicities"][:1],
+        }
+        assert check_certificate(cut, fibers, 2, kind, parameter)
+        assert not check_certificate(cut, fibers, delta, kind, parameter)
+        # the empty chain answers a count of 0 only
+        empty = {**cert, "fiber": -1, "chain": [], "chain_members": [], "multiplicities": []}
+        assert check_certificate(empty, fibers, 0, kind, parameter)
+        assert not check_certificate(empty, fibers, delta, kind, parameter)
+        # an odd count has no half, though 7 // 2 and 1 // 2 fit the chains
+        assert not check_certificate(cert, fibers, 7, kind, parameter)
+        assert not check_certificate(empty, fibers, 1, kind, parameter)
+        # a fiber position outside the model's entries, -1 aliasing the last
+        for fiber in (-1, len(fibers)):
+            moved = {**cert, "fiber": fiber}
+            assert not check_certificate(moved, fibers, delta, kind, parameter)
+        # a claim that is not certified, whatever else it carries
+        assert not check_certificate({**cert, "certified": False}, fibers, delta, kind, parameter)
+        failure = nesting_to_dict(NestingFailure("no chain", 1, 0), fibers)
+        assert not check_certificate(failure, fibers, delta, kind, parameter)
 
 
 def test_check_certificate_rejects_cert_against_wrong_fiber():
@@ -345,29 +384,30 @@ def test_check_certificate_rejects_cert_against_wrong_fiber():
     mcert = search([mact], (0, 0), bidegree=1)
     assert isinstance(mcert, NestingCertificate)
     assert mcert.chain == (1,)
-    nest, entry = entries(mcert, merged)
-    assert check_certificate(nest, entry, "subset", 2)
+    nest, fibers, delta = entries(mcert, merged)
+    assert check_certificate(nest, fibers, delta, "subset", 2)
     # against the orbit fiber the same class index holds different members
     orbit = fiber_to_dict(subset_fiber(2, (2, 2), ORBIT), None)
-    assert not check_certificate(nest, orbit, "subset", 2)
+    assert not check_certificate(nest, [orbit] * len(fibers), delta, "subset", 2)
 
 
 def test_check_certificate_requires_classes_to_partition_the_points():
     fiber = subset_fiber(4, THREE_PAIRS, MERGED)
-    cert, entry = _genuine_n4_certificate()
-    assert cert["chain"] == [1, 3, 4]
-    assert check_certificate(cert, entry, "subset", 4)
+    cert, fibers, delta = _genuine_n4_certificate()
+    assert (cert["chain"], cert["fiber"], len(fibers)) == ([1, 3, 4], 0, 1)
+    assert check_certificate(cert, fibers, delta, "subset", 4)
     not_a_point = fiber.classes + (((1, 1, 2, 9),),)
     repeated = fiber.classes + ((fiber.classes[0][0],),)
     dropped = fiber.classes[:5]  # class 5 is not on the chain
     for classes in (not_a_point, repeated, dropped):
         members = [{"members": [list(m) for m in cls]} for cls in classes]
-        assert not check_certificate(cert, {**entry, "classes": members}, "subset", 4)
+        entry = {**fibers[0], "classes": members}
+        assert not check_certificate(cert, [entry], delta, "subset", 4)
 
 
 def test_check_certificate_is_independent_of_the_pipeline(monkeypatch):
-    cert, fiber = _genuine_n4_certificate()
-    gcert, gfiber = _genuine_grid_certificate()
+    cert, fibers, delta = _genuine_n4_certificate()
+    gcert, gfibers, gdelta = _genuine_grid_certificate()
 
     def refuse(*args):
         raise AssertionError(f"the checker called the pipeline with {args}")
@@ -379,12 +419,12 @@ def test_check_certificate_is_independent_of_the_pipeline(monkeypatch):
         (fixed_points, "class_action"),
     ):
         monkeypatch.setattr(module, name, refuse)
-    assert check_certificate(cert, fiber, "subset", 4)
-    assert check_certificate(gcert, gfiber, "grid", 3)
+    assert check_certificate(cert, fibers, delta, "subset", 4)
+    assert check_certificate(gcert, gfibers, gdelta, "grid", 3)
     tampered = {**cert, "multiplicities": [[1], [2, 1], [2, 1, 1]]}
-    assert not check_certificate(tampered, fiber, "subset", 4)
+    assert not check_certificate(tampered, fibers, delta, "subset", 4)
     gtampered = {**gcert, "multiplicities": [[1], [2, 1], [1, 1, 1]]}
-    assert not check_certificate(gtampered, gfiber, "grid", 3)
+    assert not check_certificate(gtampered, gfibers, gdelta, "grid", 3)
 
 
 def test_check_certificate_refuses_honest_multiplicities_off_a_chain():
@@ -403,21 +443,21 @@ def test_check_certificate_refuses_honest_multiplicities_off_a_chain():
             tuple(act[qi][qj] for qj in chain[: i + 1]) for i, qi in enumerate(chain)
         )
         cert = NestingCertificate(fiber=0, chain=chain, multiplicities=rows)
-        assert not check_certificate(*entries(cert, fiber), "subset", n)
-        assert not reference_check_certificate(*entries(cert, fiber), "subset", n)
+        nest, fibers, delta = entries(cert, fiber)
+        assert not check_certificate(nest, fibers, delta, "subset", n)
+        assert not reference_check_certificate(nest, fibers[0], "subset", n)
 
 
 def test_check_certificate_refuses_a_misshapen_certificate():
     # multiplicity rows or chain members that do not fit the chain are
     # refused, never read past their end
     grid = assemble(grid_scenario(3))["models"][MERGED]
-    gcert = grid["nesting"]
-    gfiber = grid["special_fibers"][gcert["fiber"]]
-    for (cert, fiber), kind, parameter in (
+    gcert, gfibers, gdelta = grid["nesting"], grid["special_fibers"], grid["delta_dot_d"]
+    for (cert, fibers, delta), kind, parameter in (
         (_genuine_n4_certificate(), "subset", 4),
-        ((gcert, gfiber), "grid", 3),
+        ((gcert, gfibers, gdelta), "grid", 3),
     ):
-        assert len(cert["chain"]) == 3 and check_certificate(cert, fiber, kind, parameter)
+        assert len(cert["chain"]) == 3 and check_certificate(cert, fibers, delta, kind, parameter)
         rows, members = cert["multiplicities"], cert["chain_members"]
         variants = [
             {**cert, "multiplicities": rows[:-1]},
@@ -429,9 +469,9 @@ def test_check_certificate_refuses_a_misshapen_certificate():
             cut = rows[:i] + [row[:-1]] + rows[i + 1:]
             variants.append({**cert, "multiplicities": cut})
         for variant in variants:
-            assert not check_certificate(variant, fiber, kind, parameter), variant
+            assert not check_certificate(variant, fibers, delta, kind, parameter), variant
     with pytest.raises(ValueError, match="unknown correspondence kind 'cube'"):
-        check_certificate(gcert, gfiber, "cube", 3)
+        check_certificate(gcert, gfibers, gdelta, "cube", 3)
 
 
 # --- the label-bitmask checker against the image-enumerating one -------------
@@ -519,16 +559,16 @@ def _tampered(cert, fixed, classes):
 
 
 def _pipeline_certificates():
-    """Each distinct (certificate, fiber, kind, parameter, fixed classes) the
-    pipeline builds for the 1- and 2-fiber profile combinations of subset
+    """Each distinct (certificate, fiber entries, fixed-point count, kind,
+    parameter, fixed classes of the certificate's fiber) the pipeline builds for the 1- and 2-fiber profile combinations of subset
     n = 2..7 under both models, and for grid g = 2 and 3, as report entries.
     The subset searches run on the layout of the declared fibers, as
     report._model lays them out; the grid ones are read off the report."""
     found = {}
 
-    def keep(cert, fiber, kind, parameter, fixed):
-        key = json.dumps([cert, fiber, kind, parameter], sort_keys=True)
-        found[key] = (cert, fiber, kind, parameter, fixed)
+    def keep(cert, fibers, delta, kind, parameter, fixed):
+        key = json.dumps([cert, fibers[cert["fiber"]], kind, parameter], sort_keys=True)
+        found[key] = (cert, fibers, delta, kind, parameter, fixed)
 
     for n in range(2, 8):
         corr = build_subset_matrix(n)
@@ -553,22 +593,23 @@ def _pipeline_certificates():
         assert cert["certified"] and cert["chain"]
         fixed = {fc["class"]: fc["members"] for fc in model["fixed_points"]
                  if fc["fiber"] == cert["fiber"]}
-        keep(cert, model["special_fibers"][cert["fiber"]], "grid", 3, fixed)
+        keep(cert, model["special_fibers"], model["delta_dot_d"], "grid", 3, fixed)
     return list(found.values())
 
 
 def test_check_certificate_matches_reference_on_pipeline_certificates():
     found = _pipeline_certificates()
     verdicts = Counter()
-    for cert, fiber, kind, parameter, fixed in found:
+    for cert, fibers, delta, kind, parameter, fixed in found:
+        fiber = fibers[cert["fiber"]]
         for variant in (cert, *_tampered(cert, fixed, len(fiber["classes"]))):
-            verdict = check_certificate(variant, fiber, kind, parameter)
+            verdict = check_certificate(variant, fibers, delta, kind, parameter)
             assert verdict == reference_check_certificate(variant, fiber, kind, parameter), (
                 kind, parameter, variant
             )
             verdicts[verdict] += 1
-        assert check_certificate(cert, fiber, kind, parameter)
-    assert {kind for _, _, kind, _, _ in found} == {"subset", "grid"}
+        assert check_certificate(cert, fibers, delta, kind, parameter)
+    assert {kind for _, _, _, kind, _, _ in found} == {"subset", "grid"}
     assert verdicts[True] > len(found) and verdicts[False] > 0
 
 
@@ -588,11 +629,12 @@ def test_check_certificate_reads_every_grid_row():
             act = class_action(corr, fiber)
             cert = search([act], (0, 0), corr.bidegree)
             assert {i for q in cert.chain for i, _ in fiber.classes[q]} == set(pair)
-            nest, entry = entries(cert, fiber)
-            assert check_certificate(nest, entry, "grid", m)
+            nest, fibers, delta = entries(cert, fiber)
+            entry = fibers[nest["fiber"]]
+            assert check_certificate(nest, fibers, delta, "grid", m)
             fixed = {q: entry["classes"][q]["members"] for q in fixed_classes(act)}
             for variant in _tampered(nest, fixed, len(fiber.classes)):
-                assert check_certificate(variant, entry, "grid", m) == (
+                assert check_certificate(variant, fibers, delta, "grid", m) == (
                     reference_check_certificate(variant, entry, "grid", m)
                 )
 

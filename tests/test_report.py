@@ -2,6 +2,7 @@ import enum
 import hashlib
 import json
 import os
+import re
 import sys
 import time
 import tracemalloc
@@ -45,9 +46,9 @@ def nesting_kind(rep: dict) -> str:
 
 
 def certificate_holds(rep: dict, kind: str, parameter: int) -> bool:
-    """check_certificate on a model's nesting entry and the fiber entry it names."""
-    nest = rep["nesting"]
-    return check_certificate(nest, rep["special_fibers"][nest["fiber"]], kind, parameter)
+    """check_certificate on a model's entries, as the report decides it."""
+    fibers, delta = rep["special_fibers"], rep["delta_dot_d"]
+    return check_certificate(rep["nesting"], fibers, delta, kind, parameter)
 
 
 def test_prym_dimension_worked_cases():
@@ -386,38 +387,53 @@ def test_canonical_json_splices_repeats_like_json_dumps(data):
 
 
 # a list or tuple of plain ints is written in one piece; bools, int
-# subclasses and floats among ints must take the general path
+# subclasses and floats among ints must take the general path, which
+# refuses a float (test_canonical_json_refuses_what_json_dumps_refuses)
 @pytest.mark.parametrize(
     "data",
     [
         [True, 1],
         [1, True],
         (0, -(10**40)),
-        [1, 2.5],
         [Colour.RED, 2],
         [[], [1]],
         [SHARED_INTS, [[SHARED_INTS]]],
     ],
-    ids=[
-        "bool-first", "bool-last", "tuple", "float", "int-enum", "empty-nested", "shared-depths-1-3"
-    ],
+    ids=["bool-first", "bool-last", "tuple", "int-enum", "empty-nested", "shared-depths-1-3"],
 )
 def test_canonical_json_int_lists_match_json_dumps(data):
     assert canonical_json(data) == reference_json(data)
 
 
 def test_canonical_json_scalars_match_json_dumps():
-    for value in (None, True, False, 0, -(2**100), "", "x\"y", 1.5, [0.1, -2.5e300]):
+    for value in (None, True, False, 0, -(2**100), "", "x\"y"):
         assert canonical_json(value) == reference_json(value)
 
 
 @pytest.mark.parametrize(
-    "data", [Fraction(1, 2), {"a": [Fraction(1, 2)]}, {1, 2}, [1, {"s": {3}}], object()]
+    "data",
+    [
+        Fraction(1, 2),
+        {"a": [Fraction(1, 2)]},
+        {1, 2},
+        [1, {"s": {3}}],
+        object(),
+        1.5,
+        [0.1, -2.5e300],
+        [1, 2.5],
+    ],
 )
 def test_canonical_json_refuses_what_json_dumps_refuses(data):
-    with pytest.raises(TypeError):
+    try:
         reference_json(data)
-    with pytest.raises(TypeError):
+    except TypeError as exc:
+        message = str(exc)
+    else:
+        # json.dumps writes a float, but a report is exact and never holds
+        # one (test_report_json_has_no_floats): the writer refuses it with
+        # the TypeError json gives a value it cannot write
+        message = "Object of type float is not JSON serializable"
+    with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
         canonical_json(data)
 
 
@@ -576,6 +592,36 @@ def test_nesting_search_counts_each_distinct_fiber_s_cliques_once(monkeypatch):
     calls.clear()
     assemble(subset_scenario(4, 2, model="paper"))
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("doctored", ["first-class", "empty"])
+def test_a_chain_that_misses_the_fixed_point_count_fails_the_model(monkeypatch, doctored):
+    # subset n = 4, gx = 2 certifies a chain of 3 fixed points at
+    # delta_dot_d = 6; a search that returned that chain cut to its first
+    # class, or an empty chain, would make a certificate that holds every
+    # entry check, and the report must still refuse it
+    scenario = subset_scenario(4, 2, model=MERGED)
+    honest = assemble(scenario)
+    assert honest["verdict"][MERGED] == "verified"
+    original = report_module.nesting_search
+
+    def search(*args):
+        cert = original(*args)
+        if doctored == "empty":
+            return fixed_points.NestingCertificate(fiber=-1, chain=(), multiplicities=())
+        return fixed_points.NestingCertificate(cert.fiber, cert.chain[:1], cert.multiplicities[:1])
+
+    monkeypatch.setattr(report_module, "nesting_search", search)
+    data = assemble(scenario)
+    rep = data["models"][MERGED]
+    assert rep["delta_dot_d"] == 6 and rep["nesting"]["certified"]
+    assert len(rep["nesting"]["chain"]) == (0 if doctored == "empty" else 1)
+    assert rep["certificate_checked"] is False
+    assert rep["hypotheses"]["nesting_ok"] is False
+    assert data["verdict"][MERGED] == "failed"
+    # the table follows the checker: an empty chain at delta_dot_d = 6 is not trivial
+    row = next(line for line in render_table(data).splitlines() if line.startswith("nesting"))
+    assert row.endswith("(NOT re-checked)") and "trivial" not in row
 
 
 def test_declared_simple_profile_shares_its_fiber_between_models():

@@ -83,6 +83,28 @@ def test_scenario_covering():
         assert all(rep["covering"] == covering_to_dict(scenario.covering) for rep in models)
 
 
+def test_scenario_builds_its_covering_once(monkeypatch):
+    # the budget reads the degree and the padded profiles directly, so the
+    # constructor builds the one covering it keeps, for either kind
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return CoveringData(*args)
+
+    monkeypatch.setattr(scenario_module, "CoveringData", counted)
+    for make in (
+        lambda: subset_scenario(3, 2),
+        lambda: subset_scenario(4, 1, special_fibers=[[3], [2, 2]], monodromy=[[2, 1, 3, 4, 5, 6]]),
+        lambda: grid_scenario(5),
+        lambda: parse_scenario({"kind": "grid", "upstairs_genus": 3}),
+    ):
+        built.clear()
+        scenario = make()
+        assert len(built) == 1
+        assert scenario.covering == CoveringData(*built[0])
+
+
 def test_grid_rejects_low_genus_and_extras():
     with pytest.raises(InvalidScenario, match="hyperelliptic"):
         grid_scenario(1)
