@@ -18,6 +18,14 @@ row per orbit of the group they generate, one row for either family, and
 each entry is the popcount of an AND of two rows, since a symmetric
 relation's rows are its columns.
 
+Both fibers are made of sheet labels: a subset point is n of the labels
+1..n+2, and grid cell (i, j) is the row label i and the column label m + j
+of 2m labels.  FiberCorrespondence.induce is the one rule by which a label
+permutation acts on the points, as a permutation of their positions: every
+special fiber's generators and the irreducibility check are label moves
+induced through it.  The symmetries are two such moves written in closed
+form over the positions, which the tests compare with induce.
+
 A correspondence D may satisfy a quadratic identity
 
     D^2 = a*I + b*D + c*U
@@ -50,6 +58,7 @@ from .perms import (
     Permutation,
     Record,
     all_subsets,
+    induced_subset_action,
     orbits,
     subset_index,
 )
@@ -71,11 +80,12 @@ class FiberCorrespondence(
     each symmetry compare the rows' bit strings with strided column slices
     of one row-major text (_columns_are_rows).  The rows as bit strings are
     kept as the attribute bits, outside the fields and equality: bits[i][j]
-    is D[i][j].
+    is D[i][j].  So is pair_index, the colex index of the subset family's
+    2-element complements that induce reads (None when not given).
     """
 
     def __new__(cls, kind: str, parameter: int, rows: tuple[int, ...], points: tuple,
-                symmetries: tuple[Permutation, ...] = ()):
+                symmetries: tuple[Permutation, ...] = (), pair_index: dict | None = None):
         n = len(rows)
         if len(points) != n or len(set(points)) != n:
             raise ValueError(f"need {n} distinct point descriptors, got {len(points)}")
@@ -97,9 +107,39 @@ class FiberCorrespondence(
                     j = next(j for j in range(i) if row[j] != col[j])
                     raise ValueError(f"not symmetric at ({i}, {j})")
         self = super().__new__(cls, kind, parameter, rows, points, symmetries)
-        object.__setattr__(self, "bits", bits)
+        self.__dict__.update(bits=bits, pair_index=pair_index)
         self.check_moves(symmetries, "symmetry")
         return self
+
+    def induce(self, move: Permutation) -> Permutation:
+        """The permutation of the 1-based point positions that a label move
+        induces, the one rule by which a label permutation acts on points.
+
+        Subset family (labels 1..n+2): through perms.induced_subset_action
+        and the colex pair index the correspondence was built from (built
+        again per move when none was given).  Grid family (labels 1..2m):
+        cell (i, j) is the labels i and m + j and goes to the cell holding
+        their images, so the move keeps the row labels together, in place or
+        swapped with the columns.  A move of another degree, a grid move that
+        mixes rows and columns and a correspondence of any other kind raise
+        ValueError.
+
+        >>> build_grid_matrix(2).induce(Permutation((3, 4, 1, 2))).images
+        (1, 3, 2, 4)
+        """
+        m = self.parameter
+        degree = {"subset": m + 2, "grid": 2 * m}.get(self.kind)
+        if degree is None:
+            raise ValueError(f"no label rule for a correspondence of kind {self.kind!r}")
+        if move.degree != degree:
+            raise ValueError(f"{self.kind} label move has degree {move.degree}, not {degree}")
+        if self.kind == "subset":
+            return induced_subset_action(move, m, self.pair_index)
+        if min(move.images[:m]) <= m < max(move.images[:m]):
+            raise ValueError("grid label move mixes the row and the column labels")
+        # the row-major offset of a label: (i - 1)m for row i, j for column m + j
+        offset = [(x - 1) * m if x <= m else x - m for x in move.images]
+        return Permutation(tuple(r + c for r in offset[:m] for c in offset[m:]))
 
     def check_moves(self, moves, name: str) -> None:
         """Refuse, by name and index, a permutation of the 1-based point
@@ -139,8 +179,9 @@ def build_subset_matrix(n: int) -> FiberCorrespondence:
     Bidegree n*(n-1)/2: the subsets sharing n-2 elements with I are exactly
     those whose 2-element complement is disjoint from the complement of I.
     Its symmetries are the label moves (1 2) and (1 ... n+2), induced on
-    n-subsets.  The relation is read off one colex index of the 2-element
-    complements, and both symmetries off their positions in it.
+    n-subsets in closed form.  The relation is read off one colex index of
+    the 2-element complements, both symmetries off their positions in it,
+    and the correspondence keeps it as the pair index that induce reads.
     """
     if n < 2:
         raise ValueError(f"subset correspondence needs n >= 2, got {n}")
@@ -160,7 +201,7 @@ def build_subset_matrix(n: int) -> FiberCorrespondence:
         touching[b] |= bit
     full = (1 << size) - 1
     rows = tuple(full ^ (touching[a] | touching[b]) for a, b in reversed(pairs))
-    return FiberCorrespondence("subset", n, rows, pts, _subset_symmetries(degree))
+    return FiberCorrespondence("subset", n, rows, pts, _subset_symmetries(degree), pairs)
 
 
 def _subset_symmetries(degree: int) -> tuple[Permutation, Permutation]:
@@ -202,9 +243,10 @@ def build_grid_matrix(m: int) -> FiberCorrespondence:
     column = sum(1 << (m * i) for i in range(m))  # the cells of the first column
     # a cell's own bit is set in both its row and its column; XOR clears it
     rows = tuple((line << (m * (i - 1))) ^ (column << (j - 1)) for i, j in pts)
-    # the symmetries: the transpose and the row long cycle, transitive on the
-    # cells since the cycle moves a cell to every row and the transpose to
-    # every column.  Over the row-major positions (i - 1)m + j, the
+    # the symmetries: the transpose and the row long cycle, the label moves
+    # i <-> m + i and (1 ... m) in closed form, transitive on the cells
+    # since the cycle moves a cell to every row and the transpose to every
+    # column.  Over the row-major positions (i - 1)m + j, the
     # transpose takes row i to column i, positions i, i + m, ..., and the
     # cycle moves every row one row down, the last to the first
     cells = m * m

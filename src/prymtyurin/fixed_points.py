@@ -41,6 +41,7 @@ multiplicity from the report's entries and the family's label rule.
 from __future__ import annotations
 
 from collections import namedtuple
+from itertools import chain as joined
 from itertools import combinations, compress, count
 from math import factorial
 
@@ -306,6 +307,17 @@ def nesting_search(actions, positions, delta_dot_d: int, bidegree: int):
 # certificate.
 
 
+def _int_lists(value, depth: int) -> bool:
+    """Whether value is depth levels of lists around exact ints (a bool or a
+    float is not one), read at C level: one set of types per level."""
+    level = [value]
+    for _ in range(depth):
+        if not {*map(type, level)} <= {list}:
+            return False
+        level = list(joined.from_iterable(level))
+    return {*map(type, level)} <= {int}
+
+
 def check_certificate(nesting: dict, special_fibers: list, delta_dot_d: int,
                       kind: str, parameter: int) -> bool:
     """Decide a model's nesting claim from its report entries alone.
@@ -321,11 +333,19 @@ def check_certificate(nesting: dict, special_fibers: list, delta_dot_d: int,
     is not a point.  Every multiplicity is then recomputed at every
     representative by counting, per class, the points that share the related
     number of labels with it.
+
+    The entries may come from a file, so nothing in them is trusted: the
+    flag must be True itself, every position, chain entry, multiplicity and
+    member label an exact int (a bool or a float is not one, checked at C
+    level), every row and member list a list, and every key it reads
+    present.  Any other entry refuses the claim; entries never make it raise.
     """
-    if not nesting["certified"] or delta_dot_d % 2:
+    get = nesting.get
+    chain, chain_members, rows = get("chain"), get("chain_members"), get("multiplicities")
+    if get("certified") is not True or delta_dot_d % 2:
         return False
-    chain, chain_members = nesting["chain"], nesting["chain_members"]
-    rows = nesting["multiplicities"]
+    if not (_int_lists(chain, 1) and _int_lists(rows, 2) and _int_lists(chain_members, 3)):
+        return False
     length = delta_dot_d // 2
     # n classes, n members and rows of 1, ..., n multiplicities
     if list(map(len, (chain, chain_members, *rows))) != [length, length, *range(1, length + 1)]:
@@ -333,9 +353,16 @@ def check_certificate(nesting: dict, special_fibers: list, delta_dot_d: int,
     if length == 0:
         return True
     # positions and classes are named by index: a negative one would alias another
-    if not 0 <= nesting["fiber"] < len(special_fibers):
+    fiber = get("fiber")
+    if type(fiber) is not int or not 0 <= fiber < len(special_fibers):
         return False
-    classes = [cls["members"] for cls in special_fibers[nesting["fiber"]]["classes"]]
+    entry = special_fibers[fiber]
+    written = entry.get("classes") if type(entry) is dict else None
+    if type(written) is not list or not {*map(type, written)} <= {dict}:
+        return False
+    classes = [cls.get("members") for cls in written]
+    if not _int_lists(classes, 3):
+        return False
     if len(set(chain)) != length or not set(chain) <= set(range(len(classes))):
         return False
     if kind == "subset":

@@ -19,10 +19,13 @@ classes, so the two models agree fiber by fiber.
 
 A special fiber is built only from the generators it carries and the
 points they move: permutations of the generic fiber's point positions in
-the correspondence's point order.  They are the Young subgroup of a
+the correspondence's point order.  Each builder takes the correspondence,
+writes label moves, permutations of the sheet labels, and induces them by
+FiberCorrespondence.induce on its points: the Young subgroup of a
 profile's blocks (blocks_from_parts; merged model) or its local monodromy
-(orbit model), induced on subsets by perms.induced_subset_action, and the
-local monodromy on grid cells as arithmetic on row-major cell positions.
+(orbit model) on the n + 2 sheets, and the grid's local monodromies as
+moves of its 2m row and column labels.  The irreducibility check induces
+its label moves the same way, so no fiber builds points or an index.
 The SpecialFiber constructor walks their orbits (perms.orbits) once and
 writes them as the classes, so the classes are the orbits by construction;
 fixed_points.class_action proves from the generators that the
@@ -34,18 +37,9 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import cached_property
 from itertools import accumulate
-from math import comb
 
-from .correspondence import grid_points
-from .perms import (
-    Permutation,
-    Record,
-    all_subsets,
-    induced_subset_action,
-    is_transitive,
-    orbits,
-    subset_index,
-)
+from .correspondence import FiberCorrespondence
+from .perms import Permutation, Record, is_transitive, orbits
 
 MERGED = "paper"
 ORBIT = "monodromy"
@@ -69,7 +63,8 @@ class SpecialFiber(Record, namedtuple("SpecialFiber", "classes generators")):
     >>> fiber = SpecialFiber((Permutation((3, 2, 1)),), "cab")
     >>> fiber.classes, fiber.orbits
     ((('a',), ('b', 'c')), ((2,), (1, 3)))
-    >>> subset_fiber(2, (2, 2), MERGED).classes
+    >>> from prymtyurin.correspondence import build_subset_matrix
+    >>> subset_fiber(build_subset_matrix(2), (2, 2), MERGED).classes
     (((1, 2),), ((1, 3), (1, 4), (2, 3), (2, 4)), ((3, 4),))
     """
 
@@ -119,21 +114,23 @@ def partition_monodromy(parts, degree: int) -> Permutation:
     return Permutation.from_cycles(degree, tuple(b for b in blocks if len(b) > 1))
 
 
-def subset_fiber(n: int, parts, model: str) -> SpecialFiber:
-    """The subset construction's special fiber over a ramification profile
-    of the n + 2 sheets, whose blocks_from_parts collide.  Merged model:
-    n-subsets that hit the blocks with the same multiplicities, the orbits of
-    the blocks' Young subgroup, generated by a transposition and the cycle of
-    each block (one move for a pair).  Orbit model: the cycles of the local
-    monodromy (partition_monodromy).  Every generator is induced on
-    n-subsets through one colex index.  Only the simple profile (2, 1, ...)
-    gets equal fibers: both models move its one pair by (1 2) alone.  The
-    merged class of size 4 splits into two orbits:
+def subset_fiber(corr: FiberCorrespondence, parts, model: str) -> SpecialFiber:
+    """The special fiber of the subset correspondence corr (parameter n)
+    over a ramification profile of the n + 2 sheets, whose blocks_from_parts
+    collide.  Merged model: n-subsets that hit the blocks with the same
+    multiplicities, the orbits of the blocks' Young subgroup, generated by a
+    transposition and the cycle of each block (one move for a pair).  Orbit
+    model: the cycles of the local monodromy (partition_monodromy).  Every
+    label move is induced on corr.points by corr.induce.  Only the simple
+    profile (2, 1, ...) gets equal fibers: both models move its one pair by
+    (1 2) alone.  The merged class of size 4 splits into two orbits:
 
-    >>> [[len(c) for c in subset_fiber(3, (2, 2, 1), m).classes] for m in MODELS]
+    >>> from prymtyurin.correspondence import build_subset_matrix
+    >>> corr = build_subset_matrix(3)
+    >>> [[len(c) for c in subset_fiber(corr, (2, 2, 1), m).classes] for m in MODELS]
     [[2, 1, 2, 4, 1], [2, 1, 2, 2, 2, 1]]
     """
-    degree = n + 2
+    degree = corr.parameter + 2
     if model == MERGED:
         moved = (b for b in blocks_from_parts(parts, degree) if len(b) > 1)
         cycles = (c for b in moved for c in dict.fromkeys((b[:2], b)))
@@ -142,60 +139,55 @@ def subset_fiber(n: int, parts, model: str) -> SpecialFiber:
         moves = [partition_monodromy(parts, degree)]
     else:
         raise ValueError(f"unknown fiber model {model!r}")
-    index = subset_index(degree, n)
-    generators = tuple(induced_subset_action(g, n, index) for g in moves)
-    return SpecialFiber(generators, all_subsets(degree, n))
+    return SpecialFiber(tuple(map(corr.induce, moves)), corr.points)
 
 
 # --- grid fibers ------------------------------------------------------------
 
 
 def grid_row_monodromy(m: int, row_parts) -> Permutation:
-    """Local monodromy of a row-merge fiber as a permutation of the cells:
-    the rows move by partition_monodromy of their profile, columns stay put.
-    Cell (i, j) sits at the row-major position (i - 1)m + j."""
-    sigma = partition_monodromy(row_parts, m)
-    return Permutation(tuple((s - 1) * m + j for s in sigma.images for j in range(1, m + 1)))
+    """Local monodromy of a row-merge fiber as a label move of the 2m grid
+    labels: the row labels 1..m move by partition_monodromy of their
+    profile, the column labels m + 1..2m stay put."""
+    rows = partition_monodromy(row_parts, m).images
+    return Permutation(rows + tuple(range(m + 1, 2 * m + 1)))
 
 
 def grid_pairing_monodromy(m: int, shift: int) -> Permutation:
-    """Local monodromy of a pairing fiber: the two sides of the grid coincide
-    through the matching i -> i + shift (mod m), so cell (i, j) goes to
-    (j - shift, i + shift).  It is an involution; cells on the matched
-    diagonal are fixed.  Counting i and j from 0 below, cell (i, j) sits at
-    the row-major position i*m + j + 1."""
-    return Permutation(
-        tuple((j - shift) % m * m + (i + shift) % m + 1 for i in range(m) for j in range(m))
-    )
+    """Local monodromy of a pairing fiber as a label move of the 2m grid
+    labels: the two sides of the grid coincide through the matching
+    i -> i + shift (mod m), so row i goes to column i + shift and column j
+    to row j - shift.  It is an involution; induced on the cells it takes
+    (i, j) to (j - shift, i + shift) and fixes the matched diagonal."""
+    rows = (m + 1 + (i + shift) % m for i in range(m))
+    return Permutation((*rows, *(1 + (j - shift) % m for j in range(m))))
 
 
-def grid_row_merge_fiber(m: int, row_parts) -> SpecialFiber:
-    """Grid special fiber where rows are glued by a profile of the m rows
-    (columns stay distinct): the orbits of grid_row_monodromy, so cell (i, j)
-    is identified with (i', j) when i, i' share a block of the profile."""
-    return SpecialFiber((grid_row_monodromy(m, row_parts),), grid_points(m))
+def grid_row_merge_fiber(corr: FiberCorrespondence, row_parts) -> SpecialFiber:
+    """Grid special fiber of corr where rows are glued by a profile of its m
+    rows (columns stay distinct): the orbits of grid_row_monodromy, so cell
+    (i, j) is identified with (i', j) when i, i' share a block of the profile."""
+    return SpecialFiber((corr.induce(grid_row_monodromy(corr.parameter, row_parts)),), corr.points)
 
 
-def grid_pairing_fiber(m: int, shift: int) -> SpecialFiber:
-    """Grid special fiber where the two sides of the grid coincide: the
-    orbits of grid_pairing_monodromy, each a glued pair or a diagonal cell."""
-    return SpecialFiber((grid_pairing_monodromy(m, shift),), grid_points(m))
+def grid_pairing_fiber(corr: FiberCorrespondence, shift: int) -> SpecialFiber:
+    """Grid special fiber of corr where the two sides of the grid coincide:
+    the orbits of grid_pairing_monodromy, each a glued pair or a diagonal cell."""
+    return SpecialFiber((corr.induce(grid_pairing_monodromy(corr.parameter, shift)),), corr.points)
 
 
 # --- irreducibility proxy ---------------------------------------------------
 
 
-def irreducibility_check(generators: tuple[Permutation, ...], k: int) -> bool:
-    """Transitivity of the induced action on k-subsets.
+def irreducibility_check(generators: tuple[Permutation, ...], corr: FiberCorrespondence) -> bool:
+    """Transitivity of the label moves' induced action on corr's points (the
+    k-subsets of the subset family).
 
     This is the combinatorial content of irreducibility of the induced curve:
     the monodromy image must not split the subset fiber.  It is a proxy, not
     a proof of irreducibility of any particular curve.  Every generator is
-    induced through one colex index.
+    induced by corr.induce.
     """
     if not generators:
         return False
-    degree = generators[0].degree
-    index = subset_index(degree, k)
-    induced = tuple(induced_subset_action(g, k, index) for g in generators)
-    return is_transitive(induced, comb(degree, k))
+    return is_transitive(tuple(map(corr.induce, generators)), corr.size)

@@ -11,7 +11,8 @@ Conventions used across the package:
   the correspondence's point order
 - the induced action on k-subsets reads one colex index (``subset_index``),
   the 1-based position of each subset on the smaller side; a caller inducing
-  several permutations of one degree builds it once and passes it to each
+  several permutations of one degree builds it once and passes it to each,
+  as the subset correspondence does with the index it was built from
 - the cycles of a permutation p are the orbits of the group it generates, so
   ``orbits`` is the one orbit walk
 - the package's immutable records are namedtuples with their own checks in

@@ -54,7 +54,7 @@ from .induced_curve import (
     subset_fiber,
 )
 from .perms import Permutation, is_transitive, transposition
-from .scenario import BOTH, GRID, GRID_SIZE, SUBSET, Scenario, scenario_to_dict
+from .scenario import BOTH, GRID, SUBSET, Scenario, scenario_to_dict
 
 UNCHECKED = "unchecked"
 VERIFIED = "verified"
@@ -127,7 +127,7 @@ def assemble(scenario: Scenario) -> dict:
         corr = build_grid_matrix(scenario.parameter)
     ident, q, note = identity_and_exponent(corr)
     layouts = fiber_layout(scenario, corr)
-    irreducible, basis = _irreducibility(scenario, layouts)
+    irreducible, basis = _irreducibility(scenario, corr, layouts)
     models = {m: _model(scenario, corr, layout, m, q, irreducible) for m, layout in layouts.items()}
     data = {
         "scenario": scenario_to_dict(scenario),
@@ -160,10 +160,11 @@ def fiber_layout(scenario: Scenario, corr: FiberCorrespondence) -> dict[str, tup
     """
     models = models_for(scenario.model)
     if scenario.kind == GRID:
-        pairings = tuple(grid_pairing_fiber(GRID_SIZE, s) for s in range(GRID_SIZE))
-        distinct = (grid_row_merge_fiber(GRID_SIZE, GRID_ROW_PROFILE), *pairings)
+        side = corr.parameter
+        pairings = tuple(grid_pairing_fiber(corr, s) for s in range(side))
+        distinct = (grid_row_merge_fiber(corr, GRID_ROW_PROFILE), *pairings)
         extra = scenario.covering.simple_extra
-        cycle = (tuple(range(1, GRID_SIZE + 1)) * (extra // GRID_SIZE + 1))[:extra]
+        cycle = (tuple(range(1, side + 1)) * (extra // side + 1))[:extra]
         actions = [class_action(corr, f) for f in distinct]
         return dict.fromkeys(models, (distinct, actions, (0, 0) + cycle, None, None))
     n = scenario.parameter
@@ -173,7 +174,7 @@ def fiber_layout(scenario: Scenario, corr: FiberCorrespondence) -> dict[str, tup
     positions, simple = tuple(index[p] for p in scenario.special_fibers), index[simple_profile]
     # each model's fibers by (profile, model); the simple one has one key
     keys = {m: [(p, MERGED if p == simple_profile else m) for p in profiles] for m in models}
-    fibers = {k: subset_fiber(n, *k) for k in dict.fromkeys(chain.from_iterable(keys.values()))}
+    fibers = {k: subset_fiber(corr, *k) for k in dict.fromkeys(chain.from_iterable(keys.values()))}
     actions = {k: class_action(corr, f) for k, f in fibers.items()}
     return {
         m: (tuple(map(fibers.get, ks)), list(map(actions.get, ks)), positions, simple, profiles)
@@ -181,14 +182,14 @@ def fiber_layout(scenario: Scenario, corr: FiberCorrespondence) -> dict[str, tup
     }
 
 
-def _irreducibility(scenario: Scenario, layouts: dict) -> tuple[bool, str]:
+def _irreducibility(scenario: Scenario, corr: FiberCorrespondence, layouts) -> tuple[bool, str]:
     if scenario.kind == GRID:
-        # the four local monodromies are the generators of the grid fibers
+        # the four local monodromies, induced on the cells, are the
+        # generators of the grid fibers
         distinct = next(iter(layouts.values()))[0]
         gens = tuple(chain.from_iterable(f.generators for f in distinct))
-        return is_transitive(gens, GRID_SIZE ** 2), SYNTHESIZED
-    n = scenario.parameter
-    degree = n + 2
+        return is_transitive(gens, corr.size), SYNTHESIZED
+    degree = scenario.parameter + 2
     if scenario.monodromy is not None:
         gens, basis = [Permutation(images=g) for g in scenario.monodromy], EXPLICIT
     else:
@@ -199,7 +200,7 @@ def _irreducibility(scenario: Scenario, layouts: dict) -> tuple[bool, str]:
             gens.append(transposition(degree, i, i + 1))
         basis = SYNTHESIZED
     # a repeated label move generates nothing new, so each is induced once
-    return irreducibility_check(tuple(dict.fromkeys(gens)), n), basis
+    return irreducibility_check(tuple(dict.fromkeys(gens)), corr), basis
 
 
 def _model(
@@ -620,7 +621,7 @@ def render_table(data: dict) -> str:
             nesting = "trivial (no fixed points required)"
         else:
             chain = ", ".join(map(str, nest["chain"]))
-            checked = "re-checked" if rep["certificate_checked"] else "NOT re-checked"
+            checked = "re-checked" if rep["certificate_checked"] else "refused by the re-check"
             nesting = f"certified in fiber {nest['fiber']}, chain [{chain}] ({checked})"
         lines.append(table_row("nesting", nesting))
         if rep["dim_p"] is not None:

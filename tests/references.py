@@ -9,9 +9,12 @@ reference_orbit_classes is the cycles of one permutation of point positions.
 merged_fiber_over reaches the merged fiber over any identification blocks,
 which the package builds only for a profile's canonical blocks, by
 relabeling.  partitions lists the profiles of a degree.  point_permutation
-is a map on points as the permutation of
-their positions, looked up by descriptor; the package writes its grid
-monodromies and symmetries in closed form over row-major positions instead.
+is a map on points as the permutation of their positions, looked up by
+descriptor; the package writes its grid symmetries in closed form over
+row-major positions instead.  grid_row_cell_monodromy and
+grid_pairing_cell_monodromy are the grid's two local monodromies as the
+row-major cell formulas the package used before it wrote them as label
+moves induced on the cells (FiberCorrespondence.induce).
 The package now builds every special fiber as the orbits of its generators
 and reads the action off one representative per class, only where the
 criterion reads it: diagonal_and_block cuts a full matrix down to that part.
@@ -19,8 +22,15 @@ criterion reads it: diagonal_and_block cuts a full matrix down to that part.
 
 from itertools import chain
 
-from prymtyurin.induced_curve import MERGED, SpecialFiber, blocks_from_parts, subset_fiber
-from prymtyurin.perms import Permutation, all_subsets, induced_subset_action, orbits
+from prymtyurin.correspondence import build_subset_matrix
+from prymtyurin.induced_curve import (
+    MERGED,
+    SpecialFiber,
+    blocks_from_parts,
+    partition_monodromy,
+    subset_fiber,
+)
+from prymtyurin.perms import Permutation, all_subsets, orbits
 
 
 def reference_class_action(corr, fiber):
@@ -75,6 +85,23 @@ def point_permutation(points, move):
     return Permutation(tuple(position[move(p)] for p in points))
 
 
+def grid_row_cell_monodromy(m, row_parts):
+    """The row-merge monodromy on the m x m cells: the rows move by
+    partition_monodromy of their profile, columns stay put.  Cell (i, j)
+    sits at the row-major position (i - 1)m + j."""
+    sigma = partition_monodromy(row_parts, m)
+    return Permutation(tuple((s - 1) * m + j for s in sigma.images for j in range(1, m + 1)))
+
+
+def grid_pairing_cell_monodromy(m, shift):
+    """The pairing monodromy on the m x m cells: cell (i, j) goes to
+    (j - shift, i + shift) mod m.  Counting i and j from 0, cell (i, j) sits
+    at the row-major position i*m + j + 1."""
+    return Permutation(
+        tuple((j - shift) % m * m + (i + shift) % m + 1 for i in range(m) for j in range(m))
+    )
+
+
 def partitions(total, largest=None):
     """Every partition of total into parts of at most largest, largest first."""
     largest = total if largest is None else largest
@@ -108,17 +135,18 @@ def merged_fiber_over(n, blocks):
     the order given)."""
     ordered = sorted(blocks, key=len, reverse=True)
     parts = tuple(map(len, ordered))
-    fiber = subset_fiber(n, parts, MERGED)
+    corr = build_subset_matrix(n)
+    fiber = subset_fiber(corr, parts, MERGED)
     canonical = blocks_from_parts(parts, n + 2)
     image = dict(zip(chain.from_iterable(canonical), chain.from_iterable(ordered)))
     # a generator g on positions becomes move . g . move^-1
-    move = induced_subset_action(Permutation(tuple(map(image.__getitem__, range(1, n + 3)))), n)
+    move = corr.induce(Permutation(tuple(map(image.__getitem__, range(1, n + 3)))))
     back = {r: q for q, r in enumerate(move.images, 1)}
     generators = tuple(
         Permutation(tuple(move(g(back[r])) for r in range(1, g.degree + 1)))
         for g in fiber.generators
     )
-    return SpecialFiber(generators, all_subsets(n + 2, n))
+    return SpecialFiber(generators, corr.points)
 
 
 def reference_orbit_classes(perm, points):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from prymtyurin import correspondence
+from prymtyurin import correspondence, perms
 from prymtyurin.correspondence import (
     FiberCorrespondence,
     build_grid_matrix,
@@ -269,19 +269,91 @@ def test_symmetries_are_checked_at_construction():
 
 @pytest.mark.parametrize("n", range(2, 41))
 def test_subset_symmetries_are_the_induced_label_moves(n):
-    # the closed form over colex positions against the induced action
+    # the closed form over colex positions against the one induction rule
     corr = build_subset_matrix(n)
-    moves = (((1, 2),), (tuple(range(1, n + 3)),))
-    want = tuple(induced_subset_action(Permutation.from_cycles(n + 2, g), n) for g in moves)
-    assert corr.symmetries == want
+    moves = [Permutation.from_cycles(n + 2, g) for g in (((1, 2),), (tuple(range(1, n + 3)),))]
+    assert corr.symmetries == tuple(map(corr.induce, moves))
+    # which is the induced action on n-subsets through an index of its own
+    assert corr.symmetries == tuple(induced_subset_action(g, n) for g in moves)
 
 
 def test_grid_symmetries_are_the_transpose_and_the_row_cycle():
     # the closed form over row-major positions against the moves on cells
+    # and against the label moves i <-> m + i and (1 ... m), induced
     for m in range(2, 31):
+        corr = build_grid_matrix(m)
         moves = (lambda c: c[::-1], lambda c: (c[0] % m + 1, c[1]))
         want = tuple(point_permutation(grid_points(m), move) for move in moves)
-        assert build_grid_matrix(m).symmetries == want
+        assert corr.symmetries == want
+        transpose = Permutation((*range(m + 1, 2 * m + 1), *range(1, m + 1)))
+        cycle = Permutation((*range(2, m + 1), 1, *range(m + 1, 2 * m + 1)))
+        assert corr.symmetries == (corr.induce(transpose), corr.induce(cycle))
+
+
+def compose(a, b):
+    """The permutation a . b: x goes to a(b(x))."""
+    return Permutation(tuple(map(a, b.images)))
+
+
+@st.composite
+def subset_label_moves(draw):
+    """A subset correspondence, n = 2..8, and two label moves of degree n + 2."""
+    n = draw(st.integers(2, 8))
+    move = st.permutations(range(1, n + 3)).map(tuple).map(Permutation)
+    return build_subset_matrix(n), draw(move), draw(move)
+
+
+@st.composite
+def grid_label_moves(draw):
+    """A grid correspondence, m = 2..6, and two label moves in S_m wr S_2:
+    a permutation of the rows, one of the columns, and whether the move
+    swaps the rows with the columns."""
+    m = draw(st.integers(2, 6))
+
+    def move():
+        rows, cols = (draw(st.permutations(range(1, m + 1))) for _ in range(2))
+        sides = ([*rows], [c + m for c in cols])
+        if draw(st.booleans()):
+            sides = ([r + m for r in rows], [*cols])
+        return Permutation((*sides[0], *sides[1]))
+
+    return build_grid_matrix(m), move(), move()
+
+
+@given(st.one_of(subset_label_moves(), grid_label_moves()))
+def test_induce_is_a_homomorphism(drawn):
+    corr, a, b = drawn
+    assert corr.induce(compose(a, b)) == compose(corr.induce(a), corr.induce(b))
+    identity = Permutation(tuple(range(1, a.degree + 1)))
+    assert corr.induce(identity) == Permutation(tuple(range(1, corr.size + 1)))
+    # every induced move preserves the relation
+    corr.check_moves((corr.induce(a), corr.induce(b)), "induced move")
+
+
+def test_induce_refuses_a_move_it_cannot_induce():
+    with pytest.raises(ValueError, match="^subset label move has degree 5, not 6$"):
+        build_subset_matrix(4).induce(Permutation((2, 1, 3, 4, 5)))
+    with pytest.raises(ValueError, match="^grid label move has degree 3, not 6$"):
+        build_grid_matrix(3).induce(Permutation((2, 1, 3)))
+    # a grid move must keep the row labels together: row 1 to a column,
+    # row 2 to a row
+    with pytest.raises(ValueError, match="^grid label move mixes the row and the column labels$"):
+        build_grid_matrix(2).induce(Permutation((3, 2, 1, 4)))
+    # no label rule for any other kind
+    other = rebuilt(build_grid_matrix(2), kind="other")
+    with pytest.raises(ValueError, match="^no label rule for a correspondence of kind 'other'$"):
+        other.induce(Permutation((1, 2, 3, 4)))
+
+
+def test_induce_reads_the_index_the_subset_matrix_was_built_from(monkeypatch):
+    corr = build_subset_matrix(5)
+    move = Permutation.from_cycles(7, ((1, 2, 3),))
+    want = induced_subset_action(move, 5)
+    # a correspondence built without one has induced_subset_action build it
+    bare = rebuilt(corr)
+    assert bare.pair_index is None and bare.induce(move) == want
+    monkeypatch.setattr(perms, "subset_index", None)
+    assert corr.induce(move) == want
 
 
 def two_switch(rows):

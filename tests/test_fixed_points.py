@@ -29,7 +29,6 @@ from prymtyurin.induced_curve import (
     grid_pairing_fiber,
     grid_pairing_monodromy,
     grid_row_merge_fiber,
-    grid_row_monodromy,
     partition_monodromy,
     subset_fiber,
 )
@@ -40,11 +39,12 @@ from prymtyurin.perms import (
     transposition,
 )
 from prymtyurin.report import assemble, fiber_layout, fiber_to_dict, nesting_to_dict
-from prymtyurin.scenario import default_subset_fibers, grid_scenario
+from prymtyurin.scenario import default_subset_fibers, grid_scenario, subset_scenario
 from references import (
     diagonal_and_block,
+    grid_pairing_cell_monodromy,
+    grid_row_cell_monodromy,
     partitions,
-    point_permutation,
     reference_class_action,
     reference_merged_fiber,
     reference_orbit_classes,
@@ -53,6 +53,8 @@ from references import (
 THREE_PARTS = (2, 2, 1)
 THREE_PAIRS = (2, 2, 2)
 GRID_ROWS = (2, 1)
+SUBSET = {n: build_subset_matrix(n) for n in (2, 3, 4)}
+GRID = build_grid_matrix(3)
 
 
 def fixed_classes(action):
@@ -85,8 +87,8 @@ def full_action(corr, fiber):
 
 
 def test_class_action_merged_n3():
-    fiber = subset_fiber(3, THREE_PARTS, MERGED)
-    act = full_action(build_subset_matrix(3), fiber)
+    fiber = subset_fiber(SUBSET[3], THREE_PARTS, MERGED)
+    act = full_action(SUBSET[3], fiber)
     # classes in order of first member: {123,124}, {125}, {134,234},
     # {135,145,235,245}, {345}
     assert [c[0] for c in fiber.classes] == [
@@ -99,7 +101,7 @@ def test_class_action_merged_n3():
 
 
 def test_class_action_merged_n4_pattern():
-    act = full_action(build_subset_matrix(4), subset_fiber(4, THREE_PAIRS, MERGED))
+    act = full_action(SUBSET[4], subset_fiber(SUBSET[4], THREE_PAIRS, MERGED))
     assert tuple(fixed_classes(diagonal_and_block(act))) == (1, 3, 4)
     # frozen from brute force: self multiplicity 1, cross multiplicities 2
     assert act[1] == (0, 1, 0, 2, 2, 1)
@@ -108,24 +110,24 @@ def test_class_action_merged_n4_pattern():
 
 
 def test_class_action_orbit_models():
-    act2 = class_action(build_subset_matrix(2), subset_fiber(2, (2, 2), ORBIT))
+    act2 = class_action(SUBSET[2], subset_fiber(SUBSET[2], (2, 2), ORBIT))
     assert len(fixed_classes(act2)) == 2
-    act3 = class_action(build_subset_matrix(3), subset_fiber(3, THREE_PARTS, ORBIT))
+    act3 = class_action(SUBSET[3], subset_fiber(SUBSET[3], THREE_PARTS, ORBIT))
     assert len(fixed_classes(act3)) == 2
-    act4 = class_action(build_subset_matrix(4), subset_fiber(4, THREE_PAIRS, ORBIT))
+    act4 = class_action(SUBSET[4], subset_fiber(SUBSET[4], THREE_PAIRS, ORBIT))
     assert len(fixed_classes(act4)) == 6
     for act in (act2, act3, act4):
         assert set(fixed_classes(act).values()) == {1}
 
 
 def test_class_action_grid_fibers():
-    branch = full_action(build_grid_matrix(3), grid_row_merge_fiber(3, GRID_ROWS))
+    branch = full_action(GRID, grid_row_merge_fiber(GRID, GRID_ROWS))
     assert tuple(fixed_classes(diagonal_and_block(branch))) == (0, 1, 2)
     assert branch[0] == (1, 1, 1, 1, 0, 0)
     assert branch[1] == (1, 1, 1, 0, 1, 0)
     assert branch[2] == (1, 1, 1, 0, 0, 1)
     for shift in (0, 1, 2):
-        pairing = full_action(build_grid_matrix(3), grid_pairing_fiber(3, shift))
+        pairing = full_action(GRID, grid_pairing_fiber(GRID, shift))
         assert fixed_classes(diagonal_and_block(pairing)) == {}
         assert all(sum(row) == 4 for row in pairing)
 
@@ -158,15 +160,15 @@ def test_class_action_refuses_a_generator_that_moves_the_relation():
     generators = (Permutation(tuple(range(1, 11))), Permutation(tuple(images)))
     bad = SpecialFiber(generators, all_subsets(5, 3))
     with pytest.raises(ValueError, match="^generator 1 does not preserve the relation$"):
-        class_action(build_subset_matrix(3), bad)
+        class_action(SUBSET[3], bad)
 
 
 def test_class_action_refuses_a_generator_of_the_wrong_degree():
     # a fiber of subset n = 2 on the n = 3 correspondence
     with pytest.raises(ValueError, match="^generator 0 has degree 6, not 10$"):
-        class_action(build_subset_matrix(3), subset_fiber(2, (2, 2), MERGED))
+        class_action(SUBSET[3], subset_fiber(SUBSET[2], (2, 2), MERGED))
     # the orbit walk refuses one on the points it moves: no such fiber is built
-    fiber = subset_fiber(3, THREE_PARTS, MERGED)
+    fiber = subset_fiber(SUBSET[3], THREE_PARTS, MERGED)
     short = induced_subset_action(Permutation((2, 1, 3, 4)), 2)
     for generators in ((short,), fiber.generators + (short,)):
         with pytest.raises(ValueError, match="^generator degree 6 != 10$"):
@@ -177,8 +179,8 @@ def test_class_action_refuses_a_fiber_on_other_points():
     # the grid cells reversed: the same generator, but its positions name
     # other cells, so the classes are not the orbits on the correspondence's
     # points
-    corr = build_grid_matrix(3)
-    reversed_cells = SpecialFiber((grid_pairing_monodromy(3, 0),), grid_points(3)[::-1])
+    corr = GRID
+    reversed_cells = SpecialFiber((corr.induce(grid_pairing_monodromy(3, 0)),), corr.points[::-1])
     message = "^the fiber is built on points other than those of the grid correspondence$"
     with pytest.raises(ValueError, match=message):
         class_action(corr, reversed_cells)
@@ -190,7 +192,7 @@ def test_class_action_refuses_a_fiber_on_other_points():
 
 
 def test_a_fiber_is_built_only_from_generators_and_points():
-    fiber = grid_row_merge_fiber(3, GRID_ROWS)
+    fiber = grid_row_merge_fiber(GRID, GRID_ROWS)
     assert fiber == SpecialFiber(fiber.generators, grid_points(3))
     assert fiber.points == tuple(grid_points(3))
     # the orbits, as positions, hold the classes' members in class order
@@ -208,20 +210,20 @@ def test_a_fiber_is_built_only_from_generators_and_points():
 
 
 def test_fixed_point_scan_and_delta():
-    act = class_action(build_subset_matrix(3), subset_fiber(3, THREE_PARTS, MERGED))
+    act = class_action(SUBSET[3], subset_fiber(SUBSET[3], THREE_PARTS, MERGED))
     fixed = fixed_point_scan([act], (0, 0))
     assert fixed == [(0, 3, 1), (1, 3, 1)]
     assert sum(mult for _, _, mult in fixed) == 2
     # positions name the layout slot; a fixed-point-free fiber adds nothing
-    branch = class_action(build_grid_matrix(3), grid_row_merge_fiber(3, GRID_ROWS))
-    pairing = class_action(build_grid_matrix(3), grid_pairing_fiber(3, 0))
+    branch = class_action(GRID, grid_row_merge_fiber(GRID, GRID_ROWS))
+    pairing = class_action(GRID, grid_pairing_fiber(GRID, 0))
     fixed = fixed_point_scan([branch, pairing], (1, 0, 1, 1, 0))
     assert fixed == [(1, q, 1) for q in range(3)] + [(4, q, 1) for q in range(3)]
 
 
 def test_nesting_chain_length_one():
-    fiber = subset_fiber(3, THREE_PARTS, MERGED)
-    act = class_action(build_subset_matrix(3), fiber)
+    fiber = subset_fiber(SUBSET[3], THREE_PARTS, MERGED)
+    act = class_action(SUBSET[3], fiber)
     cert = search([act], (0, 0), bidegree=3)
     assert isinstance(cert, NestingCertificate)
     assert cert.fiber == 0
@@ -230,8 +232,8 @@ def test_nesting_chain_length_one():
 
 
 def test_nesting_chain_n4():
-    fiber = subset_fiber(4, THREE_PAIRS, MERGED)
-    act = class_action(build_subset_matrix(4), fiber)
+    fiber = subset_fiber(SUBSET[4], THREE_PAIRS, MERGED)
+    act = class_action(SUBSET[4], fiber)
     assert sum(mult for _, _, mult in fixed_point_scan([act], (0, 0))) == 6
     cert = search([act], (0, 0), bidegree=6)
     assert isinstance(cert, NestingCertificate)
@@ -240,8 +242,8 @@ def test_nesting_chain_n4():
 
 
 def test_nesting_chain_grid():
-    fibers = [grid_row_merge_fiber(3, GRID_ROWS), grid_pairing_fiber(3, 0)]
-    actions = [class_action(build_grid_matrix(3), f) for f in fibers]
+    fibers = [grid_row_merge_fiber(GRID, GRID_ROWS), grid_pairing_fiber(GRID, 0)]
+    actions = [class_action(GRID, f) for f in fibers]
     assert sum(mult for _, _, mult in fixed_point_scan(actions, (0, 1, 0))) == 6
     cert = search(actions, (0, 1, 0), bidegree=4)
     assert isinstance(cert, NestingCertificate)
@@ -254,8 +256,8 @@ def test_nesting_chain_grid():
 
 
 def test_nesting_failure_odd_count():
-    fiber = subset_fiber(3, THREE_PARTS, MERGED)
-    act = class_action(build_subset_matrix(3), fiber)
+    fiber = subset_fiber(SUBSET[3], THREE_PARTS, MERGED)
+    act = class_action(SUBSET[3], fiber)
     assert sum(mult for _, _, mult in fixed_point_scan([act], (0,))) == 1
     failure = search([act], (0,), bidegree=3)
     assert isinstance(failure, NestingFailure)
@@ -263,8 +265,8 @@ def test_nesting_failure_odd_count():
 
 
 def test_nesting_failure_exceeds_bidegree():
-    fiber = subset_fiber(2, (2, 2), ORBIT)
-    act = class_action(build_subset_matrix(2), fiber)
+    fiber = subset_fiber(SUBSET[2], (2, 2), ORBIT)
+    act = class_action(SUBSET[2], fiber)
     assert sum(mult for _, _, mult in fixed_point_scan([act], (0, 0))) == 4
     failure = search([act], (0, 0), bidegree=1)
     assert isinstance(failure, NestingFailure)
@@ -274,8 +276,8 @@ def test_nesting_failure_exceeds_bidegree():
 def test_nesting_failure_no_ordering():
     # orbit model at n=3: two fixed orbits per fiber, but neither contains
     # the other in its image, so no chain of length 2 exists anywhere
-    fiber = subset_fiber(3, THREE_PARTS, ORBIT)
-    act = class_action(build_subset_matrix(3), fiber)
+    fiber = subset_fiber(SUBSET[3], THREE_PARTS, ORBIT)
+    act = class_action(SUBSET[3], fiber)
     assert sum(mult for _, _, mult in fixed_point_scan([act], (0, 0))) == 4
     failure = search([act], (0, 0), bidegree=3)
     assert isinstance(failure, NestingFailure)
@@ -284,8 +286,8 @@ def test_nesting_failure_no_ordering():
 
 
 def test_empty_chain_certificate():
-    fiber = grid_pairing_fiber(3, 1)
-    pairing = class_action(build_grid_matrix(3), fiber)
+    fiber = grid_pairing_fiber(GRID, 1)
+    pairing = class_action(GRID, fiber)
     cert = search([pairing], (0,), bidegree=4)
     assert isinstance(cert, NestingCertificate)
     assert cert.chain == ()
@@ -293,16 +295,16 @@ def test_empty_chain_certificate():
 
 
 def _genuine_n4_certificate():
-    fiber = subset_fiber(4, THREE_PAIRS, MERGED)
-    act = class_action(build_subset_matrix(4), fiber)
+    fiber = subset_fiber(SUBSET[4], THREE_PAIRS, MERGED)
+    act = class_action(SUBSET[4], fiber)
     cert = search([act], (0, 0), bidegree=6)
     assert isinstance(cert, NestingCertificate)
     return entries(cert, fiber)
 
 
 def _genuine_grid_certificate():
-    fiber = grid_row_merge_fiber(3, GRID_ROWS)
-    act = class_action(build_grid_matrix(3), fiber)
+    fiber = grid_row_merge_fiber(GRID, GRID_ROWS)
+    act = class_action(GRID, fiber)
     cert = search([act], (0, 0), bidegree=4)
     assert isinstance(cert, NestingCertificate)
     return entries(cert, fiber)
@@ -379,20 +381,20 @@ def test_check_certificate_binds_the_chain_to_the_fixed_point_count():
 
 
 def test_check_certificate_rejects_cert_against_wrong_fiber():
-    merged = subset_fiber(2, (2, 2), MERGED)
-    mact = class_action(build_subset_matrix(2), merged)
+    merged = subset_fiber(SUBSET[2], (2, 2), MERGED)
+    mact = class_action(SUBSET[2], merged)
     mcert = search([mact], (0, 0), bidegree=1)
     assert isinstance(mcert, NestingCertificate)
     assert mcert.chain == (1,)
     nest, fibers, delta = entries(mcert, merged)
     assert check_certificate(nest, fibers, delta, "subset", 2)
     # against the orbit fiber the same class index holds different members
-    orbit = fiber_to_dict(subset_fiber(2, (2, 2), ORBIT), None)
+    orbit = fiber_to_dict(subset_fiber(SUBSET[2], (2, 2), ORBIT), None)
     assert not check_certificate(nest, [orbit] * len(fibers), delta, "subset", 2)
 
 
 def test_check_certificate_requires_classes_to_partition_the_points():
-    fiber = subset_fiber(4, THREE_PAIRS, MERGED)
+    fiber = subset_fiber(SUBSET[4], THREE_PAIRS, MERGED)
     cert, fibers, delta = _genuine_n4_certificate()
     assert (cert["chain"], cert["fiber"], len(fibers)) == ([1, 3, 4], 0, 1)
     assert check_certificate(cert, fibers, delta, "subset", 4)
@@ -432,8 +434,8 @@ def test_check_certificate_refuses_honest_multiplicities_off_a_chain():
     # chain: the one class of the merged (5) fiber of n = 3 lies in its own
     # image 3 times, and on the orbit (4) fiber of n = 2 the second class
     # does not hold the first in its image
-    one_class = subset_fiber(3, (5,), MERGED)
-    four_cycle = subset_fiber(2, (4,), ORBIT)
+    one_class = subset_fiber(SUBSET[3], (5,), MERGED)
+    four_cycle = subset_fiber(SUBSET[2], (4,), ORBIT)
     for fiber, n, chain, rows in (
         (one_class, 3, (0,), ((3,),)),
         (four_cycle, 2, (0, 1), ((1,), (0, 1))),
@@ -472,6 +474,63 @@ def test_check_certificate_refuses_a_misshapen_certificate():
             assert not check_certificate(variant, fibers, delta, kind, parameter), variant
     with pytest.raises(ValueError, match="unknown correspondence kind 'cube'"):
         check_certificate(gcert, gfibers, gdelta, "cube", 3)
+
+
+def _float_labels(members):
+    return [[float(x) for x in member] for member in members]
+
+
+DROP = object()
+# each doctoring of the certificate of subset n = 4, gx = 2, merged model
+# (chain [1, 3, 4] in fiber 0): a path into (nesting, special_fibers) and
+# the value put there, DROP to delete the key, or a function of the old one
+UNEXACT = {
+    "certified-1": ((0, "certified"), 1),
+    "fiber-false": ((0, "fiber"), False),
+    "fiber-float": ((0, "fiber"), 0.0),
+    "fiber-str": ((0, "fiber"), "0"),
+    "fiber-null": ((0, "fiber"), None),
+    "chain-entry-true": ((0, "chain", 0), True),
+    "chain-entry-float": ((0, "chain", 1), 3.0),
+    "chain-entry-str": ((0, "chain", 1), "3"),
+    "chain-entry-null": ((0, "chain", 1), None),
+    "chain-float": ((0, "chain"), [1.0, 3.0, 4.0]),
+    "chain-null": ((0, "chain"), None),
+    "multiplicity-true": ((0, "multiplicities", 0, 0), True),
+    "multiplicity-float": ((0, "multiplicities", 2, 1), 2.0),
+    "multiplicities-row-int": ((0, "multiplicities", 0), 1),
+    "chain-members-entry-int": ((0, "chain_members", 0), 0),
+    "chain-members-entry-tuple": ((0, "chain_members", 0), tuple),
+    "chain-member-labels-float": ((0, "chain_members", 0), _float_labels),
+    "member-labels-float": ((1, 0, "classes", 0, "members"), _float_labels),
+    "missing-certified": ((0, "certified"), DROP),
+    "missing-fiber": ((0, "fiber"), DROP),
+    "missing-chain": ((0, "chain"), DROP),
+    "missing-chain-members": ((0, "chain_members"), DROP),
+    "missing-multiplicities": ((0, "multiplicities"), DROP),
+    "missing-classes": ((1, 0, "classes"), DROP),
+    "missing-members": ((1, 0, "classes", 1, "members"), DROP),
+}
+
+
+@pytest.mark.parametrize("path, value", UNEXACT.values(), ids=UNEXACT)
+def test_check_certificate_reads_only_exact_ints_and_never_raises(path, value):
+    # a bool or a float where an int is read, a row or member list that is
+    # not a list and a missing key refuse the claim; none of them raises
+    rep = assemble(subset_scenario(4, 2, model=MERGED))["models"][MERGED]
+    nest, fibers, delta = rep["nesting"], rep["special_fibers"], rep["delta_dot_d"]
+    assert (nest["fiber"], nest["chain"], delta) == (0, [1, 3, 4], 6)
+    assert check_certificate(nest, fibers, delta, "subset", 4)
+    entries = copy.deepcopy((nest, fibers))
+    *inner, last = path
+    target = entries
+    for key in inner:
+        target = target[key]
+    if value is DROP:
+        del target[last]
+    else:
+        target[last] = value(target[last]) if callable(value) else value
+    assert check_certificate(*entries, delta, "subset", 4) is False
 
 
 # --- the label-bitmask checker against the image-enumerating one -------------
@@ -574,7 +633,7 @@ def _pipeline_certificates():
         corr = build_subset_matrix(n)
         profiles = [p for p in partitions(n + 2) if max(p) > 1]
         for model in (MERGED, ORBIT):
-            fibers = {p: subset_fiber(n, p, model) for p in profiles}
+            fibers = {p: subset_fiber(corr, p, model) for p in profiles}
             acts = {p: class_action(corr, fibers[p]) for p in profiles}
             for combo in [(p,) for p in profiles] + list(
                 itertools.combinations_with_replacement(profiles, 2)
@@ -618,13 +677,12 @@ def test_check_certificate_reads_every_grid_row():
     # that gave row m the label of column 1 passed them all; gluing each pair
     # of rows puts every row, the last one included, on some chain.  A row
     # profile glues the first rows, so the other pairs are glued here by
-    # their row transposition's orbits
+    # the orbits of their row transposition, a label move induced on the cells
     for m in (3, 4):
         corr, cells = build_grid_matrix(m), grid_points(m)
         for pair in itertools.combinations(range(1, m + 1), 2):
-            swap = transposition(m, *pair)
-            glue = point_permutation(cells, lambda cell: (swap(cell[0]), cell[1]))
-            fiber = SpecialFiber((glue,), cells)
+            glue = corr.induce(transposition(2 * m, *pair))
+            fiber = SpecialFiber((glue,), corr.points)
             assert fiber.classes == reference_orbit_classes(glue, cells)
             act = class_action(corr, fiber)
             cert = search([act], (0, 0), corr.bidegree)
@@ -713,13 +771,14 @@ def assert_matches_reference(matrices, positions, bidegree):
 
 @pytest.mark.parametrize("n", range(2, 8))
 def test_clique_search_matches_reference_on_subset_fibers(n):
+    corr = build_subset_matrix(n)
     bidegree = comb(n, 2)
     for parts in partitions(n + 2):
         if max(parts) == 1:
             continue
         for model in (MERGED, ORBIT):
-            fiber = subset_fiber(n, parts, model)
-            act = full_action(build_subset_matrix(n), fiber)
+            fiber = subset_fiber(corr, parts, model)
+            act = full_action(corr, fiber)
             for positions in ((0,), (0, 0)):
                 assert_matches_reference([act], positions, bidegree)
 
@@ -735,25 +794,25 @@ def test_fibers_and_actions_match_the_references():
             if max(parts) == 1:
                 continue
             blocks = blocks_from_parts(parts, n + 2)
-            merged, orbit = subset_fiber(n, parts, MERGED), subset_fiber(n, parts, ORBIT)
+            merged, orbit = (subset_fiber(corr, parts, model) for model in (MERGED, ORBIT))
             classes, keys = reference_merged_fiber(n, blocks)
             assert merged.classes == classes
             written = [cls["block_multiset"] for cls in fiber_to_dict(merged, blocks)["classes"]]
             assert written == list(map(list, keys))
             cycles = tuple(b for b in blocks if len(b) > 1)
             sigma = induced_subset_action(Permutation.from_cycles(n + 2, cycles), n)
-            assert sigma == induced_subset_action(partition_monodromy(parts, n + 2), n)
+            assert sigma == corr.induce(partition_monodromy(parts, n + 2))
             assert orbit.classes == reference_orbit_classes(sigma, points)
             assert orbit.generators == (sigma,)
             for fiber in (merged, orbit):
                 full_action(corr, fiber)
-    corr, cells = build_grid_matrix(3), grid_points(3)
-    rows = grid_row_monodromy(3, GRID_ROWS)
-    assert grid_row_merge_fiber(3, GRID_ROWS).classes == reference_orbit_classes(rows, cells)
-    full_action(corr, grid_row_merge_fiber(3, GRID_ROWS))
+    corr, cells = GRID, grid_points(3)
+    rows = grid_row_cell_monodromy(3, GRID_ROWS)
+    assert grid_row_merge_fiber(corr, GRID_ROWS).classes == reference_orbit_classes(rows, cells)
+    full_action(corr, grid_row_merge_fiber(corr, GRID_ROWS))
     for shift in range(3):
-        pairing = grid_pairing_monodromy(3, shift)
-        fiber = grid_pairing_fiber(3, shift)
+        pairing = grid_pairing_cell_monodromy(3, shift)
+        fiber = grid_pairing_fiber(corr, shift)
         assert fiber.classes == reference_orbit_classes(pairing, cells)
         assert fiber.generators == (pairing,)
         full_action(corr, fiber)
@@ -761,7 +820,7 @@ def test_fibers_and_actions_match_the_references():
 
 def test_clique_search_matches_reference_on_grid_layout():
     # the grid layout is the same under both models: one shared object
-    corr = build_grid_matrix(3)
+    corr = GRID
     layouts = fiber_layout(grid_scenario(3), corr)
     assert layouts[MERGED] is layouts[ORBIT]
     distinct, acted, positions, _, _ = layouts[MERGED]
@@ -798,8 +857,9 @@ def test_clique_search_matches_reference_on_random_actions(layout, bidegree):
 
 
 def _default_monodromy_layout(n):
-    fiber = subset_fiber(n, default_subset_fibers(n)[0], ORBIT)
-    return [class_action(build_subset_matrix(n), fiber)], (0, 0)
+    corr = build_subset_matrix(n)
+    fiber = subset_fiber(corr, default_subset_fibers(n)[0], ORBIT)
+    return [class_action(corr, fiber)], (0, 0)
 
 
 def test_orderings_tried_closed_forms():

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from prymtyurin.correspondence import grid_points
+from prymtyurin.correspondence import build_grid_matrix, build_subset_matrix, grid_points
 from prymtyurin.induced_curve import (
     MERGED,
     ORBIT,
@@ -26,11 +26,18 @@ from prymtyurin.perms import (
 )
 from prymtyurin.report import assemble, fiber_to_dict
 from prymtyurin.scenario import subset_scenario
-from references import partitions, point_permutation
+from references import (
+    grid_pairing_cell_monodromy,
+    grid_row_cell_monodromy,
+    partitions,
+    point_permutation,
+)
 
 TWO_PAIRS = (2, 2)
 THREE_PARTS = (2, 2, 1)
 THREE_PAIRS = (2, 2, 2)
+SUBSET = {n: build_subset_matrix(n) for n in range(2, 6)}
+GRID = build_grid_matrix(3)
 
 
 def class_sizes(fiber):
@@ -46,7 +53,7 @@ def test_blocks_from_parts():
 
 
 def test_merged_fiber_n3():
-    fiber = subset_fiber(3, THREE_PARTS, MERGED)
+    fiber = subset_fiber(SUBSET[3], THREE_PARTS, MERGED)
     assert class_sizes(fiber) == (4, 2, 2, 1, 1)
     assert fiber.w_contribution == 5
     q, big = max(enumerate(fiber.classes), key=lambda item: len(item[1]))
@@ -57,15 +64,15 @@ def test_merged_fiber_n3():
 
 
 def test_merged_fiber_n2_and_n4():
-    assert class_sizes(subset_fiber(2, TWO_PAIRS, MERGED)) == (4, 1, 1)
-    assert subset_fiber(2, TWO_PAIRS, MERGED).w_contribution == 3
-    fiber4 = subset_fiber(4, THREE_PAIRS, MERGED)
+    assert class_sizes(subset_fiber(SUBSET[2], TWO_PAIRS, MERGED)) == (4, 1, 1)
+    assert subset_fiber(SUBSET[2], TWO_PAIRS, MERGED).w_contribution == 3
+    fiber4 = subset_fiber(SUBSET[4], THREE_PAIRS, MERGED)
     assert class_sizes(fiber4) == (4, 4, 4, 1, 1, 1)
     assert fiber4.w_contribution == 9
 
 
 def test_merged_fiber_discrete_partition_is_unramified():
-    fiber = subset_fiber(3, (1, 1, 1, 1, 1), MERGED)
+    fiber = subset_fiber(SUBSET[3], (1, 1, 1, 1, 1), MERGED)
     assert class_sizes(fiber) == (1,) * 10
     assert fiber.w_contribution == 0
 
@@ -80,7 +87,7 @@ def test_partition_monodromy():
 
 
 def test_orbit_fiber_n3():
-    fiber = subset_fiber(3, THREE_PARTS, ORBIT)
+    fiber = subset_fiber(SUBSET[3], THREE_PARTS, ORBIT)
     assert class_sizes(fiber) == (2, 2, 2, 2, 1, 1)
     assert fiber.w_contribution == 4
     assert ((1, 3, 5), (2, 4, 5)) in fiber.classes
@@ -88,9 +95,9 @@ def test_orbit_fiber_n3():
 
 
 def test_orbit_fiber_n2_and_n4():
-    assert class_sizes(subset_fiber(2, TWO_PAIRS, ORBIT)) == (2, 2, 1, 1)
-    assert subset_fiber(2, TWO_PAIRS, ORBIT).w_contribution == 2
-    fiber4 = subset_fiber(4, THREE_PAIRS, ORBIT)
+    assert class_sizes(subset_fiber(SUBSET[2], TWO_PAIRS, ORBIT)) == (2, 2, 1, 1)
+    assert subset_fiber(SUBSET[2], TWO_PAIRS, ORBIT).w_contribution == 2
+    fiber4 = subset_fiber(SUBSET[4], THREE_PAIRS, ORBIT)
     assert class_sizes(fiber4) == (2,) * 6 + (1,) * 3
     assert fiber4.w_contribution == 6
 
@@ -98,16 +105,16 @@ def test_orbit_fiber_n2_and_n4():
 def test_single_transposition_models_agree():
     for n in (2, 3, 4, 5):
         parts = (2,) + (1,) * n
-        merged = subset_fiber(n, parts, MERGED)
-        orbit = subset_fiber(n, parts, ORBIT)
+        merged = subset_fiber(SUBSET[n], parts, MERGED)
+        orbit = subset_fiber(SUBSET[n], parts, ORBIT)
         assert class_sizes(merged) == class_sizes(orbit)
         assert merged.w_contribution == n
 
 
 def test_orbits_refine_merged_classes():
     for n, parts in ((2, TWO_PAIRS), (3, THREE_PARTS), (4, THREE_PAIRS), (3, (3, 2))):
-        merged = subset_fiber(n, parts, MERGED)
-        orbit = subset_fiber(n, parts, ORBIT)
+        merged = subset_fiber(SUBSET[n], parts, MERGED)
+        orbit = subset_fiber(SUBSET[n], parts, ORBIT)
         merged_of = {m: c for c in merged.classes for m in c}
         for oc in orbit.classes:
             owners = {merged_of[m] for m in oc}
@@ -160,7 +167,7 @@ def test_induced_w_matches_genus_arithmetic():
 
 
 def test_grid_row_merge_fiber():
-    fiber = grid_row_merge_fiber(3, (2, 1))
+    fiber = grid_row_merge_fiber(GRID, (2, 1))
     assert class_sizes(fiber) == (2, 2, 2, 1, 1, 1)
     assert fiber.w_contribution == 3
     assert fiber.classes[0] == ((1, 1), (2, 1))
@@ -171,11 +178,11 @@ def test_grid_row_merge_fiber():
 
 def test_grid_pairing_fiber_all_shifts():
     for shift in (0, 1, 2):
-        fiber = grid_pairing_fiber(3, shift)
+        fiber = grid_pairing_fiber(GRID, shift)
         assert class_sizes(fiber) == (2, 2, 2, 1, 1, 1)
         assert fiber.w_contribution == 3
     # shift 0 glues (i, j) with (j, i)
-    fiber0 = grid_pairing_fiber(3, 0)
+    fiber0 = grid_pairing_fiber(GRID, 0)
     assert ((1, 2), (2, 1)) in fiber0.classes
 
 
@@ -190,14 +197,15 @@ def test_grid_monodromies_match_fiber_classes():
         return sorted(membered)
 
     for shift in (0, 1, 2):
-        perm = grid_pairing_monodromy(3, shift)
-        assert all(perm(perm(x)) == x for x in range(1, perm.degree + 1))
-        fiber = grid_pairing_fiber(3, shift)
-        assert orbit_classes(perm) == sorted(fiber.classes)
+        move = grid_pairing_monodromy(3, shift)
+        assert all(move(move(x)) == x for x in range(1, move.degree + 1))
+        fiber = grid_pairing_fiber(GRID, shift)
+        assert fiber.generators == (GRID.induce(move),)
+        assert orbit_classes(GRID.induce(move)) == sorted(fiber.classes)
 
-    row_perm = grid_row_monodromy(3, (2, 1))
-    fiber = grid_row_merge_fiber(3, (2, 1))
-    assert orbit_classes(row_perm) == sorted(fiber.classes)
+    row_move = grid_row_monodromy(3, (2, 1))
+    fiber = grid_row_merge_fiber(GRID, (2, 1))
+    assert orbit_classes(GRID.induce(row_move)) == sorted(fiber.classes)
 
 
 def test_point_permutation():
@@ -213,27 +221,58 @@ def test_point_permutation():
         point_permutation(points, lambda p: "a")
 
 
-def test_grid_monodromies_are_the_moves_on_cells():
-    # the closed forms over row-major positions against the maps on cells,
-    # looked up by descriptor: every shift, negative and past m included,
-    # and every row profile
+def test_grid_monodromies_are_label_moves():
+    # degree 2m: rows are the labels 1..m, columns m + 1..2m
+    assert grid_row_monodromy(3, (2, 1)).images == (2, 1, 3, 4, 5, 6)
+    assert grid_pairing_monodromy(3, 0).images == (4, 5, 6, 1, 2, 3)
+    # row i goes to column i + 1 and column j to row j - 1
+    assert grid_pairing_monodromy(3, 1).images == (5, 6, 4, 3, 1, 2)
     for m in range(2, 9):
-        cells = grid_points(m)
+        for shift in range(-m, 2 * m + 1):
+            assert grid_pairing_monodromy(m, shift).degree == 2 * m
+        for parts in partitions(m):
+            assert grid_row_monodromy(m, parts).images[m:] == tuple(range(m + 1, 2 * m + 1))
+
+
+def test_grid_monodromies_are_the_moves_on_cells():
+    # induced on the cells, against the maps on cells looked up by
+    # descriptor: every shift, negative and past m included, and every row
+    # profile
+    for m in range(2, 9):
+        corr, cells = build_grid_matrix(m), grid_points(m)
         for shift in range(-m, 2 * m + 1):
             tau = lambda i: (i - 1 + shift) % m + 1
             tau_inv = lambda i: (i - 1 - shift) % m + 1
             want = point_permutation(cells, lambda cell: (tau_inv(cell[1]), tau(cell[0])))
-            assert grid_pairing_monodromy(m, shift) == want
+            assert corr.induce(grid_pairing_monodromy(m, shift)) == want
         for parts in partitions(m):
             sigma = partition_monodromy(parts, m)
             want = point_permutation(cells, lambda cell: (sigma(cell[0]), cell[1]))
-            assert grid_row_monodromy(m, parts) == want
+            assert corr.induce(grid_row_monodromy(m, parts)) == want
+
+
+def test_induced_grid_monodromies_match_the_cell_formulas():
+    # the row-major cell formulas the monodromies were written as before
+    # they became label moves: every shift for m = 2..30, and every ramified
+    # row profile for m <= 8
+    for m in range(2, 31):
+        corr = build_grid_matrix(m)
+        for shift in range(m):
+            move = grid_pairing_monodromy(m, shift)
+            assert corr.induce(move) == grid_pairing_cell_monodromy(m, shift)
+        for parts in partitions(m) if m <= 8 else ():
+            if max(parts) > 1:
+                move = grid_row_monodromy(m, parts)
+                assert corr.induce(move) == grid_row_cell_monodromy(m, parts)
 
 
 def test_grid_generators_transitive():
-    gens = tuple(grid_pairing_monodromy(3, s) for s in (0, 1, 2))
-    gens += (grid_row_monodromy(3, (2, 1)),)
-    assert is_transitive(gens, 9)
+    moves = [grid_pairing_monodromy(3, s) for s in (0, 1, 2)]
+    moves.append(grid_row_monodromy(3, (2, 1)))
+    assert is_transitive(tuple(map(GRID.induce, moves)), 9)
+    # so is the irreducibility check on the grid's cells
+    assert irreducibility_check(tuple(moves), GRID)
+    assert not irreducibility_check(tuple(moves[:3]), GRID)
 
 
 def test_subset_fiber_dispatch():
@@ -242,37 +281,39 @@ def test_subset_fiber_dispatch():
     def induced(*cycles):
         return induced_subset_action(Permutation.from_cycles(5, cycles), 3)
 
-    merged, orbit = subset_fiber(3, THREE_PARTS, MERGED), subset_fiber(3, THREE_PARTS, ORBIT)
+    merged, orbit = (subset_fiber(SUBSET[3], THREE_PARTS, model) for model in (MERGED, ORBIT))
     assert merged != orbit
     assert merged.generators == (induced((1, 2)), induced((3, 4)))
     assert orbit.generators == (induced((1, 2), (3, 4)),)
-    assert subset_fiber(3, (3, 2), MERGED).generators == (
+    assert subset_fiber(SUBSET[3], (3, 2), MERGED).generators == (
         induced((1, 2)), induced((1, 2, 3)), induced((4, 5))
     )
-    assert subset_fiber(3, (2, 3), ORBIT).generators == (induced((1, 2, 3), (4, 5)),)
+    assert subset_fiber(SUBSET[3], (2, 3), ORBIT).generators == (
+        induced((1, 2, 3), (4, 5)),
+    )
     with pytest.raises(ValueError, match="unknown fiber model 'other'"):
-        subset_fiber(3, THREE_PARTS, "other")
+        subset_fiber(SUBSET[3], THREE_PARTS, "other")
     with pytest.raises(ValueError, match=r"profile \(2, 2\) does not sum to 5"):
-        subset_fiber(3, TWO_PAIRS, MERGED)
+        subset_fiber(SUBSET[3], TWO_PAIRS, MERGED)
 
 
 def test_irreducibility_check():
     gens = (transposition(5, 1, 2), Permutation.from_cycles(5, ((1, 2, 3, 4, 5),)))
-    assert irreducibility_check(gens, 3)
+    assert irreducibility_check(gens, SUBSET[3])
     # the subgroup fixing {1,2} setwise is not transitive on 3-subsets
     stuck = (transposition(5, 1, 2), transposition(5, 3, 4), transposition(5, 4, 5))
-    assert not irreducibility_check(stuck, 3)
-    assert not irreducibility_check((), 3)
-    with pytest.raises(ValueError, match="subset size 7 outside 0..5"):
-        irreducibility_check(gens, 7)
-    # every generator is induced through the index of the first one's degree
-    with pytest.raises(ValueError, match="does not fit"):
-        irreducibility_check((transposition(5, 1, 2), transposition(6, 1, 2)), 3)
+    assert not irreducibility_check(stuck, SUBSET[3])
+    assert not irreducibility_check((), SUBSET[3])
+    # every label move must have the correspondence's degree, n + 2
+    with pytest.raises(ValueError, match="subset label move has degree 5, not 7"):
+        irreducibility_check(gens, SUBSET[5])
+    with pytest.raises(ValueError, match="subset label move has degree 6, not 5"):
+        irreducibility_check((transposition(5, 1, 2), transposition(6, 1, 2)), SUBSET[3])
 
 
 @st.composite
-def generators_and_k(draw):
-    degree = draw(st.integers(3, 9))
+def generators_and_n(draw):
+    degree = draw(st.integers(4, 9))
     # besides arbitrary permutations, generators that fix {1..split} setwise
     # (intransitive groups) and rotations (cyclic groups, transitive on the
     # labels but not on their pairs)
@@ -289,14 +330,14 @@ def generators_and_k(draw):
             shift = draw(st.integers(0, degree - 1))
             images = [(x + shift) % degree + 1 for x in range(degree)]
         gens.append(Permutation(tuple(images)))
-    return tuple(gens), draw(st.integers(0, degree))
+    return tuple(gens), degree - 2
 
 
-@given(generators_and_k())
+@given(generators_and_n())
 def test_irreducibility_check_matches_the_k_subset_definition(drawn):
-    # the check may induce on the complements; the verdict is transitivity
-    # of the action on the k-subsets themselves
-    gens, k = drawn
-    degree = gens[0].degree
-    induced = tuple(induced_subset_action(g, k) for g in gens)
-    assert irreducibility_check(gens, k) == is_transitive(induced, comb(degree, k))
+    # the check induces on the complements; the verdict is transitivity of
+    # the action on the n-subsets themselves
+    gens, n = drawn
+    induced = tuple(induced_subset_action(g, n) for g in gens)
+    corr = build_subset_matrix(n)
+    assert irreducibility_check(gens, corr) == is_transitive(induced, comb(n + 2, n))

@@ -37,6 +37,7 @@ from math import comb, gcd, lcm
 
 import pytest
 
+from prymtyurin.correspondence import build_subset_matrix
 from prymtyurin.induced_curve import MERGED, ORBIT, subset_fiber
 from prymtyurin.report import assemble
 from prymtyurin.scenario import subset_scenario
@@ -108,7 +109,7 @@ def test_every_ramified_profile_is_listed():
 @pytest.mark.parametrize("model", [ORBIT, MERGED])
 def test_fiber_ramification_matches_closed_form(model):
     for n, parts in RAMIFIED:
-        fiber = subset_fiber(n, parts, model)
+        fiber = subset_fiber(build_subset_matrix(n), parts, model)
         assert fiber.w_contribution == oracle_w(parts, model), (n, parts)
 
 

@@ -27,7 +27,7 @@ def one_of_each():
         Permutation((2, 1, 3)),
         CoveringData(4, ((2, 2),), 2),
         build_grid_matrix(3),
-        subset_fiber(2, (2, 2), MERGED),
+        subset_fiber(build_subset_matrix(2), (2, 2), MERGED),
         subset_scenario(3, 1),
         NestingCertificate(0, (1,), ((1,),)),
         NestingFailure("no chain", 1, 0),
@@ -82,7 +82,8 @@ def test_correspondence_bits_stay_out_of_fields_and_equality():
 
 
 def test_cached_properties_stay_cached():
-    corr, fiber = build_grid_matrix(3), subset_fiber(3, (2, 2, 1), MERGED)
+    corr = build_grid_matrix(3)
+    fiber = subset_fiber(build_subset_matrix(3), (2, 2, 1), MERGED)
     # a correspondence reads its points by position and keeps no index of
     # its own: index is the tuple method
     assert "index" not in vars(corr) and type(corr).index is tuple.index

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from prymtyurin import fixed_points, induced_curve
+from prymtyurin import correspondence, fixed_points, induced_curve, perms
 from prymtyurin import report as report_module
 from prymtyurin.correspondence import build_grid_matrix, build_subset_matrix
 from prymtyurin.fixed_points import check_certificate
@@ -510,6 +510,30 @@ def test_repeated_fibers_share_one_entry():
             ]
 
 
+def test_a_report_builds_its_points_and_their_index_once(monkeypatch):
+    # every fiber and the irreducibility check induce their label moves
+    # through the report's correspondence, so the n-subsets, their colex
+    # pair index and the grid cells are each built once, by the matrix
+    built = Counter()
+    for module, name in ((perms, "all_subsets"), (perms, "subset_index"),
+                         (correspondence, "grid_points")):
+        original = getattr(module, name)
+
+        def count(*args, original=original, name=name):
+            built[name, *args] += 1
+            return original(*args)
+
+        for bound in [m for key, m in sys.modules.items() if key.startswith("prymtyurin")]:
+            if getattr(bound, name, None) is original:
+                monkeypatch.setattr(bound, name, count)
+    assemble(subset_scenario(4, 2, model="both"))
+    # subset_index lists the pairs of the 6 labels: all_subsets(6, 2)
+    assert built == {("all_subsets", 6, 4): 1, ("subset_index", 6, 4): 1, ("all_subsets", 6, 2): 1}
+    built.clear()
+    assemble(grid_scenario(5))
+    assert built == {("grid_points", 3): 1}
+
+
 def test_subset_layout_builds_one_fiber_per_profile(monkeypatch):
     built, acted = [], []
     original, original_action = report_module.subset_fiber, report_module.class_action
@@ -619,9 +643,10 @@ def test_a_chain_that_misses_the_fixed_point_count_fails_the_model(monkeypatch, 
     assert rep["certificate_checked"] is False
     assert rep["hypotheses"]["nesting_ok"] is False
     assert data["verdict"][MERGED] == "failed"
-    # the table follows the checker: an empty chain at delta_dot_d = 6 is not trivial
+    # the table follows the checker: the chain was re-checked and refused,
+    # and an empty chain at delta_dot_d = 6 is not trivial
     row = next(line for line in render_table(data).splitlines() if line.startswith("nesting"))
-    assert row.endswith("(NOT re-checked)") and "trivial" not in row
+    assert row.endswith("(refused by the re-check)") and "trivial" not in row
 
 
 def test_declared_simple_profile_shares_its_fiber_between_models():
@@ -635,7 +660,8 @@ def test_declared_simple_profile_shares_its_fiber_between_models():
     assert all(c["block_multiset"] is None for c in orbit["classes"])
     for n in range(2, 8):
         simple = (2,) + (1,) * n
-        assert subset_fiber(n, simple, MERGED) == subset_fiber(n, simple, ORBIT)
+        corr = build_subset_matrix(n)
+        assert subset_fiber(corr, simple, MERGED) == subset_fiber(corr, simple, ORBIT)
 
 
 @pytest.mark.parametrize(

@@ -68,3 +68,29 @@ def test_traced_run_counts_layers_and_prints_the_same(argv):
     if argv[0] == "builtin":
         assert metrics["fixed_points.class_action_calls"] >= 1
         assert metrics["fixed_points.nesting_calls"] >= 1
+
+
+@pytest.mark.parametrize(
+    "argv, fibers, classes, generators, induced, actions",
+    [
+        (["builtin", "pn-case", "--n", "3", "--gx", "1"], 3, 18, 5, 9, 3),
+        (["builtin", "hyperelliptic", "--g", "5"], 4, 24, 0, 0, 4),
+    ],
+)
+def test_traced_counters_read_the_fiber_and_irreducibility_signatures(
+    argv, fibers, classes, generators, induced, actions
+):
+    # the counters read the fibers' results, the generators passed first to
+    # irreducibility_check and every induced_subset_action call: the subset
+    # run builds its fibers (2,2,1) and (2,1,1,1) under the merged model and
+    # (2,2,1) under the orbit model, and checks 5 distinct label moves; the
+    # grid run builds its 4 fibers once and induces no subset action
+    tracing = load_tracing()
+    with tracing.Tracer() as tracer:
+        _run_cli(argv)
+    metrics = tracing.layer_metrics(tracer.spans)
+    assert metrics["induced_curve.fibers_built"] == fibers
+    assert metrics["induced_curve.classes_built"] == classes
+    assert metrics["induced_curve.generators"] == generators
+    assert metrics["perms.induced_action_calls"] == induced
+    assert metrics["fixed_points.class_action_calls"] == actions
