@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from functools import cached_property
 from itertools import chain, repeat
 from operator import getitem, itemgetter
 
@@ -80,12 +81,11 @@ class FiberCorrespondence(
     each symmetry compare the rows' bit strings with strided column slices
     of one row-major text (_columns_are_rows).  The rows as bit strings are
     kept as the attribute bits, outside the fields and equality: bits[i][j]
-    is D[i][j].  So is pair_index, the colex index of the subset family's
-    2-element complements that induce reads (None when not given).
+    is D[i][j].  So is the cached pair_index that induce reads.
     """
 
     def __new__(cls, kind: str, parameter: int, rows: tuple[int, ...], points: tuple,
-                symmetries: tuple[Permutation, ...] = (), pair_index: dict | None = None):
+                symmetries: tuple[Permutation, ...] = ()):
         n = len(rows)
         if len(points) != n or len(set(points)) != n:
             raise ValueError(f"need {n} distinct point descriptors, got {len(points)}")
@@ -107,7 +107,7 @@ class FiberCorrespondence(
                     j = next(j for j in range(i) if row[j] != col[j])
                     raise ValueError(f"not symmetric at ({i}, {j})")
         self = super().__new__(cls, kind, parameter, rows, points, symmetries)
-        self.__dict__.update(bits=bits, pair_index=pair_index)
+        self.__dict__.update(bits=bits)
         self.check_moves(symmetries, "symmetry")
         return self
 
@@ -116,13 +116,11 @@ class FiberCorrespondence(
         induces, the one rule by which a label permutation acts on points.
 
         Subset family (labels 1..n+2): through perms.induced_subset_action
-        and the colex pair index the correspondence was built from (built
-        again per move when none was given).  Grid family (labels 1..2m):
-        cell (i, j) is the labels i and m + j and goes to the cell holding
-        their images, so the move keeps the row labels together, in place or
-        swapped with the columns.  A move of another degree, a grid move that
-        mixes rows and columns and a correspondence of any other kind raise
-        ValueError.
+        and pair_index.  Grid family (labels 1..2m): cell (i, j) is the
+        labels i and m + j and goes to the cell holding their images, so the
+        move keeps the row labels together, in place or swapped with the
+        columns.  A move of another degree, a grid move that mixes rows and
+        columns and a correspondence of any other kind raise ValueError.
 
         >>> build_grid_matrix(2).induce(Permutation((3, 4, 1, 2))).images
         (1, 3, 2, 4)
@@ -141,14 +139,20 @@ class FiberCorrespondence(
         offset = [(x - 1) * m if x <= m else x - m for x in move.images]
         return Permutation(tuple(r + c for r in offset[:m] for c in offset[m:]))
 
+    @cached_property
+    def pair_index(self) -> dict:
+        """The colex index of the subset family's 2-element complements that
+        induce reads, built once: build_subset_matrix stores the one it
+        built the relation from."""
+        return subset_index(self.parameter + 2, self.parameter)
+
     def check_moves(self, moves, name: str) -> None:
         """Refuse, by name and index, a permutation of the 1-based point
         positions whose degree is not N or that does not preserve D: the
         symmetries at construction, a fiber's generators in class_action."""
-        n = len(self.rows)
         for k, g in enumerate(moves):
-            if g.degree != n:
-                raise ValueError(f"{name} {k} has degree {g.degree}, not {n}")
+            if g.degree != self.size:
+                raise ValueError(f"{name} {k} has degree {g.degree}, not {self.size}")
             at = list(map((-1).__add__, g.images))  # g(i) - 1 for each 1-based i
             if not _columns_are_rows(self.bits, at):
                 raise ValueError(f"{name} {k} does not preserve the relation")
@@ -181,7 +185,7 @@ def build_subset_matrix(n: int) -> FiberCorrespondence:
     Its symmetries are the label moves (1 2) and (1 ... n+2), induced on
     n-subsets in closed form.  The relation is read off one colex index of
     the 2-element complements, both symmetries off their positions in it,
-    and the correspondence keeps it as the pair index that induce reads.
+    and the correspondence keeps it as its pair_index, which induce reads.
     """
     if n < 2:
         raise ValueError(f"subset correspondence needs n >= 2, got {n}")
@@ -201,7 +205,9 @@ def build_subset_matrix(n: int) -> FiberCorrespondence:
         touching[b] |= bit
     full = (1 << size) - 1
     rows = tuple(full ^ (touching[a] | touching[b]) for a, b in reversed(pairs))
-    return FiberCorrespondence("subset", n, rows, pts, _subset_symmetries(degree), pairs)
+    corr = FiberCorrespondence("subset", n, rows, pts, _subset_symmetries(degree))
+    corr.__dict__["pair_index"] = pairs
+    return corr
 
 
 def _subset_symmetries(degree: int) -> tuple[Permutation, Permutation]:

@@ -338,8 +338,12 @@ def check_certificate(nesting: dict, special_fibers: list, delta_dot_d: int,
     flag must be True itself, every position, chain entry, multiplicity and
     member label an exact int (a bool or a float is not one, checked at C
     level), every row and member list a list, and every key it reads
-    present.  Any other entry refuses the claim; entries never make it raise.
+    present; nesting itself must be a dict, special_fibers a list and
+    delta_dot_d an exact int.  Any other entry refuses the claim; entries
+    never make it raise.
     """
+    if type(nesting) is not dict or type(special_fibers) is not list or type(delta_dot_d) is not int:
+        return False
     get = nesting.get
     chain, chain_members, rows = get("chain"), get("chain_members"), get("multiplicities")
     if get("certified") is not True or delta_dot_d % 2:

@@ -149,8 +149,7 @@ def grid_row_monodromy(m: int, row_parts) -> Permutation:
     """Local monodromy of a row-merge fiber as a label move of the 2m grid
     labels: the row labels 1..m move by partition_monodromy of their
     profile, the column labels m + 1..2m stay put."""
-    rows = partition_monodromy(row_parts, m).images
-    return Permutation(rows + tuple(range(m + 1, 2 * m + 1)))
+    return Permutation((*partition_monodromy(row_parts, m).images, *range(m + 1, 2 * m + 1)))
 
 
 def grid_pairing_monodromy(m: int, shift: int) -> Permutation:
@@ -186,8 +185,7 @@ def irreducibility_check(generators: tuple[Permutation, ...], corr: FiberCorresp
     This is the combinatorial content of irreducibility of the induced curve:
     the monodromy image must not split the subset fiber.  It is a proxy, not
     a proof of irreducibility of any particular curve.  Every generator is
-    induced by corr.induce.
+    induced by corr.induce; with none, every point is its own orbit, so the
+    check fails.
     """
-    if not generators:
-        return False
     return is_transitive(tuple(map(corr.induce, generators)), corr.size)

@@ -349,10 +349,12 @@ def test_induce_reads_the_index_the_subset_matrix_was_built_from(monkeypatch):
     corr = build_subset_matrix(5)
     move = Permutation.from_cycles(7, ((1, 2, 3),))
     want = induced_subset_action(move, 5)
-    # a correspondence built without one has induced_subset_action build it
+    # made through the constructor, a correspondence builds the same index
+    # on first use; the matrix's own was stored when it was built
     bare = rebuilt(corr)
-    assert bare.pair_index is None and bare.induce(move) == want
+    assert bare.pair_index == corr.pair_index and bare.induce(move) == want
     monkeypatch.setattr(perms, "subset_index", None)
+    monkeypatch.setattr(correspondence, "subset_index", None)
     assert corr.induce(move) == want
 
 

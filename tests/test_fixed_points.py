@@ -482,8 +482,9 @@ def _float_labels(members):
 
 DROP = object()
 # each doctoring of the certificate of subset n = 4, gx = 2, merged model
-# (chain [1, 3, 4] in fiber 0): a path into (nesting, special_fibers) and
-# the value put there, DROP to delete the key, or a function of the old one
+# (chain [1, 3, 4] in fiber 0): a path into [nesting, special_fibers,
+# delta_dot_d] and the value put there, DROP to delete the key, or a
+# function of the old one
 UNEXACT = {
     "certified-1": ((0, "certified"), 1),
     "fiber-false": ((0, "fiber"), False),
@@ -510,18 +511,26 @@ UNEXACT = {
     "missing-multiplicities": ((0, "multiplicities"), DROP),
     "missing-classes": ((1, 0, "classes"), DROP),
     "missing-members": ((1, 0, "classes", 1, "members"), DROP),
+    "delta-float": ((2,), 6.0),
+    "delta-str": ((2,), "6"),
+    "delta-null": ((2,), None),
+    "nesting-list": ((0,), lambda nest: [*nest.items()]),
+    "nesting-null": ((0,), None),
+    "special-fibers-null": ((1,), None),
 }
 
 
 @pytest.mark.parametrize("path, value", UNEXACT.values(), ids=UNEXACT)
 def test_check_certificate_reads_only_exact_ints_and_never_raises(path, value):
-    # a bool or a float where an int is read, a row or member list that is
-    # not a list and a missing key refuse the claim; none of them raises
+    # a bool, a float, a str or null where an int is read, a nesting entry
+    # that is not a dict, fiber entries that are not a list, a row or member
+    # list that is not a list and a missing key refuse the claim; none of
+    # them raises
     rep = assemble(subset_scenario(4, 2, model=MERGED))["models"][MERGED]
     nest, fibers, delta = rep["nesting"], rep["special_fibers"], rep["delta_dot_d"]
     assert (nest["fiber"], nest["chain"], delta) == (0, [1, 3, 4], 6)
     assert check_certificate(nest, fibers, delta, "subset", 4)
-    entries = copy.deepcopy((nest, fibers))
+    entries = copy.deepcopy([nest, fibers, delta])
     *inner, last = path
     target = entries
     for key in inner:
@@ -530,7 +539,7 @@ def test_check_certificate_reads_only_exact_ints_and_never_raises(path, value):
         del target[last]
     else:
         target[last] = value(target[last]) if callable(value) else value
-    assert check_certificate(*entries, delta, "subset", 4) is False
+    assert check_certificate(*entries, "subset", 4) is False
 
 
 # --- the label-bitmask checker against the image-enumerating one -------------
