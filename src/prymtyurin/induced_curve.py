@@ -149,7 +149,8 @@ def grid_row_monodromy(m: int, row_parts) -> Permutation:
     """Local monodromy of a row-merge fiber as a label move of the 2m grid
     labels: the row labels 1..m move by partition_monodromy of their
     profile, the column labels m + 1..2m stay put."""
-    return Permutation((*partition_monodromy(row_parts, m).images, *range(m + 1, 2 * m + 1)))
+    rows = partition_monodromy(row_parts, m).images
+    return Permutation(rows + tuple(range(m + 1, 2 * m + 1)))
 
 
 def grid_pairing_monodromy(m: int, shift: int) -> Permutation:

@@ -10,9 +10,9 @@ Conventions used across the package:
 - a permutation of a fiber's points is one of their 1-based positions in
   the correspondence's point order
 - the induced action on k-subsets reads one colex index (``subset_index``),
-  the 1-based position of each subset on the smaller side; a caller inducing
-  several permutations of one degree builds it once and passes it to each,
-  as the subset correspondence does with the index it was built from
+  the 1-based position of each subset on the smaller side, which the caller
+  builds once and passes with each permutation it induces, as the subset
+  correspondence does with the index it was built from
 - the cycles of a permutation p are the orbits of the group it generates, so
   ``orbits`` is the one orbit walk
 - the package's immutable records are namedtuples with their own checks in
@@ -147,7 +147,7 @@ def subset_index(degree: int, k: int) -> dict[tuple[int, ...], int]:
     return dict(zip(all_subsets(degree, min(k, degree - k)), itertools.count(1)))
 
 
-def induced_subset_action(p: Permutation, k: int, index: dict | None = None) -> Permutation:
+def induced_subset_action(p: Permutation, k: int, index: dict) -> Permutation:
     """The permutation induced by p on the k-subsets of its domain, listed
     in colex order.
 
@@ -155,17 +155,16 @@ def induced_subset_action(p: Permutation, k: int, index: dict | None = None) -> 
     composition of the induced actions, and the identity induces the identity.
     Complementing commutes with p and reverses colex order, so for k above
     degree - k the points are the complements, the smaller subsets backwards.
-    ``index`` is ``subset_index(p.degree, k)``, built here when not given;
-    each subset's image is one C-level gather of labels, sorted and looked up.
+    ``index`` is ``subset_index(p.degree, k)``, built by the caller; each
+    subset's image is one C-level gather of labels, sorted and looked up.
 
-    >>> induced_subset_action(Permutation.from_cycles(4, ((1, 2),)), 2).images
+    >>> p = Permutation.from_cycles(4, ((1, 2),))
+    >>> induced_subset_action(p, 2, subset_index(4, 2)).images
     (1, 3, 2, 5, 4, 6)
     """
     if not 0 <= k <= p.degree:
         raise ValueError(f"subset size {k} outside 0..{p.degree}")
-    if index is None:
-        index = subset_index(p.degree, k)
-    elif len(index) != comb(p.degree, k):
+    if len(index) != comb(p.degree, k):
         raise ValueError(f"an index of {len(index)} subsets does not fit C({p.degree}, {k})")
     label = (0, *p.images).__getitem__  # label(x) is p(x)
     moved = map(tuple, map(sorted, map(map, itertools.repeat(label), index)))

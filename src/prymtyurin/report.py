@@ -160,9 +160,10 @@ def fiber_layout(scenario: Scenario, corr: FiberCorrespondence) -> dict[str, tup
     """
     models = models_for(scenario.model)
     if scenario.kind == GRID:
-        side, extra = corr.parameter, scenario.covering.simple_extra
+        side = corr.parameter
         pairings = tuple(grid_pairing_fiber(corr, s) for s in range(side))
         distinct = (grid_row_merge_fiber(corr, GRID_ROW_PROFILE), *pairings)
+        extra = scenario.covering.simple_extra
         cycle = (tuple(range(1, side + 1)) * (extra // side + 1))[:extra]
         actions = [class_action(corr, f) for f in distinct]
         return dict.fromkeys(models, (distinct, actions, (0, 0) + cycle, None, None))

@@ -33,6 +33,7 @@ from prymtyurin.perms import (
     Permutation,
     all_subsets,
     induced_subset_action,
+    subset_index,
 )
 from prymtyurin.report import UNCHECKED, assemble, fiber_to_dict, keyed_verdict
 from prymtyurin.scenario import grid_scenario, subset_scenario
@@ -250,8 +251,8 @@ def test_criterion_5_property_suites():
                 Permutation(images) for images in raw_permutations(range(1, degree + 1))
             ]
             caches = {
-                k: {p.images: induced_subset_action(p, k) for p in perms}
-                for k in range(1, degree)
+                k: {p.images: induced_subset_action(p, k, index) for p in perms}
+                for k, index in ((k, subset_index(degree, k)) for k in range(1, degree))
             }
             for a in perms:
                 for b in perms:

@@ -26,6 +26,7 @@ from prymtyurin.perms import (
     all_subsets,
     induced_subset_action,
     orbits,
+    subset_index,
 )
 from references import point_permutation
 
@@ -274,7 +275,8 @@ def test_subset_symmetries_are_the_induced_label_moves(n):
     moves = [Permutation.from_cycles(n + 2, g) for g in (((1, 2),), (tuple(range(1, n + 3)),))]
     assert corr.symmetries == tuple(map(corr.induce, moves))
     # which is the induced action on n-subsets through an index of its own
-    assert corr.symmetries == tuple(induced_subset_action(g, n) for g in moves)
+    index = subset_index(n + 2, n)
+    assert corr.symmetries == tuple(induced_subset_action(g, n, index) for g in moves)
 
 
 def test_grid_symmetries_are_the_transpose_and_the_row_cycle():
@@ -348,7 +350,7 @@ def test_induce_refuses_a_move_it_cannot_induce():
 def test_induce_reads_the_index_the_subset_matrix_was_built_from(monkeypatch):
     corr = build_subset_matrix(5)
     move = Permutation.from_cycles(7, ((1, 2, 3),))
-    want = induced_subset_action(move, 5)
+    want = induced_subset_action(move, 5, subset_index(7, 5))
     # made through the constructor, a correspondence builds the same index
     # on first use; the matrix's own was stored when it was built
     bare = rebuilt(corr)

@@ -36,6 +36,7 @@ from prymtyurin.perms import (
     Permutation,
     all_subsets,
     induced_subset_action,
+    subset_index,
     transposition,
 )
 from prymtyurin.report import assemble, fiber_layout, fiber_to_dict, nesting_to_dict
@@ -169,7 +170,7 @@ def test_class_action_refuses_a_generator_of_the_wrong_degree():
         class_action(SUBSET[3], subset_fiber(SUBSET[2], (2, 2), MERGED))
     # the orbit walk refuses one on the points it moves: no such fiber is built
     fiber = subset_fiber(SUBSET[3], THREE_PARTS, MERGED)
-    short = induced_subset_action(Permutation((2, 1, 3, 4)), 2)
+    short = induced_subset_action(Permutation((2, 1, 3, 4)), 2, subset_index(4, 2))
     for generators in ((short,), fiber.generators + (short,)):
         with pytest.raises(ValueError, match="^generator degree 6 != 10$"):
             SpecialFiber(generators, all_subsets(5, 3))
@@ -798,7 +799,7 @@ def test_fibers_and_actions_match_the_references():
     # multisets, and the diagonal and candidate block of the full action
     for n in range(2, 8):
         corr = build_subset_matrix(n)
-        points = all_subsets(n + 2, n)
+        points, index = all_subsets(n + 2, n), subset_index(n + 2, n)
         for parts in partitions(n + 2):
             if max(parts) == 1:
                 continue
@@ -809,7 +810,7 @@ def test_fibers_and_actions_match_the_references():
             written = [cls["block_multiset"] for cls in fiber_to_dict(merged, blocks)["classes"]]
             assert written == list(map(list, keys))
             cycles = tuple(b for b in blocks if len(b) > 1)
-            sigma = induced_subset_action(Permutation.from_cycles(n + 2, cycles), n)
+            sigma = induced_subset_action(Permutation.from_cycles(n + 2, cycles), n, index)
             assert sigma == corr.induce(partition_monodromy(parts, n + 2))
             assert orbit.classes == reference_orbit_classes(sigma, points)
             assert orbit.generators == (sigma,)

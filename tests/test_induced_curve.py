@@ -22,6 +22,7 @@ from prymtyurin.perms import (
     induced_subset_action,
     is_transitive,
     orbits,
+    subset_index,
     transposition,
 )
 from prymtyurin.report import assemble, fiber_to_dict
@@ -279,7 +280,7 @@ def test_subset_fiber_dispatch():
     # merged: a transposition and the cycle of each block, one move for a
     # pair; orbit: the one local monodromy.  Each is induced on 3-subsets
     def induced(*cycles):
-        return induced_subset_action(Permutation.from_cycles(5, cycles), 3)
+        return induced_subset_action(Permutation.from_cycles(5, cycles), 3, subset_index(5, 3))
 
     merged, orbit = (subset_fiber(SUBSET[3], THREE_PARTS, model) for model in (MERGED, ORBIT))
     assert merged != orbit
@@ -338,6 +339,6 @@ def test_irreducibility_check_matches_the_k_subset_definition(drawn):
     # the check induces on the complements; the verdict is transitivity of
     # the action on the n-subsets themselves
     gens, n = drawn
-    induced = tuple(induced_subset_action(g, n) for g in gens)
+    induced = tuple(induced_subset_action(g, n, subset_index(n + 2, n)) for g in gens)
     corr = build_subset_matrix(n)
     assert irreducibility_check(gens, corr) == is_transitive(induced, comb(n + 2, n))
