@@ -1,30 +1,32 @@
 """Symmetric fiber correspondences as 0/1 relations held in row bitsets.
 
 Two families are built here, both on the fiber of an induced covering over a
-generic point of the base line:
+generic point of the base line, and both are incidence relations on sheet
+labels: each point is a pair of labels, and two points are related when
+their pairs share exactly t labels.
 
-- the subset correspondence: points are the n-subsets of n+2 sheet labels in
-  colex order, and two subsets are related when they share exactly n-2
-  elements (equivalently, their 2-element complements are disjoint);
-- the grid correspondence: points are the cells of an m x m grid in row-major
-  order, and two cells are related when they share a row or a column.
+- the subset correspondence: points are the n-subsets of the n+2 sheet
+  labels in colex order, each the pair of labels it leaves out, and two are
+  related when their pairs share none (t = 0): the n-subsets share exactly
+  n-2 elements;
+- the grid correspondence: points are the cells of an m x m grid in
+  row-major order, cell (i, j) the row label i and the column label m + j of
+  2m labels, and two are related when their pairs share one (t = 1): the
+  cells share a row or a column.
 
-Both relations are plain 0/1, and each correspondence holds its relation
-once, as one int bitset per point, next to its point descriptors in row
-order: the rest of the package reads a point's row at its position and
-never recomputes a rank.  Each family also carries permutations of its
-points that preserve D, checked at construction; verify_identity squares one
-row per orbit of the group they generate, one row for either family, and
-each entry is the popcount of an AND of two rows, since a symmetric
-relation's rows are its columns.
-
-Both fibers are made of sheet labels: a subset point is n of the labels
-1..n+2, and grid cell (i, j) is the row label i and the column label m + j
-of 2m labels.  FiberCorrespondence.induce is the one rule by which a label
+label_rule is the one place a kind is described: its label count, its
+point descriptors, each point's label pair, its t and two label moves that
+generate its symmetries.  Every relation, symmetry and induced move is
+built from it.  Each correspondence holds its relation once, as one int
+bitset per point, next to its point descriptors in row order: the rest of
+the package reads a point's row at its position and never recomputes a
+rank.  FiberCorrespondence.induce is the one rule by which a label
 permutation acts on the points, as a permutation of their positions: every
-special fiber's generators and the irreducibility check are label moves
-induced through it.  The symmetries are two such moves written in closed
-form over the positions, which the tests compare with induce.
+special fiber's generators, the irreducibility check and the symmetries are
+label moves induced through it.  The symmetries are checked at construction;
+verify_identity squares one row per orbit of the group they generate, one
+row for either family, and each entry is the popcount of an AND of two rows,
+since a symmetric relation's rows are its columns.
 
 A correspondence D may satisfy a quadratic identity
 
@@ -51,18 +53,10 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from functools import cached_property
-from itertools import chain, repeat
+from itertools import combinations, count, product, repeat
 from operator import getitem, itemgetter
 
-from .perms import (
-    Permutation,
-    Record,
-    all_subsets,
-    induced_subset_action,
-    orbits,
-    subset_index,
-)
+from .perms import Permutation, Record, all_subsets, orbits
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -81,7 +75,11 @@ class FiberCorrespondence(
     each symmetry compare the rows' bit strings with strided column slices
     of one row-major text (_columns_are_rows).  The rows as bit strings are
     kept as the attribute bits, outside the fields and equality: bits[i][j]
-    is D[i][j].  So is the cached pair_index that induce reads.
+    is D[i][j].  So is pair_lookup, the points' label pairs and their index
+    that induce reads, which depend on (kind, parameter) alone (label_rule):
+    a builder keeps the one it built the relation and the symmetries from,
+    copy and pickle carry it, and a correspondence made through the
+    constructor derives the same one on first use.
     """
 
     def __new__(cls, kind: str, parameter: int, rows: tuple[int, ...], points: tuple,
@@ -113,38 +111,20 @@ class FiberCorrespondence(
 
     def induce(self, move: Permutation) -> Permutation:
         """The permutation of the 1-based point positions that a label move
-        induces, the one rule by which a label permutation acts on points.
-
-        Subset family (labels 1..n+2): through perms.induced_subset_action
-        and pair_index.  Grid family (labels 1..2m): cell (i, j) is the
-        labels i and m + j and goes to the cell holding their images, so the
-        move keeps the row labels together, in place or swapped with the
-        columns.  A move of another degree, a grid move that mixes rows and
-        columns and a correspondence of any other kind raise ValueError.
+        induces, the one rule by which a label permutation acts on points:
+        each point goes to the point whose label pair is the image of its
+        own (label_rule).  A move whose degree is not the kind's label
+        count, one that takes some point's pair to no point's pair and a
+        correspondence of a kind with no label rule raise ValueError.
 
         >>> build_grid_matrix(2).induce(Permutation((3, 4, 1, 2))).images
         (1, 3, 2, 4)
         """
-        m = self.parameter
-        degree = {"subset": m + 2, "grid": 2 * m}.get(self.kind)
-        if degree is None:
-            raise ValueError(f"no label rule for a correspondence of kind {self.kind!r}")
-        if move.degree != degree:
-            raise ValueError(f"{self.kind} label move has degree {move.degree}, not {degree}")
-        if self.kind == "subset":
-            return induced_subset_action(move, m, self.pair_index)
-        if min(move.images[:m]) <= m < max(move.images[:m]):
-            raise ValueError("grid label move mixes the row and the column labels")
-        # the row-major offset of a label: (i - 1)m for row i, j for column m + j
-        offset = [(x - 1) * m if x <= m else x - m for x in move.images]
-        return Permutation(tuple(r + c for r in offset[:m] for c in offset[m:]))
-
-    @cached_property
-    def pair_index(self) -> dict:
-        """The colex index of the subset family's 2-element complements that
-        induce reads, built once: build_subset_matrix stores the one it
-        built the relation from."""
-        return subset_index(self.parameter + 2, self.parameter)
+        lookup = self.__dict__.get("pair_lookup")
+        if lookup is None:
+            labels, _, pairs, _, _ = label_rule(self.kind, self.parameter)
+            lookup = self.__dict__["pair_lookup"] = _pair_lookup(labels, pairs)
+        return _induced(self.kind, lookup, move)
 
     def check_moves(self, moves, name: str) -> None:
         """Refuse, by name and index, a permutation of the 1-based point
@@ -177,89 +157,113 @@ def _columns_are_rows(bits: list[str], order) -> bool:
     return all(map(str.__eq__, columns, bits))
 
 
-def build_subset_matrix(n: int) -> FiberCorrespondence:
-    """The subset correspondence for n >= 2 on comb(n+2, 2) points.
+def label_rule(kind: str, parameter: int) -> tuple:
+    """The family definition of a kind, the one place one is described:
+    (labels, points, pairs, shared, moves), its label count, its point
+    descriptors in point order, each point's pair of labels in that order,
+    the number of labels two related points' pairs share, and two label
+    moves that generate its symmetries.  A kind with no rule and a
+    parameter below 2 raise ValueError.
 
-    Bidegree n*(n-1)/2: the subsets sharing n-2 elements with I are exactly
-    those whose 2-element complement is disjoint from the complement of I.
-    Its symmetries are the label moves (1 2) and (1 ... n+2), induced on
-    n-subsets in closed form.  The relation is read off one colex index of
-    the 2-element complements, both symmetries off their positions in it,
-    and the correspondence keeps it as its pair_index, which induce reads.
+    Subset family (parameter n, labels 1..n+2): the n-subsets in colex
+    order, each the pair it leaves out.  Complementing reverses colex order,
+    so the pairs are the 2-subsets backwards: written largest label first,
+    in lex order of the labels counted down.  Related pairs share no label,
+    and the moves are (1 2) and (1 ... n+2).  Grid family (parameter m,
+    labels 1..2m): the cells (i, j) in row-major order, each the row label i
+    and the column label m + j.  Related pairs share one label, and the
+    moves are the transpose i <-> m + i and the row cycle (1 ... m),
+    transitive on the cells since the cycle moves a cell to every row and
+    the transpose to every column.
+
+    >>> label_rule("grid", 2)[2]
+    [(1, 3), (1, 4), (2, 3), (2, 4)]
     """
-    if n < 2:
-        raise ValueError(f"subset correspondence needs n >= 2, got {n}")
-    degree = n + 2
-    pts = tuple(all_subsets(degree, n))
-    # complementing reverses colex order: the complement of point j is the
-    # pair at 1-based position N - j of this index
-    pairs = subset_index(degree, n)
-    size = len(pairs)
-    # bit j of touching[x] is set when the complement of point j holds label
-    # x; the points related to I are those whose complement misses both
-    # labels of the complement of I
-    touching = [0] * (degree + 1)
-    for (a, b), pos in pairs.items():
-        bit = 1 << (size - pos)
-        touching[a] |= bit
-        touching[b] |= bit
-    full = (1 << size) - 1
-    rows = tuple(full ^ (touching[a] | touching[b]) for a, b in reversed(pairs))
-    corr = FiberCorrespondence("subset", n, rows, pts, _subset_symmetries(degree))
-    corr.__dict__["pair_index"] = pairs
+    letter = {"subset": "n", "grid": "m"}.get(kind)
+    if letter is None:
+        raise ValueError(f"no label rule for a correspondence of kind {kind!r}")
+    if parameter < 2:
+        raise ValueError(f"{kind} correspondence needs {letter} >= 2, got {parameter}")
+    if kind == "subset":
+        labels = parameter + 2
+        points = tuple(all_subsets(labels, parameter))
+        pairs = list(combinations(range(labels, 0, -1), 2))
+        moves = (2, 1, *range(3, labels + 1)), (*range(2, labels + 1), 1)
+        return labels, points, pairs, 0, tuple(map(Permutation, moves))
+    rows, cols = range(1, parameter + 1), range(parameter + 1, 2 * parameter + 1)
+    points, pairs = tuple(grid_points(parameter)), list(product(rows, cols))
+    moves = (*cols, *rows), (*rows[1:], 1, *cols)
+    return 2 * parameter, points, pairs, 1, tuple(map(Permutation, moves))
+
+
+def _pair_lookup(labels: int, pairs: list) -> tuple:
+    """What induce reads: the label count, the pairs, the 1-based position
+    of each point by its pair, listed in both orientations so that an image
+    pair is looked up as it falls, and two itemgetters that read the first
+    and the second label of every pair off a move's images (label_rule's
+    parameter floor leaves at least four points, so each returns a tuple)."""
+    firsts, seconds = zip(*pairs)
+    index = dict(zip(pairs, count(1)))
+    index.update(zip(zip(seconds, firsts), count(1)))
+    return labels, pairs, index, itemgetter(*firsts), itemgetter(*seconds)
+
+
+def _induced(kind: str, lookup: tuple, move: Permutation) -> Permutation:
+    """FiberCorrespondence.induce through a _pair_lookup: the points' image
+    pairs in one C-level gather, each looked up in the index."""
+    labels, pairs, index, firsts, seconds = lookup
+    if move.degree != labels:
+        raise ValueError(f"{kind} label move has degree {move.degree}, not {labels}")
+    images = (0, *move.images)  # images[x] is move(x)
+    found = tuple(map(index.get, zip(firsts(images), seconds(images))))
+    if None in found:
+        k = found.index(None)
+        a, b = pairs[k]
+        raise ValueError(
+            f"{kind} label move takes the labels ({a}, {b}) of point {k + 1} to"
+            f" ({move(a)}, {move(b)}), the labels of no point"
+        )
+    return Permutation(found)
+
+
+def _build(kind: str, parameter: int) -> FiberCorrespondence:
+    """The correspondence of a kind, all of it read off label_rule.  Bit k of
+    holding[x] is set when the pair of point k holds the label x, so the
+    points whose pairs share no label with {a, b} are the complement of
+    holding[a] | holding[b], and those sharing exactly one are
+    holding[a] ^ holding[b] (a point's own pair holds both)."""
+    labels, points, pairs, shared, moves = label_rule(kind, parameter)
+    holding = [0] * (labels + 1)
+    for bit, (a, b) in zip(map((1).__lshift__, range(len(pairs))), pairs):
+        holding[a] |= bit
+        holding[b] |= bit
+    if shared == 0:
+        full = (1 << len(pairs)) - 1
+        rows = tuple(full ^ (holding[a] | holding[b]) for a, b in pairs)
+    else:
+        rows = tuple(holding[a] ^ holding[b] for a, b in pairs)
+    lookup = _pair_lookup(labels, pairs)
+    symmetries = tuple(_induced(kind, lookup, g) for g in moves)
+    corr = FiberCorrespondence(kind, parameter, rows, points, symmetries)
+    corr.__dict__.update(pair_lookup=lookup)
     return corr
 
 
-def _subset_symmetries(degree: int) -> tuple[Permutation, Permutation]:
-    """The label moves (1 2) and (1 ... degree) induced on the points of the
-    subset correspondence, in closed form over colex positions.
-
-    The pair (a, b) sits at position C(b - 1, 2) + a: (1 2) swaps (1, b)
-    and (2, b) for each b >= 3, and the cycle moves (a, b) b positions on,
-    to (a + 1, b + 1), when b < degree, and (a, degree) to (1, a + 1) at
-    C(a, 2) + 1.  Complementing commutes with label moves and takes the
-    point at position r to the pair at N + 1 - r, so a move that takes the
-    pair at position s to Q(s) takes point r to N + 1 - Q(N + 1 - r).
-    """
-    size = math.comb(degree, 2)
-    swap = list(range(1, size + 1))
-    for b in range(3, degree + 1):
-        t = math.comb(b - 1, 2)
-        swap[t : t + 2] = t + 2, t + 1
-    # the pairs (1, b) .. (b - 1, b) sit at C(b - 1, 2) + 1 .. C(b, 2)
-    shifted = (
-        range(math.comb(b - 1, 2) + 1 + b, math.comb(b, 2) + 1 + b) for b in range(2, degree)
-    )
-    cycle = [*chain.from_iterable(shifted), *(math.comb(a, 2) + 1 for a in range(1, degree))]
-    back = (size + 1).__sub__
-    return tuple(Permutation(tuple(map(back, reversed(q)))) for q in (swap, cycle))
+def build_subset_matrix(n: int) -> FiberCorrespondence:
+    """The subset correspondence for n >= 2 on comb(n+2, 2) points, bidegree
+    n*(n-1)/2: the subsets sharing n-2 elements with I are exactly those
+    whose 2-element complement is disjoint from the complement of I."""
+    return _build("subset", n)
 
 
 def grid_points(m: int) -> list[tuple[int, int]]:
     """Grid cells (row, col), 1-based, in row-major order."""
-    return [(i, j) for i in range(1, m + 1) for j in range(1, m + 1)]
+    return list(product(range(1, m + 1), repeat=2))
 
 
 def build_grid_matrix(m: int) -> FiberCorrespondence:
     """The grid correspondence for m >= 2: same row or same column, bidegree 2(m-1)."""
-    if m < 2:
-        raise ValueError(f"grid correspondence needs m >= 2, got {m}")
-    pts = tuple(grid_points(m))
-    line = (1 << m) - 1  # the cells of the first row
-    column = sum(1 << (m * i) for i in range(m))  # the cells of the first column
-    # a cell's own bit is set in both its row and its column; XOR clears it
-    rows = tuple((line << (m * (i - 1))) ^ (column << (j - 1)) for i, j in pts)
-    # the symmetries: the transpose and the row long cycle, the label moves
-    # i <-> m + i and (1 ... m) in closed form, transitive on the cells
-    # since the cycle moves a cell to every row and the transpose to every
-    # column.  Over the row-major positions (i - 1)m + j, the
-    # transpose takes row i to column i, positions i, i + m, ..., and the
-    # cycle moves every row one row down, the last to the first
-    cells = m * m
-    transpose = chain.from_iterable(range(i, cells + 1, m) for i in range(1, m + 1))
-    cycle = chain(range(m + 1, cells + 1), range(1, m + 1))
-    symmetries = (Permutation(tuple(transpose)), Permutation(tuple(cycle)))
-    return FiberCorrespondence("grid", m, rows, pts, symmetries)
+    return _build("grid", m)
 
 
 def mat_mul(rows: tuple[int, ...], cols: tuple[int, ...]) -> Matrix:

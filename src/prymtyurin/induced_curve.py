@@ -21,11 +21,13 @@ A special fiber is built only from the generators it carries and the
 points they move: permutations of the generic fiber's point positions in
 the correspondence's point order.  Each builder takes the correspondence,
 writes label moves, permutations of the sheet labels, and induces them by
-FiberCorrespondence.induce on its points: the Young subgroup of a
-profile's blocks (blocks_from_parts; merged model) or its local monodromy
-(orbit model) on the n + 2 sheets, and the grid's local monodromies as
-moves of its 2m row and column labels.  The irreducibility check induces
-its label moves the same way, so no fiber builds points or an index.
+FiberCorrespondence.induce, which takes each point to the point holding
+the image of its label pair: the Young subgroup of a profile's blocks
+(blocks_from_parts; merged model) or its local monodromy (orbit model) on
+the n + 2 sheets, and the grid's local monodromies as moves of its 2m row
+and column labels.  The irreducibility check induces its label moves the
+same way, so no fiber builds points or an index: the correspondence's
+label pairs, built once with its relation, serve every move.
 The SpecialFiber constructor walks their orbits (perms.orbits) once and
 writes them as the classes, so the classes are the orbits by construction;
 fixed_points.class_action proves from the generators that the

@@ -11,8 +11,10 @@ Conventions used across the package:
   the correspondence's point order
 - the induced action on k-subsets reads one colex index (``subset_index``),
   the 1-based position of each subset on the smaller side, which the caller
-  builds once and passes with each permutation it induces, as the subset
-  correspondence does with the index it was built from
+  builds once and passes with each permutation it induces; the package
+  itself induces label moves through each correspondence's label pairs
+  (``FiberCorrespondence.induce``), and these two are the general action
+  the tests hold it to
 - the cycles of a permutation p are the orbits of the group it generates, so
   ``orbits`` is the one orbit walk
 - the package's immutable records are namedtuples with their own checks in
@@ -137,7 +139,9 @@ def all_subsets(universe: int, k: int) -> list[tuple[int, ...]]:
 def subset_index(degree: int, k: int) -> dict[tuple[int, ...], int]:
     """The colex index that induced_subset_action reads for k-subsets of
     {1..degree}: the 1-based position of each min(k, degree - k)-subset in
-    colex order, its keys listed in that order.
+    colex order, its keys listed in that order.  Nothing in the package
+    calls it: with induced_subset_action it is the tests' reference for
+    FiberCorrespondence.induce (ROADMAP item 2).
 
     >>> subset_index(4, 3)
     {(1,): 1, (2,): 2, (3,): 3, (4,): 4}
@@ -157,6 +161,9 @@ def induced_subset_action(p: Permutation, k: int, index: dict) -> Permutation:
     degree - k the points are the complements, the smaller subsets backwards.
     ``index`` is ``subset_index(p.degree, k)``, built by the caller; each
     subset's image is one C-level gather of labels, sorted and looked up.
+    Nothing in the package calls it: it is the general k-subset action the
+    tests hold FiberCorrespondence.induce to and a target the bench tracer
+    wraps by name (ROADMAP item 2).
 
     >>> p = Permutation.from_cycles(4, ((1, 2),))
     >>> induced_subset_action(p, 2, subset_index(4, 2)).images

@@ -497,8 +497,9 @@ def canonical_json(data) -> str:
         pad = "  " * depth
         line = "\n  " + pad
         comma = "," + line
-        if not is_dict and all(type(v) is int for v in obj):
-            # an int list holds no container, so it needs no cycle check
+        if not is_dict and type(obj[0]) is int and {*map(type, obj)} == {int}:
+            # an int list holds no container, so it needs no cycle check; its
+            # types are read as one set at C level
             return append("[" + line + comma.join(map(int.__repr__, obj)) + "\n" + pad + "]")
         oid = id(obj)
         if oid in open_ids:

@@ -1,14 +1,17 @@
+import copy
 import itertools
+import pickle
+import re
 import tracemalloc
 from fractions import Fraction
 from math import comb
-from operator import getitem, itemgetter
+from operator import getitem, itemgetter, ne
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from prymtyurin import correspondence, perms
+from prymtyurin import correspondence
 from prymtyurin.correspondence import (
     FiberCorrespondence,
     build_grid_matrix,
@@ -61,12 +64,35 @@ def test_subset_matrix_n3_examples():
     assert neighbors == want
 
 
-@pytest.mark.parametrize("n", range(2, 13))
+@pytest.mark.parametrize("n", [*range(2, 13), 20, 40])
 def test_subset_matrix_relates_subsets_sharing_n_minus_2(n):
     corr = build_subset_matrix(n)
-    sets = [frozenset(p) for p in corr.points]
+    # each subset as the bitmask of its elements, each row at C level, so
+    # n = 40 (861 points) stays quick
+    sets = [sum(1 << x for x in p) for p in corr.points]
+    lifts = [1 << j for j in range(len(sets))]
+
+    def row(s):
+        shared = map(int.bit_count, map(s.__and__, sets))
+        return sum(itertools.compress(lifts, map((n - 2).__eq__, shared)))
+
+    assert corr.rows == tuple(map(row, sets))
+
+
+@pytest.mark.parametrize("m", range(2, 31))
+def test_grid_matrix_relates_cells_sharing_exactly_a_row_or_a_column(m):
+    # the cell-level oracle: (i, j) and (k, l) are related when they share
+    # the row or the column but not both.  At m = 4 the rook's graph shares
+    # its strongly regular parameters with the Shrikhande graph, so the
+    # identity alone cannot tell them apart
+    corr = build_grid_matrix(m)
+    cells = tuple(itertools.product(range(1, m + 1), repeat=2))
+    rows_of, columns_of = zip(*cells)
+    lifts = [1 << q for q in range(m * m)]
+    assert corr.points == cells
     assert corr.rows == tuple(
-        sum(1 << j for j, t in enumerate(sets) if len(s & t) == n - 2) for s in sets
+        sum(itertools.compress(lifts, map(ne, map(i.__eq__, rows_of), map(j.__eq__, columns_of))))
+        for i, j in cells
     )
 
 
@@ -337,27 +363,52 @@ def test_induce_refuses_a_move_it_cannot_induce():
         build_subset_matrix(4).induce(Permutation((2, 1, 3, 4, 5)))
     with pytest.raises(ValueError, match="^grid label move has degree 3, not 6$"):
         build_grid_matrix(3).induce(Permutation((2, 1, 3)))
-    # a grid move must keep the row labels together: row 1 to a column,
-    # row 2 to a row
-    with pytest.raises(ValueError, match="^grid label move mixes the row and the column labels$"):
+    # a grid move must keep the row labels together: row 1 goes to a
+    # column and row 2 stays a row, so cell (1, 2), the labels 1 and 4,
+    # goes to the two column labels 3 and 4
+    want = "grid label move takes the labels (1, 4) of point 2 to (3, 4), the labels of no point"
+    with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
         build_grid_matrix(2).induce(Permutation((3, 2, 1, 4)))
-    # no label rule for any other kind
+    # of the 24 moves of the four labels of the 2 x 2 grid, the 8 of
+    # S_2 wr S_2 keep the rows together and induce; the other 16 are refused
+    corr = build_grid_matrix(2)
+    induced, refused = [], []
+    for images in itertools.permutations(range(1, 5)):
+        try:
+            induced.append(corr.induce(Permutation(images)))
+        except ValueError as exc:
+            assert "the labels of no point" in str(exc)
+            refused.append(images)
+        else:
+            assert {*images[:2]} in ({1, 2}, {3, 4})
+    assert len(induced) == 8 and len(set(induced)) == 8 and len(refused) == 16
+    # no label rule for any other kind, and none below the family's floor
     other = rebuilt(build_grid_matrix(2), kind="other")
     with pytest.raises(ValueError, match="^no label rule for a correspondence of kind 'other'$"):
         other.induce(Permutation((1, 2, 3, 4)))
+    for build, letter in ((build_subset_matrix, "n"), (build_grid_matrix, "m")):
+        with pytest.raises(ValueError, match=f"needs {letter} >= 2, got 1$"):
+            build(1)
 
 
-def test_induce_reads_the_index_the_subset_matrix_was_built_from(monkeypatch):
-    corr = build_subset_matrix(5)
-    move = Permutation.from_cycles(7, ((1, 2, 3),))
-    want = induced_subset_action(move, 5, subset_index(7, 5))
-    # made through the constructor, a correspondence builds the same index
-    # on first use; the matrix's own was stored when it was built
-    bare = rebuilt(corr)
-    assert bare.pair_index == corr.pair_index and bare.induce(move) == want
-    monkeypatch.setattr(perms, "subset_index", None)
-    monkeypatch.setattr(correspondence, "subset_index", None)
-    assert corr.induce(move) == want
+def test_a_correspondence_made_any_way_induces_as_the_built_one():
+    # the label rule comes from (kind, parameter) alone, so a correspondence
+    # made through the constructor, copy or pickle induces every label move
+    # as the built one does, refusals included
+    for corr in (*map(build_subset_matrix, (2, 3)), *map(build_grid_matrix, (2, 3))):
+        labels = corr.parameter + 2 if corr.kind == "subset" else 2 * corr.parameter
+
+        def outcomes(c):
+            for images in itertools.permutations(range(1, labels + 1)):
+                try:
+                    yield c.induce(Permutation(images))
+                except ValueError as exc:
+                    yield str(exc)
+
+        want = list(outcomes(corr))
+        assert any(type(w) is Permutation for w in want)
+        for other in (rebuilt(corr), copy.copy(corr), pickle.loads(pickle.dumps(corr))):
+            assert other == corr and list(outcomes(other)) == want
 
 
 def two_switch(rows):

@@ -512,8 +512,9 @@ def test_repeated_fibers_share_one_entry():
 
 def test_a_report_builds_its_points_and_their_index_once(monkeypatch):
     # every fiber and the irreducibility check induce their label moves
-    # through the report's correspondence, so the n-subsets, their colex
-    # pair index and the grid cells are each built once, by the matrix
+    # through the report's correspondence, so the n-subsets and the grid
+    # cells are each built once, by the matrix's label rule, and no colex
+    # index of the perms module is built
     built = Counter()
     for module, name in ((perms, "all_subsets"), (perms, "subset_index"),
                          (correspondence, "grid_points")):
@@ -527,8 +528,7 @@ def test_a_report_builds_its_points_and_their_index_once(monkeypatch):
             if getattr(bound, name, None) is original:
                 monkeypatch.setattr(bound, name, count)
     assemble(subset_scenario(4, 2, model="both"))
-    # subset_index lists the pairs of the 6 labels: all_subsets(6, 2)
-    assert built == {("all_subsets", 6, 4): 1, ("subset_index", 6, 4): 1, ("all_subsets", 6, 2): 1}
+    assert built == {("all_subsets", 6, 4): 1}
     built.clear()
     assemble(grid_scenario(5))
     assert built == {("grid_points", 3): 1}

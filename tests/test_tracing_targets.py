@@ -73,7 +73,7 @@ def test_traced_run_counts_layers_and_prints_the_same(argv):
 @pytest.mark.parametrize(
     "argv, fibers, classes, generators, induced, actions",
     [
-        (["builtin", "pn-case", "--n", "3", "--gx", "1"], 3, 18, 5, 9, 3),
+        (["builtin", "pn-case", "--n", "3", "--gx", "1"], 3, 18, 5, 0, 3),
         (["builtin", "hyperelliptic", "--g", "5"], 4, 24, 0, 0, 4),
     ],
 )
@@ -83,8 +83,10 @@ def test_traced_counters_read_the_fiber_and_irreducibility_signatures(
     # the counters read the fibers' results, the generators passed first to
     # irreducibility_check and every induced_subset_action call: the subset
     # run builds its fibers (2,2,1) and (2,1,1,1) under the merged model and
-    # (2,2,1) under the orbit model, and checks 5 distinct label moves; the
-    # grid run builds its 4 fibers once and induces no subset action
+    # (2,2,1) under the orbit model, and checks 5 distinct label moves.  No
+    # run calls induced_subset_action: every label move is induced through
+    # the correspondence's own pair index, whose time counts in the self
+    # time of the induced_curve spans.  The grid run builds its 4 fibers once
     tracing = load_tracing()
     with tracing.Tracer() as tracer:
         _run_cli(argv)
