@@ -54,7 +54,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from itertools import combinations, count, product, repeat
-from operator import getitem, itemgetter
+from operator import getitem, itemgetter, or_, xor
 
 from .perms import Permutation, Record, all_subsets, orbits
 
@@ -237,12 +237,12 @@ def _build(kind: str, parameter: int) -> FiberCorrespondence:
     for bit, (a, b) in zip(map((1).__lshift__, range(len(pairs))), pairs):
         holding[a] |= bit
         holding[b] |= bit
-    if shared == 0:
-        full = (1 << len(pairs)) - 1
-        rows = tuple(full ^ (holding[a] | holding[b]) for a, b in pairs)
-    else:
-        rows = tuple(holding[a] ^ holding[b] for a, b in pairs)
     lookup = _pair_lookup(labels, pairs)
+    at_a, at_b = lookup[3](holding), lookup[4](holding)  # holding[a], holding[b] per point
+    if shared == 0:
+        rows = tuple(map(((1 << len(pairs)) - 1).__xor__, map(or_, at_a, at_b)))
+    else:
+        rows = tuple(map(xor, at_a, at_b))
     symmetries = tuple(_induced(kind, lookup, g) for g in moves)
     corr = FiberCorrespondence(kind, parameter, rows, points, symmetries)
     corr.__dict__.update(pair_lookup=lookup)

@@ -10,8 +10,8 @@ merged_fiber_over reaches the merged fiber over any identification blocks,
 which the package builds only for a profile's canonical blocks, by
 relabeling.  partitions lists the profiles of a degree.  point_permutation
 is a map on points as the permutation of their positions, looked up by
-descriptor; the package writes its grid symmetries in closed form over
-row-major positions instead.  grid_row_cell_monodromy and
+descriptor; the package induces its grid symmetries as label moves through
+the cells' label pairs instead.  grid_row_cell_monodromy and
 grid_pairing_cell_monodromy are the grid's two local monodromies as the
 row-major cell formulas the package used before it wrote them as label
 moves induced on the cells (FiberCorrespondence.induce).
