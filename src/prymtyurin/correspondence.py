@@ -94,8 +94,10 @@ class FiberCorrespondence(
         sums = set(map(int.bit_count, rows))
         if len(sums) != 1:
             raise ValueError(f"row sums are not constant: {sorted(sums)}")
-        written = map(format, rows, repeat(f"0{n}b"))
-        bits = list(map(itemgetter(slice(None, None, -1)), written))
+        # each row's binary digits read backwards, bit j at index j, padded
+        # with zeros to N
+        backwards = map(itemgetter(slice(None, 1, -1)), map(bin, rows))
+        bits = list(map(str.ljust, backwards, repeat(n), repeat("0")))
         if "1" in "".join(map(getitem, bits, range(n))) or not _columns_are_rows(bits, range(n)):
             for i, row in enumerate(bits):
                 if row[i] == "1":
