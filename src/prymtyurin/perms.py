@@ -141,7 +141,8 @@ def subset_index(degree: int, k: int) -> dict[tuple[int, ...], int]:
     {1..degree}: the 1-based position of each min(k, degree - k)-subset in
     colex order, its keys listed in that order.  Nothing in the package
     calls it: with induced_subset_action it is the tests' reference for
-    FiberCorrespondence.induce (ROADMAP item 2).
+    FiberCorrespondence.induce, kept here while the bench tracer patches
+    that function by name (until ROADMAP item 2 replaces the tracer).
 
     >>> subset_index(4, 3)
     {(1,): 1, (2,): 2, (3,): 3, (4,): 4}
@@ -162,8 +163,8 @@ def induced_subset_action(p: Permutation, k: int, index: dict) -> Permutation:
     ``index`` is ``subset_index(p.degree, k)``, built by the caller; each
     subset's image is one C-level gather of labels, sorted and looked up.
     Nothing in the package calls it: it is the general k-subset action the
-    tests hold FiberCorrespondence.induce to and a target the bench tracer
-    wraps by name (ROADMAP item 2).
+    tests hold FiberCorrespondence.induce to, and the bench tracer patches
+    it by name until ROADMAP item 2 replaces the tracer.
 
     >>> p = Permutation.from_cycles(4, ((1, 2),))
     >>> induced_subset_action(p, 2, subset_index(4, 2)).images

@@ -89,11 +89,13 @@ def test_grid_matrix_relates_cells_sharing_exactly_a_row_or_a_column(m):
     cells = tuple(itertools.product(range(1, m + 1), repeat=2))
     rows_of, columns_of = zip(*cells)
     lifts = [1 << q for q in range(m * m)]
+
+    def row(i, j):
+        related = map(ne, map(i.__eq__, rows_of), map(j.__eq__, columns_of))
+        return sum(itertools.compress(lifts, related))
+
     assert corr.points == cells
-    assert corr.rows == tuple(
-        sum(itertools.compress(lifts, map(ne, map(i.__eq__, rows_of), map(j.__eq__, columns_of))))
-        for i, j in cells
-    )
+    assert corr.rows == tuple(itertools.starmap(row, cells))
 
 
 def test_grid_matrix_small():
