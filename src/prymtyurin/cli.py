@@ -138,17 +138,17 @@ def cmd_verify_identity(args) -> int:
         raise InvalidScenario(f"--kind {args.kind} requires --{key}")
     if getattr(args, stray) is not None:
         raise InvalidScenario(f"--{stray} only applies to --kind {GRID if subset else SUBSET}")
-    if size > limit:
-        raise InvalidScenario(f"--{key} must be at most {limit}, got {size}")
+    if not 2 <= size <= limit:
+        bound = "at least 2" if size < 2 else f"at most {limit}"
+        raise InvalidScenario(f"--{key} must be {bound}, got {size}")
     corr = build_subset_matrix(size) if subset else build_grid_matrix(size)
 
     summary = {"kind": args.kind, key: size}
     summary.update(correspondence_to_dict(corr.size, corr.bidegree, *identity_and_exponent(corr)))
     if args.dump_matrix:
-        # bit j of a row is character j of its reversed binary text, as byte 0 or 1
-        width, digits = f"0{corr.size}b", bytes.maketrans(b"01", b"\0\1")
-        texts = (format(row, width)[::-1].encode() for row in corr.rows)
-        summary["matrix"] = [list(text.translate(digits)) for text in texts]
+        # D[i][j] is character j of corr.bits[i], written as byte 0 or 1
+        digits = bytes.maketrans(b"01", b"\0\1")
+        summary["matrix"] = [list(row.encode().translate(digits)) for row in corr.bits]
     if args.format == "json":
         print(canonical_json(summary))
     else:

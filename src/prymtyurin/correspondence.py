@@ -75,11 +75,13 @@ class FiberCorrespondence(
     each symmetry compare the rows' bit strings with strided column slices
     of one row-major text (_columns_are_rows).  The rows as bit strings are
     kept as the attribute bits, outside the fields and equality: bits[i][j]
-    is D[i][j].  So is pair_lookup, the points' label pairs and their index
-    that induce reads, which depend on (kind, parameter) alone (label_rule):
-    a builder keeps the one it built the relation and the symmetries from,
-    copy and pickle carry it, and a correspondence made through the
-    constructor derives the same one on first use.
+    is D[i][j], and bits is D's only text, which verify_identity and the
+    CLI's matrix dump read.  So is pair_lookup, the points' label pairs and
+    their index that induce reads, which depend on (kind, parameter) alone
+    (label_rule): a builder keeps the one it built the relation and the
+    symmetries from, copy and pickle carry it, and a correspondence made
+    through the constructor derives the same one on first use, once its
+    points are checked to be the rule's points in the rule's order.
     """
 
     def __new__(cls, kind: str, parameter: int, rows: tuple[int, ...], points: tuple,
@@ -116,15 +118,18 @@ class FiberCorrespondence(
         induces, the one rule by which a label permutation acts on points:
         each point goes to the point whose label pair is the image of its
         own (label_rule).  A move whose degree is not the kind's label
-        count, one that takes some point's pair to no point's pair and a
-        correspondence of a kind with no label rule raise ValueError.
+        count, one that takes some point's pair to no point's pair, a
+        correspondence of a kind with no label rule and one whose points are
+        not its rule's points, in the rule's order, raise ValueError.
 
         >>> build_grid_matrix(2).induce(Permutation((3, 4, 1, 2))).images
         (1, 3, 2, 4)
         """
         lookup = self.__dict__.get("pair_lookup")
         if lookup is None:
-            labels, _, pairs, _, _ = label_rule(self.kind, self.parameter)
+            labels, points, pairs, _, _ = label_rule(self.kind, self.parameter)
+            if self.points != points:
+                raise ValueError(f"the {self.kind} correspondence is not on its label rule's points")
             lookup = self.__dict__["pair_lookup"] = _pair_lookup(labels, pairs)
         return _induced(self.kind, lookup, move)
 
@@ -291,11 +296,9 @@ def verify_identity(corr: FiberCorrespondence, a, b, c):
     (1, (True, None))
     """
     minima = [orbit[0] - 1 for orbit in orbits(corr.symmetries, corr.size)]
-    picked = [corr.rows[i] for i in minima]
-    width = f"0{corr.size}b"
     entry = {"0": c, "1": b + c}.__getitem__  # off the diagonal, by the bit of D
-    for i, row, sq in zip(minima, picked, mat_mul(picked, corr.rows)):
-        want = list(map(entry, format(row, width)[::-1]))
+    for i, sq in zip(minima, mat_mul([corr.rows[i] for i in minima], corr.rows)):
+        want = list(map(entry, corr.bits[i]))
         want[i] += a
         if list(sq) != want:
             j = next(j for j, (got, w) in enumerate(zip(sq, want)) if got != w)

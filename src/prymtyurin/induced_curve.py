@@ -25,9 +25,11 @@ FiberCorrespondence.induce, which takes each point to the point holding
 the image of its label pair: the Young subgroup of a profile's blocks
 (blocks_from_parts; merged model) or its local monodromy (orbit model) on
 the n + 2 sheets, and the grid's local monodromies as moves of its 2m row
-and column labels.  The irreducibility check induces its label moves the
-same way, so no fiber builds points or an index: the correspondence's
-label pairs, built once with its relation, serve every move.
+and column labels (a row merge is partition_monodromy of its row profile
+padded with m parts of 1, the fixed column labels).  The irreducibility
+check induces its label moves the same way, so no fiber builds points or
+an index: the correspondence's label pairs, built once with its relation,
+serve every move.
 The SpecialFiber constructor walks their orbits (perms.orbits) once and
 writes them as the classes, so the classes are the orbits by construction;
 fixed_points.class_action proves from the generators that the
@@ -147,14 +149,6 @@ def subset_fiber(corr: FiberCorrespondence, parts, model: str) -> SpecialFiber:
 # --- grid fibers ------------------------------------------------------------
 
 
-def grid_row_monodromy(m: int, row_parts) -> Permutation:
-    """Local monodromy of a row-merge fiber as a label move of the 2m grid
-    labels: the row labels 1..m move by partition_monodromy of their
-    profile, the column labels m + 1..2m stay put."""
-    rows = partition_monodromy(row_parts, m).images
-    return Permutation(rows + tuple(range(m + 1, 2 * m + 1)))
-
-
 def grid_pairing_monodromy(m: int, shift: int) -> Permutation:
     """Local monodromy of a pairing fiber as a label move of the 2m grid
     labels: the two sides of the grid coincide through the matching
@@ -167,9 +161,14 @@ def grid_pairing_monodromy(m: int, shift: int) -> Permutation:
 
 def grid_row_merge_fiber(corr: FiberCorrespondence, row_parts) -> SpecialFiber:
     """Grid special fiber of corr where rows are glued by a profile of its m
-    rows (columns stay distinct): the orbits of grid_row_monodromy, so cell
-    (i, j) is identified with (i', j) when i, i' share a block of the profile."""
-    return SpecialFiber((corr.induce(grid_row_monodromy(corr.parameter, row_parts)),), corr.points)
+    rows (columns stay distinct), so cell (i, j) is identified with (i', j)
+    when i, i' share a block of the profile.  Its local monodromy is a label
+    move of the 2m grid labels, partition_monodromy of the row profile
+    padded with m parts of 1: blocks_from_parts lays the parts out largest
+    first, so the row profile's blocks fall on the row labels 1..m and the
+    column labels m + 1..2m stay put."""
+    move = partition_monodromy((*row_parts, *(1,) * corr.parameter), 2 * corr.parameter)
+    return SpecialFiber((corr.induce(move),), corr.points)
 
 
 def grid_pairing_fiber(corr: FiberCorrespondence, shift: int) -> SpecialFiber:

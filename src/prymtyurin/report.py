@@ -230,8 +230,8 @@ def _model(
     if simple is not None:
         w_induced += scenario.covering.simple_extra * ws[simple]
         # the fixed-point count only scans declared special fibers, so check
-        # on a representative that a simple branch point has no fixed class
-        simple_free = not fixed_point_scan(actions, (simple,))
+        # that the simple fiber's diagonal holds no fixed class
+        simple_free = not any(actions[simple][0])
 
     genus = error = None
     try:

@@ -361,10 +361,13 @@ def test_verify_identity_table_is_a_view_of_the_json(kind, flag, size, capsys):
 MIXUP_MESSAGES = {
     ("verify-identity", "--kind", "subset", "--m", "3"): "requires --n",  # stray --m
     ("verify-identity", "--kind", "grid", "--n", "2"): "requires --m",  # stray --n
-    ("verify-identity", "--kind", "subset", "--n", "1"): "n >= 2",  # size too small
-    ("verify-identity", "--kind", "grid", "--m", "1"): "m >= 2",  # side too small
+    ("verify-identity", "--kind", "subset", "--n", "1"): "--n must be at least 2, got 1",  # size too small
+    ("verify-identity", "--kind", "grid", "--m", "1"): "--m must be at least 2, got 1",  # side too small
     # a stray --n next to the grid's --m
     ("verify-identity", "--kind", "grid", "--m", "3", "--n", "2"): "--n only applies to --kind subset",
+    # the floor is named with its flag, as the ceiling is, and is checked
+    # before a builder is reached
+    ("verify-identity", "--kind", "subset", "--n", "-5"): "invalid scenario: --n must be at least 2, got -5",
 }
 
 

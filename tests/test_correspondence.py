@@ -24,6 +24,7 @@ from prymtyurin.correspondence import (
     strongly_regular_identity,
     verify_identity,
 )
+from prymtyurin.induced_curve import MERGED, subset_fiber
 from prymtyurin.perms import (
     Permutation,
     all_subsets,
@@ -411,6 +412,26 @@ def test_a_correspondence_made_any_way_induces_as_the_built_one():
         assert any(type(w) is Permutation for w in want)
         for other in (rebuilt(corr), copy.copy(corr), pickle.loads(pickle.dumps(corr))):
             assert other == corr and list(outcomes(other)) == want
+
+
+def test_a_correspondence_off_its_rule_points_is_refused_by_induce():
+    # the subset correspondence with n = 3 on its points reversed and its
+    # rows relabeled to match: a valid relation, but the pair lookup of its
+    # (kind, parameter) reads the rule's point order, so inducing on it
+    # would move other points than the ones its move moves
+    corr = build_subset_matrix(3)
+    last = corr.size - 1
+    rows = tuple(
+        sum(1 << (last - j) for j in range(corr.size) if corr.rows[last - i] >> j & 1)
+        for i in range(corr.size)
+    )
+    twin = rebuilt(corr, rows=rows, points=corr.points[::-1], symmetries=())
+    message = "^the subset correspondence is not on its label rule's points$"
+    with pytest.raises(ValueError, match=message):
+        twin.induce(Permutation((2, 1, 3, 4, 5)))
+    # so no special fiber is built on it
+    with pytest.raises(ValueError, match=message):
+        subset_fiber(twin, (2, 2, 1), MERGED)
 
 
 def two_switch(rows):

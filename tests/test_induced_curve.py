@@ -12,7 +12,6 @@ from prymtyurin.induced_curve import (
     grid_pairing_fiber,
     grid_pairing_monodromy,
     grid_row_merge_fiber,
-    grid_row_monodromy,
     irreducibility_check,
     partition_monodromy,
     subset_fiber,
@@ -39,6 +38,12 @@ THREE_PARTS = (2, 2, 1)
 THREE_PAIRS = (2, 2, 2)
 SUBSET = {n: build_subset_matrix(n) for n in range(2, 6)}
 GRID = build_grid_matrix(3)
+
+
+def row_merge_move(m, parts):
+    """A row-merge fiber's local monodromy as a label move of the 2m grid
+    labels: the row profile padded with m fixed column labels."""
+    return partition_monodromy((*parts, *(1,) * m), 2 * m)
 
 
 def class_sizes(fiber):
@@ -204,8 +209,9 @@ def test_grid_monodromies_match_fiber_classes():
         assert fiber.generators == (GRID.induce(move),)
         assert orbit_classes(GRID.induce(move)) == sorted(fiber.classes)
 
-    row_move = grid_row_monodromy(3, (2, 1))
+    row_move = row_merge_move(3, (2, 1))
     fiber = grid_row_merge_fiber(GRID, (2, 1))
+    assert fiber.generators == (GRID.induce(row_move),)
     assert orbit_classes(GRID.induce(row_move)) == sorted(fiber.classes)
 
 
@@ -224,7 +230,7 @@ def test_point_permutation():
 
 def test_grid_monodromies_are_label_moves():
     # degree 2m: rows are the labels 1..m, columns m + 1..2m
-    assert grid_row_monodromy(3, (2, 1)).images == (2, 1, 3, 4, 5, 6)
+    assert row_merge_move(3, (2, 1)).images == (2, 1, 3, 4, 5, 6)
     assert grid_pairing_monodromy(3, 0).images == (4, 5, 6, 1, 2, 3)
     # row i goes to column i + 1 and column j to row j - 1
     assert grid_pairing_monodromy(3, 1).images == (5, 6, 4, 3, 1, 2)
@@ -232,7 +238,7 @@ def test_grid_monodromies_are_label_moves():
         for shift in range(-m, 2 * m + 1):
             assert grid_pairing_monodromy(m, shift).degree == 2 * m
         for parts in partitions(m):
-            assert grid_row_monodromy(m, parts).images[m:] == tuple(range(m + 1, 2 * m + 1))
+            assert row_merge_move(m, parts).images[m:] == tuple(range(m + 1, 2 * m + 1))
 
 
 def test_grid_monodromies_are_the_moves_on_cells():
@@ -249,7 +255,7 @@ def test_grid_monodromies_are_the_moves_on_cells():
         for parts in partitions(m):
             sigma = partition_monodromy(parts, m)
             want = point_permutation(cells, lambda cell: (sigma(cell[0]), cell[1]))
-            assert corr.induce(grid_row_monodromy(m, parts)) == want
+            assert corr.induce(row_merge_move(m, parts)) == want
 
 
 def test_induced_grid_monodromies_match_the_cell_formulas():
@@ -263,13 +269,13 @@ def test_induced_grid_monodromies_match_the_cell_formulas():
             assert corr.induce(move) == grid_pairing_cell_monodromy(m, shift)
         for parts in partitions(m) if m <= 8 else ():
             if max(parts) > 1:
-                move = grid_row_monodromy(m, parts)
+                move = row_merge_move(m, parts)
                 assert corr.induce(move) == grid_row_cell_monodromy(m, parts)
 
 
 def test_grid_generators_transitive():
     moves = [grid_pairing_monodromy(3, s) for s in (0, 1, 2)]
-    moves.append(grid_row_monodromy(3, (2, 1)))
+    moves.append(row_merge_move(3, (2, 1)))
     assert is_transitive(tuple(map(GRID.induce, moves)), 9)
     # so is the irreducibility check on the grid's cells
     assert irreducibility_check(tuple(moves), GRID)

@@ -68,6 +68,16 @@ def test_report_digest_script(tmp_path):
     assert re.fullmatch(r"[0-9a-f]{64}  14 runs", *lines[0])
 
 
+def test_report_digest_holds_the_relation_bytes():
+    # verify-identity with --dump-matrix at every size of the benchmark's
+    # identity workload, subset n = 2..12 and grid m = 2..8, in both
+    # formats: every byte of the relation text and the identity summary,
+    # every other run of the digest's set left out
+    lines = run_script("report_digest.py", "--max-n", "1", "--max-profile-n", "1",
+                       "--max-g", "1", "--large-g")
+    assert lines == ["dba749b8fa5cafcbb0c235b7ab236d1db29ebeccb48b29d80f434ff66ca1e26b  36 runs"]
+
+
 def test_report_digest_covers_its_scenario_set():
     spec = importlib.util.spec_from_file_location("report_digest", SCRIPTS / "report_digest.py")
     digest = importlib.util.module_from_spec(spec)
