@@ -128,7 +128,12 @@ def assemble(scenario: Scenario) -> dict:
     ident, q, note = identity_and_exponent(corr)
     layouts = fiber_layout(scenario, corr)
     irreducible, basis = _irreducibility(scenario, corr, layouts)
-    models = {m: _model(scenario, corr, layout, m, q, irreducible) for m, layout in layouts.items()}
+    # one fiber_to_dict body per distinct (fiber, blocks), shared by every
+    # model entry that carries it
+    bodies: dict[tuple, dict] = {}
+    models = {
+        m: _model(scenario, corr, layout, m, q, irreducible, bodies) for m, layout in layouts.items()
+    }
     data = {
         "scenario": scenario_to_dict(scenario),
         "correspondence": correspondence_to_dict(corr.size, corr.bidegree, ident, q, note),
@@ -210,9 +215,11 @@ def _model(
     model: str,
     q: int | None,
     irreducible: bool,
+    bodies: dict[tuple, dict],
 ) -> tuple[dict, str]:
     """Everything one fiber model says, from its fiber layout on (as
     fiber_layout gives it): the model's canonical dict and its verdict.
+    bodies holds the report's fiber entry bodies by (id(fiber), blocks).
 
     error is set when the model's own arithmetic is inconsistent (genus
     validation, negative dimension); the facts computed before the failure
@@ -246,12 +253,18 @@ def _model(
     nesting = nesting_search(actions, positions, delta, bidegree)
     # the fiber does not know its model; its model entry does, and a merged
     # subset entry writes its block multisets from its profile.  Each
-    # distinct fiber gets one dict, repeated in layout order, which
-    # canonical_json writes once
+    # distinct (fiber, blocks) gets one body per report, which every model's
+    # entry for it shares, and each distinct fiber one entry per model,
+    # repeated in layout order: canonical_json writes each of them once
     blocks = repeat(None)
     if model == MERGED and profiles is not None:
         blocks = (blocks_from_parts(p, scenario.parameter + 2) for p in profiles)
-    entries = [{"model": model, **fiber_to_dict(f, b)} for f, b in zip(distinct, blocks)]
+    entries = []
+    for f, b in zip(distinct, blocks):
+        key = id(f), b
+        if key not in bodies:
+            bodies[key] = fiber_to_dict(f, b)
+        entries.append({"model": model, **bodies[key]})
     special_fibers = list(map(entries.__getitem__, positions))
     nest = nesting_to_dict(nesting, special_fibers)
     # the nesting claim is decided as the report carries it, by its checker alone
@@ -449,6 +462,11 @@ def correspondence_to_dict(
     }
 
 
+# the writer of each scalar a report holds, by its exact type
+_LITERAL = {True: "true", False: "false", None: "null"}.__getitem__
+_SCALARS = {str: encode_basestring_ascii, int: int.__repr__, bool: _LITERAL, type(None): _LITERAL}
+
+
 def canonical_json(data) -> str:
     """The text json.dumps(data, indent=2, sort_keys=True) writes, byte for byte.
 
@@ -462,76 +480,111 @@ def canonical_json(data) -> str:
     accident.
 
     Like json.dumps, every piece goes to one list, joined once at the end.
-    Reports repeat one fiber dict many times (the grid layout has four
-    distinct fibers at every genus), and the pure-Python encoder that indent
-    selects would write every copy again.  Here a list or tuple that holds
-    the same element (by id) more than once writes each distinct element
-    once into its own text, then splices the texts and separators into the
-    list in one C-level extend, so a repeated element costs no Python step.
-    A list or tuple of plain ints (not bools) is written as one string.  A
-    container met again while it is still being written raises ValueError,
-    as json.dumps does on a cycle.
+    A report names one object in many places: a fiber entry at every layout
+    position, a body of classes in both models' entries, a class's member
+    list in its fixed point and in the certificate's chain.  The pure-Python
+    encoder that indent selects would write every copy again.  Here one memo
+    for the whole call maps each container's id to its written span: its
+    depth, the buffer it went to and its first and last piece.  A container
+    met again at the same depth costs one C-level slice-extend of those
+    pieces; at another depth, one join and one str.replace of its newlines,
+    which re-indents it, since encode_basestring_ascii escapes a newline
+    inside a string and every newline in a container's text is structural.
+    A span that is still open is a cycle, and raises ValueError as
+    json.dumps does.  A list or tuple that holds the same element (by id)
+    more than once writes each distinct element once into a buffer of its
+    own and splices the texts and separators in one C-level extend, so a
+    repeated element costs no Python step and no recorded span is ever cut.
+    Scalars are written inline, each key's prefix is encoded once per call,
+    a list or tuple of plain ints (not bools) is written as one string and
+    a list of non-empty lists of plain ints row by row, at C level.
     """
     out: list[str] = []
-    append = out.append
-    open_ids: set[int] = set()
+    # id -> [depth, buffer, start, end]; end is None while the span is open
+    spans: dict[int, list] = {}
+    prefixes: dict[str, str] = {}
+    scalar = _SCALARS.get
 
     # the recursion stays private: a recursive public call would be one more
     # serialize span per node to anything that wraps canonical_json
-    def write(obj, depth: int) -> None:
+    def write(obj, depth: int, buf: list) -> None:
+        encode = scalar(type(obj))
+        if encode is not None:
+            return buf.append(encode(obj))
         if isinstance(obj, str):
-            return append(encode_basestring_ascii(obj))
-        if obj is None:
-            return append("null")
-        if obj is True:
-            return append("true")
-        if obj is False:
-            return append("false")
+            return buf.append(encode_basestring_ascii(obj))
         if isinstance(obj, int):
-            return append(int.__repr__(obj))
+            return buf.append(int.__repr__(obj))
         is_dict = isinstance(obj, dict)
         if not is_dict and type(obj) not in (list, tuple):
             raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
         if not obj:
-            return append("{}" if is_dict else "[]")
+            return buf.append("{}" if is_dict else "[]")
         pad = "  " * depth
         line = "\n  " + pad
         comma = "," + line
         if not is_dict and type(obj[0]) is int and {*map(type, obj)} == {int}:
-            # an int list holds no container, so it needs no cycle check; its
+            # an int list holds no container, so it needs no memo; its
             # types are read as one set at C level
-            return append("[" + line + comma.join(map(int.__repr__, obj)) + "\n" + pad + "]")
-        oid = id(obj)
-        if oid in open_ids:
-            raise ValueError("Circular reference detected")
-        open_ids.add(oid)
+            return buf.append("[" + line + comma.join(map(int.__repr__, obj)) + "\n" + pad + "]")
+        span = spans.get(id(obj))
+        if span is not None:
+            written, source, start, end = span
+            if end is None:
+                raise ValueError("Circular reference detected")
+            if written == depth:
+                return buf.extend(source[start:end])
+            text = "".join(source[start:end])
+            if written < depth:
+                return buf.append(text.replace("\n", "\n" + "  " * (depth - written)))
+            return buf.append(text.replace("\n" + "  " * (written - depth), "\n"))
+        span = spans[id(obj)] = [depth, buf, len(buf), None]
         sep = ("{" if is_dict else "[") + line
         if is_dict:
             for k, v in sorted(obj.items()):
-                append(sep + encode_basestring_ascii(k) + ": ")
+                prefix = prefixes.get(k)
+                if prefix is None:
+                    prefix = prefixes[k] = encode_basestring_ascii(k) + ": "
+                encode = scalar(type(v))
+                if encode is None:
+                    buf.append(sep + prefix)
+                    write(v, depth + 1, buf)
+                else:
+                    buf.append(sep + prefix + encode(v))
                 sep = comma
-                write(v, depth + 1)
+        elif (
+            type(obj[0]) is list
+            and {*map(type, obj)} == {list}
+            and all(obj)
+            and {*map(type, chain.from_iterable(obj))} == {int}
+        ):
+            # rows of plain ints: each row's text is joined at C level and
+            # extended into the buffer between its brackets
+            inner = line + "  "
+            rows = map(("," + inner).join, map(map, repeat(int.__repr__), obj))
+            separators = chain((sep + "[" + inner,), repeat(line + "]" + comma + "[" + inner))
+            buf.extend(chain.from_iterable(zip(separators, rows)))
+            buf.append(line + "]")
         elif len(set(map(id, obj))) == len(obj):
             for v in obj:
-                append(sep)
+                buf.append(sep)
                 sep = comma
-                write(v, depth + 1)
+                write(v, depth + 1, buf)
         else:
-            # write each distinct element once, cut its pieces out of the
-            # list as one text, then splice the texts back in order
+            # write each distinct element once into a buffer of its own,
+            # then splice the texts into this one in order
             ids = list(map(id, obj))
             texts = {}
             for eid, v in dict(zip(ids, obj)).items():
-                start = len(out)
-                write(v, depth + 1)
-                texts[eid] = "".join(out[start:])
-                del out[start:]
+                own: list[str] = []
+                write(v, depth + 1, own)
+                texts[eid] = "".join(own)
             separators = chain((sep,), repeat(comma))
-            out.extend(chain.from_iterable(zip(separators, map(texts.__getitem__, ids))))
-        append("\n" + pad + ("}" if is_dict else "]"))
-        open_ids.remove(oid)
+            buf.extend(chain.from_iterable(zip(separators, map(texts.__getitem__, ids))))
+        buf.append("\n" + pad + ("}" if is_dict else "]"))
+        span[3] = len(buf)
 
-    write(data, 0)
+    write(data, 0, out)
     return "".join(out)
 
 

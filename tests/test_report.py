@@ -386,6 +386,93 @@ def test_canonical_json_splices_repeats_like_json_dumps(data):
     assert canonical_json(data) == reference_json(data)
 
 
+def _fixed_then_classes(first: str, second: str, shared) -> dict:
+    # the report's shape: a class's member list under a fixed point (depth 5)
+    # and under its fiber entry's class (depth 7); the keys choose the order
+    return {
+        "models": {
+            "paper": {
+                first: [{"members": shared, "fiber": 0}],
+                second: [{"classes": [{"members": shared, "index": 2}]}],
+            }
+        }
+    }
+
+
+_MEMBERS = [[1, 3, 5], [2, 4, 6]]
+_SUBTREE = {"rows": _MEMBERS, "s": "a\nb", "t": [{"u": [None, [7]]}], "e": {}}
+_INNER = {"k": [1, 2], "d": {"x": "y"}}
+_SPLICED = {"inner": _INNER, "w": 3}
+
+
+# the memo writes a container met again from its recorded span: sliced at
+# the same depth, re-indented at another, its span still valid after a
+# splice, and a cycle seen as an open span
+@pytest.mark.parametrize(
+    "data",
+    [
+        _fixed_then_classes("fixed_points", "special_fibers", _MEMBERS),
+        _fixed_then_classes("special_fibers", "fixed_points", _MEMBERS),
+        _fixed_then_classes("fixed_points", "special_fibers", _SUBTREE),
+        _fixed_then_classes("special_fibers", "fixed_points", _SUBTREE),
+        {"a": [_SPLICED, _SPLICED], "b": _INNER, "c": [[_INNER]], "d": [[[[_SPLICED]]]]},
+        [[_INNER, 1, _INNER], _INNER, [[_SPLICED, _SPLICED]], _SPLICED],
+        {"p": _SUBTREE, "q": _SUBTREE, "r": {"p": _SUBTREE}, "s": [_SUBTREE, 0, _SUBTREE]},
+        [_MEMBERS, [_MEMBERS, {"m": _MEMBERS}], [[_MEMBERS, _MEMBERS]]],
+    ],
+    ids=[
+        "depth-5-then-7",
+        "depth-7-then-5",
+        "subtree-5-then-7",
+        "subtree-7-then-5",
+        "met-inside-a-splice-then-after",
+        "met-inside-a-splice-then-outside",
+        "repeat-in-dict-and-list",
+        "rows-at-three-depths",
+    ],
+)
+def test_canonical_json_memo_writes_repeats_like_json_dumps(data):
+    assert canonical_json(data) == reference_json(data)
+
+
+@st.composite
+def json_dags(draw):
+    # each container is built from leaves and containers built before it,
+    # so one object recurs at many depths and positions, never in a cycle;
+    # a list of the built ones repeats some, inside and after a splice
+    built: list = []
+    for _ in range(draw(st.integers(1, 6))):
+        children = JSON_LEAVES | st.sampled_from(built) if built else JSON_LEAVES
+        built.append(draw(json_containers(children)))
+    reused = st.sampled_from(built)
+    return draw(st.lists(reused, min_size=2, max_size=6) | json_containers(reused))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=json_dags())
+def test_canonical_json_reused_containers_match_json_dumps(data):
+    assert canonical_json(data) == reference_json(data)
+
+
+def test_canonical_json_detects_cycles_through_memoized_spans():
+    # each cycle closes on a container the memo already holds, met again
+    # at another depth or inside a spliced element's buffer
+    shared: dict = {}
+    deeper = {"a": shared, "b": [[shared]]}
+    shared["up"] = [deeper]
+    spliced: dict = {"n": 1}
+    outer = [[spliced, spliced], {"k": spliced}]
+    spliced["back"] = outer
+    rows = [[1, 2]]
+    looped = [rows, {"r": rows}, [rows, rows]]
+    looped.append([looped])
+    for data in (deeper, outer, [outer, outer], looped):
+        with pytest.raises(ValueError, match="Circular reference"):
+            reference_json(data)
+        with pytest.raises(ValueError, match="Circular reference"):
+            canonical_json(data)
+
+
 # a list or tuple of plain ints is written in one piece; bools, int
 # subclasses and floats among ints must take the general path, which
 # refuses a float (test_canonical_json_refuses_what_json_dumps_refuses)
@@ -508,6 +595,26 @@ def test_repeated_fibers_share_one_entry():
             assert rep["special_fibers"] == [
                 {"model": model, **fiber_to_dict(fibers[i], blocks[i])} for i in positions
             ]
+
+
+def test_model_entries_share_each_fiber_body():
+    # the grid's two models carry one fiber_to_dict body per distinct fiber,
+    # so each position's entries hold one classes list
+    data = assemble(grid_scenario(5))
+    merged, orbit = (data["models"][m]["special_fibers"] for m in (MERGED, ORBIT))
+    assert len(merged) == len(orbit) == 14
+    for a, b in zip(merged, orbit):
+        assert a is not b and a["model"] != b["model"]
+        assert a["classes"] is b["classes"]
+    assert len({id(e["classes"]) for e in merged}) == 4
+    assert json.loads(report_to_json(data)) == data
+    # the subset simple fiber is one object in both models, but its merged
+    # entry writes block multisets: two bodies
+    data = assemble(subset_scenario(3, 1, special_fibers=[[2]], model="both"))
+    merged, orbit = (data["models"][m]["special_fibers"][0] for m in (MERGED, ORBIT))
+    assert merged["classes"] is not orbit["classes"]
+    assert [c["members"] for c in merged["classes"]] == [c["members"] for c in orbit["classes"]]
+    assert json.loads(report_to_json(data)) == data
 
 
 def test_a_report_builds_its_points_and_their_index_once(monkeypatch):
