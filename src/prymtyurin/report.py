@@ -128,8 +128,6 @@ def assemble(scenario: Scenario) -> dict:
     ident, q, note = identity_and_exponent(corr)
     layouts = fiber_layout(scenario, corr)
     irreducible, basis = _irreducibility(scenario, corr, layouts)
-    # one fiber_to_dict body per distinct (fiber, blocks), shared by every
-    # model entry that carries it
     bodies: dict[tuple, dict] = {}
     models = {
         m: _model(scenario, corr, layout, m, q, irreducible, bodies) for m, layout in layouts.items()
@@ -462,9 +460,16 @@ def correspondence_to_dict(
     }
 
 
+class _IntText(dict):
+    # a miss is written by int.__repr__ itself, with no Python frame
+    __missing__ = staticmethod(int.__repr__)
+
+
+# the text of a plain int, the ints 0..255 read from a table at C level
+_INT_TEXT = _IntText((i, int.__repr__(i)) for i in range(256)).__getitem__
 # the writer of each scalar a report holds, by its exact type
 _LITERAL = {True: "true", False: "false", None: "null"}.__getitem__
-_SCALARS = {str: encode_basestring_ascii, int: int.__repr__, bool: _LITERAL, type(None): _LITERAL}
+_SCALARS = {str: encode_basestring_ascii, int: _INT_TEXT, bool: _LITERAL, type(None): _LITERAL}
 
 
 def canonical_json(data) -> str:
@@ -497,7 +502,8 @@ def canonical_json(data) -> str:
     repeated element costs no Python step and no recorded span is ever cut.
     Scalars are written inline, each key's prefix is encoded once per call,
     a list or tuple of plain ints (not bools) is written as one string and
-    a list of non-empty lists of plain ints row by row, at C level.
+    a list of non-empty lists of plain ints row by row, at C level; the
+    text of the ints 0..255 is read from a table.
     """
     out: list[str] = []
     # id -> [depth, buffer, start, end]; end is None while the span is open
@@ -526,7 +532,7 @@ def canonical_json(data) -> str:
         if not is_dict and type(obj[0]) is int and {*map(type, obj)} == {int}:
             # an int list holds no container, so it needs no memo; its
             # types are read as one set at C level
-            return buf.append("[" + line + comma.join(map(int.__repr__, obj)) + "\n" + pad + "]")
+            return buf.append("[" + line + comma.join(map(_INT_TEXT, obj)) + "\n" + pad + "]")
         span = spans.get(id(obj))
         if span is not None:
             written, source, start, end = span
@@ -561,7 +567,7 @@ def canonical_json(data) -> str:
             # rows of plain ints: each row's text is joined at C level and
             # extended into the buffer between its brackets
             inner = line + "  "
-            rows = map(("," + inner).join, map(map, repeat(int.__repr__), obj))
+            rows = map(("," + inner).join, map(map, repeat(_INT_TEXT), obj))
             separators = chain((sep + "[" + inner,), repeat(line + "]" + comma + "[" + inner))
             buf.extend(chain.from_iterable(zip(separators, rows)))
             buf.append(line + "]")

@@ -485,8 +485,19 @@ def test_canonical_json_detects_cycles_through_memoized_spans():
         [Colour.RED, 2],
         [[], [1]],
         [SHARED_INTS, [[SHARED_INTS]]],
+        [[255, 256, -1, 0], [10**40, -256]],
+        [[1, 2], [True]],
     ],
-    ids=["bool-first", "bool-last", "tuple", "int-enum", "empty-nested", "shared-depths-1-3"],
+    ids=[
+        "bool-first",
+        "bool-last",
+        "tuple",
+        "int-enum",
+        "empty-nested",
+        "shared-depths-1-3",
+        "rows-past-the-table",
+        "rows-with-a-bool",
+    ],
 )
 def test_canonical_json_int_lists_match_json_dumps(data):
     assert canonical_json(data) == reference_json(data)
