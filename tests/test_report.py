@@ -619,13 +619,6 @@ def test_model_entries_share_each_fiber_body():
         assert a["classes"] is b["classes"]
     assert len({id(e["classes"]) for e in merged}) == 4
     assert json.loads(report_to_json(data)) == data
-    # the subset simple fiber is one object in both models, but its merged
-    # entry writes block multisets: two bodies
-    data = assemble(subset_scenario(3, 1, special_fibers=[[2]], model="both"))
-    merged, orbit = (data["models"][m]["special_fibers"][0] for m in (MERGED, ORBIT))
-    assert merged["classes"] is not orbit["classes"]
-    assert [c["members"] for c in merged["classes"]] == [c["members"] for c in orbit["classes"]]
-    assert json.loads(report_to_json(data)) == data
 
 
 def test_a_report_builds_its_points_and_their_index_once(monkeypatch):
@@ -773,6 +766,9 @@ def test_declared_simple_profile_shares_its_fiber_between_models():
     data = assemble(subset_scenario(3, 1, special_fibers=[[2]], model="both"))
     merged, orbit = (data["models"][m]["special_fibers"][0] for m in (MERGED, ORBIT))
     assert merged["w"] == orbit["w"] == 3
+    # the blocks differ, so the two entries get two bodies
+    assert merged["classes"] is not orbit["classes"]
+    assert json.loads(report_to_json(data)) == data
     assert [c["members"] for c in merged["classes"]] == [c["members"] for c in orbit["classes"]]
     assert all(c["block_multiset"] is not None for c in merged["classes"])
     assert all(c["block_multiset"] is None for c in orbit["classes"])
