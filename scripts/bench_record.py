@@ -3,9 +3,10 @@
 
 Both commits are exported with `git archive` into a scratch directory, and
 `bench/run.py --workload W --seed s --seconds S --trace 0` runs in each
-export for k pairs of runs.  The two runs of a pair share one seed, and the
-side that runs first alternates from pair to pair, so a drift in the
-machine's speed falls on both sides alike.  Nothing under bench/ or src/ is
+export for k pairs of runs, on every workload of BENCHMARK.json and for the
+run length S it fixes (`run_seconds`).  The two runs of a pair share one
+seed, and the side that runs first alternates from pair to pair, so a drift
+in the machine's speed falls on both sides alike.  Nothing under bench/ or src/ is
 edited: every run works in its own export.
 
 One row per call is appended to BENCH_<workload>.json at the repository
@@ -18,8 +19,7 @@ whether it is a resolved gain: HEAD wins at least nine pairs in ten and its
 median is better by more than the base's interquartile range.
 
 Usage:
-    python3 scripts/bench_record.py [--workload subset-sweep ...] [--base HEAD~1]
-        [--pairs 10] [--first-seed 1] [--seconds 30]
+    python3 scripts/bench_record.py [--base HEAD~1] [--pairs 10] [--first-seed 1]
 """
 
 import argparse
@@ -117,27 +117,24 @@ def record(workload: str, checkouts: dict, seeds: list[int], seconds: int,
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    names = [w["name"] for w in benchmark["workloads"]]
-    parser.add_argument("--workload", action="append", choices=names,
-                        help="repeat for several; default every workload")
     parser.add_argument("--base", default="HEAD~1")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--first-seed", type=int, default=1)
-    parser.add_argument("--seconds", type=int, default=30)
     args = parser.parse_args(argv)
 
     commits = {"base": git("rev-parse", args.base), "head": git("rev-parse", "HEAD")}
     seeds = list(range(args.first_seed, args.first_seed + args.pairs))
+    seconds = benchmark["run_seconds"]
     with tempfile.TemporaryDirectory() as scratch:
         checkouts = {side: export(c, Path(scratch) / side) for side, c in commits.items()}
-        for workload in args.workload or names:
-            metrics = record(workload, checkouts, seeds, args.seconds, benchmark["end_to_end"])
+        for workload in (w["name"] for w in benchmark["workloads"]):
+            metrics = record(workload, checkouts, seeds, seconds, benchmark["end_to_end"])
             row = {
                 "base": commits["base"],
                 "head": commits["head"],
                 "python": platform.python_version(),
                 "nproc": os.cpu_count(),
-                "seconds": args.seconds,
+                "seconds": seconds,
                 "seeds": seeds,
                 "metrics": metrics,
             }

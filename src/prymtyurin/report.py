@@ -500,10 +500,11 @@ def canonical_json(data) -> str:
     more than once writes each distinct element once into a buffer of its
     own and splices the texts and separators in one C-level extend, so a
     repeated element costs no Python step and no recorded span is ever cut.
-    Scalars are written inline, each key's prefix is encoded once per call,
-    a list or tuple of plain ints (not bools) is written as one string and
-    a list of non-empty lists of plain ints row by row, at C level; the
-    text of the ints 0..255 is read from a table.
+    The splice is what keeps the writer's Python work flat in the genus: the
+    memo alone costs one Python step per repeated fiber entry.  Scalars are
+    written inline, each key's prefix is encoded once per call, and a list
+    or tuple of plain ints (not bools) is written as one string at C level;
+    the text of the ints 0..255 is read from a table.
     """
     out: list[str] = []
     # id -> [depth, buffer, start, end]; end is None while the span is open
@@ -558,19 +559,6 @@ def canonical_json(data) -> str:
                 else:
                     buf.append(sep + prefix + encode(v))
                 sep = comma
-        elif (
-            type(obj[0]) is list
-            and {*map(type, obj)} == {list}
-            and all(obj)
-            and {*map(type, chain.from_iterable(obj))} == {int}
-        ):
-            # rows of plain ints: each row's text is joined at C level and
-            # extended into the buffer between its brackets
-            inner = line + "  "
-            rows = map(("," + inner).join, map(map, repeat(_INT_TEXT), obj))
-            separators = chain((sep + "[" + inner,), repeat(line + "]" + comma + "[" + inner))
-            buf.extend(chain.from_iterable(zip(separators, rows)))
-            buf.append(line + "]")
         elif len(set(map(id, obj))) == len(obj):
             for v in obj:
                 buf.append(sep)

@@ -1,6 +1,7 @@
 """The committed benchmark records, BENCH_<workload>.json at the repository
 root, as scripts/bench_record.py writes them: each parses, and each row
-carries every end-to-end metric of BENCHMARK.json with its unit.  Nothing
+carries every end-to-end metric of BENCHMARK.json with its unit, over at
+least ten pairs of runs of the length BENCHMARK.json fixes.  Nothing
 here times anything or reads git."""
 
 import json
@@ -24,7 +25,9 @@ def test_record_rows_carry_every_end_to_end_metric(workload):
     assert rows
     for row in rows:
         assert {"base", "head", "python", "nproc", "seconds", "seeds", "metrics"} <= set(row)
+        assert row["seconds"] == BENCHMARK["run_seconds"]
         pairs = len(row["seeds"])
+        assert pairs >= 10
         assert set(row["metrics"]) == {spec["name"] for spec in BENCHMARK["end_to_end"]}
         for spec in BENCHMARK["end_to_end"]:
             metric = row["metrics"][spec["name"]]
