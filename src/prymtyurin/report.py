@@ -128,10 +128,7 @@ def assemble(scenario: Scenario) -> dict:
     ident, q, note = identity_and_exponent(corr)
     layouts = fiber_layout(scenario, corr)
     irreducible, basis = _irreducibility(scenario, corr, layouts)
-    bodies: dict[tuple, dict] = {}
-    models = {
-        m: _model(scenario, corr, layout, m, q, irreducible, bodies) for m, layout in layouts.items()
-    }
+    models = {m: _model(scenario, corr, layout, m, q, irreducible) for m, layout in layouts.items()}
     data = {
         "scenario": scenario_to_dict(scenario),
         "correspondence": correspondence_to_dict(corr.size, corr.bidegree, ident, q, note),
@@ -146,20 +143,23 @@ def assemble(scenario: Scenario) -> dict:
 
 def fiber_layout(scenario: Scenario, corr: FiberCorrespondence) -> dict[str, tuple]:
     """Each requested model's layout, in the order models_for names them:
-    (distinct, actions, positions, simple, profiles), the distinct fibers,
+    (distinct, actions, positions, simple, bodies), the distinct fibers,
     each built and acted on once per report; their class actions on corr;
     the index of each layout position's fiber among them, in report order;
     the index of a fiber over a simple branch point of the input covering,
     or None when the layout declares them all; and the distinct fibers'
-    subset profiles (None for the grid).
+    fiber_to_dict bodies, the facts the model's entries write.
 
     A subset layout has one fiber per distinct profile, the simple one
     included.  Each model builds its own, but both move the simple
-    profile's pair by (1 2) alone and share its fiber.  The grid layout has
-    two row-merge fibers, then one pairing fiber per simple branch point of
-    the double covering (its simple_budget) cycling the diagonal shift: four
-    distinct fibers, one layout object for both models.  The positions are
-    built at C level, so no layout costs a Python step per branch point.
+    profile's pair by (1 2) alone and share its fiber.  Each model gets one
+    body per profile: a merged body writes the block multisets of its
+    profile's blocks, an orbit body none, so the two never share one.  The
+    grid layout has two row-merge fibers, then one pairing fiber per simple
+    branch point of the double covering (its simple_budget) cycling the
+    diagonal shift: four distinct fibers and their four bodies, one layout
+    object for both models.  The positions are built at C level, so no
+    layout costs a Python step per branch point.
     """
     models = models_for(scenario.model)
     if scenario.kind == GRID:
@@ -169,7 +169,8 @@ def fiber_layout(scenario: Scenario, corr: FiberCorrespondence) -> dict[str, tup
         extra = scenario.covering.simple_extra
         cycle = (tuple(range(1, side + 1)) * (extra // side + 1))[:extra]
         actions = [class_action(corr, f) for f in distinct]
-        return dict.fromkeys(models, (distinct, actions, (0, 0) + cycle, None, None))
+        bodies = [fiber_to_dict(f, None) for f in distinct]
+        return dict.fromkeys(models, (distinct, actions, (0, 0) + cycle, None, bodies))
     n = scenario.parameter
     simple_profile = (2,) + (1,) * n
     profiles = tuple(dict.fromkeys((*scenario.special_fibers, simple_profile)))
@@ -179,10 +180,14 @@ def fiber_layout(scenario: Scenario, corr: FiberCorrespondence) -> dict[str, tup
     keys = {m: [(p, MERGED if p == simple_profile else m) for p in profiles] for m in models}
     fibers = {k: subset_fiber(corr, *k) for k in dict.fromkeys(chain.from_iterable(keys.values()))}
     actions = {k: class_action(corr, f) for k, f in fibers.items()}
-    return {
-        m: (tuple(map(fibers.get, ks)), list(map(actions.get, ks)), positions, simple, profiles)
-        for m, ks in keys.items()
-    }
+    layouts = {}
+    for m, ks in keys.items():
+        distinct = tuple(map(fibers.get, ks))
+        # a merged body writes its profile's block multisets, an orbit body none
+        blocks = [blocks_from_parts(p, n + 2) if m == MERGED else None for p in profiles]
+        bodies = list(map(fiber_to_dict, distinct, blocks))
+        layouts[m] = distinct, list(map(actions.get, ks)), positions, simple, bodies
+    return layouts
 
 
 def _irreducibility(scenario: Scenario, corr: FiberCorrespondence, layouts) -> tuple[bool, str]:
@@ -213,11 +218,10 @@ def _model(
     model: str,
     q: int | None,
     irreducible: bool,
-    bodies: dict[tuple, dict],
 ) -> tuple[dict, str]:
     """Everything one fiber model says, from its fiber layout on (as
-    fiber_layout gives it): the model's canonical dict and its verdict.
-    bodies holds the report's fiber entry bodies by (id(fiber), blocks).
+    fiber_layout gives it): the model's canonical dict and its verdict.  It
+    reads each distinct fiber through its body and class action alone.
 
     error is set when the model's own arithmetic is inconsistent (genus
     validation, negative dimension); the facts computed before the failure
@@ -225,10 +229,10 @@ def _model(
     the nesting search ran out of budget and every other check held, so the
     model is neither verified nor refuted.
     """
-    distinct, actions, positions, simple, profiles = layout
+    _, actions, positions, simple, bodies = layout
     # the scan and the search read each position's action through
     # positions, and w is gathered by position at C level
-    ws = [f.w_contribution for f in distinct]
+    ws = [body["w"] for body in bodies]
     fixed = fixed_point_scan(actions, positions)
     w_induced = sum(map(ws.__getitem__, positions))
     simple_free = None
@@ -249,20 +253,10 @@ def _model(
     delta = sum(mult for _, _, mult in fixed)
     even = delta % 2 == 0
     nesting = nesting_search(actions, positions, delta, bidegree)
-    # the fiber does not know its model; its model entry does, and a merged
-    # subset entry writes its block multisets from its profile.  Each
-    # distinct (fiber, blocks) gets one body per report, which every model's
-    # entry for it shares, and each distinct fiber one entry per model,
-    # repeated in layout order: canonical_json writes each of them once
-    blocks = repeat(None)
-    if model == MERGED and profiles is not None:
-        blocks = (blocks_from_parts(p, scenario.parameter + 2) for p in profiles)
-    entries = []
-    for f, b in zip(distinct, blocks):
-        key = id(f), b
-        if key not in bodies:
-            bodies[key] = fiber_to_dict(f, b)
-        entries.append({"model": model, **bodies[key]})
+    # the fiber does not know its model; its model entry does.  Each distinct
+    # fiber gets one entry per model, repeated in layout order: canonical_json
+    # writes each of them once
+    entries = [{"model": model, **body} for body in bodies]
     special_fibers = list(map(entries.__getitem__, positions))
     nest = nesting_to_dict(nesting, special_fibers)
     # the nesting claim is decided as the report carries it, by its checker alone

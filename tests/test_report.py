@@ -112,9 +112,9 @@ def test_grid_layout_counts():
     layouts = fiber_layout(grid_scenario(4), build_grid_matrix(3))
     # both models read one layout object
     assert list(layouts) == [MERGED, ORBIT] and layouts[MERGED] is layouts[ORBIT]
-    distinct, actions, positions, simple, profiles = layouts[MERGED]
-    assert len(actions) == len(distinct)
-    assert simple is None and profiles is None
+    distinct, actions, positions, simple, bodies = layouts[MERGED]
+    assert len(actions) == len(bodies) == len(distinct)
+    assert simple is None
     assert len(positions) == 2 + 10
     assert all(distinct[i].w_contribution == 3 for i in positions)
     # one row-merge fiber and three pairing fibers, each built once
@@ -594,14 +594,16 @@ def test_repeated_fibers_share_one_entry():
         corr = build_subset_matrix(3) if scen.kind == "subset" else build_grid_matrix(3)
         layouts = fiber_layout(scen, corr)
         for model, rep in assemble(scen)["models"].items():
-            fibers, _, positions, _, profiles = layouts[model]
+            fibers, _, positions, _, _ = layouts[model]
             entries = [id(e) for e in rep["special_fibers"]]
             # the same fiber always gets the same entry object
             assert len(set(zip(positions, entries))) == len(set(entries)) == distinct
             # and each entry holds the fiber of its position, a merged subset
-            # entry with the block multisets of its profile
+            # entry with the block multisets of its profile, the layout's
+            # profiles being the declared ones and then the simple one
             blocks = [None] * len(fibers)
-            if model == MERGED and profiles is not None:
+            if model == MERGED and scen.kind == "subset":
+                profiles = dict.fromkeys((*scen.special_fibers, (2, 1, 1, 1)))
                 blocks = [blocks_from_parts(p, 5) for p in profiles]
             assert rep["special_fibers"] == [
                 {"model": model, **fiber_to_dict(fibers[i], blocks[i])} for i in positions
@@ -619,6 +621,36 @@ def test_model_entries_share_each_fiber_body():
         assert a["classes"] is b["classes"]
     assert len({id(e["classes"]) for e in merged}) == 4
     assert json.loads(report_to_json(data)) == data
+
+
+@pytest.mark.parametrize(
+    "scenario, calls",
+    [
+        (grid_scenario(5), 4),
+        (grid_scenario(5, model="paper"), 4),
+        (subset_scenario(5, 3), 4),
+        (subset_scenario(5, 3, model="paper"), 2),
+        (subset_scenario(3, 1, special_fibers=[[3, 2], [2, 2, 1]]), 6),
+    ],
+    ids=["grid-both", "grid-paper", "subset-5-both", "subset-5-paper", "subset-3-three-profiles"],
+)
+def test_each_fiber_body_is_built_once_per_report(scenario, calls, monkeypatch):
+    # the grid's one layout builds four bodies for both models; a subset
+    # layout builds one per profile and model, since only the merged body
+    # writes block multisets
+    built = []
+    original = report_module.fiber_to_dict
+
+    def record(fiber, blocks):
+        built.append(original(fiber, blocks))
+        return built[-1]
+
+    monkeypatch.setattr(report_module, "fiber_to_dict", record)
+    data = assemble(scenario)
+    assert len(built) == calls
+    # every model entry holds the classes of one of those bodies
+    held = {id(e["classes"]) for rep in data["models"].values() for e in rep["special_fibers"]}
+    assert held <= {id(body["classes"]) for body in built}
 
 
 def test_a_report_builds_its_points_and_their_index_once(monkeypatch):
