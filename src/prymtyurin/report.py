@@ -333,7 +333,8 @@ def _notes(data: dict) -> list[str]:
 
     for model, rep in models.items():
         if "error" in rep:
-            notes.append(f"{model} model: {rep['error']}")
+            # the error names its scenario and model
+            notes.append(rep["error"])
         if rep["dim_p_integral"] is False:
             notes.append(
                 f"inconsistency ({model} model): dim P = {rep['dim_p']} is not an"

@@ -195,6 +195,19 @@ def test_degenerate_dim_zero():
     assert any("degenerate" in n for n in data["notes"])
 
 
+def test_a_model_error_note_is_the_error_itself():
+    # the error already names its scenario and model, so the note adds no
+    # second model prefix
+    data = assemble(subset_scenario(2, 0))
+    error = data["models"][ORBIT]["error"]
+    assert error == (
+        "subset scenario n=2, source genus 0, monodromy model:"
+        " negative genus -1 from degree=6, base_genus=0, w=8"
+    )
+    assert data["notes"][-1] == error and error.count("model") == 1
+    assert "error" not in data["models"][MERGED]
+
+
 def test_all_simple_scenario():
     for n, gx in ((2, 1), (3, 1), (4, 2)):
         for m in assemble(subset_scenario(n, gx, special_fibers=[]))["models"].values():
