@@ -48,8 +48,8 @@ EXIT_VALIDATION = 1
 EXIT_HYPOTHESIS = 2
 
 # verify-identity builds and checks an m^2-point relation; m = 30 takes about as long as
-# subset n = MAX_SUBSET_N: 3.4-3.7 ms in process, 57-60 ms with a JSON --dump-matrix
-# (2 vCPUs, best and median of 7 JSON runs)
+# subset n = MAX_SUBSET_N: 2.9-3.3 ms in process, 29-37 ms with a JSON --dump-matrix
+# (2 vCPUs, Python 3.11, best and median of 9 runs of each)
 MAX_IDENTITY_M = 30
 
 

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import prymtyurin
-from prymtyurin import cli, fixed_points, report
+from prymtyurin import cli, correspondence, fixed_points, report
 from prymtyurin import scenario as scenario_module
 from prymtyurin.cli import (
     EXIT_HYPOTHESIS,
@@ -28,7 +28,7 @@ from prymtyurin.cli import (
 )
 from prymtyurin.correspondence import FiberCorrespondence, build_grid_matrix, build_subset_matrix
 from prymtyurin.perms import all_subsets
-from prymtyurin.report import canonical_json, identity_rows
+from prymtyurin.report import DimensionError, canonical_json, identity_rows
 from prymtyurin.scenario import MAX_SUBSET_GENUS_EXPONENT, MODEL_CHOICES
 
 
@@ -118,6 +118,26 @@ def test_run_undecided_nesting_exits_two(tmp_path, capsys, monkeypatch):
     assert main(["run", path, "--model", "monodromy", "--format", "json"]) == EXIT_HYPOTHESIS
     payload = json.loads(capsys.readouterr().out)
     assert payload["verdict"] == {"monodromy": "undecided"}
+
+
+def test_a_dimension_error_fails_its_model_and_exits_two(capsys, monkeypatch):
+    # no scenario the CLI admits has been found to give an inconsistent
+    # dimension; a refusing formula stands in for one
+    def refuse(genus, bidegree, fixed_count, exponent):
+        raise DimensionError("dimension came out negative: -1")
+
+    monkeypatch.setattr(report, "prym_dimension", refuse)
+    argv = ["builtin", "hyperelliptic", "--g", "3", "--model", "paper", "--format", "json"]
+    assert main(argv) == EXIT_HYPOTHESIS
+    payload = json.loads(capsys.readouterr().out)
+    merged = payload["models"]["paper"]
+    error = "grid scenario, paper model: dimension came out negative: -1"
+    assert merged["error"] == error and error in payload["notes"]
+    # the facts computed before the failure are kept
+    assert merged["induced"]["genus"] == 7 and merged["epsilon_degree"] == 9
+    assert merged["dim_p"] is None and merged["dim_p_integral"] is None
+    assert not merged["combinatorial_verified"]
+    assert payload["verdict"] == {"paper": "failed"}
 
 
 # --- run: validation failures exit 1 -----------------------------------------
@@ -291,6 +311,16 @@ def test_verify_identity_grid_other_sides_fail_exponent(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["identity_verified"] is True
     assert payload["exponent"] is None
+
+
+def test_verify_identity_without_an_identity_exits_two(capsys, monkeypatch):
+    # every correspondence the CLI builds has an identity; a discovery that
+    # finds none stands in for one that does not
+    monkeypatch.setattr(correspondence, "discover_identity", lambda corr: None)
+    assert main(["verify-identity", "--kind", "subset", "--n", "3"]) == EXIT_HYPOTHESIS
+    out = capsys.readouterr().out
+    assert f"{'identity':<22}none found\n{'exponent q':<22}none\n" in out
+    assert "no quadratic identity exists" in out
 
 
 def test_verify_identity_dump_matrix(capsys):

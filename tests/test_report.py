@@ -219,6 +219,43 @@ def test_all_simple_scenario():
             assert m["combinatorial_verified"]
 
 
+def test_an_empty_certified_chain_reads_trivial_in_the_table():
+    # no special fiber, so no fixed point and an empty chain, which the
+    # checker accepts at delta_dot_d = 0
+    data = assemble(subset_scenario(2, 0, special_fibers=[]))
+    rows = [line for line in render_table(data).splitlines() if line.startswith("nesting")]
+    assert rows == ["nesting               trivial (no fixed points required)"] * 2
+    assert all(m["certificate_checked"] for m in data["models"].values())
+
+
+def _notes_input(dims: dict) -> dict:
+    # the keys _notes reads, for a subset n = 3 report with the given dim P
+    # per model
+    models = {
+        model: {"dim_p": dim, "dim_p_integral": type(dim) is int, "simple_fibers_fixed_free": True}
+        for model, dim in dims.items()
+    }
+    return {
+        "scenario": {"kind": "subset", "n": 3},
+        "correspondence": {"bidegree": 3, "exponent": 2},
+        "irreducibility": {"basis": "explicit"},
+        "models": models,
+    }
+
+
+def test_notes_flag_a_non_integral_dimension_and_disagreeing_models():
+    # no scenario found so far gives either (subset n = 2..7, grid g = 2..39)
+    notes = report_module._notes(_notes_input({MERGED: "5/2", ORBIT: 3}))
+    assert notes == [
+        "inconsistency (paper model): dim P = 5/2 is not an integer, so the declared"
+        " data cannot all be correct",
+        "fiber models disagree on dim P: monodromy gives 3, paper gives 5/2",
+    ]
+    assert report_module._notes(_notes_input({MERGED: 3, ORBIT: 3})) == [
+        "both fiber models give dim P = 3"
+    ]
+
+
 def test_explicit_monodromy_controls_irreducibility():
     intransitive = subset_scenario(2, 1, monodromy=[[2, 1, 3, 4]])
     data = assemble(intransitive)
@@ -582,6 +619,14 @@ def test_canonical_json_detects_cycles():
             reference_json(data)
         with pytest.raises(ValueError, match="Circular reference"):
             canonical_json(data)
+
+
+def test_canonical_json_writes_a_str_subclass_as_its_text():
+    class Label(str):
+        pass
+
+    data = {"a": [Label("x\ny"), {"b": Label("\u00e9")}], "c": Label(""), "d": [Label("z")] * 2}
+    assert canonical_json(data) == json.dumps(data, indent=2, sort_keys=True)
 
 
 def test_canonical_json_refuses_non_string_keys():
