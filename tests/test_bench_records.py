@@ -1,8 +1,9 @@
 """The committed benchmark records, BENCH_<workload>.json at the repository
 root, as scripts/bench_record.py writes them: each parses, and each row
 carries every end-to-end metric of BENCHMARK.json with its unit, over at
-least ten pairs of runs of the length BENCHMARK.json fixes.  Nothing
-here times anything or reads git."""
+least ten pairs of runs of the length BENCHMARK.json fixes.  Every derived
+field of a row is recomputed here from its runs, so no row claims what its
+runs do not show.  Nothing here times anything or reads git."""
 
 import json
 import statistics
@@ -40,3 +41,41 @@ def test_record_rows_carry_every_end_to_end_metric(workload):
                 assert metric[side]["median"] == statistics.median(runs)
             assert 0 <= metric["head_wins"] <= pairs
             assert isinstance(metric["within_bound"], bool)
+
+
+def derived(spec: dict, base: list, head: list) -> dict:
+    """A metric's derived fields from its runs: each side's median and IQR
+    (inclusive quartiles), the pairs HEAD wins (a tie counts for neither),
+    the relative change of the median, whether the change stays within the
+    bound, and whether it is a resolved gain (at least nine pairs in ten won
+    and the medians apart by more than the base's IQR)."""
+
+    def iqr(runs):
+        q1, _, q3 = statistics.quantiles(runs, n=4, method="inclusive")
+        return q3 - q1
+
+    sign = 1 if spec["better"] == "higher" else -1
+    wins = sum(sign * (h - b) > 0 for b, h in zip(base, head))
+    b, h = statistics.median(base), statistics.median(head)
+    change = (h - b) / b if b else 0.0
+    return {
+        "base": {"median": b, "iqr": iqr(base)},
+        "head": {"median": h, "iqr": iqr(head)},
+        "head_wins": wins,
+        "change": change,
+        "within_bound": -sign * change <= spec["bound"],
+        "gain_resolved": 10 * wins >= 9 * len(base) and sign * change * b > iqr(base),
+    }
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_record_rows_claim_only_what_their_runs_show(workload):
+    rows = json.loads((ROOT / f"BENCH_{workload}.json").read_text(encoding="utf-8"))
+    for row in rows:
+        for spec in BENCHMARK["end_to_end"]:
+            metric = row["metrics"][spec["name"]]
+            want = derived(spec, metric["base"]["runs"], metric["head"]["runs"])
+            got = {key: metric[key] for key in want}
+            for side in ("base", "head"):
+                got[side] = {key: metric[side][key] for key in ("median", "iqr")}
+            assert got == want, (row["head"], spec["name"])

@@ -209,23 +209,19 @@ def test_a_model_error_note_is_the_error_itself():
 
 
 def test_all_simple_scenario():
-    for n, gx in ((2, 1), (3, 1), (4, 2)):
-        for m in assemble(subset_scenario(n, gx, special_fibers=[]))["models"].values():
+    for n, gx in ((2, 0), (2, 1), (3, 1), (4, 2)):
+        data = assemble(subset_scenario(n, gx, special_fibers=[]))
+        for m in data["models"].values():
             assert m["induced"]["genus"] == n * gx + n * (n - 1) // 2
             assert m["delta_dot_d"] == 0
             assert nesting_kind(m) == "certificate"
             assert m["nesting"]["chain"] == []
             assert m["dim_p"] == gx
             assert m["combinatorial_verified"]
-
-
-def test_an_empty_certified_chain_reads_trivial_in_the_table():
-    # no special fiber, so no fixed point and an empty chain, which the
-    # checker accepts at delta_dot_d = 0
-    data = assemble(subset_scenario(2, 0, special_fibers=[]))
-    rows = [line for line in render_table(data).splitlines() if line.startswith("nesting")]
-    assert rows == ["nesting               trivial (no fixed points required)"] * 2
-    assert all(m["certificate_checked"] for m in data["models"].values())
+        # the checker accepts the empty chain at delta_dot_d = 0, and the
+        # table says why it is empty
+        rows = [line for line in render_table(data).splitlines() if line.startswith("nesting")]
+        assert rows == [f"{'nesting':<22}trivial (no fixed points required)"] * 2
 
 
 def _notes_input(dims: dict) -> dict:
