@@ -84,3 +84,29 @@ def test_report_digest_covers_its_scenario_set():
     spec.loader.exec_module(digest)
     # 156 subset runs, 5,682 profile choices, 240 grid runs, 36 identities
     assert sum(1 for _ in digest.cases(digest.parse_args([]))) == 6114
+
+
+def test_code_lines_counts_only_code():
+    spec = importlib.util.spec_from_file_location("code_lines", SCRIPTS / "code_lines.py")
+    counter = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(counter)
+    source = (
+        '"""A module docstring\n'
+        'over two lines."""\n'
+        "\n"
+        "# a comment\n"
+        "def f(x):\n"
+        "    '''A function docstring.'''\n"
+        "    return (x +  # a comment after code\n"
+        "            1)\n"
+    )
+    # the def line and the two lines of the return statement
+    assert counter.code_lines(source) == 3
+
+
+def test_code_lines_modules_add_up_to_the_total():
+    lines = run_script("code_lines.py")
+    *modules, total = [line.split() for line in lines]
+    assert total[1] == "total" and modules
+    assert all(name.startswith("prymtyurin/") and name.endswith(".py") for _, name in modules)
+    assert sum(int(count) for count, _ in modules) == int(total[0])
