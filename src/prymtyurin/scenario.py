@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 from collections import namedtuple
 
-from .covering import CoveringData, GenusValidationError, is_int, normalize_profile, simple_budget
+from .covering import CoveringData, is_int, normalize_profile, simple_budget
 from .induced_curve import MODELS
 from .perms import Permutation, Record, shown
 
@@ -108,8 +108,7 @@ class Scenario(
                     "grid scenarios fix their own monodromy;"
                     " an explicit generator list is not accepted"
                 )
-            special_fibers = ()
-            covering = _input_covering(2, special_fibers, upstairs_genus)
+            degree, special_fibers = 2, ()
         else:
             if not is_int(parameter) or parameter < 2:
                 raise InvalidScenario(f"n must be an integer >= 2, got {shown(parameter)}")
@@ -136,41 +135,38 @@ class Scenario(
                 # pad with unramified sheets
                 fibers.append(parts + (1,) * (degree - sum(parts)))
             special_fibers = tuple(fibers)
-            try:
-                covering = _input_covering(degree, special_fibers, upstairs_genus)
-            except (GenusValidationError, ValueError) as exc:
-                raise InvalidScenario(f"special_fibers vs upstairs_genus: {exc}") from exc
-            if monodromy is not None:
-                if not isinstance(monodromy, (list, tuple)):
-                    raise InvalidScenario("monodromy must be a list of image lists")
-                for pos, images in enumerate(monodromy):
-                    if not isinstance(images, (list, tuple)) or not all(map(is_int, images)):
-                        raise InvalidScenario(
-                            f"monodromy[{pos}] must be a list of integer sheet labels,"
-                            f" got {shown(images)}"
-                        )
-                    try:
-                        perm = Permutation(images=tuple(images))
-                    except ValueError as exc:
-                        raise InvalidScenario(f"monodromy[{pos}]: {exc}") from exc
-                    if perm.degree != degree:
-                        raise InvalidScenario(
-                            f"monodromy[{pos}]: permutation degree {perm.degree}"
-                            f" does not match covering degree {degree}"
-                        )
-                monodromy = tuple(tuple(g) for g in monodromy)
+        # the simple branch points simple_budget says the source genus needs:
+        # 2g + 2 for the grid's double covering
+        try:
+            extra = simple_budget(degree, special_fibers, upstairs_genus)
+            covering = CoveringData(degree, special_fibers, extra)
+        except ValueError as exc:
+            raise InvalidScenario(f"special_fibers vs upstairs_genus: {exc}") from exc
+        # a grid scenario refused any monodromy above
+        if monodromy is not None:
+            if not isinstance(monodromy, (list, tuple)):
+                raise InvalidScenario("monodromy must be a list of image lists")
+            for pos, images in enumerate(monodromy):
+                if not isinstance(images, (list, tuple)) or not all(map(is_int, images)):
+                    raise InvalidScenario(
+                        f"monodromy[{pos}] must be a list of integer sheet labels,"
+                        f" got {shown(images)}"
+                    )
+                try:
+                    perm = Permutation(images=tuple(images))
+                except ValueError as exc:
+                    raise InvalidScenario(f"monodromy[{pos}]: {exc}") from exc
+                if perm.degree != degree:
+                    raise InvalidScenario(
+                        f"monodromy[{pos}]: permutation degree {perm.degree}"
+                        f" does not match covering degree {degree}"
+                    )
+            monodromy = tuple(tuple(g) for g in monodromy)
         self = super().__new__(
             cls, kind, upstairs_genus, parameter, special_fibers, model, monodromy
         )
         self.__dict__["covering"] = covering
         return self
-
-
-def _input_covering(degree: int, special_fibers, upstairs_genus: int) -> CoveringData:
-    """The covering with the simple branch points simple_budget says the
-    source genus needs: 2g + 2 for the grid's double covering."""
-    extra = simple_budget(degree, special_fibers, upstairs_genus)
-    return CoveringData(degree, special_fibers, extra)
 
 
 def default_subset_fibers(n: int) -> tuple[tuple[int, ...], ...]:
