@@ -104,30 +104,23 @@ def _output_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("json", "table"), default="table")
 
 
-def _emit_report(data: dict, fmt: str) -> int:
-    if fmt == "json":
+def cmd_report(args) -> int:
+    """run and builtin: the scenario from its file or its family, under
+    --model when given, assembled and printed in one view."""
+    if args.command == "run":
+        scenario = load_scenario(args.file)
+    elif args.family == "pn-case":
+        scenario = subset_scenario(args.n, args.gx)
+    else:
+        scenario = grid_scenario(args.g)
+    if args.model is not None and args.model != scenario.model:
+        scenario = Scenario(**{**scenario._asdict(), "model": args.model})
+    data = assemble(scenario)
+    if args.format == "json":
         print(report_to_json(data))
     else:
         print(render_table(data), end="")
     return EXIT_VERIFIED if keyed_verdict(data) else EXIT_HYPOTHESIS
-
-
-def _run_scenario(scenario, args) -> int:
-    if args.model is not None and args.model != scenario.model:
-        scenario = Scenario(**{**scenario._asdict(), "model": args.model})
-    return _emit_report(assemble(scenario), args.format)
-
-
-def cmd_run(args) -> int:
-    return _run_scenario(load_scenario(args.file), args)
-
-
-def cmd_builtin(args) -> int:
-    if args.family == "pn-case":
-        scenario = subset_scenario(args.n, args.gx)
-    else:
-        scenario = grid_scenario(args.g)
-    return _run_scenario(scenario, args)
 
 
 def cmd_verify_identity(args) -> int:
@@ -171,11 +164,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "run":
-            return cmd_run(args)
-        if args.command == "builtin":
-            return cmd_builtin(args)
-        return cmd_verify_identity(args)
+        if args.command == "verify-identity":
+            return cmd_verify_identity(args)
+        return cmd_report(args)
     except InvalidScenario as exc:
         print(f"invalid scenario: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
