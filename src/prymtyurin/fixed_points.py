@@ -385,16 +385,13 @@ def check_certificate(nesting: dict, special_fibers: list, delta_dot_d: int,
         return False
 
     for i, qi in enumerate(chain):
-        if chain_members[i] != classes[qi]:
+        # the chain's own members, a self multiplicity of exactly 1 and every
+        # listed point present
+        if chain_members[i] != classes[qi] or rows[i][i] != 1 or min(rows[i]) < 1:
             return False
-        expected = dict(zip(chain[: i + 1], rows[i]))
         for here in masks[qi]:
-            for qj, mult in expected.items():
-                if sum((here & there).bit_count() == shared for there in masks[qj]) != mult:
-                    return False
-        # the self multiplicity must be exactly 1 and every listed point present
-        if rows[i][i] != 1:
-            return False
-        if any(m < 1 for m in rows[i]):
-            return False
+            row = [sum((here & there).bit_count() == shared for there in masks[qj])
+                   for qj in chain[: i + 1]]
+            if row != rows[i]:
+                return False
     return True
