@@ -10,14 +10,17 @@ Exit codes: 0 when the keyed model's combinatorial hypotheses all verify,
 2 when they do not: a hypothesis failed or the nesting search ran out of
 budget (the report is still printed, with the verdict "failed" or
 "undecided"), 1 on validation errors (malformed file, bad arguments,
-infeasible scenario).  The keyed model is the merged-class model whenever
-it was evaluated, otherwise the single model requested.
+infeasible scenario) and when the output cannot be written because its
+reader closed the pipe (stderr says "cannot write output").  The keyed
+model is the merged-class model whenever it was evaluated, otherwise the
+single model requested.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 
 from .correspondence import build_grid_matrix, build_subset_matrix, identity_and_exponent
@@ -165,10 +168,20 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "verify-identity":
-            return cmd_verify_identity(args)
-        return cmd_report(args)
+            code = cmd_verify_identity(args)
+        else:
+            code = cmd_report(args)
+        # a closed output pipe fails here, not in the interpreter's flush at exit
+        sys.stdout.flush()
+        return code
     except InvalidScenario as exc:
         print(f"invalid scenario: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except BrokenPipeError as exc:
+        # stdout's reader is gone: point stdout at the null device, so the
+        # interpreter's flush at exit has nowhere to fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"cannot write output: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as exc:
         print(f"cannot read input: {exc}", file=sys.stderr)

@@ -624,13 +624,14 @@ def test_shared_parser_carries_no_state_between_calls(tmp_path):
 # --- installed console script -------------------------------------------------
 
 
-def _run_child(argv):
+def _run_child(argv, stdout=subprocess.PIPE):
     # the child imports the same package as this test, installed or not
     source = str(Path(prymtyurin.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (source, os.environ.get("PYTHONPATH")) if p)
     return subprocess.run(
         [sys.executable, "-m", "prymtyurin.cli", *argv],
-        capture_output=True,
+        stdout=stdout,
+        stderr=subprocess.PIPE,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
     )
@@ -640,3 +641,28 @@ def test_console_script_smoke():
     proc = _run_child(["builtin", "pn-case", "--n", "3", "--gx", "2"])
     assert proc.returncode == EXIT_VERIFIED, proc.stderr
     assert "verified" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # far larger than a pipe buffer: the failed write is in the print
+        ["builtin", "hyperelliptic", "--g", "3000", "--format", "json"],
+        # smaller than stdout's buffer: the failed write is in its flush
+        ["builtin", "hyperelliptic", "--g", "3", "--format", "table"],
+    ],
+)
+def test_a_closed_output_pipe_is_named_as_the_output(argv, monkeypatch):
+    # stdout block-buffered, as it is by default on a pipe
+    monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+    # the pipe's read end is closed before the child starts
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = _run_child(argv, stdout=write)
+    finally:
+        os.close(write)
+    assert proc.returncode == EXIT_VALIDATION
+    # one line, with no traceback and no error from the flush at exit
+    assert proc.stderr.startswith("cannot write output:")
+    assert len(proc.stderr.splitlines()) == 1
