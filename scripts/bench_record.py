@@ -3,8 +3,8 @@
 
 Both commits are exported with `git archive` into a scratch directory, and
 `bench/run.py --workload W --seed s --seconds S --trace 0` runs in each
-export for k pairs of runs, on every workload of BENCHMARK.json and for the
-run length S it fixes (`run_seconds`).  The two runs of a pair share one
+export for PAIRS pairs of runs, on every workload of BENCHMARK.json and for
+the run length S it fixes (`run_seconds`).  The two runs of a pair share one
 seed, and the side that runs first alternates from pair to pair, so a drift
 in the machine's speed falls on both sides alike.  Nothing under bench/ or src/ is
 edited: every run works in its own export.
@@ -19,7 +19,7 @@ whether it is a resolved gain: HEAD wins at least nine pairs in ten and its
 median is better by more than the base's interquartile range.
 
 Usage:
-    python3 scripts/bench_record.py [--base HEAD~1] [--pairs 10] [--first-seed 1]
+    python3 scripts/bench_record.py [--base HEAD~1] [--first-seed 1]
 """
 
 import argparse
@@ -34,6 +34,8 @@ import zipfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+# pairs of runs per row: enough for the nine-in-ten test of a gain
+PAIRS = 10
 
 
 def git(*args) -> str:
@@ -118,12 +120,11 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     parser.add_argument("--base", default="HEAD~1")
-    parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--first-seed", type=int, default=1)
     args = parser.parse_args(argv)
 
     commits = {"base": git("rev-parse", args.base), "head": git("rev-parse", "HEAD")}
-    seeds = list(range(args.first_seed, args.first_seed + args.pairs))
+    seeds = list(range(args.first_seed, args.first_seed + PAIRS))
     seconds = benchmark["run_seconds"]
     with tempfile.TemporaryDirectory() as scratch:
         checkouts = {side: export(c, Path(scratch) / side) for side, c in commits.items()}

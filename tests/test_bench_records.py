@@ -3,10 +3,13 @@ root, as scripts/bench_record.py writes them: each parses, and each row
 carries every end-to-end metric of BENCHMARK.json with its unit, over at
 least ten pairs of runs of the length BENCHMARK.json fixes.  Every derived
 field of a row is recomputed here from its runs, so no row claims what its
-runs do not show.  Nothing here times anything or reads git."""
+runs do not show, and both commits a row names are in the history of HEAD.
+Nothing here times anything."""
 
 import json
+import shutil
 import statistics
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -79,3 +82,23 @@ def test_record_rows_claim_only_what_their_runs_show(workload):
             for side in ("base", "head"):
                 got[side] = {key: metric[side][key] for key in ("median", "iqr")}
             assert got == want, (row["head"], spec["name"])
+
+
+def git(*args) -> subprocess.CompletedProcess:
+    return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True)
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_record_rows_name_commits_in_this_history(workload):
+    if shutil.which("git") is None:
+        pytest.skip("git is not installed")
+    top = git("rev-parse", "--show-toplevel")
+    if top.returncode or Path(top.stdout.strip()).resolve() != ROOT:
+        pytest.skip("not a git checkout (a git archive export)")
+    if git("rev-parse", "--is-shallow-repository").stdout.strip() != "false":
+        pytest.skip("a shallow clone holds only part of the history")
+    rows = json.loads((ROOT / f"BENCH_{workload}.json").read_text(encoding="utf-8"))
+    for row in rows:
+        for side in ("base", "head"):
+            proc = git("merge-base", "--is-ancestor", row[side], "HEAD")
+            assert proc.returncode == 0, (side, row[side], proc.stderr)
