@@ -13,13 +13,14 @@ Usage:
 """
 
 import argparse
+from itertools import chain
 
-from prymtyurin.correspondence import build_grid_matrix, build_subset_matrix, identity_and_exponent
+from prymtyurin.correspondence import build_grid_matrix, build_subset_matrix
 from prymtyurin.report import correspondence_to_dict
 
 
 def describe(corr):
-    summary = correspondence_to_dict(corr.size, corr.bidegree, *identity_and_exponent(corr))
+    summary = correspondence_to_dict(corr)
     ident, q = summary["identity"], summary["exponent"]
     if ident is None:
         return "-", "-", "-", "-", "no quadratic identity"
@@ -37,18 +38,16 @@ def main() -> int:
     header = f"{'family':<14}{'points':>7}{'bideg':>7}{'a':>6}{'b':>6}{'c':>6}{'q':>4}  note"
     print(header)
     print("-" * len(header))
-    for n in range(2, args.max_n + 1):
-        corr = build_subset_matrix(n)
+    # each correspondence is built in its own pass and dropped before the next
+    families = chain(
+        (("subset n=", build_subset_matrix, n) for n in range(2, args.max_n + 1)),
+        (("grid m=", build_grid_matrix, m) for m in range(2, args.max_m + 1)),
+    )
+    for family, build, size in families:
+        corr = build(size)
         a, b, c, q, note = describe(corr)
         print(
-            f"{'subset n=' + str(n):<14}{corr.size:>7}{corr.bidegree:>7}"
-            f"{a:>6}{b:>6}{c:>6}{q:>4}  {note}"
-        )
-    for m in range(2, args.max_m + 1):
-        corr = build_grid_matrix(m)
-        a, b, c, q, note = describe(corr)
-        print(
-            f"{'grid m=' + str(m):<14}{corr.size:>7}{corr.bidegree:>7}"
+            f"{family + str(size):<14}{corr.size:>7}{corr.bidegree:>7}"
             f"{a:>6}{b:>6}{c:>6}{q:>4}  {note}"
         )
     return 0

@@ -23,7 +23,7 @@ import functools
 import os
 import sys
 
-from .correspondence import build_grid_matrix, build_subset_matrix, identity_and_exponent
+from .correspondence import build_grid_matrix, build_subset_matrix
 from .report import (
     assemble,
     canonical_json,
@@ -139,8 +139,7 @@ def cmd_verify_identity(args) -> int:
         raise InvalidScenario(f"--{key} must be {bound}, got {size}")
     corr = build_subset_matrix(size) if subset else build_grid_matrix(size)
 
-    summary = {"kind": args.kind, key: size}
-    summary.update(correspondence_to_dict(corr.size, corr.bidegree, *identity_and_exponent(corr)))
+    summary = {"kind": args.kind, key: size, **correspondence_to_dict(corr)}
     if args.dump_matrix:
         # D[i][j] is character j of corr.bits[i], written as byte 0 or 1
         digits = bytes.maketrans(b"01", b"\0\1")

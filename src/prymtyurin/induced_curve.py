@@ -159,15 +159,20 @@ def grid_pairing_monodromy(m: int, shift: int) -> Permutation:
     return Permutation((*rows, *(1 + (j - shift) % m for j in range(m))))
 
 
-def grid_row_merge_fiber(corr: FiberCorrespondence, row_parts) -> SpecialFiber:
-    """Grid special fiber of corr where rows are glued by a profile of its m
-    rows (columns stay distinct), so cell (i, j) is identified with (i', j)
-    when i, i' share a block of the profile.  Its local monodromy is a label
-    move of the 2m grid labels, partition_monodromy of the row profile
-    padded with m parts of 1: blocks_from_parts lays the parts out largest
-    first, so the row profile's blocks fall on the row labels 1..m and the
-    column labels m + 1..2m stay put."""
-    move = partition_monodromy((*row_parts, *(1,) * corr.parameter), 2 * corr.parameter)
+# the profile of the m rows a grid row-merge fiber glues: one pair
+GRID_ROW_PROFILE = (2, 1)
+
+
+def grid_row_merge_fiber(corr: FiberCorrespondence) -> SpecialFiber:
+    """Grid special fiber of corr where rows are glued by GRID_ROW_PROFILE,
+    a profile of its m rows (columns stay distinct), so cell (i, j) is
+    identified with (i', j) when i, i' share a block of the profile.  Its
+    local monodromy is a label move of the 2m grid labels,
+    partition_monodromy of the row profile padded with m parts of 1:
+    blocks_from_parts lays the parts out largest first, so the row
+    profile's blocks fall on the row labels 1..m and the column labels
+    m + 1..2m stay put."""
+    move = partition_monodromy((*GRID_ROW_PROFILE, *(1,) * corr.parameter), 2 * corr.parameter)
     return SpecialFiber((corr.induce(move),), corr.points)
 
 

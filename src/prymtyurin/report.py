@@ -63,10 +63,6 @@ UNDECIDED = "undecided"
 SYNTHESIZED = "synthesized"
 EXPLICIT = "explicit"
 
-# the profile of the rows the grid layout's row-merge fibers glue
-GRID_ROW_PROFILE = (2, 1)
-
-
 class DimensionError(ValueError):
     """The dimension formula was fed inconsistent inputs."""
 
@@ -125,13 +121,14 @@ def assemble(scenario: Scenario) -> dict:
         corr = build_subset_matrix(scenario.parameter)
     else:
         corr = build_grid_matrix(scenario.parameter)
-    ident, q, note = identity_and_exponent(corr)
+    summary = correspondence_to_dict(corr)
+    q = summary["exponent"]
     layouts = fiber_layout(scenario, corr)
     irreducible, basis = _irreducibility(scenario, corr, layouts)
     models = {m: _model(scenario, corr, layout, m, q, irreducible) for m, layout in layouts.items()}
     data = {
         "scenario": scenario_to_dict(scenario),
-        "correspondence": correspondence_to_dict(corr.size, corr.bidegree, ident, q, note),
+        "correspondence": summary,
         "irreducibility": {"transitive": irreducible, "basis": basis},
         "models": {model: rep for model, (rep, _) in models.items()},
         "notes": [],
@@ -165,7 +162,7 @@ def fiber_layout(scenario: Scenario, corr: FiberCorrespondence) -> dict[str, tup
     if scenario.kind == GRID:
         side = corr.parameter
         pairings = tuple(grid_pairing_fiber(corr, s) for s in range(side))
-        distinct = (grid_row_merge_fiber(corr, GRID_ROW_PROFILE), *pairings)
+        distinct = (grid_row_merge_fiber(corr), *pairings)
         extra = scenario.covering.simple_extra
         cycle = (tuple(range(1, side + 1)) * (extra // side + 1))[:extra]
         actions = [class_action(corr, f) for f in distinct]
@@ -435,17 +432,17 @@ def nesting_to_dict(nesting, special_fibers: list) -> dict:
     return {"certified": False, **nesting._asdict()}
 
 
-def correspondence_to_dict(
-    size: int, bidegree: int, ident: tuple[int, int, int] | None, q: int | None, note: str
-) -> dict:
-    """The correspondence summary: size, bidegree, identity and exponent.
+def correspondence_to_dict(corr: FiberCorrespondence) -> dict:
+    """The summary of corr: size, bidegree, and the identity and exponent
+    identity_and_exponent finds, the one place a report reads them.
 
     A discovered identity has always been verified entrywise, so
     identity_verified says whether one was found.
     """
+    ident, q, note = identity_and_exponent(corr)
     return {
-        "size": size,
-        "bidegree": bidegree,
+        "size": corr.size,
+        "bidegree": corr.bidegree,
         "identity": None
         if ident is None
         else {"form": "D^2 = a*I + b*D + c*U", **dict(zip("abc", ident))},

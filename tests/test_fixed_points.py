@@ -122,7 +122,7 @@ def test_class_action_orbit_models():
 
 
 def test_class_action_grid_fibers():
-    branch = full_action(GRID, grid_row_merge_fiber(GRID, GRID_ROWS))
+    branch = full_action(GRID, grid_row_merge_fiber(GRID))
     assert tuple(fixed_classes(diagonal_and_block(branch))) == (0, 1, 2)
     assert branch[0] == (1, 1, 1, 1, 0, 0)
     assert branch[1] == (1, 1, 1, 0, 1, 0)
@@ -193,7 +193,7 @@ def test_class_action_refuses_a_fiber_on_other_points():
 
 
 def test_a_fiber_is_built_only_from_generators_and_points():
-    fiber = grid_row_merge_fiber(GRID, GRID_ROWS)
+    fiber = grid_row_merge_fiber(GRID)
     assert fiber == SpecialFiber(fiber.generators, grid_points(3))
     assert fiber.points == tuple(grid_points(3))
     # the orbits, as positions, hold the classes' members in class order
@@ -216,7 +216,7 @@ def test_fixed_point_scan_and_delta():
     assert fixed == [(0, 3, 1), (1, 3, 1)]
     assert sum(mult for _, _, mult in fixed) == 2
     # positions name the layout slot; a fixed-point-free fiber adds nothing
-    branch = class_action(GRID, grid_row_merge_fiber(GRID, GRID_ROWS))
+    branch = class_action(GRID, grid_row_merge_fiber(GRID))
     pairing = class_action(GRID, grid_pairing_fiber(GRID, 0))
     fixed = fixed_point_scan([branch, pairing], (1, 0, 1, 1, 0))
     assert fixed == [(1, q, 1) for q in range(3)] + [(4, q, 1) for q in range(3)]
@@ -243,7 +243,7 @@ def test_nesting_chain_n4():
 
 
 def test_nesting_chain_grid():
-    fibers = [grid_row_merge_fiber(GRID, GRID_ROWS), grid_pairing_fiber(GRID, 0)]
+    fibers = [grid_row_merge_fiber(GRID), grid_pairing_fiber(GRID, 0)]
     actions = [class_action(GRID, f) for f in fibers]
     assert sum(mult for _, _, mult in fixed_point_scan(actions, (0, 1, 0))) == 6
     cert = search(actions, (0, 1, 0), bidegree=4)
@@ -304,7 +304,7 @@ def _genuine_n4_certificate():
 
 
 def _genuine_grid_certificate():
-    fiber = grid_row_merge_fiber(GRID, GRID_ROWS)
+    fiber = grid_row_merge_fiber(GRID)
     act = class_action(GRID, fiber)
     cert = search([act], (0, 0), bidegree=4)
     assert isinstance(cert, NestingCertificate)
@@ -818,8 +818,8 @@ def test_fibers_and_actions_match_the_references():
                 full_action(corr, fiber)
     corr, cells = GRID, grid_points(3)
     rows = grid_row_cell_monodromy(3, GRID_ROWS)
-    assert grid_row_merge_fiber(corr, GRID_ROWS).classes == reference_orbit_classes(rows, cells)
-    full_action(corr, grid_row_merge_fiber(corr, GRID_ROWS))
+    assert grid_row_merge_fiber(corr).classes == reference_orbit_classes(rows, cells)
+    full_action(corr, grid_row_merge_fiber(corr))
     for shift in range(3):
         pairing = grid_pairing_cell_monodromy(3, shift)
         fiber = grid_pairing_fiber(corr, shift)

@@ -173,7 +173,7 @@ def test_induced_w_matches_genus_arithmetic():
 
 
 def test_grid_row_merge_fiber():
-    fiber = grid_row_merge_fiber(GRID, (2, 1))
+    fiber = grid_row_merge_fiber(GRID)
     assert class_sizes(fiber) == (2, 2, 2, 1, 1, 1)
     assert fiber.w_contribution == 3
     assert fiber.classes[0] == ((1, 1), (2, 1))
@@ -210,7 +210,7 @@ def test_grid_monodromies_match_fiber_classes():
         assert orbit_classes(GRID.induce(move)) == sorted(fiber.classes)
 
     row_move = row_merge_move(3, (2, 1))
-    fiber = grid_row_merge_fiber(GRID, (2, 1))
+    fiber = grid_row_merge_fiber(GRID)
     assert fiber.generators == (GRID.induce(row_move),)
     assert orbit_classes(GRID.induce(row_move)) == sorted(fiber.classes)
 
