@@ -10,15 +10,17 @@ Exit codes: 0 when the keyed model's combinatorial hypotheses all verify,
 2 when they do not: a hypothesis failed or the nesting search ran out of
 budget (the report is still printed, with the verdict "failed" or
 "undecided"), 1 on validation errors (malformed file, bad arguments,
-infeasible scenario) and when the output cannot be written because its
-reader closed the pipe (stderr says "cannot write output").  The keyed
-model is the merged-class model whenever it was evaluated, otherwise the
-single model requested.
+infeasible scenario), on a scenario file that cannot be opened or read
+(stderr says "cannot read input") and on any failed write to stdout, --help
+included: a pipe whose reader is gone, a full device or a closed stdout
+(stderr says "cannot write output").  The keyed model is the merged-class
+model whenever it was evaluated, otherwise the single model requested.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import os
 import sys
@@ -54,6 +56,11 @@ EXIT_HYPOTHESIS = 2
 # subset n = MAX_SUBSET_N: 2.9-3.3 ms in process, 29-37 ms with a JSON --dump-matrix
 # (2 vCPUs, Python 3.11, best and median of 9 runs of each)
 MAX_IDENTITY_M = 30
+
+
+class UnreadableInput(Exception):
+    """The scenario file could not be opened or read: the one OSError main
+    does not blame on the output."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -111,7 +118,10 @@ def cmd_report(args) -> int:
     """run and builtin: the scenario from its file or its family, under
     --model when given, assembled and printed in one view."""
     if args.command == "run":
-        scenario = load_scenario(args.file)
+        try:
+            scenario = load_scenario(args.file)
+        except OSError as exc:
+            raise UnreadableInput(exc) from exc
     elif args.family == "pn-case":
         scenario = subset_scenario(args.n, args.gx)
     else:
@@ -163,31 +173,42 @@ def cmd_verify_identity(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            if exc.code == 0:  # --help: its text waits in stdout's buffer
+                _flush_stdout()
+            raise
         if args.command == "verify-identity":
             code = cmd_verify_identity(args)
         else:
             code = cmd_report(args)
-        # a closed output pipe fails here, not in the interpreter's flush at exit
-        sys.stdout.flush()
+        _flush_stdout()
         return code
     except InvalidScenario as exc:
         print(f"invalid scenario: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except BrokenPipeError as exc:
-        # stdout's reader is gone: point stdout at the null device, so the
-        # interpreter's flush at exit has nowhere to fail
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print(f"cannot write output: {exc}", file=sys.stderr)
+    except UnreadableInput as exc:
+        print(f"cannot read input: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as exc:
-        print(f"cannot read input: {exc}", file=sys.stderr)
+        # every other OSError is a failed write to stdout: point fd 1 at the
+        # null device, so the interpreter's flush at exit has nowhere to fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
+        print(f"cannot write output: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except ValueError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+
+
+def _flush_stdout() -> None:
+    # a write to stdout that fails does so here at the latest, not in the
+    # interpreter's flush at exit
+    if sys.stdout is None:  # fd 1 was closed when the interpreter started
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+    sys.stdout.flush()
 
 
 def entry() -> None:

@@ -5,6 +5,7 @@ asserted in-process; one smoke test exercises the installed console script.
 """
 
 import contextlib
+import functools
 import io
 import json
 import os
@@ -624,7 +625,7 @@ def test_shared_parser_carries_no_state_between_calls(tmp_path):
 # --- installed console script -------------------------------------------------
 
 
-def _run_child(argv, stdout=subprocess.PIPE):
+def _run_child(argv, stdout=subprocess.PIPE, **options):
     # the child imports the same package as this test, installed or not
     source = str(Path(prymtyurin.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (source, os.environ.get("PYTHONPATH")) if p)
@@ -634,6 +635,7 @@ def _run_child(argv, stdout=subprocess.PIPE):
         stderr=subprocess.PIPE,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
+        **options,
     )
 
 
@@ -643,6 +645,13 @@ def test_console_script_smoke():
     assert "verified" in proc.stdout
 
 
+def _assert_output_named(proc):
+    assert proc.returncode == EXIT_VALIDATION
+    # one line, with no traceback and no error from the flush at exit
+    assert proc.stderr.startswith("cannot write output:")
+    assert len(proc.stderr.splitlines()) == 1
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -650,6 +659,9 @@ def test_console_script_smoke():
         ["builtin", "hyperelliptic", "--g", "3000", "--format", "json"],
         # smaller than stdout's buffer: the failed write is in its flush
         ["builtin", "hyperelliptic", "--g", "3", "--format", "table"],
+        # argparse writes the help text and exits before any subcommand runs
+        ["--help"],
+        ["builtin", "--help"],
     ],
 )
 def test_a_closed_output_pipe_is_named_as_the_output(argv, monkeypatch):
@@ -662,7 +674,31 @@ def test_a_closed_output_pipe_is_named_as_the_output(argv, monkeypatch):
         proc = _run_child(argv, stdout=write)
     finally:
         os.close(write)
-    assert proc.returncode == EXIT_VALIDATION
-    # one line, with no traceback and no error from the flush at exit
-    assert proc.stderr.startswith("cannot write output:")
-    assert len(proc.stderr.splitlines()) == 1
+    _assert_output_named(proc)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["builtin", "hyperelliptic", "--g", "3"],
+        ["verify-identity", "--kind", "grid", "--m", "3"],
+        ["--help"],
+    ],
+)
+def test_a_full_output_device_is_named_as_the_output(argv, monkeypatch):
+    # /dev/full fails every write, however small, with ENOSPC
+    monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+    with open("/dev/full", "w") as full:
+        proc = _run_child(argv, stdout=full)
+    _assert_output_named(proc)
+
+
+def test_a_closed_stdout_is_named_as_the_output():
+    # the child starts with fd 1 closed, so its sys.stdout is None
+    proc = _run_child(
+        ["builtin", "hyperelliptic", "--g", "3"],
+        stdout=subprocess.DEVNULL,
+        preexec_fn=functools.partial(os.close, 1),
+    )
+    _assert_output_named(proc)
