@@ -71,6 +71,12 @@ class _Parser(argparse.ArgumentParser):
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_VALIDATION)
 
+    # argparse's own print_help ignores a failed write, and writes to stderr
+    # when sys.stdout is None; here a failed write of the help text to
+    # stdout reaches main like any other
+    def print_help(self, file=None):
+        (file or _stdout()).write(self.format_help())
+
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
@@ -203,12 +209,16 @@ def main(argv=None) -> int:
         return EXIT_VALIDATION
 
 
+def _stdout():
+    if sys.stdout is None:  # fd 1 was closed when the interpreter started
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+    return sys.stdout
+
+
 def _flush_stdout() -> None:
     # a write to stdout that fails does so here at the latest, not in the
     # interpreter's flush at exit
-    if sys.stdout is None:  # fd 1 was closed when the interpreter started
-        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
-    sys.stdout.flush()
+    _stdout().flush()
 
 
 def entry() -> None:

@@ -17,7 +17,7 @@ the correspondence class, smoothness of the curve) are marked unchecked.
 
 from __future__ import annotations
 
-from itertools import chain, repeat
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from math import gcd
 
@@ -125,7 +125,13 @@ def assemble(scenario: Scenario) -> dict:
     q = summary["exponent"]
     layouts = fiber_layout(scenario, corr)
     irreducible, basis = _irreducibility(scenario, corr, layouts)
-    models = {m: _model(scenario, corr, layout, m, q, irreducible) for m, layout in layouts.items()}
+    # the grid's models share one layout object, whose facts are computed once
+    shared = {id(layout): layout for layout in layouts.values()}
+    facts = {key: _layout_facts(scenario, corr, layout) for key, layout in shared.items()}
+    models = {
+        m: _model(scenario, corr, layout, facts[id(layout)], m, q, irreducible)
+        for m, layout in layouts.items()
+    }
     data = {
         "scenario": scenario_to_dict(scenario),
         "correspondence": summary,
@@ -155,8 +161,9 @@ def fiber_layout(scenario: Scenario, corr: FiberCorrespondence) -> dict[str, tup
     grid layout has two row-merge fibers, then one pairing fiber per simple
     branch point of the double covering (its simple_budget) cycling the
     diagonal shift: four distinct fibers and their four bodies, one layout
-    object for both models.  The positions are built at C level, so no
-    layout costs a Python step per branch point.
+    object for both models, so assemble computes that object's facts
+    (_layout_facts) once for the two.  The positions are built at C level,
+    so no layout costs a Python step per branch point.
     """
     models = models_for(scenario.model)
     if scenario.kind == GRID:
@@ -208,27 +215,16 @@ def _irreducibility(scenario: Scenario, corr: FiberCorrespondence, layouts) -> t
     return irreducibility_check(tuple(dict.fromkeys(gens)), corr), basis
 
 
-def _model(
-    scenario: Scenario,
-    corr: FiberCorrespondence,
-    layout: tuple,
-    model: str,
-    q: int | None,
-    irreducible: bool,
-) -> tuple[dict, str]:
-    """Everything one fiber model says, from its fiber layout on (as
-    fiber_layout gives it): the model's canonical dict and its verdict.  It
-    reads each distinct fiber through its body and class action alone.
-
-    error is set when the model's own arithmetic is inconsistent (genus
-    validation, negative dimension); the facts computed before the failure
-    are kept for diagnosis, the rest are None.  The verdict is undecided when
-    the nesting search ran out of budget and every other check held, so the
-    model is neither verified nor refuted.
+def _layout_facts(scenario: Scenario, corr: FiberCorrespondence, layout: tuple) -> tuple:
+    """The facts a fiber layout decides without its model, computed once per
+    layout object: (fixed, w_induced, simple_free, delta, nesting), the
+    fixed-point scan, the induced ramification w, whether the simple fiber's
+    diagonal is free of fixed classes (None when the layout declares every
+    fiber), the weighted fixed-point count Delta.D and the nesting search's
+    result.  The scan and the search read each position's action through
+    positions, and w is gathered by position at C level.
     """
     _, actions, positions, simple, bodies = layout
-    # the scan and the search read each position's action through
-    # positions, and w is gathered by position at C level
     ws = [body["w"] for body in bodies]
     fixed = fixed_point_scan(actions, positions)
     w_induced = sum(map(ws.__getitem__, positions))
@@ -238,6 +234,34 @@ def _model(
         # the fixed-point count only scans declared special fibers, so check
         # that the simple fiber's diagonal holds no fixed class
         simple_free = not any(actions[simple][0])
+    delta = sum(mult for _, _, mult in fixed)
+    nesting = nesting_search(actions, positions, delta, corr.bidegree)
+    return fixed, w_induced, simple_free, delta, nesting
+
+
+def _model(
+    scenario: Scenario,
+    corr: FiberCorrespondence,
+    layout: tuple,
+    facts: tuple,
+    model: str,
+    q: int | None,
+    irreducible: bool,
+) -> tuple[dict, str]:
+    """Everything one fiber model says, from its fiber layout (as
+    fiber_layout gives it) and that layout's facts (as _layout_facts gives
+    them, shared by the models of one layout object): the model's canonical
+    dict and its verdict.  It writes each distinct fiber through its body
+    alone, and re-checks the nesting claim on its own entries.
+
+    error is set when the model's own arithmetic is inconsistent (genus
+    validation, negative dimension); the facts computed before the failure
+    are kept for diagnosis, the rest are None.  The verdict is undecided when
+    the nesting search ran out of budget and every other check held, so the
+    model is neither verified nor refuted.
+    """
+    positions, bodies = layout[2], layout[4]
+    fixed, w_induced, simple_free, delta, nesting = facts
 
     genus = error = None
     try:
@@ -247,9 +271,7 @@ def _model(
         error = f"{scenario.kind} scenario{where} genus {scenario.upstairs_genus}, {model} model: {exc}"
 
     bidegree = corr.bidegree
-    delta = sum(mult for _, _, mult in fixed)
     even = delta % 2 == 0
-    nesting = nesting_search(actions, positions, delta, bidegree)
     # the fiber does not know its model; its model entry does.  Each distinct
     # fiber gets one entry per model, repeated in layout order: canonical_json
     # writes each of them once
@@ -489,11 +511,14 @@ def canonical_json(data) -> str:
     inside a string and every newline in a container's text is structural.
     A span that is still open is a cycle, and raises ValueError as
     json.dumps does.  A list or tuple that holds the same element (by id)
-    more than once writes each distinct element once into a buffer of its
-    own and splices the texts and separators in one C-level extend, so a
-    repeated element costs no Python step and no recorded span is ever cut.
-    The splice is what keeps the writer's Python work flat in the genus: the
-    memo alone costs one Python step per repeated fiber entry.  Scalars are
+    more than once (one C-level set of its ids tells) writes each
+    distinct element once into a buffer of its own that opens with its
+    comma separator, and splices the texts in one C-level extend of a map
+    over the ids; the first piece's comma is then swapped for the opening
+    bracket.  So a repeated element costs no Python step, no separator is
+    written per element, and no recorded span is ever cut.  The splice is
+    what keeps the writer's Python work flat in the genus: the memo alone
+    costs one Python step per repeated fiber entry.  Scalars are
     written inline, each key's prefix is encoded once per call, and a list
     or tuple of plain ints (not bools) is written as one string at C level;
     the text of the ints 0..255 is read from a table.
@@ -557,16 +582,19 @@ def canonical_json(data) -> str:
                 sep = comma
                 write(v, depth + 1, buf)
         else:
-            # write each distinct element once into a buffer of its own,
-            # then splice the texts into this one in order
+            # write each distinct element once into a buffer of its own that
+            # opens with its comma, then splice the texts into this one in
+            # order; the first element opens the list, so its comma becomes
+            # the bracket
             ids = list(map(id, obj))
             texts = {}
             for eid, v in dict(zip(ids, obj)).items():
-                own: list[str] = []
+                own = [comma]
                 write(v, depth + 1, own)
                 texts[eid] = "".join(own)
-            separators = chain((sep,), repeat(comma))
-            buf.extend(chain.from_iterable(zip(separators, map(texts.__getitem__, ids))))
+            first = len(buf)
+            buf.extend(map(texts.__getitem__, ids))
+            buf[first] = sep + buf[first][len(comma):]
         buf.append("\n" + pad + ("}" if is_dict else "]"))
         span[3] = len(buf)
 

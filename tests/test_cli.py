@@ -694,6 +694,28 @@ def test_a_full_output_device_is_named_as_the_output(argv, monkeypatch):
     _assert_output_named(proc)
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+@pytest.mark.parametrize(
+    "argv",
+    [["--help"], ["builtin", "--help"], ["builtin", "hyperelliptic", "--g", "3"]],
+)
+def test_an_unbuffered_full_output_device_is_named_as_the_output(argv, monkeypatch):
+    # an unbuffered stdout fails inside the write itself, for the help text
+    # before argparse exits, not in main's flush
+    monkeypatch.setenv("PYTHONUNBUFFERED", "1")
+    with open("/dev/full", "w") as full:
+        proc = _run_child(argv, stdout=full)
+    _assert_output_named(proc)
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["builtin", "--help"]])
+def test_help_to_a_closed_stdout_is_named_as_the_output(argv):
+    # sys.stdout is None, so the help text has nowhere to go: none of it
+    # reaches stderr, which holds the one error line
+    proc = _run_child(argv, stdout=subprocess.DEVNULL, preexec_fn=functools.partial(os.close, 1))
+    _assert_output_named(proc)
+
+
 def test_a_closed_stdout_is_named_as_the_output():
     # the child starts with fd 1 closed, so its sys.stdout is None
     proc = _run_child(

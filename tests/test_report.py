@@ -412,6 +412,11 @@ def _fiber_like(w: int) -> dict:
 
 _ROWS, _P1, _P2, _P3 = (_fiber_like(w) for w in range(4))
 _NESTED = [_P1, [_P1, _P1], {"k": _P1}]
+# a list whose first element repeats later, so the spliced text of that
+# element opens the list once and follows a comma after; the list, or the
+# container that holds it, is met again at another depth and re-indented
+_OPENS = [_P1, _P2, _P1, 5, _P1]
+_HOLDS_OPENS = {"fibers": _OPENS, "w": 1}
 
 
 # a list that holds one element (by id) more than once is written by
@@ -425,8 +430,18 @@ _NESTED = [_P1, [_P1, _P1], {"k": _P1}]
         [SHARED_INTS] * 5,
         [None, True, 1, "w", _P1, None, True, 1, "w", _P1, False, [], {}, [], 0, 0],
         [_NESTED, 7, _NESTED, {"again": [_NESTED, _NESTED]}],
+        [_HOLDS_OPENS, [[_HOLDS_OPENS]], {"k": {"deeper": _HOLDS_OPENS}}],
+        {"a": [[[_OPENS]]], "b": _OPENS, "c": [_OPENS, _OPENS]},
     ],
-    ids=["grid-shaped", "tuple-repeats", "repeated-int-list", "shared-scalars", "nested-repeats"],
+    ids=[
+        "grid-shaped",
+        "tuple-repeats",
+        "repeated-int-list",
+        "shared-scalars",
+        "nested-repeats",
+        "first-repeats-in-a-container-met-again",
+        "first-repeats-in-a-list-met-again",
+    ],
 )
 def test_canonical_json_splices_repeats_like_json_dumps(data):
     assert canonical_json(data) == reference_json(data)
@@ -705,6 +720,28 @@ def test_each_fiber_body_is_built_once_per_report(scenario, calls, monkeypatch):
     # every model entry holds the classes of one of those bodies
     held = {id(e["classes"]) for rep in data["models"].values() for e in rep["special_fibers"]}
     assert held <= {id(body["classes"]) for body in built}
+
+
+@pytest.mark.parametrize(
+    "scenario, runs",
+    [(grid_scenario(5), 1), (grid_scenario(300), 1), (subset_scenario(4, 2), 2)],
+    ids=["grid-5", "grid-300", "subset-4"],
+)
+def test_layout_facts_are_computed_once_per_layout(scenario, runs, monkeypatch):
+    # a grid report's two models share one layout object, so its scan and
+    # nesting search run once; a subset layout differs between models, so
+    # each runs its own.  The independent re-check runs once per model, on
+    # that model's own entries
+    calls = Counter()
+    for name in ("fixed_point_scan", "nesting_search", "check_certificate"):
+        def count(*args, original=getattr(report_module, name), name=name):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(report_module, name, count)
+    data = assemble(scenario)
+    assert len(data["models"]) == 2
+    assert calls == {"fixed_point_scan": runs, "nesting_search": runs, "check_certificate": 2}
 
 
 def test_a_report_builds_its_points_and_their_index_once(monkeypatch):
