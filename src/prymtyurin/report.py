@@ -582,10 +582,9 @@ def canonical_json(data) -> str:
                 sep = comma
                 write(v, depth + 1, buf)
         else:
-            # write each distinct element once into a buffer of its own that
-            # opens with its comma, then splice the texts into this one in
-            # order; the first element opens the list, so its comma becomes
-            # the bracket
+            # write each distinct element once, its comma first, into a
+            # buffer of its own, then splice the texts into this one in
+            # order; the first text opens the list, so its comma becomes "["
             ids = list(map(id, obj))
             texts = {}
             for eid, v in dict(zip(ids, obj)).items():
@@ -594,7 +593,7 @@ def canonical_json(data) -> str:
                 texts[eid] = "".join(own)
             first = len(buf)
             buf.extend(map(texts.__getitem__, ids))
-            buf[first] = sep + buf[first][len(comma):]
+            buf[first] = "[" + buf[first][1:]
         buf.append("\n" + pad + ("}" if is_dict else "]"))
         span[3] = len(buf)
 
