@@ -15,6 +15,10 @@ infeasible scenario), on a scenario file that cannot be opened or read
 included: a pipe whose reader is gone, a full device or a closed stdout
 (stderr says "cannot write output").  The keyed model is the merged-class
 model whenever it was evaluated, otherwise the single model requested.
+
+verify-identity reads its kind's family record (scenario.FAMILIES), the
+place a family is described: the size flag's name, its ceiling and the
+matrix builder.
 """
 
 from __future__ import annotations
@@ -25,7 +29,6 @@ import functools
 import os
 import sys
 
-from .correspondence import build_grid_matrix, build_subset_matrix
 from .report import (
     assemble,
     canonical_json,
@@ -37,10 +40,9 @@ from .report import (
     table_row,
 )
 from .scenario import (
-    GRID,
-    MAX_SUBSET_N,
+    FAMILIES,
+    KINDS,
     MODEL_CHOICES,
-    SUBSET,
     InvalidScenario,
     Scenario,
     grid_scenario,
@@ -51,11 +53,6 @@ from .scenario import (
 EXIT_VERIFIED = 0
 EXIT_VALIDATION = 1
 EXIT_HYPOTHESIS = 2
-
-# verify-identity builds and checks an m^2-point relation; m = 30 takes about as long as
-# subset n = MAX_SUBSET_N: 2.9-3.3 ms in process, 29-37 ms with a JSON --dump-matrix
-# (2 vCPUs, Python 3.11, best and median of 9 runs of each)
-MAX_IDENTITY_M = 30
 
 
 class UnreadableInput(Exception):
@@ -105,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
     _output_options(hyp)
 
     ident = sub.add_parser("verify-identity", help="quadratic identity and exponent only")
-    ident.add_argument("--kind", required=True, choices=(SUBSET, GRID))
+    ident.add_argument("--kind", required=True, choices=KINDS)
     ident.add_argument("--n", type=int, help="subset size (kind subset)")
     ident.add_argument("--m", type=int, help="grid side (kind grid)")
     ident.add_argument("--dump-matrix", action="store_true", help="include the matrix")
@@ -143,17 +140,18 @@ def cmd_report(args) -> int:
 
 
 def cmd_verify_identity(args) -> int:
-    subset = args.kind == SUBSET
-    key, stray = ("n", "m") if subset else ("m", "n")
-    size, limit = (args.n, MAX_SUBSET_N) if subset else (args.m, MAX_IDENTITY_M)
+    family = FAMILIES[args.kind]
+    key, limit = family.key, family.identity_max
+    size = getattr(args, key)
     if size is None:
         raise InvalidScenario(f"--kind {args.kind} requires --{key}")
-    if getattr(args, stray) is not None:
-        raise InvalidScenario(f"--{stray} only applies to --kind {GRID if subset else SUBSET}")
+    for kind, other in FAMILIES.items():
+        if other is not family and getattr(args, other.key) is not None:
+            raise InvalidScenario(f"--{other.key} only applies to --kind {kind}")
     if not 2 <= size <= limit:
         bound = "at least 2" if size < 2 else f"at most {limit}"
         raise InvalidScenario(f"--{key} must be {bound}, got {size}")
-    corr = build_subset_matrix(size) if subset else build_grid_matrix(size)
+    corr = family.matrix(size)
 
     summary = {"kind": args.kind, key: size, **correspondence_to_dict(corr)}
     if args.dump_matrix:

@@ -14,16 +14,19 @@ their pairs share exactly t labels.
   2m labels, and two are related when their pairs share one (t = 1): the
   cells share a row or a column.
 
-label_rule is the one place a kind is described: its label count, its
-point descriptors, each point's label pair, its t and two label moves that
-generate its symmetries.  Every relation, symmetry and induced move is
-built from it.  Each correspondence holds its relation once, as one int
-bitset per point, next to its point descriptors in row order: the rest of
-the package reads a point's row at its position and never recomputes a
-rank.  FiberCorrespondence.induce is the one rule by which a label
-permutation acts on the points, as a permutation of their positions: every
-special fiber's generators, the irreducibility check and the symmetries are
-label moves induced through it.  The symmetries are checked at construction;
+label_rule is the one place a kind's points are described: its label
+count, its point descriptors, each point's label pair, its t and two label
+moves that generate its symmetries.  It and the strongly regular closed form
+read this module's one table of kinds, keyed by the names of the family
+records (scenario.FAMILIES) that hold every other per-family fact.  Every
+relation, symmetry and induced move is built from the label rule.  Each
+correspondence holds its relation once, as one int bitset per point, next
+to its point descriptors in row order: the rest of the package reads a
+point's row at its position and never recomputes a rank.
+FiberCorrespondence.induce is the one rule by which a label permutation
+acts on the points, as a permutation of their positions: every special
+fiber's generators, the irreducibility check and the symmetries are label
+moves induced through it.  The symmetries are checked at construction;
 verify_identity squares one row per orbit of the group they generate, one
 row for either family, and each entry is the popcount of an AND of two rows,
 since a symmetric relation's rows are its columns.
@@ -51,9 +54,9 @@ All arithmetic is integer; nothing here ever touches a float.
 
 from __future__ import annotations
 
-import math
 from collections import namedtuple
 from itertools import combinations, count, product, repeat
+from math import comb
 from operator import getitem, itemgetter, or_, xor
 
 from .perms import Permutation, Record, all_subsets, orbits
@@ -165,7 +168,7 @@ def _columns_are_rows(bits: list[str], order) -> bool:
 
 
 def label_rule(kind: str, parameter: int) -> tuple:
-    """The family definition of a kind, the one place one is described:
+    """The label rule of a kind, the one place its points are described:
     (labels, points, pairs, shared, moves), its label count, its point
     descriptors in point order, each point's pair of labels in that order,
     the number of labels two related points' pairs share, and two label
@@ -186,21 +189,37 @@ def label_rule(kind: str, parameter: int) -> tuple:
     >>> label_rule("grid", 2)[2]
     [(1, 3), (1, 4), (2, 3), (2, 4)]
     """
-    letter = {"subset": "n", "grid": "m"}.get(kind)
-    if letter is None:
+    if not isinstance(kind, str) or kind not in _KINDS:
         raise ValueError(f"no label rule for a correspondence of kind {kind!r}")
+    letter, rule, _ = _KINDS[kind]
     if parameter < 2:
         raise ValueError(f"{kind} correspondence needs {letter} >= 2, got {parameter}")
-    if kind == "subset":
-        labels = parameter + 2
-        points = tuple(all_subsets(labels, parameter))
-        pairs = list(combinations(range(labels, 0, -1), 2))
-        moves = (2, 1, *range(3, labels + 1)), (*range(2, labels + 1), 1)
-        return labels, points, pairs, 0, tuple(map(Permutation, moves))
-    rows, cols = range(1, parameter + 1), range(parameter + 1, 2 * parameter + 1)
-    points, pairs = tuple(grid_points(parameter)), list(product(rows, cols))
+    labels, points, pairs, shared, moves = rule(parameter)
+    return labels, points, pairs, shared, tuple(map(Permutation, moves))
+
+
+def _subset_rule(n: int) -> tuple:
+    labels = n + 2
+    points = tuple(all_subsets(labels, n))
+    pairs = list(combinations(range(labels, 0, -1), 2))
+    moves = (2, 1, *range(3, labels + 1)), (*range(2, labels + 1), 1)
+    return labels, points, pairs, 0, moves
+
+
+def _grid_rule(m: int) -> tuple:
+    rows, cols = range(1, m + 1), range(m + 1, 2 * m + 1)
+    points, pairs = tuple(grid_points(m)), list(product(rows, cols))
     moves = (*cols, *rows), (*rows[1:], 1, *cols)
-    return 2 * parameter, points, pairs, 1, tuple(map(Permutation, moves))
+    return 2 * m, points, pairs, 1, moves
+
+
+# the one table of kinds here: each kind's parameter letter, its label rule
+# (label_rule, with its moves as image tuples) and its strongly regular
+# parameters (k, lambda, mu)
+_KINDS = {
+    "subset": ("n", _subset_rule, lambda n: (comb(n, 2), comb(n - 2, 2), comb(n - 1, 2))),
+    "grid": ("m", _grid_rule, lambda m: (2 * (m - 1), m - 2, 2)),
+}
 
 
 def _pair_lookup(labels: int, pairs: list) -> tuple:
@@ -361,14 +380,9 @@ def strongly_regular_identity(kind: str, parameter: int) -> tuple[int, int, int]
     regular parameters of a family: the Kneser graph K(n+2, 2) has
     k = C(n, 2), lambda = C(n-2, 2), mu = C(n-1, 2), and the rook's graph on
     m x m cells k = 2(m-1), lambda = m-2, mu = 2; any other kind raises ValueError."""
-    if kind == "subset":
-        n = parameter
-        k, lam, mu = math.comb(n, 2), math.comb(n - 2, 2), math.comb(n - 1, 2)
-    elif kind == "grid":
-        m = parameter
-        k, lam, mu = 2 * (m - 1), m - 2, 2
-    else:
+    if not isinstance(kind, str) or kind not in _KINDS:
         raise ValueError(f"no strongly regular closed form for correspondence kind {kind!r}")
+    k, lam, mu = _KINDS[kind][2](parameter)
     return (k - mu, lam - mu, mu)
 
 

@@ -4,9 +4,13 @@ Runs a scenario through the whole pipeline -- covering bookkeeping, induced
 curve genus, quadratic identity and exponent, fixed classes, nesting
 certificate, dimension and auxiliary line-bundle degree -- under one or both
 fiber models, and packages everything into a report.  Both families run
-through the same per-model pipeline; each supplies only its fiber layout.
-assemble returns the report's canonical dict, the one source of both of its
-views: canonical JSON and an aligned text table.
+through the same per-model pipeline.  A scenario's family record
+(scenario.FAMILIES), the place a family is described, supplies the matrix,
+the fiber layout, the irreducibility check and the texts of the table's
+scenario row and of a genus error; the one per-kind test left here is the
+grid's informational note on its branch locations.  assemble returns the
+report's canonical dict, the one source of both of its views: canonical
+JSON and an aligned text table.
 
 All arithmetic is exact.  The dimension is an int, or a ratio reduced by
 math.gcd and written as a "p/q" string with the sign on p; a non-integral
@@ -17,16 +21,10 @@ the correspondence class, smoothness of the curve) are marked unchecked.
 
 from __future__ import annotations
 
-from itertools import chain
 from json.encoder import encode_basestring_ascii
 from math import gcd
 
-from .correspondence import (
-    FiberCorrespondence,
-    build_grid_matrix,
-    build_subset_matrix,
-    identity_and_exponent,
-)
+from .correspondence import FiberCorrespondence, identity_and_exponent
 from .covering import (
     CoveringData,
     GenusValidationError,
@@ -42,26 +40,13 @@ from .fixed_points import (
     fixed_point_scan,
     nesting_search,
 )
-from .induced_curve import (
-    MERGED,
-    ORBIT,
-    SpecialFiber,
-    blocks_from_parts,
-    grid_pairing_fiber,
-    grid_row_merge_fiber,
-    irreducibility_check,
-    partition_monodromy,
-    subset_fiber,
-)
-from .perms import Permutation, is_transitive, transposition
-from .scenario import BOTH, GRID, SUBSET, Scenario, scenario_to_dict
+from .induced_curve import MERGED, ORBIT, SpecialFiber
+from .scenario import BOTH, FAMILIES, GRID, SYNTHESIZED, Scenario, scenario_to_dict
 
 UNCHECKED = "unchecked"
 VERIFIED = "verified"
 FAILED = "failed"
 UNDECIDED = "undecided"
-SYNTHESIZED = "synthesized"
-EXPLICIT = "explicit"
 
 class DimensionError(ValueError):
     """The dimension formula was fed inconsistent inputs."""
@@ -117,19 +102,20 @@ def assemble(scenario: Scenario) -> dict:
     Returns the report's canonical dict.  It holds JSON values only, so
     json.loads of its canonical text equals it.
     """
-    if scenario.kind == SUBSET:
-        corr = build_subset_matrix(scenario.parameter)
-    else:
-        corr = build_grid_matrix(scenario.parameter)
+    family = FAMILIES[scenario.kind]
+    corr = family.matrix(scenario.parameter)
     summary = correspondence_to_dict(corr)
     q = summary["exponent"]
     layouts = fiber_layout(scenario, corr)
-    irreducible, basis = _irreducibility(scenario, corr, layouts)
+    distinct = next(iter(layouts.values()))[0]
+    irreducible, basis = family.irreducibility(scenario, corr, distinct)
     # the grid's models share one layout object, whose facts are computed once
     shared = {id(layout): layout for layout in layouts.values()}
     facts = {key: _layout_facts(scenario, corr, layout) for key, layout in shared.items()}
+    # every model writes the one covering dict, which the writer then writes once
+    covering = covering_to_dict(scenario.covering)
     models = {
-        m: _model(scenario, corr, layout, facts[id(layout)], m, q, irreducible)
+        m: _model(scenario, corr, layout, facts[id(layout)], m, q, irreducible, covering)
         for m, layout in layouts.items()
     }
     data = {
@@ -153,66 +139,23 @@ def fiber_layout(scenario: Scenario, corr: FiberCorrespondence) -> dict[str, tup
     or None when the layout declares them all; and the distinct fibers'
     fiber_to_dict bodies, the facts the model's entries write.
 
-    A subset layout has one fiber per distinct profile, the simple one
-    included.  Each model builds its own, but both move the simple
-    profile's pair by (1 2) alone and share its fiber.  Each model gets one
-    body per profile: a merged body writes the block multisets of its
-    profile's blocks, an orbit body none, so the two never share one.  The
-    grid layout has two row-merge fibers, then one pairing fiber per simple
-    branch point of the double covering (its simple_budget) cycling the
-    diagonal shift: four distinct fibers and their four bodies, one layout
-    object for both models, so assemble computes that object's facts
-    (_layout_facts) once for the two.  The positions are built at C level,
-    so no layout costs a Python step per branch point.
+    The family record's layout gives the fibers, the positions, the simple
+    index and each fiber's label blocks, per model.  A fiber object that
+    several models hold (the subset simple fiber, the four grid fibers) is
+    acted on once, and models given one layout object (the grid's) share
+    one layout here too, so assemble computes its facts (_layout_facts)
+    once for them.  A subset model gets one body per profile: a merged body
+    writes the block multisets of its profile's blocks, an orbit body none,
+    so the two never share one.
     """
-    models = models_for(scenario.model)
-    if scenario.kind == GRID:
-        side = corr.parameter
-        pairings = tuple(grid_pairing_fiber(corr, s) for s in range(side))
-        distinct = (grid_row_merge_fiber(corr), *pairings)
-        extra = scenario.covering.simple_extra
-        cycle = (tuple(range(1, side + 1)) * (extra // side + 1))[:extra]
-        actions = [class_action(corr, f) for f in distinct]
-        bodies = [fiber_to_dict(f, None) for f in distinct]
-        return dict.fromkeys(models, (distinct, actions, (0, 0) + cycle, None, bodies))
-    n = scenario.parameter
-    simple_profile = (2,) + (1,) * n
-    profiles = tuple(dict.fromkeys((*scenario.special_fibers, simple_profile)))
-    index = {p: i for i, p in enumerate(profiles)}
-    positions, simple = tuple(index[p] for p in scenario.special_fibers), index[simple_profile]
-    # each model's fibers by (profile, model); the simple one has one key
-    keys = {m: [(p, MERGED if p == simple_profile else m) for p in profiles] for m in models}
-    fibers = {k: subset_fiber(corr, *k) for k in dict.fromkeys(chain.from_iterable(keys.values()))}
-    actions = {k: class_action(corr, f) for k, f in fibers.items()}
-    layouts = {}
-    for m, ks in keys.items():
-        distinct = tuple(map(fibers.get, ks))
-        # a merged body writes its profile's block multisets, an orbit body none
-        blocks = [blocks_from_parts(p, n + 2) if m == MERGED else None for p in profiles]
-        bodies = list(map(fiber_to_dict, distinct, blocks))
-        layouts[m] = distinct, list(map(actions.get, ks)), positions, simple, bodies
-    return layouts
-
-
-def _irreducibility(scenario: Scenario, corr: FiberCorrespondence, layouts) -> tuple[bool, str]:
-    if scenario.kind == GRID:
-        # the four local monodromies, induced on the cells, are the
-        # generators of the grid fibers
-        distinct = next(iter(layouts.values()))[0]
-        gens = tuple(chain.from_iterable(f.generators for f in distinct))
-        return is_transitive(gens, corr.size), SYNTHESIZED
-    degree = scenario.parameter + 2
-    if scenario.monodromy is not None:
-        gens, basis = [Permutation(images=g) for g in scenario.monodromy], EXPLICIT
-    else:
-        # representative choice: the declared fibers' monodromies and one adjacent
-        # transposition per simple branch point, which repeat after degree - 1
-        gens = [partition_monodromy(p, degree) for p in scenario.special_fibers]
-        for i in range(1, 1 + min(scenario.covering.simple_extra, degree - 1)):
-            gens.append(transposition(degree, i, i + 1))
-        basis = SYNTHESIZED
-    # a repeated label move generates nothing new, so each is induced once
-    return irreducibility_check(tuple(dict.fromkeys(gens)), corr), basis
+    specs = FAMILIES[scenario.kind].layout(scenario, corr, models_for(scenario.model))
+    fibers = {id(f): f for distinct, *_ in specs.values() for f in distinct}
+    actions = {key: class_action(corr, f) for key, f in fibers.items()}
+    built = {}
+    for key, (distinct, positions, simple, blocks) in {id(s): s for s in specs.values()}.items():
+        acted = [actions[id(f)] for f in distinct]
+        built[key] = distinct, acted, positions, simple, list(map(fiber_to_dict, distinct, blocks))
+    return {m: built[id(spec)] for m, spec in specs.items()}
 
 
 def _layout_facts(scenario: Scenario, corr: FiberCorrespondence, layout: tuple) -> tuple:
@@ -247,6 +190,7 @@ def _model(
     model: str,
     q: int | None,
     irreducible: bool,
+    covering: dict,
 ) -> tuple[dict, str]:
     """Everything one fiber model says, from its fiber layout (as
     fiber_layout gives it) and that layout's facts (as _layout_facts gives
@@ -267,8 +211,8 @@ def _model(
     try:
         genus = riemann_hurwitz_genus(corr.size, w_induced)
     except GenusValidationError as exc:
-        where = f" n={scenario.parameter}, source" if scenario.kind == SUBSET else ","
-        error = f"{scenario.kind} scenario{where} genus {scenario.upstairs_genus}, {model} model: {exc}"
+        prefix = FAMILIES[scenario.kind].error_prefix.format_map(scenario_to_dict(scenario))
+        error = f"{prefix}, {model} model: {exc}"
 
     bidegree = corr.bidegree
     even = delta % 2 == 0
@@ -308,7 +252,7 @@ def _model(
     )
     rep = {
         "model": model,
-        "covering": covering_to_dict(scenario.covering),
+        "covering": covering,
         "induced": {"degree": corr.size, "ramification": w_induced, "genus": genus},
         "special_fibers": special_fibers,
         "fixed_points": [
@@ -392,7 +336,8 @@ def _notes(data: dict) -> list[str]:
         )
 
     q = corr["exponent"]
-    if scen["kind"] == SUBSET and scen["n"] == 4 and q is not None:
+    # the subset family's n = 4, the one family with an n
+    if scen.get("n") == 4 and q is not None:
         rep = models.get(MERGED)
         if rep is not None and rep["induced"]["genus"] is not None and "error" not in rep:
             genus = rep["induced"]["genus"]
@@ -645,13 +590,9 @@ def render_table(data: dict) -> str:
     the canonical text, whose keys are sorted, renders the same table.
     """
     scen, corr, irr = data["scenario"], data["correspondence"], data["irreducibility"]
-    if scen["kind"] == SUBSET:
-        kind = f"subset exchange, n = {scen['n']}, source genus {scen['upstairs_genus']}"
-    else:
-        kind = f"3x3 grid over a genus {scen['upstairs_genus']} hyperelliptic curve"
     lines = [
         "== correspondence ==",
-        table_row("scenario", kind),
+        table_row("scenario", FAMILIES[scen["kind"]].label.format_map(scen)),
         table_row("fiber size", corr["size"]),
         table_row("bidegree d", corr["bidegree"]),
         *identity_rows(corr),

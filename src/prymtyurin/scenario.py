@@ -12,19 +12,40 @@ and value of every field and names the bad one.  Each special-fiber profile
 goes through covering.normalize_profile, the one check of a profile's parts,
 then is checked against the covering degree and padded with unramified
 sheets, and monodromy generators become tuples.  parse_scenario adds only
-the object, kind and unknown-key checks and maps n or m to the parameter,
-so a malformed file never turns into a confusing error halfway through a
-report.
+the object, kind and unknown-key checks and reads the parameter under its
+family's key, so a malformed file never turns into a confusing error
+halfway through a report.
+
+A family is described in one place, its record in FAMILIES (Family): the
+parameter's key and bounds, the genus bounds and covering degree, the
+default profiles and whether declared fibers and monodromy are accepted,
+the matrix builder, the fiber layout, the irreducibility generators, the
+report's texts and the verify-identity ceiling.  The validator, the
+report, its table and the CLI read a scenario's family from its record and
+branch on no kind.  The correspondence's label rule and closed form, one
+table below the fiber builders, and the independent certificate checker's
+own rule are the other two descriptions.
 """
 
 from __future__ import annotations
 
 import json
 from collections import namedtuple
+from itertools import chain
 
+from .correspondence import FiberCorrespondence, build_grid_matrix, build_subset_matrix
 from .covering import CoveringData, is_int, normalize_profile, simple_budget
-from .induced_curve import MODELS
-from .perms import Permutation, Record, shown
+from .induced_curve import (
+    MERGED,
+    MODELS,
+    blocks_from_parts,
+    grid_pairing_fiber,
+    grid_row_merge_fiber,
+    irreducibility_check,
+    partition_monodromy,
+    subset_fiber,
+)
+from .perms import Permutation, Record, is_transitive, shown, transposition
 
 SUBSET = "subset"
 GRID = "grid"
@@ -43,10 +64,159 @@ MAX_GRID_GENUS = 10_000
 # Python refuses to print an int of more than 4,300 digits; the ceiling is
 # named by its exponent, since a genus past it may not print either
 MAX_SUBSET_GENUS_EXPONENT = 4_000
+# verify-identity builds and checks an m^2-point relation; m = 30 takes about as long as
+# subset n = MAX_SUBSET_N: 2.9-3.3 ms in process, 29-37 ms with a JSON --dump-matrix
+# (2 vCPUs, Python 3.11, best and median of 9 runs of each)
+MAX_IDENTITY_M = 30
+
+# the basis of a report's irreducibility check
+SYNTHESIZED = "synthesized"
+EXPLICIT = "explicit"
 
 
 class InvalidScenario(ValueError):
     """Scenario data failed validation; the message names the field."""
+
+
+class Family(namedtuple("Family", "key default_parameter check default_profiles matrix layout"
+                        " irreducibility label error_prefix identity_max")):
+    """A family's record, the one place a family is described outside the
+    correspondence's label rule and the independent certificate checker:
+    each field is a fact in which the subset and grid families differ.
+    FAMILIES holds one per kind, and every per-kind step reads its kind's
+    record.  The builders are called by name from the record's functions,
+    never stored in it, so a wrapper bound over the module's name (the
+    bench tracer's) sees every call.
+
+    key                the parameter's name in files, reports and flags
+    default_parameter  the parameter a file may leave out, or None
+    check              (parameter, upstairs_genus) -> the covering degree,
+                       raising InvalidScenario on a value out of bounds
+    default_profiles   parameter -> the special-fiber profiles a scenario
+                       gets when it declares none, or None for a family that
+                       fixes its own fiber layout and monodromy, which then
+                       accepts neither
+    matrix             parameter -> the correspondence
+    layout             (scenario, corr, models) -> each model's (distinct
+                       fibers, layout positions, simple index or None, label
+                       blocks per fiber), one object for models that share it
+    irreducibility     (scenario, corr, distinct fibers) -> (transitive, basis)
+    label              the scenario row of the text table, formatted with
+                       the scenario's dict
+    error_prefix       the scenario part of a model's genus error, likewise
+    identity_max       the parameter ceiling of verify-identity
+    """
+
+
+def _check_subset(n, upstairs_genus) -> int:
+    if not is_int(n) or n < 2:
+        raise InvalidScenario(f"n must be an integer >= 2, got {shown(n)}")
+    if n > MAX_SUBSET_N:
+        raise InvalidScenario(f"n must be at most {MAX_SUBSET_N}, got {shown(n)}")
+    if upstairs_genus < 0:
+        raise InvalidScenario(f"upstairs_genus must be >= 0, got {shown(upstairs_genus)}")
+    if upstairs_genus > 10**MAX_SUBSET_GENUS_EXPONENT:
+        raise InvalidScenario(f"upstairs_genus must be at most 10**{MAX_SUBSET_GENUS_EXPONENT}")
+    return n + 2
+
+
+def _check_grid(m, upstairs_genus) -> int:
+    if not is_int(m) or m != GRID_SIZE:
+        raise InvalidScenario(
+            f"grid scenarios require side {GRID_SIZE}: m must be {GRID_SIZE}, got {shown(m)}"
+        )
+    if upstairs_genus < 2:
+        raise InvalidScenario(
+            "grid scenarios need a hyperelliptic curve, so upstairs_genus"
+            f" must be >= 2, got {shown(upstairs_genus)}"
+        )
+    if upstairs_genus > MAX_GRID_GENUS:
+        raise InvalidScenario(
+            f"upstairs_genus must be at most {MAX_GRID_GENUS}, got {shown(upstairs_genus)}"
+        )
+    # the double covering of the hyperelliptic curve
+    return 2
+
+
+def _subset_layout(scenario: Scenario, corr: FiberCorrespondence, models) -> dict:
+    """One fiber per distinct profile, the simple one included.  Each model
+    builds its own, but both move the simple profile's pair by (1 2) alone
+    and share its fiber.  A merged fiber gets its profile's blocks, whose
+    multisets its entry writes, an orbit fiber none."""
+    simple_profile = (2,) + (1,) * scenario.parameter
+    profiles = tuple(dict.fromkeys((*scenario.special_fibers, simple_profile)))
+    index = {p: i for i, p in enumerate(profiles)}
+    positions, simple = tuple(index[p] for p in scenario.special_fibers), index[simple_profile]
+    # each model's fibers by (profile, model); the simple one has one key
+    keys = {m: [(p, MERGED if p == simple_profile else m) for p in profiles] for m in models}
+    fibers = {k: subset_fiber(corr, *k) for k in dict.fromkeys(chain.from_iterable(keys.values()))}
+    merged = [blocks_from_parts(p, scenario.covering.degree) for p in profiles]
+    blocks = {m: merged if m == MERGED else [None] * len(profiles) for m in models}
+    return {m: (tuple(map(fibers.get, ks)), positions, simple, blocks[m]) for m, ks in keys.items()}
+
+
+def _grid_layout(scenario: Scenario, corr: FiberCorrespondence, models) -> dict:
+    """Two row-merge fibers, then one pairing fiber per simple branch point
+    of the double covering (its simple_budget) cycling the diagonal shift:
+    four distinct fibers and one layout object for both models.  The
+    positions are built at C level, so no layout costs a Python step per
+    branch point."""
+    side = corr.parameter
+    distinct = (grid_row_merge_fiber(corr), *(grid_pairing_fiber(corr, s) for s in range(side)))
+    extra = scenario.covering.simple_extra
+    cycle = (tuple(range(1, side + 1)) * (extra // side + 1))[:extra]
+    return dict.fromkeys(models, (distinct, (0, 0) + cycle, None, (None,) * len(distinct)))
+
+
+def _subset_irreducibility(scenario: Scenario, corr: FiberCorrespondence, distinct) -> tuple:
+    degree = scenario.covering.degree
+    if scenario.monodromy is not None:
+        gens, basis = [Permutation(images=g) for g in scenario.monodromy], EXPLICIT
+    else:
+        # representative choice: the declared fibers' monodromies and one adjacent
+        # transposition per simple branch point, which repeat after degree - 1
+        gens = [partition_monodromy(p, degree) for p in scenario.special_fibers]
+        for i in range(1, 1 + min(scenario.covering.simple_extra, degree - 1)):
+            gens.append(transposition(degree, i, i + 1))
+        basis = SYNTHESIZED
+    # a repeated label move generates nothing new, so each is induced once
+    return irreducibility_check(tuple(dict.fromkeys(gens)), corr), basis
+
+
+def _grid_irreducibility(scenario: Scenario, corr: FiberCorrespondence, distinct) -> tuple:
+    # the four local monodromies, induced on the cells, are the generators of
+    # the grid fibers
+    gens = tuple(chain.from_iterable(f.generators for f in distinct))
+    return is_transitive(gens, corr.size), SYNTHESIZED
+
+
+FAMILIES = {
+    SUBSET: Family(
+        key="n", default_parameter=None, check=_check_subset,
+        default_profiles=lambda n: default_subset_fibers(n),
+        matrix=lambda n: build_subset_matrix(n),
+        layout=_subset_layout, irreducibility=_subset_irreducibility,
+        label="subset exchange, n = {n}, source genus {upstairs_genus}",
+        error_prefix="subset scenario n={n}, source genus {upstairs_genus}",
+        identity_max=MAX_SUBSET_N,
+    ),
+    GRID: Family(
+        key="m", default_parameter=GRID_SIZE, check=_check_grid, default_profiles=None,
+        matrix=lambda m: build_grid_matrix(m),
+        layout=_grid_layout, irreducibility=_grid_irreducibility,
+        label="{m}x{m} grid over a genus {upstairs_genus} hyperelliptic curve",
+        error_prefix="grid scenario, genus {upstairs_genus}",
+        identity_max=MAX_IDENTITY_M,
+    ),
+}
+
+
+def _family_of(kind) -> Family:
+    """The record of a kind; any other value, an unhashable one included,
+    raises InvalidScenario."""
+    if kind not in KINDS:
+        raise InvalidScenario(f"kind must be one of {KINDS}, got {shown(kind)}")
+    return FAMILIES[kind]
 
 
 class Scenario(
@@ -61,7 +231,8 @@ class Scenario(
     parameter       subset size n, or the grid side (always 3)
     special_fibers  partition profiles of the small covering's non-simple
                     fibers (subset only; the grid fiber layout is implied),
-                    stored sorted and padded with 1s to the degree n + 2
+                    stored sorted and padded with 1s to the degree n + 2;
+                    None gives the family's default profiles
     model           which fiber model(s) to evaluate
     monodromy       optional explicit generators of the small covering's
                     monodromy group, used for the irreducibility check in
@@ -72,69 +243,43 @@ class Scenario(
 
     def __new__(cls, kind: str, upstairs_genus: int, parameter: int, special_fibers=(),
                 model: str = BOTH, monodromy=None):
-        if kind not in KINDS:
-            raise InvalidScenario(f"kind must be one of {KINDS}, got {shown(kind)}")
+        family = _family_of(kind)
         if model not in MODEL_CHOICES:
             raise InvalidScenario(f"model must be one of {MODEL_CHOICES}, got {shown(model)}")
         if not is_int(upstairs_genus):
             raise InvalidScenario(
                 f"upstairs_genus must be an integer, got {shown(upstairs_genus)}"
             )
-        if not isinstance(special_fibers, (list, tuple)):
+        if special_fibers is not None and not isinstance(special_fibers, (list, tuple)):
             raise InvalidScenario("special_fibers must be a list of profiles")
-        if kind == GRID:
-            if not is_int(parameter) or parameter != GRID_SIZE:
-                raise InvalidScenario(
-                    f"grid scenarios require side {GRID_SIZE}:"
-                    f" m must be {GRID_SIZE}, got {shown(parameter)}"
-                )
-            if upstairs_genus < 2:
-                raise InvalidScenario(
-                    "grid scenarios need a hyperelliptic curve, so upstairs_genus"
-                    f" must be >= 2, got {shown(upstairs_genus)}"
-                )
-            if upstairs_genus > MAX_GRID_GENUS:
-                raise InvalidScenario(
-                    f"upstairs_genus must be at most {MAX_GRID_GENUS},"
-                    f" got {shown(upstairs_genus)}"
-                )
+        degree = family.check(parameter, upstairs_genus)
+        if family.default_profiles is None:
             if special_fibers:
                 raise InvalidScenario(
-                    "grid scenarios fix their own fiber layout;"
+                    f"{kind} scenarios fix their own fiber layout;"
                     " special_fibers must be empty"
                 )
             if monodromy is not None:
                 raise InvalidScenario(
-                    "grid scenarios fix their own monodromy;"
+                    f"{kind} scenarios fix their own monodromy;"
                     " an explicit generator list is not accepted"
                 )
-            degree, special_fibers = 2, ()
-        else:
-            if not is_int(parameter) or parameter < 2:
-                raise InvalidScenario(f"n must be an integer >= 2, got {shown(parameter)}")
-            if parameter > MAX_SUBSET_N:
-                raise InvalidScenario(f"n must be at most {MAX_SUBSET_N}, got {shown(parameter)}")
-            if upstairs_genus < 0:
-                raise InvalidScenario(f"upstairs_genus must be >= 0, got {shown(upstairs_genus)}")
-            if upstairs_genus > 10**MAX_SUBSET_GENUS_EXPONENT:
+        elif special_fibers is None:
+            special_fibers = family.default_profiles(parameter)
+        fibers = []
+        for pos, profile in enumerate(special_fibers or ()):
+            try:
+                parts = normalize_profile(profile)
+            except ValueError as exc:
+                raise InvalidScenario(f"special_fibers[{pos}]: {exc}") from exc
+            if sum(parts) > degree:
                 raise InvalidScenario(
-                    f"upstairs_genus must be at most 10**{MAX_SUBSET_GENUS_EXPONENT}"
+                    f"special_fibers[{pos}]: parts sum to {shown(sum(parts))},"
+                    f" covering degree is {degree}"
                 )
-            degree = parameter + 2
-            fibers = []
-            for pos, profile in enumerate(special_fibers):
-                try:
-                    parts = normalize_profile(profile)
-                except ValueError as exc:
-                    raise InvalidScenario(f"special_fibers[{pos}]: {exc}") from exc
-                if sum(parts) > degree:
-                    raise InvalidScenario(
-                        f"special_fibers[{pos}]: parts sum to {shown(sum(parts))},"
-                        f" covering degree is {degree}"
-                    )
-                # pad with unramified sheets
-                fibers.append(parts + (1,) * (degree - sum(parts)))
-            special_fibers = tuple(fibers)
+            # pad with unramified sheets
+            fibers.append(parts + (1,) * (degree - sum(parts)))
+        special_fibers = tuple(fibers)
         # the simple branch points simple_budget says the source genus needs:
         # 2g + 2 for the grid's double covering
         try:
@@ -142,7 +287,7 @@ class Scenario(
             covering = CoveringData(degree, special_fibers, extra)
         except ValueError as exc:
             raise InvalidScenario(f"special_fibers vs upstairs_genus: {exc}") from exc
-        # a grid scenario refused any monodromy above
+        # a family with a fixed monodromy refused any above
         if monodromy is not None:
             if not isinstance(monodromy, (list, tuple)):
                 raise InvalidScenario("monodromy must be a list of image lists")
@@ -177,38 +322,18 @@ def default_subset_fibers(n: int) -> tuple[tuple[int, ...], ...]:
     return (profile, profile)
 
 
-def subset_scenario(
-    n: int,
-    upstairs_genus: int,
-    special_fibers=None,
-    model: str = BOTH,
-    monodromy=None,
-) -> Scenario:
-    if special_fibers is None:
-        # a non-integer or out-of-range n gets no default profiles; the constructor names it
-        special_fibers = default_subset_fibers(n) if is_int(n) and 2 <= n <= MAX_SUBSET_N else ()
-    return Scenario(
-        kind=SUBSET,
-        upstairs_genus=upstairs_genus,
-        parameter=n,
-        special_fibers=special_fibers,
-        model=model,
-        monodromy=monodromy,
-    )
+def subset_scenario(n: int, upstairs_genus: int, special_fibers=None, model: str = BOTH,
+                    monodromy=None) -> Scenario:
+    return Scenario(SUBSET, upstairs_genus, n, special_fibers, model, monodromy)
 
 
 def grid_scenario(upstairs_genus: int, model: str = BOTH) -> Scenario:
-    return Scenario(
-        kind=GRID,
-        upstairs_genus=upstairs_genus,
-        parameter=GRID_SIZE,
-        model=model,
-    )
+    return Scenario(GRID, upstairs_genus, GRID_SIZE, model=model)
 
 
 _COMMON_KEYS = {"kind", "upstairs_genus", "model"}
-_SUBSET_KEYS = _COMMON_KEYS | {"n", "special_fibers", "monodromy"}
-_GRID_KEYS = _COMMON_KEYS | {"m"}
+# the keys of a family that accepts declared fibers and monodromy
+_DECLARED_KEYS = {"special_fibers", "monodromy"}
 
 
 def parse_scenario(data) -> Scenario:
@@ -216,41 +341,34 @@ def parse_scenario(data) -> Scenario:
     if not isinstance(data, dict):
         raise InvalidScenario(f"scenario must be an object, got {type(data).__name__}")
     kind = data.get("kind")
-    if kind not in KINDS:
-        raise InvalidScenario(f"kind must be one of {KINDS}, got {shown(kind)}")
-
-    allowed = _SUBSET_KEYS if kind == SUBSET else _GRID_KEYS
+    family = _family_of(kind)
+    declared = _DECLARED_KEYS if family.default_profiles is not None else set()
+    allowed = _COMMON_KEYS | {family.key} | declared
     unknown = sorted(map(str, set(data) - allowed))
     if unknown:
         raise InvalidScenario(f"unknown keys for kind {kind!r}: {', '.join(unknown)}")
-
-    genus = data.get("upstairs_genus")
-    model = data.get("model", BOTH)
-    if kind == GRID:
-        side = data.get("m", GRID_SIZE)
-        return Scenario(kind=GRID, upstairs_genus=genus, parameter=side, model=model)
-    return subset_scenario(
-        n=data.get("n"),
-        upstairs_genus=genus,
+    return Scenario(
+        kind=kind,
+        upstairs_genus=data.get("upstairs_genus"),
+        parameter=data.get(family.key, family.default_parameter),
         special_fibers=data.get("special_fibers"),
-        model=model,
+        model=data.get("model", BOTH),
         monodromy=data.get("monodromy"),
     )
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:
+    family = FAMILIES[scenario.kind]
     out = {
         "kind": scenario.kind,
         "upstairs_genus": scenario.upstairs_genus,
         "model": scenario.model,
+        family.key: scenario.parameter,
     }
-    if scenario.kind == GRID:
-        out["m"] = scenario.parameter
-    else:
-        out["n"] = scenario.parameter
+    if family.default_profiles is not None:
         out["special_fibers"] = [list(p) for p in scenario.special_fibers]
-        if scenario.monodromy is not None:
-            out["monodromy"] = [list(g) for g in scenario.monodromy]
+    if scenario.monodromy is not None:
+        out["monodromy"] = [list(g) for g in scenario.monodromy]
     return out
 
 

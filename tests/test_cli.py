@@ -434,10 +434,8 @@ def test_size_ceilings_reject_through_validation_alone(tmp_path, monkeypatch, ca
         raise AssertionError(f"built an object for {args}")
 
     for module, name in (
-        (cli, "build_subset_matrix"),
-        (cli, "build_grid_matrix"),
-        (report, "build_subset_matrix"),
-        (report, "build_grid_matrix"),
+        (scenario_module, "build_subset_matrix"),
+        (scenario_module, "build_grid_matrix"),
         (report, "fiber_layout"),
         (scenario_module, "default_subset_fibers"),
     ):
@@ -459,8 +457,8 @@ def test_size_ceilings_admit_their_limits(monkeypatch, capsys):
         built.append(size)
         raise ValueError("stopped at the builder")
 
-    monkeypatch.setattr(cli, "build_subset_matrix", record)
-    monkeypatch.setattr(cli, "build_grid_matrix", record)
+    monkeypatch.setattr(scenario_module, "build_subset_matrix", record)
+    monkeypatch.setattr(scenario_module, "build_grid_matrix", record)
     assert main(["verify-identity", "--kind", "subset", "--n", "40"]) == EXIT_VALIDATION
     assert main(["verify-identity", "--kind", "grid", "--m", "30"]) == EXIT_VALIDATION
     assert built == [40, 30]
@@ -502,8 +500,7 @@ def test_closed_form_mismatch_fails_with_exit_two(capsys, monkeypatch):
         ),
         points=pts,
     )
-    monkeypatch.setattr(cli, "build_subset_matrix", lambda n: t5)
-    monkeypatch.setattr(report, "build_subset_matrix", lambda n: t5)
+    monkeypatch.setattr(scenario_module, "build_subset_matrix", lambda n: t5)
     want = "(a, b, c) = (2, -1, 4) differs from the strongly regular closed form (2, -1, 1)"
 
     assert main(["verify-identity", "--kind", "subset", "--n", "3"]) == EXIT_HYPOTHESIS
@@ -643,6 +640,16 @@ def test_console_script_smoke():
     proc = _run_child(["builtin", "pn-case", "--n", "3", "--gx", "2"])
     assert proc.returncode == EXIT_VERIFIED, proc.stderr
     assert "verified" in proc.stdout
+
+
+@pytest.mark.parametrize("kind", [[], {}])
+def test_run_names_an_unhashable_kind(tmp_path, kind):
+    # the console script, not main in process: a TypeError would print a traceback
+    path = write_scenario(tmp_path, "kind.json", {"kind": kind, "n": 3, "upstairs_genus": 1})
+    proc = _run_child(["run", path])
+    assert proc.returncode == EXIT_VALIDATION
+    assert proc.stderr.startswith("invalid scenario: kind must be one of")
+    assert "Traceback" not in proc.stderr and proc.stdout == ""
 
 
 def _assert_output_named(proc):

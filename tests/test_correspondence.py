@@ -394,6 +394,16 @@ def test_induce_refuses_a_move_it_cannot_induce():
             build(1)
 
 
+def test_an_unhashable_kind_has_no_rule_and_no_closed_form():
+    # the table of kinds is a dict; a kind that cannot be its key is refused
+    # by name like any other, never with a TypeError
+    other = rebuilt(build_grid_matrix(2), kind=[])
+    with pytest.raises(ValueError, match=r"^no label rule for a correspondence of kind \[\]$"):
+        other.induce(Permutation((1, 2, 3, 4)))
+    with pytest.raises(ValueError, match=r"^no strongly regular closed form .* kind \[\]$"):
+        identity_and_exponent(other)
+
+
 def test_a_correspondence_made_any_way_induces_as_the_built_one():
     # the label rule comes from (kind, parameter) alone, so a correspondence
     # made through the constructor, copy or pickle induces every label move

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from prymtyurin import correspondence, fixed_points, induced_curve, perms
 from prymtyurin import report as report_module
+from prymtyurin import scenario as scenario_module
 from prymtyurin.correspondence import build_grid_matrix, build_subset_matrix
 from prymtyurin.fixed_points import check_certificate
 from prymtyurin.induced_curve import MERGED, ORBIT, SpecialFiber, blocks_from_parts, subset_fiber
@@ -272,13 +273,13 @@ def test_explicit_monodromy_controls_irreducibility():
 
 def test_synthesized_generators_are_distinct(monkeypatch):
     seen = []
-    original = report_module.irreducibility_check
+    original = scenario_module.irreducibility_check
 
     def record(gens, k):
         seen.append(gens)
         return original(gens, k)
 
-    monkeypatch.setattr(report_module, "irreducibility_check", record)
+    monkeypatch.setattr(scenario_module, "irreducibility_check", record)
     # 2,004 simple branch points, but only 4 distinct adjacent transpositions,
     # and the declared (2, 2, 1) twice, whose monodromy is induced once
     scenario = subset_scenario(3, 1000)
@@ -770,7 +771,7 @@ def test_a_report_builds_its_points_and_their_index_once(monkeypatch):
 
 def test_subset_layout_builds_one_fiber_per_profile(monkeypatch):
     built, acted = [], []
-    original, original_action = report_module.subset_fiber, report_module.class_action
+    original, original_action = scenario_module.subset_fiber, report_module.class_action
 
     def record(n, parts, model):
         built.append(parts)
@@ -780,7 +781,7 @@ def test_subset_layout_builds_one_fiber_per_profile(monkeypatch):
         acted.append(fiber)
         return original_action(corr, fiber)
 
-    monkeypatch.setattr(report_module, "subset_fiber", record)
+    monkeypatch.setattr(scenario_module, "subset_fiber", record)
     monkeypatch.setattr(report_module, "class_action", record_action)
     assemble(subset_scenario(3, 2, model="paper"))
     # the declared (2,2,1) twice and the simple (2,1,1,1) once
@@ -1015,11 +1016,11 @@ def test_grid_g3000_computes_each_fiber_fact_once(monkeypatch):
     monkeypatch.setattr(report_module, "class_action", acted)
     built = Counter()
     for name in ("grid_row_merge_fiber", "grid_pairing_fiber"):
-        def build(*args, original=getattr(report_module, name), name=name):
+        def build(*args, original=getattr(scenario_module, name), name=name):
             built[name] += 1
             return original(*args)
 
-        monkeypatch.setattr(report_module, name, build)
+        monkeypatch.setattr(scenario_module, name, build)
     data = assemble(grid_scenario(3000))
     assert len(data["models"]) == 2
     assert set(counts.values()) == {1}

@@ -83,6 +83,27 @@ def test_scenario_covering():
         assert all(rep["covering"] == covering_to_dict(scenario.covering) for rep in models)
 
 
+def test_both_models_write_one_covering_dict():
+    # assemble builds the covering's dict once, so the writer's memo writes
+    # it once for the two models
+    for scenario in (subset_scenario(3, 2), grid_scenario(5)):
+        first, second = assemble(scenario)["models"].values()
+        assert first["covering"] is second["covering"]
+
+
+@pytest.mark.parametrize("kind", [[], {}, ["subset"], {"grid": 3}])
+def test_unhashable_kinds_are_invalid_scenarios(kind):
+    # a kind selects its family from a dict, where an unhashable key would
+    # raise TypeError; every entry point names the kind instead
+    for build in (
+        lambda: parse_scenario({"kind": kind}),
+        lambda: parse_scenario({"kind": kind, "n": 3, "upstairs_genus": 1}),
+        lambda: Scenario(kind=kind, upstairs_genus=1, parameter=3),
+    ):
+        with pytest.raises(InvalidScenario, match=r"^kind must be one of \('subset', 'grid'\), got "):
+            build()
+
+
 def test_scenario_builds_its_covering_once(monkeypatch):
     # the budget reads the degree and the padded profiles directly, so the
     # constructor builds the one covering it keeps, for either kind
