@@ -8,7 +8,13 @@ through the same per-model pipeline.  A scenario's family record
 (scenario.FAMILIES), the place a family is described, supplies the matrix,
 the fiber layout, the irreducibility check and the texts of the table's
 scenario row and of a genus error; the one per-kind test left here is the
-grid's informational note on its branch locations.  assemble returns the
+grid's informational note on its branch locations.  fiber_layout builds
+each distinct layout in one pass: its fibers' class actions, the bodies
+their entries write and the facts no model changes (the fixed-point scan,
+w, Delta.D, the simple-fiber check and the nesting search).  The criterion
+counts Delta.D over the declared special fibers only, so a fiber over a
+simple branch point is kept beside them: it enters w and must carry no
+fixed class, but no entry is written for it.  assemble returns the
 report's canonical dict, the one source of both of its views: canonical
 JSON and an aligned text table.
 
@@ -107,15 +113,11 @@ def assemble(scenario: Scenario) -> dict:
     summary = correspondence_to_dict(corr)
     q = summary["exponent"]
     layouts = fiber_layout(scenario, corr)
-    distinct = next(iter(layouts.values()))[0]
-    irreducible, basis = family.irreducibility(scenario, corr, distinct)
-    # the grid's models share one layout object, whose facts are computed once
-    shared = {id(layout): layout for layout in layouts.values()}
-    facts = {key: _layout_facts(scenario, corr, layout) for key, layout in shared.items()}
+    irreducible, basis = family.irreducibility(scenario, corr, next(iter(layouts.values()))[0])
     # every model writes the one covering dict, which the writer then writes once
     covering = covering_to_dict(scenario.covering)
     models = {
-        m: _model(scenario, corr, layout, facts[id(layout)], m, q, irreducible, covering)
+        m: _model(scenario, corr, layout, m, q, irreducible, covering)
         for m, layout in layouts.items()
     }
     data = {
@@ -132,71 +134,64 @@ def assemble(scenario: Scenario) -> dict:
 
 def fiber_layout(scenario: Scenario, corr: FiberCorrespondence) -> dict[str, tuple]:
     """Each requested model's layout, in the order models_for names them:
-    (distinct, actions, positions, simple, bodies), the distinct fibers,
-    each built and acted on once per report; their class actions on corr;
-    the index of each layout position's fiber among them, in report order;
-    the index of a fiber over a simple branch point of the input covering,
-    or None when the layout declares them all; and the distinct fibers'
-    fiber_to_dict bodies, the facts the model's entries write.
+    (fibers, actions, positions, bodies, facts), the distinct fibers the
+    layout positions name; their class actions on corr; the index of each
+    position's fiber among them, in report order; their fiber_to_dict
+    bodies, which the model's entries write; and the facts the layout
+    decides without its model, (fixed, w_induced, simple_free, delta,
+    nesting): the fixed-point scan, the induced ramification w, whether the
+    simple fiber's diagonal is free of fixed classes (None when the layout
+    declares every fiber), the weighted fixed-point count Delta.D and the
+    nesting search's result.
 
     The family record's layout gives the fibers, the positions, the simple
-    index and each fiber's label blocks, per model.  A fiber object that
-    several models hold (the subset simple fiber, the four grid fibers) is
-    acted on once, and models given one layout object (the grid's) share
-    one layout here too, so assemble computes its facts (_layout_facts)
-    once for them.  A subset model gets one body per profile: a merged body
-    writes the block multisets of its profile's blocks, an orbit body none,
-    so the two never share one.
+    fiber and each fiber's label blocks, per model.  The simple fiber
+    enters w and is checked for fixed classes, but no position names it, so
+    it gets no body.  A fiber object that several models hold (the subset
+    simple fiber, the four grid fibers) is acted on once, and models given
+    one layout object (the grid's) share one layout here, built in one
+    pass, so its scan and search run once for them.  A subset model gets
+    one body per profile: a merged body writes the block multisets of its
+    profile's blocks, an orbit body none, so the two never share one.  The
+    scan and the search read each position's action through positions, and
+    w is gathered by position at C level.
     """
     specs = FAMILIES[scenario.kind].layout(scenario, corr, models_for(scenario.model))
-    fibers = {id(f): f for distinct, *_ in specs.values() for f in distinct}
-    actions = {key: class_action(corr, f) for key, f in fibers.items()}
+    held = {id(f): f for fibers, _, simple, _ in specs.values() for f in (*fibers, simple)}
+    actions = {key: class_action(corr, f) for key, f in held.items() if f is not None}
     built = {}
-    for key, (distinct, positions, simple, blocks) in {id(s): s for s in specs.values()}.items():
-        acted = [actions[id(f)] for f in distinct]
-        built[key] = distinct, acted, positions, simple, list(map(fiber_to_dict, distinct, blocks))
+    for key, (fibers, positions, simple, blocks) in {id(s): s for s in specs.values()}.items():
+        acted = [actions[id(f)] for f in fibers]
+        ws = [f.w_contribution for f in fibers]
+        fixed = fixed_point_scan(acted, positions)
+        w_induced = sum(map(ws.__getitem__, positions))
+        simple_free = None
+        if simple is not None:
+            w_induced += scenario.covering.simple_extra * simple.w_contribution
+            # the fixed-point count only scans declared special fibers, so check
+            # that the simple fiber's diagonal holds no fixed class
+            simple_free = not any(actions[id(simple)][0])
+        delta = sum(mult for _, _, mult in fixed)
+        nesting = nesting_search(acted, positions, delta, corr.bidegree)
+        bodies = list(map(fiber_to_dict, fibers, blocks))
+        built[key] = fibers, acted, positions, bodies, (fixed, w_induced, simple_free, delta, nesting)
     return {m: built[id(spec)] for m, spec in specs.items()}
-
-
-def _layout_facts(scenario: Scenario, corr: FiberCorrespondence, layout: tuple) -> tuple:
-    """The facts a fiber layout decides without its model, computed once per
-    layout object: (fixed, w_induced, simple_free, delta, nesting), the
-    fixed-point scan, the induced ramification w, whether the simple fiber's
-    diagonal is free of fixed classes (None when the layout declares every
-    fiber), the weighted fixed-point count Delta.D and the nesting search's
-    result.  The scan and the search read each position's action through
-    positions, and w is gathered by position at C level.
-    """
-    _, actions, positions, simple, bodies = layout
-    ws = [body["w"] for body in bodies]
-    fixed = fixed_point_scan(actions, positions)
-    w_induced = sum(map(ws.__getitem__, positions))
-    simple_free = None
-    if simple is not None:
-        w_induced += scenario.covering.simple_extra * ws[simple]
-        # the fixed-point count only scans declared special fibers, so check
-        # that the simple fiber's diagonal holds no fixed class
-        simple_free = not any(actions[simple][0])
-    delta = sum(mult for _, _, mult in fixed)
-    nesting = nesting_search(actions, positions, delta, corr.bidegree)
-    return fixed, w_induced, simple_free, delta, nesting
 
 
 def _model(
     scenario: Scenario,
     corr: FiberCorrespondence,
     layout: tuple,
-    facts: tuple,
     model: str,
     q: int | None,
     irreducible: bool,
     covering: dict,
 ) -> tuple[dict, str]:
-    """Everything one fiber model says, from its fiber layout (as
-    fiber_layout gives it) and that layout's facts (as _layout_facts gives
-    them, shared by the models of one layout object): the model's canonical
-    dict and its verdict.  It writes each distinct fiber through its body
-    alone, and re-checks the nesting claim on its own entries.
+    """Everything one fiber model says, from its fiber layout and the facts
+    it carries (as fiber_layout gives them, shared by the models of one
+    layout object): the model's canonical dict and its verdict.  It writes
+    each fiber the positions name through its body alone, and re-checks the
+    nesting claim on its own entries.
 
     error is set when the model's own arithmetic is inconsistent (genus
     validation, negative dimension); the facts computed before the failure
@@ -204,8 +199,7 @@ def _model(
     the nesting search ran out of budget and every other check held, so the
     model is neither verified nor refuted.
     """
-    positions, bodies = layout[2], layout[4]
-    fixed, w_induced, simple_free, delta, nesting = facts
+    _, _, positions, bodies, (fixed, w_induced, simple_free, delta, nesting) = layout
 
     genus = error = None
     try:

@@ -97,10 +97,14 @@ class Family(namedtuple("Family", "key default_parameter check default_profiles 
                        fixes its own fiber layout and monodromy, which then
                        accepts neither
     matrix             parameter -> the correspondence
-    layout             (scenario, corr, models) -> each model's (distinct
-                       fibers, layout positions, simple index or None, label
-                       blocks per fiber), one object for models that share it
-    irreducibility     (scenario, corr, distinct fibers) -> (transitive, basis)
+    layout             (scenario, corr, models) -> each model's (fibers,
+                       layout positions, simple fiber or None, label blocks
+                       per fiber), one object for models that share it: the
+                       fibers are the distinct ones the positions name, and
+                       the simple fiber, over the covering's simple branch
+                       points, is kept beside them (None when the layout
+                       declares every fiber)
+    irreducibility     (scenario, corr, layout fibers) -> (transitive, basis)
     label              the scenario row of the text table, formatted with
                        the scenario's dict
     error_prefix       the scenario part of a model's genus error, likewise
@@ -139,20 +143,21 @@ def _check_grid(m, upstairs_genus) -> int:
 
 
 def _subset_layout(scenario: Scenario, corr: FiberCorrespondence, models) -> dict:
-    """One fiber per distinct profile, the simple one included.  Each model
-    builds its own, but both move the simple profile's pair by (1 2) alone
-    and share its fiber.  A merged fiber gets its profile's blocks, whose
-    multisets its entry writes, an orbit fiber none."""
+    """One fiber per distinct declared profile, and the simple fiber beside
+    them, built once: both models move the simple profile's pair by (1 2)
+    alone, so they share its fiber, wherever the simple profile is declared
+    too.  A merged fiber gets its profile's blocks, whose multisets its
+    entry writes, an orbit fiber none."""
     simple_profile = (2,) + (1,) * scenario.parameter
-    profiles = tuple(dict.fromkeys((*scenario.special_fibers, simple_profile)))
-    index = {p: i for i, p in enumerate(profiles)}
-    positions, simple = tuple(index[p] for p in scenario.special_fibers), index[simple_profile]
-    # each model's fibers by (profile, model); the simple one has one key
-    keys = {m: [(p, MERGED if p == simple_profile else m) for p in profiles] for m in models}
-    fibers = {k: subset_fiber(corr, *k) for k in dict.fromkeys(chain.from_iterable(keys.values()))}
+    simple = subset_fiber(corr, simple_profile, MERGED)
+    profiles = tuple(dict.fromkeys(scenario.special_fibers))
+    positions = tuple(map(profiles.index, scenario.special_fibers))
     merged = [blocks_from_parts(p, scenario.covering.degree) for p in profiles]
-    blocks = {m: merged if m == MERGED else [None] * len(profiles) for m in models}
-    return {m: (tuple(map(fibers.get, ks)), positions, simple, blocks[m]) for m, ks in keys.items()}
+    return {
+        m: (tuple(simple if p == simple_profile else subset_fiber(corr, p, m) for p in profiles),
+            positions, simple, merged if m == MERGED else [None] * len(profiles))
+        for m in models
+    }
 
 
 def _grid_layout(scenario: Scenario, corr: FiberCorrespondence, models) -> dict:

@@ -113,9 +113,9 @@ def test_grid_layout_counts():
     layouts = fiber_layout(grid_scenario(4), build_grid_matrix(3))
     # both models read one layout object
     assert list(layouts) == [MERGED, ORBIT] and layouts[MERGED] is layouts[ORBIT]
-    distinct, actions, positions, simple, bodies = layouts[MERGED]
+    distinct, actions, positions, bodies, (_, _, simple_free, _, _) = layouts[MERGED]
     assert len(actions) == len(bodies) == len(distinct)
-    assert simple is None
+    assert simple_free is None
     assert len(positions) == 2 + 10
     assert all(distinct[i].w_contribution == 3 for i in positions)
     # one row-merge fiber and three pairing fibers, each built once
@@ -698,16 +698,19 @@ def test_model_entries_share_each_fiber_body():
     [
         (grid_scenario(5), 4),
         (grid_scenario(5, model="paper"), 4),
-        (subset_scenario(5, 3), 4),
-        (subset_scenario(5, 3, model="paper"), 2),
-        (subset_scenario(3, 1, special_fibers=[[3, 2], [2, 2, 1]]), 6),
+        (subset_scenario(5, 3), 2),
+        (subset_scenario(5, 3, model="paper"), 1),
+        (subset_scenario(3, 1, special_fibers=[[3, 2], [2, 2, 1]]), 4),
+        (subset_scenario(3, 1, special_fibers=[]), 0),
     ],
-    ids=["grid-both", "grid-paper", "subset-5-both", "subset-5-paper", "subset-3-three-profiles"],
+    ids=["grid-both", "grid-paper", "subset-5-both", "subset-5-paper", "subset-3-three-profiles",
+         "subset-3-no-declared-fibers"],
 )
 def test_each_fiber_body_is_built_once_per_report(scenario, calls, monkeypatch):
     # the grid's one layout builds four bodies for both models; a subset
-    # layout builds one per profile and model, since only the merged body
-    # writes block multisets
+    # layout builds one per declared profile and model, since only the
+    # merged body writes block multisets, and none for its simple fiber,
+    # which no entry names
     built = []
     original = report_module.fiber_to_dict
 
@@ -720,7 +723,10 @@ def test_each_fiber_body_is_built_once_per_report(scenario, calls, monkeypatch):
     assert len(built) == calls
     # every model entry holds the classes of one of those bodies
     held = {id(e["classes"]) for rep in data["models"].values() for e in rep["special_fibers"]}
-    assert held <= {id(body["classes"]) for body in built}
+    assert held == {id(body["classes"]) for body in built}
+    # a subset layout still checks the simple fiber it writes no entry for
+    free = {rep["simple_fibers_fixed_free"] for rep in data["models"].values()}
+    assert free == ({None} if scenario.kind == "grid" else {True})
 
 
 @pytest.mark.parametrize(
