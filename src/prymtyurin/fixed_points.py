@@ -29,10 +29,12 @@ makes certificates deterministic.  The count makes at most NESTING_CLIQUE_BUDGET
 per fiber, the one budget of the search; beyond it the search is reported
 undecided.
 
-The scan and the search read only the class actions of a layout's distinct
-fibers and, for each layout position, the index of its fiber among them
-(report.fiber_layout).  A certificate's fields are its report keys, and
-the report adds the chain's members from the fiber entry it names.
+The scan and the search read only the class actions of the distinct fibers
+a layout's positions name and, for each position, the index of its fiber
+among them; report.fiber_layout runs both once per layout object, and
+checks the simple branch fiber, which no position names, itself.  A
+certificate's fields are its report keys, and the report adds the chain's
+members from the fiber entry it names.
 check_certificate alone decides a model's nesting claim: it binds the
 chain's length to the model's fixed-point count, and recomputes every
 multiplicity from the report's entries and the family's label rule.

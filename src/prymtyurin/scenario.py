@@ -64,6 +64,12 @@ MAX_GRID_GENUS = 10_000
 # Python refuses to print an int of more than 4,300 digits; the ceiling is
 # named by its exponent, since a genus past it may not print either
 MAX_SUBSET_GENUS_EXPONENT = 4_000
+# each declared fiber writes the labels of all C(n+2, 2) points again, so the
+# declared fibers times their points are bounded: 20 fibers at n = 40.  The
+# heaviest profiles found there, (4, 2, .., 2) and (3, 3, 2, .., 2), write
+# 62.7 MB of JSON under "both" at the genus ceiling (21 fibers: 65.8 MB), no
+# more than the grid's 64.6 MB at MAX_GRID_GENUS
+MAX_SUBSET_FIBER_POINTS = 20 * 861
 # verify-identity builds and checks an m^2-point relation; m = 30 takes about as long as
 # subset n = MAX_SUBSET_N: 2.9-3.3 ms in process, 29-37 ms with a JSON --dump-matrix
 # (2 vCPUs, Python 3.11, best and median of 9 runs of each)
@@ -271,6 +277,12 @@ class Scenario(
                 )
         elif special_fibers is None:
             special_fibers = family.default_profiles(parameter)
+        points = degree * (degree - 1) // 2
+        if len(special_fibers or ()) * points > MAX_SUBSET_FIBER_POINTS:
+            raise InvalidScenario(
+                f"special_fibers must hold at most {MAX_SUBSET_FIBER_POINTS // points} profiles"
+                f" of {points} points each, got {len(special_fibers)}"
+            )
         fibers = []
         for pos, profile in enumerate(special_fibers or ()):
             try:

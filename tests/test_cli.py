@@ -30,7 +30,7 @@ from prymtyurin.cli import (
 from prymtyurin.correspondence import FiberCorrespondence, build_grid_matrix, build_subset_matrix
 from prymtyurin.perms import all_subsets
 from prymtyurin.report import DimensionError, canonical_json, identity_rows
-from prymtyurin.scenario import MAX_SUBSET_GENUS_EXPONENT, MODEL_CHOICES
+from prymtyurin.scenario import MAX_SUBSET_FIBER_POINTS, MAX_SUBSET_GENUS_EXPONENT, MODEL_CHOICES
 
 
 def write_scenario(tmp_path, name, data):
@@ -425,6 +425,12 @@ CEILING_FILES = (
          "special_fibers": []},
         f"upstairs_genus must be at most 10**{MAX_SUBSET_GENUS_EXPONENT}",
     ),
+    (
+        # 5 KB of file that would ask for about 2.4 GB of report
+        {"kind": "subset", "n": 40, "upstairs_genus": 1000, "special_fibers": [[2]] * 1000},
+        f"special_fibers must hold at most {MAX_SUBSET_FIBER_POINTS // 861} profiles"
+        " of 861 points each, got 1000",
+    ),
 )
 
 
@@ -463,6 +469,21 @@ def test_size_ceilings_admit_their_limits(monkeypatch, capsys):
     assert main(["verify-identity", "--kind", "grid", "--m", "30"]) == EXIT_VALIDATION
     assert built == [40, 30]
     assert "stopped at the builder" in capsys.readouterr().err
+
+
+def test_fiber_point_ceiling_admits_its_limit(tmp_path, monkeypatch, capsys):
+    # the most declared fibers n = 40 admits pass validation and reach the builder
+    built = []
+
+    def record(size):
+        built.append(size)
+        raise ValueError("stopped at the builder")
+
+    monkeypatch.setattr(scenario_module, "build_subset_matrix", record)
+    fibers = [[2]] * (MAX_SUBSET_FIBER_POINTS // 861)
+    data = {"kind": "subset", "n": 40, "upstairs_genus": 1000, "special_fibers": fibers}
+    assert main(["run", write_scenario(tmp_path, "limit.json", data)]) == EXIT_VALIDATION
+    assert built == [40] and "stopped at the builder" in capsys.readouterr().err
 
 
 def test_subset_genus_ceiling_prints_an_n40_report(tmp_path, capsys):

@@ -721,7 +721,7 @@ def test_each_fiber_body_is_built_once_per_report(scenario, calls, monkeypatch):
     monkeypatch.setattr(report_module, "fiber_to_dict", record)
     data = assemble(scenario)
     assert len(built) == calls
-    # every model entry holds the classes of one of those bodies
+    # the model entries hold the classes of exactly those bodies: each is written
     held = {id(e["classes"]) for rep in data["models"].values() for e in rep["special_fibers"]}
     assert held == {id(body["classes"]) for body in built}
     # a subset layout still checks the simple fiber it writes no entry for

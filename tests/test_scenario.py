@@ -12,6 +12,7 @@ from prymtyurin.scenario import (
     GRID,
     KINDS,
     MAX_GRID_GENUS,
+    MAX_SUBSET_FIBER_POINTS,
     MAX_SUBSET_GENUS_EXPONENT,
     MAX_SUBSET_N,
     MODEL_CHOICES,
@@ -172,6 +173,21 @@ def test_size_ceilings(monkeypatch):
     assert Scenario(kind=SUBSET, upstairs_genus=10**12, parameter=MAX_SUBSET_N).parameter == 40
     assert subset_scenario(MAX_SUBSET_N, ceiling, special_fibers=[]).upstairs_genus == ceiling
     assert grid_scenario(MAX_GRID_GENUS).covering.simple_extra == 2 * MAX_GRID_GENUS + 2
+
+
+def test_declared_fiber_ceiling_counts_points():
+    # the ceiling bounds declared fibers times the C(n+2, 2) points of each,
+    # so a small n admits many more fibers than n = 40
+    for n, points in ((2, 6), (MAX_SUBSET_N, 861)):
+        limit = MAX_SUBSET_FIBER_POINTS // points
+        profile = (2,) + (1,) * n
+        assert len(subset_scenario(n, 10**6, special_fibers=[profile] * limit).special_fibers) == limit
+        with pytest.raises(
+            InvalidScenario,
+            match=f"^special_fibers must hold at most {limit} profiles of {points} points each,"
+            f" got {limit + 1}$",
+        ):
+            subset_scenario(n, 10**6, special_fibers=[profile] * (limit + 1))
 
 
 HUGE = 10**5000  # past Python's 4,300-digit limit for printing an int
