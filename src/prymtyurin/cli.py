@@ -31,12 +31,11 @@ import sys
 
 from .report import (
     assemble,
-    canonical_json,
     correspondence_to_dict,
     identity_rows,
+    json_pieces,
     keyed_verdict,
     render_table,
-    report_to_json,
     table_row,
 )
 from .scenario import (
@@ -133,7 +132,7 @@ def cmd_report(args) -> int:
         scenario = Scenario(**{**scenario._asdict(), "model": args.model})
     data = assemble(scenario)
     if args.format == "json":
-        print(report_to_json(data))
+        _write_json(data)
     else:
         print(render_table(data), end="")
     return EXIT_VERIFIED if keyed_verdict(data) else EXIT_HYPOTHESIS
@@ -159,7 +158,7 @@ def cmd_verify_identity(args) -> int:
         digits = bytes.maketrans(b"01", b"\0\1")
         summary["matrix"] = [list(row.encode().translate(digits)) for row in corr.bits]
     if args.format == "json":
-        print(canonical_json(summary))
+        _write_json(summary)
     else:
         rows = [
             table_row("correspondence", f"{summary['kind']} {key} = {summary[key]}"),
@@ -211,6 +210,14 @@ def _stdout():
     if sys.stdout is None:  # fd 1 was closed when the interpreter started
         raise OSError(errno.EBADF, os.strerror(errno.EBADF))
     return sys.stdout
+
+
+def _write_json(obj) -> None:
+    # the writer's pieces go to stdout unjoined, so a multi-MB report is
+    # never held as one string and then copied again by stdout
+    out = _stdout()
+    out.writelines(json_pieces(obj))
+    out.write("\n")
 
 
 def _flush_stdout() -> None:

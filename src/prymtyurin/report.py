@@ -426,7 +426,13 @@ _SCALARS = {str: encode_basestring_ascii, int: _INT_TEXT, bool: _LITERAL, type(N
 
 
 def canonical_json(data) -> str:
-    """The text json.dumps(data, indent=2, sort_keys=True) writes, byte for byte.
+    """The text json.dumps(data, indent=2, sort_keys=True) writes, byte for
+    byte: json_pieces(data) joined."""
+    return "".join(json_pieces(data))
+
+
+def json_pieces(data) -> list[str]:
+    """The pieces of canonical_json(data), in order, not joined.
 
     Keys must be str: a key of any other type raises TypeError, where
     json.dumps would also write int, float, bool and None keys.  A list or
@@ -437,10 +443,12 @@ def canonical_json(data) -> str:
     none) as well as a Fraction or a set, so nothing is stringified by
     accident.
 
-    Like json.dumps, every piece goes to one list, joined once at the end.
-    A report names one object in many places: a fiber entry at every layout
-    position, a body of classes in both models' entries, a class's member
-    list in its fixed point and in the certificate's chain.  The pure-Python
+    Every piece goes to one list, which is returned unjoined: the CLI hands
+    it to stdout's writelines, so the whole text is never one string there,
+    and canonical_json joins it.  A report names one object in many places:
+    a fiber entry at every layout position, a body of classes in both
+    models' entries, a class's member list in its fixed point and in the
+    certificate's chain.  The pure-Python
     encoder that indent selects would write every copy again.  Here one memo
     for the whole call maps each container's id to its written span: its
     depth, the buffer it went to and its first and last piece.  A container
@@ -469,7 +477,7 @@ def canonical_json(data) -> str:
     scalar = _SCALARS.get
 
     # the recursion stays private: a recursive public call would be one more
-    # serialize span per node to anything that wraps canonical_json
+    # serialize span per node to anything that wraps the writer
     def write(obj, depth: int, buf: list) -> None:
         encode = scalar(type(obj))
         if encode is not None:
@@ -537,7 +545,7 @@ def canonical_json(data) -> str:
         span[3] = len(buf)
 
     write(data, 0, out)
-    return "".join(out)
+    return out
 
 
 def report_to_json(data: dict) -> str:

@@ -30,7 +30,13 @@ from prymtyurin.cli import (
 from prymtyurin.correspondence import FiberCorrespondence, build_grid_matrix, build_subset_matrix
 from prymtyurin.perms import all_subsets
 from prymtyurin.report import DimensionError, canonical_json, identity_rows
-from prymtyurin.scenario import MAX_SUBSET_FIBER_POINTS, MAX_SUBSET_GENUS_EXPONENT, MODEL_CHOICES
+from prymtyurin.scenario import (
+    MAX_SUBSET_FIBER_POINTS,
+    MAX_SUBSET_GENUS_EXPONENT,
+    MODEL_CHOICES,
+    grid_scenario,
+    load_scenario,
+)
 
 
 def write_scenario(tmp_path, name, data):
@@ -657,6 +663,36 @@ def _run_child(argv, stdout=subprocess.PIPE, **options):
     )
 
 
+def test_json_through_a_real_stdout_is_the_writers_text(tmp_path):
+    # the digest and golden tests capture stdout with StringIO; here the
+    # child's pieces go through TextIOWrapper.writelines, once to a file and
+    # once to a pipe, and each output is the in-process text and a newline
+    path = write_scenario(tmp_path, "subset.json",
+                          {"kind": "subset", "n": 5, "upstairs_genus": 3, "model": "both"})
+    corr = build_grid_matrix(8)
+    matrix = [[int(bit) for bit in row] for row in corr.bits]
+    summary = {"kind": "grid", "m": 8, **report.correspondence_to_dict(corr), "matrix": matrix}
+    runs = [
+        (["builtin", "hyperelliptic", "--g", "3000", "--format", "json"],
+         report.report_to_json(report.assemble(grid_scenario(3000))), EXIT_VERIFIED),
+        (["run", path, "--format", "json"],
+         report.report_to_json(report.assemble(load_scenario(path))), EXIT_VERIFIED),
+        # at m = 8 the exponent q = 2 - b is below 2, so the exit code is 2
+        (["verify-identity", "--kind", "grid", "--m", "8", "--dump-matrix", "--format", "json"],
+         canonical_json(summary), EXIT_HYPOTHESIS),
+    ]
+    assert summary["exponent"] is None
+    for argv, text, code in runs:
+        expected = (text + "\n").encode()
+        with open(tmp_path / "out.json", "wb") as out:
+            proc = _run_child(argv, stdout=out)
+        assert (proc.returncode, proc.stderr) == (code, ""), argv
+        assert (tmp_path / "out.json").read_bytes() == expected, argv
+        proc = _run_child(argv)
+        assert (proc.returncode, proc.stderr) == (code, ""), argv
+        assert proc.stdout.encode() == expected, argv
+
+
 def test_console_script_smoke():
     proc = _run_child(["builtin", "pn-case", "--n", "3", "--gx", "2"])
     assert proc.returncode == EXIT_VERIFIED, proc.stderr
@@ -683,7 +719,7 @@ def _assert_output_named(proc):
 @pytest.mark.parametrize(
     "argv",
     [
-        # far larger than a pipe buffer: the failed write is in the print
+        # far larger than a pipe buffer: the failed write is in writelines
         ["builtin", "hyperelliptic", "--g", "3000", "--format", "json"],
         # smaller than stdout's buffer: the failed write is in its flush
         ["builtin", "hyperelliptic", "--g", "3", "--format", "table"],
@@ -712,6 +748,9 @@ def test_a_closed_output_pipe_is_named_as_the_output(argv, monkeypatch):
         ["builtin", "hyperelliptic", "--g", "3"],
         ["verify-identity", "--kind", "grid", "--m", "3"],
         ["--help"],
+        # the JSON pieces overflow stdout's buffer, so the write fails inside
+        # writelines, not in main's flush
+        ["builtin", "hyperelliptic", "--g", "3000", "--format", "json"],
     ],
 )
 def test_a_full_output_device_is_named_as_the_output(argv, monkeypatch):
@@ -725,7 +764,12 @@ def test_a_full_output_device_is_named_as_the_output(argv, monkeypatch):
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
 @pytest.mark.parametrize(
     "argv",
-    [["--help"], ["builtin", "--help"], ["builtin", "hyperelliptic", "--g", "3"]],
+    [
+        ["--help"],
+        ["builtin", "--help"],
+        ["builtin", "hyperelliptic", "--g", "3"],
+        ["verify-identity", "--kind", "grid", "--m", "3", "--format", "json"],
+    ],
 )
 def test_an_unbuffered_full_output_device_is_named_as_the_output(argv, monkeypatch):
     # an unbuffered stdout fails inside the write itself, for the help text
@@ -748,6 +792,16 @@ def test_a_closed_stdout_is_named_as_the_output():
     # the child starts with fd 1 closed, so its sys.stdout is None
     proc = _run_child(
         ["builtin", "hyperelliptic", "--g", "3"],
+        stdout=subprocess.DEVNULL,
+        preexec_fn=functools.partial(os.close, 1),
+    )
+    _assert_output_named(proc)
+
+
+def test_json_to_a_closed_stdout_is_named_as_the_output():
+    # sys.stdout is None, so the JSON path fails before its first piece
+    proc = _run_child(
+        ["builtin", "hyperelliptic", "--g", "3", "--format", "json"],
         stdout=subprocess.DEVNULL,
         preexec_fn=functools.partial(os.close, 1),
     )

@@ -1,5 +1,7 @@
+import contextlib
 import enum
 import hashlib
+import io
 import json
 import os
 import re
@@ -14,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from prymtyurin import correspondence, fixed_points, induced_curve, perms
+from prymtyurin import cli, correspondence, fixed_points, induced_curve, perms
 from prymtyurin import report as report_module
 from prymtyurin import scenario as scenario_module
 from prymtyurin.correspondence import build_grid_matrix, build_subset_matrix
@@ -660,7 +662,14 @@ def test_report_to_json_matches_json_dumps(scenario):
 
 
 def test_repeated_fibers_share_one_entry():
-    for scen, distinct in ((grid_scenario(5), 4), (subset_scenario(3, 2), 1)):
+    cases = (
+        (grid_scenario(5), 4),
+        (subset_scenario(3, 2), 1),
+        # the simple profile declared between two others: its position holds
+        # the layout's one simple fiber, which is a layout fiber only here
+        (subset_scenario(3, 1, special_fibers=[[3, 2], [2, 1, 1, 1], [3, 2]]), 2),
+    )
+    for scen, distinct in cases:
         corr = build_subset_matrix(3) if scen.kind == "subset" else build_grid_matrix(3)
         layouts = fiber_layout(scen, corr)
         for model, rep in assemble(scen)["models"].items():
@@ -669,12 +678,16 @@ def test_repeated_fibers_share_one_entry():
             # the same fiber always gets the same entry object
             assert len(set(zip(positions, entries))) == len(set(entries)) == distinct
             # and each entry holds the fiber of its position, a merged subset
-            # entry with the block multisets of its profile, the layout's
-            # profiles being the declared ones and then the simple one
+            # entry with the block multisets of its profile; a subset
+            # layout's fibers are exactly its distinct declared profiles, in
+            # declaration order, and the simple fiber is not among them
+            # unless it is declared
             blocks = [None] * len(fibers)
-            if model == MERGED and scen.kind == "subset":
-                profiles = dict.fromkeys((*scen.special_fibers, (2, 1, 1, 1)))
-                blocks = [blocks_from_parts(p, 5) for p in profiles]
+            if scen.kind == "subset":
+                profiles = dict.fromkeys(scen.special_fibers)
+                assert fibers == tuple(subset_fiber(corr, p, model) for p in profiles)
+                if model == MERGED:
+                    blocks = [blocks_from_parts(p, scen.covering.degree) for p in profiles]
             assert rep["special_fibers"] == [
                 {"model": model, **fiber_to_dict(fibers[i], blocks[i])} for i in positions
             ]
@@ -941,10 +954,10 @@ def test_grid_g3000_serializes_under_a_second():
 
 
 def test_grid_g3000_json_peak_memory_stays_near_its_length():
-    # every piece goes to one list joined once at the end; each of the four
-    # distinct fibers is written once into its own text and the list of
-    # fiber entries splices references to those texts, so the pieces hold
-    # little beyond them and the peak is about the text
+    # canonical_json joins json_pieces' list, so its peak is the joined text;
+    # each of the four distinct fibers is written once into its own text and
+    # the list of fiber entries splices references to those texts, so the
+    # pieces hold little beyond them
     data = assemble(grid_scenario(3000))
     tracemalloc.start()
     try:
@@ -953,6 +966,41 @@ def test_grid_g3000_json_peak_memory_stays_near_its_length():
     finally:
         tracemalloc.stop()
     assert peak <= 1.5 * len(text)
+
+
+class _CharCount(io.TextIOBase):
+    """A text stream that keeps only the number of characters written to it."""
+
+    def __init__(self):
+        self.chars = 0
+
+    def write(self, text):
+        self.chars += len(text)
+        return len(text)
+
+
+def _cli_json(genus: int) -> int:
+    """The characters the CLI writes for the grid report of genus, as JSON."""
+    sink = _CharCount()
+    with contextlib.redirect_stdout(sink):
+        assert cli.main(["builtin", "hyperelliptic", "--g", str(genus), "--format", "json"]) == 0
+    return sink.chars
+
+
+def test_cli_grid_g3000_json_peak_memory_is_far_below_its_length():
+    # the CLI hands the writer's pieces to stdout unjoined: the four distinct
+    # fiber texts are referenced once per position and never copied into one
+    # 19.4 MB string, so the peak, assemble's included, is a small part of
+    # the text.  The warm-up call fills import-time and per-process caches
+    _cli_json(3000)
+    tracemalloc.start()
+    try:
+        chars = _cli_json(3000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert chars == 19_400_383
+    assert peak <= 0.1 * chars
 
 
 def _package_lines(func, *args) -> int:
@@ -988,12 +1036,14 @@ def test_grid_report_python_work_does_not_grow_with_genus(output):
     # nesting search, the entry list and the JSON splice) runs at C level,
     # so the Python lines of a whole report are the same at every genus.  A
     # subset layout grows only in its simple branch points, which no
-    # position holds.  The warm-up call fills import-time and per-process
-    # caches
-    for build in (grid_scenario, lambda genus: subset_scenario(5, genus)):
-        def run(genus, build=build):
-            return output(assemble(build(genus)))
-
+    # position holds.  The CLI's JSON path writes the grid report's pieces
+    # to stdout; the sink's own writes are not package lines.  The warm-up
+    # call fills import-time and per-process caches
+    runs = [lambda genus, build=build: output(assemble(build(genus)))
+            for build in (grid_scenario, lambda genus: subset_scenario(5, genus))]
+    if output is report_to_json:
+        runs.append(_cli_json)
+    for run in runs:
         run(300)
         assert _package_lines(run, 300) == _package_lines(run, 3000)
 
