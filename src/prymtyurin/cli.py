@@ -134,7 +134,7 @@ def cmd_report(args) -> int:
     if args.format == "json":
         _write_json(data)
     else:
-        print(render_table(data), end="")
+        _stdout().write(render_table(data))
     return EXIT_VERIFIED if keyed_verdict(data) else EXIT_HYPOTHESIS
 
 
@@ -170,7 +170,7 @@ def cmd_verify_identity(args) -> int:
         if args.dump_matrix:
             rows.append("matrix:")
             rows += ["  " + " ".join(map(str, row)) for row in summary["matrix"]]
-        print("\n".join(rows))
+        _stdout().write("\n".join(rows) + "\n")
 
     return EXIT_VERIFIED if summary["exponent"] is not None else EXIT_HYPOTHESIS
 
@@ -207,7 +207,9 @@ def main(argv=None) -> int:
 
 
 def _stdout():
-    if sys.stdout is None:  # fd 1 was closed when the interpreter started
+    # None when fd 1 was closed as the interpreter started; a closed file
+    # object would raise ValueError, which main reads as bad input
+    if sys.stdout is None or sys.stdout.closed:
         raise OSError(errno.EBADF, os.strerror(errno.EBADF))
     return sys.stdout
 

@@ -30,8 +30,10 @@ per fiber, the one budget of the search; beyond it the search is reported
 undecided.
 
 The scan and the search read only the class actions of the distinct fibers
-a layout's positions name and, for each position, the index of its fiber
-among them; report.fiber_layout runs both once per layout object, and
+a layout's positions name and the positions, one byte per position holding
+the index of its fiber among them; each visits at C level only the
+positions whose fiber it needs, so its Python steps do not grow with the
+positions.  report.fiber_layout runs both once per layout object, and
 checks the simple branch fiber, which no position names, itself.  A
 certificate's fields are its report keys, and the report adds the chain's
 members from the fiber entry it names.
@@ -85,21 +87,38 @@ def class_action(corr: FiberCorrespondence, fiber: SpecialFiber) -> tuple[tuple,
     return diagonal, block
 
 
+def _flagged(flags, positions):
+    """The layout positions p, in order, whose fiber positions[p] has a true
+    entry in flags, found at C level: the positions, as bytes (any sequence
+    of ints in range(256) becomes them), translate to a 1 where the fiber is
+    flagged, a 0 where it is not and a 2 where the index names no fiber,
+    which raises IndexError; bytes.find then visits the 1s alone."""
+    marks = bytes(positions).translate(bytes(map(bool, flags)).ljust(256, b"\2"))
+    stray = marks.find(2)
+    if stray >= 0:
+        raise IndexError(
+            f"layout position {stray} names fiber {positions[stray]},"
+            f" but the layout has {len(flags)} fibers"
+        )
+    p = marks.find(1)
+    while p >= 0:
+        yield p
+        p = marks.find(1, p + 1)
+
+
 def fixed_point_scan(actions, positions) -> list[tuple[int, int, int]]:
     """The fixed classes of a layout, in layout order: (position, class q,
     multiplicity diagonal[q]) for every class q that lies in its own image,
     at every position.  actions holds the class actions of the distinct
-    fibers and positions[p] the index of position p's fiber among them.
+    fibers and positions (bytes, or any sequence of ints in range(256)) the
+    index of each position's fiber among them; an index that names no fiber
+    raises IndexError.
     """
     fixed = [list(compress(enumerate(diagonal), diagonal)) for diagonal, _ in actions]
     # only the positions whose fiber has a fixed class are visited: a layout
     # that repeats a fixed-point-free fiber at every simple branch point
     # costs no Python step
-    return [
-        (p, q, mult)
-        for p in compress(count(), map(fixed.__getitem__, positions))
-        for q, mult in fixed[positions[p]]
-    ]
+    return [(p, q, mult) for p in _flagged(fixed, positions) for q, mult in fixed[positions[p]]]
 
 
 class NestingCertificate(Record, namedtuple("NestingCertificate", "fiber chain multiplicities")):
@@ -181,13 +200,15 @@ def nesting_search(actions, positions, delta_dot_d: int, bidegree: int):
     """Find the lexicographically first nesting chain of length delta_dot_d / 2.
 
     actions are the class actions of a layout's distinct fibers as
-    class_action returns them, positions[p] the index of position p's fiber
-    among them, and delta_dot_d the layout's weighted fixed-point count; the
-    search reads nothing else, so a certificate names its classes by index.
-    Positions are searched in layout order, and each distinct fiber's
-    cliques are counted once, at its first searchable position: a fiber that
-    fails there adds the same orderings tried at each of its later
-    positions, which fibers_searched counts too.
+    class_action returns them, positions (bytes, or any sequence of ints
+    in range(256)) the index of each position's fiber among them, and
+    delta_dot_d the layout's weighted fixed-point count; the search reads
+    nothing else, so a certificate names its classes by index.  Positions
+    are searched in layout order, only those whose fiber has enough
+    candidates are visited, and each distinct fiber's cliques are counted
+    once, at its first searchable position: a fiber that fails there adds
+    the same orderings tried at each of its later positions, which
+    fibers_searched counts too.
 
     The correspondence is symmetric and its class action does not depend on
     the representative, so |q| * action[q][p] = |p| * action[p][q] for class
@@ -231,7 +252,7 @@ def nesting_search(actions, positions, delta_dot_d: int, bidegree: int):
     searchable = [len(chosen) >= n for chosen in candidates_of]
     failed: dict[int, int] = {}  # orderings tried on each distinct fiber that fails
     tried = searched = 0
-    for pos in compress(count(), map(searchable.__getitem__, positions)):
+    for pos in _flagged(searchable, positions):
         fi = positions[pos]
         searched += 1
         if fi in failed:

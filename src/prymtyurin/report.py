@@ -135,9 +135,10 @@ def assemble(scenario: Scenario) -> dict:
 def fiber_layout(scenario: Scenario, corr: FiberCorrespondence) -> dict[str, tuple]:
     """Each requested model's layout, in the order models_for names them:
     (fibers, actions, positions, bodies, facts), the distinct fibers the
-    layout positions name; their class actions on corr; the index of each
-    position's fiber among them, in report order; their fiber_to_dict
-    bodies, which the model's entries write; and the facts the layout
+    layout positions name; their class actions on corr; the positions, in
+    report order, as bytes: one byte per position, the index of its fiber
+    among them; their fiber_to_dict bodies, which the model's entries
+    write; and the facts the layout
     decides without its model, (fixed, w_induced, simple_free, delta,
     nesting): the fixed-point scan, the induced ramification w, whether the
     simple fiber's diagonal is free of fixed classes (None when the layout
@@ -153,8 +154,9 @@ def fiber_layout(scenario: Scenario, corr: FiberCorrespondence) -> dict[str, tup
     pass, so its scan and search run once for them.  A subset model gets
     one body per profile: a merged body writes the block multisets of its
     profile's blocks, an orbit body none, so the two never share one.  The
-    scan and the search read each position's action through positions, and
-    w is gathered by position at C level.
+    scan and the search visit only the positions whose fiber they need, and
+    w is each fiber's w times its count of positions, counted at memchr
+    speed, so no step per position is taken in Python.
     """
     specs = FAMILIES[scenario.kind].layout(scenario, corr, models_for(scenario.model))
     held = {id(f): f for fibers, _, simple, _ in specs.values() for f in (*fibers, simple)}
@@ -164,7 +166,7 @@ def fiber_layout(scenario: Scenario, corr: FiberCorrespondence) -> dict[str, tup
         acted = [actions[id(f)] for f in fibers]
         ws = [f.w_contribution for f in fibers]
         fixed = fixed_point_scan(acted, positions)
-        w_induced = sum(map(ws.__getitem__, positions))
+        w_induced = sum(map(int.__mul__, ws, map(positions.count, range(len(ws)))))
         simple_free = None
         if simple is not None:
             w_induced += scenario.covering.simple_extra * simple.w_contribution
@@ -458,14 +460,17 @@ def json_pieces(data) -> list[str]:
     inside a string and every newline in a container's text is structural.
     A span that is still open is a cycle, and raises ValueError as
     json.dumps does.  A list or tuple that holds the same element (by id)
-    more than once (one C-level set of its ids tells) writes each
-    distinct element once into a buffer of its own that opens with its
-    comma separator, and splices the texts in one C-level extend of a map
-    over the ids; the first piece's comma is then swapped for the opening
-    bracket.  So a repeated element costs no Python step, no separator is
-    written per element, and no recorded span is ever cut.  The splice is
-    what keeps the writer's Python work flat in the genus: the memo alone
-    costs one Python step per repeated fiber entry.  Scalars are
+    more than once writes each distinct element once into a buffer of its
+    own that opens with its comma separator, and splices the texts in one
+    C-level extend of a map over its ids; the first piece's comma is then
+    swapped for the opening bracket.  One C-level list of the ids serves
+    the whole list: the dict it keys tells whether an element repeats (it
+    is shorter than the list), holds the distinct elements in order of
+    first occurrence, and the splice maps the same list.  So a repeated
+    element costs no Python step, no separator is written per element, and
+    no recorded span is ever cut.  The splice is what keeps the writer's
+    Python work flat in the genus: the memo alone costs one Python step per
+    repeated fiber entry.  Scalars are
     written inline, each key's prefix is encoded once per call, and a list
     or tuple of plain ints (not bools) is written as one string at C level;
     the text of the ints 0..255 is read from a table.
@@ -523,24 +528,28 @@ def json_pieces(data) -> list[str]:
                 else:
                     buf.append(sep + prefix + encode(v))
                 sep = comma
-        elif len(set(map(id, obj))) == len(obj):
-            for v in obj:
-                buf.append(sep)
-                sep = comma
-                write(v, depth + 1, buf)
         else:
-            # write each distinct element once, its comma first, into a
-            # buffer of its own, then splice the texts into this one in
-            # order; the first text opens the list, so its comma becomes "["
+            # one list of ids serves the distinct test, the first occurrences
+            # (in order, as a dict keeps them) and the splice
             ids = list(map(id, obj))
-            texts = {}
-            for eid, v in dict(zip(ids, obj)).items():
-                own = [comma]
-                write(v, depth + 1, own)
-                texts[eid] = "".join(own)
-            first = len(buf)
-            buf.extend(map(texts.__getitem__, ids))
-            buf[first] = "[" + buf[first][1:]
+            distinct = dict(zip(ids, obj))
+            if len(distinct) == len(obj):
+                for v in obj:
+                    buf.append(sep)
+                    sep = comma
+                    write(v, depth + 1, buf)
+            else:
+                # write each distinct element once, its comma first, into a
+                # buffer of its own, then splice the texts into this one in
+                # order; the first text opens the list, so its comma becomes "["
+                texts = {}
+                for eid, v in distinct.items():
+                    own = [comma]
+                    write(v, depth + 1, own)
+                    texts[eid] = "".join(own)
+                first = len(buf)
+                buf.extend(map(texts.__getitem__, ids))
+                buf[first] = "[" + buf[first][1:]
         buf.append("\n" + pad + ("}" if is_dict else "]"))
         span[3] = len(buf)
 

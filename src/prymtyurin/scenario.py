@@ -64,6 +64,7 @@ MAX_GRID_GENUS = 10_000
 # Python refuses to print an int of more than 4,300 digits; the ceiling is
 # named by its exponent, since a genus past it may not print either
 MAX_SUBSET_GENUS_EXPONENT = 4_000
+MAX_SUBSET_GENUS = 10**MAX_SUBSET_GENUS_EXPONENT
 # each declared fiber writes the labels of all C(n+2, 2) points again, so the
 # declared fibers times their points are bounded: 20 fibers at n = 40.  The
 # heaviest profiles found there, (4, 2, .., 2) and (3, 3, 2, .., 2), write
@@ -106,7 +107,10 @@ class Family(namedtuple("Family", "key default_parameter check default_profiles 
     layout             (scenario, corr, models) -> each model's (fibers,
                        layout positions, simple fiber or None, label blocks
                        per fiber), one object for models that share it: the
-                       fibers are the distinct ones the positions name, and
+                       fibers are the distinct ones the positions name, the
+                       positions are bytes, one per position holding the
+                       index of its fiber (a layout has fewer than 256
+                       distinct fibers under the scenario ceilings), and
                        the simple fiber, over the covering's simple branch
                        points, is kept beside them (None when the layout
                        declares every fiber)
@@ -125,7 +129,7 @@ def _check_subset(n, upstairs_genus) -> int:
         raise InvalidScenario(f"n must be at most {MAX_SUBSET_N}, got {shown(n)}")
     if upstairs_genus < 0:
         raise InvalidScenario(f"upstairs_genus must be >= 0, got {shown(upstairs_genus)}")
-    if upstairs_genus > 10**MAX_SUBSET_GENUS_EXPONENT:
+    if upstairs_genus > MAX_SUBSET_GENUS:
         raise InvalidScenario(f"upstairs_genus must be at most 10**{MAX_SUBSET_GENUS_EXPONENT}")
     return n + 2
 
@@ -157,7 +161,7 @@ def _subset_layout(scenario: Scenario, corr: FiberCorrespondence, models) -> dic
     simple_profile = (2,) + (1,) * scenario.parameter
     simple = subset_fiber(corr, simple_profile, MERGED)
     profiles = tuple(dict.fromkeys(scenario.special_fibers))
-    positions = tuple(map(profiles.index, scenario.special_fibers))
+    positions = bytes(map(profiles.index, scenario.special_fibers))
     merged = [blocks_from_parts(p, scenario.covering.degree) for p in profiles]
     return {
         m: (tuple(simple if p == simple_profile else subset_fiber(corr, p, m) for p in profiles),
@@ -170,13 +174,13 @@ def _grid_layout(scenario: Scenario, corr: FiberCorrespondence, models) -> dict:
     """Two row-merge fibers, then one pairing fiber per simple branch point
     of the double covering (its simple_budget) cycling the diagonal shift:
     four distinct fibers and one layout object for both models.  The
-    positions are built at C level, so no layout costs a Python step per
-    branch point."""
+    positions are bytes built at C level, so no layout costs a Python step
+    per branch point."""
     side = corr.parameter
     distinct = (grid_row_merge_fiber(corr), *(grid_pairing_fiber(corr, s) for s in range(side)))
     extra = scenario.covering.simple_extra
-    cycle = (tuple(range(1, side + 1)) * (extra // side + 1))[:extra]
-    return dict.fromkeys(models, (distinct, (0, 0) + cycle, None, (None,) * len(distinct)))
+    positions = bytes((0, 0)) + (bytes(range(1, side + 1)) * (extra // side + 1))[:extra]
+    return dict.fromkeys(models, (distinct, positions, None, (None,) * len(distinct)))
 
 
 def _subset_irreducibility(scenario: Scenario, corr: FiberCorrespondence, distinct) -> tuple:

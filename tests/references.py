@@ -18,9 +18,12 @@ moves induced on the cells (FiberCorrespondence.induce).
 The package now builds every special fiber as the orbits of its generators
 and reads the action off one representative per class, only where the
 criterion reads it: diagonal_and_block cuts a full matrix down to that part.
+reference_fixed_point_scan and reference_w read a layout's positions as a
+tuple of fiber indices, one gather per position, as the package did before
+its positions became bytes that it scans by find and counts.
 """
 
-from itertools import chain
+from itertools import chain, compress, count
 
 from prymtyurin.correspondence import build_subset_matrix
 from prymtyurin.induced_curve import (
@@ -163,3 +166,20 @@ def diagonal_and_block(matrix):
     diagonal = tuple(row[q] for q, row in enumerate(matrix))
     chosen = [q for q, mult in enumerate(diagonal) if mult == 1]
     return diagonal, tuple(tuple(matrix[q][p] for p in chosen) for q in chosen)
+
+
+def reference_fixed_point_scan(actions, positions):
+    """(position, class, multiplicity) for every fixed class at every
+    position, in layout order, gathered position by position; an index past
+    the fibers raises IndexError."""
+    fixed = [list(compress(enumerate(diagonal), diagonal)) for diagonal, _ in actions]
+    return [
+        (p, q, mult)
+        for p in compress(count(), map(fixed.__getitem__, positions))
+        for q, mult in fixed[positions[p]]
+    ]
+
+
+def reference_w(ws, positions):
+    """The sum of each position's fiber's w, gathered position by position."""
+    return sum(map(ws.__getitem__, positions))

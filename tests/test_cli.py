@@ -649,12 +649,12 @@ def test_shared_parser_carries_no_state_between_calls(tmp_path):
 # --- installed console script -------------------------------------------------
 
 
-def _run_child(argv, stdout=subprocess.PIPE, **options):
+def _run_child(argv, stdout=subprocess.PIPE, program=("-m", "prymtyurin.cli"), **options):
     # the child imports the same package as this test, installed or not
     source = str(Path(prymtyurin.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (source, os.environ.get("PYTHONPATH")) if p)
     return subprocess.run(
-        [sys.executable, "-m", "prymtyurin.cli", *argv],
+        [sys.executable, *program, *argv],
         stdout=stdout,
         stderr=subprocess.PIPE,
         text=True,
@@ -805,4 +805,30 @@ def test_json_to_a_closed_stdout_is_named_as_the_output():
         stdout=subprocess.DEVNULL,
         preexec_fn=functools.partial(os.close, 1),
     )
+    _assert_output_named(proc)
+
+
+# main with a closed file object as sys.stdout, its arguments from the command line
+_CLOSED_STDOUT_MAIN = """
+import io, sys
+from prymtyurin.cli import main
+sys.stdout = io.StringIO()
+sys.stdout.close()
+raise SystemExit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["builtin", "hyperelliptic", "--g", "3", "--format", "json"],
+        ["builtin", "hyperelliptic", "--g", "3"],
+        ["--help"],
+    ],
+    ids=["json", "table", "help"],
+)
+def test_a_closed_stdout_object_is_named_as_the_output(argv):
+    # a write to a closed file object raises ValueError, which is no bad
+    # input: the JSON pieces, the table and the help text all name the output
+    proc = _run_child(argv, program=("-c", _CLOSED_STDOUT_MAIN))
     _assert_output_named(proc)

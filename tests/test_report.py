@@ -1,5 +1,6 @@
 import contextlib
 import enum
+import functools
 import hashlib
 import io
 import json
@@ -37,6 +38,7 @@ from prymtyurin.report import (
     report_to_json,
 )
 from prymtyurin.scenario import grid_scenario, subset_scenario
+from references import partitions, reference_fixed_point_scan, reference_w
 
 
 def nesting_kind(rep: dict) -> str:
@@ -122,7 +124,90 @@ def test_grid_layout_counts():
     assert all(distinct[i].w_contribution == 3 for i in positions)
     # one row-merge fiber and three pairing fibers, each built once
     assert len(distinct) == 4
-    assert positions == (0, 0, 1, 2, 3, 1, 2, 3, 1, 2, 3, 1)
+    assert positions == bytes((0, 0, 1, 2, 3, 1, 2, 3, 1, 2, 3, 1))
+
+
+def test_layout_positions_fit_in_a_byte():
+    # a layout's positions hold one byte per position, the index of its
+    # fiber.  A subset layout names one fiber per distinct declared profile:
+    # a ramified partition of the degree n + 2 (the unramified one is
+    # refused), and no more profiles than MAX_SUBSET_FIBER_POINTS allows of
+    # C(n + 2, 2) points each.  The grid layout names four fibers
+    top = scenario_module.MAX_SUBSET_N + 2
+    counts = [1] + [0] * top  # partitions of 0..top, by their largest part
+    for part in range(1, top + 1):
+        for total in range(part, top + 1):
+            counts[total] += counts[total - part]
+    assert counts[:10] == [sum(1 for _ in partitions(t)) for t in range(10)]
+    limit = scenario_module.MAX_SUBSET_FIBER_POINTS
+    bound = {
+        n: min(counts[n + 2] - 1, limit // comb(n + 2, 2))
+        for n in range(2, scenario_module.MAX_SUBSET_N + 1)
+    }
+    widest = max(bound, key=bound.get)
+    assert (widest, bound[widest]) == (13, 164)
+    # that many distinct profiles at n = 13 are accepted and fill positions
+    # 0..163; one more profile is refused
+    ramified = [p for p in partitions(15) if p[0] > 1]
+    gx = sum(sum(p) - len(p) for p in ramified)  # a genus their ramification allows
+    scenario = subset_scenario(13, gx, ramified[:164], model=MERGED)
+    fibers, positions, _, _ = scenario_module.FAMILIES["subset"].layout(
+        scenario, build_subset_matrix(13), (MERGED,)
+    )[MERGED]
+    assert len(fibers) == 164 and positions == bytes(range(164))
+    with pytest.raises(scenario_module.InvalidScenario, match="at most 164 profiles"):
+        subset_scenario(13, gx, ramified[:165], model=MERGED)
+    grid = fiber_layout(grid_scenario(3), build_grid_matrix(3))[MERGED]
+    assert len(grid[0]) == 4 and type(grid[2]) is bytes and max(grid[2]) == 3
+    assert max(bound.values()) < 256
+
+
+def _outcome(func, *args):
+    # a result, or the one exception a position that names no fiber raises
+    try:
+        return func(*args)
+    except IndexError:
+        return IndexError
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_byte_positions_match_the_tuple_gathers(data):
+    # random layouts over subset n = 4 fibers, repeating fibers with and
+    # without fixed classes, and now and then an index that names no fiber:
+    # the scan over bytes (and over a tuple) and fiber_layout's w from counts
+    # give what one gather per position gave, or both raise IndexError
+    corr, pool = _n4_fibers()
+    fibers = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=5))
+    positions = data.draw(st.lists(st.integers(0, len(fibers) - 1), max_size=40))
+    if data.draw(st.booleans()):
+        stray = data.draw(st.integers(len(fibers), 255))
+        positions.insert(data.draw(st.integers(0, len(positions))), stray)
+    actions = [fixed_points.class_action(corr, f) for f in fibers]
+    scanned = _outcome(reference_fixed_point_scan, actions, tuple(positions))
+    assert _outcome(fixed_points.fixed_point_scan, actions, bytes(positions)) == scanned
+    assert _outcome(fixed_points.fixed_point_scan, actions, tuple(positions)) == scanned
+    w = _outcome(reference_w, [f.w_contribution for f in fibers], tuple(positions))
+    expected = IndexError if IndexError in (scanned, w) else (scanned, w)
+
+    def layout(scenario, corr, models):
+        return dict.fromkeys(models, (fibers, bytes(positions), None, [None] * len(fibers)))
+
+    family = scenario_module.FAMILIES["subset"]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setitem(scenario_module.FAMILIES, "subset", family._replace(layout=layout))
+        facts = _outcome(lambda: fiber_layout(subset_scenario(4, 3, model=MERGED), corr))
+    assert (facts if facts is IndexError else facts[MERGED][4][:2]) == expected
+
+
+@functools.cache
+def _n4_fibers():
+    # every ramified profile of degree 6 under both models
+    corr = build_subset_matrix(4)
+    pool = [subset_fiber(corr, p, m) for p in partitions(6) if p[0] > 1 for m in (MERGED, ORBIT)]
+    # fibers with fixed classes and fibers without
+    assert {any(fixed_points.class_action(corr, f)[0]) for f in pool} == {True, False}
+    return corr, pool
 
 
 def test_subset_families_per_model():
@@ -420,6 +505,8 @@ _NESTED = [_P1, [_P1, _P1], {"k": _P1}]
 # container that holds it, is met again at another depth and re-indented
 _OPENS = [_P1, _P2, _P1, 5, _P1]
 _HOLDS_OPENS = {"fibers": _OPENS, "w": 1}
+# an element that holds a list with repeats, itself repeated in a list
+_HOLDS_REPEATS = {"fibers": [_P1, _P2, _P1, _P1], "w": 0}
 
 
 # a list that holds one element (by id) more than once is written by
@@ -435,6 +522,9 @@ _HOLDS_OPENS = {"fibers": _OPENS, "w": 1}
         [_NESTED, 7, _NESTED, {"again": [_NESTED, _NESTED]}],
         [_HOLDS_OPENS, [[_HOLDS_OPENS]], {"k": {"deeper": _HOLDS_OPENS}}],
         {"a": [[[_OPENS]]], "b": _OPENS, "c": [_OPENS, _OPENS]},
+        [_P1, _P1, _P1, _P1, _P2, _P1, _P3, _P1, _P3],
+        [_P2] * 1000,
+        [_HOLDS_REPEATS, 3, _HOLDS_REPEATS, [_HOLDS_REPEATS], _HOLDS_REPEATS],
     ],
     ids=[
         "grid-shaped",
@@ -444,6 +534,9 @@ _HOLDS_OPENS = {"fibers": _OPENS, "w": 1}
         "nested-repeats",
         "first-repeats-in-a-container-met-again",
         "first-repeats-in-a-list-met-again",
+        "distinct-element-first-met-late",
+        "one-element-1000-times",
+        "repeated-list-in-a-repeated-element",
     ],
 )
 def test_canonical_json_splices_repeats_like_json_dumps(data):
