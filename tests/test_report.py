@@ -145,7 +145,7 @@ def test_layout_positions_fit_in_a_byte():
         for n in range(2, scenario_module.MAX_SUBSET_N + 1)
     }
     widest = max(bound, key=bound.get)
-    assert (widest, bound[widest]) == (13, 164)
+    assert (widest, bound[widest]) == (13, 164) and bound[widest] < 256
     # that many distinct profiles at n = 13 are accepted and fill positions
     # 0..163; one more profile is refused
     ramified = [p for p in partitions(15) if p[0] > 1]
@@ -159,7 +159,16 @@ def test_layout_positions_fit_in_a_byte():
         subset_scenario(13, gx, ramified[:165], model=MERGED)
     grid = fiber_layout(grid_scenario(3), build_grid_matrix(3))[MERGED]
     assert len(grid[0]) == 4 and type(grid[2]) is bytes and max(grid[2]) == 3
-    assert max(bound.values()) < 256
+
+
+@functools.cache
+def _n4_fibers():
+    # every ramified profile of degree 6 under both models
+    corr = build_subset_matrix(4)
+    pool = [subset_fiber(corr, p, m) for p in partitions(6) if p[0] > 1 for m in (MERGED, ORBIT)]
+    # fibers with fixed classes and fibers without
+    assert {any(fixed_points.class_action(corr, f)[0]) for f in pool} == {True, False}
+    return corr, pool
 
 
 def _outcome(func, *args):
@@ -198,16 +207,6 @@ def test_byte_positions_match_the_tuple_gathers(data):
         patch.setitem(scenario_module.FAMILIES, "subset", family._replace(layout=layout))
         facts = _outcome(lambda: fiber_layout(subset_scenario(4, 3, model=MERGED), corr))
     assert (facts if facts is IndexError else facts[MERGED][4][:2]) == expected
-
-
-@functools.cache
-def _n4_fibers():
-    # every ramified profile of degree 6 under both models
-    corr = build_subset_matrix(4)
-    pool = [subset_fiber(corr, p, m) for p in partitions(6) if p[0] > 1 for m in (MERGED, ORBIT)]
-    # fibers with fixed classes and fibers without
-    assert {any(fixed_points.class_action(corr, f)[0]) for f in pool} == {True, False}
-    return corr, pool
 
 
 def test_subset_families_per_model():
