@@ -16,6 +16,14 @@ included: a pipe whose reader is gone, a full device or a closed stdout
 (stderr says "cannot write output").  The keyed model is the merged-class
 model whenever it was evaluated, otherwise the single model requested.
 
+Arguments are read from one table, COMMANDS (each command path with its
+flags and, for run, its positional), by one walk over argv, parse_args.  It
+accepts and refuses what argparse does for the same definitions, with
+argparse's phrases, and -h or --help at any level writes help built from
+the table.  argparse is not imported: with its gettext it was a quarter of
+this module's import, and its parse the largest cost of a verify-identity
+call.
+
 verify-identity reads its kind's family record (scenario.FAMILIES), the
 place a family is described: the size flag's name, its ceiling and the
 matrix builder.
@@ -23,11 +31,12 @@ matrix builder.
 
 from __future__ import annotations
 
-import argparse
 import errno
-import functools
 import os
+import re
 import sys
+from collections import namedtuple
+from types import SimpleNamespace
 
 from .report import (
     assemble,
@@ -59,61 +68,244 @@ class UnreadableInput(Exception):
     does not blame on the output."""
 
 
-class _Parser(argparse.ArgumentParser):
-    # argparse exits with status 2 on bad arguments, which would collide with
-    # the hypothesis-failure code; bad arguments are validation errors here
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(EXIT_VALIDATION)
+# A flag: its name, the type its value is read with (bool marks a switch,
+# which takes no value and is True when given), the values it admits (None
+# for any), its default (REQUIRED for a flag that must be given) and its help.
+Flag = namedtuple("Flag", "name type choices default help")
+# A command path: its help line, its positional (a Flag, or None) and its
+# flags.  A group is a path that longer paths extend: its flags are None, its
+# positional records which of them was chosen, and it admits their last names.
+Command = namedtuple("Command", "help positional flags")
+REQUIRED = object()
 
-    # argparse's own print_help ignores a failed write, and writes to stderr
-    # when sys.stdout is None; here a failed write of the help text to
-    # stdout reaches main like any other
-    def print_help(self, file=None):
-        (file or _stdout()).write(self.format_help())
+_FORMAT = Flag("--format", str, ("json", "table"), "table", "output view (default: table)")
+_OUTPUT = (
+    Flag("--model", str, MODEL_CHOICES, None,
+         "fiber model(s) to evaluate (default: scenario's own)"),
+    _FORMAT,
+)
+
+COMMANDS = {
+    (): Command(
+        "exact checks of the Prym-Tyurin exponent criterion",
+        Flag("command", str, None, REQUIRED, None),
+        None,
+    ),
+    ("run",): Command(
+        "evaluate a scenario file",
+        Flag("file", str, None, REQUIRED, "path to a scenario JSON file"),
+        _OUTPUT,
+    ),
+    ("builtin",): Command(
+        "evaluate a builtin scenario family", Flag("family", str, None, REQUIRED, None), None
+    ),
+    ("builtin", "pn-case"): Command("subset family over the line", None, (
+        Flag("--n", int, (2, 3, 4), REQUIRED, "subset size"),
+        Flag("--gx", int, None, REQUIRED, "source curve genus"),
+        *_OUTPUT,
+    )),
+    ("builtin", "hyperelliptic"): Command("3x3 grid family", None, (
+        Flag("--g", int, None, REQUIRED, "hyperelliptic genus, >= 2"),
+        *_OUTPUT,
+    )),
+    ("verify-identity",): Command("quadratic identity and exponent only", None, (
+        Flag("--kind", str, KINDS, REQUIRED, "correspondence family"),
+        Flag("--n", int, None, None, "subset size (kind subset)"),
+        Flag("--m", int, None, None, "grid side (kind grid)"),
+        Flag("--dump-matrix", bool, None, False, "include the matrix"),
+        _FORMAT,
+    )),
+}
+
+_HELP = ("-h", "--help")
+# what argparse reads as a negative number, so as a value, not an option
+_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on the first call and shared after it.
+def parse_args(argv=None) -> SimpleNamespace:
+    """The arguments of one call, read by COMMANDS as argparse reads them.
 
-    parse_args keeps no state on the parser, so every main() call reuses
-    it; callers must not add arguments to the shared object.
+    Each group takes -h or --help and then the name of a command below it,
+    which reads the rest.  A flag's value follows it or is joined by "=", a
+    unique prefix of a long flag names it, a negative number is a value, the
+    last of a repeated flag wins and "--" ends a leaf's options.  An unknown
+    option is kept and refused at the end, after the required check, so an
+    -h after it still writes help.  A refused argv writes a usage line and
+    an error to stderr and raises SystemExit(1); help goes to stdout and
+    raises SystemExit(0).
     """
-    parser = _Parser(prog="prymtyurin", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    argv = sys.argv[1:] if argv is None else argv
+    values, extras, path, start = {}, [], (), 0
+    while (command := COMMANDS[path]).flags is None:
+        for start in range(start, len(argv)):
+            option = _option(path, argv[start], _HELP)
+            if option is None:
+                break
+            if option[0] is not None:
+                _help(path, option[1])
+            extras.append(argv[start])
+        else:
+            _fail(path, f"the following arguments are required: {command.positional.name}")
+        name = argv[start]
+        if path + (name,) not in COMMANDS:
+            _invalid_choice(path, command.positional.name, name, _below(path))
+        values[command.positional.name] = name
+        path, start = path + (name,), start + 1
 
-    run = sub.add_parser("run", help="evaluate a scenario file")
-    run.add_argument("file", help="path to a scenario JSON file")
-    _output_options(run)
+    flags = {flag.name: flag for flag in command.flags}
+    rest = argv[start:]
+    # argparse reads every token before the first "--" as an option or not
+    # before it acts on one, so an ambiguous option fails even after -h
+    cut = rest.index("--") if "--" in rest else len(rest)
+    options = [_option(path, token, _HELP + tuple(flags)) for token in rest[:cut]]
+    options += [None] * (len(rest) - cut)
+    positionals, i = [], 0
+    while i < len(rest):
+        token, option = rest[i], options[i]
+        i += 1
+        if option is None:
+            # argparse drops the first "--" with the positional it precedes
+            # or follows; a command without one is left with it unrecognized
+            if i - 1 != cut or not command.positional:
+                positionals.append(token)
+            continue
+        name, value = option
+        flag = flags.get(name)
+        if name is None:
+            extras.append(token)
+        elif flag is None:
+            _help(path, value)
+        elif flag.type is bool:
+            if value is not None:
+                _fail(path, f"argument {name}: ignored explicit argument {value!r}")
+            values[_dest(flag)] = True
+        else:
+            if value is None:
+                if i in (len(rest), cut) or options[i] is not None:
+                    _fail(path, f"argument {name}: expected one argument")
+                value, i = rest[i], i + 1
+            values[_dest(flag)] = _read(path, flag, value)
 
-    builtin = sub.add_parser("builtin", help="evaluate a builtin scenario family")
-    family = builtin.add_subparsers(dest="family", required=True, parser_class=_Parser)
-
-    pn = family.add_parser("pn-case", help="subset family over the line")
-    pn.add_argument("--n", type=int, required=True, choices=(2, 3, 4))
-    pn.add_argument("--gx", type=int, required=True, help="source curve genus")
-    _output_options(pn)
-
-    hyp = family.add_parser("hyperelliptic", help="3x3 grid family")
-    hyp.add_argument("--g", type=int, required=True, help="hyperelliptic genus, >= 2")
-    _output_options(hyp)
-
-    ident = sub.add_parser("verify-identity", help="quadratic identity and exponent only")
-    ident.add_argument("--kind", required=True, choices=KINDS)
-    ident.add_argument("--n", type=int, help="subset size (kind subset)")
-    ident.add_argument("--m", type=int, help="grid side (kind grid)")
-    ident.add_argument("--dump-matrix", action="store_true", help="include the matrix")
-    ident.add_argument("--format", choices=("json", "table"), default="table")
-
-    return parser
+    positional = command.positional
+    missing = [positional.name] if positional and not positionals else []
+    missing += [flag.name for flag in command.flags
+                if flag.default is REQUIRED and _dest(flag) not in values]
+    if missing:
+        _fail(path, f"the following arguments are required: {', '.join(missing)}")
+    if positional:
+        values[positional.name] = positionals.pop(0)
+    extras += positionals
+    if extras:
+        _fail((), f"unrecognized arguments: {' '.join(extras)}")
+    for flag in command.flags:
+        values.setdefault(_dest(flag), flag.default)
+    return SimpleNamespace(**values)
 
 
-def _output_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--model", choices=MODEL_CHOICES, default=None,
-                        help="fiber model(s) to evaluate (default: scenario's own)")
-    parser.add_argument("--format", choices=("json", "table"), default="table")
+def _option(path, token, names):
+    """How argparse reads token where names are the options: None for a
+    positional, else the option's name and its joined value or None.  The
+    name is None for an unknown option, which takes no value."""
+    if token[:1] != "-" or token in ("-", "--"):
+        return None
+    if token in names:
+        return token, None
+    head, joined, value = token.partition("=")
+    if joined and head in names:
+        return head, value
+    if token[1] == "-":
+        # a unique prefix of a long option, with or without its =value
+        found, value = [name for name in names if name.startswith(head)], value if joined else None
+    else:
+        # a short option with its value attached, as in -hx
+        found, value = [name for name in names if name == token[:2]], token[2:]
+    if len(found) > 1:
+        _fail(path, f"ambiguous option: {token} could match {', '.join(found)}")
+    if found:
+        return found[0], value
+    if _NEGATIVE.match(token) or " " in token:
+        return None
+    return None, token
+
+
+def _dest(flag) -> str:
+    """The attribute a flag is stored under: --dump-matrix as dump_matrix."""
+    return flag.name[2:].replace("-", "_")
+
+
+def _read(path, flag, text):
+    try:
+        value = flag.type(text)
+    except ValueError:
+        _fail(path, f"argument {flag.name}: invalid {flag.type.__name__} value: {text!r}")
+    if flag.choices is not None and value not in flag.choices:
+        _invalid_choice(path, flag.name, value, flag.choices)
+    return value
+
+
+def _below(path) -> list[str]:
+    """The names a group admits: the last names of the paths one longer."""
+    return [below[-1] for below in COMMANDS if below[:-1] == path and below != ()]
+
+
+def _invalid_choice(path, name, value, choices):
+    listed = ", ".join(map(repr, choices))
+    _fail(path, f"argument {name}: invalid choice: {value!r} (choose from {listed})")
+
+
+def _fail(path, message):
+    # argparse's usage line and message, with the validation exit code: its
+    # own code, 2, is the hypothesis-failure code here
+    print(_usage(path), file=sys.stderr)
+    print(f"{' '.join(('prymtyurin',) + path)}: error: {message}", file=sys.stderr)
+    raise SystemExit(EXIT_VALIDATION)
+
+
+def _help(path, value):
+    if value is not None:
+        _fail(path, f"argument {'/'.join(_HELP)}: ignored explicit argument {value!r}")
+    # through _stdout, so a failed write of the help reaches main like any other
+    _stdout().write(_help_text(path))
+    raise SystemExit(EXIT_VERIFIED)
+
+
+def _usage(path) -> str:
+    command = COMMANDS[path]
+    words = ["usage:", "prymtyurin", *path, "[-h]"]
+    if command.flags is None:
+        return " ".join(words + ["{" + ",".join(_below(path)) + "}", "..."])
+    for flag in command.flags:
+        word = _flag_words(flag)
+        words.append(word if flag.default is REQUIRED else f"[{word}]")
+    if command.positional:
+        words.append(command.positional.name)
+    return " ".join(words)
+
+
+def _flag_words(flag) -> str:
+    if flag.type is bool:
+        return flag.name
+    if flag.choices is None:
+        return f"{flag.name} {flag.name[2:].upper()}"
+    return f"{flag.name} {{{','.join(map(str, flag.choices))}}}"
+
+
+def _help_text(path) -> str:
+    """A level's help: its usage, its help line, and one row for each
+    command below it, its positional and each option."""
+    command = COMMANDS[path]
+    if command.flags is None:
+        sections = {"commands": [(name, COMMANDS[path + (name,)].help) for name in _below(path)]}
+    else:
+        positional = command.positional
+        sections = {"arguments": [(positional.name, positional.help)]} if positional else {}
+    sections["options"] = [(", ".join(_HELP), "show this help message and exit")]
+    sections["options"] += [(_flag_words(flag), flag.help) for flag in command.flags or ()]
+    width = max(len(left) for rows in sections.values() for left, _ in rows) + 2
+    lines = [_usage(path), "", command.help]
+    for title, rows in sections.items():
+        lines += ["", f"{title}:", *(f"  {left:<{width}}{text}" for left, text in rows)]
+    return "\n".join(lines) + "\n"
 
 
 def cmd_report(args) -> int:
@@ -178,7 +370,7 @@ def cmd_verify_identity(args) -> int:
 def main(argv=None) -> int:
     try:
         try:
-            args = build_parser().parse_args(argv)
+            args = parse_args(argv)
         except SystemExit as exc:
             if exc.code == 0:  # --help: its text waits in stdout's buffer
                 _flush_stdout()

@@ -21,10 +21,16 @@ criterion reads it: diagonal_and_block cuts a full matrix down to that part.
 reference_fixed_point_scan and reference_w read a layout's positions as a
 tuple of fiber indices, one gather per position, as the package did before
 its positions became bytes that it scans by find and counts.
+build_parser is the CLI's argparse definition from before the CLI read its
+arguments from one table (cli.COMMANDS) by one walk over argv.
 """
 
+import argparse
+import functools
+import sys
 from itertools import chain, compress, count
 
+from prymtyurin import cli
 from prymtyurin.correspondence import build_subset_matrix
 from prymtyurin.induced_curve import (
     MERGED,
@@ -34,6 +40,7 @@ from prymtyurin.induced_curve import (
     subset_fiber,
 )
 from prymtyurin.perms import Permutation, all_subsets, orbits
+from prymtyurin.scenario import KINDS, MODEL_CHOICES
 
 
 def reference_class_action(corr, fiber):
@@ -183,3 +190,60 @@ def reference_fixed_point_scan(actions, positions):
 def reference_w(ws, positions):
     """The sum of each position's fiber's w, gathered position by position."""
     return sum(map(ws.__getitem__, positions))
+
+
+class _Parser(argparse.ArgumentParser):
+    # argparse exits with status 2 on bad arguments, which would collide with
+    # the hypothesis-failure code; bad arguments are validation errors here
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        print(f"{self.prog}: error: {message}", file=sys.stderr)
+        raise SystemExit(cli.EXIT_VALIDATION)
+
+    # argparse's own print_help ignores a failed write, and writes to stderr
+    # when sys.stdout is None; here a failed write of the help text to
+    # stdout reaches main like any other
+    def print_help(self, file=None):
+        (file or cli._stdout()).write(self.format_help())
+
+
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared after it.
+
+    parse_args keeps no state on the parser, so every main() call reuses
+    it; callers must not add arguments to the shared object.
+    """
+    parser = _Parser(prog="prymtyurin", description=cli.__doc__.splitlines()[0])
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+
+    run = sub.add_parser("run", help="evaluate a scenario file")
+    run.add_argument("file", help="path to a scenario JSON file")
+    _output_options(run)
+
+    builtin = sub.add_parser("builtin", help="evaluate a builtin scenario family")
+    family = builtin.add_subparsers(dest="family", required=True, parser_class=_Parser)
+
+    pn = family.add_parser("pn-case", help="subset family over the line")
+    pn.add_argument("--n", type=int, required=True, choices=(2, 3, 4))
+    pn.add_argument("--gx", type=int, required=True, help="source curve genus")
+    _output_options(pn)
+
+    hyp = family.add_parser("hyperelliptic", help="3x3 grid family")
+    hyp.add_argument("--g", type=int, required=True, help="hyperelliptic genus, >= 2")
+    _output_options(hyp)
+
+    ident = sub.add_parser("verify-identity", help="quadratic identity and exponent only")
+    ident.add_argument("--kind", required=True, choices=KINDS)
+    ident.add_argument("--n", type=int, help="subset size (kind subset)")
+    ident.add_argument("--m", type=int, help="grid side (kind grid)")
+    ident.add_argument("--dump-matrix", action="store_true", help="include the matrix")
+    ident.add_argument("--format", choices=("json", "table"), default="table")
+
+    return parser
+
+
+def _output_options(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--model", choices=MODEL_CHOICES, default=None,
+                        help="fiber model(s) to evaluate (default: scenario's own)")
+    parser.add_argument("--format", choices=("json", "table"), default="table")

@@ -37,6 +37,7 @@ from prymtyurin.scenario import (
     grid_scenario,
     load_scenario,
 )
+from references import build_parser
 
 
 def write_scenario(tmp_path, name, data):
@@ -590,7 +591,7 @@ def _captured_main(argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(argv)
-        except SystemExit as exc:  # argparse rejects the arguments
+        except SystemExit as exc:  # the parser rejects the arguments
             code = exc.code
     return code, out.getvalue(), err.getvalue()
 
@@ -603,7 +604,7 @@ def test_argv_fuzz_exits_cleanly(argv):
     assert "Traceback" not in err
 
 
-# --- argparse plumbing --------------------------------------------------------
+# --- argument parsing ---------------------------------------------------------
 
 
 def test_unknown_flag_exits_one(capsys):
@@ -633,17 +634,148 @@ def test_shared_parser_carries_no_state_between_calls(tmp_path):
         ["run", path, "--model", "paper", "--format", "json"],
         ["run", path, "--format", "json"],
     )
-    fresh = []
-    for argv in calls:
-        cli.build_parser.cache_clear()
-        fresh.append(_captured_main(argv))
-    cli.build_parser.cache_clear()
-    shared = [_captured_main(argv) for argv in calls]
-    assert cli.build_parser.cache_info().misses == 1
-    assert shared == fresh
-    assert [code for code, _, _ in shared] == [EXIT_VALIDATION] + [EXIT_VERIFIED] * 3
+    # the four calls twice over, each call's second run after all the others
+    results = [_captured_main(argv) for argv in calls * 2]
+    first, second = results[:4], results[4:]
+    assert second == first
+    assert [code for code, _, _ in first] == [EXIT_VALIDATION] + [EXIT_VERIFIED] * 3
     # the default model, both, came back after the --model paper call
-    assert set(json.loads(shared[3][1])["models"]) == {"paper", "monodromy"}
+    assert set(json.loads(first[3][1])["models"]) == {"paper", "monodromy"}
+
+
+# argv the table parser must read as the argparse definition it replaced
+# (references.build_parser) reads it; exit codes are compared, not messages,
+# whose wording varies across Python versions
+PARITY_ARGV = [
+    # every command
+    ["run", "s.json"],
+    ["run", "s.json", "--model", "paper", "--format", "json"],
+    ["builtin", "pn-case", "--n", "3", "--gx", "2"],
+    ["builtin", "hyperelliptic", "--g", "3", "--model", "both"],
+    ["verify-identity", "--kind", "subset", "--n", "5"],
+    ["verify-identity", "--kind", "grid", "--m", "3", "--dump-matrix", "--format", "json"],
+    # unique prefixes: under pn-case --form is --format and --g is --gx;
+    # --dump names no flag of pn-case, and --dump-matrix of verify-identity
+    ["builtin", "pn-case", "--n", "2", "--gx", "1", "--form", "json"],
+    ["builtin", "pn-case", "--n", "2", "--g", "5"],
+    ["builtin", "pn-case", "--n", "2", "--gx", "1", "--dump"],
+    ["verify-identity", "--kind", "grid", "--m", "3", "--dump"],
+    ["run", "s.json", "--mod", "paper"],
+    # --flag=value, and repeated flags, where the last one wins
+    ["run", "s.json", "--format=json", "--model=monodromy"],
+    ["builtin", "hyperelliptic", "--g=4", "--g", "5", "--format", "json", "--format", "table"],
+    ["verify-identity", "--kind=grid", "--m=3", "--dump-matrix", "--dump-matrix"],
+    ["verify-identity", "--kind", "grid", "--dump-matrix=yes"],
+    ["run", "s.json", "--format="],
+    # a negative number is a value; -x is an option, so --format gets none
+    ["builtin", "pn-case", "--n", "2", "--gx", "-1"],
+    ["verify-identity", "--kind", "subset", "--n", "-5"],
+    ["builtin", "hyperelliptic", "--g", "-1.5"],
+    ["run", "s.json", "--format", "-x"],
+    ["run", "-1"],
+    # -- ends the options
+    ["run", "--", "s.json"],
+    ["run", "--format", "json", "--", "s.json"],
+    ["run", "--format", "--", "s.json"],
+    # missing, unknown and extra arguments
+    ["run"],
+    ["run", "--format", "json"],
+    ["builtin", "pn-case", "--n", "2"],
+    ["verify-identity"],
+    ["verify-identity", "--kind"],
+    ["run", "s.json", "--bogus"],
+    ["--bogus", "run", "s.json"],
+    ["builtin", "--bogus", "hyperelliptic", "--g", "3"],
+    ["run", "s.json", "t.json"],
+    ["verify-identity", "--kind", "grid", "--m", "3", "extra"],
+    ["builtin", "hyperelliptic", "--g", "3", "--gx", "1"],
+    ["builtin", "hyperelliptic", "--g", "3", "-x"],
+    ["run", "s.json", "--model", "--format", "json"],
+    # bad ints and bad choices
+    ["builtin", "pn-case", "--n", "x", "--gx", "1"],
+    ["builtin", "hyperelliptic", "--g", "3.0"],
+    ["builtin", "pn-case", "--n", "5", "--gx", "1"],
+    ["run", "s.json", "--model", "quantum"],
+    ["verify-identity", "--kind", "torus"],
+    ["bogus"],
+    ["builtin", "bogus"],
+    ["builtin", "pn"],
+    # an empty argv and builtin alone
+    [],
+    ["builtin"],
+    # help at each level; after an unknown flag or a missing one it still
+    # wins, after a bad value it does not
+    ["-h"],
+    ["--help"],
+    ["--he"],
+    ["builtin", "-h"],
+    ["builtin", "--help"],
+    ["run", "-h"],
+    ["run", "s.json", "--help"],
+    ["builtin", "pn-case", "-h"],
+    ["builtin", "pn-case", "--n", "2", "--help"],
+    ["builtin", "hyperelliptic", "--help"],
+    ["verify-identity", "-h"],
+    ["verify-identity", "--kind", "grid", "--help"],
+    ["run", "s.json", "--bogus", "-h"],
+    ["--bogus", "-h"],
+    ["builtin", "pn-case", "-h", "--n", "9"],
+    ["builtin", "pn-case", "--n", "9", "-h"],
+    ["-hx"],
+]
+
+
+def _parse(parse, argv):
+    """(exit code, attributes, stdout, stderr) of one parse; the exit code is
+    None and the attributes a dict when argv is accepted."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code, attributes = None, vars(parse(argv))
+        except SystemExit as exc:
+            code, attributes = exc.code, None
+    return code, attributes, out.getvalue(), err.getvalue()
+
+
+def _assert_parity(argv):
+    code, attributes, out, err = _parse(cli.parse_args, argv)
+    want_code, want_attributes, _, _ = _parse(build_parser().parse_args, argv)
+    assert (code, attributes) == (want_code, want_attributes), argv
+    if code == EXIT_VERIFIED:  # help, on stdout alone
+        assert out and not err
+    elif code == EXIT_VALIDATION:  # a usage line and the error, on stderr alone
+        assert not out and err.startswith("usage: prymtyurin")
+        assert err.splitlines()[-1].startswith("prymtyurin")
+        assert ": error: " in err.splitlines()[-1]
+
+
+@pytest.mark.parametrize("argv", PARITY_ARGV, ids=" ".join)
+def test_parser_reads_argv_as_argparse_did(argv):
+    _assert_parity(argv)
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=cli_argv())
+def test_parser_reads_fuzzed_argv_as_argparse_did(argv):
+    _assert_parity(argv)
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+@pytest.mark.parametrize("path", list(cli.COMMANDS), ids=" ".join)
+def test_help_lists_each_command_and_flag_of_its_level(path, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*path, flag])
+    assert exc.value.code == EXIT_VERIFIED
+    out = capsys.readouterr().out
+    assert out.startswith(f"usage: {' '.join(('prymtyurin', *path))} [-h]")
+    command = cli.COMMANDS[path]
+    rows = [below[-1] for below in cli.COMMANDS if below[:-1] == path and below != ()]
+    if command.positional and command.flags is not None:
+        rows.append(command.positional.name)
+    rows += [flag.name for flag in command.flags or ()]
+    rows.append("-h, --help")
+    for row in rows:
+        assert f"\n  {row} " in out, row
 
 
 # --- installed console script -------------------------------------------------
@@ -723,7 +855,7 @@ def _assert_output_named(proc):
         ["builtin", "hyperelliptic", "--g", "3000", "--format", "json"],
         # smaller than stdout's buffer: the failed write is in its flush
         ["builtin", "hyperelliptic", "--g", "3", "--format", "table"],
-        # argparse writes the help text and exits before any subcommand runs
+        # the parser writes the help text and exits before any subcommand runs
         ["--help"],
         ["builtin", "--help"],
     ],
@@ -773,7 +905,7 @@ def test_a_full_output_device_is_named_as_the_output(argv, monkeypatch):
 )
 def test_an_unbuffered_full_output_device_is_named_as_the_output(argv, monkeypatch):
     # an unbuffered stdout fails inside the write itself, for the help text
-    # before argparse exits, not in main's flush
+    # before the parser exits, not in main's flush
     monkeypatch.setenv("PYTHONUNBUFFERED", "1")
     with open("/dev/full", "w") as full:
         proc = _run_child(argv, stdout=full)
