@@ -31,7 +31,6 @@ matrix builder.
 
 from __future__ import annotations
 
-import errno
 import os
 import re
 import sys
@@ -97,7 +96,9 @@ COMMANDS = {
         _OUTPUT,
     ),
     ("builtin",): Command(
-        "evaluate a builtin scenario family", Flag("family", str, None, REQUIRED, None), None
+        "evaluate a builtin scenario family",
+        Flag("family", str, None, REQUIRED, None),
+        None,
     ),
     ("builtin", "pn-case"): Command("subset family over the line", None, (
         Flag("--n", int, (2, 3, 4), REQUIRED, "subset size"),
@@ -132,7 +133,10 @@ def parse_args(argv=None) -> SimpleNamespace:
     option is kept and refused at the end, after the required check, so an
     -h after it still writes help.  A refused argv writes a usage line and
     an error to stderr and raises SystemExit(1); help goes to stdout and
-    raises SystemExit(0).
+    raises SystemExit(0).  Where argparse's versions read an argv apart, this
+    follows Python 3.10-3.12 (-hx is refused, a -- before the command is no
+    command, an ambiguous --=x fails after -h), except that a -- after the
+    positional and an option is dropped, as 3.13 drops it.
     """
     argv = sys.argv[1:] if argv is None else argv
     values, extras, path, start = {}, [], (), 0
@@ -164,8 +168,8 @@ def parse_args(argv=None) -> SimpleNamespace:
         token, option = rest[i], options[i]
         i += 1
         if option is None:
-            # argparse drops the first "--" with the positional it precedes
-            # or follows; a command without one is left with it unrecognized
+            # the first "--" is dropped where the command takes a
+            # positional; a command without one is left with it unrecognized
             if i - 1 != cut or not command.positional:
                 positionals.append(token)
             continue
@@ -402,6 +406,10 @@ def _stdout():
     # None when fd 1 was closed as the interpreter started; a closed file
     # object would raise ValueError, which main reads as bad input
     if sys.stdout is None or sys.stdout.closed:
+        # imported here: Python 3.10 and 3.12 do not load errno at start-up,
+        # and the cold-start rule keeps it out of the CLI's import
+        import errno
+
         raise OSError(errno.EBADF, os.strerror(errno.EBADF))
     return sys.stdout
 

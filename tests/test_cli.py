@@ -644,8 +644,11 @@ def test_shared_parser_carries_no_state_between_calls(tmp_path):
 
 
 # argv the table parser must read as the argparse definition it replaced
-# (references.build_parser) reads it; exit codes are compared, not messages,
-# whose wording varies across Python versions
+# (references.build_parser) reads it.  Exit codes are compared, not
+# messages, whose wording varies across Python versions, and the corpus
+# leaves out what argparse itself reads differently across them: -hx, a --
+# before the command, a -- after the positional and an option, and an
+# ambiguous --=x after -h
 PARITY_ARGV = [
     # every command
     ["run", "s.json"],
@@ -721,7 +724,6 @@ PARITY_ARGV = [
     ["--bogus", "-h"],
     ["builtin", "pn-case", "-h", "--n", "9"],
     ["builtin", "pn-case", "--n", "9", "-h"],
-    ["-hx"],
 ]
 
 
