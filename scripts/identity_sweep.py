@@ -8,15 +8,26 @@ admit the identity but no consistent exponent are shown with the reason: this
 is how one sees at a glance that only the 3x3 grid works while every subset
 size does.
 
+Two brute-force checks run beside the table, on what the package proves
+instead of checking: each correspondence's symmetries form one orbit (so
+verify_identity squares row 0 alone), and every generator of the default
+subset layout's fibers, the simple fiber included, passes check_moves's N^2
+compare under both models (which class_action proves from the label moves).
+A failure is named on stderr, and the sweep exits 1.
+
 Usage:
     python3 scripts/identity_sweep.py [--max-n 12] [--max-m 8]
 """
 
 import argparse
+import sys
 from itertools import chain
 
 from prymtyurin.correspondence import build_grid_matrix, build_subset_matrix
+from prymtyurin.induced_curve import MODELS, subset_fiber
+from prymtyurin.perms import orbits
 from prymtyurin.report import correspondence_to_dict
+from prymtyurin.scenario import default_subset_fibers
 
 
 def describe(corr):
@@ -27,6 +38,26 @@ def describe(corr):
     if q is None:
         return ident["a"], ident["b"], ident["c"], "-", summary["exponent_derivation"]
     return ident["a"], ident["b"], ident["c"], q, "ok"
+
+
+def subset_profiles(n):
+    """The profiles of the default subset layout: its declared fibers and
+    the simple fiber."""
+    return (*dict.fromkeys(default_subset_fibers(n)), (2,) + (1,) * n)
+
+
+def problems(corr, profiles):
+    """What the brute-force checks find wrong with corr, one line each."""
+    found = []
+    if len(orbits(corr.symmetries, corr.size)) != 1:
+        found.append("the symmetries are not transitive")
+    for parts in profiles:
+        for model in MODELS:
+            try:
+                corr.check_moves(subset_fiber(corr, parts, model).generators, "generator")
+            except ValueError as exc:
+                found.append(f"fiber {parts}, {model} model: {exc}")
+    return found
 
 
 def main() -> int:
@@ -40,17 +71,22 @@ def main() -> int:
     print("-" * len(header))
     # each correspondence is built in its own pass and dropped before the next
     families = chain(
-        (("subset n=", build_subset_matrix, n) for n in range(2, args.max_n + 1)),
-        (("grid m=", build_grid_matrix, m) for m in range(2, args.max_m + 1)),
+        (("subset n=", build_subset_matrix, n, subset_profiles(n))
+         for n in range(2, args.max_n + 1)),
+        (("grid m=", build_grid_matrix, m, ()) for m in range(2, args.max_m + 1)),
     )
-    for family, build, size in families:
+    failed = 0
+    for family, build, size, profiles in families:
         corr = build(size)
         a, b, c, q, note = describe(corr)
         print(
             f"{family + str(size):<14}{corr.size:>7}{corr.bidegree:>7}"
             f"{a:>6}{b:>6}{c:>6}{q:>4}  {note}"
         )
-    return 0
+        for problem in problems(corr, profiles):
+            print(f"{family}{size}: {problem}", file=sys.stderr)
+            failed = 1
+    return failed
 
 
 if __name__ == "__main__":

@@ -26,10 +26,14 @@ point's row at its position and never recomputes a rank.
 FiberCorrespondence.induce is the one rule by which a label permutation
 acts on the points, as a permutation of their positions: every special
 fiber's generators, the irreducibility check and the symmetries are label
-moves induced through it.  The symmetries are checked at construction;
-verify_identity squares one row per orbit of the group they generate, one
-row for either family, and each entry is the popcount of an AND of two rows,
-since a symmetric relation's rows are its columns.
+moves induced through it, each distinct move once per correspondence.  The
+symmetries are checked at construction.  For a correspondence built from
+its rule, that check proves what the rule's moves generate: the subset
+moves generate every label permutation, so every induced move preserves D
+(FiberCorrespondence.moves_preserve), and both kinds' moves are transitive
+on the points, so verify_identity squares row 0 alone; otherwise it squares
+one row per orbit of the symmetries.  Each entry is the popcount of an AND
+of two rows, since a symmetric relation's rows are its columns.
 
 A correspondence D may satisfy a quadratic identity
 
@@ -84,7 +88,12 @@ class FiberCorrespondence(
     (label_rule): a builder keeps the one it built the relation and the
     symmetries from, copy and pickle carry it, and a correspondence made
     through the constructor derives the same one on first use, once its
-    points are checked to be the rule's points in the rule's order.
+    points are checked to be the rule's points in the rule's order.  The
+    attribute induced holds each move induced so far, by its images, for
+    the life of the correspondence.  A builder also marks the
+    correspondence rule_built, which copy and pickle do not carry, any more
+    than the moves induced: a correspondence made through the constructor,
+    copy or pickle proves nothing from its rule (moves_preserve).
     """
 
     def __new__(cls, kind: str, parameter: int, rows: tuple[int, ...], points: tuple,
@@ -112,9 +121,15 @@ class FiberCorrespondence(
                     j = next(j for j in range(i) if row[j] != col[j])
                     raise ValueError(f"not symmetric at ({i}, {j})")
         self = super().__new__(cls, kind, parameter, rows, points, symmetries)
-        self.__dict__.update(bits=bits)
+        self.__dict__.update(bits=bits, induced={})
         self.check_moves(symmetries, "symmetry")
         return self
+
+    def __getstate__(self):
+        # copy and pickle rebuild through __new__, which checks everything
+        # again, and carry the relation's text and the pair lookup, but not
+        # the rule_built mark nor the moves induced so far
+        return {key: self.__dict__[key] for key in ("bits", "pair_lookup") if key in self.__dict__}
 
     def induce(self, move: Permutation) -> Permutation:
         """The permutation of the 1-based point positions that a label move
@@ -123,29 +138,53 @@ class FiberCorrespondence(
         own (label_rule).  A move whose degree is not the kind's label
         count, one that takes some point's pair to no point's pair, a
         correspondence of a kind with no label rule and one whose points are
-        not its rule's points, in the rule's order, raise ValueError.
+        not its rule's points, in the rule's order, raise ValueError.  Each
+        distinct move is induced once: its permutation is kept in induced,
+        by the move's images, and handed to every later call.
 
         >>> build_grid_matrix(2).induce(Permutation((3, 4, 1, 2))).images
         (1, 3, 2, 4)
         """
-        lookup = self.__dict__.get("pair_lookup")
-        if lookup is None:
-            labels, points, pairs, _, _ = label_rule(self.kind, self.parameter)
-            if self.points != points:
-                raise ValueError(f"the {self.kind} correspondence is not on its label rule's points")
-            lookup = self.__dict__["pair_lookup"] = _pair_lookup(labels, pairs)
-        return _induced(self.kind, lookup, move)
+        induced = self.induced.get(move.images)
+        if induced is None:
+            lookup = self.__dict__.get("pair_lookup")
+            if lookup is None:
+                labels, points, pairs, _, _ = label_rule(self.kind, self.parameter)
+                if self.points != points:
+                    raise ValueError(
+                        f"the {self.kind} correspondence is not on its label rule's points"
+                    )
+                lookup = self.__dict__["pair_lookup"] = _pair_lookup(labels, pairs)
+            induced = self.induced[move.images] = _induced(self.kind, lookup, move)
+        return induced
 
     def check_moves(self, moves, name: str) -> None:
         """Refuse, by name and index, a permutation of the 1-based point
-        positions whose degree is not N or that does not preserve D: the
-        symmetries at construction, a fiber's generators in class_action."""
+        positions whose degree is not N or that does not preserve D, in one
+        N^2 compare each: the symmetries at construction, and in
+        class_action a fiber's generators unless moves_preserve proves them."""
         for k, g in enumerate(moves):
             if g.degree != self.size:
                 raise ValueError(f"{name} {k} has degree {g.degree}, not {self.size}")
             at = list(map((-1).__add__, g.images))  # g(i) - 1 for each 1-based i
             if not _columns_are_rows(self.bits, at):
                 raise ValueError(f"{name} {k} does not preserve the relation")
+
+    @property
+    def moves_preserve(self) -> bool:
+        """Whether the induction of every label move preserves D, proved
+        without a compare of its own.  This holds for a correspondence built
+        from its label rule (rule_built) when the rule's two moves generate
+        every permutation of the labels, as the subset family's (1 2) and
+        (1 ... n+2) generate S_{n+2}.  Its symmetries are the inductions of
+        those moves, each checked to preserve D at construction.  induce is a
+        homomorphism, since ind(lambda mu) takes a point to the point whose
+        pair is lambda(mu(pair)), which is ind(lambda)(ind(mu)(point)).  So
+        the induction of any label move is a word in the symmetries and
+        preserves D.  The grid's transpose and row cycle do not generate the
+        row transposition of its row-merge fiber, so a grid generator is
+        still compared."""
+        return self.__dict__.get("rule_built", False) and _KINDS[self.kind][3]
 
     @property
     def size(self) -> int:
@@ -179,19 +218,20 @@ def label_rule(kind: str, parameter: int) -> tuple:
     order, each the pair it leaves out.  Complementing reverses colex order,
     so the pairs are the 2-subsets backwards: written largest label first,
     in lex order of the labels counted down.  Related pairs share no label,
-    and the moves are (1 2) and (1 ... n+2).  Grid family (parameter m,
-    labels 1..2m): the cells (i, j) in row-major order, each the row label i
-    and the column label m + j.  Related pairs share one label, and the
-    moves are the transpose i <-> m + i and the row cycle (1 ... m),
-    transitive on the cells since the cycle moves a cell to every row and
-    the transpose to every column.
+    and the moves are (1 2) and (1 ... n+2), which generate S_{n+2},
+    transitive on the pairs.  Grid family (parameter m, labels 1..2m): the
+    cells (i, j) in row-major order, each the row label i and the column
+    label m + j.  Related pairs share one label, and the moves are the
+    transpose i <-> m + i and the row cycle (1 ... m), transitive on the
+    cells since the cycle moves a cell to every row and the transpose to
+    every column, though for m >= 3 no row transposition is a word in them.
 
     >>> label_rule("grid", 2)[2]
     [(1, 3), (1, 4), (2, 3), (2, 4)]
     """
     if not isinstance(kind, str) or kind not in _KINDS:
         raise ValueError(f"no label rule for a correspondence of kind {kind!r}")
-    letter, rule, _ = _KINDS[kind]
+    letter, rule, _, _ = _KINDS[kind]
     if parameter < 2:
         raise ValueError(f"{kind} correspondence needs {letter} >= 2, got {parameter}")
     labels, points, pairs, shared, moves = rule(parameter)
@@ -214,11 +254,12 @@ def _grid_rule(m: int) -> tuple:
 
 
 # the one table of kinds here: each kind's parameter letter, its label rule
-# (label_rule, with its moves as image tuples) and its strongly regular
-# parameters (k, lambda, mu)
+# (label_rule, with its moves as image tuples), its strongly regular
+# parameters (k, lambda, mu) and whether the rule's moves generate every
+# permutation of the labels (moves_preserve)
 _KINDS = {
-    "subset": ("n", _subset_rule, lambda n: (comb(n, 2), comb(n - 2, 2), comb(n - 1, 2))),
-    "grid": ("m", _grid_rule, lambda m: (2 * (m - 1), m - 2, 2)),
+    "subset": ("n", _subset_rule, lambda n: (comb(n, 2), comb(n - 2, 2), comb(n - 1, 2)), True),
+    "grid": ("m", _grid_rule, lambda m: (2 * (m - 1), m - 2, 2), False),
 }
 
 
@@ -257,7 +298,9 @@ def _build(kind: str, parameter: int) -> FiberCorrespondence:
     holding[x] is set when the pair of point k holds the label x, so the
     points whose pairs share no label with {a, b} are the complement of
     holding[a] | holding[b], and those sharing exactly one are
-    holding[a] ^ holding[b] (a point's own pair holds both)."""
+    holding[a] ^ holding[b] (a point's own pair holds both).  The symmetries
+    are the first moves induced, and it marks the correspondence
+    rule_built."""
     labels, points, pairs, shared, moves = label_rule(kind, parameter)
     holding = [0] * (labels + 1)
     for bit, (a, b) in zip(map((1).__lshift__, range(len(pairs))), pairs):
@@ -271,7 +314,8 @@ def _build(kind: str, parameter: int) -> FiberCorrespondence:
         rows = tuple(map(xor, at_a, at_b))
     symmetries = tuple(_induced(kind, lookup, g) for g in moves)
     corr = FiberCorrespondence(kind, parameter, rows, points, symmetries)
-    corr.__dict__.update(pair_lookup=lookup)
+    corr.__dict__.update(pair_lookup=lookup, rule_built=True)
+    corr.induced.update((g.images, s) for g, s in zip(moves, symmetries))
     return corr
 
 
@@ -306,7 +350,10 @@ def verify_identity(corr: FiberCorrespondence, a, b, c):
     The symmetries preserve D^2 - (a*I + b*D + c*U), so its failing rows are
     unions of orbits: one mat_mul call squares each orbit's minimum, and each
     of those rows is compared as one list, entry by entry only to find the
-    witness.  Returns (True, None) on success, else
+    witness.  A correspondence built from its label rule (rule_built) has
+    one orbit, row 0's, since the rule's moves are transitive on its points
+    (label_rule), so no orbit is walked; any other walks the orbits of its
+    symmetries (perms.orbits).  Returns (True, None) on success, else
     (False, (i, j, got, want)) for the first differing entry in row-major
     order, which lies on its orbit's minimum.  Subset n = 4 squares one row:
 
@@ -314,7 +361,10 @@ def verify_identity(corr: FiberCorrespondence, a, b, c):
     >>> len(orbits(corr.symmetries, corr.size)), verify_identity(corr, 3, -2, 3)
     (1, (True, None))
     """
-    minima = [orbit[0] - 1 for orbit in orbits(corr.symmetries, corr.size)]
+    if corr.__dict__.get("rule_built"):
+        minima = [0]
+    else:
+        minima = [orbit[0] - 1 for orbit in orbits(corr.symmetries, corr.size)]
     entry = {"0": c, "1": b + c}.__getitem__  # off the diagonal, by the bit of D
     for i, sq in zip(minima, mat_mul([corr.rows[i] for i in minima], corr.rows)):
         want = list(map(entry, corr.bits[i]))

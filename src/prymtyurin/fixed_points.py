@@ -2,8 +2,9 @@
 
 On a special fiber the points of the induced curve are classes of generic
 fiber points, the orbits of the fiber's generators, written once where the
-fiber is built (see induced_curve).  class_action proves from the generators
-that the correspondence descends to the classes, and reads one
+fiber is built (see induced_curve).  class_action proves that each of the
+fiber's generators preserves the relation, so that the correspondence
+descends to the classes, and reads one
 representative row per class off the orbits the fiber keeps, and only what
 the criterion reads: each class's multiplicity in its own image, and the
 block of multiplicities among the classes where that is 1.
@@ -65,15 +66,30 @@ def class_action(corr: FiberCorrespondence, fiber: SpecialFiber) -> tuple[tuple,
     of class q in its own image and block[i][j] that of class c_j in the
     image of class c_i, for c_0 < c_1 < ... the candidates(diagonal).
 
-    Each of the fiber's generators must have degree N and preserve D
-    (corr.check_moves), and the fiber must be built on corr.points, in their
-    order, or ValueError.  Its classes are the generators' orbits by
-    construction, so for g in the group the generators span, a point p and
-    a class M, |D(gp) & M| = |D(p) & g^-1 M| = |D(p) & M|: the action does
-    not depend on the representative, and every count is read off one
-    representative per class, the first position of its orbit.
+    Each of the fiber's generators must have degree N and preserve D, and
+    the fiber must be built on corr.points, in their order, or ValueError.
+    When corr.moves_preserve holds (a subset correspondence built from its
+    label rule) and the fiber records the label moves its generators came
+    from, each generator is proved in O(N): it must equal corr.induce of its
+    move, or it is refused by name, and the induction of every label move
+    preserves D.  Any other generator takes corr.check_moves's N^2 compare:
+    one of a fiber without moves, every grid generator, and every generator
+    on a correspondence made through the constructor, copy or pickle.
+
+    The fiber's classes are the generators' orbits by construction, so for g
+    in the group the generators span, a point p and a class M,
+    |D(gp) & M| = |D(p) & g^-1 M| = |D(p) & M|: the action does not depend
+    on the representative, and every count is read off one representative
+    per class, the first position of its orbit.
     """
-    corr.check_moves(fiber.generators, "generator")
+    if corr.moves_preserve and fiber.moves is not None:
+        for k, (g, move) in enumerate(zip(fiber.generators, fiber.moves)):
+            if g.degree != corr.size:
+                raise ValueError(f"generator {k} has degree {g.degree}, not {corr.size}")
+            if corr.induce(move) != g:
+                raise ValueError(f"generator {k} is not the induction of its label move")
+    else:
+        corr.check_moves(fiber.generators, "generator")
     if fiber.points != corr.points:
         raise ValueError(
             f"the fiber is built on points other than those of the {corr.kind} correspondence"

@@ -29,11 +29,14 @@ and column labels (a row merge is partition_monodromy of its row profile
 padded with m parts of 1, the fixed column labels).  The irreducibility
 check induces its label moves the same way, so no fiber builds points or
 an index: the correspondence's label pairs, built once with its relation,
-serve every move.
+serve every move, and each distinct move is induced once per
+correspondence.  Every builder records the label moves beside the
+generators induced from them.
 The SpecialFiber constructor walks their orbits (perms.orbits) once and
 writes them as the classes, so the classes are the orbits by construction;
-fixed_points.class_action proves from the generators that the
-correspondence descends to them and reads the orbits the fiber keeps.
+fixed_points.class_action proves from the generators, or from the label
+moves they were induced from, that the correspondence descends to them and
+reads the orbits the fiber keeps.
 """
 
 from __future__ import annotations
@@ -58,9 +61,12 @@ class SpecialFiber(Record, namedtuple("SpecialFiber", "classes generators")):
     each the sorted tuple of its members, in order of their first member; a
     class's size is its ramification index.  The points and the orbits (as
     positions, in class order) are the attributes points and orbits, outside
-    the fields and equality.  A fiber does not know its model: the report's
-    model entry holding it records the model, and a merged subset entry
-    writes its block multisets from the fiber's profile.  So one fiber
+    the fields and equality.  So are moves, the label moves the generators
+    were induced from, one per generator in order, or None for a fiber
+    given none; class_action reads them, and copy and pickle keep them.  A
+    fiber does not know its model: the report's model entry holding it
+    records the model, and a merged subset entry writes its block multisets
+    from the fiber's profile.  So one fiber
     serves both models wherever their generators agree: the four grid
     fibers and the subset simple fiber.
 
@@ -72,19 +78,21 @@ class SpecialFiber(Record, namedtuple("SpecialFiber", "classes generators")):
     (((1, 2),), ((1, 3), (1, 4), (2, 3), (2, 4)), ((3, 4),))
     """
 
-    def __new__(cls, generators: tuple[Permutation, ...], points):
+    def __new__(cls, generators: tuple[Permutation, ...], points, moves=None):
         points = tuple(points)
+        if moves is not None and len(moves) != len(generators):
+            raise ValueError(f"{len(moves)} label moves for {len(generators)} generators")
         point = (None, *points).__getitem__  # the point at a 1-based position
         walked = orbits(generators, len(points))
         ordered = sorted((tuple(sorted(map(point, orbit))), orbit) for orbit in walked)
         classes, walked = zip(*ordered)
         self = super().__new__(cls, classes, generators)
-        self.__dict__.update(points=points, orbits=walked)
+        self.__dict__.update(points=points, orbits=walked, moves=moves)
         return self
 
     def __getnewargs__(self):
         # copy and pickle rebuild a fiber from what it is built from
-        return self.generators, self.points
+        return self.generators, self.points, self.moves
 
     @cached_property
     def w_contribution(self) -> int:
@@ -125,7 +133,8 @@ def subset_fiber(corr: FiberCorrespondence, parts, model: str) -> SpecialFiber:
     multiplicities, the orbits of the blocks' Young subgroup, generated by a
     transposition and the cycle of each block (one move for a pair).  Orbit
     model: the cycles of the local monodromy (partition_monodromy).  Every
-    label move is induced on corr.points by corr.induce.  Only the simple
+    label move is induced on corr.points by corr.induce and recorded as the
+    fiber's moves.  Only the simple
     profile (2, 1, ...) gets equal fibers: both models move its one pair by
     (1 2) alone.  The merged class of size 4 splits into two orbits:
 
@@ -138,12 +147,12 @@ def subset_fiber(corr: FiberCorrespondence, parts, model: str) -> SpecialFiber:
     if model == MERGED:
         moved = (b for b in blocks_from_parts(parts, degree) if len(b) > 1)
         cycles = (c for b in moved for c in dict.fromkeys((b[:2], b)))
-        moves = [Permutation.from_cycles(degree, (c,)) for c in cycles]
+        moves = tuple(Permutation.from_cycles(degree, (c,)) for c in cycles)
     elif model == ORBIT:
-        moves = [partition_monodromy(parts, degree)]
+        moves = (partition_monodromy(parts, degree),)
     else:
         raise ValueError(f"unknown fiber model {model!r}")
-    return SpecialFiber(tuple(map(corr.induce, moves)), corr.points)
+    return SpecialFiber(tuple(map(corr.induce, moves)), corr.points, moves)
 
 
 # --- grid fibers ------------------------------------------------------------
@@ -173,13 +182,14 @@ def grid_row_merge_fiber(corr: FiberCorrespondence) -> SpecialFiber:
     profile's blocks fall on the row labels 1..m and the column labels
     m + 1..2m stay put."""
     move = partition_monodromy((*GRID_ROW_PROFILE, *(1,) * corr.parameter), 2 * corr.parameter)
-    return SpecialFiber((corr.induce(move),), corr.points)
+    return SpecialFiber((corr.induce(move),), corr.points, (move,))
 
 
 def grid_pairing_fiber(corr: FiberCorrespondence, shift: int) -> SpecialFiber:
     """Grid special fiber of corr where the two sides of the grid coincide:
     the orbits of grid_pairing_monodromy, each a glued pair or a diagonal cell."""
-    return SpecialFiber((corr.induce(grid_pairing_monodromy(corr.parameter, shift)),), corr.points)
+    move = grid_pairing_monodromy(corr.parameter, shift)
+    return SpecialFiber((corr.induce(move),), corr.points, (move,))
 
 
 # --- irreducibility proxy ---------------------------------------------------
@@ -192,7 +202,8 @@ def irreducibility_check(generators: tuple[Permutation, ...], corr: FiberCorresp
     This is the combinatorial content of irreducibility of the induced curve:
     the monodromy image must not split the subset fiber.  It is a proxy, not
     a proof of irreducibility of any particular curve.  Every generator is
-    induced by corr.induce; with none, every point is its own orbit, so the
-    check fails.
+    induced by corr.induce, which hands back a move the report's fibers
+    already induced; with none, every point is its own orbit, so the check
+    fails.
     """
     return is_transitive(tuple(map(corr.induce, generators)), corr.size)

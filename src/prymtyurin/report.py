@@ -425,6 +425,19 @@ _INT_TEXT = _IntText((i, int.__repr__(i)) for i in range(256)).__getitem__
 # the writer of each scalar a report holds, by its exact type
 _LITERAL = {True: "true", False: "false", None: "null"}.__getitem__
 _SCALARS = {str: encode_basestring_ascii, int: _INT_TEXT, bool: _LITERAL, type(None): _LITERAL}
+# the separators of a container written at each depth, a list's and then a
+# dict's, so that is_dict indexes them: (opening and first line break, comma
+# and line break between elements, line break and closing), extended on
+# demand by _separators
+_SEPARATORS: list[tuple[tuple[str, str, str], tuple[str, str, str]]] = []
+
+
+def _separators(depth: int) -> tuple:
+    while len(_SEPARATORS) <= depth:
+        pad = "  " * len(_SEPARATORS)
+        line, end = "\n  " + pad, "\n" + pad
+        _SEPARATORS.append((("[" + line, "," + line, end + "]"), ("{" + line, "," + line, end + "}")))
+    return _SEPARATORS[depth]
 
 
 def canonical_json(data) -> str:
@@ -473,7 +486,8 @@ def json_pieces(data) -> list[str]:
     repeated fiber entry.  Scalars are
     written inline, each key's prefix is encoded once per call, and a list
     or tuple of plain ints (not bools) is written as one string at C level;
-    the text of the ints 0..255 is read from a table.
+    the text of the ints 0..255 is read from a table, and each depth's
+    separators from another (_separators).
     """
     out: list[str] = []
     # id -> [depth, buffer, start, end]; end is None while the span is open
@@ -484,25 +498,31 @@ def json_pieces(data) -> list[str]:
     # the recursion stays private: a recursive public call would be one more
     # serialize span per node to anything that wraps the writer
     def write(obj, depth: int, buf: list) -> None:
-        encode = scalar(type(obj))
+        kind = type(obj)
+        encode = scalar(kind)
         if encode is not None:
             return buf.append(encode(obj))
-        if isinstance(obj, str):
+        # the exact container types first, then the subclasses json accepts
+        if kind is dict:
+            is_dict = True
+        elif kind is list or kind is tuple:
+            is_dict = False
+        elif isinstance(obj, str):
             return buf.append(encode_basestring_ascii(obj))
-        if isinstance(obj, int):
+        elif isinstance(obj, int):
             return buf.append(int.__repr__(obj))
-        is_dict = isinstance(obj, dict)
-        if not is_dict and type(obj) not in (list, tuple):
-            raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+        elif isinstance(obj, dict):
+            is_dict = True
+        else:
+            raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
         if not obj:
             return buf.append("{}" if is_dict else "[]")
-        pad = "  " * depth
-        line = "\n  " + pad
-        comma = "," + line
+        seps = _SEPARATORS[depth] if depth < len(_SEPARATORS) else _separators(depth)
+        opening, comma, closing = seps[is_dict]
         if not is_dict and type(obj[0]) is int and {*map(type, obj)} == {int}:
             # an int list holds no container, so it needs no memo; its
             # types are read as one set at C level
-            return buf.append("[" + line + comma.join(map(_INT_TEXT, obj)) + "\n" + pad + "]")
+            return buf.append(opening + comma.join(map(_INT_TEXT, obj)) + closing)
         span = spans.get(id(obj))
         if span is not None:
             written, source, start, end = span
@@ -515,7 +535,7 @@ def json_pieces(data) -> list[str]:
                 return buf.append(text.replace("\n", "\n" + "  " * (depth - written)))
             return buf.append(text.replace("\n" + "  " * (written - depth), "\n"))
         span = spans[id(obj)] = [depth, buf, len(buf), None]
-        sep = ("{" if is_dict else "[") + line
+        sep = opening
         if is_dict:
             for k, v in sorted(obj.items()):
                 prefix = prefixes.get(k)
@@ -550,7 +570,7 @@ def json_pieces(data) -> list[str]:
                 first = len(buf)
                 buf.extend(map(texts.__getitem__, ids))
                 buf[first] = "[" + buf[first][1:]
-        buf.append("\n" + pad + ("}" if is_dict else "]"))
+        buf.append(closing)
         span[3] = len(buf)
 
     write(data, 0, out)

@@ -255,28 +255,40 @@ def test_verify_identity_failure_witness():
 
 def test_proof_squares_one_row_per_orbit(monkeypatch):
     # one mat_mul call per proof, squaring one row per orbit of the
-    # symmetries: both families are transitive, a hand-built relation has
-    # no symmetries and every point is its own orbit
-    calls = []
-    real = correspondence.mat_mul
+    # symmetries: both families are transitive, and a correspondence built
+    # from its rule squares row 0 without walking an orbit; one made through
+    # the constructor walks them, and a hand-built relation has no
+    # symmetries, so every point is its own orbit
+    calls, walks = [], []
+    real, walk = correspondence.mat_mul, correspondence.orbits
 
     def counting(a, b):
         calls.append(len(a))
         return real(a, b)
 
+    def walking(generators, degree):
+        walks.append(degree)
+        return walk(generators, degree)
+
     monkeypatch.setattr(correspondence, "mat_mul", counting)
+    monkeypatch.setattr(correspondence, "orbits", walking)
     corr = build_subset_matrix(4)
     ident, q, _ = identity_and_exponent(corr)
     assert q == 4
-    assert calls == [1]
+    assert calls == [1] and walks == []
     for m in range(3, 9):
         calls.clear()
         assert identity_and_exponent(build_grid_matrix(m))[0] is not None
-        assert calls == [1]
+        assert calls == [1] and walks == []
+    for made in (rebuilt(corr), copy.copy(corr), pickle.loads(pickle.dumps(corr))):
+        calls.clear()
+        assert verify_identity(made, *ident) == (True, None)
+        assert calls == [1] and walks == [15]
+        walks.clear()
     six_cycle = tuple(sum(1 << j for j in range(6) if (i - j) % 6 in (1, 5)) for i in range(6))
     calls.clear()
     assert discover_identity(relation(six_cycle)) is None
-    assert calls == [6]
+    assert calls == [6] and walks == [6]
 
 
 def test_symmetries_are_checked_at_construction():
@@ -291,8 +303,10 @@ def test_symmetries_are_checked_at_construction():
         rebuilt(corr, symmetries=(rotation, Permutation((1, 6, 3, 4, 5, 2))))
     with pytest.raises(ValueError, match="symmetry 0 has degree 5, not 6"):
         rebuilt(corr, symmetries=(Permutation((2, 3, 4, 5, 1)),))
-    # each family's generators preserve its relation and are transitive
-    for corr in (*map(build_subset_matrix, range(2, 9)), *map(build_grid_matrix, range(2, 31))):
+    # each family's generators preserve its relation and are transitive,
+    # which verify_identity relies on for a correspondence built from its
+    # rule, at every size the CLI accepts
+    for corr in (*map(build_subset_matrix, range(2, 41)), *map(build_grid_matrix, range(2, 31))):
         assert len(corr.symmetries) == 2
         assert len(orbits(corr.symmetries, corr.size)) == 1
 
@@ -392,6 +406,26 @@ def test_induce_refuses_a_move_it_cannot_induce():
     for build, letter in ((build_subset_matrix, "n"), (build_grid_matrix, "m")):
         with pytest.raises(ValueError, match=f"needs {letter} >= 2, got 1$"):
             build(1)
+
+
+def test_each_distinct_move_is_induced_once(monkeypatch):
+    # the symmetries are the first moves induced; any later call with a
+    # move of the same images hands back the same permutation
+    moves = []
+    real = correspondence._induced
+    monkeypatch.setattr(correspondence, "_induced", lambda *a: moves.append(a[2]) or real(*a))
+    corr = build_subset_matrix(5)
+    cycle = Permutation((2, 3, 4, 5, 6, 7, 1))
+    assert moves == [Permutation((2, 1, 3, 4, 5, 6, 7)), cycle]
+    assert corr.induce(Permutation((2, 3, 4, 5, 6, 7, 1))) is corr.symmetries[1]
+    swap = Permutation((1, 2, 3, 4, 5, 7, 6))
+    assert corr.induce(swap) is corr.induce(Permutation((1, 2, 3, 4, 5, 7, 6)))
+    assert moves[2:] == [swap]
+    # a refused move is not kept: it is refused again
+    for _ in range(2):
+        with pytest.raises(ValueError, match="has degree 6, not 7"):
+            corr.induce(Permutation((1, 2, 3, 4, 5, 6)))
+    assert len(moves) == 5 and set(corr.induced) == {m.images for m in moves[:3]}
 
 
 def test_an_unhashable_kind_has_no_rule_and_no_closed_form():

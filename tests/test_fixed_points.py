@@ -176,6 +176,136 @@ def test_class_action_refuses_a_generator_of_the_wrong_degree():
             SpecialFiber(generators, all_subsets(5, 3))
 
 
+@pytest.fixture
+def compared(monkeypatch):
+    """The names check_moves was called with, one per permutation it
+    compared in N^2."""
+    names = []
+    real = correspondence.FiberCorrespondence.check_moves
+
+    def counting(self, moves, name):
+        names.extend([name] * len(moves))
+        return real(self, moves, name)
+
+    monkeypatch.setattr(correspondence.FiberCorrespondence, "check_moves", counting)
+    return names
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_every_subset_fiber_generator_passes_the_n2_compare(n, compared):
+    # what class_action now proves from the label moves, compared in N^2
+    # for every profile of the report digest's sweep, under both models
+    corr = build_subset_matrix(n)
+    assert corr.moves_preserve
+    for parts in partitions(n + 2):
+        if max(parts) == 1:
+            continue
+        for model in MERGED, ORBIT:
+            fiber = subset_fiber(corr, parts, model)
+            assert len(fiber.moves) == len(fiber.generators)
+            compared.clear()
+            class_action(corr, fiber)
+            assert compared == []
+            corr.check_moves(fiber.generators, "generator")
+            assert compared == ["generator"] * len(fiber.generators)
+
+
+def test_a_recorded_move_that_does_not_match_its_generator_is_refused_by_name():
+    fiber = subset_fiber(SUBSET[3], THREE_PARTS, MERGED)
+    swapped = SpecialFiber(fiber.generators, fiber.points, fiber.moves[::-1])
+    with pytest.raises(ValueError, match="^generator 0 is not the induction of its label move$"):
+        class_action(SUBSET[3], swapped)
+    # a generator of the right degree with a move of the wrong one
+    other = SpecialFiber(fiber.generators[:1], fiber.points, (Permutation((2, 1, 3, 4)),))
+    with pytest.raises(ValueError, match="^subset label move has degree 4, not 5$"):
+        class_action(SUBSET[3], other)
+    with pytest.raises(ValueError, match="^2 label moves for 1 generators$"):
+        SpecialFiber(fiber.generators[:1], fiber.points, fiber.moves)
+
+
+def test_a_relation_preserving_swap_that_is_not_label_induced_takes_the_n2_path(compared):
+    # K(4, 2) at n = 2 is three disjoint edges; swapping the two ends of one
+    # edge, {1, 2} with {3, 4}, preserves it, but no label move fixes the
+    # other four subsets and moves those two
+    corr = SUBSET[2]
+    swap = Permutation((6, 2, 3, 4, 5, 1))
+    assert swap not in map(corr.induce, map(Permutation, itertools.permutations(range(1, 5))))
+    plain = SpecialFiber((swap,), corr.points)
+    assert class_action(corr, plain) == diagonal_and_block(reference_class_action(corr, plain))
+    assert compared == ["generator"]
+    # given any label move, it is refused by name
+    for move in (Permutation((1, 2, 3, 4)), Permutation((3, 4, 1, 2))):
+        with pytest.raises(ValueError, match="^generator 0 is not the induction of its label move$"):
+            class_action(corr, SpecialFiber((swap,), corr.points, (move,)))
+
+
+def test_correspondences_not_built_from_the_rule_take_the_n2_path(compared):
+    built = build_subset_matrix(4)
+    fiber = subset_fiber(built, (2, 2, 2), MERGED)
+    want = class_action(built, fiber)
+    assert compared == ["symmetry", "symmetry"]  # at construction alone
+    made = correspondence.FiberCorrespondence(**built._asdict())
+    for other in (made, copy.copy(built), pickle.loads(pickle.dumps(built))):
+        assert other == built and not other.moves_preserve
+        assert "rule_built" not in other.__dict__ and other.induced == {}
+        compared.clear()
+        assert class_action(other, fiber) == want
+        assert compared == ["generator"] * len(fiber.generators)
+    # and every grid generator, on the grid built from its rule
+    assert not GRID.moves_preserve
+    compared.clear()
+    class_action(GRID, grid_row_merge_fiber(GRID))
+    assert compared == ["generator"]
+
+
+def test_a_rebuilt_fiber_keeps_its_moves_and_its_class_action(compared):
+    for corr, fiber in ((SUBSET[4], subset_fiber(SUBSET[4], (3, 2, 1), MERGED)),
+                        (GRID, grid_pairing_fiber(GRID, 1))):
+        want = class_action(corr, fiber)
+        for twin in (copy.copy(fiber), pickle.loads(pickle.dumps(fiber))):
+            assert twin == fiber and twin.moves == fiber.moves
+            assert class_action(corr, twin) == want
+    # a fiber given no moves compares its generators, with the same result
+    fiber = subset_fiber(SUBSET[4], (3, 2, 1), MERGED)
+    compared.clear()
+    assert class_action(SUBSET[4], SpecialFiber(fiber.generators, fiber.points)) == (
+        class_action(SUBSET[4], fiber)
+    )
+    assert compared == ["generator"] * len(fiber.generators)
+
+
+@pytest.mark.parametrize("n, gx, fibers, monodromy", [
+    (3, 1, None, None),
+    (4, 3, [[2, 2, 2], [2, 1, 1, 1, 1], [3, 2, 1]], None),
+    (6, 2, None, None),
+    (3, 2, None, [[2, 1, 3, 4, 5], [1, 3, 2, 4, 5], [1, 2, 4, 3, 5], [1, 2, 3, 5, 4]]),
+])
+def test_a_subset_report_induces_each_move_once_and_compares_no_generator(
+    n, gx, fibers, monodromy, monkeypatch, compared
+):
+    # every distinct label move of a both report is induced once: the
+    # symmetries, the simple and declared fibers under both models, and
+    # the irreducibility check's moves
+    induced = Counter()
+    real = correspondence._induced
+
+    def counting(kind, lookup, move):
+        induced[move.images] += 1
+        return real(kind, lookup, move)
+
+    monkeypatch.setattr(correspondence, "_induced", counting)
+    assemble(subset_scenario(n, gx, fibers, monodromy=monodromy))
+    assert (2, 1, *range(3, n + 3)) in induced  # (1 2), a symmetry
+    assert set(induced.values()) == {1}
+    # only the symmetries' construction check compares in N^2
+    assert compared == ["symmetry", "symmetry"]
+
+
+def test_a_grid_report_still_compares_every_generator(compared):
+    assemble(grid_scenario(5))
+    assert compared == ["symmetry"] * 2 + ["generator"] * 4
+
+
 def test_class_action_refuses_a_fiber_on_other_points():
     # the grid cells reversed: the same generator, but its positions name
     # other cells, so the classes are not the orbits on the correspondence's
