@@ -17,12 +17,13 @@ included: a pipe whose reader is gone, a full device or a closed stdout
 model whenever it was evaluated, otherwise the single model requested.
 
 Arguments are read from one table, COMMANDS (each command path with its
-flags and, for run, its positional), by one walk over argv, parse_args.  It
-accepts and refuses what argparse does for the same definitions, with
-argparse's phrases, and -h or --help at any level writes help built from
-the table.  argparse is not imported: with its gettext it was a quarter of
-this module's import, and its parse the largest cost of a verify-identity
-call.
+flags and, for run, its positional), by one walk over argv, parse_args.
+Flags are read by their exact names only: a prefix, an unknown option or a
+word that begins with "-" (a negative number included) where no flag takes
+it as a value is refused, with argparse's phrases, and -h or --help at any
+level writes help built from the table.  argparse is not imported: with
+its gettext it was a quarter of this module's import, and its parse the
+largest cost of a verify-identity call.
 
 verify-identity reads its kind's family record (scenario.FAMILIES), the
 place a family is described: the size flag's name, its ceiling and the
@@ -32,7 +33,6 @@ matrix builder.
 from __future__ import annotations
 
 import os
-import re
 import sys
 from collections import namedtuple
 from types import SimpleNamespace
@@ -119,117 +119,70 @@ COMMANDS = {
 }
 
 _HELP = ("-h", "--help")
-# what argparse reads as a negative number, so as a value, not an option
-_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
 
 def parse_args(argv=None) -> SimpleNamespace:
-    """The arguments of one call, read by COMMANDS as argparse reads them.
+    """The arguments of one call, read by COMMANDS.
 
-    Each group takes -h or --help and then the name of a command below it,
-    which reads the rest.  A flag's value follows it or is joined by "=", a
-    unique prefix of a long flag names it, a negative number is a value, the
-    last of a repeated flag wins and "--" ends a leaf's options.  An unknown
-    option is kept and refused at the end, after the required check, so an
-    -h after it still writes help.  A refused argv writes a usage line and
-    an error to stderr and raises SystemExit(1); help goes to stdout and
-    raises SystemExit(0).  Where argparse's versions read an argv apart, this
-    follows Python 3.10-3.12 (-hx is refused, a -- before the command is no
-    command, an ambiguous --=x fails after -h), except that a -- after the
-    positional and an option is dropped, as 3.13 drops it.
+    Each group takes -h or --help or the name of a command below it, which
+    reads the rest.  A leaf writes its help when -h or --help is anywhere
+    before "--"; otherwise it reads its flags by their exact names, each
+    value after its flag or joined to it by "=", the last of a repeated flag
+    winning, and every other word as its positional.  "--" ends the options.
+    A refused argv writes a usage line and an error to stderr and raises
+    SystemExit(1); help goes to stdout and raises SystemExit(0).
     """
     argv = sys.argv[1:] if argv is None else argv
-    values, extras, path, start = {}, [], (), 0
+    values, path, start = {}, (), 0
     while (command := COMMANDS[path]).flags is None:
-        for start in range(start, len(argv)):
-            option = _option(path, argv[start], _HELP)
-            if option is None:
-                break
-            if option[0] is not None:
-                _help(path, option[1])
-            extras.append(argv[start])
-        else:
+        name = argv[start] if start < len(argv) else None
+        if name in _HELP:
+            _help(path)
+        if name is None:
             _fail(path, f"the following arguments are required: {command.positional.name}")
-        name = argv[start]
+        if name.startswith("-"):
+            _fail((), f"unrecognized arguments: {name}")
         if path + (name,) not in COMMANDS:
             _invalid_choice(path, command.positional.name, name, _below(path))
         values[command.positional.name] = name
         path, start = path + (name,), start + 1
 
-    flags = {flag.name: flag for flag in command.flags}
     rest = argv[start:]
-    # argparse reads every token before the first "--" as an option or not
-    # before it acts on one, so an ambiguous option fails even after -h
     cut = rest.index("--") if "--" in rest else len(rest)
-    options = [_option(path, token, _HELP + tuple(flags)) for token in rest[:cut]]
-    options += [None] * (len(rest) - cut)
-    positionals, i = [], 0
-    while i < len(rest):
-        token, option = rest[i], options[i]
-        i += 1
-        if option is None:
-            # the first "--" is dropped where the command takes a
-            # positional; a command without one is left with it unrecognized
-            if i - 1 != cut or not command.positional:
-                positionals.append(token)
-            continue
-        name, value = option
+    if any(token in _HELP for token in rest[:cut]):
+        _help(path)
+    flags = {flag.name: flag for flag in command.flags}
+    words, tokens = [], iter(rest[:cut])
+    for token in tokens:
+        name, joined, value = token.partition("=")
         flag = flags.get(name)
-        if name is None:
-            extras.append(token)
-        elif flag is None:
-            _help(path, value)
+        if flag is None:
+            if token.startswith("-") and token != "-":
+                _fail((), f"unrecognized arguments: {token}")
+            words.append(token)
         elif flag.type is bool:
-            if value is not None:
+            if joined:
                 _fail(path, f"argument {name}: ignored explicit argument {value!r}")
             values[_dest(flag)] = True
-        else:
-            if value is None:
-                if i in (len(rest), cut) or options[i] is not None:
-                    _fail(path, f"argument {name}: expected one argument")
-                value, i = rest[i], i + 1
+        elif joined or (value := next(tokens, None)) is not None:
             values[_dest(flag)] = _read(path, flag, value)
+        else:
+            _fail(path, f"argument {name}: expected one argument")
+    words += rest[cut + 1:]
 
     positional = command.positional
-    missing = [positional.name] if positional and not positionals else []
+    missing = [positional.name] if positional and not words else []
     missing += [flag.name for flag in command.flags
                 if flag.default is REQUIRED and _dest(flag) not in values]
     if missing:
         _fail(path, f"the following arguments are required: {', '.join(missing)}")
     if positional:
-        values[positional.name] = positionals.pop(0)
-    extras += positionals
-    if extras:
-        _fail((), f"unrecognized arguments: {' '.join(extras)}")
+        values[positional.name] = words.pop(0)
+    if words:
+        _fail((), f"unrecognized arguments: {' '.join(words)}")
     for flag in command.flags:
         values.setdefault(_dest(flag), flag.default)
     return SimpleNamespace(**values)
-
-
-def _option(path, token, names):
-    """How argparse reads token where names are the options: None for a
-    positional, else the option's name and its joined value or None.  The
-    name is None for an unknown option, which takes no value."""
-    if token[:1] != "-" or token in ("-", "--"):
-        return None
-    if token in names:
-        return token, None
-    head, joined, value = token.partition("=")
-    if joined and head in names:
-        return head, value
-    if token[1] == "-":
-        # a unique prefix of a long option, with or without its =value
-        found, value = [name for name in names if name.startswith(head)], value if joined else None
-    else:
-        # a short option with its value attached, as in -hx
-        found, value = [name for name in names if name == token[:2]], token[2:]
-    if len(found) > 1:
-        _fail(path, f"ambiguous option: {token} could match {', '.join(found)}")
-    if found:
-        return found[0], value
-    if _NEGATIVE.match(token) or " " in token:
-        return None
-    return None, token
 
 
 def _dest(flag) -> str:
@@ -265,9 +218,7 @@ def _fail(path, message):
     raise SystemExit(EXIT_VALIDATION)
 
 
-def _help(path, value):
-    if value is not None:
-        _fail(path, f"argument {'/'.join(_HELP)}: ignored explicit argument {value!r}")
+def _help(path):
     # through _stdout, so a failed write of the help reaches main like any other
     _stdout().write(_help_text(path))
     raise SystemExit(EXIT_VERIFIED)

@@ -573,7 +573,12 @@ def json_pieces(data) -> list[str]:
         buf.append(closing)
         span[3] = len(buf)
 
-    write(data, 0, out)
+    try:
+        write(data, 0, out)
+    finally:
+        # write's closure holds write itself: without this cut, spans and
+        # every buffer would wait for the garbage collector, even on a raise
+        write = None
     return out
 
 

@@ -188,9 +188,10 @@ def _subset_irreducibility(scenario: Scenario, corr: FiberCorrespondence, distin
     if scenario.monodromy is not None:
         gens, basis = [Permutation(images=g) for g in scenario.monodromy], EXPLICIT
     else:
-        # representative choice: the declared fibers' monodromies and one adjacent
-        # transposition per simple branch point, which repeat after degree - 1
-        gens = [partition_monodromy(p, degree) for p in scenario.special_fibers]
+        # representative choice: each distinct declared fiber's monodromy and
+        # one adjacent transposition per simple branch point, which repeat
+        # after degree - 1
+        gens = [partition_monodromy(p, degree) for p in dict.fromkeys(scenario.special_fibers)]
         for i in range(1, 1 + min(scenario.covering.simple_extra, degree - 1)):
             gens.append(transposition(degree, i, i + 1))
         basis = SYNTHESIZED

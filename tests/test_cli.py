@@ -9,6 +9,7 @@ import functools
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -648,7 +649,9 @@ def test_shared_parser_carries_no_state_between_calls(tmp_path):
 # messages, whose wording varies across Python versions, and the corpus
 # leaves out what argparse itself reads differently across them: -hx, a --
 # before the command, a -- after the positional and an option, and an
-# ambiguous --=x after -h
+# ambiguous --=x after -h.  The argv that exact flag names read apart from
+# argparse are in DECLARED_DIFFERENCES, and their test asserts the
+# difference
 PARITY_ARGV = [
     # every command
     ["run", "s.json"],
@@ -657,25 +660,19 @@ PARITY_ARGV = [
     ["builtin", "hyperelliptic", "--g", "3", "--model", "both"],
     ["verify-identity", "--kind", "subset", "--n", "5"],
     ["verify-identity", "--kind", "grid", "--m", "3", "--dump-matrix", "--format", "json"],
-    # unique prefixes: under pn-case --form is --format and --g is --gx;
-    # --dump names no flag of pn-case, and --dump-matrix of verify-identity
-    ["builtin", "pn-case", "--n", "2", "--gx", "1", "--form", "json"],
-    ["builtin", "pn-case", "--n", "2", "--g", "5"],
+    # --dump names no flag of pn-case, as a prefix or exactly
     ["builtin", "pn-case", "--n", "2", "--gx", "1", "--dump"],
-    ["verify-identity", "--kind", "grid", "--m", "3", "--dump"],
-    ["run", "s.json", "--mod", "paper"],
     # --flag=value, and repeated flags, where the last one wins
     ["run", "s.json", "--format=json", "--model=monodromy"],
     ["builtin", "hyperelliptic", "--g=4", "--g", "5", "--format", "json", "--format", "table"],
     ["verify-identity", "--kind=grid", "--m=3", "--dump-matrix", "--dump-matrix"],
     ["verify-identity", "--kind", "grid", "--dump-matrix=yes"],
     ["run", "s.json", "--format="],
-    # a negative number is a value; -x is an option, so --format gets none
+    # a flag's value may begin with "-"; -x names no flag
     ["builtin", "pn-case", "--n", "2", "--gx", "-1"],
     ["verify-identity", "--kind", "subset", "--n", "-5"],
     ["builtin", "hyperelliptic", "--g", "-1.5"],
     ["run", "s.json", "--format", "-x"],
-    ["run", "-1"],
     # -- ends the options
     ["run", "--", "s.json"],
     ["run", "--format", "json", "--", "s.json"],
@@ -706,11 +703,10 @@ PARITY_ARGV = [
     # an empty argv and builtin alone
     [],
     ["builtin"],
-    # help at each level; after an unknown flag or a missing one it still
-    # wins, after a bad value it does not
+    # help at each level; at a leaf it wins over an unknown flag or a
+    # missing one
     ["-h"],
     ["--help"],
-    ["--he"],
     ["builtin", "-h"],
     ["builtin", "--help"],
     ["run", "-h"],
@@ -721,10 +717,30 @@ PARITY_ARGV = [
     ["verify-identity", "-h"],
     ["verify-identity", "--kind", "grid", "--help"],
     ["run", "s.json", "--bogus", "-h"],
-    ["--bogus", "-h"],
     ["builtin", "pn-case", "-h", "--n", "9"],
-    ["builtin", "pn-case", "--n", "9", "-h"],
 ]
+
+ACCEPTED = None
+# the argv that exact flag names read apart from argparse: each with the
+# exit code argparse gave it (None where it was accepted), its exit code
+# now, and the word the refusal names (None for help)
+DECLARED_DIFFERENCES = {
+    # a prefix of a flag: under pn-case, --format and --gx
+    ("builtin", "pn-case", "--n", "2", "--gx", "1", "--form", "json"):
+        (ACCEPTED, EXIT_VALIDATION, "--form"),
+    ("builtin", "pn-case", "--n", "2", "--g", "5"): (ACCEPTED, EXIT_VALIDATION, "--g"),
+    ("verify-identity", "--kind", "grid", "--m", "3", "--dump"):
+        (ACCEPTED, EXIT_VALIDATION, "--dump"),
+    ("run", "s.json", "--mod", "paper"): (ACCEPTED, EXIT_VALIDATION, "--mod"),
+    # a negative number, which argparse read as the positional
+    ("run", "-1"): (ACCEPTED, EXIT_VALIDATION, "-1"),
+    # a prefix of --help
+    ("--he",): (EXIT_VERIFIED, EXIT_VALIDATION, "--he"),
+    # an unknown option before the command is refused at once, not after -h
+    ("--bogus", "-h"): (EXIT_VERIFIED, EXIT_VALIDATION, "--bogus"),
+    # -h at a leaf wins over a bad value before it
+    ("builtin", "pn-case", "--n", "9", "-h"): (EXIT_VALIDATION, EXIT_VERIFIED, None),
+}
 
 
 def _parse(parse, argv):
@@ -739,10 +755,7 @@ def _parse(parse, argv):
     return code, attributes, out.getvalue(), err.getvalue()
 
 
-def _assert_parity(argv):
-    code, attributes, out, err = _parse(cli.parse_args, argv)
-    want_code, want_attributes, _, _ = _parse(build_parser().parse_args, argv)
-    assert (code, attributes) == (want_code, want_attributes), argv
+def _assert_shape(code, out, err):
     if code == EXIT_VERIFIED:  # help, on stdout alone
         assert out and not err
     elif code == EXIT_VALIDATION:  # a usage line and the error, on stderr alone
@@ -751,15 +764,40 @@ def _assert_parity(argv):
         assert ": error: " in err.splitlines()[-1]
 
 
-@pytest.mark.parametrize("argv", PARITY_ARGV, ids=" ".join)
+def _assert_parity(argv):
+    code, attributes, out, err = _parse(cli.parse_args, argv)
+    want_code, want_attributes, _, _ = _parse(build_parser().parse_args, argv)
+    assert (code, attributes) == (want_code, want_attributes), argv
+    _assert_shape(code, out, err)
+
+
+@pytest.mark.parametrize("argv", PARITY_ARGV + [list(argv) for argv in DECLARED_DIFFERENCES],
+                         ids=" ".join)
 def test_parser_reads_argv_as_argparse_did(argv):
-    _assert_parity(argv)
+    if tuple(argv) not in DECLARED_DIFFERENCES:
+        return _assert_parity(argv)
+    # a declared difference: argparse's outcome is computed here, so the
+    # table holds on every Python version the package supports
+    old, new, named = DECLARED_DIFFERENCES[tuple(argv)]
+    assert _parse(build_parser().parse_args, argv)[0] == old
+    code, _, out, err = _parse(cli.parse_args, argv)
+    assert code == new
+    _assert_shape(code, out, err)
+    if named is not None:
+        assert err.splitlines()[-1] == f"prymtyurin: error: unrecognized arguments: {named}"
 
 
 @settings(max_examples=300, deadline=None)
 @given(argv=cli_argv())
 def test_parser_reads_fuzzed_argv_as_argparse_did(argv):
-    _assert_parity(argv)
+    # a quarter of the draws carry a flag of any command; under pn-case,
+    # argparse read --g as a prefix of --gx, and exact names refuse it
+    if argv[:2] == ["builtin", "pn-case"] and "--g" in argv:
+        code, _, out, err = _parse(cli.parse_args, argv)
+        assert code == EXIT_VALIDATION, argv
+        _assert_shape(code, out, err)
+    else:
+        _assert_parity(argv)
 
 
 @pytest.mark.parametrize("flag", ["-h", "--help"])
@@ -778,6 +816,47 @@ def test_help_lists_each_command_and_flag_of_its_level(path, flag, capsys):
     rows.append("-h, --help")
     for row in rows:
         assert f"\n  {row} " in out, row
+
+
+def _readme_usage():
+    """The argv of each prymtyurin line in README's usage block, once with
+    every bracketed option left out and once with each expanded to its first
+    choice; a choice written as ... is the first of the flag's in the table."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    first = {flag.name: flag.choices[0] for command in cli.COMMANDS.values()
+             for flag in command.flags or () if flag.choices}
+    for line in block.splitlines():
+        if not line.startswith("prymtyurin "):
+            continue
+        words = re.findall(r"\[[^]]*\]|\S+", line)[1:]
+        yield [word for word in words if not word.startswith("[")]
+        expanded = []
+        for word in words:
+            if not word.startswith("["):
+                expanded.append(word)
+                continue
+            name, *choices = word[1:-1].split()
+            expanded.append(name)
+            if choices:
+                choice = choices[0].split("|")[0]
+                expanded.append(str(first[name]) if choice == "..." else choice)
+        yield expanded
+
+
+README_USAGE = list(_readme_usage())
+
+
+def test_readme_usage_block_was_read():
+    # five usage lines, each twice
+    assert len(README_USAGE) == 10
+
+
+@pytest.mark.parametrize("argv", README_USAGE, ids=" ".join)
+def test_readme_usage_parses(argv):
+    code, attributes, out, err = _parse(cli.parse_args, argv)
+    assert (code, out, err) == (None, "", ""), argv
+    assert attributes["command"] == argv[0]
 
 
 # --- installed console script -------------------------------------------------

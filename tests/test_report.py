@@ -1,6 +1,7 @@
 import contextlib
 import enum
 import functools
+import gc
 import hashlib
 import io
 import json
@@ -1058,6 +1059,45 @@ def test_grid_g3000_json_peak_memory_stays_near_its_length():
     finally:
         tracemalloc.stop()
     assert peak <= 1.5 * len(text)
+
+
+def _retained_by_json_pieces(data, error=None) -> int:
+    """The bytes still allocated after json_pieces(data) returns or raises
+    error and its pieces are dropped, with the garbage collector off."""
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        try:
+            pieces = report_module.json_pieces(data)
+        except Exception as exc:
+            assert type(exc) is error
+        else:
+            assert error is None
+            del pieces
+        return tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+
+
+@pytest.mark.parametrize("data", [
+    pytest.param(lambda: assemble(subset_scenario(20, 3)), id="subset-n20-gx3"),
+    pytest.param(lambda: assemble(grid_scenario(300)), id="grid-g300"),
+])
+def test_json_pieces_frees_its_memory_without_the_collector(data):
+    # the writer's recursive closure refers to itself; the cycle is cut when
+    # the call ends, so its memo and buffers go with the last reference to
+    # the pieces, on a raise too, and never wait for the collector
+    data = data()
+    report_module.json_pieces(data)  # fills per-process caches
+    assert _retained_by_json_pieces(data) < 64 * 1024
+    # refused inputs, each met after the whole report was written
+    assert _retained_by_json_pieces({**data, "~": 0.5}, TypeError) < 64 * 1024
+    cyclic = {**data, "~": []}
+    cyclic["~"].append(cyclic)
+    assert _retained_by_json_pieces(cyclic, ValueError) < 64 * 1024
 
 
 class _CharCount(io.TextIOBase):
