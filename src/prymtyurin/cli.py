@@ -16,6 +16,13 @@ included: a pipe whose reader is gone, a full device or a closed stdout
 (stderr says "cannot write output").  The keyed model is the merged-class
 model whenever it was evaluated, otherwise the single model requested.
 
+Every view (a report as JSON or as a table, verify-identity's summary and
+the help at each level) goes to stdout through one helper, _print, in one
+writelines call and one flush: a failed write raises in the command that
+wrote it and reaches main's one OSError handler.  Only an OSError from
+opening or reading the scenario file is blamed on the input, where it is
+read, in cmd_report.
+
 Arguments are read from one table, COMMANDS (each command path with its
 flags and, for run, its positional), by one walk over argv, parse_args.
 Flags are read by their exact names only: a prefix, an unknown option or a
@@ -60,11 +67,6 @@ from .scenario import (
 EXIT_VERIFIED = 0
 EXIT_VALIDATION = 1
 EXIT_HYPOTHESIS = 2
-
-
-class UnreadableInput(Exception):
-    """The scenario file could not be opened or read: the one OSError main
-    does not blame on the output."""
 
 
 # A flag: its name, the type its value is read with (bool marks a switch,
@@ -219,8 +221,7 @@ def _fail(path, message):
 
 
 def _help(path):
-    # through _stdout, so a failed write of the help reaches main like any other
-    _stdout().write(_help_text(path))
+    _print([_help_text(path)])
     raise SystemExit(EXIT_VERIFIED)
 
 
@@ -270,7 +271,9 @@ def cmd_report(args) -> int:
         try:
             scenario = load_scenario(args.file)
         except OSError as exc:
-            raise UnreadableInput(exc) from exc
+            # the one OSError not from a write to stdout
+            print(f"cannot read input: {exc}", file=sys.stderr)
+            return EXIT_VALIDATION
     elif args.family == "pn-case":
         scenario = subset_scenario(args.n, args.gx)
     else:
@@ -278,10 +281,7 @@ def cmd_report(args) -> int:
     if args.model is not None and args.model != scenario.model:
         scenario = Scenario(**{**scenario._asdict(), "model": args.model})
     data = assemble(scenario)
-    if args.format == "json":
-        _write_json(data)
-    else:
-        _stdout().write(render_table(data))
+    _print(_json_lines(data) if args.format == "json" else [render_table(data)])
     return EXIT_VERIFIED if keyed_verdict(data) else EXIT_HYPOTHESIS
 
 
@@ -305,7 +305,7 @@ def cmd_verify_identity(args) -> int:
         digits = bytes.maketrans(b"01", b"\0\1")
         summary["matrix"] = [list(row.encode().translate(digits)) for row in corr.bits]
     if args.format == "json":
-        _write_json(summary)
+        _print(_json_lines(summary))
     else:
         rows = [
             table_row("correspondence", f"{summary['kind']} {key} = {summary[key]}"),
@@ -317,35 +317,27 @@ def cmd_verify_identity(args) -> int:
         if args.dump_matrix:
             rows.append("matrix:")
             rows += ["  " + " ".join(map(str, row)) for row in summary["matrix"]]
-        _stdout().write("\n".join(rows) + "\n")
+        _print(["\n".join(rows) + "\n"])
 
     return EXIT_VERIFIED if summary["exponent"] is not None else EXIT_HYPOTHESIS
 
 
 def main(argv=None) -> int:
     try:
-        try:
-            args = parse_args(argv)
-        except SystemExit as exc:
-            if exc.code == 0:  # --help: its text waits in stdout's buffer
-                _flush_stdout()
-            raise
+        args = parse_args(argv)
         if args.command == "verify-identity":
-            code = cmd_verify_identity(args)
-        else:
-            code = cmd_report(args)
-        _flush_stdout()
-        return code
+            return cmd_verify_identity(args)
+        return cmd_report(args)
     except InvalidScenario as exc:
         print(f"invalid scenario: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except UnreadableInput as exc:
-        print(f"cannot read input: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
     except OSError as exc:
-        # every other OSError is a failed write to stdout: point fd 1 at the
-        # null device, so the interpreter's flush at exit has nowhere to fail
-        os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
+        # a failed write to stdout: while stdout is open, its unwritten bytes
+        # wait for the interpreter's flush at exit, so fd 1 is pointed at the
+        # null device, where that flush cannot fail
+        if sys.stdout is not None and not sys.stdout.closed:
+            with open(os.devnull, "wb") as null:
+                os.dup2(null.fileno(), 1)
         print(f"cannot write output: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except ValueError as exc:
@@ -365,18 +357,22 @@ def _stdout():
     return sys.stdout
 
 
-def _write_json(obj) -> None:
-    # the writer's pieces go to stdout unjoined, so a multi-MB report is
-    # never held as one string and then copied again by stdout
-    out = _stdout()
-    out.writelines(json_pieces(obj))
-    out.write("\n")
-
-
-def _flush_stdout() -> None:
-    # a write to stdout that fails does so here at the latest, not in the
+def _print(lines) -> None:
+    # every view reaches stdout here, in one writelines and one flush, so a
+    # failed write raises in the command that wrote it, never in the
     # interpreter's flush at exit
-    _stdout().flush()
+    out = _stdout()
+    out.writelines(lines)
+    out.flush()
+
+
+def _json_lines(obj) -> list[str]:
+    # the writer's pieces unjoined, so a multi-MB report is never held as one
+    # string and then copied again by stdout; the newline joins the writer's
+    # own list, which is not copied
+    pieces = json_pieces(obj)
+    pieces.append("\n")
+    return pieces
 
 
 def entry() -> None:

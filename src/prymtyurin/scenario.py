@@ -69,7 +69,9 @@ MAX_SUBSET_GENUS = 10**MAX_SUBSET_GENUS_EXPONENT
 # declared fibers times their points are bounded: 20 fibers at n = 40.  The
 # heaviest profiles found there, (4, 2, .., 2) and (3, 3, 2, .., 2), write
 # 62.7 MB of JSON under "both" at the genus ceiling (21 fibers: 65.8 MB), no
-# more than the grid's 64.6 MB at MAX_GRID_GENUS
+# more than the grid's 64.6 MB at MAX_GRID_GENUS.  Explicit monodromy
+# generators are bounded by the same budget: each is induced on every point
+# and kept for the irreducibility check
 MAX_SUBSET_FIBER_POINTS = 20 * 861
 # verify-identity builds and checks an m^2-point relation; m = 30 takes about as long as
 # subset n = MAX_SUBSET_N: 2.9-3.3 ms in process, 29-37 ms with a JSON --dump-matrix
@@ -313,21 +315,28 @@ class Scenario(
         if monodromy is not None:
             if not isinstance(monodromy, (list, tuple)):
                 raise InvalidScenario("monodromy must be a list of image lists")
+            # bounded, like the declared fibers, before any is read
+            if len(monodromy) * points > MAX_SUBSET_FIBER_POINTS:
+                raise InvalidScenario(
+                    f"monodromy must hold at most {MAX_SUBSET_FIBER_POINTS // points} generators"
+                    f" of {points} points each, got {len(monodromy)}"
+                )
             for pos, images in enumerate(monodromy):
                 if not isinstance(images, (list, tuple)) or not all(map(is_int, images)):
                     raise InvalidScenario(
                         f"monodromy[{pos}] must be a list of integer sheet labels,"
                         f" got {shown(images)}"
                     )
-                try:
-                    perm = Permutation(images=tuple(images))
-                except ValueError as exc:
-                    raise InvalidScenario(f"monodromy[{pos}]: {exc}") from exc
-                if perm.degree != degree:
+                # the length first, so a long list is never sorted
+                if len(images) != degree:
                     raise InvalidScenario(
-                        f"monodromy[{pos}]: permutation degree {perm.degree}"
+                        f"monodromy[{pos}]: permutation degree {len(images)}"
                         f" does not match covering degree {degree}"
                     )
+                try:
+                    Permutation(images=tuple(images))
+                except ValueError as exc:
+                    raise InvalidScenario(f"monodromy[{pos}]: {exc}") from exc
             monodromy = tuple(tuple(g) for g in monodromy)
         self = super().__new__(
             cls, kind, upstairs_genus, parameter, special_fibers, model, monodromy

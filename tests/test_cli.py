@@ -222,6 +222,15 @@ def test_run_missing_file(tmp_path, capsys):
     assert "cannot read input" in capsys.readouterr().err
 
 
+def test_run_directory_is_an_unreadable_input(tmp_path, capsys):
+    # open() refuses a directory with an OSError, named where the file is read
+    assert main(["run", str(tmp_path)]) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("cannot read input: ")
+    assert len(captured.err.splitlines()) == 1
+
+
 # --- builtin ------------------------------------------------------------------
 
 
@@ -438,6 +447,14 @@ CEILING_FILES = (
         {"kind": "subset", "n": 40, "upstairs_genus": 1000, "special_fibers": [[2]] * 1000},
         f"special_fibers must hold at most {MAX_SUBSET_FIBER_POINTS // 861} profiles"
         " of 861 points each, got 1000",
+    ),
+    (
+        # one generator past the budget the declared fibers share: each would
+        # be induced on all 861 points and kept; no default profiles either
+        {"kind": "subset", "n": 40, "upstairs_genus": 3, "model": "paper", "special_fibers": [],
+         "monodromy": [[(label + shift) % 42 + 1 for label in range(42)] for shift in range(21)]},
+        f"monodromy must hold at most {MAX_SUBSET_FIBER_POINTS // 861} generators"
+        " of 861 points each, got 21",
     ),
 )
 
@@ -1045,3 +1062,76 @@ def test_a_closed_stdout_object_is_named_as_the_output(argv):
     # input: the JSON pieces, the table and the help text all name the output
     proc = _run_child(argv, program=("-c", _CLOSED_STDOUT_MAIN))
     _assert_output_named(proc)
+
+
+class _RecordingStdout:
+    """A stdout that records each call by its method's name and the text it
+    was given."""
+
+    closed = False
+
+    def __init__(self):
+        self.calls = []
+
+    def writelines(self, lines):
+        self.calls.append(("writelines", "".join(lines)))
+
+    def write(self, text):
+        self.calls.append(("write", text))
+
+    def flush(self):
+        self.calls.append(("flush", ""))
+
+
+ONE_VIEW_ARGV = [
+    *(["run", "{file}", *fmt] for fmt in ([], ["--format", "json"])),
+    *(["builtin", "pn-case", "--n", "3", "--gx", "1", *fmt] for fmt in ([], ["--format", "json"])),
+    *(["builtin", "hyperelliptic", "--g", "3", *fmt] for fmt in ([], ["--format", "json"])),
+    *(["verify-identity", "--kind", "grid", "--m", "3", *dump, *fmt]
+      for dump in ([], ["--dump-matrix"]) for fmt in ([], ["--format", "json"])),
+    *([*path, "-h"] for path in cli.COMMANDS),
+]
+
+
+@pytest.mark.parametrize("argv", ONE_VIEW_ARGV, ids=" ".join)
+def test_each_view_is_one_writelines_and_one_flush(argv, tmp_path, monkeypatch, capsys):
+    # every view reaches stdout through one helper: one writelines of the
+    # whole view, then one flush, and never a write
+    path = write_scenario(tmp_path, "s.json", STANDARD_N3)
+    argv = [word.format(file=path) for word in argv]
+
+    def call():
+        try:
+            return main(argv)
+        except SystemExit as exc:
+            return exc.code
+
+    code = call()
+    captured = capsys.readouterr()
+    recorder = _RecordingStdout()
+    monkeypatch.setattr(sys, "stdout", recorder)
+    assert call() == code
+    assert recorder.calls == [("writelines", captured.out), ("flush", "")]
+    assert capsys.readouterr().err == captured.err == ""
+
+
+def test_a_failed_write_in_process_leaves_the_callers_descriptors(monkeypatch, capsys):
+    # main with a closed sys.stdout opens no descriptor it leaves open, and
+    # leaves fd 1 on the caller's file: nothing is left to flush at exit
+    def lowest_free_fd():
+        fd = os.open(os.devnull, os.O_RDONLY)
+        os.close(fd)
+        return fd
+
+    def fd1():
+        stat = os.fstat(1)
+        return stat.st_dev, stat.st_ino
+
+    before = lowest_free_fd(), fd1()
+    closed = io.StringIO()
+    closed.close()
+    monkeypatch.setattr(sys, "stdout", closed)
+    for _ in range(5):
+        assert main(["verify-identity", "--kind", "grid", "--m", "3"]) == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith("cannot write output:")
+    assert (lowest_free_fd(), fd1()) == before

@@ -277,6 +277,41 @@ def test_monodromy_validation():
         subset_scenario(2, 1, monodromy=[[2, 1, 3]])
 
 
+def _rotations(degree, count):
+    return [[(label + shift) % degree + 1 for label in range(degree)] for shift in range(count)]
+
+
+def test_monodromy_ceiling_counts_points():
+    # explicit generators share the declared fibers' budget: each is induced
+    # on all C(n+2, 2) points, so n = 40 admits 20 and n = 2 far more
+    for n, points in ((2, 6), (MAX_SUBSET_N, 861)):
+        limit = MAX_SUBSET_FIBER_POINTS // points
+        gens = _rotations(n + 2, limit + 1)
+        assert len(subset_scenario(n, 1, model="paper", monodromy=gens[:limit]).monodromy) == limit
+        with pytest.raises(
+            InvalidScenario,
+            match=f"^monodromy must hold at most {limit} generators of {points} points each,"
+            f" got {limit + 1}$",
+        ):
+            subset_scenario(n, 1, model="paper", monodromy=gens)
+
+
+def test_monodromy_is_bounded_before_any_generator_is_read(monkeypatch):
+    # the count and then each generator's length are checked before any
+    # generator is sorted into a Permutation
+    def refuse(images):
+        raise AssertionError(f"built a permutation of {len(images)} labels")
+
+    monkeypatch.setattr(scenario_module, "Permutation", refuse)
+    with pytest.raises(InvalidScenario, match="^monodromy must hold at most 20 generators"):
+        subset_scenario(MAX_SUBSET_N, 1, monodromy=[[1] * 10**5] * 21)
+    with pytest.raises(
+        InvalidScenario,
+        match=r"^monodromy\[0\]: permutation degree 100000 does not match covering degree 42$",
+    ):
+        subset_scenario(MAX_SUBSET_N, 1, monodromy=[[1] * 10**5])
+
+
 @pytest.mark.parametrize(
     "extra, field",
     [
