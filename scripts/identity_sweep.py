@@ -8,12 +8,16 @@ admit the identity but no consistent exponent are shown with the reason: this
 is how one sees at a glance that only the 3x3 grid works while every subset
 size does.
 
-Two brute-force checks run beside the table, on what the package proves
-instead of checking: each correspondence's symmetries form one orbit (so
-verify_identity squares row 0 alone), and every generator of the default
-subset layout's fibers, the simple fiber included, passes check_moves's N^2
-compare under both models (which class_action proves from the label moves).
-A failure is named on stderr, and the sweep exits 1.
+Three brute-force checks run beside the table.  Two are on what the
+package proves instead of checking: each correspondence's symmetries form
+one orbit (so verify_identity squares row 0 alone), and every generator of
+the default subset layout's fibers, the simple fiber included, passes
+check_moves's N^2 compare under both models (which class_action proves
+from the label moves).  The third holds that compare to a plain double
+loop over D's entries: check_moves accepts the transposition of the first
+and the last point exactly when the loop finds that it preserves D, which
+some correspondences' swaps do and most do not.  A failure is named on
+stderr, and the sweep exits 1.
 
 Usage:
     python3 scripts/identity_sweep.py [--max-n 12] [--max-m 8]
@@ -25,7 +29,7 @@ from itertools import chain
 
 from prymtyurin.correspondence import build_grid_matrix, build_subset_matrix
 from prymtyurin.induced_curve import MODELS, subset_fiber
-from prymtyurin.perms import orbits
+from prymtyurin.perms import Permutation, orbits
 from prymtyurin.report import correspondence_to_dict
 from prymtyurin.scenario import default_subset_fibers
 
@@ -46,11 +50,32 @@ def subset_profiles(n):
     return (*dict.fromkeys(default_subset_fibers(n)), (2,) + (1,) * n)
 
 
+def preserves(corr, images):
+    """Whether the permutation with these 0-based images preserves D, entry
+    by entry."""
+    n, rows = corr.size, corr.rows
+    for i in range(n):
+        for j in range(n):
+            if (rows[images[i]] >> images[j] & 1) != (rows[i] >> j & 1):
+                return False
+    return True
+
+
 def problems(corr, profiles):
     """What the brute-force checks find wrong with corr, one line each."""
     found = []
     if len(orbits(corr.symmetries, corr.size)) != 1:
         found.append("the symmetries are not transitive")
+    n = corr.size
+    swap = Permutation((n, *range(2, n), 1))
+    try:
+        corr.check_moves((swap,), "swap")
+        accepted = True
+    except ValueError:
+        accepted = False
+    if accepted != preserves(corr, [p - 1 for p in swap.images]):
+        found.append(f"check_moves {'accepts' if accepted else 'refuses'} the swap of"
+                     f" points 1 and {n}, and the entries say otherwise")
     for parts in profiles:
         for model in MODELS:
             try:

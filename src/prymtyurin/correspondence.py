@@ -27,7 +27,11 @@ FiberCorrespondence.induce is the one rule by which a label permutation
 acts on the points, as a permutation of their positions: every special
 fiber's generators, the irreducibility check and the symmetries are label
 moves induced through it, each distinct move once per correspondence.  The
-symmetries are checked at construction.  For a correspondence built from
+symmetries are checked at construction, as are symmetry and the empty
+diagonal, each by C-level gathers and slices and one compare: the rows are
+bit strings, gathered in any order by their 1-based positions, and a
+1-based table of slice objects cuts any column out of them joined, so no
+Python step runs per row or per column.  For a correspondence built from
 its rule, that check proves what the rule's moves generate: the subset
 moves generate every label permutation, so every induced move preserves D
 (FiberCorrespondence.moves_preserve), and both kinds' moves are transitive
@@ -61,7 +65,7 @@ from __future__ import annotations
 from collections import namedtuple
 from itertools import combinations, count, product, repeat
 from math import comb
-from operator import getitem, itemgetter, or_, xor
+from operator import itemgetter, or_, xor
 
 from .perms import Permutation, Record, all_subsets, orbits
 
@@ -78,12 +82,18 @@ class FiberCorrespondence(
     Each symmetry permutes the 1-based point positions and preserves D.
     Rows inside 0..N-1, symmetry, an empty diagonal, constant row popcounts
     (the bidegree), one distinct descriptor per row and the symmetries
-    (check_moves) are validated at construction, at C level: symmetry and
-    each symmetry compare the rows' bit strings with strided column slices
-    of one row-major text (_columns_are_rows).  The rows as bit strings are
-    kept as the attribute bits, outside the fields and equality: bits[i][j]
-    is D[i][j], and bits is D's only text, which verify_identity and the
-    CLI's matrix dump read.  So is pair_lookup, the points' label pairs and
+    (check_moves) are validated at construction, at C level.  The rows as
+    bit strings are kept as the attribute bits, outside the fields and
+    equality: bits[i][j] is D[i][j], and bits is D's only text, which
+    verify_identity and the CLI's matrix dump read.  Beside it __new__
+    builds the 1-based table the checks gather by, row_bits and columns:
+    row_bits[p] is bits[p - 1], and columns[p] the slice that cuts column p
+    out of N rows of N characters joined.  The diagonal is the one strided
+    slice text[::N + 1] of the text of bits, and D is symmetric when its
+    columns, cut out of that text, equal bits: one list compare, as for
+    each symmetry (check_moves).  A refusal walks the rows only to name the
+    first bad entry.  Copy and pickle rebuild the table through __new__.
+    Also outside the fields is pair_lookup, the points' label pairs and
     their index that induce reads, which depend on (kind, parameter) alone
     (label_rule): a builder keeps the one it built the relation and the
     symmetries from, copy and pickle carry it, and a correspondence made
@@ -99,8 +109,15 @@ class FiberCorrespondence(
     def __new__(cls, kind: str, parameter: int, rows: tuple[int, ...], points: tuple,
                 symmetries: tuple[Permutation, ...] = ()):
         n = len(rows)
-        if len(points) != n or len(set(points)) != n:
-            raise ValueError(f"need {n} distinct point descriptors, got {len(points)}")
+        distinct = len(set(points))
+        if len(points) != n or distinct != n:
+            if len(points) != n:
+                raise ValueError(f"need {n} distinct point descriptors, got {len(points)}")
+            seen = set()
+            first = next(p for p in points if p in seen or seen.add(p))
+            raise ValueError(
+                f"need {n} distinct point descriptors, got {distinct}: {first!r} is repeated"
+            )
         if min(rows, default=0) < 0 or max(rows, default=0) >> n:
             for i, row in enumerate(rows):
                 if row < 0 or row >> n:
@@ -112,16 +129,18 @@ class FiberCorrespondence(
         # with zeros to N
         backwards = map(itemgetter(slice(None, 1, -1)), map(bin, rows))
         bits = list(map(str.ljust, backwards, repeat(n), repeat("0")))
-        if "1" in "".join(map(getitem, bits, range(n))) or not _columns_are_rows(bits, range(n)):
+        columns = [None, *map(slice, range(n), repeat(None), repeat(n))]
+        text = "".join(bits)
+        if "1" in text[::n + 1] or list(map(text.__getitem__, columns[1:])) != bits:
             for i, row in enumerate(bits):
                 if row[i] == "1":
                     raise ValueError(f"nonzero diagonal entry at {i}")
-                col = "".join(map(itemgetter(i), bits[:i]))
+                col = text[i:i * n:n]
                 if row[:i] != col:
                     j = next(j for j in range(i) if row[j] != col[j])
                     raise ValueError(f"not symmetric at ({i}, {j})")
         self = super().__new__(cls, kind, parameter, rows, points, symmetries)
-        self.__dict__.update(bits=bits, induced={})
+        self.__dict__.update(bits=bits, row_bits=[None, *bits], columns=columns, induced={})
         self.check_moves(symmetries, "symmetry")
         return self
 
@@ -162,12 +181,16 @@ class FiberCorrespondence(
         """Refuse, by name and index, a permutation of the 1-based point
         positions whose degree is not N or that does not preserve D, in one
         N^2 compare each: the symmetries at construction, and in
-        class_action a fiber's generators unless moves_preserve proves them."""
+        class_action a fiber's generators unless moves_preserve proves them.
+        For a symmetric D, g preserves D when D[g(i)][g(j)] = D[j][i] for
+        all i, j: the rows g(i) are gathered and joined, and their columns
+        g(j), cut by the table columns, are compared with bits as one list."""
+        n, row_bits, columns, bits = self.size, self.row_bits, self.columns, self.bits
         for k, g in enumerate(moves):
-            if g.degree != self.size:
-                raise ValueError(f"{name} {k} has degree {g.degree}, not {self.size}")
-            at = list(map((-1).__add__, g.images))  # g(i) - 1 for each 1-based i
-            if not _columns_are_rows(self.bits, at):
+            if g.degree != n:
+                raise ValueError(f"{name} {k} has degree {g.degree}, not {n}")
+            text = "".join(map(row_bits.__getitem__, g.images))
+            if list(map(text.__getitem__, map(columns.__getitem__, g.images))) != bits:
                 raise ValueError(f"{name} {k} does not preserve the relation")
 
     @property
@@ -193,17 +216,6 @@ class FiberCorrespondence(
     @property
     def bidegree(self) -> int:
         return self.rows[0].bit_count()
-
-
-def _columns_are_rows(bits: list[str], order) -> bool:
-    """Whether D[order[i]][order[j]] = D[j][i] for all i, j, where bits[i][j]
-    is D[i][j]: D is symmetric when this holds for the identity order, and a
-    symmetric D is preserved by g when it holds for order[i] = g(i).  Column
-    p of the rows joined in order is the strided slice text[p::N], compared
-    with its row as it is sliced, so only one N^2 text is ever held."""
-    text = "".join(map(bits.__getitem__, order))
-    columns = map(text.__getitem__, map(slice, order, repeat(None), repeat(len(bits))))
-    return all(map(str.__eq__, columns, bits))
 
 
 def label_rule(kind: str, parameter: int) -> tuple:

@@ -134,6 +134,22 @@ def test_build_validation():
         FiberCorrespondence(kind="x", parameter=0, rows=(0b10, 0b01), points=(0, 0))
 
 
+def test_a_repeated_point_descriptor_is_named():
+    # subset n = 2 with its last point replaced by its second: six
+    # descriptors, five of them distinct, and the first repeated one named
+    corr = build_subset_matrix(2)
+    points = (*corr.points[:-1], corr.points[1])
+    message = f"need 6 distinct point descriptors, got 5: {corr.points[1]!r} is repeated"
+    want = f"^{re.escape(message)}$"
+    with pytest.raises(ValueError, match=want):
+        FiberCorrespondence(corr.kind, corr.parameter, corr.rows, points, corr.symmetries)
+    with pytest.raises(ValueError, match=want):
+        reference_construction_check(corr.rows, points, corr.symmetries)
+    # the first repeat, not the first descriptor that has a twin
+    with pytest.raises(ValueError, match=r"got 2: 1 is repeated"):
+        FiberCorrespondence("x", 0, (0b110, 0b101, 0b011, 0), (0, 1, 1, 0))
+
+
 def test_rows_are_sets_of_points():
     # a bitset row cannot hold a multiplicity, but it can be negative or name
     # a point past the fiber; both are refused before any other row check
@@ -784,8 +800,14 @@ def reference_construction_check(rows, points, symmetries):
     reference: it transposes the rows' bit strings with zip, once for
     symmetry and once per symmetry, and raises the same ValueError."""
     n = len(rows)
-    if len(points) != n or len(set(points)) != n:
+    if len(points) != n:
         raise ValueError(f"need {n} distinct point descriptors, got {len(points)}")
+    repeated = [p for k, p in enumerate(points) if p in points[:k]]
+    if repeated:
+        raise ValueError(
+            f"need {n} distinct point descriptors, got {len(set(points))}:"
+            f" {repeated[0]!r} is repeated"
+        )
     if min(rows, default=0) < 0 or max(rows, default=0) >> n:
         for i, row in enumerate(rows):
             if row < 0 or row >> n:

@@ -1180,6 +1180,24 @@ def test_grid_report_python_work_does_not_grow_with_genus(output):
         assert _package_lines(run, 300) == _package_lines(run, 3000)
 
 
+@pytest.mark.parametrize(
+    "build, sizes", [(build_subset_matrix, (12, 40)), (build_grid_matrix, (8, 30))],
+    ids=["subset", "grid"],
+)
+def test_construction_checks_run_the_same_python_lines_at_every_size(build, sizes):
+    # symmetry, the empty diagonal and each symmetry are checked by C-level
+    # gathers, slices and list compares, so neither the constructor nor
+    # check_moves runs a Python line per row or per column
+    counts = []
+    for corr in map(build, sizes):
+        fields = corr._asdict()
+        counts.append((
+            _package_lines(lambda: correspondence.FiberCorrespondence(**fields)),
+            _package_lines(corr.check_moves, corr.symmetries, "symmetry"),
+        ))
+    assert counts[0] == counts[1]
+
+
 def test_grid_g3000_computes_each_fiber_fact_once(monkeypatch):
     # 2g + 4 layout positions per model read the facts of four distinct
     # fibers, built once for both models: each fiber's w is computed once
