@@ -63,9 +63,9 @@ All arithmetic is integer; nothing here ever touches a float.
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import combinations, count, product, repeat
+from itertools import combinations, product, repeat
 from math import comb
-from operator import itemgetter, or_, xor
+from operator import and_, itemgetter, or_, xor
 
 from .perms import Permutation, Record, all_subsets, orbits
 
@@ -94,11 +94,12 @@ class FiberCorrespondence(
     each symmetry (check_moves).  A refusal walks the rows only to name the
     first bad entry.  Copy and pickle rebuild the table through __new__.
     Also outside the fields is pair_lookup, the points' label pairs and
-    their index that induce reads, which depend on (kind, parameter) alone
-    (label_rule): a builder keeps the one it built the relation and the
-    symmetries from, copy and pickle carry it, and a correspondence made
-    through the constructor derives the same one on first use, once its
-    points are checked to be the rule's points in the rule's order.  The
+    the per-label bitsets that induce reads, which depend on (kind,
+    parameter) alone (label_rule): a builder keeps the one it built the
+    relation and the symmetries from, copy and pickle carry it, and a
+    correspondence made through the constructor derives the same one on
+    first use, once its points are checked to be the rule's points in the
+    rule's order.  The
     attribute induced holds each move induced so far, by its images, for
     the life of the correspondence.  A builder also marks the
     correspondence rule_built, which copy and pickle do not carry, any more
@@ -185,12 +186,13 @@ class FiberCorrespondence(
         For a symmetric D, g preserves D when D[g(i)][g(j)] = D[j][i] for
         all i, j: the rows g(i) are gathered and joined, and their columns
         g(j), cut by the table columns, are compared with bits as one list."""
-        n, row_bits, columns, bits = self.size, self.row_bits, self.columns, self.bits
+        row_bits, columns, bits = self.row_bits, self.columns, self.bits
         for k, g in enumerate(moves):
-            if g.degree != n:
-                raise ValueError(f"{name} {k} has degree {g.degree}, not {n}")
-            text = "".join(map(row_bits.__getitem__, g.images))
-            if list(map(text.__getitem__, map(columns.__getitem__, g.images))) != bits:
+            images = g.images
+            if len(images) != len(bits):
+                raise ValueError(f"{name} {k} has degree {len(images)}, not {len(bits)}")
+            text = "".join(map(row_bits.__getitem__, images))
+            if list(map(text.__getitem__, map(columns.__getitem__, images))) != bits:
                 raise ValueError(f"{name} {k} does not preserve the relation")
 
     @property
@@ -276,27 +278,32 @@ _KINDS = {
 
 
 def _pair_lookup(labels: int, pairs: list) -> tuple:
-    """What induce reads: the label count, the pairs, the 1-based position
-    of each point by its pair, listed in both orientations so that an image
-    pair is looked up as it falls, and two itemgetters that read the first
-    and the second label of every pair off a move's images (label_rule's
-    parameter floor leaves at least four points, so each returns a tuple)."""
+    """What induce reads: the label count, the pairs, holding, where bit k
+    of holding[x] is set when the pair of point k holds the label x, and two
+    itemgetters that read the first and the second label of every pair off
+    a list indexed by label (label_rule's parameter floor leaves at least
+    four points, so each returns a tuple)."""
+    holding = [0] * (labels + 1)
+    for bit, (a, b) in zip(map((1).__lshift__, range(len(pairs))), pairs):
+        holding[a] |= bit
+        holding[b] |= bit
     firsts, seconds = zip(*pairs)
-    index = dict(zip(pairs, count(1)))
-    index.update(zip(zip(seconds, firsts), count(1)))
-    return labels, pairs, index, itemgetter(*firsts), itemgetter(*seconds)
+    return labels, pairs, holding, itemgetter(*firsts), itemgetter(*seconds)
 
 
 def _induced(kind: str, lookup: tuple, move: Permutation) -> Permutation:
-    """FiberCorrespondence.induce through a _pair_lookup: the points' image
-    pairs in one C-level gather, each looked up in the index."""
-    labels, pairs, index, firsts, seconds = lookup
+    """FiberCorrespondence.induce through a _pair_lookup, at C level: the
+    image of point k, whose pair is (a, b), is the one point whose pair
+    holds both move(a) and move(b), the one bit of
+    holding[move(a)] & holding[move(b)], read off by its bit length; an
+    image pair that is no point's pair leaves no bit."""
+    labels, pairs, holding, firsts, seconds = lookup
     if move.degree != labels:
         raise ValueError(f"{kind} label move has degree {move.degree}, not {labels}")
-    images = (0, *move.images)  # images[x] is move(x)
-    found = tuple(map(index.get, zip(firsts(images), seconds(images))))
-    if None in found:
-        k = found.index(None)
+    moved = (0, *map(holding.__getitem__, move.images))  # moved[x] is holding[move(x)]
+    found = tuple(map(int.bit_length, map(and_, firsts(moved), seconds(moved))))
+    if 0 in found:
+        k = found.index(0)
         a, b = pairs[k]
         raise ValueError(
             f"{kind} label move takes the labels ({a}, {b}) of point {k + 1} to"
@@ -307,19 +314,16 @@ def _induced(kind: str, lookup: tuple, move: Permutation) -> Permutation:
 
 def _build(kind: str, parameter: int) -> FiberCorrespondence:
     """The correspondence of a kind, all of it read off label_rule.  Bit k of
-    holding[x] is set when the pair of point k holds the label x, so the
-    points whose pairs share no label with {a, b} are the complement of
+    holding[x] (_pair_lookup) is set when the pair of point k holds the
+    label x, so the points whose pairs share no label with {a, b} are the complement of
     holding[a] | holding[b], and those sharing exactly one are
     holding[a] ^ holding[b] (a point's own pair holds both).  The symmetries
     are the first moves induced, and it marks the correspondence
     rule_built."""
     labels, points, pairs, shared, moves = label_rule(kind, parameter)
-    holding = [0] * (labels + 1)
-    for bit, (a, b) in zip(map((1).__lshift__, range(len(pairs))), pairs):
-        holding[a] |= bit
-        holding[b] |= bit
     lookup = _pair_lookup(labels, pairs)
-    at_a, at_b = lookup[3](holding), lookup[4](holding)  # holding[a], holding[b] per point
+    _, _, holding, firsts, seconds = lookup
+    at_a, at_b = firsts(holding), seconds(holding)  # holding[a], holding[b] per point
     if shared == 0:
         rows = tuple(map(((1 << len(pairs)) - 1).__xor__, map(or_, at_a, at_b)))
     else:
