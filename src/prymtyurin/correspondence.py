@@ -110,10 +110,10 @@ class FiberCorrespondence(
     def __new__(cls, kind: str, parameter: int, rows: tuple[int, ...], points: tuple,
                 symmetries: tuple[Permutation, ...] = ()):
         n = len(rows)
+        if len(points) != n:
+            raise ValueError(f"need {n} distinct point descriptors, got {len(points)}")
         distinct = len(set(points))
-        if len(points) != n or distinct != n:
-            if len(points) != n:
-                raise ValueError(f"need {n} distinct point descriptors, got {len(points)}")
+        if distinct != n:
             seen = set()
             first = next(p for p in points if p in seen or seen.add(p))
             raise ValueError(
