@@ -26,12 +26,19 @@ the image of its label pair: the Young subgroup of a profile's blocks
 (blocks_from_parts; merged model) or its local monodromy (orbit model) on
 the n + 2 sheets, and the grid's local monodromies as moves of its 2m row
 and column labels (a row merge is partition_monodromy of its row profile
-padded with m parts of 1, the fixed column labels).  The irreducibility
-check induces its label moves the same way, so no fiber builds points or
-an index: the correspondence's label pairs, built once with its relation,
-serve every move, and each distinct move is induced once per
-correspondence.  Every builder records the label moves beside the
-generators induced from them.
+padded with m parts of 1, the fixed column labels).  Every builder
+records the label moves beside the generators induced from them.
+
+The irreducibility check, irreducibility_check, is the one transitivity
+test for both families.  It reads one list of label moves: an explicit
+monodromy, or the synthesized basis a family's layout returns beside its
+fibers (each distinct declared profile's partition_monodromy and the
+adjacent transpositions of the simple branch points for the subset
+family, the four fibers' moves for the grid); report.assemble alone
+chooses between them.  It induces the moves the same way, so no fiber or
+check builds points or an index: the correspondence's label pairs, built
+once with its relation, serve every move, and each distinct move is
+induced once per correspondence.
 The SpecialFiber constructor walks their orbits (perms.orbits) once and
 writes them as the classes, so the classes are the orbits by construction;
 fixed_points.class_action proves from the generators, or from the label
@@ -197,7 +204,7 @@ def grid_pairing_fiber(corr: FiberCorrespondence, shift: int) -> SpecialFiber:
 
 def irreducibility_check(generators: tuple[Permutation, ...], corr: FiberCorrespondence) -> bool:
     """Transitivity of the label moves' induced action on corr's points (the
-    k-subsets of the subset family).
+    n-subsets of the subset family, the cells of the grid).
 
     This is the combinatorial content of irreducibility of the induced curve:
     the monodromy image must not split the subset fiber.  It is a proxy, not

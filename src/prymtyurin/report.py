@@ -6,9 +6,12 @@ certificate, dimension and auxiliary line-bundle degree -- under one or both
 fiber models, and packages everything into a report.  Both families run
 through the same per-model pipeline.  A scenario's family record
 (scenario.FAMILIES), the place a family is described, supplies the matrix,
-the fiber layout, the irreducibility check and the texts of the table's
-scenario row and of a genus error; the one per-kind test left here is the
-grid's informational note on its branch locations.  fiber_layout builds
+the fiber layout with the label moves of its synthesized irreducibility
+basis, and the texts of the table's scenario row and of a genus error; the
+one per-kind test left here is the grid's informational note on its branch
+locations.  assemble alone chooses the irreducibility basis, an explicit
+monodromy or those moves, and runs irreducibility_check on it once, the
+one transitivity test for both families.  fiber_layout builds
 each distinct layout in one pass: its fibers' class actions, the bodies
 their entries write and the facts no model changes (the fixed-point scan,
 w, Delta.D, the simple-fiber check and the nesting search).  The criterion
@@ -46,13 +49,19 @@ from .fixed_points import (
     fixed_point_scan,
     nesting_search,
 )
-from .induced_curve import MERGED, ORBIT, SpecialFiber
-from .scenario import BOTH, FAMILIES, GRID, SYNTHESIZED, Scenario, scenario_to_dict
+from .induced_curve import MERGED, ORBIT, SpecialFiber, irreducibility_check
+from .perms import Permutation
+from .scenario import BOTH, FAMILIES, GRID, Scenario, scenario_to_dict
 
 UNCHECKED = "unchecked"
 VERIFIED = "verified"
 FAILED = "failed"
 UNDECIDED = "undecided"
+
+# the basis of a report's irreducibility check
+SYNTHESIZED = "synthesized"
+EXPLICIT = "explicit"
+
 
 class DimensionError(ValueError):
     """The dimension formula was fed inconsistent inputs."""
@@ -108,12 +117,15 @@ def assemble(scenario: Scenario) -> dict:
     Returns the report's canonical dict.  It holds JSON values only, so
     json.loads of its canonical text equals it.
     """
-    family = FAMILIES[scenario.kind]
-    corr = family.matrix(scenario.parameter)
+    corr = FAMILIES[scenario.kind].matrix(scenario.parameter)
     summary = correspondence_to_dict(corr)
     q = summary["exponent"]
-    layouts = fiber_layout(scenario, corr)
-    irreducible, basis = family.irreducibility(scenario, corr, next(iter(layouts.values()))[0])
+    layouts, moves = fiber_layout(scenario, corr)
+    basis = SYNTHESIZED
+    if scenario.monodromy is not None:
+        moves, basis = map(Permutation, scenario.monodromy), EXPLICIT
+    # a repeated label move generates nothing new, so each is induced once
+    irreducible = irreducibility_check(tuple(dict.fromkeys(moves)), corr)
     # every model writes the one covering dict, which the writer then writes once
     covering = covering_to_dict(scenario.covering)
     models = {
@@ -132,14 +144,16 @@ def assemble(scenario: Scenario) -> dict:
     return data
 
 
-def fiber_layout(scenario: Scenario, corr: FiberCorrespondence) -> dict[str, tuple]:
-    """Each requested model's layout, in the order models_for names them:
-    (fibers, actions, positions, bodies, facts), the distinct fibers the
-    layout positions name; their class actions on corr; the positions, in
-    report order, as bytes: one byte per position, the index of its fiber
-    among them; their fiber_to_dict bodies, which the model's entries
-    write; and the facts the layout
-    decides without its model, (fixed, w_induced, simple_free, delta,
+def fiber_layout(scenario: Scenario, corr: FiberCorrespondence) -> tuple:
+    """Each requested model's layout, in the order models_for names them,
+    and beside them the label moves of the synthesized irreducibility
+    basis, passed on from the family record's layout unread.  A model's
+    layout is (fibers, actions, positions, bodies, facts), the distinct
+    fibers the layout positions name; their class actions on corr; the
+    positions, in report order, as bytes: one byte per position, the index
+    of its fiber among them; their fiber_to_dict bodies, which the model's
+    entries write; and the facts the layout decides without its model,
+    (fixed, w_induced, simple_free, delta,
     nesting): the fixed-point scan, the induced ramification w, whether the
     simple fiber's diagonal is free of fixed classes (None when the layout
     declares every fiber), the weighted fixed-point count Delta.D and the
@@ -158,7 +172,7 @@ def fiber_layout(scenario: Scenario, corr: FiberCorrespondence) -> dict[str, tup
     w is each fiber's w times its count of positions, counted at memchr
     speed, so no step per position is taken in Python.
     """
-    specs = FAMILIES[scenario.kind].layout(scenario, corr, models_for(scenario.model))
+    specs, moves = FAMILIES[scenario.kind].layout(scenario, corr, models_for(scenario.model))
     held = {id(f): f for fibers, _, simple, _ in specs.values() for f in (*fibers, simple)}
     actions = {key: class_action(corr, f) for key, f in held.items() if f is not None}
     built = {}
@@ -177,7 +191,7 @@ def fiber_layout(scenario: Scenario, corr: FiberCorrespondence) -> dict[str, tup
         nesting = nesting_search(acted, positions, delta, corr.bidegree)
         bodies = list(map(fiber_to_dict, fibers, blocks))
         built[key] = fibers, acted, positions, bodies, (fixed, w_induced, simple_free, delta, nesting)
-    return {m: built[id(spec)] for m, spec in specs.items()}
+    return {m: built[id(spec)] for m, spec in specs.items()}, moves
 
 
 def _model(

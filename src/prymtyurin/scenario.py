@@ -19,8 +19,9 @@ halfway through a report.
 A family is described in one place, its record in FAMILIES (Family): the
 parameter's key and bounds, the genus bounds and covering degree, the
 default profiles and whether declared fibers and monodromy are accepted,
-the matrix builder, the fiber layout, the irreducibility generators, the
-report's texts and the verify-identity ceiling.  The validator, the
+the matrix builder, the fiber layout with the label moves of its
+synthesized irreducibility basis, the report's texts and the
+verify-identity ceiling.  The validator, the
 report, its table and the CLI read a scenario's family from its record and
 branch on no kind.  The correspondence's label rule and closed form, one
 table below the fiber builders, and the independent certificate checker's
@@ -31,7 +32,7 @@ from __future__ import annotations
 
 import json
 from collections import namedtuple
-from itertools import chain
+from itertools import chain, repeat
 
 from .correspondence import FiberCorrespondence, build_grid_matrix, build_subset_matrix
 from .covering import CoveringData, is_int, normalize_profile, simple_budget
@@ -41,11 +42,10 @@ from .induced_curve import (
     blocks_from_parts,
     grid_pairing_fiber,
     grid_row_merge_fiber,
-    irreducibility_check,
     partition_monodromy,
     subset_fiber,
 )
-from .perms import Permutation, Record, is_transitive, shown, transposition
+from .perms import Permutation, Record, shown, transposition
 
 SUBSET = "subset"
 GRID = "grid"
@@ -78,17 +78,13 @@ MAX_SUBSET_FIBER_POINTS = 20 * 861
 # (2 vCPUs, Python 3.11, best and median of 9 runs of each)
 MAX_IDENTITY_M = 30
 
-# the basis of a report's irreducibility check
-SYNTHESIZED = "synthesized"
-EXPLICIT = "explicit"
-
 
 class InvalidScenario(ValueError):
     """Scenario data failed validation; the message names the field."""
 
 
 class Family(namedtuple("Family", "key default_parameter check default_profiles matrix layout"
-                        " irreducibility label error_prefix identity_max")):
+                        " label error_prefix identity_max")):
     """A family's record, the one place a family is described outside the
     correspondence's label rule and the independent certificate checker:
     each field is a fact in which the subset and grid families differ.
@@ -106,17 +102,19 @@ class Family(namedtuple("Family", "key default_parameter check default_profiles 
                        fixes its own fiber layout and monodromy, which then
                        accepts neither
     matrix             parameter -> the correspondence
-    layout             (scenario, corr, models) -> each model's (fibers,
+    layout             (scenario, corr, models) -> (each model's (fibers,
                        layout positions, simple fiber or None, label blocks
-                       per fiber), one object for models that share it: the
-                       fibers are the distinct ones the positions name, the
-                       positions are bytes, one per position holding the
+                       per fiber), one object for models that share it; the
+                       label moves of the synthesized irreducibility basis):
+                       the fibers are the distinct ones the positions name,
+                       the positions are bytes, one per position holding the
                        index of its fiber (a layout has fewer than 256
                        distinct fibers under the scenario ceilings), and
                        the simple fiber, over the covering's simple branch
                        points, is kept beside them (None when the layout
-                       declares every fiber)
-    irreducibility     (scenario, corr, layout fibers) -> (transitive, basis)
+                       declares every fiber).  The moves are an iterable,
+                       repeats allowed, which the report reads only when
+                       the scenario gives no explicit monodromy
     label              the scenario row of the text table, formatted with
                        the scenario's dict
     error_prefix       the scenario part of a model's genus error, likewise
@@ -154,58 +152,45 @@ def _check_grid(m, upstairs_genus) -> int:
     return 2
 
 
-def _subset_layout(scenario: Scenario, corr: FiberCorrespondence, models) -> dict:
+def _subset_layout(scenario: Scenario, corr: FiberCorrespondence, models) -> tuple:
     """One fiber per distinct declared profile, and the simple fiber beside
     them, built once: both models move the simple profile's pair by (1 2)
     alone, so they share its fiber, wherever the simple profile is declared
     too.  A merged fiber gets its profile's blocks, whose multisets its
-    entry writes, an orbit fiber none."""
+    entry writes, an orbit fiber none.  The synthesized basis is a
+    representative choice: each distinct profile's local monodromy, then
+    one adjacent transposition per simple branch point, which repeat after
+    degree - 1.  Its moves are built as they are read, so an explicit
+    basis builds none."""
+    degree = scenario.covering.degree
     simple_profile = (2,) + (1,) * scenario.parameter
     simple = subset_fiber(corr, simple_profile, MERGED)
     profiles = tuple(dict.fromkeys(scenario.special_fibers))
     positions = bytes(map(profiles.index, scenario.special_fibers))
-    merged = [blocks_from_parts(p, scenario.covering.degree) for p in profiles]
+    merged = [blocks_from_parts(p, degree) for p in profiles]
+    last = 1 + min(scenario.covering.simple_extra, degree - 1)
+    moves = chain(map(partition_monodromy, profiles, repeat(degree)),
+                  map(transposition, repeat(degree), range(1, last), range(2, last + 1)))
     return {
         m: (tuple(simple if p == simple_profile else subset_fiber(corr, p, m) for p in profiles),
             positions, simple, merged if m == MERGED else [None] * len(profiles))
         for m in models
-    }
+    }, moves
 
 
-def _grid_layout(scenario: Scenario, corr: FiberCorrespondence, models) -> dict:
+def _grid_layout(scenario: Scenario, corr: FiberCorrespondence, models) -> tuple:
     """Two row-merge fibers, then one pairing fiber per simple branch point
     of the double covering (its simple_budget) cycling the diagonal shift:
     four distinct fibers and one layout object for both models.  The
     positions are bytes built at C level, so no layout costs a Python step
-    per branch point."""
+    per branch point.  The synthesized basis is the four fibers' label
+    moves, the grid's local monodromies."""
     side = corr.parameter
     distinct = (grid_row_merge_fiber(corr), *(grid_pairing_fiber(corr, s) for s in range(side)))
     extra = scenario.covering.simple_extra
     positions = bytes((0, 0)) + (bytes(range(1, side + 1)) * (extra // side + 1))[:extra]
-    return dict.fromkeys(models, (distinct, positions, None, (None,) * len(distinct)))
-
-
-def _subset_irreducibility(scenario: Scenario, corr: FiberCorrespondence, distinct) -> tuple:
-    degree = scenario.covering.degree
-    if scenario.monodromy is not None:
-        gens, basis = [Permutation(images=g) for g in scenario.monodromy], EXPLICIT
-    else:
-        # representative choice: each distinct declared fiber's monodromy and
-        # one adjacent transposition per simple branch point, which repeat
-        # after degree - 1
-        gens = [partition_monodromy(p, degree) for p in dict.fromkeys(scenario.special_fibers)]
-        for i in range(1, 1 + min(scenario.covering.simple_extra, degree - 1)):
-            gens.append(transposition(degree, i, i + 1))
-        basis = SYNTHESIZED
-    # a repeated label move generates nothing new, so each is induced once
-    return irreducibility_check(tuple(dict.fromkeys(gens)), corr), basis
-
-
-def _grid_irreducibility(scenario: Scenario, corr: FiberCorrespondence, distinct) -> tuple:
-    # the four local monodromies, induced on the cells, are the generators of
-    # the grid fibers
-    gens = tuple(chain.from_iterable(f.generators for f in distinct))
-    return is_transitive(gens, corr.size), SYNTHESIZED
+    layout = (distinct, positions, None, (None,) * len(distinct))
+    return dict.fromkeys(models, layout), chain.from_iterable(f.moves for f in distinct)
 
 
 FAMILIES = {
@@ -213,7 +198,7 @@ FAMILIES = {
         key="n", default_parameter=None, check=_check_subset,
         default_profiles=lambda n: default_subset_fibers(n),
         matrix=lambda n: build_subset_matrix(n),
-        layout=_subset_layout, irreducibility=_subset_irreducibility,
+        layout=_subset_layout,
         label="subset exchange, n = {n}, source genus {upstairs_genus}",
         error_prefix="subset scenario n={n}, source genus {upstairs_genus}",
         identity_max=MAX_SUBSET_N,
@@ -221,7 +206,7 @@ FAMILIES = {
     GRID: Family(
         key="m", default_parameter=GRID_SIZE, check=_check_grid, default_profiles=None,
         matrix=lambda m: build_grid_matrix(m),
-        layout=_grid_layout, irreducibility=_grid_irreducibility,
+        layout=_grid_layout,
         label="{m}x{m} grid over a genus {upstairs_genus} hyperelliptic curve",
         error_prefix="grid scenario, genus {upstairs_genus}",
         identity_max=MAX_IDENTITY_M,

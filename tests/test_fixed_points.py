@@ -961,7 +961,7 @@ def test_fibers_and_actions_match_the_references():
 def test_clique_search_matches_reference_on_grid_layout():
     # the grid layout is the same under both models: one shared object
     corr = GRID
-    layouts = fiber_layout(grid_scenario(3), corr)
+    layouts, _ = fiber_layout(grid_scenario(3), corr)
     assert layouts[MERGED] is layouts[ORBIT]
     distinct, acted, positions, _, _ = layouts[MERGED]
     assert len(positions) == 10

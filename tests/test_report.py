@@ -115,7 +115,7 @@ def test_hyperelliptic_report():
 
 
 def test_grid_layout_counts():
-    layouts = fiber_layout(grid_scenario(4), build_grid_matrix(3))
+    layouts, _ = fiber_layout(grid_scenario(4), build_grid_matrix(3))
     # both models read one layout object
     assert list(layouts) == [MERGED, ORBIT] and layouts[MERGED] is layouts[ORBIT]
     distinct, actions, positions, bodies, (_, _, simple_free, _, _) = layouts[MERGED]
@@ -154,11 +154,11 @@ def test_layout_positions_fit_in_a_byte():
     scenario = subset_scenario(13, gx, ramified[:164], model=MERGED)
     fibers, positions, _, _ = scenario_module.FAMILIES["subset"].layout(
         scenario, build_subset_matrix(13), (MERGED,)
-    )[MERGED]
+    )[0][MERGED]
     assert len(fibers) == 164 and positions == bytes(range(164))
     with pytest.raises(scenario_module.InvalidScenario, match="at most 164 profiles"):
         subset_scenario(13, gx, ramified[:165], model=MERGED)
-    grid = fiber_layout(grid_scenario(3), build_grid_matrix(3))[MERGED]
+    grid = fiber_layout(grid_scenario(3), build_grid_matrix(3))[0][MERGED]
     assert len(grid[0]) == 4 and type(grid[2]) is bytes and max(grid[2]) == 3
 
 
@@ -201,13 +201,13 @@ def test_byte_positions_match_the_tuple_gathers(data):
     expected = IndexError if IndexError in (scanned, w) else (scanned, w)
 
     def layout(scenario, corr, models):
-        return dict.fromkeys(models, (fibers, bytes(positions), None, [None] * len(fibers)))
+        return dict.fromkeys(models, (fibers, bytes(positions), None, [None] * len(fibers))), ()
 
     family = scenario_module.FAMILIES["subset"]
     with pytest.MonkeyPatch.context() as patch:
         patch.setitem(scenario_module.FAMILIES, "subset", family._replace(layout=layout))
         facts = _outcome(lambda: fiber_layout(subset_scenario(4, 3, model=MERGED), corr))
-    assert (facts if facts is IndexError else facts[MERGED][4][:2]) == expected
+    assert (facts if facts is IndexError else facts[0][MERGED][4][:2]) == expected
 
 
 def test_subset_families_per_model():
@@ -360,13 +360,13 @@ def test_explicit_monodromy_controls_irreducibility():
 
 def test_synthesized_generators_are_distinct(monkeypatch):
     seen = []
-    original = scenario_module.irreducibility_check
+    original = report_module.irreducibility_check
 
     def record(gens, k):
         seen.append(gens)
         return original(gens, k)
 
-    monkeypatch.setattr(scenario_module, "irreducibility_check", record)
+    monkeypatch.setattr(report_module, "irreducibility_check", record)
     # 2,004 simple branch points, but only 4 distinct adjacent transpositions,
     # and the declared (2, 2, 1) twice, whose monodromy is induced once
     scenario = subset_scenario(3, 1000)
@@ -764,7 +764,7 @@ def test_repeated_fibers_share_one_entry():
     )
     for scen, distinct in cases:
         corr = build_subset_matrix(3) if scen.kind == "subset" else build_grid_matrix(3)
-        layouts = fiber_layout(scen, corr)
+        layouts, _ = fiber_layout(scen, corr)
         for model, rep in assemble(scen)["models"].items():
             fibers, _, positions, _, _ = layouts[model]
             entries = [id(e) for e in rep["special_fibers"]]

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from prymtyurin.correspondence import build_subset_matrix
 from prymtyurin.covering import CoveringData
-from prymtyurin.induced_curve import partition_monodromy
+from prymtyurin.induced_curve import MERGED, partition_monodromy
 from prymtyurin.perms import transposition
 from prymtyurin.report import assemble, canonical_json, covering_to_dict
 from prymtyurin import scenario as scenario_module
@@ -132,29 +132,34 @@ def test_scenario_builds_its_covering_once(monkeypatch):
 
 def test_subset_irreducibility_builds_each_declared_profile_once(monkeypatch):
     # a repeated profile (the defaults declare one twice) builds one
-    # monodromy; the generators are the declared profiles' moves and the
-    # simple branch points' transpositions, in order, each once
-    built, checked = [], []
+    # monodromy; the synthesized basis the layout returns is the declared
+    # profiles' moves and the simple branch points' transpositions, in
+    # order, each once.  They are built as they are read, so a report on an
+    # explicit basis builds none of them
+    built = []
 
     def counted(parts, degree):
         built.append(parts)
         return partition_monodromy(parts, degree)
 
     monkeypatch.setattr(scenario_module, "partition_monodromy", counted)
-    monkeypatch.setattr(scenario_module, "irreducibility_check",
-                        lambda gens, corr: checked.append(gens) or True)
     for scenario in (subset_scenario(3, 2),
                      subset_scenario(4, 5, special_fibers=[[3], [2, 2], [3]])):
         built.clear()
-        checked.clear()
         degree = scenario.covering.degree
-        scenario_module._subset_irreducibility(scenario, build_subset_matrix(scenario.parameter), ())
+        corr = build_subset_matrix(scenario.parameter)
+        _, moves = scenario_module.FAMILIES[SUBSET].layout(scenario, corr, (MERGED,))
+        assert built == []
+        moves = list(moves)
         assert len(built) < len(scenario.special_fibers)
         assert built == list(dict.fromkeys(scenario.special_fibers))
         want = [partition_monodromy(p, degree) for p in scenario.special_fibers]
         want += [transposition(degree, i, i + 1)
                  for i in range(1, 1 + min(scenario.covering.simple_extra, degree - 1))]
-        assert checked == [tuple(dict.fromkeys(want))]
+        assert moves == list(dict.fromkeys(want))
+    built.clear()
+    assemble(subset_scenario(4, 5, special_fibers=[[3], [2, 2]], monodromy=[[2, 1, 3, 4, 5, 6]]))
+    assert built == []
 
 
 def test_grid_rejects_low_genus_and_extras():

@@ -74,7 +74,7 @@ def test_traced_run_counts_layers_and_prints_the_same(argv):
     "argv, fibers, classes, generators, induced, actions",
     [
         (["builtin", "pn-case", "--n", "3", "--gx", "1"], 3, 18, 5, 0, 3),
-        (["builtin", "hyperelliptic", "--g", "5"], 4, 24, 0, 0, 4),
+        (["builtin", "hyperelliptic", "--g", "5"], 4, 24, 4, 0, 4),
     ],
 )
 def test_traced_counters_read_the_fiber_and_irreducibility_signatures(
@@ -87,6 +87,7 @@ def test_traced_counters_read_the_fiber_and_irreducibility_signatures(
     # run calls induced_subset_action: every label move is induced through
     # the correspondence's own pair index, whose time counts in the self
     # time of the induced_curve spans.  The grid run builds its 4 fibers once
+    # and checks their 4 label moves
     tracing = load_tracing()
     with tracing.Tracer() as tracer:
         _run_cli(argv)
