@@ -92,7 +92,8 @@ class FiberCorrespondence(
     slice text[::N + 1] of the text of bits, and D is symmetric when its
     columns, cut out of that text, equal bits: one list compare, as for
     each symmetry (check_moves).  A refusal walks the rows only to name the
-    first bad entry.  Copy and pickle rebuild the table through __new__.
+    first bad entry.  Copy and pickle rebuild bits and the table through
+    __new__, from rows, so a copy's bits is the text __new__ checked.
     Also outside the fields is pair_lookup, the points' label pairs and
     the per-label bitsets that induce reads, which depend on (kind,
     parameter) alone (label_rule): a builder keeps the one it built the
@@ -147,9 +148,9 @@ class FiberCorrespondence(
 
     def __getstate__(self):
         # copy and pickle rebuild through __new__, which checks everything
-        # again, and carry the relation's text and the pair lookup, but not
-        # the rule_built mark nor the moves induced so far
-        return {key: self.__dict__[key] for key in ("bits", "pair_lookup") if key in self.__dict__}
+        # again and builds the relation's text from rows, and carry the pair
+        # lookup, but not the text, the rule_built mark nor the moves induced
+        return {key: value for key, value in self.__dict__.items() if key == "pair_lookup"}
 
     def induce(self, move: Permutation) -> Permutation:
         """The permutation of the 1-based point positions that a label move

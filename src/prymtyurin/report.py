@@ -153,11 +153,10 @@ def fiber_layout(scenario: Scenario, corr: FiberCorrespondence) -> tuple:
     positions, in report order, as bytes: one byte per position, the index
     of its fiber among them; their fiber_to_dict bodies, which the model's
     entries write; and the facts the layout decides without its model,
-    (fixed, w_induced, simple_free, delta,
-    nesting): the fixed-point scan, the induced ramification w, whether the
-    simple fiber's diagonal is free of fixed classes (None when the layout
-    declares every fiber), the weighted fixed-point count Delta.D and the
-    nesting search's result.
+    (fixed, w_induced, simple_free, delta, nesting): the fixed-point scan,
+    the induced ramification w, whether the simple fiber's diagonal is free
+    of fixed classes (None when the layout declares every fiber), the
+    weighted fixed-point count Delta.D and the nesting search's result.
 
     The family record's layout gives the fibers, the positions, the simple
     fiber and each fiber's label blocks, per model.  The simple fiber

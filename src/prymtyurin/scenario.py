@@ -21,9 +21,8 @@ parameter's key and bounds, the genus bounds and covering degree, the
 default profiles and whether declared fibers and monodromy are accepted,
 the matrix builder, the fiber layout with the label moves of its
 synthesized irreducibility basis, the report's texts and the
-verify-identity ceiling.  The validator, the
-report, its table and the CLI read a scenario's family from its record and
-branch on no kind.  The correspondence's label rule and closed form, one
+verify-identity ceiling.  The validator, the report, its table and the
+CLI read a scenario's family from its record and branch on no kind.  The correspondence's label rule and closed form, one
 table below the fiber builders, and the independent certificate checker's
 own rule are the other two descriptions.
 """
@@ -31,7 +30,7 @@ own rule are the other two descriptions.
 from __future__ import annotations
 
 import json
-from collections import namedtuple
+from collections import Counter, namedtuple
 from itertools import chain, repeat
 
 from .correspondence import FiberCorrespondence, build_grid_matrix, build_subset_matrix
@@ -197,16 +196,14 @@ FAMILIES = {
     SUBSET: Family(
         key="n", default_parameter=None, check=_check_subset,
         default_profiles=lambda n: default_subset_fibers(n),
-        matrix=lambda n: build_subset_matrix(n),
-        layout=_subset_layout,
+        matrix=lambda n: build_subset_matrix(n), layout=_subset_layout,
         label="subset exchange, n = {n}, source genus {upstairs_genus}",
         error_prefix="subset scenario n={n}, source genus {upstairs_genus}",
         identity_max=MAX_SUBSET_N,
     ),
     GRID: Family(
         key="m", default_parameter=GRID_SIZE, check=_check_grid, default_profiles=None,
-        matrix=lambda m: build_grid_matrix(m),
-        layout=_grid_layout,
+        matrix=lambda m: build_grid_matrix(m), layout=_grid_layout,
         label="{m}x{m} grid over a genus {upstairs_genus} hyperelliptic curve",
         error_prefix="grid scenario, genus {upstairs_genus}",
         identity_max=MAX_IDENTITY_M,
@@ -388,10 +385,22 @@ def scenario_to_dict(scenario: Scenario) -> dict:
     return out
 
 
+def _unique_keys(pairs: list) -> dict:
+    # json.load's object_pairs_hook: a repeated key is refused by name, where
+    # json.load alone would keep its last value
+    data = dict(pairs)
+    if len(data) < len(pairs):
+        counts = Counter(key for key, _ in pairs)
+        raise InvalidScenario(f"key {next(k for k in data if counts[k] > 1)!r} is repeated")
+    return data
+
+
 def load_scenario(path) -> Scenario:
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            data = json.load(fh)
+            data = json.load(fh, object_pairs_hook=_unique_keys)
+        except InvalidScenario:
+            raise
         except (ValueError, RecursionError) as exc:
             # a decode error, an integer literal past the interpreter's digit
             # limit, or nesting deeper than its recursion limit

@@ -23,10 +23,13 @@ tuple of fiber indices, one gather per position, as the package did before
 its positions became bytes that it scans by find and counts.
 build_parser is the CLI's argparse definition from before the CLI read its
 arguments from one table (cli.COMMANDS) by one walk over argv.
+package_lines is not a reference but a probe: the count of package lines a
+call runs, which the tests hold flat in the genus and across repeated calls.
 """
 
 import argparse
 import functools
+import os
 import sys
 from itertools import chain, compress, count
 
@@ -247,3 +250,29 @@ def _output_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--model", choices=MODEL_CHOICES, default=None,
                         help="fiber model(s) to evaluate (default: scenario's own)")
     parser.add_argument("--format", choices=("json", "table"), default="table")
+
+
+def package_lines(func, *args) -> int:
+    """The number of lines of the package that func(*args) runs.
+
+    Code outside the package (a garbage-collection callback, say) is not
+    counted, so the count does not depend on when a collection happens.
+    """
+    package = os.path.dirname(cli.__file__) + os.sep
+    count = 0
+
+    def line(frame, event, arg):
+        nonlocal count
+        count += event == "line"
+        return line
+
+    def tracer(frame, event, arg):
+        return line if frame.f_code.co_filename.startswith(package) else None
+
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        func(*args)
+    finally:
+        sys.settrace(previous)
+    return count

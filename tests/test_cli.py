@@ -170,6 +170,18 @@ def test_run_deeply_nested_json(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_run_refuses_a_repeated_key_by_name(tmp_path):
+    # json.load alone keeps a repeated key's last value, so this file ran as
+    # n = 4; it is refused with one line that names the key, not as JSON the
+    # decoder could not read.  Run in a child so a traceback would show
+    path = tmp_path / "repeated.json"
+    path.write_text('{"kind": "subset", "n": 3, "n": 4, "upstairs_genus": 1}\n')
+    proc = _run_child(["run", str(path)])
+    assert proc.returncode == EXIT_VALIDATION
+    assert proc.stderr == "invalid scenario: key 'n' is repeated\n"
+    assert proc.stdout == ""
+
+
 def test_run_unknown_kind(tmp_path, capsys):
     path = write_scenario(tmp_path, "s.json", {"kind": "torus", "upstairs_genus": 1})
     assert main(["run", path]) == EXIT_VALIDATION

@@ -5,7 +5,7 @@ import re
 import tracemalloc
 from fractions import Fraction
 from math import comb
-from operator import getitem, itemgetter, ne
+from operator import getitem, is_, itemgetter, ne
 
 import pytest
 from hypothesis import example, given
@@ -452,6 +452,20 @@ def test_an_unhashable_kind_has_no_rule_and_no_closed_form():
         other.induce(Permutation((1, 2, 3, 4)))
     with pytest.raises(ValueError, match=r"^no strongly regular closed form .* kind \[\]$"):
         identity_and_exponent(other)
+
+
+def test_a_copied_correspondence_holds_the_one_text_its_constructor_checked():
+    # copy and pickle rebuild D's text from rows through __new__ and carry
+    # only the pair lookup, so a copy's bits is the list its table gathers
+    # from, not a second text beside it, and verify_identity reads the text
+    # the construction checks passed
+    for corr in (build_subset_matrix(3), build_grid_matrix(3)):
+        ident = identity_and_exponent(corr)[0]
+        for twin in (copy.copy(corr), copy.deepcopy(corr), pickle.loads(pickle.dumps(corr))):
+            assert twin == corr and twin.bits == corr.bits
+            assert all(map(is_, twin.bits, twin.row_bits[1:]))
+            assert "pair_lookup" in twin.__dict__
+            assert verify_identity(twin, *ident) == (True, None)
 
 
 def test_a_correspondence_made_any_way_induces_as_the_built_one():

@@ -5,7 +5,7 @@ import gc
 import hashlib
 import io
 import json
-import os
+import random
 import re
 import sys
 import time
@@ -39,7 +39,8 @@ from prymtyurin.report import (
     report_to_json,
 )
 from prymtyurin.scenario import grid_scenario, subset_scenario
-from references import partitions, reference_fixed_point_scan, reference_w
+import references
+from references import package_lines, partitions, reference_fixed_point_scan, reference_w
 
 
 def nesting_kind(rep: dict) -> str:
@@ -356,6 +357,116 @@ def test_explicit_monodromy_controls_irreducibility():
     assert data["irreducibility"]["transitive"]
     assert data["models"][MERGED]["combinatorial_verified"]
     assert not any("synthesized" in n for n in data["notes"])
+
+
+def _transitive(generators, degree):
+    # one breadth-first walk from point 1 under the generators' images
+    reached, frontier = {1}, [1]
+    for x in frontier:
+        for g in generators:
+            y = g.images[x - 1]
+            if y not in reached:
+                reached.add(y)
+                frontier.append(y)
+    return len(reached) == degree
+
+
+def _cycled_runs(parts):
+    # the local monodromy of a padded profile, written out: each part,
+    # largest first, cycles its own run of consecutive sheet labels
+    images, start = [], 1
+    for part in sorted(parts, reverse=True):
+        images += [*range(start + 1, start + part), start]
+        start += part
+    return Permutation(tuple(images))
+
+
+def _irreducibility_read(scenario, monkeypatch):
+    # the report's irreducibility entry and the label moves its one check read
+    read = []
+
+    def record(moves, corr):
+        read.append(moves)
+        return original(moves, corr)
+
+    original = report_module.irreducibility_check
+    with monkeypatch.context() as patch:
+        patch.setattr(report_module, "irreducibility_check", record)
+        irr = assemble(scenario)["irreducibility"]
+    (moves,) = read
+    return irr, moves
+
+
+def _subset_irreducibility_cases():
+    # every single ramified profile and the defaults at n = 2..6, source
+    # genus 0..3, and a seeded set of explicit bases: half of them fix
+    # sheet 1, so the n-subsets holding it are a union of orbits
+    for n in range(2, 7):
+        for gx in range(4):
+            for fibers in (None, *([p] for p in partitions(n + 2) if p[0] > 1)):
+                yield n, gx, fibers, None
+    rng = random.Random(7)
+    for n in range(2, 7):
+        for trial in range(6):
+            fixed = trial % 2
+            gens = []
+            for _ in range(rng.randint(1, 3)):
+                images = list(range(1 + fixed, n + 3))
+                rng.shuffle(images)
+                gens.append([1] * fixed + images)
+            yield n, 3, None, gens
+
+
+def test_subset_irreducibility_is_the_transitivity_of_the_induced_action(monkeypatch):
+    # the basis written out from the scenario: the explicit generators, or
+    # each distinct declared profile's local monodromy and the adjacent
+    # transpositions (i, i + 1) of the simple branch points, i < min(simple
+    # points, sheets - 1); the entry is whether the k-subset action they
+    # induce (perms.induced_subset_action) is transitive.  Every orbit-model
+    # fiber's label moves are among the moves a synthesized check reads
+    outcomes = Counter()
+    for n, gx, fibers, monodromy in _subset_irreducibility_cases():
+        scenario = subset_scenario(n, gx, fibers, monodromy=monodromy)
+        degree = n + 2
+        if monodromy is None:
+            basis = "synthesized"
+            gens = [_cycled_runs(p) for p in scenario.special_fibers]
+            simple = min(scenario.covering.simple_extra, degree - 1)
+            gens += [Permutation((*range(1, i), i + 1, i, *range(i + 2, degree + 1)))
+                     for i in range(1, simple + 1)]
+        else:
+            basis = "explicit"
+            gens = list(map(Permutation, map(tuple, monodromy)))
+        index = perms.subset_index(degree, n)
+        induced = [perms.induced_subset_action(g, n, index) for g in gens]
+        want = _transitive(induced, comb(degree, n))
+        irr, read = _irreducibility_read(scenario, monkeypatch)
+        assert irr == {"transitive": want, "basis": basis}
+        assert set(read) == set(gens) and len(read) == len(set(read))
+        if monodromy is None:
+            layouts, _ = fiber_layout(scenario, build_subset_matrix(n))
+            assert {move for f in layouts[ORBIT][0] for move in f.moves} <= set(read)
+        outcomes[basis, want] += 1
+    # every synthesized basis here is transitive; the explicit ones go both ways
+    assert set(outcomes) == {("synthesized", True), ("explicit", True), ("explicit", False)}
+
+
+def test_grid_irreducibility_is_the_transitivity_of_its_cell_monodromies(monkeypatch):
+    # the grid's basis, written out on the row-major cells: the row merge and
+    # the three pairing shifts.  Every grid fiber's label moves are the moves
+    # the check reads
+    gens = [references.grid_row_cell_monodromy(3, (2, 1)),
+            *(references.grid_pairing_cell_monodromy(3, shift) for shift in range(3))]
+    want = _transitive(gens, 9)
+    assert want
+    for genus in range(2, 10):
+        scenario = grid_scenario(genus)
+        irr, read = _irreducibility_read(scenario, monkeypatch)
+        assert irr == {"transitive": want, "basis": "synthesized"}
+        layouts, _ = fiber_layout(scenario, build_grid_matrix(3))
+        fibers = layouts[MERGED][0]
+        assert read == tuple(move for f in fibers for move in f.moves)
+        assert {g for f in fibers for g in f.generators} == set(gens)
 
 
 def test_synthesized_generators_are_distinct(monkeypatch):
@@ -1135,32 +1246,6 @@ def test_cli_grid_g3000_json_peak_memory_is_far_below_its_length():
     assert peak <= 0.1 * chars
 
 
-def _package_lines(func, *args) -> int:
-    """The number of lines of the package that func(*args) runs.
-
-    Code outside the package (a garbage-collection callback, say) is not
-    counted, so the count does not depend on when a collection happens.
-    """
-    package = os.path.dirname(report_module.__file__) + os.sep
-    count = 0
-
-    def line(frame, event, arg):
-        nonlocal count
-        count += event == "line"
-        return line
-
-    def tracer(frame, event, arg):
-        return line if frame.f_code.co_filename.startswith(package) else None
-
-    previous = sys.gettrace()
-    sys.settrace(tracer)
-    try:
-        func(*args)
-    finally:
-        sys.settrace(previous)
-    return count
-
-
 @pytest.mark.parametrize("output", [report_to_json, render_table], ids=["json", "table"])
 def test_grid_report_python_work_does_not_grow_with_genus(output):
     # the grid layout repeats four distinct fibers over 2g + 4 positions;
@@ -1177,7 +1262,7 @@ def test_grid_report_python_work_does_not_grow_with_genus(output):
         runs.append(_cli_json)
     for run in runs:
         run(300)
-        assert _package_lines(run, 300) == _package_lines(run, 3000)
+        assert package_lines(run, 300) == package_lines(run, 3000)
 
 
 @pytest.mark.parametrize(
@@ -1192,8 +1277,8 @@ def test_construction_checks_run_the_same_python_lines_at_every_size(build, size
     for corr in map(build, sizes):
         fields = corr._asdict()
         counts.append((
-            _package_lines(lambda: correspondence.FiberCorrespondence(**fields)),
-            _package_lines(corr.check_moves, corr.symmetries, "symmetry"),
+            package_lines(lambda: correspondence.FiberCorrespondence(**fields)),
+            package_lines(corr.check_moves, corr.symmetries, "symmetry"),
         ))
     assert counts[0] == counts[1]
 

@@ -417,6 +417,23 @@ def test_load_scenario(tmp_path):
         load_scenario(bad)
 
 
+@pytest.mark.parametrize("text, key", [
+    ('{"kind": "subset", "n": 3, "n": 4, "upstairs_genus": 1}', "n"),
+    # the first key that repeats is named, wherever its repeat falls
+    ('{"kind": "subset", "n": 3, "upstairs_genus": 1, "model": "paper", "kind": "grid", "n": 3}',
+     "kind"),
+    # every object of the file, a nested one too
+    ('{"kind": "subset", "n": 3, "upstairs_genus": 1, "monodromy": [{"a": 1, "a": 1}]}', "a"),
+])
+def test_load_scenario_refuses_a_repeated_key(tmp_path, text, key):
+    # json.load alone would read the last value; the refusal names the key
+    # and is not reported as JSON the decoder could not read
+    path = tmp_path / "repeated.json"
+    path.write_text(text)
+    with pytest.raises(InvalidScenario, match=f"^key '{key}' is repeated$"):
+        load_scenario(path)
+
+
 SCHEMA_KEYS = ("kind", "n", "upstairs_genus", "m", "model", "special_fibers", "monodromy")
 # mostly small integers, but up to 10**12: a value past a size ceiling is
 # refused before anything of that size is built
