@@ -141,6 +141,8 @@ class FiberCorrespondence(
                 if row[:i] != col:
                     j = next(j for j in range(i) if row[j] != col[j])
                     raise ValueError(f"not symmetric at ({i}, {j})")
+        # free the checked text before check_moves joins one of its own
+        del text
         self = super().__new__(cls, kind, parameter, rows, points, symmetries)
         self.__dict__.update(bits=bits, row_bits=[None, *bits], columns=columns, induced={})
         self.check_moves(symmetries, "symmetry")

@@ -1,11 +1,15 @@
 """Branched-covering bookkeeping.
 
-A covering of the projective line is recorded by its degree, the
-ramification profiles of its special fibers, and a count of additional simple
-branch points.  A profile is the partition of the degree given by the
-ramification indices over one branch point; its contribution to the total
-ramification degree is sum(part - 1).  The base is always the line, since the
-exponent derivation needs a rational base (correspondence.exponent_from_identity).
+A covering of the projective line is given by its branch data: its degree,
+the ramification profiles of its special fibers, and a count of additional
+simple branch points.  A scenario is the one record of these data (its
+special_fibers, and its degree and simple_extra outside the fields), and
+scenario.Scenario their one validator; this module holds the profile check
+and the genus arithmetic that the validator and the report call.  A profile is the partition of the
+degree given by the ramification indices over one branch point; its
+contribution to the total ramification degree is sum(part - 1).  The base
+is always the line, since the exponent derivation needs a rational base
+(correspondence.exponent_from_identity).
 
 The genus upstairs is pinned down by Riemann-Hurwitz over genus 0:
 
@@ -16,10 +20,6 @@ never rounded or clamped.
 """
 
 from __future__ import annotations
-
-from collections import namedtuple
-
-from .perms import Record
 
 
 class GenusValidationError(ValueError):
@@ -54,33 +54,10 @@ def profile_contribution(parts) -> int:
     return sum(p - 1 for p in parts)
 
 
-class CoveringData(Record, namedtuple("CoveringData", "degree special_fibers simple_extra")):
-    """A covering of the line by branch data only; branch points are anonymous.
-
-    special_fibers holds one ramification profile per branch point that is not
-    a plain simple one, each sorted by normalize_profile; simple_extra counts
-    further branch points with profile (2, 1, ..., 1).
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, degree: int, special_fibers=(), simple_extra: int = 0):
-        if degree < 1:
-            raise ValueError(f"degree must be at least 1, got {degree}")
-        if simple_extra < 0:
-            raise ValueError(f"simple branch point count must be non-negative, got {simple_extra}")
-        if simple_extra > 0 and degree < 2:
-            raise ValueError("a degree-1 covering cannot have simple branch points")
-        fibers = tuple(normalize_profile(f) for f in special_fibers)
-        for prof in fibers:
-            if sum(prof) != degree:
-                raise ValueError(f"profile {prof} does not sum to the degree {degree}")
-        return super().__new__(cls, degree, fibers, simple_extra)
-
-
-def ramification_degree(cov: CoveringData) -> int:
-    """Total ramification w, counting each simple branch point as 1."""
-    return sum(profile_contribution(f) for f in cov.special_fibers) + cov.simple_extra
+def ramification_degree(scenario) -> int:
+    """Total ramification w of a scenario's input covering, counting each
+    simple branch point as 1."""
+    return sum(profile_contribution(f) for f in scenario.special_fibers) + scenario.simple_extra
 
 
 def riemann_hurwitz_genus(degree: int, w: int) -> int:
@@ -104,8 +81,9 @@ def riemann_hurwitz_genus(degree: int, w: int) -> int:
     return g
 
 
-def upstairs_genus(cov: CoveringData) -> int:
-    return riemann_hurwitz_genus(cov.degree, ramification_degree(cov))
+def upstairs_genus(scenario) -> int:
+    """The genus of a scenario's input covering, by Riemann-Hurwitz."""
+    return riemann_hurwitz_genus(scenario.degree, ramification_degree(scenario))
 
 
 def simple_budget(degree: int, special_fibers, target_upstairs_genus: int) -> int:

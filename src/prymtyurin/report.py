@@ -35,7 +35,6 @@ from math import gcd
 
 from .correspondence import FiberCorrespondence, identity_and_exponent
 from .covering import (
-    CoveringData,
     GenusValidationError,
     ramification_degree,
     riemann_hurwitz_genus,
@@ -127,7 +126,7 @@ def assemble(scenario: Scenario) -> dict:
     # a repeated label move generates nothing new, so each is induced once
     irreducible = irreducibility_check(tuple(dict.fromkeys(moves)), corr)
     # every model writes the one covering dict, which the writer then writes once
-    covering = covering_to_dict(scenario.covering)
+    covering = covering_to_dict(scenario)
     models = {
         m: _model(scenario, corr, layout, m, q, irreducible, covering)
         for m, layout in layouts.items()
@@ -182,7 +181,7 @@ def fiber_layout(scenario: Scenario, corr: FiberCorrespondence) -> tuple:
         w_induced = sum(map(int.__mul__, ws, map(positions.count, range(len(ws)))))
         simple_free = None
         if simple is not None:
-            w_induced += scenario.covering.simple_extra * simple.w_contribution
+            w_induced += scenario.simple_extra * simple.w_contribution
             # the fixed-point count only scans declared special fibers, so check
             # that the simple fiber's diagonal holds no fixed class
             simple_free = not any(actions[id(simple)][0])
@@ -364,14 +363,14 @@ def _notes(data: dict) -> list[str]:
 # --- serialization -----------------------------------------------------------
 
 
-def covering_to_dict(cov: CoveringData) -> dict:
+def covering_to_dict(scenario: Scenario) -> dict:
     return {
-        "degree": cov.degree,
+        "degree": scenario.degree,
         "base_genus": 0,
-        "special_fibers": [list(p) for p in cov.special_fibers],
-        "upstairs_genus": upstairs_genus(cov),
-        "simple_extra": cov.simple_extra,
-        "ramification": ramification_degree(cov),
+        "special_fibers": [list(p) for p in scenario.special_fibers],
+        "upstairs_genus": upstairs_genus(scenario),
+        "simple_extra": scenario.simple_extra,
+        "ramification": ramification_degree(scenario),
     }
 
 

@@ -3,8 +3,10 @@
 A scenario pins down everything needed to assemble a verification report:
 the family (subset exchange on a small covering, or the 3x3 grid built
 from a hyperelliptic curve), the genus of the source curve, the special
-fiber profiles, and which fiber model(s) to evaluate.  It carries the input
-covering these data determine, built once.
+fiber profiles, and which fiber model(s) to evaluate.  It is the one
+record of the input covering: its special fibers, and beside the fields the
+degree and the simple branch point count the constructor derives, which
+covering.upstairs_genus and the report read off the scenario.
 
 Scenarios are plain data, and the constructor is the one place raw input
 becomes a scenario, for files and Python callers alike: it checks the type
@@ -34,7 +36,7 @@ from collections import Counter, namedtuple
 from itertools import chain, repeat
 
 from .correspondence import FiberCorrespondence, build_grid_matrix, build_subset_matrix
-from .covering import CoveringData, is_int, normalize_profile, simple_budget
+from .covering import is_int, normalize_profile, simple_budget
 from .induced_curve import (
     MERGED,
     MODELS,
@@ -161,13 +163,13 @@ def _subset_layout(scenario: Scenario, corr: FiberCorrespondence, models) -> tup
     one adjacent transposition per simple branch point, which repeat after
     degree - 1.  Its moves are built as they are read, so an explicit
     basis builds none."""
-    degree = scenario.covering.degree
+    degree = scenario.degree
     simple_profile = (2,) + (1,) * scenario.parameter
     simple = subset_fiber(corr, simple_profile, MERGED)
     profiles = tuple(dict.fromkeys(scenario.special_fibers))
     positions = bytes(map(profiles.index, scenario.special_fibers))
     merged = [blocks_from_parts(p, degree) for p in profiles]
-    last = 1 + min(scenario.covering.simple_extra, degree - 1)
+    last = 1 + min(scenario.simple_extra, degree - 1)
     moves = chain(map(partition_monodromy, profiles, repeat(degree)),
                   map(transposition, repeat(degree), range(1, last), range(2, last + 1)))
     return {
@@ -186,7 +188,7 @@ def _grid_layout(scenario: Scenario, corr: FiberCorrespondence, models) -> tuple
     moves, the grid's local monodromies."""
     side = corr.parameter
     distinct = (grid_row_merge_fiber(corr), *(grid_pairing_fiber(corr, s) for s in range(side)))
-    extra = scenario.covering.simple_extra
+    extra = scenario.simple_extra
     positions = bytes((0, 0)) + (bytes(range(1, side + 1)) * (extra // side + 1))[:extra]
     layout = (distinct, positions, None, (None,) * len(distinct))
     return dict.fromkeys(models, layout), chain.from_iterable(f.moves for f in distinct)
@@ -237,8 +239,11 @@ class Scenario(
     monodromy       optional explicit generators of the small covering's
                     monodromy group, used for the irreducibility check in
                     place of the synthesized representative choice
-    covering        not a field: the input covering, built once by the
-                    constructor for either kind
+    degree          not a field: the input covering's degree, which the
+                    family's check returns (n + 2, or 2 for the grid)
+    simple_extra    not a field: the input covering's simple branch points
+                    besides special_fibers, the simple_budget that gives
+                    it the source genus (2g + 2 for the grid)
     """
 
     def __new__(cls, kind: str, upstairs_genus: int, parameter: int, special_fibers=(),
@@ -290,7 +295,6 @@ class Scenario(
         # 2g + 2 for the grid's double covering
         try:
             extra = simple_budget(degree, special_fibers, upstairs_genus)
-            covering = CoveringData(degree, special_fibers, extra)
         except ValueError as exc:
             raise InvalidScenario(f"special_fibers vs upstairs_genus: {exc}") from exc
         # a family with a fixed monodromy refused any above
@@ -323,7 +327,7 @@ class Scenario(
         self = super().__new__(
             cls, kind, upstairs_genus, parameter, special_fibers, model, monodromy
         )
-        self.__dict__["covering"] = covering
+        self.__dict__.update(degree=degree, simple_extra=extra)
         return self
 
 

@@ -21,12 +21,7 @@ from prymtyurin.correspondence import (
     exponent_from_identity,
     verify_identity,
 )
-from prymtyurin.covering import (
-    CoveringData,
-    GenusValidationError,
-    riemann_hurwitz_genus,
-    upstairs_genus,
-)
+from prymtyurin.covering import GenusValidationError, riemann_hurwitz_genus
 from prymtyurin.fixed_points import check_certificate, class_action
 from prymtyurin.induced_curve import MERGED, ORBIT
 from prymtyurin.perms import (
@@ -290,6 +285,3 @@ def test_criterion_5_property_suites():
         # (e) parity validation rejects fabricated odd ramification totals
         with pytest.raises(GenusValidationError):
             riemann_hurwitz_genus(4, 1)
-        odd_covering = CoveringData(degree=4, special_fibers=((2, 1, 1),), simple_extra=0)
-        with pytest.raises(GenusValidationError):
-            upstairs_genus(odd_covering)

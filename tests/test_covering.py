@@ -1,7 +1,6 @@
 import pytest
 
 from prymtyurin.covering import (
-    CoveringData,
     GenusValidationError,
     normalize_profile,
     profile_contribution,
@@ -10,6 +9,7 @@ from prymtyurin.covering import (
     simple_budget,
     upstairs_genus,
 )
+from prymtyurin.scenario import subset_scenario
 
 
 def test_profile_normalization():
@@ -27,21 +27,6 @@ def test_profile_normalization():
     ):
         with pytest.raises(ValueError, match=message):
             normalize_profile(parts)
-
-
-def test_covering_data_validation():
-    cov = CoveringData(degree=5, special_fibers=((1, 2, 2),), simple_extra=6)
-    assert cov.special_fibers == ((2, 2, 1),)
-    with pytest.raises(ValueError):
-        CoveringData(degree=4, special_fibers=((2, 2, 1),))
-    with pytest.raises(ValueError):
-        CoveringData(degree=4, simple_extra=-1)
-    with pytest.raises(ValueError):
-        CoveringData(degree=1, simple_extra=2)
-    with pytest.raises(ValueError, match="parts must be positive integers"):
-        CoveringData(3, ((2.9, 1),))
-    with pytest.raises(ValueError, match="degree must be at least 1, got 0"):
-        CoveringData(degree=0)
 
 
 def test_riemann_hurwitz_direct_values():
@@ -78,10 +63,12 @@ def test_riemann_hurwitz_rejects_negative_genus():
 
 
 def test_ramification_degree_and_upstairs_genus():
-    # the degree-5 covering from the subset construction at n=3
-    cov = CoveringData(degree=5, special_fibers=((2, 2, 1), (2, 2, 1)), simple_extra=6)
-    assert ramification_degree(cov) == 10
-    assert upstairs_genus(cov) == 1
+    # the degree-5 covering of the subset construction at n=3: two (2,2,1)
+    # fibers and 6 simple branch points
+    scenario = subset_scenario(3, 1)
+    assert (scenario.degree, scenario.simple_extra) == (5, 6)
+    assert ramification_degree(scenario) == 10
+    assert upstairs_genus(scenario) == 1
 
 
 def test_simple_budget():
@@ -90,7 +77,9 @@ def test_simple_budget():
         assert simple_budget(4, pairs4, gx) == 2 * gx + 2
         assert simple_budget(6, pairs6, gx) == 2 * gx + 4
         # the budget gives the covering built from it the target genus
-        assert upstairs_genus(CoveringData(6, pairs6, simple_budget(6, pairs6, gx))) == gx
+        scenario = subset_scenario(4, gx)
+        assert scenario.special_fibers == pairs6 and scenario.simple_extra == 2 * gx + 4
+        assert upstairs_genus(scenario) == gx
 
 
 def test_simple_budget_infeasible():

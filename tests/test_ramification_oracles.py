@@ -127,7 +127,7 @@ def test_scenario_ramification_and_genus_match_closed_form(model):
             rep = assemble(scen)["models"][model]
             points = comb(n + 2, 2)
             want = sum(oracle_w(p, model) for p in scen.special_fibers)
-            want += scen.covering.simple_extra * n
+            want += scen.simple_extra * n
             genus = rep["induced"]["genus"]
             assert rep["induced"]["ramification"] == want, (n, gx)
             if genus is not None:

@@ -12,7 +12,6 @@ from pathlib import Path
 import pytest
 
 from prymtyurin.correspondence import FiberCorrespondence, build_grid_matrix, build_subset_matrix
-from prymtyurin.covering import CoveringData
 from prymtyurin.fixed_points import NestingCertificate, NestingFailure, NestingUndecided
 from prymtyurin.induced_curve import MERGED, subset_fiber
 from prymtyurin.perms import Permutation, Record
@@ -22,10 +21,9 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "prymtyurin"
 
 
 def one_of_each():
-    """One record of each of the eight classes, built twice over."""
+    """One record of each of the seven classes, built twice over."""
     return [
         Permutation((2, 1, 3)),
-        CoveringData(4, ((2, 2),), 2),
         build_grid_matrix(3),
         subset_fiber(build_subset_matrix(2), (2, 2), MERGED),
         subset_scenario(3, 1),
@@ -37,7 +35,7 @@ def one_of_each():
 
 def test_every_record_class_is_covered():
     classes = {type(r) for r in one_of_each()}
-    assert len(classes) == 8
+    assert len(classes) == 7
     assert all(issubclass(c, Record) and issubclass(c, tuple) for c in classes)
 
 
@@ -88,22 +86,18 @@ def test_cached_properties_stay_cached():
     # its own: index is the tuple method
     assert "index" not in vars(corr) and type(corr).index is tuple.index
     assert fiber.w_contribution == sum(map(len, fiber.classes)) - len(fiber.classes)
-    # a scenario of either kind keeps the covering its constructor built
+    # a scenario of either kind keeps the degree and the simple branch
+    # points its checks derived, outside the fields
     scen = grid_scenario(4)
-    assert "covering" in vars(scen)
-    assert scen.covering is scen.covering
-    assert scen.covering == CoveringData(2, (), 10)
-    # a subset scenario keeps the covering its checks built
+    assert vars(scen) == {"degree": 2, "simple_extra": 10}
     subset = subset_scenario(3, 1)
-    assert "covering" in vars(subset)
-    assert subset.covering == Scenario(**subset._asdict()).covering
+    assert vars(subset) == {"degree": 5, "simple_extra": 6}
+    assert vars(Scenario(**subset._asdict())) == vars(subset)
 
 
 def test_every_record_runs_its_checks_when_built():
     with pytest.raises(ValueError, match="not a bijection"):
         Permutation((1, 1))
-    with pytest.raises(ValueError, match="does not sum to the degree 4"):
-        CoveringData(4, ((2, 1),))
     corr = build_grid_matrix(3)
     with pytest.raises(ValueError, match="does not preserve the relation"):
         FiberCorrespondence(**{**corr._asdict(), "symmetries": (Permutation((2, 1, *range(3, 10))),)})

@@ -431,7 +431,7 @@ def test_subset_irreducibility_is_the_transitivity_of_the_induced_action(monkeyp
         if monodromy is None:
             basis = "synthesized"
             gens = [_cycled_runs(p) for p in scenario.special_fibers]
-            simple = min(scenario.covering.simple_extra, degree - 1)
+            simple = min(scenario.simple_extra, degree - 1)
             gens += [Permutation((*range(1, i), i + 1, i, *range(i + 2, degree + 1)))
                      for i in range(1, simple + 1)]
         else:
@@ -891,7 +891,7 @@ def test_repeated_fibers_share_one_entry():
                 profiles = dict.fromkeys(scen.special_fibers)
                 assert fibers == tuple(subset_fiber(corr, p, model) for p in profiles)
                 if model == MERGED:
-                    blocks = [blocks_from_parts(p, scen.covering.degree) for p in profiles]
+                    blocks = [blocks_from_parts(p, scen.degree) for p in profiles]
             assert rep["special_fibers"] == [
                 {"model": model, **fiber_to_dict(fibers[i], blocks[i])} for i in positions
             ]

@@ -1,11 +1,15 @@
+import copy
+import importlib.util
 import json
+import pickle
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prymtyurin.correspondence import build_subset_matrix
-from prymtyurin.covering import CoveringData
+from prymtyurin.covering import simple_budget, upstairs_genus
 from prymtyurin.induced_curve import MERGED, partition_monodromy
 from prymtyurin.perms import transposition
 from prymtyurin.report import assemble, canonical_json, covering_to_dict
@@ -43,7 +47,7 @@ def test_subset_scenario_defaults():
     assert s.kind == SUBSET
     assert s.model == BOTH
     assert s.special_fibers == ((2, 2, 1), (2, 2, 1))
-    assert s.covering.degree == 5
+    assert s.degree == 5
 
 
 def test_subset_scenario_pads_and_sorts_profiles():
@@ -70,21 +74,21 @@ def test_grid_scenario():
     s = grid_scenario(4)
     assert s.kind == GRID
     assert s.parameter == 3
-    assert s.covering.degree == 2
+    assert s.degree == 2
 
 
 def test_scenario_covering():
     # subset n = 3, gx = 2: w = 2*2 - 2 + 2*5 = 12 is needed, the two (2,2,1)
     # fibers give 4, so 8 simple branch points are left
     s = subset_scenario(3, 2)
-    assert s.covering == CoveringData(5, ((2, 2, 1), (2, 2, 1)), simple_extra=8)
+    assert (s.degree, s.special_fibers, s.simple_extra) == (5, ((2, 2, 1), (2, 2, 1)), 8)
     # grid g = 5: one simple branch point per pairing fiber, 2g + 2 of them
     g = grid_scenario(5)
-    assert g.covering == CoveringData(2, simple_extra=12)
+    assert (g.degree, g.special_fibers, g.simple_extra) == (2, (), 12)
     for scenario in (s, g):
         models = assemble(scenario)["models"].values()
         assert len(models) == 2
-        assert all(rep["covering"] == covering_to_dict(scenario.covering) for rep in models)
+        assert all(rep["covering"] == covering_to_dict(scenario) for rep in models)
 
 
 def test_both_models_write_one_covering_dict():
@@ -108,26 +112,64 @@ def test_unhashable_kinds_are_invalid_scenarios(kind):
             build()
 
 
-def test_scenario_builds_its_covering_once(monkeypatch):
-    # the budget reads the degree and the padded profiles directly, so the
-    # constructor builds the one covering it keeps, for either kind
-    built = []
+def test_scenario_runs_its_budget_once(monkeypatch):
+    # the budget reads the degree and the padded profiles directly, and the
+    # constructor keeps the one count it returns, for either kind
+    budgets = []
 
-    def counted(*args):
-        built.append(args)
-        return CoveringData(*args)
+    def counted(degree, special_fibers, target):
+        budgets.append((degree, special_fibers, simple_budget(degree, special_fibers, target)))
+        return budgets[-1][2]
 
-    monkeypatch.setattr(scenario_module, "CoveringData", counted)
+    monkeypatch.setattr(scenario_module, "simple_budget", counted)
     for make in (
         lambda: subset_scenario(3, 2),
         lambda: subset_scenario(4, 1, special_fibers=[[3], [2, 2]], monodromy=[[2, 1, 3, 4, 5, 6]]),
         lambda: grid_scenario(5),
         lambda: parse_scenario({"kind": "grid", "upstairs_genus": 3}),
     ):
-        built.clear()
+        budgets.clear()
         scenario = make()
-        assert len(built) == 1
-        assert scenario.covering == CoveringData(*built[0])
+        assert budgets == [(scenario.degree, scenario.special_fibers, scenario.simple_extra)]
+
+
+def test_copies_keep_the_branch_data():
+    # degree and simple_extra sit outside the fields; a copy, a deep copy and
+    # a pickle round trip rebuild them through the constructor
+    for scenario in (subset_scenario(4, 1, special_fibers=[[3], [2, 2]]), grid_scenario(5)):
+        for twin in (copy.copy(scenario), copy.deepcopy(scenario),
+                     pickle.loads(pickle.dumps(scenario))):
+            assert twin == scenario
+            assert (twin.degree, twin.simple_extra) == (scenario.degree, scenario.simple_extra)
+
+
+def _digest_scenarios():
+    # every scenario the report digest runs, once: the file of each run case
+    # and the grid of each builtin hyperelliptic argv
+    path = Path(__file__).resolve().parents[1] / "scripts" / "report_digest.py"
+    spec = importlib.util.spec_from_file_location("report_digest", path)
+    digest = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digest)
+    files, grids = {}, {}
+    for argv, data in digest.cases(digest.parse_args([])):
+        if data is not None:
+            files[json.dumps(data)] = data
+        elif argv[0] == "builtin":
+            grids[int(argv[argv.index("--g") + 1]), argv[argv.index("--model") + 1]] = None
+    return [*map(parse_scenario, files.values()), *(grid_scenario(g, m) for g, m in grids)]
+
+
+def test_every_digest_scenario_keeps_consistent_branch_data():
+    # 78 default subset scenarios, 2,841 profile choices and 120 grids, each
+    # accepted
+    scenarios = _digest_scenarios()
+    assert len(scenarios) == 3039
+    for scenario in scenarios:
+        for profile in scenario.special_fibers:
+            assert list(profile) == sorted(profile, reverse=True)
+            assert profile[0] > 1 and sum(profile) == scenario.degree
+        assert scenario.simple_extra >= 0
+        assert upstairs_genus(scenario) == scenario.upstairs_genus
 
 
 def test_subset_irreducibility_builds_each_declared_profile_once(monkeypatch):
@@ -146,7 +188,7 @@ def test_subset_irreducibility_builds_each_declared_profile_once(monkeypatch):
     for scenario in (subset_scenario(3, 2),
                      subset_scenario(4, 5, special_fibers=[[3], [2, 2], [3]])):
         built.clear()
-        degree = scenario.covering.degree
+        degree = scenario.degree
         corr = build_subset_matrix(scenario.parameter)
         _, moves = scenario_module.FAMILIES[SUBSET].layout(scenario, corr, (MERGED,))
         assert built == []
@@ -155,7 +197,7 @@ def test_subset_irreducibility_builds_each_declared_profile_once(monkeypatch):
         assert built == list(dict.fromkeys(scenario.special_fibers))
         want = [partition_monodromy(p, degree) for p in scenario.special_fibers]
         want += [transposition(degree, i, i + 1)
-                 for i in range(1, 1 + min(scenario.covering.simple_extra, degree - 1))]
+                 for i in range(1, 1 + min(scenario.simple_extra, degree - 1))]
         assert moves == list(dict.fromkeys(want))
     built.clear()
     assemble(subset_scenario(4, 5, special_fibers=[[3], [2, 2]], monodromy=[[2, 1, 3, 4, 5, 6]]))
@@ -178,6 +220,9 @@ def test_subset_validation():
         subset_scenario(2, -1)
     with pytest.raises(InvalidScenario, match="special_fibers\\[0\\]"):
         subset_scenario(2, 1, special_fibers=[[2, 2, 2]])
+    with pytest.raises(InvalidScenario,
+                       match=r"special_fibers\[0\]: parts sum to 5, covering degree is 4$"):
+        subset_scenario(2, 1, special_fibers=[[2, 2, 1]])
     with pytest.raises(InvalidScenario, match="unramified"):
         subset_scenario(2, 1, special_fibers=[[1, 1, 1, 1]])
     with pytest.raises(InvalidScenario, match="model"):
@@ -207,7 +252,7 @@ def test_size_ceilings(monkeypatch):
     # the limits themselves are accepted
     assert Scenario(kind=SUBSET, upstairs_genus=10**12, parameter=MAX_SUBSET_N).parameter == 40
     assert subset_scenario(MAX_SUBSET_N, ceiling, special_fibers=[]).upstairs_genus == ceiling
-    assert grid_scenario(MAX_GRID_GENUS).covering.simple_extra == 2 * MAX_GRID_GENUS + 2
+    assert grid_scenario(MAX_GRID_GENUS).simple_extra == 2 * MAX_GRID_GENUS + 2
 
 
 def test_declared_fiber_ceiling_counts_points():
@@ -329,6 +374,8 @@ def test_monodromy_is_bounded_before_any_generator_is_read(monkeypatch):
         ({"special_fibers": [[2, [1]]]}, "special_fibers\\[0\\]: parts must be"),
         # an empty profile is judged before padding, which would make it unramified
         ({"special_fibers": [[]]}, "special_fibers\\[0\\]: profile is empty$"),
+        # a float part is refused, never truncated
+        ({"special_fibers": [[2.9, 1]]}, "special_fibers\\[0\\]: parts must be"),
     ],
 )
 def test_parse_rejects_non_integer_labels_and_parts(extra, field):

@@ -68,6 +68,10 @@ def test_traced_run_counts_layers_and_prints_the_same(argv):
     if argv[0] == "builtin":
         assert metrics["fixed_points.class_action_calls"] >= 1
         assert metrics["fixed_points.nesting_calls"] >= 1
+        # the covering layer: the scenario's simple_budget, the report's
+        # upstairs_genus with its riemann_hurwitz_genus, and one
+        # riemann_hurwitz_genus per model for the induced genus
+        assert names.count("covering.genus") == 5
 
 
 @pytest.mark.parametrize(
