@@ -3,15 +3,16 @@
 
 Both commits are exported with `git archive` into a scratch directory, and
 `bench/run.py --workload W --seed s --seconds S --trace 0` runs in each
-export for PAIRS pairs of runs, on every workload of BENCHMARK.json and for
+export, under the interpreter --python names (this one by default), for
+PAIRS pairs of runs, on every workload of BENCHMARK.json and for
 the run length S it fixes (`run_seconds`).  The two runs of a pair share one
 seed, and the side that runs first alternates from pair to pair, so a drift
 in the machine's speed falls on both sides alike.  Nothing under bench/ or src/ is
 edited: every run works in its own export.
 
 One row per call is appended to BENCH_<workload>.json at the repository
-root (a JSON list of rows).  A row holds the two commits, the Python
-version, nproc, the seconds and the seeds, and for every end-to-end metric
+root (a JSON list of rows).  A row holds the two commits, the version of
+the interpreter that ran the benches (asked of that interpreter), nproc, the seconds and the seeds, and for every end-to-end metric
 of BENCHMARK.json: its unit, which way is better and its bound; each side's
 runs, median and interquartile range; the pairs HEAD wins; the relative
 change of the median; whether that change stays within the bound; and
@@ -19,13 +20,12 @@ whether it is a resolved gain: HEAD wins at least nine pairs in ten and its
 median is better by more than the base's interquartile range.
 
 Usage:
-    python3 scripts/bench_record.py [--base HEAD~1] [--first-seed 1]
+    python3 scripts/bench_record.py [--base HEAD~1] [--first-seed 1] [--python PATH]
 """
 
 import argparse
 import json
 import os
-import platform
 import statistics
 import subprocess
 import sys
@@ -53,9 +53,16 @@ def export(commit: str, where: Path) -> Path:
     return where
 
 
-def run_bench(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
-    """The metrics of one untraced bench/run.py run in checkout."""
-    cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
+def python_version(python: str) -> str:
+    """The version the interpreter at python reports for itself."""
+    query = "import platform; print(platform.python_version())"
+    proc = subprocess.run([python, "-c", query], capture_output=True, text=True, check=True)
+    return proc.stdout.strip()
+
+
+def run_bench(python: str, checkout: Path, workload: str, seed: int, seconds: int) -> dict:
+    """The metrics of one untraced bench/run.py run in checkout under python."""
+    cmd = [python, "bench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True,
                           stdin=subprocess.DEVNULL, check=True)
@@ -93,13 +100,13 @@ def compare(spec: dict, base: list[float], head: list[float]) -> dict:
     }
 
 
-def record(workload: str, checkouts: dict, seeds: list[int], seconds: int,
+def record(python: str, workload: str, checkouts: dict, seeds: list[int], seconds: int,
            specs: list[dict]) -> dict:
     runs = {side: [] for side in checkouts}
     for i, seed in enumerate(seeds):
         order = ("base", "head") if i % 2 == 0 else ("head", "base")
         for side in order:
-            runs[side].append(run_bench(checkouts[side], workload, seed, seconds))
+            runs[side].append(run_bench(python, checkouts[side], workload, seed, seconds))
             print(f"{workload} pair {i + 1}/{len(seeds)} seed {seed} {side} done", flush=True)
     for side, metrics in runs.items():
         for spec in specs:
@@ -121,19 +128,23 @@ def main(argv=None) -> int:
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     parser.add_argument("--base", default="HEAD~1")
     parser.add_argument("--first-seed", type=int, default=1)
+    parser.add_argument("--python", default=sys.executable,
+                        help="the interpreter that runs bench/run.py (default: this one)")
     args = parser.parse_args(argv)
 
     commits = {"base": git("rev-parse", args.base), "head": git("rev-parse", "HEAD")}
     seeds = list(range(args.first_seed, args.first_seed + PAIRS))
     seconds = benchmark["run_seconds"]
+    version = python_version(args.python)
     with tempfile.TemporaryDirectory() as scratch:
         checkouts = {side: export(c, Path(scratch) / side) for side, c in commits.items()}
         for workload in (w["name"] for w in benchmark["workloads"]):
-            metrics = record(workload, checkouts, seeds, seconds, benchmark["end_to_end"])
+            metrics = record(args.python, workload, checkouts, seeds, seconds,
+                             benchmark["end_to_end"])
             row = {
                 "base": commits["base"],
                 "head": commits["head"],
-                "python": platform.python_version(),
+                "python": version,
                 "nproc": os.cpu_count(),
                 "seconds": seconds,
                 "seeds": seeds,

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from json.encoder import encode_basestring_ascii
 from math import gcd
+from operator import is_
 
 from .correspondence import FiberCorrespondence, identity_and_exponent
 from .covering import (
@@ -110,11 +111,24 @@ def keyed_verdict(data: dict) -> bool:
     return data["verdict"][models_for(data["scenario"]["model"])[0]] == VERIFIED
 
 
-def assemble(scenario: Scenario) -> dict:
+class Report(dict):
+    """The canonical dict assemble returns.  Outside its items it keeps
+    splices, one record per model's special_fibers list: the list itself,
+    the distinct entries its layout positions name, those positions (bytes)
+    and a tuple snapshot of the list.  json_pieces trusts a record only
+    while the list still holds exactly its snapshot's objects, so an edited
+    list is written element by element, and a plain dict copy carries no
+    record at all."""
+
+    splices: tuple = ()
+
+
+def assemble(scenario: Scenario) -> Report:
     """Run the full pipeline for every requested fiber model.
 
-    Returns the report's canonical dict.  It holds JSON values only, so
-    json.loads of its canonical text equals it.
+    Returns the report's canonical dict, a Report that records beside its
+    items how each model's special_fibers list repeats its entries.  It
+    holds JSON values only, so json.loads of its canonical text equals it.
     """
     corr = FAMILIES[scenario.kind].matrix(scenario.parameter)
     summary = correspondence_to_dict(corr)
@@ -131,15 +145,16 @@ def assemble(scenario: Scenario) -> dict:
         m: _model(scenario, corr, layout, m, q, irreducible, covering)
         for m, layout in layouts.items()
     }
-    data = {
+    data = Report({
         "scenario": scenario_to_dict(scenario),
         "correspondence": summary,
         "irreducibility": {"transitive": irreducible, "basis": basis},
-        "models": {model: rep for model, (rep, _) in models.items()},
+        "models": {model: rep for model, (rep, _, _) in models.items()},
         "notes": [],
-        "verdict": {model: verdict for model, (_, verdict) in models.items()},
-    }
+        "verdict": {model: verdict for model, (_, verdict, _) in models.items()},
+    })
     data["notes"] = _notes(data)
+    data.splices = tuple(splice for _, _, splice in models.values())
     return data
 
 
@@ -200,12 +215,13 @@ def _model(
     q: int | None,
     irreducible: bool,
     covering: dict,
-) -> tuple[dict, str]:
+) -> tuple[dict, str, tuple]:
     """Everything one fiber model says, from its fiber layout and the facts
     it carries (as fiber_layout gives them, shared by the models of one
-    layout object): the model's canonical dict and its verdict.  It writes
-    each fiber the positions name through its body alone, and re-checks the
-    nesting claim on its own entries.
+    layout object): the model's canonical dict, its verdict and the splice
+    record of its special_fibers list (see Report).  It writes each fiber
+    the positions name through its body alone, and re-checks the nesting
+    claim on its own entries.
 
     error is set when the model's own arithmetic is inconsistent (genus
     validation, negative dimension); the facts computed before the failure
@@ -225,10 +241,12 @@ def _model(
     bidegree = corr.bidegree
     even = delta % 2 == 0
     # the fiber does not know its model; its model entry does.  Each distinct
-    # fiber gets one entry per model, repeated in layout order: canonical_json
-    # writes each of them once
+    # fiber gets one entry per model, repeated in layout order: the splice
+    # record lets json_pieces write each of them once and place them by the
+    # positions
     entries = [{"model": model, **body} for body in bodies]
-    special_fibers = list(map(entries.__getitem__, positions))
+    snapshot = tuple(map(entries.__getitem__, positions))
+    special_fibers = list(snapshot)
     nest = nesting_to_dict(nesting, special_fibers)
     # the nesting claim is decided as the report carries it, by its checker alone
     checked = check_certificate(nest, special_fibers, delta, scenario.kind, scenario.parameter)
@@ -284,9 +302,10 @@ def _model(
     }
     if error is not None:
         rep["error"] = error
+    splice = special_fibers, entries, positions, snapshot
     if rest_ok and checked:
-        return rep, VERIFIED
-    return rep, UNDECIDED if rest_ok and isinstance(nesting, NestingUndecided) else FAILED
+        return rep, VERIFIED, splice
+    return rep, UNDECIDED if rest_ok and isinstance(nesting, NestingUndecided) else FAILED, splice
 
 
 # --- notes -------------------------------------------------------------------
@@ -484,18 +503,19 @@ def json_pieces(data) -> list[str]:
     which re-indents it, since encode_basestring_ascii escapes a newline
     inside a string and every newline in a container's text is structural.
     A span that is still open is a cycle, and raises ValueError as
-    json.dumps does.  A list or tuple that holds the same element (by id)
-    more than once writes each distinct element once into a buffer of its
-    own that opens with its comma separator, and splices the texts in one
-    C-level extend of a map over its ids; the first piece's comma is then
-    swapped for the opening bracket.  One C-level list of the ids serves
-    the whole list: the dict it keys tells whether an element repeats (it
-    is shorter than the list), holds the distinct elements in order of
-    first occurrence, and the splice maps the same list.  So a repeated
-    element costs no Python step, no separator is written per element, and
-    no recorded span is ever cut.  The splice is what keeps the writer's
-    Python work flat in the genus: the memo alone costs one Python step per
-    repeated fiber entry.  Scalars are
+    json.dumps does.  A model's special_fibers list in a Report, which
+    assemble returns, is written from its splice record: once one C-level
+    operator.is_ pass over the record's snapshot proves that the list
+    still holds exactly those objects, each distinct entry is written once
+    into a buffer of its own that opens with its comma separator, and the
+    texts are spliced in one C-level extend of a map over the layout
+    positions; the first piece's comma is then swapped for the opening
+    bracket.  So a repeated entry costs no Python step, no separator is
+    written per entry, and no recorded span is ever cut.  The splice is
+    what keeps the writer's Python work flat in the genus: the memo alone
+    costs one Python step per repeated fiber entry, and every other list,
+    a recorded one that was edited included, is written element by element
+    through it.  Scalars are
     written inline, each key's prefix is encoded once per call, and a list
     or tuple of plain ints (not bools) is written as one string at C level;
     the text of the ints 0..255 is read from a table, and each depth's
@@ -506,6 +526,8 @@ def json_pieces(data) -> list[str]:
     spans: dict[int, list] = {}
     prefixes: dict[str, str] = {}
     scalar = _SCALARS.get
+    # id of a Report's recorded list -> (its distinct entries, positions, snapshot)
+    recorded = {id(s[0]): s[1:] for s in data.splices} if isinstance(data, Report) else {}
 
     # the recursion stays private: a recursive public call would be one more
     # serialize span per node to anything that wraps the writer
@@ -561,26 +583,25 @@ def json_pieces(data) -> list[str]:
                     buf.append(sep + prefix + encode(v))
                 sep = comma
         else:
-            # one list of ids serves the distinct test, the first occurrences
-            # (in order, as a dict keeps them) and the splice
-            ids = list(map(id, obj))
-            distinct = dict(zip(ids, obj))
-            if len(distinct) == len(obj):
+            splice = recorded.get(id(obj))
+            if splice is None or len(obj) != len(splice[2]) or not all(map(is_, obj, splice[2])):
                 for v in obj:
                     buf.append(sep)
                     sep = comma
                     write(v, depth + 1, buf)
             else:
-                # write each distinct element once, its comma first, into a
-                # buffer of its own, then splice the texts into this one in
-                # order; the first text opens the list, so its comma becomes "["
-                texts = {}
-                for eid, v in distinct.items():
+                # the list holds exactly its snapshot: write each distinct
+                # entry once, its comma first, into a buffer of its own, then
+                # splice the texts into this one by the layout positions; the
+                # first text opens the list, so its comma becomes "["
+                entries, positions, _ = splice
+                texts = []
+                for v in entries:
                     own = [comma]
                     write(v, depth + 1, own)
-                    texts[eid] = "".join(own)
+                    texts.append("".join(own))
                 first = len(buf)
-                buf.extend(map(texts.__getitem__, ids))
+                buf.extend(map(texts.__getitem__, positions))
                 buf[first] = "[" + buf[first][1:]
         buf.append(closing)
         span[3] = len(buf)

@@ -1,10 +1,12 @@
 import contextlib
+import copy
 import enum
 import functools
 import gc
 import hashlib
 import io
 import json
+import pickle
 import random
 import re
 import sys
@@ -527,7 +529,9 @@ def test_prym_dimension_is_an_int_or_a_reduced_ratio():
 
 
 def test_report_serialization_round_trip():
-    for scen in (subset_scenario(3, 1), subset_scenario(2, 0), grid_scenario(2)):
+    # grid g = 300 repeats each fiber entry about 150 times; its json.loads
+    # copy records no splice, so the writer's memo writes every repeat
+    for scen in (subset_scenario(3, 1), subset_scenario(2, 0), grid_scenario(2), grid_scenario(300)):
         rep = assemble(scen)
         text = report_to_json(rep)
         assert canonical_json(json.loads(text)) == text
@@ -611,8 +615,8 @@ def _fiber_like(w: int) -> dict:
 
 _ROWS, _P1, _P2, _P3 = (_fiber_like(w) for w in range(4))
 _NESTED = [_P1, [_P1, _P1], {"k": _P1}]
-# a list whose first element repeats later, so the spliced text of that
-# element opens the list once and follows a comma after; the list, or the
+# a list whose first element repeats later, so that element's text opens
+# the list once and is copied from its span after a comma; the list, or the
 # container that holds it, is met again at another depth and re-indented
 _OPENS = [_P1, _P2, _P1, 5, _P1]
 _HOLDS_OPENS = {"fibers": _OPENS, "w": 1}
@@ -620,9 +624,9 @@ _HOLDS_OPENS = {"fibers": _OPENS, "w": 1}
 _HOLDS_REPEATS = {"fibers": [_P1, _P2, _P1, _P1], "w": 0}
 
 
-# a list that holds one element (by id) more than once is written by
-# splicing each distinct element's text; every case must still be the
-# bytes of json.dumps
+# a list that holds one element (by id) more than once, and that no Report
+# records, is written element by element through the memo; every case must
+# still be the bytes of json.dumps
 @pytest.mark.parametrize(
     "data",
     [
@@ -674,8 +678,8 @@ _SPLICED = {"inner": _INNER, "w": 3}
 
 
 # the memo writes a container met again from its recorded span: sliced at
-# the same depth, re-indented at another, its span still valid after a
-# splice, and a cycle seen as an open span
+# the same depth, re-indented at another, its span still valid when met
+# inside a repeated element and after it, and a cycle seen as an open span
 @pytest.mark.parametrize(
     "data",
     [
@@ -724,7 +728,7 @@ def test_canonical_json_reused_containers_match_json_dumps(data):
 
 def test_canonical_json_detects_cycles_through_memoized_spans():
     # each cycle closes on a container the memo already holds, met again
-    # at another depth or inside a spliced element's buffer
+    # at another depth or inside a repeated element
     shared: dict = {}
     deeper = {"a": shared, "b": [[shared]]}
     shared["up"] = [deeper]
@@ -863,6 +867,48 @@ def test_report_to_json_matches_json_dumps(scenario):
     rep = assemble(scenario)
     assert set(rep["models"]) == {MERGED, ORBIT}
     assert report_to_json(rep) == reference_json(rep)
+
+
+# four edits of one model's fiber list, each leaving a list its splice
+# record no longer describes: another model's entry in place of one, a copy
+# of an entry in its own place, one entry more and one fewer; and an entry
+# changed in place, which its record still describes, since a record holds
+# the entry objects, never their text
+FIBER_LIST_EDITS = {
+    "other-entry": lambda fibers, other: fibers.__setitem__(1, other[0]),
+    "copied-entry": lambda fibers, other: fibers.__setitem__(1, copy.deepcopy(fibers[1])),
+    "appended": lambda fibers, other: fibers.append(fibers[0]),
+    "deleted": lambda fibers, other: fibers.__delitem__(0),
+    "entry-changed-in-place": lambda fibers, other: fibers[1].__setitem__("w", -1),
+}
+
+
+# the subset n = 3 default declares its one profile twice
+@pytest.mark.parametrize("build", [lambda: grid_scenario(20), lambda: subset_scenario(3, 1)],
+                         ids=["grid-g20", "subset-n3"])
+@pytest.mark.parametrize("edit", FIBER_LIST_EDITS.values(), ids=FIBER_LIST_EDITS)
+def test_an_edited_fiber_list_writes_what_json_dumps_writes(build, edit):
+    data = assemble(build())
+    merged, orbit = (data["models"][m]["special_fibers"] for m in (MERGED, ORBIT))
+    assert len(merged) >= 2 and len(set(map(id, merged))) < len(merged)
+    edit(merged, orbit)
+    assert canonical_json(data) == reference_json(data)
+
+
+@pytest.mark.parametrize("scenario", [grid_scenario(20), subset_scenario(3, 1)],
+                         ids=["grid-g20", "subset-n3"])
+def test_a_copied_report_writes_the_report_s_own_bytes(scenario):
+    data = assemble(scenario)
+    text = canonical_json(data)
+    assert text == reference_json(data)
+    # a dict copy carries no splice record; a deep copy and a pickle round
+    # trip carry theirs, pointing at their own copied lists
+    assert canonical_json({**data}) == text
+    for copied in (copy.deepcopy(data), pickle.loads(pickle.dumps(data))):
+        assert type(copied) is report_module.Report
+        held = [rep["special_fibers"] for rep in copied["models"].values()]
+        assert [id(splice[0]) for splice in copied.splices] == list(map(id, held))
+        assert canonical_json(copied) == text
 
 
 def test_repeated_fibers_share_one_entry():

@@ -2,6 +2,7 @@
 
 import importlib.util
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -84,6 +85,18 @@ def test_report_digest_covers_its_scenario_set():
     spec.loader.exec_module(digest)
     # 156 subset runs, 5,682 profile choices, 240 grid runs, 36 identities
     assert sum(1 for _ in digest.cases(digest.parse_args([]))) == 6114
+
+
+def test_bench_record_asks_the_interpreter_its_version(tmp_path):
+    spec = importlib.util.spec_from_file_location("bench_record", SCRIPTS / "bench_record.py")
+    record = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(record)
+    assert record.python_version(sys.executable) == platform.python_version()
+    # the version is what the child prints, never this interpreter's own
+    other = tmp_path / "python"
+    other.write_text("#!/bin/sh\necho 3.99.1\n")
+    other.chmod(0o755)
+    assert record.python_version(str(other)) == "3.99.1"
 
 
 def test_code_lines_counts_only_code():
