@@ -49,7 +49,6 @@ reads the orbits the fiber keeps.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import cached_property
 from itertools import accumulate
 
 from .correspondence import FiberCorrespondence
@@ -70,7 +69,10 @@ class SpecialFiber(Record, namedtuple("SpecialFiber", "classes generators")):
     positions, in class order) are the attributes points and orbits, outside
     the fields and equality.  So are moves, the label moves the generators
     were induced from, one per generator in order, or None for a fiber
-    given none; class_action reads them, and copy and pickle keep them.  A
+    given none; class_action reads them, and copy and pickle keep them.
+    So is w_contribution, the fiber's part of the induced ramification w,
+    set here: the number N of points less the number of classes, since the
+    classes partition the points.  A
     fiber does not know its model: the report's model entry holding it
     records the model, and a merged subset entry writes its block multisets
     from the fiber's profile.  So one fiber
@@ -94,16 +96,13 @@ class SpecialFiber(Record, namedtuple("SpecialFiber", "classes generators")):
         ordered = sorted((tuple(sorted(map(point, orbit))), orbit) for orbit in walked)
         classes, walked = zip(*ordered)
         self = super().__new__(cls, classes, generators)
-        self.__dict__.update(points=points, orbits=walked, moves=moves)
+        w = len(points) - len(classes)
+        self.__dict__.update(points=points, orbits=walked, moves=moves, w_contribution=w)
         return self
 
     def __getnewargs__(self):
         # copy and pickle rebuild a fiber from what it is built from
         return self.generators, self.points, self.moves
-
-    @cached_property
-    def w_contribution(self) -> int:
-        return sum(map(len, self.classes)) - len(self.classes)
 
 
 def blocks_from_parts(parts: tuple[int, ...], degree: int) -> tuple[tuple[int, ...], ...]:

@@ -47,8 +47,11 @@ class Record:
     this class first among its bases: a record equals only a record of its
     own class with equal fields, never a plain tuple or a record of another
     class with the same fields, and it stays hashable.  Fields are read-only,
-    and a record that keeps a __dict__ for its cached properties refuses any
-    other attribute.  Each record runs its checks in __new__, so _replace
+    and every attribute assignment is refused: a record keeps its facts
+    outside the fields in its __dict__, written there by its own code (a
+    special fiber's and a scenario's in __new__, so they are complete once
+    built; a correspondence's label-pair lookup and induced moves when they
+    are first needed).  Each record runs its checks in __new__, so _replace
     and _make, which skip __new__, are not used on them.
     """
 

@@ -150,7 +150,6 @@ def assemble(scenario: Scenario) -> Report:
         "correspondence": summary,
         "irreducibility": {"transitive": irreducible, "basis": basis},
         "models": {model: rep for model, (rep, _, _) in models.items()},
-        "notes": [],
         "verdict": {model: verdict for model, (_, verdict, _) in models.items()},
     })
     data["notes"] = _notes(data)
@@ -456,19 +455,20 @@ _INT_TEXT = _IntText((i, int.__repr__(i)) for i in range(256)).__getitem__
 # the writer of each scalar a report holds, by its exact type
 _LITERAL = {True: "true", False: "false", None: "null"}.__getitem__
 _SCALARS = {str: encode_basestring_ascii, int: _INT_TEXT, bool: _LITERAL, type(None): _LITERAL}
-# the separators of a container written at each depth, a list's and then a
-# dict's, so that is_dict indexes them: (opening and first line break, comma
-# and line break between elements, line break and closing), extended on
-# demand by _separators
-_SEPARATORS: list[tuple[tuple[str, str, str], tuple[str, str, str]]] = []
 
 
 def _separators(depth: int) -> tuple:
-    while len(_SEPARATORS) <= depth:
-        pad = "  " * len(_SEPARATORS)
-        line, end = "\n  " + pad, "\n" + pad
-        _SEPARATORS.append((("[" + line, "," + line, end + "]"), ("{" + line, "," + line, end + "}")))
-    return _SEPARATORS[depth]
+    # the separators of a container written at depth, a list's and then a
+    # dict's, so that is_dict indexes them: (opening and first line break,
+    # comma and line break between elements, line break and closing)
+    pad = "  " * depth
+    line, end = "\n  " + pad, "\n" + pad
+    return ("[" + line, "," + line, end + "]"), ("{" + line, "," + line, end + "}")
+
+
+# the separators of depths 0 to 8, a class member's label list, the deepest a
+# report reaches; the writer builds a deeper depth's with _separators, unstored
+_SEPARATORS = tuple(map(_separators, range(9)))
 
 
 def canonical_json(data) -> str:
@@ -519,7 +519,8 @@ def json_pieces(data) -> list[str]:
     written inline, each key's prefix is encoded once per call, and a list
     or tuple of plain ints (not bools) is written as one string at C level;
     the text of the ints 0..255 is read from a table, and each depth's
-    separators from another (_separators).
+    separators from another, a constant one for the depths a report
+    reaches; deeper data's are built by _separators and not kept.
     """
     out: list[str] = []
     # id -> [depth, buffer, start, end]; end is None while the span is open
@@ -564,10 +565,9 @@ def json_pieces(data) -> list[str]:
                 raise ValueError("Circular reference detected")
             if written == depth:
                 return buf.extend(source[start:end])
+            # every line break in the text carries at least its depth's indent
             text = "".join(source[start:end])
-            if written < depth:
-                return buf.append(text.replace("\n", "\n" + "  " * (depth - written)))
-            return buf.append(text.replace("\n" + "  " * (written - depth), "\n"))
+            return buf.append(text.replace("\n" + "  " * written, "\n" + "  " * depth))
         span = spans[id(obj)] = [depth, buf, len(buf), None]
         sep = opening
         if is_dict:

@@ -707,6 +707,22 @@ def test_canonical_json_memo_writes_repeats_like_json_dumps(data):
     assert canonical_json(data) == reference_json(data)
 
 
+def test_canonical_json_writes_past_its_separator_table_and_keeps_it():
+    # the table holds depths 0 to 8, the deepest a report reaches; here
+    # lists nest 12 deep, so deeper separators are built for the call.
+    # shared is written at depth 1, then met at 12 and at 2, and low is
+    # written at 12, then met at 1, so the memo re-indents both ways
+    table = report_module._SEPARATORS
+    shared, low = [{"k": [1, 2]}, ["s"]], [["t"], {"u": ["v"]}]
+    deep = [shared, low]
+    for _ in range(10):
+        deep = [deep, "x"]
+    data = [shared, deep, [shared], low]
+    assert canonical_json(data) == json.dumps(data, indent=2, sort_keys=True)
+    assert report_module._SEPARATORS is table
+    assert table == tuple(map(report_module._separators, range(9)))
+
+
 @st.composite
 def json_dags(draw):
     # each container is built from leaves and containers built before it,
@@ -1301,7 +1317,8 @@ def test_grid_report_python_work_does_not_grow_with_genus(output):
     # subset layout grows only in its simple branch points, which no
     # position holds.  The CLI's JSON path writes the grid report's pieces
     # to stdout; the sink's own writes are not package lines.  The warm-up
-    # call fills import-time and per-process caches
+    # call keeps any first-call work out of the count
+    # (tests/test_calls_keep_no_state.py holds that there is none)
     runs = [lambda genus, build=build: output(assemble(build(genus)))
             for build in (grid_scenario, lambda genus: subset_scenario(5, genus))]
     if output is report_to_json:
@@ -1331,25 +1348,25 @@ def test_construction_checks_run_the_same_python_lines_at_every_size(build, size
 
 def test_grid_g3000_computes_each_fiber_fact_once(monkeypatch):
     # 2g + 4 layout positions per model read the facts of four distinct
-    # fibers, built once for both models: each fiber's w is computed once
-    # and each is acted on once.
+    # fibers, built once for both models: each fiber is built once, which
+    # sets its w, and each is acted on once.
     # The report keeps no fiber, so the counted ones are held here: a freed
     # fiber's id could be reused
     counts = Counter()
     held = []
-    prop = SpecialFiber.__dict__["w_contribution"]
 
-    def counted(self, func=prop.func):
-        counts["w_contribution", id(self)] += 1
-        held.append(self)
-        return func(self)
+    def constructed(cls, *args, new=SpecialFiber.__new__):
+        fiber = new(cls, *args)
+        counts["SpecialFiber", id(fiber)] += 1
+        held.append(fiber)
+        return fiber
 
     def acted(corr, fiber, action=report_module.class_action):
         counts["class_action", id(fiber)] += 1
         held.append(fiber)
         return action(corr, fiber)
 
-    monkeypatch.setattr(prop, "func", counted)
+    monkeypatch.setattr(SpecialFiber, "__new__", staticmethod(constructed))
     monkeypatch.setattr(report_module, "class_action", acted)
     built = Counter()
     for name in ("grid_row_merge_fiber", "grid_pairing_fiber"):
@@ -1362,7 +1379,10 @@ def test_grid_g3000_computes_each_fiber_fact_once(monkeypatch):
     assert len(data["models"]) == 2
     assert set(counts.values()) == {1}
     # the two models share the four grid fibers and their facts
-    assert Counter(name for name, _ in counts) == {"w_contribution": 4, "class_action": 4}
+    assert Counter(name for name, _ in counts) == {"SpecialFiber": 4, "class_action": 4}
+    assert {key for name, key in counts if name == "class_action"} == {
+        key for name, key in counts if name == "SpecialFiber"
+    }
     assert built == {"grid_row_merge_fiber": 1, "grid_pairing_fiber": 3}
 
 
