@@ -30,6 +30,7 @@ the correspondence class, smoothness of the curve) are marked unchecked.
 
 from __future__ import annotations
 
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from math import gcd
 from operator import is_
@@ -470,6 +471,10 @@ def _separators(depth: int) -> tuple:
 # report reaches; the writer builds a deeper depth's with _separators, unstored
 _SEPARATORS = tuple(map(_separators, range(9)))
 
+# the layout positions a spliced run holds: a fiber list is cut into runs of
+# this many positions, and each distinct run that recurs is joined once
+_RUN = 64
+
 
 def canonical_json(data) -> str:
     """The text json.dumps(data, indent=2, sort_keys=True) writes, byte for
@@ -507,15 +512,21 @@ def json_pieces(data) -> list[str]:
     assemble returns, is written from its splice record: once one C-level
     operator.is_ pass over the record's snapshot proves that the list
     still holds exactly those objects, each distinct entry is written once
-    into a buffer of its own that opens with its comma separator, and the
-    texts are spliced in one C-level extend of a map over the layout
-    positions; the first piece's comma is then swapped for the opening
-    bracket.  So a repeated entry costs no Python step, no separator is
-    written per entry, and no recorded span is ever cut.  The splice is
-    what keeps the writer's Python work flat in the genus: the memo alone
-    costs one Python step per repeated fiber entry, and every other list,
-    a recorded one that was edited included, is written element by element
-    through it.  Scalars are
+    into a buffer of its own that opens with its comma separator.  A list
+    of at most _RUN positions splices the texts in one C-level extend of a
+    map over the layout positions.  A longer one is cut at C level into
+    runs of _RUN positions: each distinct run that recurs is joined once
+    from the texts and adds that one piece wherever it occurs, a run met
+    once adds one piece per position, and all of them go in by one C-level
+    extend over the runs, so Python steps once per distinct run and the
+    CLI's stdout takes a few hundred pieces for a grid report at any genus.
+    The first piece's comma is then swapped for the opening bracket.  So a
+    repeated entry costs no Python step, no separator is written per
+    entry, and no recorded span is ever cut.  The splice is what keeps the
+    writer's Python work flat in the genus: the memo alone costs one Python
+    step per repeated fiber entry, and every other list, a recorded one
+    that was edited included, is written element by element through it.
+    Scalars are
     written inline, each key's prefix is encoded once per call, and a list
     or tuple of plain ints (not bools) is written as one string at C level;
     the text of the ints 0..255 is read from a table, and each depth's
@@ -601,7 +612,21 @@ def json_pieces(data) -> list[str]:
                     write(v, depth + 1, own)
                     texts.append("".join(own))
                 first = len(buf)
-                buf.extend(map(texts.__getitem__, positions))
+                if len(positions) <= _RUN:
+                    buf.extend(map(texts.__getitem__, positions))
+                else:
+                    # cut the positions into runs of _RUN at C level; a run
+                    # that recurs is joined once and each occurrence adds
+                    # that one piece, while a run met once adds one piece per
+                    # position, so no text is copied past the repeated runs
+                    n = len(positions)
+                    cuts = map(slice, range(0, n, _RUN), range(_RUN, n + _RUN, _RUN))
+                    runs = [*map(positions.__getitem__, cuts)]
+                    pieces_of = dict.fromkeys(runs)
+                    for run in pieces_of:
+                        pieces = [*map(texts.__getitem__, run)]
+                        pieces_of[run] = ("".join(pieces),) if runs.count(run) > 1 else pieces
+                    buf.extend(chain.from_iterable(map(pieces_of.__getitem__, runs)))
                 buf[first] = "[" + buf[first][1:]
         buf.append(closing)
         span[3] = len(buf)

@@ -79,7 +79,7 @@ def test_correspondence_bits_stay_out_of_fields_and_equality():
         corr.bits = []
 
 
-def test_cached_properties_stay_cached():
+def test_construction_facts_stay_outside_the_fields():
     corr = build_grid_matrix(3)
     fiber = subset_fiber(build_subset_matrix(3), (2, 2, 1), MERGED)
     # a correspondence reads its points by position and keeps no index of

@@ -927,6 +927,84 @@ def test_a_copied_report_writes_the_report_s_own_bytes(scenario):
         assert canonical_json(copied) == text
 
 
+_RUN = report_module._RUN
+
+
+def _spliced_report(positions: bytes) -> report_module.Report:
+    """A Report whose one recorded fiber list names its entries by
+    positions, with a splice record as assemble keeps one.  Each entry
+    holds a member list that the report also holds before the list (at
+    another depth) and after it, so the memo serves the entries too."""
+    shared = [[1, 2], [3, 4]]
+    entries = [{"model": "paper", "w": i, "classes": [{"members": shared}]}
+               for i in range(max(positions) + 1)]
+    snapshot = tuple(map(entries.__getitem__, positions))
+    fibers = list(snapshot)
+    rep = report_module.Report(
+        {"a": shared, "models": {"paper": {"special_fibers": fibers, "w": 1}}, "z": [shared]})
+    rep.splices = ((fibers, entries, positions, snapshot),)
+    return rep
+
+
+def _spliced_pieces(positions: bytes) -> int:
+    """The pieces the fiber list adds: a list of at most one run adds one per
+    position; a longer list, cut into runs of _RUN positions, adds one per
+    run met more than once and one per position of a run met once."""
+    if len(positions) <= _RUN:
+        return len(positions)
+    runs = [positions[i:i + _RUN] for i in range(0, len(positions), _RUN)]
+    return sum(1 if runs.count(run) > 1 else len(run) for run in runs)
+
+
+_RANDOM = random.Random(55)
+# lengths about the run: one position, a run less one, one run, a run and
+# one, two runs, and k runs and a remainder
+_SPLICE_LENGTHS = (1, _RUN - 1, _RUN, _RUN + 1, 2 * _RUN, 5 * _RUN + 7)
+_SPLICE_ORDERS = {
+    "periodic": lambda n: bytes(i % 3 for i in range(n)),
+    # the grid's shape: a first position of its own, then period 3
+    "grid-like": lambda n: bytes([0]) + bytes(1 + i % 3 for i in range(n - 1)),
+    "one-entry": lambda n: bytes(n),
+    "random": lambda n: bytes(_RANDOM.randrange(4) for _ in range(n)),
+    "all-distinct": lambda n: bytes(i % 251 for i in range(n)),
+}
+
+
+@pytest.mark.parametrize("n", _SPLICE_LENGTHS)
+@pytest.mark.parametrize("order", _SPLICE_ORDERS.values(), ids=_SPLICE_ORDERS)
+def test_a_spliced_fiber_list_writes_what_json_dumps_writes_in_runs(order, n):
+    positions = order(n)
+    rep = _spliced_report(positions)
+    pieces = report_module.json_pieces(rep)
+    assert "".join(pieces) == reference_json(rep)
+    # the pieces outside the list are those of a one-position list less its one
+    outside = len(report_module.json_pieces(_spliced_report(positions[:1]))) - 1
+    assert len(pieces) == outside + _spliced_pieces(positions)
+
+
+# the edits that leave a list its record no longer describes
+_LIST_EDITS = {k: e for k, e in FIBER_LIST_EDITS.items() if k != "entry-changed-in-place"}
+
+
+@pytest.mark.parametrize("n", [_RUN + 1, 5 * _RUN + 7])
+@pytest.mark.parametrize("edit", _LIST_EDITS.values(), ids=_LIST_EDITS)
+def test_an_edited_list_of_runs_goes_through_the_memo(edit, n):
+    rep = _spliced_report(_SPLICE_ORDERS["grid-like"](n))
+    edit(rep["models"]["paper"]["special_fibers"], [{"model": "monodromy", "w": -2}])
+    pieces = report_module.json_pieces(rep)
+    assert "".join(pieces) == reference_json(rep)
+    # a dict copy carries no record: its pieces are the memo's, piece for piece
+    assert pieces == report_module.json_pieces({**rep})
+
+
+@pytest.mark.parametrize("genus", [3000, 10_000])
+def test_a_grid_report_splices_its_runs_in_few_pieces(genus):
+    # 2g + 4 positions per model: one piece per position would be 12,320
+    # pieces at g = 3000; runs that recur are one piece each
+    pieces = report_module.json_pieces(assemble(grid_scenario(genus)))
+    assert len(pieces) < 1_500
+
+
 def test_repeated_fibers_share_one_entry():
     cases = (
         (grid_scenario(5), 4),
