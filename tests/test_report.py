@@ -1300,8 +1300,8 @@ def test_grid_g3000_serializes_under_a_second():
 def test_grid_g3000_json_peak_memory_stays_near_its_length():
     # canonical_json joins json_pieces' list, so its peak is the joined text;
     # each of the four distinct fibers is written once into its own text and
-    # the list of fiber entries splices references to those texts, so the
-    # pieces hold little beyond them
+    # the list of fiber entries splices references to those texts and to the
+    # few runs of them that recur, so the pieces hold little beyond them
     data = assemble(grid_scenario(3000))
     tracemalloc.start()
     try:
@@ -1372,9 +1372,10 @@ def _cli_json(genus: int) -> int:
 
 def test_cli_grid_g3000_json_peak_memory_is_far_below_its_length():
     # the CLI hands the writer's pieces to stdout unjoined: the four distinct
-    # fiber texts are referenced once per position and never copied into one
-    # 19.4 MB string, so the peak, assemble's included, is a small part of
-    # the text.  The warm-up call fills import-time and per-process caches
+    # fiber texts and the few runs of them that recur, each joined once, are
+    # referenced where they occur and never copied into one 19.4 MB string,
+    # so the peak, assemble's included, is a small part of the text.  The
+    # warm-up call fills import-time and per-process caches
     _cli_json(3000)
     tracemalloc.start()
     try:
