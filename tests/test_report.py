@@ -956,7 +956,6 @@ def _spliced_pieces(positions: bytes) -> int:
     return sum(1 if runs.count(run) > 1 else len(run) for run in runs)
 
 
-_RANDOM = random.Random(55)
 # lengths about the run: one position, a run less one, one run, a run and
 # one, two runs, and k runs and a remainder
 _SPLICE_LENGTHS = (1, _RUN - 1, _RUN, _RUN + 1, 2 * _RUN, 5 * _RUN + 7)
@@ -965,7 +964,7 @@ _SPLICE_ORDERS = {
     # the grid's shape: a first position of its own, then period 3
     "grid-like": lambda n: bytes([0]) + bytes(1 + i % 3 for i in range(n - 1)),
     "one-entry": lambda n: bytes(n),
-    "random": lambda n: bytes(_RANDOM.randrange(4) for _ in range(n)),
+    "random": lambda n: bytes(random.Random(n).randrange(4) for _ in range(n)),
     "all-distinct": lambda n: bytes(i % 251 for i in range(n)),
 }
 
